@@ -3,7 +3,7 @@
 Everything here is finite and exhaustive: truncated simplicial sets with
 explicit tables, finite sites, brute-force Kan and homotopy-group checks,
 classifying complexes, homotopy colimits, and torsor classification in
-five flavours.  Results that depend on the truncation dimension say so in
+six flavours.  Results that depend on the truncation dimension say so in
 their reports.
 """
 

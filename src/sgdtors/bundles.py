@@ -791,7 +791,8 @@ def _chaotic_sgd_functor(HU, HV, ob) -> SgdFunctor:
     return SgdFunctor(HU, HV, {a: ob(a) for a in HU.objects}, maps)
 
 
-def _constant_enrichment(H):
+def constant_enrichment(H) -> bool:
+    """Every hom is constant: each level has the vertex-level cells."""
     base = {pair: set(hom.level(0)) for pair, hom in H.homs.items()}
     return all(
         set(hom.level(n)) == base[pair]
@@ -805,7 +806,7 @@ def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
     is fixed by its object map and its vertex-level cell maps."""
     for R in (P, Q):
         for H in R.values.values():
-            if not _constant_enrichment(H):
+            if not constant_enrichment(H):
                 raise ValueError("enumeration needs constant hom enrichments")
     site = P.site
     ob_slots = [
@@ -908,34 +909,6 @@ def psi_sgd(u: SgdPresheafMap) -> SgdDiagram:
             tab[a] = level
         res[f] = tab
     return SgdDiagram(Q, functors, res)
-
-
-@dataclass
-class TrivObject:
-    """A map out of a locally trivial object, with the certificate."""
-
-    map: SSetPresheafMap
-    cert: Check
-
-
-def phi_sgd(D: SgdDiagram, depth=2) -> TrivObject:
-    """The classifying data of a torsor diagram: the projection of its
-    homotopy colimit into the cocycle object, certified locally trivial."""
-    E, proj = holim_presheaf(D)
-    j = j_presheaf(D.coeff)
-    comps = {
-        U: {
-            n: {
-                s: j.components[U][n][proj.components[U][n][s]]
-                for s in E.values[U].level(n)
-            }
-            for n in range(E.values[U].trunc + 1)
-        }
-        for U in E.site.objects
-    }
-    cert = local_weq_check(to_point_map(E), depth=depth)
-    cert.claim = "source of the classifying map is locally trivial"
-    return TrivObject(SSetPresheafMap(E, j.target, comps), cert)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,22 @@ The bridge in both directions is the transition cocycle of a chosen
 local section: a torsor yields a classifying map on the nose, and the
 map's homotopy class is located among the enumerated ones.  The report
 fails loudly whenever the two sides disagree.
+
+One driver, ``classify``, runs every flavour.  ``FLAVOURS`` holds one
+entry per flavour: how to build the torsor family and the objects the
+isomorphism search compares, that search, the classifying target, the
+checks on each class representative, the classifying map, and any
+extra checks and report keys (the cocycle-class count for the group
+flavours, the bundle round trip, the represented torsors for ``sgpd``).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .bundles import (
-    SgdDiagram,
     SgdPresheafMap,
     cech_sgd_presheaf,
     corepresented_diagram,
@@ -37,24 +45,22 @@ from .bundles import (
     validate_sgd_diagram,
     vertex_group_presheaf,
 )
-from .groupoid import FinGroup, group_as_2groupoid
+from .groupoid import group_as_2groupoid
 from .holim import holim_2gpd
 from .kan import enumerate_sset_maps
 from .presheaf import (
-    GroupPresheaf,
     SgdPresheaf,
     SSetPresheaf,
     SSetPresheafMap,
     constant_group_presheaf,
     validate_sset_presheaf_map,
 )
-from .report import Check, require
+from .report import Check, InvariantError, require, unique_hit
 from .sgroupoid import string_steps
 from .sheaf import cech_resolution, cover_elements
-from .sset import delta, sset_map, sset_product
+from .sset import delta, sset_product
 from .torsors import (
     ActionTorsor,
-    GroupoidPresheaf,
     action_to_bundle,
     action_torsor_check,
     action_torsor_maps,
@@ -73,16 +79,6 @@ from .torsors import (
     torsor_cech_class,
     wbar_presheaf,
 )
-
-KINDS = (
-    "group",
-    "groupoid-action",
-    "groupoid-bundle",
-    "2gpd",
-    "sgroup",
-    "sgpd",
-)
-
 
 def star_cover(site):
     """The designated covering family of the terminal presheaf."""
@@ -221,52 +217,63 @@ def presheaf_map_classes(maps):
 # classifying maps from torsors
 
 
+def _cocycle_map(source: SSetPresheaf, target: SSetPresheaf, entry) -> SSetPresheafMap:
+    """The map sending a cell of section W at level n to
+    entry(W)(n, cell), checked to be a strict presheaf map."""
+    per_section = {W: entry(W) for W in source.site.objects}
+    u = SSetPresheafMap(source, target, _components_of(source, per_section))
+    ok, problems = validate_sset_presheaf_map(u)
+    if not ok:
+        raise InvariantError(f"cocycle tables are not a presheaf map: {problems[:3]}")
+    return u
+
+
+def _chosen(cover, pool):
+    """The first entry of pool(member) for each cover member, by index."""
+    chosen = {}
+    for i, member in enumerate(cover["family"]):
+        found = pool(member)
+        if not found:
+            raise InvariantError(f"no section over {member!r} to trivialise with")
+        chosen[i] = found[0]
+    return chosen
+
+
+def _transition(hits):
+    return unique_hit(hits, "transitions must be unique to classify")
+
+
 def action_classifying_map(
     T: ActionTorsor, cover, trunc, target: SSetPresheaf = None
 ) -> SSetPresheafMap:
     """The transition cocycle of one chosen section over each cover
     member, as a map from the covering resolution into the nerve."""
     site = T.total.site
-    source = cech_resolution(site, cover, trunc)
     if target is None:
         target = bg_presheaf(T.gpd, trunc)
-    family = list(cover["family"])
-    chosen = {}
-    for i, member in enumerate(family):
-        secs = T.total.values[member]
-        assert secs, f"no section over {member!r} to trivialise with"
-        chosen[i] = secs[0]
+    chosen = _chosen(cover, lambda member: T.total.values[member])
     E = cover_elements(site, cover)
-    comps = {}
-    for W in site.objects:
-        G = T.gpd.values[W]
-        anchor = T.anchor[W]
-        tab = T.action[W]
+
+    def entry(W):
+        G, anchor, tab = T.gpd.values[W], T.anchor[W], T.action[W]
         local = {(i, h): T.total.res[h][chosen[i]] for (i, h) in E.values[W]}
 
-        def transition(prev, nxt, local=local, G=G, anchor=anchor, tab=tab):
-            hits = [
-                g
-                for g, (a, b) in G.morphisms.items()
-                if b == anchor[local[nxt]] and tab[(local[nxt], g)] == local[prev]
-            ]
-            assert len(hits) == 1, "transitions must be unique to classify"
-            return hits[0]
+        def transition(prev, nxt):
+            x, y = local[nxt], local[prev]
+            return _transition(
+                [
+                    g
+                    for g, (a, b) in G.morphisms.items()
+                    if b == anchor[x] and tab[(x, g)] == y
+                ]
+            )
 
-        table = {}
-        for n in range(trunc + 1):
-            for cell in source.values[W].level(n):
-                table.setdefault(n, {})[cell] = (
-                    anchor[local[cell[0]]],
-                    tuple(
-                        transition(cell[m - 1], cell[m]) for m in range(1, n + 1)
-                    ),
-                )
-        comps[W] = table
-    u = SSetPresheafMap(source, target, comps)
-    ok, problems = validate_sset_presheaf_map(u)
-    assert ok, problems[:3]
-    return u
+        return lambda n, cell: (
+            anchor[local[cell[0]]],
+            tuple(transition(cell[m - 1], cell[m]) for m in range(1, n + 1)),
+        )
+
+    return _cocycle_map(cech_resolution(site, cover, trunc), target, entry)
 
 
 def sgroup_classifying_map(
@@ -277,44 +284,28 @@ def sgroup_classifying_map(
     Q = A.group
     site = Q.site
     trunc = next(iter(Q.values.values())).trunc
-    source = cech_resolution(site, cover, trunc)
     if target is None:
         target = wbar_presheaf(Q)
-    family = list(cover["family"])
-    chosen = {
-        i: A.space.values[member].level(0)[0] for i, member in enumerate(family)
-    }
+    chosen = _chosen(cover, lambda member: A.space.values[member].level(0))
     E = cover_elements(site, cover)
-    comps = {}
-    for W in site.objects:
+
+    def entry(W):
         H = Q.values[W]
         a = next(iter(H.objects))
         local = {(i, h): A.space.res[h][0][chosen[i]] for (i, h) in E.values[W]}
 
-        def transition(prev, nxt, k, local=local, H=H, a=a, W=W):
-            hits = [
-                g
-                for g in H.homs[(a, a)].level(k)
-                if A.act(W, k, g, local[nxt]) == local[prev]
-            ]
-            assert len(hits) == 1, "transitions must be unique to classify"
-            return hits[0]
+        def transition(prev, nxt, k):
+            x, y = local[nxt], local[prev]
+            return _transition(
+                [g for g in H.homs[(a, a)].level(k) if A.act(W, k, g, x) == y]
+            )
 
-        table = {}
-        for n in range(trunc + 1):
-            for cell in source.values[W].level(n):
-                table.setdefault(n, {})[cell] = (
-                    (a,) * (n + 1),
-                    tuple(
-                        transition(cell[m - 1], cell[m], n - m)
-                        for m in range(1, n + 1)
-                    ),
-                )
-        comps[W] = table
-    u = SSetPresheafMap(source, target, comps)
-    ok, problems = validate_sset_presheaf_map(u)
-    assert ok, problems[:3]
-    return u
+        return lambda n, cell: (
+            (a,) * (n + 1),
+            tuple(transition(cell[m - 1], cell[m], n - m) for m in range(1, n + 1)),
+        )
+
+    return _cocycle_map(cech_resolution(site, cover, trunc), target, entry)
 
 
 def two_gpd_base_presheaf(site, T, trunc) -> SSetPresheaf:
@@ -342,76 +333,54 @@ def two_gpd_classifying_map(
     """Transition cocycle of a 2-groupoid action, for discrete hom
     2-cells; entries are degenerate strings on the transition arrow."""
     site = A.site
-    source = cech_resolution(site, cover, trunc)
-    if target is None:
-        target = two_gpd_base_presheaf(site, A.gpd2, trunc)
     T = A.gpd2
-    family = list(cover["family"])
-    chosen = {}
-    for i, member in enumerate(family):
-        pool = [x for p in sorted(A.elements[member]) for x in A.elements[member][p]]
-        assert pool, f"no element over {member!r} to trivialise with"
-        chosen[i] = pool[0]
+    if target is None:
+        target = two_gpd_base_presheaf(site, T, trunc)
+    chosen = _chosen(
+        cover,
+        lambda member: [
+            x for p in sorted(A.elements[member]) for x in A.elements[member][p]
+        ],
+    )
     E = cover_elements(site, cover)
-    owner = {
-        U: {x: p for p, xs in A.elements[U].items() for x in xs}
-        for U in site.objects
-    }
-    comps = {}
-    for W in site.objects:
+
+    def entry(W):
+        owner = {x: p for p, xs in A.elements[W].items() for x in xs}
         local = {(i, h): A.res[h][chosen[i]] for (i, h) in E.values[W]}
-        anchors = {e: owner[W][local[e]] for e in local}
+        anchors = {e: owner[local[e]] for e in local}
         act = A.act1[W]
 
-        def transition(prev, nxt, local=local, anchors=anchors, act=act):
-            p, q = anchors[nxt], anchors[prev]
-            hits = [
-                arrow
-                for arrow in T.homs[(p, q)].objects
-                if act[(arrow, local[nxt])] == local[prev]
-            ]
-            assert len(hits) == 1, "transitions must be unique to classify"
-            return hits[0]
+        def transition(prev, nxt):
+            x, y = local[nxt], local[prev]
+            arrows = T.homs[(anchors[nxt], anchors[prev])].objects
+            return _transition([arrow for arrow in arrows if act[(arrow, x)] == y])
 
-        table = {}
-        for n in range(trunc + 1):
-            for cell in source.values[W].level(n):
-                objs = tuple(anchors[e] for e in cell)
-                arrows = tuple(
-                    (
-                        transition(cell[m - 1], cell[m]),
-                        (("id", transition(cell[m - 1], cell[m])),) * (n - m),
-                    )
-                    for m in range(1, n + 1)
-                )
-                table.setdefault(n, {})[cell] = (objs, arrows)
-        comps[W] = table
-    u = SSetPresheafMap(source, target, comps)
-    ok, problems = validate_sset_presheaf_map(u)
-    assert ok, problems[:3]
-    return u
+        def cell_value(n, cell):
+            steps = [transition(cell[m - 1], cell[m]) for m in range(1, n + 1)]
+            return (
+                tuple(anchors[e] for e in cell),
+                tuple((t, (("id", t),) * (n - m)) for m, t in enumerate(steps, 1)),
+            )
+
+        return cell_value
+
+    return _cocycle_map(cech_resolution(site, cover, trunc), target, entry)
 
 
 def db_presheaf_map(u: SgdPresheafMap) -> SSetPresheafMap:
     """Diagonal nerve of a map of enriched groupoid presheaves."""
     DP = db_presheaf(u.source)
     DQ = db_presheaf(u.target)
-    comps = {}
-    for U in u.source.site.objects:
-        F = u.components[U]
-        H = u.source.values[U]
-        table = {}
-        for n in range(DP.values[U].trunc + 1):
-            for (x0, fs) in DP.values[U].level(n):
-                table.setdefault(n, {})[(x0, fs)] = (
-                    F.ob[x0],
-                    tuple(
-                        F.on_hom(a, b, n, g)
-                        for (a, b, g) in string_steps(H, x0, fs, n)
-                    ),
-                )
-        comps[U] = table
-    return SSetPresheafMap(DP, DQ, comps)
+
+    def entry(U):
+        F, H = u.components[U], u.source.values[U]
+        return lambda n, cell: (
+            F.ob[cell[0]],
+            tuple(F.on_hom(a, b, n, g) for (a, b, g) in string_steps(H, *cell, n)),
+        )
+
+    per_section = {U: entry(U) for U in DP.site.objects}
+    return SSetPresheafMap(DP, DQ, _components_of(DP, per_section))
 
 
 def sgd_classifying_map(
@@ -421,34 +390,26 @@ def sgd_classifying_map(
     on resolutions: entries are the images of the unique connecting
     cells, read backwards along each string."""
     P, Q = u.source, u.target
-    site = P.site
     trunc = next(iter(P.values.values())).trunc
-    source = cech_resolution(site, cover, trunc)
     if target is None:
         target = wbar_presheaf(Q)
-    comps = {}
-    for W in site.objects:
-        F = u.components[W]
-        HP = P.values[W]
-        table = {}
-        for n in range(trunc + 1):
-            for cell in source.values[W].level(n):
-                objs = tuple(F.ob[e] for e in cell)
-                arrows = tuple(
-                    F.on_hom(
-                        cell[m],
-                        cell[m - 1],
-                        n - m,
-                        HP.homs[(cell[m], cell[m - 1])].level(n - m)[0],
-                    )
-                    for m in range(1, n + 1)
+
+    def entry(W):
+        F, HP = u.components[W], P.values[W]
+        return lambda n, cell: (
+            tuple(F.ob[e] for e in cell),
+            tuple(
+                F.on_hom(
+                    cell[m],
+                    cell[m - 1],
+                    n - m,
+                    HP.homs[(cell[m], cell[m - 1])].level(n - m)[0],
                 )
-                table.setdefault(n, {})[cell] = (objs, arrows)
-        comps[W] = table
-    kappa = SSetPresheafMap(source, target, comps)
-    ok, problems = validate_sset_presheaf_map(kappa)
-    assert ok, problems[:3]
-    return kappa
+                for m in range(1, n + 1)
+            ),
+        )
+
+    return _cocycle_map(cech_resolution(P.site, cover, trunc), target, entry)
 
 
 def constant_cocycle_map(
@@ -456,312 +417,122 @@ def constant_cocycle_map(
 ) -> SSetPresheafMap:
     """The trivial cocycle at a constant object: every resolution cell
     goes to the identity string."""
-    site = source.site
-    comps = {}
-    for W in site.objects:
+
+    def entry(W):
         H = Q.values[W]
-        X = source.values[W]
-        comps[W] = {
-            n: {
-                cell: (
-                    (a,) * (n + 1),
-                    tuple(H.identity_at(a, n - m) for m in range(1, n + 1)),
-                )
-                for cell in X.level(n)
-            }
-            for n in range(X.trunc + 1)
-        }
-    u = SSetPresheafMap(source, target, comps)
-    ok, problems = validate_sset_presheaf_map(u)
-    assert ok, problems[:3]
-    return u
+        return lambda n, cell: (
+            (a,) * (n + 1),
+            tuple(H.identity_at(a, n - m) for m in range(1, n + 1)),
+        )
+
+    return _cocycle_map(source, target, entry)
 
 
 # ---------------------------------------------------------------------------
-# the classification runs
+# the flavour table
 
 
-def _locate(u: SSetPresheafMap, maps, classes):
-    for index, candidate in enumerate(maps):
-        if candidate.components == u.components:
-            for ci, members in enumerate(classes):
-                if index in members:
-                    return ci
-    for ci, members in enumerate(classes):
-        if any(presheaf_homotopic(u, maps[k]) for k in members):
-            return ci
-    return None
+@dataclass(frozen=True)
+class Flavour:
+    """What one torsor flavour gives the classification run.
+
+    The functions take the run, a namespace holding classify()'s
+    arguments and what the run has built so far.  They name the
+    searches and checks through module globals, looked up at call time,
+    so that a wrapper rebound over a global after import (as
+    perfbench/tracing.py installs) sees every call.
+    """
+
+    claim: str
+    enriched: bool         # truncation is the coefficients', not an argument
+    family: object         # run -> the torsor family
+    iso: object            # (run, x, y) -> isomorphisms of searched objects
+    target: object         # run -> the classifying presheaf
+    checks: object         # (run, i) -> checks on family member i
+    classifying_map: object  # (run, i) -> the cocycle map of member i
+    searched: object = None  # run -> what the isomorphism search compares
+    extra: object = None   # (run, check) -> report keys, after the matching
 
 
-def _assemble(kind, torsors, torsor_classes, maps, map_classes, matching, check):
-    report = {
-        "kind": kind,
-        "family": len(torsors),
-        "torsor_classes": torsor_classes,
-        "map_count": len(maps),
-        "map_classes": map_classes,
-        "matching": matching,
-        "classes": len(torsor_classes),
-        "check": check,
-    }
-    assignment = [j for _, j in matching]
+def _bundle_family(run):
+    run.actions = enumerate_action_torsors(run.coeff, run.bound)
+    return [action_to_bundle(T, run.trunc) for T in run.actions]
+
+
+def _two_gpd_family(run):
+    G = constant_group_presheaf(run.site, run.coeff)
+    cochains = enumerate_group_cochains(G, run.bound)
+    return [twisted_two_gpd_action(run.site, run.coeff, c) for c in cochains]
+
+
+def _sgroup_family(run):
+    run.vertex_group = vertex_group_presheaf(run.coeff)
+    cochains = enumerate_group_cochains(run.vertex_group, run.bound)
+    return [twisted_sgroup_action(run.coeff, c) for c in cochains]
+
+
+def _sgd_family(run):
+    P = cech_sgd_presheaf(run.site, run.cover, run.trunc)
+    run.charts = enumerate_sgd_presheaf_maps(P, run.coeff, bound=run.bound)
+    return [psi_sgd(u) for u in run.charts]
+
+
+def _cech_classes(run, G):
+    """The cocycle class of each torsor class's representative, sorted,
+    and the number of cocycle classes."""
+    data = h1_cech_classes(G, run.cover["family"])
+    found = sorted(
+        torsor_cech_class(run.searched[members[0]], data)
+        for members in run.torsor_classes
+    )
+    return found, len(data["reps"])
+
+
+def _group_cech(run, check):
+    found, count = _cech_classes(run, run.coeff)
     check.add(
         require(
-            len(torsor_classes) == len(map_classes),
-            "both sides have the same number of classes",
-            torsor_classes=len(torsor_classes),
-            map_classes=len(map_classes),
-        )
-    )
-    check.add(
-        require(
-            None not in assignment
-            and sorted(assignment) == list(range(len(map_classes))),
-            "classifying maps hit every homotopy class exactly once",
-            assignment=matching,
-        )
-    )
-    return report
-
-
-def classify_group(G: GroupPresheaf, trunc, depth=2, bound=None, cover=None):
-    site = G.site
-    cover = cover or star_cover(site)
-    torsors = enumerate_group_torsors(G, bound)
-    torsor_classes = _grouped(
-        len(torsors),
-        lambda i, j: bool(group_torsor_maps(torsors[i], torsors[j])),
-    )
-    target = bg_presheaf(group_presheaf_as_groupoid(G), trunc)
-    source = cech_resolution(site, cover, trunc)
-    maps = enumerate_sset_presheaf_maps(source, target, bound=bound)
-    map_classes = presheaf_map_classes(maps)
-    check = Check("group torsors match classifying maps", True,
-                  params={"trunc": trunc, "depth": depth})
-    for members in torsor_classes:
-        check.add(group_torsor_check(torsors[members[0]], depth=depth))
-    data = h1_cech_classes(G, cover["family"])
-    cech_of_class = sorted(
-        torsor_cech_class(torsors[members[0]], data) for members in torsor_classes
-    )
-    check.add(
-        require(
-            cech_of_class == list(range(len(data["reps"]))),
+            found == list(range(count)),
             "torsor classes match cocycle classes exactly",
-            classes=cech_of_class,
-            cocycle_classes=len(data["reps"]),
+            classes=found,
+            cocycle_classes=count,
         )
     )
-    matching = [
-        (
-            ci,
-            _locate(
-                action_classifying_map(
-                    group_torsor_to_action(torsors[members[0]]),
-                    cover,
-                    trunc,
-                    target=target,
-                ),
-                maps,
-                map_classes,
-            ),
-        )
-        for ci, members in enumerate(torsor_classes)
-    ]
-    report = _assemble("group", torsors, torsor_classes, maps, map_classes,
-                       matching, check)
-    report["cocycle_classes"] = len(data["reps"])
-    return report
+    return {"cocycle_classes": count}
 
 
-def classify_groupoid_action(GP: GroupoidPresheaf, trunc, depth=2, bound=None,
-                             cover=None):
-    site = GP.site
-    cover = cover or star_cover(site)
-    torsors = enumerate_action_torsors(GP, bound)
-    torsor_classes = _grouped(
-        len(torsors),
-        lambda i, j: bool(action_torsor_maps(torsors[i], torsors[j])),
-    )
-    target = bg_presheaf(GP, trunc)
-    source = cech_resolution(site, cover, trunc)
-    maps = enumerate_sset_presheaf_maps(source, target, bound=bound)
-    map_classes = presheaf_map_classes(maps)
-    check = Check("anchored torsors match classifying maps", True,
-                  params={"trunc": trunc, "depth": depth})
-    for members in torsor_classes:
-        check.add(action_torsor_check(torsors[members[0]], depth=depth))
-    matching = [
-        (
-            ci,
-            _locate(
-                action_classifying_map(torsors[members[0]], cover, trunc,
-                                       target=target),
-                maps,
-                map_classes,
-            ),
-        )
-        for ci, members in enumerate(torsor_classes)
-    ]
-    return _assemble("groupoid-action", torsors, torsor_classes, maps,
-                     map_classes, matching, check)
-
-
-def classify_groupoid_bundle(GP: GroupoidPresheaf, trunc, depth=2, bound=None,
-                             cover=None):
-    site = GP.site
-    cover = cover or star_cover(site)
-    actions = enumerate_action_torsors(GP, bound)
-    bundles = [action_to_bundle(T, trunc) for T in actions]
-    recovered = [bundle_to_action(B) for B in bundles]
-    torsor_classes = _grouped(
-        len(recovered),
-        lambda i, j: bool(action_torsor_maps(recovered[i], recovered[j])),
-    )
-    target = bg_presheaf(GP, trunc)
-    source = cech_resolution(site, cover, trunc)
-    maps = enumerate_sset_presheaf_maps(source, target, bound=bound)
-    map_classes = presheaf_map_classes(maps)
-    check = Check("pulled-back bundles match classifying maps", True,
-                  params={"trunc": trunc, "depth": depth})
-    for members in torsor_classes:
-        check.add(bundle_torsor_check(bundles[members[0]], depth=depth))
+def _sgroup_cech(run, check):
+    found, count = _cech_classes(run, run.vertex_group)
     check.add(
         require(
-            all(recovered[i] == actions[i] for i in range(len(actions))),
-            "bundle round trip recovers every action",
-        )
-    )
-    matching = [
-        (
-            ci,
-            _locate(
-                action_classifying_map(recovered[members[0]], cover, trunc,
-                                       target=target),
-                maps,
-                map_classes,
-            ),
-        )
-        for ci, members in enumerate(torsor_classes)
-    ]
-    return _assemble("groupoid-bundle", bundles, torsor_classes, maps,
-                     map_classes, matching, check)
-
-
-def classify_two_gpd(site, F: FinGroup, trunc, depth=2, bound=None, cover=None):
-    cover = cover or star_cover(site)
-    cochains = enumerate_group_cochains(constant_group_presheaf(site, F), bound)
-    actions = [twisted_two_gpd_action(site, F, c) for c in cochains]
-    torsor_classes = _grouped(
-        len(actions),
-        lambda i, j: bool(two_gpd_action_maps(actions[i], actions[j])),
-    )
-    T = group_as_2groupoid(F)
-    target = two_gpd_base_presheaf(site, T, trunc)
-    source = cech_resolution(site, cover, trunc)
-    maps = enumerate_sset_presheaf_maps(source, target, bound=bound)
-    map_classes = presheaf_map_classes(maps)
-    check = Check("2-groupoid actions match classifying maps", True,
-                  params={"trunc": trunc, "depth": depth})
-    for members in torsor_classes:
-        total, pi = two_gpd_display(actions[members[0]], trunc)
-        check.add(two_gpd_torsor_check(total, pi, depth=depth))
-    matching = [
-        (
-            ci,
-            _locate(
-                two_gpd_classifying_map(actions[members[0]], cover, trunc,
-                                        target=target),
-                maps,
-                map_classes,
-            ),
-        )
-        for ci, members in enumerate(torsor_classes)
-    ]
-    return _assemble("2gpd", actions, torsor_classes, maps, map_classes,
-                     matching, check)
-
-
-def classify_sgroup(Q: SgdPresheaf, depth=2, bound=None, cover=None):
-    site = Q.site
-    cover = cover or star_cover(site)
-    trunc = next(iter(Q.values.values())).trunc
-    G0 = vertex_group_presheaf(Q)
-    cochains = enumerate_group_cochains(G0, bound)
-    actions = [twisted_sgroup_action(Q, c) for c in cochains]
-    level0 = [level0_group_torsor(A) for A in actions]
-    torsor_classes = _grouped(
-        len(actions),
-        lambda i, j: bool(group_torsor_maps(level0[i], level0[j])),
-    )
-    target = wbar_presheaf(Q)
-    source = cech_resolution(site, cover, trunc)
-    maps = enumerate_sset_presheaf_maps(source, target, bound=bound)
-    map_classes = presheaf_map_classes(maps)
-    check = Check("enriched group actions match classifying maps", True,
-                  params={"trunc": trunc, "depth": depth})
-    for members in torsor_classes:
-        check.add(sgroup_torsor_check(actions[members[0]], depth=depth))
-    data = h1_cech_classes(G0, cover["family"])
-    cech_of_class = sorted(
-        torsor_cech_class(level0[members[0]], data) for members in torsor_classes
-    )
-    check.add(
-        require(
-            cech_of_class == list(range(len(data["reps"]))),
+            found == list(range(count)),
             "vertex-level classes match cocycle classes exactly",
-            classes=cech_of_class,
+            classes=found,
         )
     )
-    matching = [
-        (
-            ci,
-            _locate(
-                sgroup_classifying_map(actions[members[0]], cover, target=target),
-                maps,
-                map_classes,
-            ),
-        )
-        for ci, members in enumerate(torsor_classes)
-    ]
-    report = _assemble("sgroup", actions, torsor_classes, maps, map_classes,
-                       matching, check)
-    report["cocycle_classes"] = len(data["reps"])
-    return report
+    return {"cocycle_classes": count}
 
 
-def classify_sgd(Q: SgdPresheaf, depth=2, bound=None, cover=None):
-    site = Q.site
-    cover = cover or star_cover(site)
-    trunc = next(iter(Q.values.values())).trunc
-    P = cech_sgd_presheaf(site, cover, trunc)
-    us = enumerate_sgd_presheaf_maps(P, Q, bound=bound)
-    pulled = [psi_sgd(u) for u in us]
-    torsor_classes = _grouped(
-        len(pulled),
-        lambda i, j: bool(sgd_diagram_maps(pulled[i], pulled[j], bound=bound)),
+def _bundle_round_trip(run, check):
+    check.add(
+        require(run.searched == run.actions, "bundle round trip recovers every action")
     )
-    target = wbar_presheaf(Q)
-    source = cech_resolution(site, cover, trunc)
-    maps = enumerate_sset_presheaf_maps(source, target, bound=bound)
-    map_classes = presheaf_map_classes(maps)
-    check = Check("pulled-back diagrams match classifying maps", True,
-                  params={"trunc": trunc, "depth": depth})
-    for members in torsor_classes:
-        ok, problems = validate_sgd_diagram(pulled[members[0]])
-        check.add(require(ok, "pullback is a valid diagram", witness=problems[:3]))
-        check.add(sgd_torsor_check(pulled[members[0]], depth=depth))
-    matching = [
-        (
-            ci,
-            _locate(
-                sgd_classifying_map(us[members[0]], cover, target=target),
-                maps,
-                map_classes,
-            ),
-        )
-        for ci, members in enumerate(torsor_classes)
+    return {}
+
+
+def _sgd_checks(run, i):
+    ok, problems = validate_sgd_diagram(run.family[i])
+    return [
+        require(ok, "pullback is a valid diagram", witness=problems[:3]),
+        sgd_torsor_check(run.family[i], depth=run.depth),
     ]
+
+
+def _represented_torsors(run, check):
+    """The represented torsor at each constant object classifies by the
+    constant cocycle; a strict comparison with its class exists only
+    when no section carries more than one chart."""
+    Q, site = run.coeff, run.site
     constant_objects = [
         a
         for a in sorted(
@@ -771,19 +542,18 @@ def classify_sgd(Q: SgdPresheaf, depth=2, bound=None, cover=None):
         if all(Q.res[f].ob.get(a) == a for f in site.morphisms)
     ]
     for a in constant_objects:
-        # the represented torsor classifies by the constant cocycle; a
-        # strict comparison with its class exists only when no section
-        # carries more than one chart
-        triv = constant_cocycle_map(source, target, Q, a)
+        triv = constant_cocycle_map(run.source, run.target, Q, a)
         partners = [
-            ci for ci, mj in matching if mj == _locate(triv, maps, map_classes)
+            ci
+            for ci, mj in run.matching
+            if mj == _locate(triv, run.maps, run.map_classes)
         ]
         D = corepresented_diagram(Q, {U: a for U in site.objects})
         hits = [
             ci
-            for ci, members in enumerate(torsor_classes)
-            if sgd_diagram_maps(D, pulled[members[0]], bound=bound)
-            and sgd_diagram_maps(pulled[members[0]], D, bound=bound)
+            for ci, members in enumerate(run.torsor_classes)
+            if sgd_diagram_maps(D, run.family[members[0]], bound=run.bound)
+            and sgd_diagram_maps(run.family[members[0]], D, bound=run.bound)
         ]
         if hits:
             check.add(
@@ -802,33 +572,172 @@ def classify_sgd(Q: SgdPresheaf, depth=2, bound=None, cover=None):
                     partners=partners,
                 )
             )
-    return _assemble("sgpd", pulled, torsor_classes, maps, map_classes,
-                     matching, check)
+    return {}
+
+
+FLAVOURS = {
+    "group": Flavour(
+        "group torsors match classifying maps",
+        enriched=False,
+        family=lambda run: enumerate_group_torsors(run.coeff, run.bound),
+        iso=lambda run, x, y: group_torsor_maps(x, y),
+        target=lambda run: bg_presheaf(group_presheaf_as_groupoid(run.coeff), run.trunc),
+        checks=lambda run, i: [group_torsor_check(run.family[i], depth=run.depth)],
+        classifying_map=lambda run, i: action_classifying_map(
+            group_torsor_to_action(run.family[i]), run.cover, run.trunc,
+            target=run.target,
+        ),
+        extra=_group_cech,
+    ),
+    "groupoid-action": Flavour(
+        "anchored torsors match classifying maps",
+        enriched=False,
+        family=lambda run: enumerate_action_torsors(run.coeff, run.bound),
+        iso=lambda run, x, y: action_torsor_maps(x, y),
+        target=lambda run: bg_presheaf(run.coeff, run.trunc),
+        checks=lambda run, i: [action_torsor_check(run.family[i], depth=run.depth)],
+        classifying_map=lambda run, i: action_classifying_map(
+            run.family[i], run.cover, run.trunc, target=run.target
+        ),
+    ),
+    "groupoid-bundle": Flavour(
+        "pulled-back bundles match classifying maps",
+        enriched=False,
+        family=_bundle_family,
+        searched=lambda run: [bundle_to_action(B) for B in run.family],
+        iso=lambda run, x, y: action_torsor_maps(x, y),
+        target=lambda run: bg_presheaf(run.coeff, run.trunc),
+        checks=lambda run, i: [bundle_torsor_check(run.family[i], depth=run.depth)],
+        classifying_map=lambda run, i: action_classifying_map(
+            run.searched[i], run.cover, run.trunc, target=run.target
+        ),
+        extra=_bundle_round_trip,
+    ),
+    "2gpd": Flavour(
+        "2-groupoid actions match classifying maps",
+        enriched=False,
+        family=_two_gpd_family,
+        iso=lambda run, x, y: two_gpd_action_maps(x, y),
+        target=lambda run: two_gpd_base_presheaf(
+            run.site, group_as_2groupoid(run.coeff), run.trunc
+        ),
+        checks=lambda run, i: [
+            two_gpd_torsor_check(
+                *two_gpd_display(run.family[i], run.trunc), depth=run.depth
+            )
+        ],
+        classifying_map=lambda run, i: two_gpd_classifying_map(
+            run.family[i], run.cover, run.trunc, target=run.target
+        ),
+    ),
+    "sgroup": Flavour(
+        "enriched group actions match classifying maps",
+        enriched=True,
+        family=_sgroup_family,
+        searched=lambda run: [level0_group_torsor(A) for A in run.family],
+        iso=lambda run, x, y: group_torsor_maps(x, y),
+        target=lambda run: wbar_presheaf(run.coeff),
+        checks=lambda run, i: [sgroup_torsor_check(run.family[i], depth=run.depth)],
+        classifying_map=lambda run, i: sgroup_classifying_map(
+            run.family[i], run.cover, target=run.target
+        ),
+        extra=_sgroup_cech,
+    ),
+    "sgpd": Flavour(
+        "pulled-back diagrams match classifying maps",
+        enriched=True,
+        family=_sgd_family,
+        iso=lambda run, x, y: sgd_diagram_maps(x, y, bound=run.bound),
+        target=lambda run: wbar_presheaf(run.coeff),
+        checks=_sgd_checks,
+        classifying_map=lambda run, i: sgd_classifying_map(
+            run.charts[i], run.cover, target=run.target
+        ),
+        extra=_represented_torsors,
+    ),
+}
+
+KINDS = tuple(FLAVOURS)
+
+
+# ---------------------------------------------------------------------------
+# the classification run
+
+
+def _locate(u: SSetPresheafMap, maps, classes):
+    for index, candidate in enumerate(maps):
+        if candidate.components == u.components:
+            for ci, members in enumerate(classes):
+                if index in members:
+                    return ci
+    for ci, members in enumerate(classes):
+        if any(presheaf_homotopic(u, maps[k]) for k in members):
+            return ci
+    return None
 
 
 def classify(kind, site, coefficients, trunc=None, depth=2, bound=None,
              cover=None):
-    """Dispatch a classification run.
+    """Classify the torsors of one flavour over the site.
 
     coefficients: a GroupPresheaf for "group", a GroupoidPresheaf for
     the two groupoid flavours, a FinGroup for "2gpd", and an
-    SgdPresheaf for "sgroup" and "sgpd".
+    SgdPresheaf for "sgroup" and "sgpd", which take their truncation
+    from it.
     """
-    if kind == "group":
-        return classify_group(coefficients, trunc, depth=depth, bound=bound,
-                              cover=cover)
-    if kind == "groupoid-action":
-        return classify_groupoid_action(coefficients, trunc, depth=depth,
-                                        bound=bound, cover=cover)
-    if kind == "groupoid-bundle":
-        return classify_groupoid_bundle(coefficients, trunc, depth=depth,
-                                        bound=bound, cover=cover)
-    if kind == "2gpd":
-        return classify_two_gpd(site, coefficients, trunc, depth=depth,
-                                bound=bound, cover=cover)
-    if kind == "sgroup":
-        return classify_sgroup(coefficients, depth=depth, bound=bound,
-                               cover=cover)
-    if kind == "sgpd":
-        return classify_sgd(coefficients, depth=depth, bound=bound, cover=cover)
-    raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if kind not in FLAVOURS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    flavour = FLAVOURS[kind]
+    if flavour.enriched:
+        trunc = next(iter(coefficients.values.values())).trunc
+    run = SimpleNamespace(
+        site=site, coeff=coefficients, trunc=trunc, depth=depth, bound=bound,
+        cover=cover or star_cover(site),
+    )
+    run.family = flavour.family(run)
+    run.searched = searched = flavour.searched(run) if flavour.searched else run.family
+    run.torsor_classes = torsor_classes = _grouped(
+        len(searched), lambda i, j: bool(flavour.iso(run, searched[i], searched[j]))
+    )
+    run.target = flavour.target(run)
+    run.source = cech_resolution(site, run.cover, trunc)
+    run.maps = maps = enumerate_sset_presheaf_maps(run.source, run.target, bound=bound)
+    run.map_classes = map_classes = presheaf_map_classes(maps)
+    check = Check(flavour.claim, True, params={"trunc": trunc, "depth": depth})
+    representatives = [members[0] for members in torsor_classes]
+    for i in representatives:
+        for part in flavour.checks(run, i):
+            check.add(part)
+    run.matching = matching = [
+        (ci, _locate(flavour.classifying_map(run, i), maps, map_classes))
+        for ci, i in enumerate(representatives)
+    ]
+    keys = flavour.extra(run, check) if flavour.extra else {}
+    assignment = [j for _, j in matching]
+    check.add(
+        require(
+            len(torsor_classes) == len(map_classes),
+            "both sides have the same number of classes",
+            torsor_classes=len(torsor_classes),
+            map_classes=len(map_classes),
+        )
+    )
+    check.add(
+        require(
+            None not in assignment
+            and sorted(assignment) == list(range(len(map_classes))),
+            "classifying maps hit every homotopy class exactly once",
+            assignment=matching,
+        )
+    )
+    return {
+        "kind": kind,
+        "family": len(run.family),
+        "torsor_classes": torsor_classes,
+        "map_count": len(maps),
+        "map_classes": map_classes,
+        "matching": matching,
+        "classes": len(torsor_classes),
+        "check": check,
+        **keys,
+    }

@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .bundles import (
+    constant_enrichment,
     corepresented_diagram,
     sgd_torsor_check,
     sgroup_torsor_check,
@@ -849,6 +850,8 @@ def cmd_torsor(cfg: RunConfig):
         )
         return [cert], {}
 
+    if cfg.kind == "sgpd" and not all(constant_enrichment(H) for H in Q.values.values()):
+        raise SchemaError("/kind", "kind 'sgpd' enumerates only constant hom enrichments")
     try:
         result = classify(
             cfg.kind, site, coeff, trunc=N, depth=cfg.depth, bound=cfg.bound

@@ -3,6 +3,8 @@
 Every verifier in the package returns a ``Check``: a verdict, a short
 claim, the parameters that scope the claim (truncation, degree bounds,
 cover family), and a witness when the verdict is negative.  Checks nest.
+A computation whose input breaks an invariant it relies on raises
+``InvariantError`` instead.
 """
 
 from __future__ import annotations
@@ -57,3 +59,16 @@ class Check:
 
 def require(cond, claim, witness=None, **params):
     return Check(claim, bool(cond), params=params, witness=None if cond else witness)
+
+
+class InvariantError(Exception):
+    """Input breaks an invariant a computation relies on.  Raised where
+    an ``assert`` would otherwise stand, so that ``python -O`` keeps it."""
+
+
+def unique_hit(hits, claim):
+    """The one entry of ``hits``; raises InvariantError naming the
+    claim when there are none or several."""
+    if len(hits) != 1:
+        raise InvariantError(f"{claim}: {len(hits)} candidates")
+    return hits[0]

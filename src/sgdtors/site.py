@@ -240,45 +240,3 @@ def comma_site(site: FinSite, U) -> tuple:
     over = FinSite(cat, covers)
     forget = {f: C.src(f) for f in objects}
     return over, forget
-
-
-# ---------------------------------------------------------------------------
-# JSON shape.
-
-
-def site_to_obj(site: FinSite):
-    from .sset import id_to_str
-
-    cat = site.cat
-    return {
-        "objects": [id_to_str(a) for a in cat.objects],
-        "morphisms": {
-            id_to_str(f): [id_to_str(a), id_to_str(b)]
-            for f, (a, b) in sorted(cat.morphisms.items(), key=lambda kv: idkey(kv[0]))
-        },
-        "composition": {
-            id_to_str(g): {id_to_str(f): id_to_str(h) for (gg, f), h in cat.comp.items() if gg == g}
-            for g in sorted(cat.morphisms, key=idkey)
-        },
-        "identities": {id_to_str(a): id_to_str(e) for a, e in sorted(cat.identities.items(), key=lambda kv: idkey(kv[0]))},
-        "covers": {
-            id_to_str(U): [[id_to_str(m) for m in fam] for fam in fams]
-            for U, fams in sorted(site.covers.items(), key=lambda kv: idkey(kv[0]))
-        },
-        "star_covers": [[id_to_str(V) for V in fam] for fam in site.star_covers],
-    }
-
-
-def site_from_obj(obj) -> FinSite:
-    objects = tuple(obj["objects"])
-    morphisms = {f: (a, b) for f, (a, b) in obj["morphisms"].items()}
-    comp = {
-        (g, f): h
-        for g, row in obj["composition"].items()
-        for f, h in row.items()
-    }
-    identities = dict(obj["identities"])
-    cat = FinCat(objects, morphisms, comp, identities)
-    covers = {U: [list(fam) for fam in fams] for U, fams in obj.get("covers", {}).items()}
-    star = [list(fam) for fam in obj.get("star_covers", [])]
-    return FinSite(cat, covers, star)

@@ -11,7 +11,6 @@ All structures are treated as immutable once built and validated.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from .ordinal import OrdinalMap, decompose
@@ -272,38 +271,6 @@ def sset_product(X: TruncSSet, Y: TruncSSet):
     return build_sset(X.trunc, levels, face, degen)
 
 
-def sset_pullback(f, g):
-    """Levelwise fibre product of two maps into a common target.
-
-    Returns (P, to_source_of_f, to_source_of_g); simplices are the pairs
-    with equal images.
-    """
-    assert f.target is g.target or f.target == g.target
-    X, Y = f.source, g.source
-    assert X.trunc == Y.trunc
-
-    def levels(n):
-        return [
-            (x, y)
-            for x in X.level(n)
-            for y in Y.level(n)
-            if f(n, x) == g(n, y)
-        ]
-
-    def face(n, i, p):
-        return (X.face(n, i, p[0]), Y.face(n, i, p[1]))
-
-    def degen(n, j, p):
-        return (X.degen(n, j, p[0]), Y.degen(n, j, p[1]))
-
-    P = build_sset(X.trunc, levels, face, degen)
-    return (
-        P,
-        sset_map(P, X, lambda n, p: p[0]),
-        sset_map(P, Y, lambda n, p: p[1]),
-    )
-
-
 def disjoint_union(pieces):
     """Tagged disjoint union of a dict tag -> TruncSSet (same truncation)."""
     pieces = dict(pieces)
@@ -446,89 +413,8 @@ def identity_map(X):
     return sset_map(X, X, lambda n, x: x)
 
 
-def compose_maps(g: SSetMap, f: SSetMap) -> SSetMap:
-    assert f.target is g.source or f.target == g.source
-    return SSetMap(
-        f.source,
-        g.target,
-        {n: {x: g.levels[n][v] for x, v in tab.items()} for n, tab in f.levels.items()},
-    )
-
-
 def is_bijective(f: SSetMap):
     return all(
         len(set(f.levels[n].values())) == len(f.levels[n]) == f.target.size(n)
         for n in range(f.source.trunc + 1)
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip.  Ids are stringified canonically; parsing keeps them as
-# strings, so serialize(parse(serialize(X))) == serialize(X) bit for bit.
-
-
-def id_to_str(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, bool):
-        return "#b" + str(int(x))
-    if isinstance(x, int):
-        return "#i" + str(x)
-    if isinstance(x, tuple):
-        return "(" + ",".join(id_to_str(v) for v in x) + ")"
-    if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(id_to_str(v) for v in x)) + "}"
-    return str(x)
-
-
-def sset_to_obj(X: TruncSSet):
-    return {
-        "trunc": X.trunc,
-        "simplices": {
-            str(n): sorted(id_to_str(x) for x in X.level(n)) for n in range(X.trunc + 1)
-        },
-        "faces": {
-            str(n): {
-                str(i): {id_to_str(x): id_to_str(v) for x, v in X.faces[(n, i)].items()}
-                for i in range(n + 1)
-            }
-            for n in range(1, X.trunc + 1)
-        },
-        "degeneracies": {
-            str(n): {
-                str(j): {id_to_str(x): id_to_str(v) for x, v in X.degeneracies[(n, j)].items()}
-                for j in range(n + 1)
-            }
-            for n in range(X.trunc)
-        },
-    }
-
-
-def sset_from_obj(obj) -> TruncSSet:
-    trunc = int(obj["trunc"])
-    simplices = {
-        int(n): _sorted_ids(ids) for n, ids in obj["simplices"].items()
-    }
-    faces = {
-        (int(n), int(i)): dict(tab)
-        for n, per in obj.get("faces", {}).items()
-        for i, tab in per.items()
-    }
-    degeneracies = {
-        (int(n), int(j)): dict(tab)
-        for n, per in obj.get("degeneracies", {}).items()
-        for j, tab in per.items()
-    }
-    return TruncSSet(trunc, simplices, faces, degeneracies)
-
-
-def to_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def sset_to_json(X: TruncSSet) -> str:
-    return to_json(sset_to_obj(X))
-
-
-def sset_from_json(text: str) -> TruncSSet:
-    return sset_from_obj(json.loads(text))

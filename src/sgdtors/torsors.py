@@ -35,12 +35,11 @@ from .presheaf import (
     terminal_presheaf,
     terminal_sset_presheaf,
     validate_set_presheaf,
-    validate_set_presheaf_map,
     validate_sset_presheaf,
     validate_sset_presheaf_map,
     yoneda,
 )
-from .report import Check, require
+from .report import Check, InvariantError, require, unique_hit
 from .sgroupoid import db_sgroupoid, string_steps
 from .sheaf import is_sheaf, local_epi_check, local_weq_check, plus_construction
 from .sset import idkey, relabel
@@ -277,22 +276,6 @@ def trivial_group_torsor(G: GroupPresheaf) -> GroupTorsor:
     return GroupTorsor(G, total, action)
 
 
-def _plus_action(G: GroupPresheaf, E: SetPresheaf, action, depth=2):
-    """The induced action on the plus construction, entrywise on families."""
-    C = E.site.cat
-    Ep = plus_construction(E, depth)
-    new = {}
-    for U in E.site.objects:
-        tab = {}
-        for m in Ep.values[U]:
-            for g in G.values[U].elements:
-                tab[(m, g)] = tuple(
-                    (f, action[C.src(f)][(v, G.res[f][g])]) for f, v in m
-                )
-        new[U] = tab
-    return Ep, new
-
-
 def group_torsor_check(T: GroupTorsor, depth=2) -> Check:
     """Locally nonempty, and free and transitive on sheafified sections."""
     check = Check(
@@ -307,42 +290,10 @@ def group_torsor_check(T: GroupTorsor, depth=2) -> Check:
     check.add(require(is_sheaf(T.group.underlying(), depth), "coefficients form a sheaf"))
     if not check.ok:
         return check
-    to_pt = set_presheaf_map(T.total, terminal_presheaf(T.total.site), lambda U, s: "*")
-    epi = local_epi_check(to_pt, depth)
-    epi.claim = "total object covers the point locally"
-    check.add(epi)
-    E1, a1 = _plus_action(T.group, T.total, T.action, depth)
-    E2, a2 = _plus_action(T.group, E1, a1, depth)
-    stabilized = [
-        (U, e, g)
-        for U in E2.site.objects
-        for e in E2.values[U]
-        for g in T.group.values[U].elements
-        if a2[U][(e, g)] == e and g != T.group.values[U].e
-    ]
-    check.add(
-        require(
-            not stabilized,
-            "action is free on sheafified sections",
-            witness=stabilized[:2],
-        )
-    )
-    untied = [
-        (U, e, e2)
-        for U in E2.site.objects
-        for e in E2.values[U]
-        for e2 in E2.values[U]
-        if not any(
-            a2[U][(e, g)] == e2 for g in T.group.values[U].elements
-        )
-    ]
-    check.add(
-        require(
-            not untied,
-            "action is transitive on sheafified sections",
-            witness=untied[:2],
-        )
-    )
+    for part in _sheafified_checks(
+        group_torsor_to_action(T), depth, "action is transitive on sheafified sections"
+    ):
+        check.add(part)
     return check
 
 
@@ -593,17 +544,17 @@ def torsor_cech_class(T: GroupTorsor, data) -> int:
     G = T.group
     base = {}
     for i, Ui in enumerate(cover):
-        assert T.total.values[Ui], f"no section over {Ui!r} to trivialize with"
+        if not T.total.values[Ui]:
+            raise InvariantError(f"no section over {Ui!r} to trivialize with")
         base[i] = T.total.values[Ui][0]
 
     def transition(W, hi, hj, i, j):
         ei = T.total.res[hi][base[i]]
         ej = T.total.res[hj][base[j]]
-        hits = [
-            g for g in G.values[W].elements if T.action[W][(ei, g)] == ej
-        ]
-        assert len(hits) == 1, "torsor sections are not free and transitive"
-        return hits[0]
+        return unique_hit(
+            [g for g in G.values[W].elements if T.action[W][(ei, g)] == ej],
+            "torsor sections are not free and transitive",
+        )
 
     key = []
     for (i, j) in data["pairs"]:
@@ -788,12 +739,6 @@ def action_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
     return out
 
 
-def _anchor_map(T: ActionTorsor) -> SetPresheafMap:
-    return SetPresheafMap(
-        T.total, objects_presheaf(T.gpd), {U: dict(T.anchor[U]) for U in T.total.site.objects}
-    )
-
-
 def _plus_action_anchored(T: ActionTorsor, E, anchor, action, depth=2):
     """One plus-construction step of the anchored action."""
     C = E.site.cat
@@ -810,8 +755,7 @@ def _plus_action_anchored(T: ActionTorsor, E, anchor, action, depth=2):
                     T.gpd.res[f][0][a] == h for (f, _), h in zip(m, heads)
                 )
             ]
-            assert len(lifted) == 1, "anchors of a matching family do not glue"
-            atab[m] = lifted[0]
+            atab[m] = unique_hit(lifted, "anchors of a matching family do not glue")
             for g, (a, b) in T.gpd.values[U].morphisms.items():
                 if b != atab[m]:
                     continue
@@ -840,10 +784,19 @@ def action_torsor_check(T: ActionTorsor, depth=2) -> Check:
     check.add(require(sheaves, "coefficients form a sheaf of groupoids"))
     if not check.ok:
         return check
+    for part in _sheafified_checks(
+        T, depth, "any two sheafified sections are joined by an arrow"
+    ):
+        check.add(part)
+    return check
+
+
+def _sheafified_checks(T: ActionTorsor, depth, joined_claim):
+    """The total object covers the point locally, and the action is free
+    and joins any two sections after two plus-construction steps."""
     to_pt = set_presheaf_map(T.total, terminal_presheaf(T.total.site), lambda U, s: "*")
     epi = local_epi_check(to_pt, depth)
     epi.claim = "total object covers the point locally"
-    check.add(epi)
     E1, an1, a1 = _plus_action_anchored(T, T.total, T.anchor, T.action, depth)
     E2, an2, a2 = _plus_action_anchored(T, E1, an1, a1, depth)
     stabilized = [
@@ -852,9 +805,6 @@ def action_torsor_check(T: ActionTorsor, depth=2) -> Check:
         for (e, g) in a2[U]
         if a2[U][(e, g)] == e and g != T.gpd.values[U].identities[an2[U][e]]
     ]
-    check.add(
-        require(not stabilized, "action is free on sheafified sections", witness=stabilized[:2])
-    )
     untied = [
         (U, e, e2)
         for U in E2.site.objects
@@ -862,14 +812,11 @@ def action_torsor_check(T: ActionTorsor, depth=2) -> Check:
         for e2 in E2.values[U]
         if not any(a2[U].get((e, g)) == e2 for g in T.gpd.values[U].morphisms)
     ]
-    check.add(
-        require(
-            not untied,
-            "any two sheafified sections are joined by an arrow",
-            witness=untied[:2],
-        )
-    )
-    return check
+    return [
+        epi,
+        require(not stabilized, "action is free on sheafified sections", witness=stabilized[:2]),
+        require(not untied, joined_claim, witness=untied[:2]),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1033,7 +980,7 @@ def bundle_to_action(T5: BundleTorsor) -> ActionTorsor:
                     for s in X.level(1)
                     if pi[1][s] == (a, (g,)) and X.vertex(1, 1, s) == e
                 ]
-                assert len(fillers) == 1, "filler over an arrow is not unique"
-                tab[(e, g)] = X.face(1, 1, fillers[0])
+                filler = unique_hit(fillers, "filler over an arrow is not unique")
+                tab[(e, g)] = X.face(1, 1, filler)
         action[U] = tab
     return ActionTorsor(T5.gpd, total, anchor, action)

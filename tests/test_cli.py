@@ -2,6 +2,7 @@
 codes, and the shipped fixture corpus.
 """
 
+import hashlib
 import json
 import os
 
@@ -33,7 +34,11 @@ from sgdtors.fixtures import (
     z2_presheaf,
     z2_sgroup,
 )
+from sgdtors.groupoid import group_as_2groupoid, zmod
 from sgdtors.report import Check, require
+from sgdtors.sgroupoid import b_2groupoid
+from sgdtors.site import validate_site
+from sgdtors.sset import circle, delta, sset_product, validate_sset
 from sgdtors.wbar import wbar
 
 
@@ -54,11 +59,17 @@ def corpus(tmp_path_factory):
 
 
 def test_simplicial_set_json_round_trips():
-    W = wbar(z2_sgroup(3))
-    enc = encode_sset(W)
-    back = decode_sset(json.loads(dumps(enc)))
-    assert back == W
-    assert dumps(encode_sset(back)) == dumps(enc)
+    for X in (
+        wbar(z2_sgroup(3)),
+        delta(2, trunc=3),
+        circle(trunc=3),
+        sset_product(delta(1, trunc=2), delta(1, trunc=2)),
+    ):
+        enc = encode_sset(X)
+        back = decode_sset(json.loads(dumps(enc)))
+        assert back == X
+        assert validate_sset(back)[0]
+        assert dumps(encode_sset(back)) == dumps(enc)
 
 
 def test_site_json_round_trips():
@@ -66,6 +77,7 @@ def test_site_json_round_trips():
         enc = encode_site(site)
         back = decode_site(json.loads(dumps(enc)))
         assert back == site
+        assert validate_site(back).ok
         assert dumps(encode_site(back)) == dumps(enc)
 
 
@@ -194,6 +206,40 @@ def test_torsor_classify_group_over_the_circle(corpus, capsys):
     assert "matching: torsor 0 ~ map 0, torsor 1 ~ map 1" in out
 
 
+# sha256 of the certificate detail together with the class lists and the
+# matching, for the two flavours the benchmark's CLI corpus leaves out;
+# the input path is left out because it varies with the corpus location
+CLASSIFY_PINS = {
+    "groupoid-action": "565f146184dcfb84fe74e68821a4b246aa3ec2fc02a09ede741b1eb82c79c69e",
+    "2gpd": "2f7a4fa23a0a805d1ef0dc22c3caf9edeef3dcee44ae2cde8ea6b7d65f980b57",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSIFY_PINS))
+def test_torsor_classify_output_is_pinned(corpus, capsys, kind):
+    code = cli.main(
+        [
+            "torsor",
+            "classify",
+            "--kind",
+            kind,
+            "--site",
+            corpus["s1.json"],
+            corpus["z2const.json"],
+            "--trunc",
+            "3",
+            "--format",
+            "json",
+        ]
+    )
+    assert code == 0
+    cert = json.loads(capsys.readouterr().out)["certificates"][0]
+    pinned = {"detail": cert["detail"]}
+    for key in ("torsor_classes", "map_classes", "matching"):
+        pinned[key] = cert["parameters"][key]
+    assert hashlib.sha256(dumps(pinned).encode()).hexdigest() == CLASSIFY_PINS[kind]
+
+
 def test_torsor_enumerate_reports_the_family(corpus, capsys):
     code = cli.main(
         [
@@ -280,7 +326,7 @@ def test_invalid_configuration_exits_two(corpus, capsys):
     assert "invalid input at /bound" in capsys.readouterr().out
 
 
-def test_invalid_inputs_exit_two(corpus, capsys):
+def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     assert cli.main(["wbar", "/nonexistent/file.json"]) == 2
     assert "no such file" in capsys.readouterr().out
     assert cli.main(["wbar", corpus["z2const.json"], "--trunc", "9"]) == 2
@@ -317,6 +363,14 @@ def test_invalid_inputs_exit_two(corpus, capsys):
     )
     assert code == 2
     assert "bound is 4" in capsys.readouterr().out
+    # B of a 2-group has homs with more cells above level 0 than at it,
+    # which the sgpd map enumeration rejects; the torsor check runs
+    path = tmp_path / "b2.json"
+    path.write_text(dumps(encode_sgd(b_2groupoid(group_as_2groupoid(zmod(2)), 3))) + "\n")
+    argv = ["--kind", "sgpd", "--site", corpus["pt.json"], str(path)]
+    assert cli.main(["torsor", "classify", *argv]) == 2
+    assert "invalid input at /kind" in capsys.readouterr().out
+    assert cli.main(["torsor", "check", *argv]) == 0
 
 
 def test_unknown_kind_is_a_usage_error(corpus):

@@ -1,5 +1,6 @@
 import json
 
+from sgdtors.cli import decode_site, dumps, encode_site
 from sgdtors.fixtures import cover_site, pt_site, s1_site, torus_site
 from sgdtors.site import (
     comma_site,
@@ -7,8 +8,6 @@ from sgdtors.site import (
     maximal_sieve,
     min_sieves,
     pullback_sieve,
-    site_from_obj,
-    site_to_obj,
     validate_cat,
     validate_site,
 )
@@ -78,9 +77,8 @@ def test_comma_site_inherits_covers():
 
 def test_site_json_round_trip_is_stable():
     site = s1_site(object_covers=True)
-    obj = site_to_obj(site)
-    text = json.dumps(obj, sort_keys=True)
-    again = site_to_obj(site_from_obj(json.loads(text)))
-    assert json.dumps(again, sort_keys=True) == text
-    report = validate_site(site_from_obj(json.loads(text)))
+    text = dumps(encode_site(site))
+    again = dumps(encode_site(decode_site(json.loads(text))))
+    assert again == text
+    report = validate_site(decode_site(json.loads(text)))
     assert report.ok, report.render()

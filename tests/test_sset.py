@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 
 import pytest
 
+from sgdtors.cli import decode_sset, dumps, encode_sset
 from sgdtors.ordinal import OrdinalMap, all_maps
 from sgdtors.sset import (
     boundary,
@@ -17,10 +19,8 @@ from sgdtors.sset import (
     pi0_classes,
     point,
     relabel,
-    sset_from_json,
     sset_map,
     sset_product,
-    sset_to_json,
     subcomplex,
     validate_sset,
     validate_sset_map,
@@ -166,14 +166,14 @@ def test_collapse_boundary_of_delta2():
 
 def test_json_round_trip():
     for X in (delta(2, trunc=3), circle(trunc=3), sset_product(delta(1, trunc=2), delta(1, trunc=2))):
-        text = sset_to_json(X)
-        Y = sset_from_json(text)
+        text = dumps(encode_sset(X))
+        Y = decode_sset(json.loads(text))
         ok, problems = validate_sset(Y)
         assert ok, problems
         assert Y.level_counts() == X.level_counts()
         # canonical round trip is bit-exact from the first emission on
-        assert sset_to_json(Y) == text
-        assert sset_from_json(sset_to_json(Y)) == Y
+        assert dumps(encode_sset(Y)) == text
+        assert decode_sset(json.loads(dumps(encode_sset(Y)))) == Y
 
 
 def test_degenerate_detection():

@@ -15,6 +15,7 @@ from sgdtors.presheaf import (
     validate_sset_presheaf,
     validate_sset_presheaf_map,
 )
+from sgdtors.report import InvariantError
 from sgdtors.torsors import (
     ActionTorsor,
     BundleTorsor,
@@ -156,6 +157,17 @@ def test_group_torsor_check_failures():
     check = group_torsor_check(GroupTorsor(G, empty, {"pt": {}}))
     assert not check.ok
     assert "covers the point" in check.render()
+
+
+def test_cech_class_of_a_non_free_action_raises():
+    # both elements fix the one section, so no transition is unique; the
+    # check is an exception, not an assert that python -O would drop
+    site = s1_site()
+    G = constant_group_presheaf(site, Z2)
+    pt = set_presheaf(site, lambda U: ("*",), lambda f, s: s)
+    fixed = {U: {("*", g): "*" for g in Z2.elements} for U in site.objects}
+    with pytest.raises(InvariantError, match="not free and transitive"):
+        torsor_cech_class(GroupTorsor(G, pt, fixed), h1_cech_classes(G))
 
 
 def test_circle_torsor_classes_match_cocycle_classes():
