@@ -15,7 +15,6 @@ counts can be matched class by class.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .groupoid import Fin2Groupoid, FinGroup, group_as_2groupoid, trivial_groupoid
@@ -28,7 +27,7 @@ from .holim import (
     simplicial_functor,
     validate_simplicial_functor,
 )
-from .kan import fibration_check
+from .kan import enumerate_sset_maps, fibration_check
 from .presheaf import (
     SgdPresheaf,
     SSetPresheaf,
@@ -38,6 +37,7 @@ from .presheaf import (
     validate_sset_presheaf_map,
 )
 from .report import Check, require
+from .search import solve
 from .sgroupoid import SgdFunctor, constant_sgroupoid, validate_sgd_functor
 from .sheaf import cover_elements, local_weq_check
 from .sset import idkey, sset_map
@@ -659,66 +659,44 @@ def corepresented_diagram(Q: SgdPresheaf, at) -> SgdDiagram:
 
 def sgd_diagram_maps(D1: SgdDiagram, D2: SgdDiagram, bound=None):
     """Families of levelwise tables commuting with the actions and the
-    restrictions; enumerated exhaustively from vertex choices since the
-    fixture values are discrete."""
-    from .kan import enumerate_sset_maps
-
+    restrictions: one slot per site object and groupoid object, ranging
+    over the simplicial maps between the two values there."""
     site = D1.coeff.site
-    slots = []
-    for U in site.objects:
-        H = D1.coeff.values[U]
-        for a in H.objects:
-            maps = enumerate_sset_maps(D1.functors[U].values[a],
-                                       D2.functors[U].values[a])
-            if not maps:
-                return []
-            slots.append(((U, a), maps))
-    total = 1
-    for _, maps in slots:
-        total *= len(maps)
-    if bound is not None and total > bound:
-        raise ValueError(f"diagram map search needs {total} candidates, bound is {bound}")
-    out = []
-    for combo in itertools.product(*[maps for _, maps in slots]):
-        family = {key: m for (key, _), m in zip(slots, combo)}
-        good = True
-        for U in site.objects:
-            H = D1.coeff.values[U]
-            for (a, b), levels in D1.functors[U].action.items():
-                for n, cells in levels.items():
-                    for (g, x), y in cells.items():
-                        if family[(U, b)](n, y) != D2.functors[U].act(
-                            a, b, n, g, family[(U, a)](n, x)
-                        ):
-                            good = False
-                            break
-                    if not good:
-                        break
-                if not good:
-                    break
-            if not good:
-                break
-        if good:
-            for f, (V, U) in site.cat.morphisms.items():
-                F = D1.coeff.res[f]
-                for a in D1.coeff.values[U].objects:
-                    src = D1.functors[U].values[a]
-                    for n in range(src.trunc + 1):
-                        for x in src.level(n):
-                            if family[(V, F.ob[a])](n, D1.res[f][a][n][x]) != D2.res[
-                                f
-                            ][a][n][family[(U, a)](n, x)]:
-                                good = False
-                                break
-                        if not good:
-                            break
-                    if not good:
-                        break
-                if not good:
-                    break
-        if good:
-            out.append(family)
-    return out
+    keys = [(U, a) for U in site.objects for a in D1.coeff.values[U].objects]
+    slot = {key: i for i, key in enumerate(keys)}
+    domains = []
+    for U, a in keys:
+        maps = enumerate_sset_maps(D1.functors[U].values[a], D2.functors[U].values[a])
+        if not maps:
+            return []
+        domains.append(maps)
+
+    def equivariant(U, a, b, levels):
+        act = D2.functors[U].act
+        return lambda mb, ma: all(
+            mb(n, y) == act(a, b, n, g, ma(n, x))
+            for n, cells in levels.items()
+            for (g, x), y in cells.items()
+        )
+
+    def natural(f, U, a):
+        src, res1, res2 = D1.functors[U].values[a], D1.res[f][a], D2.res[f][a]
+        return lambda ma, mb: all(
+            mb(n, res1[n][x]) == res2[n][ma(n, x)]
+            for n in range(src.trunc + 1)
+            for x in src.level(n)
+        )
+
+    constraints = [
+        ((slot[(U, b)], slot[(U, a)]), equivariant(U, a, b, levels))
+        for U in site.objects
+        for (a, b), levels in D1.functors[U].action.items()
+    ] + [
+        ((slot[(U, a)], slot[(V, D1.coeff.res[f].ob[a])]), natural(f, U, a))
+        for f, (V, U) in site.cat.morphisms.items()
+        for a in D1.coeff.values[U].objects
+    ]
+    return [dict(zip(keys, combo)) for combo in solve(domains, constraints, bound=bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -742,20 +720,26 @@ def validate_sgd_presheaf_map(u: SgdPresheafMap):
     if problems:
         return False, problems
     for f, (V, U) in u.source.site.cat.morphisms.items():
-        FP, FQ = u.source.res[f], u.target.res[f]
-        cU, cV = u.components[U], u.components[V]
-        H = u.source.values[U]
-        for a in H.objects:
-            if cV.ob[FP.ob[a]] != FQ.ob[cU.ob[a]]:
-                problems.append(f"object maps not natural along {f!r} at {a!r}")
-        for (a, b), hom in H.homs.items():
-            for n in range(H.trunc + 1):
-                for c in hom.level(n):
-                    lhs = cV.on_hom(FP.ob[a], FP.ob[b], n, FP.on_hom(a, b, n, c))
-                    rhs = FQ.on_hom(cU.ob[a], cU.ob[b], n, cU.on_hom(a, b, n, c))
-                    if lhs != rhs:
-                        problems.append(f"cells not natural along {f!r} at {(a, b)!r}")
+        problems += _unnatural(u.source, u.target, f, u.components[U], u.components[V])
     return not problems, problems
+
+
+def _unnatural(P: SgdPresheaf, Q: SgdPresheaf, f, cU, cV):
+    """Where the components cU, cV of a map P -> Q break naturality
+    along f: V -> U."""
+    problems = []
+    FP, FQ, H = P.res[f], Q.res[f], P.values[P.site.cat.morphisms[f][1]]
+    for a in H.objects:
+        if cV.ob[FP.ob[a]] != FQ.ob[cU.ob[a]]:
+            problems.append(f"object maps not natural along {f!r} at {a!r}")
+    for (a, b), hom in H.homs.items():
+        for n in range(H.trunc + 1):
+            for c in hom.level(n):
+                lhs = cV.on_hom(FP.ob[a], FP.ob[b], n, FP.on_hom(a, b, n, c))
+                rhs = FQ.on_hom(cU.ob[a], cU.ob[b], n, cU.on_hom(a, b, n, c))
+                if lhs != rhs:
+                    problems.append(f"cells not natural along {f!r} at {(a, b)!r}")
+    return problems
 
 
 def unit_sgd_presheaf(site, trunc) -> SgdPresheaf:
@@ -803,81 +787,62 @@ def constant_enrichment(H) -> bool:
 
 def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
     """All presheaf maps, for constant-enrichment sections: a component
-    is fixed by its object map and its vertex-level cell maps."""
+    is fixed by its object map and its vertex-level cell maps.
+
+    One slot per source object ranges over the target objects, then one
+    slot per vertex-level source cell over the vertex-level cells of the
+    hom its ends land in.  Each section's slots must form a functor, and
+    each site morphism adds the naturality constraint between its two
+    sections."""
     for R in (P, Q):
         for H in R.values.values():
             if not constant_enrichment(H):
                 raise ValueError("enumeration needs constant hom enrichments")
     site = P.site
-    ob_slots = [
-        (U, a, tuple(Q.values[U].objects))
+    obs = [(U, a) for U in site.objects for a in P.values[U].objects]
+    cells = [
+        (U, a, b, c)
         for U in site.objects
-        for a in P.values[U].objects
+        for (a, b), hom in P.values[U].homs.items()
+        for c in hom.level(0)
     ]
-    total = 1
-    for _, _, choices in ob_slots:
-        total *= len(choices)
-    if bound is not None and total > bound:
-        raise ValueError(f"map enumeration needs {total} object choices, bound is {bound}")
+    keys = obs + cells
+    slot = {key: i for i, key in enumerate(keys)}
+    section = {U: [key for key in keys if key[0] == U] for U in site.objects}
+    scope = {U: tuple(slot[key] for key in section[U]) for U in site.objects}
 
-    out = []
-    for ob_combo in itertools.product(*[c for _, _, c in ob_slots]):
-        ob = {}
-        for (U, a, _), b in zip(ob_slots, ob_combo):
-            ob.setdefault(U, {})[a] = b
-        cell_slots = []
-        feasible = True
-        for U in site.objects:
-            H, K = P.values[U], Q.values[U]
-            for (a, b), hom in H.homs.items():
-                src_cells = tuple(hom.level(0))
-                dst_cells = tuple(K.homs[(ob[U][a], ob[U][b])].level(0))
-                if src_cells and not dst_cells:
-                    feasible = False
-                    break
-                options = tuple(itertools.product(dst_cells, repeat=len(src_cells)))
-                cell_slots.append(((U, a, b, src_cells), options))
-            if not feasible:
-                break
-        if not feasible:
-            continue
-        cell_total = 1
-        for _, options in cell_slots:
-            cell_total *= max(len(options), 1)
-        if bound is not None and cell_total > bound:
-            raise ValueError(
-                f"map enumeration needs {cell_total} cell choices, bound is {bound}"
-            )
-        for combo in itertools.product(*[opts for _, opts in cell_slots]):
-            components = {}
-            good = True
-            for U in site.objects:
-                H, K = P.values[U], Q.values[U]
-                assign = {}
-                for (key, _), choice in zip(cell_slots, combo):
-                    U2, a, b, src_cells = key
-                    if U2 == U:
-                        assign[(a, b)] = dict(zip(src_cells, choice))
-                maps = {
-                    (a, b): {
-                        n: {c: assign[(a, b)][c] for c in H.homs[(a, b)].level(n)}
-                        for n in range(H.trunc + 1)
-                    }
-                    for (a, b) in H.homs
-                }
-                F = SgdFunctor(H, K, dict(ob[U]), maps)
-                ok, _ = validate_sgd_functor(F)
-                if not ok:
-                    good = False
-                    break
-                components[U] = F
-            if not good:
-                continue
-            u = SgdPresheafMap(P, Q, components)
-            ok, _ = validate_sgd_presheaf_map(u)
-            if ok:
-                out.append(u)
-    return out
+    def landing(U, a, b):
+        homs = Q.values[U].homs
+        return lambda chosen: homs[(chosen[slot[(U, a)]], chosen[slot[(U, b)]])].level(0)
+
+    def component(U, values):
+        H, v = P.values[U], dict(zip(section[U], values))
+        maps = {
+            (a, b): {n: {c: v[(U, a, b, c)] for c in hom.level(n)} for n in range(H.trunc + 1)}
+            for (a, b), hom in H.homs.items()
+        }
+        return SgdFunctor(H, Q.values[U], {a: v[(U, a)] for a in H.objects}, maps)
+
+    def natural(f, V, U):
+        k = len(scope[U])
+        return lambda *values: not _unnatural(
+            P, Q, f, component(U, values[:k]), component(V, values[k:])
+        )
+
+    domains = [tuple(Q.values[U].objects) for U, _ in obs]
+    domains += [landing(U, a, b) for U, a, b, _ in cells]
+    constraints = [
+        (scope[U], lambda *values, U=U: validate_sgd_functor(component(U, values))[0])
+        for U in site.objects
+    ] + [
+        (scope[U] + scope[V], natural(f, V, U)) for f, (V, U) in site.cat.morphisms.items()
+    ]
+    return [
+        SgdPresheafMap(
+            P, Q, {U: component(U, [chosen[i] for i in scope[U]]) for U in site.objects}
+        )
+        for chosen in solve(domains, constraints, bound=bound)
+    ]
 
 
 def psi_sgd(u: SgdPresheafMap) -> SgdDiagram:
@@ -1144,40 +1109,29 @@ def twisted_two_gpd_action(site, F: FinGroup, cochain) -> TwoGpdAction:
 
 def two_gpd_action_maps(A1: TwoGpdAction, A2: TwoGpdAction):
     """Anchor-preserving equivariant natural families between the
-    element presheaves."""
+    element presheaves: one slot per element of A1, ranging over the
+    elements of A2 with its anchor."""
     site = A1.site
-    per_object = {}
-    for U in site.objects:
-        xs = [x for xs in A1.elements[U].values() for x in xs]
-        anchors1 = {x: p for p, v in A1.elements[U].items() for x in v}
-        anchors2 = {x: p for p, v in A2.elements[U].items() for x in v}
-        options = []
-        for x in xs:
-            options.append(
-                [y for y in anchors2 if anchors2[y] == anchors1[x]]
-            )
-        per_object[U] = (xs, options)
-    out = []
-    keys = sorted(site.objects, key=idkey)
-    all_choices = [
-        itertools.product(*per_object[U][1]) if per_object[U][1] else [()]
-        for U in keys
+    objects = sorted(site.objects, key=idkey)
+    xs = {U: [x for v in A1.elements[U].values() for x in v] for U in objects}
+    keys = [(U, x) for U in objects for x in xs[U]]
+    slot = {key: i for i, key in enumerate(keys)}
+
+    def anchored(U, x):
+        p = next(p for p, v in A1.elements[U].items() if x in v)
+        return [y for q, v in A2.elements[U].items() if q == p for y in v]
+
+    constraints = [
+        ((slot[(U, A1.act1[U][(arrow, x)])], slot[(U, x)]),
+         lambda y1, y, tab=A2.act1[U], arrow=arrow: y1 == tab[(arrow, y)])
+        for U in objects
+        for (arrow, x) in A1.act1[U]
+    ] + [
+        ((slot[(V, A1.res[f][x])], slot[(U, x)]), lambda w, y, r=A2.res[f]: w == r[y])
+        for f, (V, U) in site.cat.morphisms.items()
+        for x in xs[U]
     ]
-    for combos in itertools.product(*all_choices):
-        family = {
-            U: dict(zip(per_object[U][0], combo)) for U, combo in zip(keys, combos)
-        }
-        if any(
-            family[U][A1.act1[U][(arrow, x)]] != A2.act1[U][(arrow, family[U][x])]
-            for U in keys
-            for (arrow, x) in A1.act1[U]
-        ):
-            continue
-        if any(
-            family[V][A1.res[f][x]] != A2.res[f][family[U][x]]
-            for f, (V, U) in site.cat.morphisms.items()
-            for x in per_object[U][0]
-        ):
-            continue
-        out.append(family)
-    return out
+    return [
+        {U: {x: combo[slot[(U, x)]] for x in xs[U]} for U in objects}
+        for combo in solve([anchored(*key) for key in keys], constraints)
+    ]

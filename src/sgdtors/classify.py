@@ -23,7 +23,6 @@ flavours, the bundle round trip, the represented torsors for ``sgpd``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -56,6 +55,7 @@ from .presheaf import (
     validate_sset_presheaf_map,
 )
 from .report import Check, InvariantError, require, unique_hit
+from .search import solve
 from .sgroupoid import string_steps
 from .sheaf import cech_resolution, cover_elements
 from .sset import delta, sset_product
@@ -89,16 +89,6 @@ def star_cover(site):
 # strict presheaf maps and homotopy classes of them
 
 
-def _natural_components(Y: SSetPresheaf, Z: SSetPresheaf, comps) -> bool:
-    for f, (V, U) in Y.site.cat.morphisms.items():
-        X = Y.values[U]
-        for n in range(X.trunc + 1):
-            for x in X.level(n):
-                if Z.res[f][n][comps[U][n][x]] != comps[V][n][Y.res[f][n][x]]:
-                    return False
-    return True
-
-
 def _components_of(Y: SSetPresheaf, per_section) -> dict:
     return {
         U: {
@@ -109,29 +99,41 @@ def _components_of(Y: SSetPresheaf, per_section) -> dict:
     }
 
 
+def _strict_maps(Y: SSetPresheaf, Z: SSetPresheaf, forced, limit=None, bound=None):
+    """Strict presheaf maps Y -> Z: one slot per section, ranging over
+    its simplicial maps with the values forced(U), and a naturality
+    constraint for every site morphism."""
+    objects = Y.site.objects
+    slot = {U: i for i, U in enumerate(objects)}
+    domains = []
+    for U in objects:
+        maps_U = enumerate_sset_maps(Y.values[U], Z.values[U], forced=forced(U))
+        if not maps_U:
+            return []
+        domains.append(maps_U)
+
+    def natural(f, V, U):
+        X = Y.values[U]
+        return lambda mU, mV: all(
+            Z.res[f][n][mU(n, x)] == mV(n, Y.res[f][n][x])
+            for n in range(X.trunc + 1)
+            for x in X.level(n)
+        )
+
+    constraints = [
+        ((slot[U], slot[V]), natural(f, V, U))
+        for f, (V, U) in Y.site.cat.morphisms.items()
+    ]
+    return [
+        SSetPresheafMap(Y, Z, {U: m.levels for U, m in zip(objects, combo)})
+        for combo in solve(domains, constraints, limit, bound)
+    ]
+
+
 def enumerate_sset_presheaf_maps(Y: SSetPresheaf, Z: SSetPresheaf, bound=None):
     """All strict presheaf maps: sectionwise simplicial maps that are
     natural along every site morphism."""
-    site = Y.site
-    slots = []
-    total = 1
-    for U in site.objects:
-        maps_U = enumerate_sset_maps(Y.values[U], Z.values[U])
-        if not maps_U:
-            return []
-        slots.append(maps_U)
-        total *= len(maps_U)
-        if bound is not None and total > bound:
-            raise ValueError(
-                f"presheaf map enumeration needs {total} candidates, bound is {bound}"
-            )
-    out = []
-    for combo in itertools.product(*slots):
-        per = dict(zip(site.objects, combo))
-        comps = _components_of(Y, per)
-        if _natural_components(Y, Z, comps):
-            out.append(SSetPresheafMap(Y, Z, comps))
-    return out
+    return _strict_maps(Y, Z, lambda U: None, bound=bound)
 
 
 def cylinder_presheaf(Y: SSetPresheaf) -> SSetPresheaf:
@@ -154,33 +156,22 @@ def cylinder_presheaf(Y: SSetPresheaf) -> SSetPresheaf:
     return SSetPresheaf(site, values, res)
 
 
-def presheaf_homotopies(f: SSetPresheafMap, g: SSetPresheafMap, limit=1):
-    """Natural cylinder homotopies from f to g, found sectionwise with
-    both ends forced and then filtered for naturality."""
-    Y, Z = f.source, f.target
-    P = cylinder_presheaf(Y)
-    site = Y.site
-    slots = []
-    for U in site.objects:
+def presheaf_homotopies(f: SSetPresheafMap, g: SSetPresheafMap):
+    """A natural cylinder homotopy from f to g, as a one-element list,
+    or an empty list: the first strict map off the cylinder with end 0
+    forced to f and end 1 to g."""
+    Y = f.source
+
+    def ends(U):
         X = Y.values[U]
         forced = {}
         for n in range(X.trunc + 1):
             for x in X.level(n):
                 forced[(n, (x, (0,) * (n + 1)))] = f.components[U][n][x]
                 forced[(n, (x, (1,) * (n + 1)))] = g.components[U][n][x]
-        maps_U = enumerate_sset_maps(P.values[U], Z.values[U], forced=forced)
-        if not maps_U:
-            return []
-        slots.append(maps_U)
-    out = []
-    for combo in itertools.product(*slots):
-        per = dict(zip(site.objects, combo))
-        comps = _components_of(P, per)
-        if _natural_components(P, Z, comps):
-            out.append(SSetPresheafMap(P, Z, comps))
-            if limit is not None and len(out) >= limit:
-                break
-    return out
+        return forced
+
+    return _strict_maps(cylinder_presheaf(Y), f.target, ends, limit=1)
 
 
 def presheaf_homotopic(f: SSetPresheafMap, g: SSetPresheafMap) -> bool:
@@ -543,11 +534,8 @@ def _represented_torsors(run, check):
     ]
     for a in constant_objects:
         triv = constant_cocycle_map(run.source, run.target, Q, a)
-        partners = [
-            ci
-            for ci, mj in run.matching
-            if mj == _locate(triv, run.maps, run.map_classes)
-        ]
+        located = _locate(triv, run.maps, run.map_classes)
+        partners = [ci for ci, mj in run.matching if mj == located]
         D = corepresented_diagram(Q, {U: a for U in site.objects})
         hits = [
             ci

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .report import Check, require
+from .report import Check, invariant, require
+from .search import solve
 from .sset import SSetMap, TruncSSet, idkey, pi0, pi0_classes, sset_product, validate_sset_map
 
 
@@ -20,28 +21,24 @@ def horn_assignments(X: TruncSSet, n: int, k: int):
     """All compatible families (x_i)_{i != k} of (n-1)-simplices.
 
     Compatibility is the face matching d_i x_j = d_{j-1} x_i for i < j.
-    Yields dicts index -> simplex id.
+    Returns dicts index -> simplex id.
     """
     positions = [i for i in range(n + 1) if i != k]
-    level = X.level(n - 1)
 
-    def extend(chosen, rest):
-        if not rest:
-            yield dict(chosen)
-            return
-        j = rest[0]
-        for cand in level:
-            ok = True
-            for i, xi in chosen.items():
-                # i < j by construction order
-                if n - 1 >= 1:
-                    if X.face(n - 1, i, cand) != X.face(n - 1, j - 1, xi):
-                        ok = False
-                        break
-            if ok:
-                yield from extend({**chosen, j: cand}, rest[1:])
+    def matching(i, j):
+        di, dj = X.faces[(n - 1, i)], X.faces[(n - 1, j - 1)]
+        return lambda xi, xj: di[xj] == dj[xi]
 
-    return extend({}, positions)
+    constraints = [
+        ((a, b), matching(i, j))
+        for b, j in enumerate(positions)
+        for a, i in enumerate(positions[:b])
+        if n >= 2
+    ]
+    return [
+        dict(zip(positions, values))
+        for values in solve([X.level(n - 1)] * len(positions), constraints)
+    ]
 
 
 def horn_fillers(X: TruncSSet, n: int, k: int, assignment):
@@ -56,7 +53,7 @@ def kan_check(X: TruncSSet, maxdim=None) -> Check:
     """Search a filler for every horn of dimension <= maxdim."""
     if maxdim is None:
         maxdim = X.trunc - 1
-    assert 1 <= maxdim <= X.trunc, "horns need fillers inside the truncation"
+    invariant(1 <= maxdim <= X.trunc, "horns need fillers inside the truncation")
     check = Check("every horn has a filler", True, params={"maxdim": maxdim, "trunc": X.trunc})
     horns = 0
     for n in range(1, maxdim + 1):
@@ -82,7 +79,7 @@ def fibration_check(p: SSetMap, maxdim=None) -> Check:
     X, B = p.source, p.target
     if maxdim is None:
         maxdim = X.trunc - 1
-    assert 1 <= maxdim <= X.trunc, "horns need fillers inside the truncation"
+    invariant(1 <= maxdim <= X.trunc, "horns need fillers inside the truncation")
     check = Check(
         "every horn lifts against the base",
         True,
@@ -163,7 +160,7 @@ def pi_n(X: TruncSSet, v, n: int) -> PiGroup:
     """
     if n + 1 > X.trunc:
         raise TruncationError(f"pi_{n} needs simplices in dimension {n + 1}")
-    assert n >= 1
+    invariant(n >= 1, f"pi_{n} needs n >= 1")
     base_lo = iterated_degeneracy(X, v, n - 1)
     base = iterated_degeneracy(X, v, n)
     candidates = [
@@ -215,17 +212,19 @@ def pi_n(X: TruncSSet, v, n: int) -> PiGroup:
 
     identity = cls_of[base]
     pg = PiGroup(n, v, classes, cls_of, mult, identity)
-    _assert_group(pg)
+    _check_group(pg)
     return pg
 
 
-def _assert_group(pg: PiGroup):
+def _check_group(pg: PiGroup):
     k = len(pg.classes)
     for a in range(k):
-        assert pg.mult[(a, pg.identity)] == a and pg.mult[(pg.identity, a)] == a
+        invariant(pg.mult[(a, pg.identity)] == a == pg.mult[(pg.identity, a)],
+                  f"pi_{pg.n} identity fails at class {a}")
         pg.inverse(a)
     for a, b, c in itertools.product(range(k), repeat=3):
-        assert pg.mult[(pg.mult[(a, b)], c)] == pg.mult[(a, pg.mult[(b, c)])]
+        invariant(pg.mult[(pg.mult[(a, b)], c)] == pg.mult[(a, pg.mult[(b, c)])],
+                  f"pi_{pg.n} associativity fails at classes {a},{b},{c}")
 
 
 def induced_pi_map(f: SSetMap, pg_x: PiGroup, pg_y: PiGroup):
@@ -238,7 +237,8 @@ def induced_pi_map(f: SSetMap, pg_x: PiGroup, pg_y: PiGroup):
             raise TruncationError(f"induced map on pi_{n} not single-valued on class {i}")
         out[i] = images.pop()
     for a, b in itertools.product(range(len(pg_x.classes)), repeat=2):
-        assert out[pg_x.mult[(a, b)]] == pg_y.mult[(out[a], out[b])]
+        invariant(out[pg_x.mult[(a, b)]] == pg_y.mult[(out[a], out[b])],
+                  f"induced map on pi_{n} not multiplicative at classes {a},{b}")
     return out
 
 
@@ -250,10 +250,10 @@ def weq_check(f: SSetMap, maxdeg=None) -> Check:
     Kan precondition one more).
     """
     X, Y = f.source, f.target
-    assert X.trunc == Y.trunc
+    invariant(X.trunc == Y.trunc, "a weak equivalence needs equal truncations")
     if maxdeg is None:
         maxdeg = X.trunc - 2
-    assert 0 <= maxdeg <= X.trunc - 2, "weak-equivalence degree exceeds truncation support"
+    invariant(0 <= maxdeg <= X.trunc - 2, "weak-equivalence degree exceeds truncation support")
     check = Check(
         "weak equivalence", True, params={"maxdeg": maxdeg, "trunc": X.trunc}
     )
@@ -328,63 +328,55 @@ def _degeneracy_origin(X: TruncSSet, n, x):
 def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None, limit=None):
     """All simplicial maps X -> Y, as SSetMaps.
 
-    Values are chosen on nondegenerate simplices dimension by dimension;
+    There is one slot per nondegenerate simplex, dimension by dimension,
+    ranging over the simplices of Y with the faces already chosen;
     degenerate values follow.  ``forced`` is a dict (dim, id) -> id of
-    required values (applied to nondegenerate ids during the search and
-    verified on the rest).  ``limit`` stops the search early.
+    required values, each a constraint on the slot its simplex
+    degenerates from.  ``limit`` stops the search early.
     """
-    assert X.trunc == Y.trunc
-    forced = forced or {}
+    invariant(X.trunc == Y.trunc, "a simplicial map needs equal truncations")
     N = X.trunc
-    origins = {
-        (n, x): _degeneracy_origin(X, n, x) for n in range(N + 1) for x in X.level(n)
-    }
-    nondeg = {n: [x for x in X.level(n) if origins[(n, x)] is None] for n in range(N + 1)}
-    results = []
+    slots, lift = [], {}   # (dim, id) -> (slot, degeneracies applied to its value)
+    for n in range(N + 1):
+        for x in X.level(n):
+            origin = _degeneracy_origin(X, n, x)
+            if origin is None:
+                lift[(n, x)] = (len(slots), ())
+                slots.append((n, x))
+            else:
+                j, y = origin
+                root, chain = lift[(n - 1, y)]
+                lift[(n, x)] = (root, chain + ((n - 1, j),))
+    by_faces = {n: {} for n in range(1, N + 1)}
+    for n, index in by_faces.items():
+        for z in Y.level(n):
+            index.setdefault(Y.face_tuple(n, z), []).append(z)
 
-    def value(assign, n, x):
-        o = origins[(n, x)]
-        if o is None:
-            return assign[(n, x)]
-        j, y = o
-        return Y.degen(n - 1, j, value(assign, n - 1, y))
+    def lifted(z, chain):
+        for m, j in chain:
+            z = Y.degen(m, j, z)
+        return z
 
-    def extend(assign, n, idx):
-        if limit is not None and len(results) >= limit:
-            return
-        if n > N:
-            levels = {
-                m: {x: value(assign, m, x) for x in X.level(m)} for m in range(N + 1)
-            }
-            f = SSetMap(X, Y, levels)
-            for (m, x), want in forced.items():
-                if levels[m][x] != want:
-                    return
-            results.append(f)
-            return
-        if idx == len(nondeg[n]):
-            extend(assign, n + 1, 0)
-            return
-        x = nondeg[n][idx]
-        want = forced.get((n, x))
-        if n == 0:
-            candidates = Y.level(0)
-        else:
-            targets = [value(assign, n - 1, X.face(n, i, x)) for i in range(n + 1)]
-            candidates = [
-                z for z in Y.level(n) if all(Y.face(n, i, z) == targets[i] for i in range(n + 1))
-            ]
-        for z in candidates:
-            if want is not None and z != want:
-                continue
-            assign[(n, x)] = z
-            extend(assign, n, idx + 1)
-            del assign[(n, x)]
-            if limit is not None and len(results) >= limit:
-                return
+    def value(chosen, n, x):
+        root, chain = lift[(n, x)]
+        return lifted(chosen[root], chain)
 
-    extend({}, 0, 0)
-    return results
+    def with_faces(n, x):
+        faces = [X.face(n, i, x) for i in range(n + 1)]
+        index = by_faces[n]
+        return lambda chosen: index.get(tuple(value(chosen, n - 1, y) for y in faces), ())
+
+    domains = [Y.level(0) if n == 0 else with_faces(n, x) for n, x in slots]
+    constraints = [
+        ((lift[key][0],), lambda z, chain=lift[key][1], want=want: lifted(z, chain) == want)
+        for key, want in (forced or {}).items()
+    ]
+    return [
+        SSetMap(X, Y, {
+            m: {x: value(chosen, m, x) for x in X.level(m)} for m in range(N + 1)
+        })
+        for chosen in solve(domains, constraints, limit)
+    ]
 
 
 def naive_homotopy_search(f: SSetMap, g: SSetMap):
@@ -396,7 +388,7 @@ def naive_homotopy_search(f: SSetMap, g: SSetMap):
     from .sset import delta
 
     X, Y = f.source, f.target
-    assert g.source == X and g.target == Y
+    invariant(g.source == X and g.target == Y, "a homotopy needs maps with equal ends")
     interval = delta(1, X.trunc)
     P = sset_product(X, interval)
     forced = {}
@@ -408,7 +400,7 @@ def naive_homotopy_search(f: SSetMap, g: SSetMap):
     return found[0] if found else None
 
 
-def homotopy_classes(maps, symmetric_closure=True):
+def homotopy_classes(maps):
     """Partition maps by existence of naive homotopies, closed transitively."""
     k = len(maps)
     parent = list(range(k))
@@ -422,9 +414,8 @@ def homotopy_classes(maps, symmetric_closure=True):
     for i, j in itertools.combinations(range(k), 2):
         if find(i) == find(j):
             continue
-        if naive_homotopy_search(maps[i], maps[j]) is not None or (
-            symmetric_closure and naive_homotopy_search(maps[j], maps[i]) is not None
-        ):
+        if (naive_homotopy_search(maps[i], maps[j]) is not None
+                or naive_homotopy_search(maps[j], maps[i]) is not None):
             parent[find(j)] = find(i)
     groups = {}
     for i in range(k):

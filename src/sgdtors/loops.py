@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .report import Check, require
+from .search import solve
 from .sgroupoid import SimpGroupoid
 from .sset import SSetMap, TruncSSet, sset_map, validate_sset_map
 from .wbar import wbar
@@ -103,46 +104,31 @@ def twisting_check(X: TruncSSet, C: SimpGroupoid, v, phi, W=None) -> Check:
     return check
 
 
-def enumerate_twistings(X: TruncSSet, C: SimpGroupoid, limit=None):
+def enumerate_twistings(X: TruncSSet, C: SimpGroupoid):
     """All (v, phi) tables whose rebuilt map is simplicial.
 
-    Branches over vertex objects and leading cells of nondegenerate
-    simplices; degenerate leading cells are forced.
+    Slots are the vertex objects, then the leading cells of nondegenerate
+    simplices, each ranging over the hom its vertex objects pick out;
+    degenerate leading cells are forced.  One constraint on every slot
+    asks the rebuilt map to be simplicial.
     """
     W = wbar(C)
     verts = list(X.level(0))
-    nondeg = {n: list(X.nondegenerate(n)) for n in range(1, X.trunc + 1)}
-    out = []
+    cells = [(n, x) for n in range(1, X.trunc + 1) for x in X.nondegenerate(n)]
 
-    def finish(v, phi):
-        full = fill_degenerate_cells(X, C, v, phi)
-        f = rebuild_map(X, C, v, full, W)
-        ok, _ = validate_sset_map(f)
-        if ok:
-            out.append((v, full))
+    def tables(values):
+        v = dict(zip(verts, values))
+        return v, fill_degenerate_cells(X, C, v, dict(zip(cells, values[len(verts):])))
 
-    def choose_cells(v, phi, dims, idx):
-        if limit is not None and len(out) >= limit:
-            return
-        if not dims:
-            finish(v, phi)
-            return
-        n = dims[0]
-        if idx == len(nondeg[n]):
-            choose_cells(v, phi, dims[1:], 0)
-            return
-        x = nondeg[n][idx]
-        for cell in _leading_hom(X, C, v, n, x).level(n - 1):
-            phi[(n, x)] = cell
-            choose_cells(v, phi, dims, idx + 1)
-            del phi[(n, x)]
+    def leading(n, x):
+        return lambda chosen: _leading_hom(X, C, dict(zip(verts, chosen)), n, x).level(n - 1)
 
-    for objs in itertools.product(C.objects, repeat=len(verts)):
-        v = dict(zip(verts, objs))
-        choose_cells(v, {}, [n for n in range(1, X.trunc + 1) if nondeg[n]], 0)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    def simplicial(*values):
+        return validate_sset_map(rebuild_map(X, C, *tables(values), W))[0]
+
+    domains = [C.objects] * len(verts) + [leading(n, x) for n, x in cells]
+    everything = tuple(range(len(domains)))
+    return [tables(values) for values in solve(domains, [(everything, simplicial)])]
 
 
 def transpose_round_trip_check(X: TruncSSet, C: SimpGroupoid) -> Check:

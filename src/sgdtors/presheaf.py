@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .groupoid import FinGroup
+from .search import solve
 from .sgroupoid import SgdFunctor, SimpGroupoid, validate_sgd_functor
 from .site import FinSite
 from .sset import SSetMap, TruncSSet, idkey, validate_sset_map
@@ -126,53 +127,38 @@ def validate_set_presheaf_map(phi: SetPresheafMap):
     return not problems, problems
 
 
-def enumerate_presheaf_maps(P: SetPresheaf, Q: SetPresheaf, limit=None):
-    """All natural maps P -> Q, by backtracking over sections."""
-    keys = [
-        (U, s)
-        for U in sorted(P.site.objects, key=idkey)
+def natural_maps(P: SetPresheaf, Q: SetPresheaf, constraints):
+    """Natural maps P -> Q that also satisfy ``constraints``, each a
+    (scope, pred) pair whose scope lists sections (U, s) of P.
+
+    One slot per section of P ranges over Q(U), and every restriction
+    adds the naturality constraint between a section and its restriction.
+    """
+    keys = [(U, s) for U in sorted(P.site.objects, key=idkey) for s in P.values[U]]
+    slot = {key: i for i, key in enumerate(keys)}
+    natural = [
+        (((U, s), (V, P.res[f][s])), lambda t, down, r=Q.res[f]: down == r[t])
+        for f, (V, U) in P.site.cat.morphisms.items()
         for s in P.values[U]
     ]
-    C = P.site.cat
-    out = []
+    found = solve(
+        [Q.values[U] for U, _ in keys],
+        [
+            (tuple(slot[key] for key in scope), pred)
+            for scope, pred in natural + list(constraints)
+        ],
+    )
+    return [
+        SetPresheafMap(P, Q, {
+            U: {s: values[slot[(U, s)]] for s in P.values[U]} for U in P.site.objects
+        })
+        for values in found
+    ]
 
-    def consistent(assign, U, s, t):
-        for f, (V, U2) in C.morphisms.items():
-            if U2 == U:
-                down = (V, P.res[f][s])
-                if down in assign and assign[down] != Q.res[f][t]:
-                    return False
-        for f, (V2, W) in C.morphisms.items():
-            if V2 != U:
-                continue
-            for r in P.values[W]:
-                if P.res[f][r] == s and (W, r) in assign and Q.res[f][assign[(W, r)]] != t:
-                    return False
-        return True
 
-    def extend(assign, i):
-        if limit is not None and len(out) >= limit:
-            return
-        if i == len(keys):
-            out.append(
-                SetPresheafMap(
-                    P, Q,
-                    {
-                        U: {s: assign[(U, s)] for s in P.values[U]}
-                        for U in P.site.objects
-                    },
-                )
-            )
-            return
-        U, s = keys[i]
-        for t in Q.values[U]:
-            if consistent(assign, U, s, t):
-                assign[(U, s)] = t
-                extend(assign, i + 1)
-                del assign[(U, s)]
-
-    extend({}, 0)
-    return out
+def enumerate_presheaf_maps(P: SetPresheaf, Q: SetPresheaf):
+    """All natural maps P -> Q."""
+    return natural_maps(P, Q, ())
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,12 @@ class InvariantError(Exception):
     an ``assert`` would otherwise stand, so that ``python -O`` keeps it."""
 
 
+def invariant(cond, claim):
+    """Raises InvariantError naming the claim unless cond holds."""
+    if not cond:
+        raise InvariantError(claim)
+
+
 def unique_hit(hits, claim):
     """The one entry of ``hits``; raises InvariantError naming the
     claim when there are none or several."""

@@ -28,6 +28,7 @@ from .presheaf import (
     SSetPresheaf,
     SSetPresheafMap,
     enumerate_presheaf_maps,
+    natural_maps,
     product_set_presheaf,
     set_presheaf,
     set_presheaf_map,
@@ -40,6 +41,7 @@ from .presheaf import (
     yoneda,
 )
 from .report import Check, InvariantError, require, unique_hit
+from .search import solve
 from .sgroupoid import db_sgroupoid, string_steps
 from .sheaf import is_sheaf, local_epi_check, local_weq_check, plus_construction
 from .sset import idkey, relabel
@@ -309,36 +311,31 @@ def enumerate_group_cochains(G: GroupPresheaf, bound=None):
     C = G.site.cat
     idset = set(C.identities.values())
     order = [f for f in sorted(C.morphisms, key=idkey) if f not in idset]
-    total = 1
-    for f in order:
-        total *= len(G.values[C.src(f)].elements)
-    if bound is not None and total > bound:
-        raise ValueError(
-            f"cochain enumeration needs {total} candidates, bound is {bound}"
-        )
+    slot = {f: i for i, f in enumerate(order)}
+    units = {e: G.values[U].e for U, e in C.identities.items()}
 
-    def consistent(c):
-        full = dict(c)
-        for U, e in C.identities.items():
-            full[e] = G.values[U].e
-        for f, (V, U) in C.morphisms.items():
-            for g, (W, V2) in C.morphisms.items():
-                if V2 != V:
-                    continue
-                fg = C.comp[(f, g)]
-                want = G.values[W].mul[(full[g], G.res[g][full[f]])]
-                if full[fg] != want:
-                    return False
-        return True
+    def cocycle(f, g, W):
+        """c(fg) = c(g) res_g(c(f)), on the slots of the non-identities."""
+        fg = C.comp[(f, g)]
+        free = [h for h in (f, g, fg) if h in slot]
 
-    out = []
-    for choice in itertools.product(*[G.values[C.src(f)].elements for f in order]):
-        c = dict(zip(order, choice))
-        if consistent(c):
-            for U, e in C.identities.items():
-                c[e] = G.values[U].e
-            out.append(c)
-    return out
+        def pred(*values):
+            c = {**units, **dict(zip(free, values))}
+            return c[fg] == G.values[W].mul[(c[g], G.res[g][c[f]])]
+
+        return tuple(slot[h] for h in free), pred
+
+    constraints = [
+        cocycle(f, g, W)
+        for f, (V, U) in C.morphisms.items()
+        for g, (W, V2) in C.morphisms.items()
+        if V2 == V
+    ]
+    domains = [G.values[C.src(f)].elements for f in order]
+    return [
+        {**dict(zip(order, choice)), **units}
+        for choice in solve(domains, constraints, bound=bound)
+    ]
 
 
 def cochain_torsor(G: GroupPresheaf, c) -> GroupTorsor:
@@ -365,19 +362,26 @@ def enumerate_group_torsors(G: GroupPresheaf, bound=None):
     return [cochain_torsor(G, c) for c in enumerate_group_cochains(G, bound)]
 
 
+def _equivariance(T1, T2, acting):
+    """Constraints phi(e.g) = phi(e).g, one for each (U, e, g) in acting."""
+    return [
+        (
+            ((U, T1.action[U][(e, g)]), (U, e)),
+            lambda y, x, tab=T2.action[U], g=g: y == tab[(x, g)],
+        )
+        for U, e, g in acting
+    ]
+
+
 def group_torsor_maps(T1: GroupTorsor, T2: GroupTorsor):
     """All equivariant presheaf maps between the total objects."""
-    out = []
-    for phi in enumerate_presheaf_maps(T1.total, T2.total):
-        if all(
-            phi.components[U][T1.action[U][(e, g)]]
-            == T2.action[U][(phi.components[U][e], g)]
-            for U in T1.total.site.objects
-            for e in T1.total.values[U]
-            for g in T1.group.values[U].elements
-        ):
-            out.append(phi)
-    return out
+    acting = [
+        (U, e, g)
+        for U in T1.total.site.objects
+        for e in T1.total.values[U]
+        for g in T1.group.values[U].elements
+    ]
+    return natural_maps(T1.total, T2.total, _equivariance(T1, T2, acting))
 
 
 def is_componentwise_bijection(phi: SetPresheafMap):
@@ -721,22 +725,17 @@ def enumerate_action_torsors(GP: GroupoidPresheaf, bound=None):
 
 
 def action_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
-    """Equivariant, anchor-preserving presheaf maps between the totals."""
-    out = []
-    for phi in enumerate_presheaf_maps(T1.total, T2.total):
-        anchored = all(
-            T2.anchor[U][phi.components[U][e]] == T1.anchor[U][e]
-            for U in T1.total.site.objects
-            for e in T1.total.values[U]
-        )
-        if anchored and all(
-            phi.components[U][T1.action[U][(e, g)]]
-            == T2.action[U][(phi.components[U][e], g)]
-            for U in T1.total.site.objects
-            for (e, g) in T1.action[U]
-        ):
-            out.append(phi)
-    return out
+    """Equivariant, anchor-preserving presheaf maps between the totals.
+    The anchor constraints come first, so an equivariance constraint
+    only looks up actions on elements with the right anchor."""
+    objects = T1.total.site.objects
+    anchored = [
+        (((U, e),), lambda t, tab=T2.anchor[U], a=T1.anchor[U][e]: tab[t] == a)
+        for U in objects
+        for e in T1.total.values[U]
+    ]
+    acting = [(U, e, g) for U in objects for (e, g) in T1.action[U]]
+    return natural_maps(T1.total, T2.total, anchored + _equivariance(T1, T2, acting))
 
 
 def _plus_action_anchored(T: ActionTorsor, E, anchor, action, depth=2):

@@ -7,10 +7,10 @@ two-class answer with an explicit bijective matching.
 """
 
 import ast
+import importlib
 
 import pytest
 
-import sgdtors.classify as classify_module
 from sgdtors.classify import (
     action_classifying_map,
     classify,
@@ -201,9 +201,10 @@ def test_trivial_cocycle_map_sits_in_the_trivial_class():
     assert len(hits) == 1
 
 
-def test_classify_module_has_no_asserts():
+@pytest.mark.parametrize("name", ["classify", "kan", "search"])
+def test_module_has_no_asserts(name):
     # python -O strips asserts, so runtime invariants here raise instead
-    with open(classify_module.__file__) as fh:
+    with open(importlib.import_module(f"sgdtors.{name}").__file__) as fh:
         tree = ast.parse(fh.read())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
