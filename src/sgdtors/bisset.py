@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .report import validator
 from .sset import TruncSSet, _sorted_ids
 
 
@@ -60,6 +61,7 @@ def build_bisset(trunc, levels, hface, vface, hdegen, vdegen):
     return BisSSet(trunc, simplices, hfaces, vfaces, hdegens, vdegens)
 
 
+@validator("input is a bisimplicial set")
 def validate_bisset(B: BisSSet):
     """Simplicial identities in each direction plus cross-commutation."""
     problems = []
@@ -101,7 +103,7 @@ def validate_bisset(B: BisSSet):
                         b = B.hdegen[(p, q + 1, i)][B.vdegen[(p, q, j)][x]]
                         if a != b:
                             problems.append(f"h/v degeneracies do not commute at {(p, q)}")
-    return not problems, problems[:10]
+    return problems
 
 
 def diagonal(B: BisSSet) -> TruncSSet:

@@ -34,9 +34,8 @@ from .presheaf import (
     SSetPresheafMap,
     constant_sgd_presheaf,
     validate_sset_presheaf,
-    validate_sset_presheaf_map,
 )
-from .report import Check, require
+from .report import Check, invariant, require, validator
 from .search import solve
 from .sgroupoid import SgdFunctor, constant_sgroupoid, validate_sgd_functor
 from .sheaf import cover_elements, local_weq_check
@@ -44,6 +43,8 @@ from .sset import idkey, sset_map
 from .torsors import (
     _shared_values,
     db_presheaf,
+    display_torsor_check,
+    pullback_shape_check,
     to_point_map,
     w_total_presheaf,
     wbar_presheaf,
@@ -96,19 +97,20 @@ def section_functor(A: SGroupAction, U) -> SimplicialFunctor:
     )
 
 
+@validator("action tables are simplicial and natural")
 def validate_sgroup_action(A: SGroupAction):
     problems = []
-    ok, probs = validate_sset_presheaf(A.space)
-    if not ok:
-        return False, [f"space: {probs[0]}"]
+    space = validate_sset_presheaf(A.space)
+    if not space:
+        return [f"space: {space.witness[0]}"]
     for U in A.group.site.objects:
         if len(A.group.values[U].objects) != 1:
-            return False, [f"coefficients over {U!r} have several objects"]
-        ok, probs = validate_simplicial_functor(section_functor(A, U))
-        if not ok:
-            problems.append(f"action over {U!r}: {probs[0]}")
+            return [f"coefficients over {U!r} have several objects"]
+        action = validate_simplicial_functor(section_functor(A, U))
+        if not action:
+            problems.append(f"action over {U!r}: {action.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for f, (V, U) in A.group.site.cat.morphisms.items():
         F = A.group.res[f]
         aU = _one_object(A.group.values[U])
@@ -122,7 +124,7 @@ def validate_sgroup_action(A: SGroupAction):
                     problems.append(
                         f"action not natural along {f!r} at level {n} on {(g, x)!r}"
                     )
-    return not problems, problems
+    return problems
 
 
 def sgroup_free_action_check(A: SGroupAction) -> Check:
@@ -425,10 +427,7 @@ def borel_to_quotient(A: SGroupAction, E: SSetPresheaf = None) -> SSetPresheafMa
 def sgroup_torsor_check(A: SGroupAction, depth=2) -> Check:
     check = Check("action presents a torsor for the enriched group", True,
                   params={"depth": depth})
-    ok, problems = validate_sgroup_action(A)
-    check.add(require(ok, "action tables are simplicial and natural",
-                      witness=problems[:3]))
-    if not ok:
+    if not check.add(validate_sgroup_action(A)):
         return check
     weq = local_weq_check(to_point_map(borel(A)), depth=depth)
     weq.claim = "quotient by the action is locally trivial"
@@ -541,14 +540,15 @@ class SgdDiagram:
     res: dict        # morphism -> {object a: {level: {simplex: simplex}}}
 
 
+@validator("diagram is functorial and natural")
 def validate_sgd_diagram(D: SgdDiagram):
     problems = []
     for U in D.coeff.site.objects:
-        ok, probs = validate_simplicial_functor(D.functors[U])
-        if not ok:
-            problems.append(f"diagram over {U!r}: {probs[0]}")
+        functor = validate_simplicial_functor(D.functors[U])
+        if not functor:
+            problems.append(f"diagram over {U!r}: {functor.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for f, (V, U) in D.coeff.site.cat.morphisms.items():
         F = D.coeff.res[f]
         XU, XV = D.functors[U], D.functors[V]
@@ -579,7 +579,7 @@ def validate_sgd_diagram(D: SgdDiagram):
                         problems.append(
                             f"restriction along {f!r} not equivariant at {(a, b)!r}"
                         )
-    return not problems, problems
+    return problems
 
 
 def holim_presheaf(D: SgdDiagram):
@@ -621,9 +621,7 @@ def holim_presheaf(D: SgdDiagram):
 def sgd_torsor_check(D: SgdDiagram, depth=2) -> Check:
     check = Check("diagram presents a torsor for the enriched groupoid", True,
                   params={"depth": depth})
-    ok, problems = validate_sgd_diagram(D)
-    check.add(require(ok, "diagram is functorial and natural", witness=problems[:3]))
-    if not ok:
+    if not check.add(validate_sgd_diagram(D)):
         return check
     E, _ = holim_presheaf(D)
     weq = local_weq_check(to_point_map(E), depth=depth)
@@ -643,7 +641,7 @@ def corepresented_diagram(Q: SgdPresheaf, at) -> SgdDiagram:
     for f, (V, U) in Q.site.cat.morphisms.items():
         F = Q.res[f]
         H = Q.values[U]
-        assert F.ob[at[U]] == at[V], "chosen objects are not natural"
+        invariant(F.ob[at[U]] == at[V], "chosen objects are not natural")
         res[f] = {
             a: {
                 n: {
@@ -709,19 +707,6 @@ class SgdPresheafMap:
     source: SgdPresheaf
     target: SgdPresheaf
     components: dict   # object -> SgdFunctor
-
-
-def validate_sgd_presheaf_map(u: SgdPresheafMap):
-    problems = []
-    for U in u.source.site.objects:
-        ok, probs = validate_sgd_functor(u.components[U])
-        if not ok:
-            problems.append(f"component over {U!r}: {probs[0]}")
-    if problems:
-        return False, problems
-    for f, (V, U) in u.source.site.cat.morphisms.items():
-        problems += _unnatural(u.source, u.target, f, u.components[U], u.components[V])
-    return not problems, problems
 
 
 def _unnatural(P: SgdPresheaf, Q: SgdPresheaf, f, cU, cV):
@@ -832,7 +817,7 @@ def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
     domains = [tuple(Q.values[U].objects) for U, _ in obs]
     domains += [landing(U, a, b) for U, a, b, _ in cells]
     constraints = [
-        (scope[U], lambda *values, U=U: validate_sgd_functor(component(U, values))[0])
+        (scope[U], lambda *values, U=U: validate_sgd_functor(component(U, values)).ok)
         for U in site.objects
     ] + [
         (scope[U] + scope[V], natural(f, V, U)) for f, (V, U) in site.cat.morphisms.items()
@@ -891,9 +876,8 @@ def translation_sgd(X: SimplicialFunctor):
     for a in C.objects:
         V = X.values[a]
         base = set(V.level(0))
-        assert all(set(V.level(n)) == base for n in range(V.trunc + 1)), (
-            "translation needs discrete values"
-        )
+        invariant(all(set(V.level(n)) == base for n in range(V.trunc + 1)),
+                  "translation needs discrete values")
     objects = tuple(
         sorted(((a, s) for a in C.objects for s in X.values[a].level(0)), key=idkey)
     )
@@ -954,6 +938,7 @@ class TwoGpdAction:
     res: dict        # site morphism -> {element: element}
 
 
+@validator("input is an anchored 2-groupoid action")
 def validate_two_gpd_action(A: TwoGpdAction):
     problems = []
     T = A.gpd2
@@ -991,7 +976,7 @@ def validate_two_gpd_action(A: TwoGpdAction):
                                         f"composition breaks on {x!r} over {U!r}"
                                     )
     if problems:
-        return False, problems[:6]
+        return problems
     for f, (V, U) in A.site.cat.morphisms.items():
         r = A.res[f]
         for p, xs in A.elements[U].items():
@@ -1001,7 +986,7 @@ def validate_two_gpd_action(A: TwoGpdAction):
         for (arrow, x), y in A.act1[U].items():
             if r[y] != A.act1[V][(arrow, r[x])]:
                 problems.append(f"restriction along {f!r} is not equivariant")
-    return not problems, problems[:6]
+    return problems
 
 
 def two_gpd_display(A: TwoGpdAction, trunc):
@@ -1043,47 +1028,14 @@ def two_gpd_display(A: TwoGpdAction, trunc):
 
 
 def two_gpd_shape_check(total: SSetPresheaf, pi: SSetPresheafMap) -> Check:
-    """Every display level is the pullback of level zero along the
-    last-vertex map of the base."""
-    trunc = next(iter(total.values.values())).trunc
-    check = Check("display levels pull back from level zero", True,
-                  params={"trunc": trunc})
-    for U in total.site.objects:
-        X = total.values[U]
-        N = pi.target.values[U]
-        comp = pi.components[U]
-        for n in range(1, trunc + 1):
-            pairs = {(X.vertex(n, n, s), comp[n][s]) for s in X.level(n)}
-            wanted = {
-                (y, w)
-                for y in X.level(0)
-                for w in N.level(n)
-                if N.vertex(n, n, w) == comp[0][y]
-            }
-            ok = len(pairs) == X.size(n) and pairs == wanted
-            check.add(require(ok, f"level {n} over {U!r} is the pullback",
-                              witness={"have": len(pairs), "want": len(wanted)}))
-            if not ok:
-                return check
-    return check
+    return pullback_shape_check(total, pi, "display levels pull back from level zero")
 
 
 def two_gpd_torsor_check(total: SSetPresheaf, pi: SSetPresheafMap, depth=2) -> Check:
-    check = Check("display presents a torsor for the 2-groupoid", True,
-                  params={"depth": depth})
-    ok, problems = validate_sset_presheaf(total)
-    check.add(require(ok, "display is a simplicial presheaf", witness=problems[:3]))
-    okm, problems = validate_sset_presheaf_map(pi)
-    check.add(require(okm, "projection is a presheaf map", witness=problems[:3]))
-    if not (ok and okm):
-        return check
-    check.add(two_gpd_shape_check(total, pi))
-    if not check.ok:
-        return check
-    weq = local_weq_check(to_point_map(total), depth=depth)
-    weq.claim = "display is locally trivial"
-    check.add(weq)
-    return check
+    return display_torsor_check(
+        "display presents a torsor for the 2-groupoid", "display",
+        total, pi, lambda: two_gpd_shape_check(total, pi), depth,
+    )
 
 
 def twisted_two_gpd_action(site, F: FinGroup, cochain) -> TwoGpdAction:

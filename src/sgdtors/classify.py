@@ -23,7 +23,7 @@ flavours, the bundle round trip, the represented torsors for ``sgpd``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 from .bundles import (
@@ -213,9 +213,9 @@ def _cocycle_map(source: SSetPresheaf, target: SSetPresheaf, entry) -> SSetPresh
     entry(W)(n, cell), checked to be a strict presheaf map."""
     per_section = {W: entry(W) for W in source.site.objects}
     u = SSetPresheafMap(source, target, _components_of(source, per_section))
-    ok, problems = validate_sset_presheaf_map(u)
-    if not ok:
-        raise InvariantError(f"cocycle tables are not a presheaf map: {problems[:3]}")
+    checked = validate_sset_presheaf_map(u)
+    if not checked:
+        raise InvariantError(f"cocycle tables are not a presheaf map: {checked.witness}")
     return u
 
 
@@ -512,9 +512,8 @@ def _bundle_round_trip(run, check):
 
 
 def _sgd_checks(run, i):
-    ok, problems = validate_sgd_diagram(run.family[i])
     return [
-        require(ok, "pullback is a valid diagram", witness=problems[:3]),
+        replace(validate_sgd_diagram(run.family[i]), claim="pullback is a valid diagram"),
         sgd_torsor_check(run.family[i], depth=run.depth),
     ]
 

@@ -17,7 +17,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bundles import (
     constant_enrichment,
@@ -196,9 +196,9 @@ def decode_sset(obj, where="") -> TruncSSet:
         tables("faces", range(1, trunc + 1)),
         tables("degeneracies", range(trunc)),
     )
-    ok, problems = validate_sset(X)
-    if not ok:
-        raise SchemaError(where, f"not a simplicial set: {problems[0]}")
+    checked = validate_sset(X)
+    if not checked:
+        raise SchemaError(where, f"not a simplicial set: {checked.witness[0]}")
     return X
 
 
@@ -283,9 +283,9 @@ def decode_site(obj, where="") -> FinSite:
             )
         identities[a] = found[0]
     cat = FinCat(objects, morphisms, comp, identities)
-    ok, problems = validate_cat(cat)
-    if not ok:
-        raise SchemaError(where, f"not a category: {problems[0]}")
+    checked = validate_cat(cat)
+    if not checked:
+        raise SchemaError(where, f"not a category: {checked.witness[0]}")
     star, covers = [], {}
     for k, c in enumerate(_get(obj, "covers", where, list, required=False, default=[])):
         cw = f"{where}/covers/{k}"
@@ -305,6 +305,8 @@ def decode_site(obj, where="") -> FinSite:
                         f"{cw}/family", f"{f!r} does not map into {base!r}"
                     )
             covers.setdefault(base, []).append(fam)
+    if not star:
+        raise SchemaError(f"{where}/covers", "no cover of the terminal presheaf")
     return FinSite(cat, covers, star)
 
 
@@ -374,9 +376,9 @@ def decode_sgd(obj, where="") -> SimpGroupoid:
         a, e = _pair(row, f"{where}/identities/{k}")
         identities[a] = e
     H = SimpGroupoid(trunc, objects, homs, comp, identities)
-    ok, problems = validate_sgroupoid(H)
-    if not ok:
-        raise SchemaError(where, f"not an enriched groupoid: {problems[0]}")
+    checked = validate_sgroupoid(H)
+    if not checked:
+        raise SchemaError(where, f"not an enriched groupoid: {checked.witness[0]}")
     return H
 
 
@@ -453,9 +455,9 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
             f"{where}/restrictions", "need one restriction per site morphism"
         )
     Q = SgdPresheaf(site, values, res)
-    ok, problems = validate_sgd_presheaf(Q)
-    if not ok:
-        raise SchemaError(where, f"not an enriched presheaf: {problems[0]}")
+    checked = validate_sgd_presheaf(Q)
+    if not checked:
+        raise SchemaError(where, f"not an enriched presheaf: {checked.witness[0]}")
     return Q
 
 
@@ -668,14 +670,8 @@ def cmd_wbar(cfg: RunConfig):
     H = load_sgd(cfg.inputs[0])
     N = resolve_trunc(cfg, H.trunc)
     W = wbar(truncate_sgd(H, N))
-    ok, problems = validate_sset(W)
-    check = require(
-        ok,
-        "cocycle object is a simplicial set",
-        witness=problems[:3],
-        trunc=N,
-        levels=W.level_counts(),
-    )
+    check = replace(validate_sset(W), claim="cocycle object is a simplicial set",
+                    params={"trunc": N, "levels": W.level_counts()})
     return [certificate("wbar/levels", check, input=cfg.inputs[0])], {
         "wbar": encode_sset(W)
     }
@@ -685,14 +681,8 @@ def cmd_w_total(cfg: RunConfig):
     H = load_sgd(cfg.inputs[0])
     N = resolve_trunc(cfg, H.trunc)
     T = w_total(truncate_sgd(H, N))
-    ok, problems = validate_sset(T)
-    check = require(
-        ok,
-        "total object is a simplicial set",
-        witness=problems[:3],
-        trunc=N,
-        levels=T.level_counts(),
-    )
+    check = replace(validate_sset(T), claim="total object is a simplicial set",
+                    params={"trunc": N, "levels": T.level_counts()})
     return [certificate("w-total/levels", check, input=cfg.inputs[0])], {
         "w-total": encode_sset(T)
     }
@@ -702,14 +692,14 @@ def cmd_j_map(cfg: RunConfig):
     H = load_sgd(cfg.inputs[0])
     N = resolve_trunc(cfg, H.trunc)
     j = j_map(truncate_sgd(H, N))
-    ok, problems = validate_sset_map(j)
-    check = require(
-        ok,
-        "diagonal-to-cocycle comparison is simplicial",
-        witness=problems[:3],
-        trunc=N,
-        source_levels=j.source.level_counts(),
-        target_levels=j.target.level_counts(),
+    check = replace(
+        validate_sset_map(j),
+        claim="diagonal-to-cocycle comparison is simplicial",
+        params={
+            "trunc": N,
+            "source_levels": j.source.level_counts(),
+            "target_levels": j.target.level_counts(),
+        },
     )
     return [certificate("j-map/simplicial", check, input=cfg.inputs[0])], {
         "j-map": encode_sset_map(j)
@@ -751,10 +741,8 @@ def cmd_holim(cfg: RunConfig):
         True,
         params={"trunc": N, "at": repr(a), "levels": Y.level_counts()},
     )
-    ok, problems = validate_sset(Y)
-    check.add(require(ok, "carrier is a simplicial set", witness=problems[:3]))
-    ok, problems = validate_sset_map(p)
-    check.add(require(ok, "projection is simplicial", witness=problems[:3]))
+    check.add(replace(validate_sset(Y), claim="carrier is a simplicial set"))
+    check.add(replace(validate_sset_map(p), claim="projection is simplicial"))
     return [certificate("holim/corepresented", check, input=cfg.inputs[0])], {
         "holim": encode_sset(Y)
     }
@@ -768,15 +756,8 @@ def cmd_comma(cfg: RunConfig):
     H = truncate_sgd(H, N)
     a = parse_object(cfg.at, H.objects)
     D = comma_db(identity_functor(H), a)
-    ok, problems = validate_sset(D)
-    check = require(
-        ok,
-        "comma object is a simplicial set",
-        witness=problems[:3],
-        trunc=N,
-        at=repr(a),
-        levels=D.level_counts(),
-    )
+    check = replace(validate_sset(D), claim="comma object is a simplicial set",
+                    params={"trunc": N, "at": repr(a), "levels": D.level_counts()})
     return [certificate("comma/levels", check, input=cfg.inputs[0])], {
         "comma": encode_sset(D)
     }

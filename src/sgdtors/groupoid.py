@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ordinal import OrdinalMap
+from .report import InvariantError, invariant, validator
 from .sset import build_sset
 
 
@@ -37,7 +38,7 @@ def make_group(name, elements, mul):
     inv = {g: next(h for h in elements if table[(g, h)] == e) for g in elements}
     for g, h in itertools.product(elements, repeat=2):
         for k in elements:
-            assert table[(table[(g, h)], k)] == table[(g, table[(h, k)])], "not associative"
+            invariant(table[(table[(g, h)], k)] == table[(g, table[(h, k)])], "not associative")
     return FinGroup(name, elements, table, e, inv)
 
 
@@ -77,6 +78,7 @@ class FinGroupoid:
         return cur
 
 
+@validator("input is a groupoid")
 def validate_groupoid(G: FinGroupoid):
     problems = []
     for f, (a, b) in G.morphisms.items():
@@ -93,7 +95,7 @@ def validate_groupoid(G: FinGroupoid):
                 if h is None or G.morphisms.get(h) != (a, c):
                     problems.append(f"composite of {g!r} after {f!r} missing or mistyped")
     if problems:
-        return False, problems
+        return problems
     for f, (a, b) in G.morphisms.items():
         if G.comp[(f, G.identities[a])] != f or G.comp[(G.identities[b], f)] != f:
             problems.append(f"identity law fails at {f!r}")
@@ -111,7 +113,7 @@ def validate_groupoid(G: FinGroupoid):
                     continue
                 if G.comp[(h, G.comp[(g, f)])] != G.comp[(G.comp[(h, g)], f)]:
                     problems.append(f"associativity fails at {h!r},{g!r},{f!r}")
-    return not problems, problems
+    return problems
 
 
 def group_as_groupoid(F: FinGroup) -> FinGroupoid:
@@ -165,7 +167,8 @@ def disjoint_union_groupoids(pieces: dict) -> FinGroupoid:
 def _string_objects(G: FinGroupoid, x0, fs):
     objs = [x0]
     for f in fs:
-        assert G.src(f) == objs[-1]
+        if G.src(f) != objs[-1]:
+            raise InvariantError(f"string breaks at {f!r}")
         objs.append(G.dst(f))
     return objs
 
@@ -232,12 +235,13 @@ class Fin2Groupoid:
         return self.homs[(a, b)]
 
 
+@validator("input is a 2-groupoid")
 def validate_2groupoid(T: Fin2Groupoid):
     problems = []
     for (a, b), H in T.homs.items():
-        ok, probs = validate_groupoid(H)
-        if not ok:
-            problems.append(f"hom groupoid {(a, b)}: {probs[0]}")
+        hom = validate_groupoid(H)
+        if not hom:
+            problems.append(f"hom groupoid {(a, b)}: {hom.witness[0]}")
     for a, b, c in itertools.product(T.objects, repeat=3):
         h1 = T.hcomp1[(a, b, c)]
         h2 = T.hcomp2[(a, b, c)]
@@ -245,13 +249,13 @@ def validate_2groupoid(T: Fin2Groupoid):
         for q, p in itertools.product(BC.objects, AB.objects):
             if (q, p) not in h1 or h1[(q, p)] not in AC.objects:
                 problems.append(f"1-cell composition missing at {(a, b, c)}")
-                return False, problems
+                return problems
         for beta in BC.morphisms:
             for alpha in AB.morphisms:
                 g = h2.get((beta, alpha))
                 if g is None:
                     problems.append(f"2-cell composition missing at {(a, b, c)}")
-                    return False, problems
+                    return problems
                 want_src = h1[(BC.src(beta), AB.src(alpha))]
                 want_dst = h1[(BC.dst(beta), AB.dst(alpha))]
                 if AC.morphisms[g] != (want_src, want_dst):
@@ -290,7 +294,7 @@ def validate_2groupoid(T: Fin2Groupoid):
                 for q in T.homs[(b, a)].objects
             ):
                 problems.append(f"1-cell {p!r} has no strict inverse")
-    return not problems, problems
+    return problems
 
 
 def groupoid_as_2groupoid(G: FinGroupoid) -> Fin2Groupoid:

@@ -17,13 +17,13 @@ precomposition with inverses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bisset import BisSSet, build_bisset, diagonal
 from .groupoid import Fin2Groupoid, FinGroupoid
 from .kan import fibration_check, iterated_degeneracy, weq_check
 from .ordinal import OrdinalMap, coface, codegeneracy
-from .report import Check, require
+from .report import Check, invariant, require, validator
 from .sgroupoid import (
     SgdFunctor,
     SimpGroupoid,
@@ -69,6 +69,7 @@ def simplicial_functor(C: SimpGroupoid, value, act) -> SimplicialFunctor:
     return SimplicialFunctor(C, values, action)
 
 
+@validator("diagram is a valid enriched functor")
 def validate_simplicial_functor(X: SimplicialFunctor):
     from .sset import validate_sset
 
@@ -80,11 +81,11 @@ def validate_simplicial_functor(X: SimplicialFunctor):
         if V is None or V.trunc != N:
             problems.append(f"value at {a!r} missing or mistruncated")
             continue
-        ok, probs = validate_sset(V)
-        if not ok:
-            problems.append(f"value at {a!r}: {probs[0]}")
+        value = validate_sset(V)
+        if not value:
+            problems.append(f"value at {a!r}: {value.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for a, b in itertools.product(C.objects, repeat=2):
         hom = C.homs[(a, b)]
         for n in range(N + 1):
@@ -93,7 +94,7 @@ def validate_simplicial_functor(X: SimplicialFunctor):
                     y = X.action[(a, b)].get(n, {}).get((g, x))
                     if y is None or y not in set(X.values[b].level(n)):
                         problems.append(f"action missing/mistyped at {(a, b)} level {n}")
-                        return False, problems
+                        return problems
         # action commutes with the simplicial structure in both variables
         for n in range(1, N + 1):
             for i in range(n + 1):
@@ -112,7 +113,7 @@ def validate_simplicial_functor(X: SimplicialFunctor):
                         if lhs != rhs:
                             problems.append(f"action breaks s_{j} at {(a, b)} level {n}")
     if problems:
-        return False, problems
+        return problems
     for a in C.objects:
         for n in range(N + 1):
             e = C.identity_at(a, n)
@@ -127,11 +128,11 @@ def validate_simplicial_functor(X: SimplicialFunctor):
                     for x in X.values[a].level(n):
                         if X.act(a, c, n, gf, x) != X.act(b, c, n, g, X.act(a, b, n, f, x)):
                             problems.append(f"action breaks composition at {(a, b, c)} level {n}")
-    return not problems, problems
+    return problems
 
 
 def constant_functor(C: SimpGroupoid, V: TruncSSet) -> SimplicialFunctor:
-    assert V.trunc == C.trunc
+    invariant(V.trunc == C.trunc, "value and source have different truncations")
     return simplicial_functor(C, lambda a: V, lambda a, b, n, g, x: x)
 
 
@@ -390,9 +391,8 @@ def holim_2gpd_oracle_check(G: FinGroupoid, values, act1, trunc) -> Check:
         return ((objs[0], xs[0]), ms)
 
     f = sset_map(Y, B, assign)
-    ok, problems = validate_sset_map(f)
-    check = Check("translation nerve matches the classifying total object", ok,
-                  params={"trunc": trunc}, witness=problems[:3] if not ok else None)
+    check = replace(validate_sset_map(f), params={"trunc": trunc},
+                    claim="translation nerve matches the classifying total object")
     check.add(require(is_bijective(f), "identification is a levelwise bijection"))
     return check
 
@@ -439,9 +439,7 @@ def homotopy_fibre_check(X: SimplicialFunctor, maxdim=None) -> Check:
         True,
         params={"maxdim": maxdim, "trunc": N},
     )
-    ok, problems = validate_simplicial_functor(X)
-    check.add(require(ok, "diagram is a valid enriched functor", witness=problems[:3]))
-    if not ok:
+    if not check.add(validate_simplicial_functor(X)):
         return check
     p = holim_projection(X)
     check.add(fibration_check(p, maxdim))

@@ -13,6 +13,8 @@ comes down to the naturality of the comparison.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .holim import comma_construction_functor, holim
 from .ordinal import h_map
 from .report import Check, require
@@ -86,8 +88,7 @@ def alpha_beta_check(G: SimpGroupoid) -> Check:
         params={"trunc": G.trunc, "carrier_counts": J.level_counts()},
     )
     for name, f in (("left", alpha), ("right", beta), ("prism", H)):
-        ok, problems = validate_sset_map(f)
-        check.add(require(ok, f"{name} map is simplicial", witness=problems[:3]))
+        check.add(replace(validate_sset_map(f), claim=f"{name} map is simplicial"))
     ends_ok = True
     witness = None
     for n in range(G.trunc + 1):
@@ -135,8 +136,7 @@ def naturality_check(F: SgdFunctor) -> Check:
     jf = join_map(F)
     bf = db_map(F)
     check = Check("prism is natural in the index", True, params={"trunc": F.source.trunc})
-    ok, problems = validate_sset_map(jf)
-    check.add(require(ok, "induced carrier map is simplicial", witness=problems[:3]))
+    check.add(replace(validate_sset_map(jf), claim="induced carrier map is simplicial"))
     square_ok = True
     witness = None
     for n in range(F.source.trunc + 1):

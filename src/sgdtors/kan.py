@@ -257,9 +257,7 @@ def weq_check(f: SSetMap, maxdeg=None) -> Check:
     check = Check(
         "weak equivalence", True, params={"maxdeg": maxdeg, "trunc": X.trunc}
     )
-    ok, problems = validate_sset_map(f)
-    check.add(require(ok, "input is a simplicial map", witness=problems[:3]))
-    if not ok:
+    if not check.add(validate_sset_map(f)):
         return check
     if maxdeg >= 1:
         check.add(kan_check(X, maxdeg + 1))

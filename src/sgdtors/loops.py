@@ -11,6 +11,7 @@ only branch over nondegenerate ones.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from .report import Check, require
 from .search import solve
@@ -99,8 +100,7 @@ def twisting_check(X: TruncSSet, C: SimpGroupoid, v, phi, W=None) -> Check:
     if not check.ok:
         return check
     f = rebuild_map(X, C, v, phi, W)
-    ok, problems = validate_sset_map(f)
-    check.add(require(ok, "rebuilt map is simplicial", witness=problems[:3]))
+    check.add(replace(validate_sset_map(f), claim="rebuilt map is simplicial"))
     return check
 
 
@@ -124,7 +124,7 @@ def enumerate_twistings(X: TruncSSet, C: SimpGroupoid):
         return lambda chosen: _leading_hom(X, C, dict(zip(verts, chosen)), n, x).level(n - 1)
 
     def simplicial(*values):
-        return validate_sset_map(rebuild_map(X, C, *tables(values), W))[0]
+        return validate_sset_map(rebuild_map(X, C, *tables(values), W)).ok
 
     domains = [C.objects] * len(verts) + [leading(n, x) for n, x in cells]
     everything = tuple(range(len(domains)))

@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .report import InvariantError
+
 
 @dataclass(frozen=True)
 class OrdinalMap:
@@ -28,19 +30,24 @@ class OrdinalMap:
     values: tuple
 
     def __post_init__(self):
-        assert self.dom >= 0 and self.cod >= 0
-        assert len(self.values) == self.dom + 1, "one value per element of [dom]"
+        if self.dom < 0 or self.cod < 0:
+            raise InvariantError("ordinals must be nonnegative")
+        if len(self.values) != self.dom + 1:
+            raise InvariantError("one value per element of [dom]")
         for v in self.values:
-            assert 0 <= v <= self.cod, "value out of range"
+            if not 0 <= v <= self.cod:
+                raise InvariantError("value out of range")
         for a, b in zip(self.values, self.values[1:]):
-            assert a <= b, "not monotone"
+            if a > b:
+                raise InvariantError("not monotone")
 
     def __call__(self, i):
         return self.values[i]
 
     def after(self, other: "OrdinalMap") -> "OrdinalMap":
         """Composite self . other, defined when other.cod == self.dom."""
-        assert other.cod == self.dom, "not composable"
+        if other.cod != self.dom:
+            raise InvariantError("not composable")
         return OrdinalMap(other.dom, self.cod, tuple(self.values[v] for v in other.values))
 
     def is_identity(self):
@@ -59,7 +66,8 @@ class OrdinalMap:
         renumbered so both intervals start at 0.  It is the ordinal map
         through which cocycle entries get reindexed.
         """
-        assert 0 <= i <= self.dom
+        if not 0 <= i <= self.dom:
+            raise InvariantError("restriction point out of range")
         base = self.values[i]
         return OrdinalMap(
             self.dom - i,
@@ -74,13 +82,15 @@ def identity(n: int) -> OrdinalMap:
 
 def coface(n: int, i: int) -> OrdinalMap:
     """The injection [n-1] -> [n] missing i."""
-    assert n >= 1 and 0 <= i <= n
+    if not (n >= 1 and 0 <= i <= n):
+        raise InvariantError("coface index out of range")
     return OrdinalMap(n - 1, n, tuple(j if j < i else j + 1 for j in range(n)))
 
 
 def codegeneracy(n: int, j: int) -> OrdinalMap:
     """The surjection [n+1] -> [n] repeating j."""
-    assert 0 <= j <= n
+    if not 0 <= j <= n:
+        raise InvariantError("codegeneracy index out of range")
     return OrdinalMap(n + 1, n, tuple(k if k <= j else k - 1 for k in range(n + 2)))
 
 

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .groupoid import FinGroup
+from .report import validator
 from .search import solve
 from .sgroupoid import SgdFunctor, SimpGroupoid, validate_sgd_functor
 from .site import FinSite
@@ -41,6 +42,7 @@ def set_presheaf(site, value, restrict):
     return SetPresheaf(site, values, res)
 
 
+@validator("input is a presheaf of sets")
 def validate_set_presheaf(P: SetPresheaf):
     problems = []
     C = P.site.cat
@@ -53,7 +55,7 @@ def validate_set_presheaf(P: SetPresheaf):
             if s not in tab or tab[s] not in set(P.values[V]):
                 problems.append(f"restriction along {f!r} mistyped at {s!r}")
     if problems:
-        return False, problems
+        return problems
     for U in C.objects:
         e = C.identities[U]
         for s in P.values[U]:
@@ -67,7 +69,7 @@ def validate_set_presheaf(P: SetPresheaf):
             for s in P.values[U]:
                 if P.res[fg][s] != P.res[g][P.res[f][s]]:
                     problems.append(f"restrictions break composition {f!r},{g!r}")
-    return not problems, problems
+    return problems
 
 
 def terminal_presheaf(site) -> SetPresheaf:
@@ -107,6 +109,7 @@ def set_presheaf_map(P, Q, component):
     )
 
 
+@validator("input is a presheaf map")
 def validate_set_presheaf_map(phi: SetPresheafMap):
     P, Q = phi.source, phi.target
     problems = []
@@ -119,12 +122,12 @@ def validate_set_presheaf_map(phi: SetPresheafMap):
             if s not in tab or tab[s] not in set(Q.values[U]):
                 problems.append(f"component at {U!r} mistyped at {s!r}")
     if problems:
-        return False, problems
+        return problems
     for f, (V, U) in P.site.cat.morphisms.items():
         for s in P.values[U]:
             if phi.components[V][P.res[f][s]] != Q.res[f][phi.components[U][s]]:
                 problems.append(f"naturality fails along {f!r} at {s!r}")
-    return not problems, problems
+    return problems
 
 
 def natural_maps(P: SetPresheaf, Q: SetPresheaf, constraints):
@@ -179,17 +182,19 @@ class GroupPresheaf:
         )
 
 
+@validator("input is a presheaf of groups")
 def validate_group_presheaf(G: GroupPresheaf):
-    ok, problems = validate_set_presheaf(G.underlying())
-    if not ok:
-        return False, problems
+    sets = validate_set_presheaf(G.underlying())
+    if not sets:
+        return sets.witness
+    problems = []
     C = G.site.cat
     for f, (V, U) in C.morphisms.items():
         FU, FV = G.values[U], G.values[V]
         for a, b in itertools.product(FU.elements, repeat=2):
             if G.res[f][FU.mul[(a, b)]] != FV.mul[(G.res[f][a], G.res[f][b])]:
                 problems.append(f"restriction along {f!r} is not a homomorphism")
-    return not problems, problems
+    return problems
 
 
 def constant_group_presheaf(site, F: FinGroup) -> GroupPresheaf:
@@ -259,6 +264,7 @@ def sset_presheaf(site, value, restrict):
     return SSetPresheaf(site, values, res)
 
 
+@validator("input is a simplicial presheaf")
 def validate_sset_presheaf(Y: SSetPresheaf):
     from .sset import validate_sset
 
@@ -266,19 +272,19 @@ def validate_sset_presheaf(Y: SSetPresheaf):
     C = Y.site.cat
     truncs = {X.trunc for X in Y.values.values()}
     if len(truncs) != 1:
-        return False, ["sections have mixed truncations"]
+        return ["sections have mixed truncations"]
     for U, X in Y.values.items():
-        ok, probs = validate_sset(X)
-        if not ok:
-            problems.append(f"sections over {U!r}: {probs[0]}")
+        sections = validate_sset(X)
+        if not sections:
+            problems.append(f"sections over {U!r}: {sections.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for f in C.morphisms:
-        ok, probs = validate_sset_map(Y.res_map(f))
-        if not ok:
-            problems.append(f"restriction along {f!r}: {probs[0]}")
+        restriction = validate_sset_map(Y.res_map(f))
+        if not restriction:
+            problems.append(f"restriction along {f!r}: {restriction.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for U in C.objects:
         e = C.identities[U]
         for n in range(Y.values[U].trunc + 1):
@@ -294,7 +300,7 @@ def validate_sset_presheaf(Y: SSetPresheaf):
                 for x in Y.values[U].level(n):
                     if Y.res[fg][n][x] != Y.res[g][n][Y.res[f][n][x]]:
                         problems.append(f"restrictions break composition {f!r},{g!r}")
-    return not problems, problems
+    return problems
 
 
 def constant_sset_presheaf(site, X: TruncSSet) -> SSetPresheaf:
@@ -352,21 +358,22 @@ def sset_presheaf_map(Y, Z, component):
     return SSetPresheafMap(Y, Z, comps)
 
 
+@validator("input is a presheaf map")
 def validate_sset_presheaf_map(phi: SSetPresheafMap):
     Y, Z = phi.source, phi.target
     problems = []
     for U in Y.site.objects:
-        ok, probs = validate_sset_map(phi.component(U))
-        if not ok:
-            problems.append(f"component at {U!r}: {probs[0]}")
+        component = validate_sset_map(phi.component(U))
+        if not component:
+            problems.append(f"component at {U!r}: {component.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for f, (V, U) in Y.site.cat.morphisms.items():
         for n in range(Y.values[U].trunc + 1):
             for x in Y.values[U].level(n):
                 if phi.components[V][n][Y.res[f][n][x]] != Z.res[f][n][phi.components[U][n][x]]:
                     problems.append(f"naturality fails along {f!r} at dim {n}")
-    return not problems, problems
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -386,27 +393,28 @@ class SgdPresheaf:
         return self.res[f].on_hom(a, b, n, c)
 
 
+@validator("input is a presheaf of enriched groupoids")
 def validate_sgd_presheaf(Q: SgdPresheaf):
     from .sgroupoid import validate_sgroupoid
 
     problems = []
     C = Q.site.cat
     for U, H in Q.values.items():
-        ok, probs = validate_sgroupoid(H)
-        if not ok:
-            problems.append(f"sections over {U!r}: {probs[0]}")
+        sections = validate_sgroupoid(H)
+        if not sections:
+            problems.append(f"sections over {U!r}: {sections.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for f, (V, U) in C.morphisms.items():
         F = Q.res[f]
         if F.source is not Q.values[U] or F.target is not Q.values[V]:
             problems.append(f"restriction along {f!r} connects the wrong sections")
             continue
-        ok, probs = validate_sgd_functor(F)
-        if not ok:
-            problems.append(f"restriction along {f!r}: {probs[0]}")
+        restriction = validate_sgd_functor(F)
+        if not restriction:
+            problems.append(f"restriction along {f!r}: {restriction.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for U in C.objects:
         e = C.identities[U]
         F = Q.res[e]
@@ -435,7 +443,7 @@ def validate_sgd_presheaf(Q: SgdPresheaf):
                         rhs = Fg.on_hom(Ff.ob[a], Ff.ob[b], n, Ff.on_hom(a, b, n, c))
                         if lhs != rhs:
                             problems.append(f"cell restrictions break composition {f!r},{g!r}")
-    return not problems, problems
+    return problems
 
 
 def constant_sgd_presheaf(site, H: SimpGroupoid) -> SgdPresheaf:

@@ -3,12 +3,15 @@
 Every verifier in the package returns a ``Check``: a verdict, a short
 claim, the parameters that scope the claim (truncation, degree bounds,
 cover family), and a witness when the verdict is negative.  Checks nest.
-A computation whose input breaks an invariant it relies on raises
+The ``validate_*`` table checks list their problems and are wrapped by
+``validator``; a caller that names the part differently renames it with
+``dataclasses.replace``.  A computation whose input breaks an invariant it relies on raises
 ``InvariantError`` instead.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 
@@ -59,6 +62,22 @@ class Check:
 
 def require(cond, claim, witness=None, **params):
     return Check(claim, bool(cond), params=params, witness=None if cond else witness)
+
+
+def validator(claim):
+    """Turns a function that lists the problems it finds into a verifier
+    returning a leaf ``Check`` of ``claim``, which fails with the first
+    three problems as its witness."""
+
+    def wrap(problems_of):
+        @functools.wraps(problems_of)
+        def validate(*args):
+            problems = problems_of(*args)
+            return require(not problems, claim, witness=problems[:3])
+
+        return validate
+
+    return wrap
 
 
 class InvariantError(Exception):

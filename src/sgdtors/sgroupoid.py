@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .bisset import BisSSet, build_bisset, diagonal
 from .groupoid import Fin2Groupoid, FinGroup, FinGroupoid, nerve_groupoid
 from .ordinal import OrdinalMap, coface, codegeneracy
+from .report import InvariantError, invariant, validator
 from .sset import TruncSSet, build_sset, idkey, relabel, sset_product
 
 
@@ -39,7 +40,8 @@ class SimpGroupoid:
 
     def compose_path(self, objs, n, fs):
         """Composite of f1; ...; fk along the object chain objs (k+1 long)."""
-        assert len(objs) == len(fs) + 1
+        if len(objs) != len(fs) + 1:
+            raise InvariantError("object chain must be one longer than the string")
         cur = fs[0]
         src = objs[0]
         at = objs[1]
@@ -59,17 +61,18 @@ class SimpGroupoid:
         raise ValueError(f"no inverse for {f!r} in hom({a!r},{b!r}) level {n}")
 
 
+@validator("input is an enriched groupoid")
 def validate_sgroupoid(H: SimpGroupoid):
     from .sset import validate_sset
 
     problems = []
     N = H.trunc
     for (a, b), hom in H.homs.items():
-        ok, probs = validate_sset(hom)
-        if not ok:
-            problems.append(f"hom({a!r},{b!r}): {probs[0]}")
+        cells = validate_sset(hom)
+        if not cells:
+            problems.append(f"hom({a!r},{b!r}): {cells.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for a, b, c in itertools.product(H.objects, repeat=3):
         table = H.comp.get((a, b, c))
         if table is None:
@@ -81,7 +84,7 @@ def validate_sgroupoid(H: SimpGroupoid):
                 h = table.get(n, {}).get((g, f))
                 if h is None or h not in set(AC.level(n)):
                     problems.append(f"composite missing at {(a, b, c)} level {n}")
-                    return False, problems
+                    return problems
         # composition is a simplicial map
         for n in range(1, N + 1):
             for i in range(n + 1):
@@ -98,10 +101,12 @@ def validate_sgroupoid(H: SimpGroupoid):
                     if lhs != rhs:
                         problems.append(f"composition breaks s_{j} at {(a, b, c)} level {n}")
     if problems:
-        return False, problems
+        return problems
     for a in H.objects:
-        if H.identities[a] not in set(H.homs[(a, a)].level(0)):
+        if H.identities.get(a) not in set(H.homs[(a, a)].level(0)):
             problems.append(f"identity vertex missing at {a!r}")
+    if problems:
+        return problems
     for a, b in itertools.product(H.objects, repeat=2):
         for n in range(N + 1):
             for f in H.homs[(a, b)].level(n):
@@ -127,7 +132,7 @@ def validate_sgroupoid(H: SimpGroupoid):
                     H.inverse(a, b, n, f)
                 except ValueError as e:
                     problems.append(str(e))
-    return not problems, problems
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +199,7 @@ def b_2groupoid(T: Fin2Groupoid, trunc) -> SimpGroupoid:
 
 def disjoint_union_sgd(pieces: dict) -> SimpGroupoid:
     truncs = {H.trunc for H in pieces.values()}
-    assert len(truncs) == 1
+    invariant(len(truncs) == 1, "pieces have different truncations")
     (N,) = truncs
     empty = build_sset(N, lambda n: (), None, None)
     objects = tuple((t, a) for t, H in pieces.items() for a in H.objects)
@@ -225,7 +230,7 @@ def disjoint_union_sgd(pieces: dict) -> SimpGroupoid:
 
 
 def product_sgd(G: SimpGroupoid, H: SimpGroupoid) -> SimpGroupoid:
-    assert G.trunc == H.trunc
+    invariant(G.trunc == H.trunc, "factors have different truncations")
     N = G.trunc
     objects = tuple(itertools.product(G.objects, H.objects))
     homs = {
@@ -298,6 +303,7 @@ def sgd_functor(source, target, ob, on_hom):
     return SgdFunctor(source, target, obd, maps)
 
 
+@validator("input is an enriched functor")
 def validate_sgd_functor(F: SgdFunctor):
     problems = []
     G, H = F.source, F.target
@@ -310,7 +316,7 @@ def validate_sgd_functor(F: SgdFunctor):
                 v = F.maps[(a, b)].get(n, {}).get(f)
                 if v is None or v not in set(hom_t.level(n)):
                     problems.append(f"value missing/mistyped at {(a, b)} level {n}")
-                    return False, problems
+                    return problems
         for n in range(1, N + 1):
             for i in range(n + 1):
                 for f in hom_s.level(n):
@@ -339,7 +345,7 @@ def validate_sgd_functor(F: SgdFunctor):
                     )
                     if lhs != rhs:
                         problems.append(f"does not preserve composition at {(a, b, c)} level {n}")
-    return not problems, problems
+    return problems
 
 
 def pullback_sgd(p: SgdFunctor, g: SgdFunctor) -> tuple:
@@ -349,7 +355,7 @@ def pullback_sgd(p: SgdFunctor, g: SgdFunctor) -> tuple:
     are pairs agreeing in W, hom simplices are pairs agreeing in W.
     """
     Z, Y, W = g.source, p.source, p.target
-    assert g.target is W or g.target == W
+    invariant(g.target is W or g.target == W, "the two functors have different targets")
     N = Z.trunc
     objects = tuple(
         (z, y) for z in Z.objects for y in Y.objects if g.ob[z] == p.ob[y]
@@ -425,7 +431,8 @@ def string_steps(H: SimpGroupoid, x0, fs, q):
     at = x0
     for f in fs:
         hits = [b for b in H.objects if f in set(H.homs[(at, b)].level(q))]
-        assert len(hits) == 1, f"cell {f!r} from {at!r} matches {len(hits)} targets"
+        if len(hits) != 1:
+            raise InvariantError(f"cell {f!r} from {at!r} matches {len(hits)} targets")
         steps.append((at, hits[0], f))
         at = hits[0]
     return steps

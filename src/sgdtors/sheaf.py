@@ -160,9 +160,7 @@ def local_epi_check(phi: SetPresheafMap, depth=2) -> Check:
     site = P.site
     sieves = min_sieves(site, depth)
     check = Check("map is a local epimorphism", True)
-    ok, problems = validate_set_presheaf_map(phi)
-    check.add(require(ok, "input is a presheaf map", witness=problems[:3]))
-    if not ok:
+    if not check.add(validate_set_presheaf_map(phi)):
         return check
     C = site.cat
     for U in site.objects:
@@ -383,9 +381,7 @@ def local_weq_check(phi: SSetPresheafMap, maxdeg=None, depth=2) -> Check:
         "map is a local weak equivalence", True,
         params={"maxdeg": maxdeg, "depth": depth},
     )
-    ok, problems = validate_sset_presheaf_map(phi)
-    check.add(require(ok, "input is a presheaf map", witness=problems[:3]))
-    if not ok:
+    if not check.add(validate_sset_presheaf_map(phi)):
         return check
     if maxdeg >= 1:
         for U in X.site.objects:

@@ -12,9 +12,9 @@ every construction downstream collapses to its sectionwise version.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .report import Check, require
+from .report import Check, InvariantError, require, validator
 from .sset import idkey
 
 
@@ -47,6 +47,7 @@ class FinCat:
         return self.comp[(g, f)]
 
 
+@validator("input is a category")
 def validate_cat(C: FinCat):
     problems = []
     for f, (a, b) in C.morphisms.items():
@@ -57,7 +58,7 @@ def validate_cat(C: FinCat):
         if e is None or C.morphisms.get(e) != (a, a):
             problems.append(f"identity at {a!r} missing or mistyped")
     if problems:
-        return False, problems
+        return problems
     for g, (b1, c) in C.morphisms.items():
         for f, (a, b2) in C.morphisms.items():
             if b1 == b2:
@@ -65,7 +66,7 @@ def validate_cat(C: FinCat):
                 if h is None or C.morphisms.get(h) != (a, c):
                     problems.append(f"composite of {g!r} after {f!r} missing or mistyped")
     if problems:
-        return False, problems
+        return problems
     for f, (a, b) in C.morphisms.items():
         if C.comp[(f, C.identities[a])] != f or C.comp[(C.identities[b], f)] != f:
             problems.append(f"identity law fails at {f!r}")
@@ -78,7 +79,7 @@ def validate_cat(C: FinCat):
                     continue
                 if C.comp[(h, C.comp[(g, f)])] != C.comp[(C.comp[(h, g)], f)]:
                     problems.append(f"associativity fails at {h!r},{g!r},{f!r}")
-    return not problems, problems
+    return problems
 
 
 def poset_category(objects, below):
@@ -122,7 +123,8 @@ def generated_sieve(site: FinSite, U, family):
     C = site.cat
     out = set()
     for m in family:
-        assert C.dst(m) == U, f"cover member {m!r} does not land in {U!r}"
+        if C.dst(m) != U:
+            raise InvariantError(f"cover member {m!r} does not land in {U!r}")
         for h in C.into(C.src(m)):
             out.add(C.comp[(m, h)])
     return frozenset(out)
@@ -172,9 +174,7 @@ def pullback_sieve(site: FinSite, sieve, h):
 
 def validate_site(site: FinSite, depth=2) -> Check:
     check = Check("covering data is coherent", True, params={"depth": depth})
-    ok, problems = validate_cat(site.cat)
-    check.add(require(ok, "underlying category is valid", witness=problems[:3]))
-    if not ok:
+    if not check.add(replace(validate_cat(site.cat), claim="underlying category is valid")):
         return check
     typed = []
     for U, families in site.covers.items():

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .ordinal import OrdinalMap, decompose
+from .report import InvariantError, invariant, validator
 
 DEFAULT_TRUNC = 4
 
@@ -126,12 +127,9 @@ def build_sset(trunc, levels, face, degen):
     return TruncSSet(trunc, simplices, faces, degeneracies)
 
 
+@validator("input is a simplicial set")
 def validate_sset(X: TruncSSet):
-    """Check table totality and the simplicial identities.
-
-    Returns (ok, problems) where problems is a list of human-readable
-    witness strings; empty iff ok.
-    """
+    """Check table totality and the simplicial identities."""
     problems = []
     N = X.trunc
     for n in range(N + 1):
@@ -157,7 +155,7 @@ def validate_sset(X: TruncSSet):
                 if bad:
                     problems.append(f"s_{j} at dim {n} leaves the complex at {bad[0]!r}")
     if problems:
-        return False, problems
+        return problems
 
     for n in range(2, N + 1):
         for i, j in itertools.combinations(range(n + 1), 2):  # i < j
@@ -187,7 +185,7 @@ def validate_sset(X: TruncSSet):
                         n + 1, j + 1, X.degen(n, i, x)
                     ):
                         problems.append(f"s_{i} s_{j} identity fails at dim {n} on {x!r}")
-    return not problems, problems
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +241,8 @@ def relabel(X: TruncSSet, rename):
     """Rename ids by rename(dim, id); must be injective per level."""
     simplices = {n: _sorted_ids(rename(n, x) for x in X.level(n)) for n in range(X.trunc + 1)}
     for n in range(X.trunc + 1):
-        assert len(simplices[n]) == X.size(n), f"relabel collision at dim {n}"
+        if len(simplices[n]) != X.size(n):
+            raise InvariantError(f"relabel collision at dim {n}")
     faces = {
         (n, i): {rename(n, x): rename(n - 1, v) for x, v in tab.items()}
         for (n, i), tab in X.faces.items()
@@ -257,7 +256,7 @@ def relabel(X: TruncSSet, rename):
 
 def sset_product(X: TruncSSet, Y: TruncSSet):
     """Levelwise product; ids are pairs."""
-    assert X.trunc == Y.trunc
+    invariant(X.trunc == Y.trunc, "factors have different truncations")
 
     def levels(n):
         return itertools.product(X.level(n), Y.level(n))
@@ -275,7 +274,7 @@ def disjoint_union(pieces):
     """Tagged disjoint union of a dict tag -> TruncSSet (same truncation)."""
     pieces = dict(pieces)
     truncs = {X.trunc for X in pieces.values()}
-    assert len(truncs) == 1
+    invariant(len(truncs) == 1, "pieces have different truncations")
     (N,) = truncs
 
     def levels(n):
@@ -379,6 +378,7 @@ class SSetMap:
         return self.levels == other.levels
 
 
+@validator("input is a simplicial map")
 def validate_sset_map(f: SSetMap):
     X, Y = f.source, f.target
     problems = []
@@ -390,7 +390,7 @@ def validate_sset_map(f: SSetMap):
             elif not (tab[x] in set(Y.level(n))):
                 problems.append(f"value at dim {n} for {x!r} not in target")
     if problems:
-        return False, problems
+        return problems
     for n in range(1, X.trunc + 1):
         for i in range(n + 1):
             for x in X.level(n):
@@ -401,7 +401,7 @@ def validate_sset_map(f: SSetMap):
             for x in X.level(n):
                 if f(n + 1, X.degen(n, j, x)) != Y.degen(n, j, f(n, x)):
                     problems.append(f"does not commute with s_{j} at dim {n} on {x!r}")
-    return not problems, problems
+    return problems
 
 
 def sset_map(X, Y, assign):

@@ -17,7 +17,7 @@ that all of them map into.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .groupoid import FinGroupoid, group_as_groupoid, nerve_groupoid
 from .presheaf import (
@@ -40,7 +40,7 @@ from .presheaf import (
     validate_sset_presheaf_map,
     yoneda,
 )
-from .report import Check, InvariantError, require, unique_hit
+from .report import Check, InvariantError, require, unique_hit, validator
 from .search import solve
 from .sgroupoid import db_sgroupoid, string_steps
 from .sheaf import is_sheaf, local_epi_check, local_weq_check, plus_construction
@@ -106,16 +106,15 @@ def arrows_presheaf(GP: GroupoidPresheaf) -> SetPresheaf:
     )
 
 
+@validator("input is a presheaf of groupoids")
 def validate_groupoid_presheaf(GP: GroupoidPresheaf):
     problems = []
-    ok, probs = validate_set_presheaf(objects_presheaf(GP))
-    if not ok:
-        problems.append(f"objects: {probs[0]}")
-    ok, probs = validate_set_presheaf(arrows_presheaf(GP))
-    if not ok:
-        problems.append(f"arrows: {probs[0]}")
+    for name, P in (("objects", objects_presheaf(GP)), ("arrows", arrows_presheaf(GP))):
+        sets = validate_set_presheaf(P)
+        if not sets:
+            problems.append(f"{name}: {sets.witness[0]}")
     if problems:
-        return False, problems
+        return problems
     for f, (V, U) in GP.site.cat.morphisms.items():
         obmap, mormap = GP.res[f]
         GU, GV = GP.values[U], GP.values[V]
@@ -128,7 +127,7 @@ def validate_groupoid_presheaf(GP: GroupoidPresheaf):
         for (g, h), k in GU.comp.items():
             if mormap[k] != GV.comp[(mormap[g], mormap[h])]:
                 problems.append(f"restriction along {f!r} breaks composition")
-    return not problems, problems
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +230,12 @@ class GroupTorsor:
     action: dict   # object -> {(element, group element): element}
 
 
+@validator("action tables form a presheaf action")
 def validate_group_action(T: GroupTorsor):
     problems = []
-    ok, probs = validate_set_presheaf(T.total)
-    if not ok:
-        return False, [f"total object: {probs[0]}"]
+    total = validate_set_presheaf(T.total)
+    if not total:
+        return [f"total object: {total.witness[0]}"]
     for U in T.total.site.objects:
         F = T.group.values[U]
         tab = T.action.get(U, {})
@@ -253,7 +253,7 @@ def validate_group_action(T: GroupTorsor):
                 elif tab[(tab[(e, g)], h)] != tab[(e, F.mul[(g, h)])]:
                     problems.append(f"associativity fails over {U!r} at {(e, g, h)!r}")
     if problems:
-        return False, problems
+        return problems
     for f, (V, U) in T.total.site.cat.morphisms.items():
         for e in T.total.values[U]:
             for g in T.group.values[U].elements:
@@ -261,7 +261,7 @@ def validate_group_action(T: GroupTorsor):
                 rhs = T.action[V][(T.total.res[f][e], T.group.res[f][g])]
                 if lhs != rhs:
                     problems.append(f"action not natural along {f!r} at {(e, g)!r}")
-    return not problems, problems
+    return problems
 
 
 def trivial_group_torsor(G: GroupPresheaf) -> GroupTorsor:
@@ -285,9 +285,7 @@ def group_torsor_check(T: GroupTorsor, depth=2) -> Check:
         True,
         params={"depth": depth},
     )
-    ok, problems = validate_group_action(T)
-    check.add(require(ok, "action tables form a presheaf action", witness=problems[:3]))
-    if not ok:
+    if not check.add(validate_group_action(T)):
         return check
     check.add(require(is_sheaf(T.group.underlying(), depth), "coefficients form a sheaf"))
     if not check.ok:
@@ -587,11 +585,12 @@ class ActionTorsor:
     action: dict   # object -> {(element, arrow): element}
 
 
+@validator("anchored action tables are natural")
 def validate_action_torsor(T: ActionTorsor):
     problems = []
-    ok, probs = validate_set_presheaf(T.total)
-    if not ok:
-        return False, [f"total object: {probs[0]}"]
+    total = validate_set_presheaf(T.total)
+    if not total:
+        return [f"total object: {total.witness[0]}"]
     for U in T.total.site.objects:
         G = T.gpd.values[U]
         anchor = T.anchor[U]
@@ -619,7 +618,7 @@ def validate_action_torsor(T: ActionTorsor):
                 if tab[(tab[(e, g)], h)] != tab[(e, G.comp[(g, h)])]:
                     problems.append(f"associativity fails over {U!r}")
     if problems:
-        return False, problems
+        return problems
     for f, (V, U) in T.total.site.cat.morphisms.items():
         obmap, mormap = T.gpd.res[f]
         for e in T.total.values[U]:
@@ -630,7 +629,7 @@ def validate_action_torsor(T: ActionTorsor):
             rhs = T.action[V][(T.total.res[f][e], mormap[g])]
             if lhs != rhs:
                 problems.append(f"action not natural along {f!r} at {(e, g)!r}")
-    return not problems, problems
+    return problems
 
 
 def group_torsor_to_action(T: GroupTorsor) -> ActionTorsor:
@@ -773,9 +772,7 @@ def action_torsor_check(T: ActionTorsor, depth=2) -> Check:
         True,
         params={"depth": depth},
     )
-    ok, problems = validate_action_torsor(T)
-    check.add(require(ok, "anchored action tables are natural", witness=problems[:3]))
-    if not ok:
+    if not check.add(validate_action_torsor(T)):
         return check
     sheaves = is_sheaf(objects_presheaf(T.gpd), depth) and is_sheaf(
         arrows_presheaf(T.gpd), depth
@@ -896,25 +893,20 @@ def action_to_bundle(T: ActionTorsor, trunc) -> BundleTorsor:
     return BundleTorsor(T.gpd, BG, Y, proj)
 
 
-def bundle_shape_check(T5: BundleTorsor) -> Check:
-    """Every level is recovered from level zero by pullback along the
-    last-vertex map."""
-    Y, BG = T5.total, T5.nerve
-    trunc = next(iter(Y.values.values())).trunc
-    check = Check("higher levels pull back from level zero", True,
-                  params={"trunc": trunc})
-    for U in Y.site.objects:
-        X, N = Y.values[U], BG.values[U]
-        pi = T5.projection.components[U]
+def pullback_shape_check(total: SSetPresheaf, pi: SSetPresheafMap, claim) -> Check:
+    """Every level of the total object is recovered from level zero by
+    pullback along the last-vertex map of the base."""
+    trunc = next(iter(total.values.values())).trunc
+    check = Check(claim, True, params={"trunc": trunc})
+    for U in total.site.objects:
+        X, N, comp = total.values[U], pi.target.values[U], pi.components[U]
         for n in range(1, trunc + 1):
-            pairs = {
-                (X.vertex(n, n, x), pi[n][x]) for x in X.level(n)
-            }
+            pairs = {(X.vertex(n, n, x), comp[n][x]) for x in X.level(n)}
             wanted = {
                 (y, w)
                 for y in X.level(0)
                 for w in N.level(n)
-                if N.vertex(n, n, w) == pi[0][y]
+                if N.vertex(n, n, w) == comp[0][y]
             }
             ok = len(pairs) == X.size(n) and pairs == wanted
             check.add(
@@ -929,25 +921,33 @@ def bundle_shape_check(T5: BundleTorsor) -> Check:
     return check
 
 
-def bundle_torsor_check(T5: BundleTorsor, depth=2) -> Check:
-    check = Check(
-        "simplicial bundle over the nerve is a torsor",
-        True,
-        params={"depth": depth},
+def bundle_shape_check(T5: BundleTorsor) -> Check:
+    return pullback_shape_check(
+        T5.total, T5.projection, "higher levels pull back from level zero"
     )
-    ok, problems = validate_sset_presheaf(T5.total)
-    check.add(require(ok, "total object is a simplicial presheaf", witness=problems[:3]))
-    okm, problems = validate_sset_presheaf_map(T5.projection)
-    check.add(require(okm, "projection is a presheaf map", witness=problems[:3]))
-    if not (ok and okm):
-        return check
-    check.add(bundle_shape_check(T5))
-    if not check.ok:
-        return check
-    weq = local_weq_check(to_point_map(T5.total), depth=depth)
-    weq.claim = "total object is locally trivial"
-    check.add(weq)
+
+
+def display_torsor_check(claim, noun, total, pi, shape, depth) -> Check:
+    """A simplicial presheaf over a nerve is a torsor when it and its
+    projection are valid, the pullback check ``shape()`` passes, and it
+    is locally trivial; ``noun`` names it in the claims."""
+    check = Check(claim, True, params={"depth": depth})
+    check.add(replace(validate_sset_presheaf(total), claim=f"{noun} is a simplicial presheaf"))
+    check.add(replace(validate_sset_presheaf_map(pi), claim="projection is a presheaf map"))
+    if check.ok:
+        check.add(shape())
+    if check.ok:
+        weq = local_weq_check(to_point_map(total), depth=depth)
+        weq.claim = f"{noun} is locally trivial"
+        check.add(weq)
     return check
+
+
+def bundle_torsor_check(T5: BundleTorsor, depth=2) -> Check:
+    return display_torsor_check(
+        "simplicial bundle over the nerve is a torsor", "total object",
+        T5.total, T5.projection, lambda: bundle_shape_check(T5), depth,
+    )
 
 
 def bundle_to_action(T5: BundleTorsor) -> ActionTorsor:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .ordinal import OrdinalMap, all_maps, coface, codegeneracy
-from .report import Check, require
+from .report import Check, invariant, require, unique_hit
 from .sgroupoid import SgdFunctor, SimpGroupoid, db_sgroupoid, string_steps
 from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map
 
@@ -61,7 +61,7 @@ def wbar(C: SimpGroupoid, trunc=None) -> TruncSSet:
     one extra dimension is available on request.
     """
     N = C.trunc if trunc is None else trunc
-    assert N <= C.trunc + 1, "cocycles only reach one dimension above the enrichment"
+    invariant(N <= C.trunc + 1, "cocycles only reach one dimension above the enrichment")
 
     def levels(n):
         out = []
@@ -168,8 +168,7 @@ def w_action(C: SimpGroupoid, n, g, x):
     objs, arrows = x
     src = objs[0]
     hits = [b for b in C.objects if g in set(C.homs[(src, b)].level(n))]
-    assert len(hits) == 1, "acting cell must start at the leading object"
-    dst = hits[0]
+    dst = unique_hit(hits, "acting cell must start at the leading object")
     a1 = C.compose(objs[1], src, dst, n, g, arrows[0])
     return ((dst,) + objs[1:], (a1,) + arrows[1:])
 

@@ -21,8 +21,8 @@ def external_product(X, Y):
 
 def test_external_product_is_bisimplicial():
     B = external_product(delta(1, trunc=2), delta(2, trunc=2))
-    ok, problems = validate_bisset(B)
-    assert ok, problems
+    valid = validate_bisset(B)
+    assert valid, valid.render()
 
 
 def test_diagonal_of_external_product_is_the_product():
@@ -42,5 +42,5 @@ def test_validator_catches_broken_commutation():
     # swap in a value whose first coordinate disagrees, so some vertical
     # face of the corrupted horizontal face must differ
     B.hfaces[(p, q, i)][key] = next(x for x in B.level(0, 1) if x[0] != cur[0])
-    ok, problems = validate_bisset(B)
-    assert not ok
+    valid = validate_bisset(B)
+    assert not valid

@@ -102,7 +102,7 @@ def test_bar_object_level_counts_by_hand():
         (wg_action(Q), [2, 8, 32, 128]),
     ):
         B = borel(A)
-        assert validate_sset_presheaf(B)[0]
+        assert validate_sset_presheaf(B).ok
         for U in site.objects:
             sizes = [B.values[U].size(n) for n in range(4)]
             assert sizes == expected
@@ -120,15 +120,15 @@ def test_wg_action_is_free_and_quotient_is_the_cocycle_object():
     site = s1_site()
     Q = z2_presheaf(site, 3)
     A = wg_action(Q)
-    ok, problems = validate_sgroup_action(A)
-    assert ok and not problems
+    valid = validate_sgroup_action(A)
+    assert valid, valid.render()
     assert sgroup_free_action_check(A)
     space, q, fib = sgroup_quotient(A, maxdim=3)
-    assert validate_sset_presheaf(space)[0]
-    assert validate_sset_presheaf_map(q)[0]
+    assert validate_sset_presheaf(space).ok
+    assert validate_sset_presheaf_map(q).ok
     assert fib
     wq = w_quotient_presheaf_map(Q)
-    assert validate_sset_presheaf_map(wq)[0]
+    assert validate_sset_presheaf_map(wq).ok
     W = wbar_presheaf(Q)
     for U in site.objects:
         for n in range(4):
@@ -143,7 +143,7 @@ def test_bar_object_of_a_free_action_matches_the_orbit_space():
     Q = z2_presheaf(site, 3)
     A = wg_action(Q)
     m = borel_to_quotient(A)
-    assert validate_sset_presheaf_map(m)[0]
+    assert validate_sset_presheaf_map(m).ok
     for U in site.objects:
         f = sset_map(
             m.source.values[U],
@@ -159,7 +159,7 @@ def test_bar_object_of_the_point_action_is_the_diagonal_nerve():
     A = sgroup_action(Q, terminal_sset_presheaf(site, 3), lambda U, n, g, x: x)
     B = borel(A)
     p = borel_projection(A, B)
-    assert validate_sset_presheaf_map(p)[0]
+    assert validate_sset_presheaf_map(p).ok
     for U in site.objects:
         for n in range(4):
             images = [p.components[U][n][s] for s in B.values[U].level(n)]
@@ -193,8 +193,8 @@ def test_twisted_actions_are_torsors_in_distinct_classes():
     torsors = []
     for cochain in (plain, twisted):
         A = twisted_sgroup_action(Q, cochain)
-        ok, problems = validate_sgroup_action(A)
-        assert ok and not problems
+        valid = validate_sgroup_action(A)
+        assert valid, valid.render()
         assert sgroup_torsor_check(A)
         T = level0_group_torsor(A)
         assert group_torsor_check(T)
@@ -230,11 +230,11 @@ def test_pullback_along_the_base_point_is_the_trivial_torsor():
         for U in site.objects
     }
     u = SSetPresheafMap(C, W, components)
-    assert validate_sset_presheaf_map(u)[0]
+    assert validate_sset_presheaf_map(u).ok
     A, proj = psi_sgroup(u, Q)
-    ok, problems = validate_sgroup_action(A)
-    assert ok and not problems
-    assert validate_sset_presheaf_map(proj)[0]
+    valid = validate_sgroup_action(A)
+    assert valid, valid.render()
+    assert validate_sset_presheaf_map(proj).ok
     assert sgroup_torsor_check(A)
     space, _, _ = sgroup_quotient(A)
     for U in site.objects:
@@ -254,8 +254,8 @@ def test_corepresented_diagrams_are_torsors():
         Q = twocomp_presheaf(site, 3)
         for a in Q.values[site.objects[0]].objects:
             D = corepresented_diagram(Q, {U: a for U in site.objects})
-            ok, problems = validate_sgd_diagram(D)
-            assert ok and not problems
+            valid = validate_sgd_diagram(D)
+            assert valid, valid.render()
             assert sgd_torsor_check(D)
 
 
@@ -286,8 +286,8 @@ def test_pullback_diagrams_match_corepresented_ones():
     pulled = []
     for u in maps:
         D = psi_sgd(u)
-        ok, problems = validate_sgd_diagram(D)
-        assert ok and not problems
+        valid = validate_sgd_diagram(D)
+        assert valid, valid.render()
         assert sgd_torsor_check(D)
         picked = u.components["pt"].ob["*"]
         C = corepresented_diagram(Q, {"pt": picked})
@@ -301,7 +301,7 @@ def test_cover_coefficients_validate():
     site = s1_site()
     cover = {"object": None, "family": site.star_covers[0]}
     C = cech_sgd_presheaf(site, cover, 2)
-    assert validate_sgd_presheaf(C)[0]
+    assert validate_sgd_presheaf(C).ok
 
 
 def test_enumeration_bound_guards():
@@ -322,19 +322,19 @@ def test_element_groupoid_comparison_is_an_equivalence():
     C = constant_sgroup(zmod(2), 3)
     X = corepresented_functor(C, "*")
     E, forget = translation_sgd(X)
-    assert validate_sgd_functor(forget)[0]
+    assert validate_sgd_functor(forget).ok
     assert sorted(E.objects) == [("*", 0), ("*", 1)]
     m = comma_value_comparison(X, "*")
-    assert validate_sset_map(m)[0]
+    assert validate_sset_map(m).ok
     assert weq_check(m)
     # two-object contractible coefficients, represented elements
     D = constant_sgroupoid(trivial_groupoid(("p", "q")), 3)
     Y = corepresented_functor(D, "p")
     _, forget2 = translation_sgd(Y)
-    assert validate_sgd_functor(forget2)[0]
+    assert validate_sgd_functor(forget2).ok
     for a in ("p", "q"):
         comparison = comma_value_comparison(Y, a)
-        assert validate_sset_map(comparison)[0]
+        assert validate_sset_map(comparison).ok
         assert weq_check(comparison)
 
 
@@ -346,8 +346,8 @@ def test_display_levels_pair_elements_with_nerve_strings():
     site = s1_site()
     A = twisted_two_gpd_action(site, zmod(2), {f: 0 for f in site.morphisms})
     total, pi = two_gpd_display(A, 3)
-    assert validate_sset_presheaf(total)[0]
-    assert validate_sset_presheaf_map(pi)[0]
+    assert validate_sset_presheaf(total).ok
+    assert validate_sset_presheaf_map(pi).ok
     for U in site.objects:
         assert [total.values[U].size(n) for n in range(4)] == [2, 4, 8, 16]
         assert [pi.target.values[U].size(n) for n in range(4)] == [1, 2, 4, 8]
@@ -361,8 +361,8 @@ def test_twisted_two_gpd_displays_are_torsors():
     actions = []
     for cochain in (plain, twisted):
         A = twisted_two_gpd_action(site, zmod(2), cochain)
-        ok, problems = validate_two_gpd_action(A)
-        assert ok and not problems
+        valid = validate_two_gpd_action(A)
+        assert valid, valid.render()
         total, pi = two_gpd_display(A, 3)
         assert two_gpd_shape_check(total, pi)
         assert two_gpd_torsor_check(total, pi)
@@ -386,8 +386,8 @@ def test_two_orbit_action_has_the_shape_but_is_not_locally_trivial():
     }
     res = {f: {x: x for x in (0, 1, 2, 3)} for f in site.morphisms}
     A = TwoGpdAction(T, site, elements, act1, res)
-    ok, problems = validate_two_gpd_action(A)
-    assert ok and not problems
+    valid = validate_two_gpd_action(A)
+    assert valid, valid.render()
     total, pi = two_gpd_display(A, 3)
     assert two_gpd_shape_check(total, pi)
     verdict = two_gpd_torsor_check(total, pi)

@@ -68,7 +68,7 @@ def test_simplicial_set_json_round_trips():
         enc = encode_sset(X)
         back = decode_sset(json.loads(dumps(enc)))
         assert back == X
-        assert validate_sset(back)[0]
+        assert validate_sset(back).ok
         assert dumps(encode_sset(back)) == dumps(enc)
 
 
@@ -373,6 +373,22 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     assert cli.main(["torsor", "classify", *argv]) == 2
     assert "invalid input at /kind" in capsys.readouterr().out
     assert cli.main(["torsor", "check", *argv]) == 0
+    # a site without a cover of the terminal presheaf has nothing to classify over
+    site = encode_site(s1_site(object_covers=True))
+    site["covers"] = [c for c in site["covers"] if c["object"] is not None]
+    path = tmp_path / "starless.json"
+    path.write_text(dumps(site) + "\n")
+    for command in (["h1"], ["torsor", "classify", "--kind", "group"]):
+        assert cli.main([*command, "--site", str(path), corpus["z2const.json"]]) == 2
+        assert "invalid input at /covers" in capsys.readouterr().out
+    # an identity that is missing or not a vertex of its hom
+    for identities in ([], [["*", "bogus"]]):
+        H = encode_sgd(z2_sgroup(3))
+        H["identities"] = identities
+        path = tmp_path / "noidentity.json"
+        path.write_text(dumps(H) + "\n")
+        assert cli.main(["wbar", str(path)]) == 2
+        assert "identity vertex missing at '*'" in capsys.readouterr().out
 
 
 def test_unknown_kind_is_a_usage_error(corpus):

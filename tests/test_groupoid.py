@@ -44,31 +44,31 @@ def test_groupoid_validators_accept_standard_examples():
             {"l": group_as_groupoid(zmod(2)), "r": discrete_groupoid((0,))}
         ),
     ):
-        ok, problems = validate_groupoid(G)
-        assert ok, problems
+        valid = validate_groupoid(G)
+        assert valid, valid.render()
 
 
 def test_groupoid_validator_catches_a_broken_composite():
     G = group_as_groupoid(zmod(2))
     G.comp[(1, 1)] = 1  # should be 0
-    ok, problems = validate_groupoid(G)
-    assert not ok
-    assert any("fails" in p or "associativity" in p for p in problems)
+    valid = validate_groupoid(G)
+    assert not valid
+    assert any("fails" in p or "associativity" in p for p in valid.witness)
 
 
 def test_group_nerve_level_counts():
     for k in (2, 3):
         X = nerve_groupoid(group_as_groupoid(zmod(k)), trunc=4)
-        ok, problems = validate_sset(X)
-        assert ok, problems
+        valid = validate_sset(X)
+        assert valid, valid.render()
         for n in range(5):
             assert X.size(n) == k**n
 
 
 def test_contractible_groupoid_nerve_level_counts():
     X = nerve_groupoid(trivial_groupoid((0, 1)), trunc=3)
-    ok, problems = validate_sset(X)
-    assert ok, problems
+    valid = validate_sset(X)
+    assert valid, valid.render()
     for n in range(4):
         assert X.size(n) == 2 ** (n + 1)
     assert kan_check(X).ok
@@ -97,20 +97,20 @@ def test_two_groupoid_validators_accept_discrete_examples():
         group_as_2groupoid(zmod(2)),
         groupoid_as_2groupoid(trivial_groupoid((0, 1))),
     ):
-        ok, problems = validate_2groupoid(T)
-        assert ok, problems
+        valid = validate_2groupoid(T)
+        assert valid, valid.render()
 
 
 def test_interchange_holds_for_abelian_2_cell_group():
     T = one_object_one_cell_2groupoid(zmod(3))
-    ok, problems = validate_2groupoid(T)
-    assert ok, problems
+    valid = validate_2groupoid(T)
+    assert valid, valid.render()
 
 
 def test_interchange_fails_for_nonabelian_2_cell_group():
     # horizontal composition by group multiplication breaks interchange
     # unless the group is abelian
     T = one_object_one_cell_2groupoid(symmetric_group(3))
-    ok, problems = validate_2groupoid(T)
-    assert not ok
-    assert any("interchange" in p for p in problems)
+    valid = validate_2groupoid(T)
+    assert not valid
+    assert any("interchange" in p for p in valid.witness)

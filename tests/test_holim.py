@@ -68,17 +68,17 @@ def swap_diagram(trunc):
 def test_point_values_give_back_the_diagonal_nerve():
     for C in (z2_sgroup(TR), interval_sgd(TR), twocomp_sgd(TR)):
         X = point_functor(C)
-        ok, problems = validate_simplicial_functor(X)
-        assert ok, problems
+        valid = validate_simplicial_functor(X)
+        assert valid, valid.render()
         E = holim(X)
-        assert validate_sset(E)[0]
+        assert validate_sset(E).ok
         assert relabel(E, lambda n, s: (s[0], s[2])) == db_sgroupoid(C)
 
 
 def test_group_acting_on_itself_is_contractible():
     C = z2_sgroup(TR)
     X = corepresented_functor(C, "*")
-    assert validate_simplicial_functor(X)[0]
+    assert validate_simplicial_functor(X).ok
     E = holim(X)
     # raw string count: a value n-simplex and n composable n-cells
     expected = []
@@ -106,16 +106,16 @@ def test_validation_rejects_an_action_that_skips_a_level():
         return x
 
     bad = simplicial_functor(C, lambda a: V, act)
-    ok, problems = validate_simplicial_functor(bad)
-    assert not ok
-    assert any("s_" in p or "d_" in p for p in problems)
+    valid = validate_simplicial_functor(bad)
+    assert not valid
+    assert any("s_" in p or "d_" in p for p in valid.witness)
 
 
 def test_projection_forgets_the_value_coordinate():
     C = z2_sgroup(TR)
     X = corepresented_functor(C, "*")
     p = holim_projection(X)
-    assert validate_sset_map(p)[0]
+    assert validate_sset_map(p).ok
     assert p.target == db_sgroupoid(C)
 
 
@@ -131,7 +131,7 @@ def test_fibre_of_the_free_transitive_action_is_the_group():
 
 def test_fibres_over_a_two_object_index_with_non_point_values():
     X = swap_diagram(TR)
-    assert validate_simplicial_functor(X)[0]
+    assert validate_simplicial_functor(X).ok
     for a in (0, 1):
         assert literal_fibre(X, a) == X.values[a]
     check = homotopy_fibre_check(X)
@@ -154,7 +154,7 @@ def test_fibration_check_flags_a_double_cover_with_no_lift():
         return (0,) * (n + 1) if s[0] == "a" else (1,) * (n + 1)
 
     p = sset_map(two, B, assign)
-    assert validate_sset_map(p)[0]
+    assert validate_sset_map(p).ok
     rep = fibration_check(p, 1)
     assert not rep.ok
     assert rep.witness[0] == "relative horn"
@@ -163,7 +163,7 @@ def test_fibration_check_flags_a_double_cover_with_no_lift():
 def test_comma_over_a_one_object_group_is_contractible():
     C = z2_sgroup(TR)
     D = comma_db(identity_functor(C), "*")
-    assert validate_sset(D)[0]
+    assert validate_sset(D).ok
     assert D.level_counts() == (2, 4, 8, 16)
     assert weq_check(collapse(D)).ok
 
@@ -179,8 +179,8 @@ def test_comma_with_no_cells_into_the_target_is_empty():
 def test_comma_construction_functor_validates_and_acts_by_composition():
     C = z2_sgroup(2)
     X = comma_construction_functor(identity_functor(C))
-    ok, problems = validate_simplicial_functor(X)
-    assert ok, problems
+    valid = validate_simplicial_functor(X)
+    assert valid, valid.render()
     # the nontrivial vertex cell permutes the attached cell freely
     s = X.values["*"].level(0)[0]
     moved = X.act("*", "*", 0, 1, s)
@@ -190,7 +190,7 @@ def test_comma_construction_functor_validates_and_acts_by_composition():
 def test_comma_2groupoid_is_chaotic_on_the_incoming_cells():
     T = group_as_2groupoid(zmod(2))
     K = comma_2groupoid(T, "*")
-    assert validate_groupoid(K)[0]
+    assert validate_groupoid(K).ok
     assert len(K.objects) == 2
     N = nerve_groupoid(K, TR)
     assert weq_check(collapse(N)).ok
@@ -200,10 +200,10 @@ def test_2gpd_holim_of_a_point_matches_the_classifying_object():
     T = group_as_2groupoid(zmod(2))
     values = {"*": ("x",)}
     Y, proj = holim_2gpd(T, values, lambda arrow, x: x, TR)
-    assert validate_sset(Y)[0]
+    assert validate_sset(Y).ok
     W = wbar(b_2groupoid(T, TR))
     assert Y.level_counts() == W.level_counts() == (1, 2, 4, 8)
-    assert validate_sset_map(proj)[0]
+    assert validate_sset_map(proj).ok
     assert is_bijective(proj)
 
 
@@ -211,7 +211,7 @@ def test_2gpd_holim_with_trivial_index_is_the_discrete_value():
     T = group_as_2groupoid(zmod(1))
     values = {"*": (0, 1)}
     Y, _ = holim_2gpd(T, values, lambda arrow, x: x, TR)
-    assert validate_sset(Y)[0]
+    assert validate_sset(Y).ok
     assert relabel(Y, lambda n, s: s[0]) == constant_sset((0, 1), TR)
 
 
@@ -238,7 +238,7 @@ def test_2gpd_holim_matches_the_translation_nerve_for_plain_groupoids():
 def test_translation_groupoid_of_a_free_action_is_contractible_like():
     G = group_as_groupoid(zmod(2))
     E = translation_groupoid(G, {"*": (0, 1)}, lambda g, x: (x + g) % 2)
-    assert validate_groupoid(E)[0]
+    assert validate_groupoid(E).ok
     assert len(E.objects) == 2 and len(E.morphisms) == 4
     N = nerve_groupoid(E, TR)
     assert weq_check(collapse(N)).ok

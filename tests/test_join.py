@@ -25,7 +25,7 @@ def interval_collapse():
 def test_carrier_counts_for_the_cyclic_group():
     # one object: a level-n simplex is 2n+1 free cell choices
     J = join_object(z2_sgroup(TR))
-    assert validate_sset(J)[0]
+    assert validate_sset(J).ok
     assert J.level_counts() == tuple(2 ** (2 * n + 1) for n in range(TR + 1))
     assert J.level_counts() == (2, 8, 32, 128)
 
@@ -56,7 +56,7 @@ def test_the_two_halves_differ_before_the_prism_connects_them():
 
 def test_prism_is_natural_for_the_interval_collapse():
     F = interval_collapse()
-    assert validate_sgd_functor(F)[0]
+    assert validate_sgd_functor(F).ok
     check = naturality_check(F)
     assert check.ok, check.render()
 

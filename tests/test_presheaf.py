@@ -27,8 +27,8 @@ def test_standard_set_presheaves_validate():
         yoneda(site, "U"),
         product_set_presheaf(yoneda(site, "U"), yoneda(site, "V")),
     ):
-        ok, problems = validate_set_presheaf(P)
-        assert ok, problems
+        valid = validate_set_presheaf(P)
+        assert valid, valid.render()
 
 
 def test_represented_sections_are_morphisms():
@@ -52,15 +52,15 @@ def test_presheaf_map_validation_sees_naturality():
     P = yoneda(site, "U")
     T = terminal_presheaf(site)
     phi = set_presheaf_map(P, T, lambda U, s: "*")
-    ok, problems = validate_set_presheaf_map(phi)
-    assert ok, problems
+    valid = validate_set_presheaf_map(phi)
+    assert valid, valid.render()
 
 
 def test_constant_group_presheaf_validates():
     site = s1_site()
     G = constant_group_presheaf(site, zmod(2))
-    ok, problems = validate_group_presheaf(G)
-    assert ok, problems
+    valid = validate_group_presheaf(G)
+    assert valid, valid.render()
 
 
 def test_sections_over_terminal_are_one_copy_of_the_group():
@@ -87,5 +87,5 @@ def test_constant_enriched_presheaves_validate():
         interval_presheaf(site, 2),
         twocomp_presheaf(site, 2),
     ):
-        ok, problems = validate_sgd_presheaf(Q)
-        assert ok, problems
+        valid = validate_sgd_presheaf(Q)
+        assert valid, valid.render()

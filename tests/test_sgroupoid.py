@@ -28,8 +28,8 @@ from gpd_fixtures import one_object_one_cell_2groupoid
 
 def test_constant_enrichment_is_valid():
     H = constant_sgroupoid(trivial_groupoid((0, 1)), trunc=2)
-    ok, problems = validate_sgroupoid(H)
-    assert ok, problems
+    valid = validate_sgroupoid(H)
+    assert valid, valid.render()
     for a, b in itertools.product(H.objects, repeat=2):
         for n in range(3):
             assert H.homs[(a, b)].size(n) == 1
@@ -38,8 +38,8 @@ def test_constant_enrichment_is_valid():
 def test_validator_catches_broken_level_composition():
     H = constant_sgroup(zmod(2), trunc=2)
     H.comp[("*", "*", "*")][1][(1, 1)] = 1  # should be 0
-    ok, problems = validate_sgroupoid(H)
-    assert not ok
+    valid = validate_sgroupoid(H)
+    assert not valid
 
 
 def test_nerve_of_constant_enrichment_matches_plain_nerve():
@@ -55,8 +55,8 @@ def test_nerve_of_constant_enrichment_matches_plain_nerve():
 def test_two_groupoid_enrichment_counts():
     T = one_object_one_cell_2groupoid(zmod(2))
     H = b_2groupoid(T, trunc=3)
-    ok, problems = validate_sgroupoid(H)
-    assert ok, problems
+    valid = validate_sgroupoid(H)
+    assert valid, valid.render()
     hom = H.homs[("x", "x")]
     for n in range(4):
         assert hom.size(n) == 2**n
@@ -68,16 +68,16 @@ def test_two_groupoid_enrichment_counts():
 def test_two_groupoid_nerve_is_bisimplicial():
     T = one_object_one_cell_2groupoid(zmod(2))
     H = b_2groupoid(T, trunc=2)
-    ok, problems = validate_bisset(nerve_sgroupoid(H))
-    assert ok, problems
+    valid = validate_bisset(nerve_sgroupoid(H))
+    assert valid, valid.render()
 
 
 def test_discrete_two_groupoid_enrichment_is_constant():
     G = trivial_groupoid((0, 1))
     H1 = b_2groupoid(groupoid_as_2groupoid(G), trunc=2)
     H2 = constant_sgroupoid(G, trunc=2)
-    ok, problems = validate_sgroupoid(H1)
-    assert ok, problems
+    valid = validate_sgroupoid(H1)
+    assert valid, valid.render()
     for a, b in itertools.product(G.objects, repeat=2):
         for n in range(3):
             assert H1.homs[(a, b)].size(n) == H2.homs[(a, b)].size(n)
@@ -90,8 +90,8 @@ def test_disjoint_union_has_empty_cross_homs():
             "r": constant_sgroupoid(trivial_groupoid((0, 1)), trunc=2),
         }
     )
-    ok, problems = validate_sgroupoid(H)
-    assert ok, problems
+    valid = validate_sgroupoid(H)
+    assert valid, valid.render()
     assert H.homs[(("l", "*"), ("r", 0))].size(0) == 0
     assert pi0_sgroupoid(H) == [("l", "*"), ("r", 0)]
 
@@ -100,8 +100,8 @@ def test_product_multiplies_hom_sizes():
     A = constant_sgroup(zmod(2), trunc=2)
     B = constant_sgroup(zmod(3), trunc=2)
     P = product_sgd(A, B)
-    ok, problems = validate_sgroupoid(P)
-    assert ok, problems
+    valid = validate_sgroupoid(P)
+    assert valid, valid.render()
     assert P.homs[(("*", "*"), ("*", "*"))].size(1) == 6
 
 
@@ -112,20 +112,20 @@ def test_pullback_over_trivial_base_is_a_product():
     to_t_a = sgd_functor(A, T, lambda a: "*", lambda a, b, n, f: 0)
     to_t_b = sgd_functor(B, T, lambda a: "*", lambda a, b, n, f: 0)
     P, pr_a, pr_b = pullback_sgd(to_t_a, to_t_b)
-    ok, problems = validate_sgroupoid(P)
-    assert ok, problems
+    valid = validate_sgroupoid(P)
+    assert valid, valid.render()
     assert len(P.objects) == 1
     assert P.homs[(P.objects[0], P.objects[0])].size(0) == 6
     for F in (pr_a, pr_b):
-        ok, problems = validate_sgd_functor(F)
-        assert ok, problems
+        valid = validate_sgd_functor(F)
+        assert valid, valid.render()
 
 
 def test_identity_functor_is_valid():
     H = constant_sgroup(zmod(2), trunc=2)
     F = sgd_functor(H, H, lambda a: a, lambda a, b, n, f: f)
-    ok, problems = validate_sgd_functor(F)
-    assert ok, problems
+    valid = validate_sgd_functor(F)
+    assert valid, valid.render()
 
 
 def test_inversion_is_not_a_functor_on_a_nonabelian_group():
@@ -135,9 +135,9 @@ def test_inversion_is_not_a_functor_on_a_nonabelian_group():
         lambda a, b, n, f: next(g for g in H.homs[(a, b)].level(n)
                                 if H.compose(a, b, a, n, g, f) == H.identity_at(a, n)),
     )
-    ok, problems = validate_sgd_functor(F)
-    assert not ok
-    assert any("composition" in p for p in problems)
+    valid = validate_sgd_functor(F)
+    assert not valid
+    assert any("composition" in p for p in valid.witness)
 
 
 def test_levelwise_inverses_are_found():

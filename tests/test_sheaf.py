@@ -62,8 +62,8 @@ def test_constant_presheaf_is_separated_but_not_a_sheaf():
     S = sheafify(P)
     assert len(S.values["U"]) == 4
     assert len(S.values["A"]) == 2
-    ok, problems = validate_set_presheaf(S)
-    assert ok, problems
+    valid = validate_set_presheaf(S)
+    assert valid, valid.render()
     unit = sheafify_unit(P)
     SS = plus_unit(S)
     assert all(
@@ -111,8 +111,8 @@ def test_local_epi_fails_without_a_cover():
 def test_cech_sections_count_cover_elements():
     site = s1_site()
     C = cech_resolution(site, {"object": None, "family": ["U", "V"]}, trunc=3)
-    ok, problems = validate_sset_presheaf(C)
-    assert ok, problems
+    valid = validate_sset_presheaf(C)
+    assert valid, valid.render()
     assert C.values["U"].size(0) == 1
     assert C.values["A"].size(0) == 2
     assert C.values["A"].size(1) == 4
@@ -125,8 +125,8 @@ def test_cech_sections_count_cover_elements():
 def test_based_cech_sections_over_the_base_can_be_empty():
     site = cover_site()
     C = cech_resolution(site, {"object": "T", "family": [("W", "T")]}, trunc=2)
-    ok, problems = validate_sset_presheaf(C)
-    assert ok, problems
+    valid = validate_sset_presheaf(C)
+    assert valid, valid.render()
     assert C.values["T"].size(0) == 0
     assert C.values["W"].size(0) == 1
 

@@ -56,8 +56,8 @@ def test_generated_sieve_is_closed_under_precomposition():
 def test_comma_site_over_an_object():
     site = s1_site()
     over, forget = comma_site(site, "U")
-    ok, problems = validate_cat(over.cat)
-    assert ok, problems
+    valid = validate_cat(over.cat)
+    assert valid, valid.render()
     assert set(over.objects) == {("U", "U"), ("A", "U"), ("B", "U")}
     assert forget[("A", "U")] == "A"
     # the only maps over U go from the small objects into the identity

@@ -48,8 +48,8 @@ def shuffle_oracle(p, q):
 def test_delta_counts_and_validity():
     for n in range(3):
         D = delta(n, trunc=4)
-        ok, problems = validate_sset(D)
-        assert ok, problems
+        valid = validate_sset(D)
+        assert valid, valid.render()
         for k in range(5):
             assert D.size(k) == delta_level_oracle(n, k)
 
@@ -62,9 +62,9 @@ def test_validate_catches_swapped_faces():
         lambda n, i, x: D.face(n, (i + 1) % (n + 1), x),  # rotate the face indices
         lambda n, j, x: D.degen(n, j, x),
     )
-    ok, problems = validate_sset(bad)
-    assert not ok
-    assert any("d_" in p for p in problems)
+    valid = validate_sset(bad)
+    assert not valid
+    assert any("d_" in p for p in valid.witness)
 
 
 def test_ordinal_action_matches_tuple_composition():
@@ -89,16 +89,16 @@ def test_ordinal_action_functorial_on_delta():
 
 def test_boundary_and_horn():
     B = boundary(2, trunc=3)
-    ok, problems = validate_sset(B)
-    assert ok, problems
+    valid = validate_sset(B)
+    assert valid, valid.render()
     assert B.size(0) == 3
     # three nondegenerate edges, no nondegenerate 2-simplex
     assert len(B.nondegenerate(1)) == 3
     assert len(B.nondegenerate(2)) == 0
 
     H = horn(2, 0, trunc=3)
-    ok, problems = validate_sset(H)
-    assert ok, problems
+    valid = validate_sset(H)
+    assert valid, valid.render()
     assert len(H.nondegenerate(1)) == 2  # the two edges through vertex 0
     assert (0, 1) in set(H.level(1)) and (0, 2) in set(H.level(1))
     assert (1, 2) not in set(H.level(1))
@@ -107,8 +107,8 @@ def test_boundary_and_horn():
 def test_product_counts_and_shuffles():
     D1 = delta(1, trunc=4)
     P = sset_product(D1, D1)
-    ok, problems = validate_sset(P)
-    assert ok, problems
+    valid = validate_sset(P)
+    assert valid, valid.render()
     for k in range(5):
         assert P.size(k) == D1.size(k) ** 2
     assert len(P.nondegenerate(2)) == shuffle_oracle(1, 1) == 2
@@ -119,34 +119,34 @@ def test_product_unit():
     D1 = delta(1, trunc=3)
     P = sset_product(D1, point(trunc=3))
     proj = sset_map(P, D1, lambda n, x: x[0])
-    ok, problems = validate_sset_map(proj)
-    assert ok, problems
+    valid = validate_sset_map(proj)
+    assert valid, valid.render()
     assert is_bijective(proj)
 
 
 def test_relabel_and_identity_map():
     D = delta(1, trunc=3)
     R = relabel(D, lambda n, x: ("r", x))
-    ok, problems = validate_sset(R)
-    assert ok, problems
+    valid = validate_sset(R)
+    assert valid, valid.render()
     f = identity_map(D)
-    ok, _ = validate_sset_map(f)
-    assert ok
+    valid = validate_sset_map(f)
+    assert valid, valid.render()
 
 
 def test_disjoint_union_and_pi0():
     D = delta(0, trunc=3)
     U = disjoint_union({"a": D, "b": D})
-    ok, problems = validate_sset(U)
-    assert ok, problems
+    valid = validate_sset(U)
+    assert valid, valid.render()
     assert len(pi0_classes(U)) == 2
     assert len(pi0_classes(delta(2, trunc=3))) == 1
 
 
 def test_circle():
     S = circle(trunc=4)
-    ok, problems = validate_sset(S)
-    assert ok, problems
+    valid = validate_sset(S)
+    assert valid, valid.render()
     assert S.size(0) == 1
     # level n: the point's degeneracy plus n nondegenerate-edge degeneracies
     for n in range(5):
@@ -158,8 +158,8 @@ def test_circle():
 def test_collapse_boundary_of_delta2():
     D = delta(2, trunc=3)
     C = collapse_to_point(D, lambda n, x: set(x) != {0, 1, 2})
-    ok, problems = validate_sset(C)
-    assert ok, problems
+    valid = validate_sset(C)
+    assert valid, valid.render()
     assert C.size(0) == 1
     assert len(C.nondegenerate(2)) == 1
 
@@ -168,8 +168,8 @@ def test_json_round_trip():
     for X in (delta(2, trunc=3), circle(trunc=3), sset_product(delta(1, trunc=2), delta(1, trunc=2))):
         text = dumps(encode_sset(X))
         Y = decode_sset(json.loads(text))
-        ok, problems = validate_sset(Y)
-        assert ok, problems
+        valid = validate_sset(Y)
+        assert valid, valid.render()
         assert Y.level_counts() == X.level_counts()
         # canonical round trip is bit-exact from the first emission on
         assert dumps(encode_sset(Y)) == text

@@ -201,23 +201,23 @@ def test_circle_torsor_classes_match_cocycle_classes():
 
 def test_groupoid_presheaf_validation():
     GP = constant_groupoid_presheaf(s1_site(), twocomp_groupoid())
-    ok, problems = validate_groupoid_presheaf(GP)
-    assert ok, problems
+    valid = validate_groupoid_presheaf(GP)
+    assert valid, valid.render()
 
     broken = constant_groupoid_presheaf(s1_site(), twocomp_groupoid())
     obmap, mormap = broken.res[("A", "U")]
     swapped = {("l", "*"): ("r", "*"), ("r", "*"): ("l", "*")}
     broken.res[("A", "U")] = (swapped, mormap)
-    ok, problems = validate_groupoid_presheaf(broken)
-    assert not ok
+    valid = validate_groupoid_presheaf(broken)
+    assert not valid
 
 
 def test_group_torsor_as_anchored_action():
     G = constant_group_presheaf(s1_site(), Z2)
     for T in enumerate_group_torsors(G, bound=10**6)[:4]:
         A = group_torsor_to_action(T)
-        ok, problems = validate_action_torsor(A)
-        assert ok, problems
+        valid = validate_action_torsor(A)
+        assert valid, valid.render()
         assert action_torsor_check(A).ok
 
 
@@ -249,8 +249,8 @@ def test_arrows_torsor_on_connected_one_object():
     # trivial torsor.
     GP = constant_groupoid_presheaf(s1_site(), group_as_groupoid(Z2))
     E = arrows_action_torsor(GP)
-    ok, problems = validate_action_torsor(E)
-    assert ok, problems
+    valid = validate_action_torsor(E)
+    assert valid, valid.render()
     assert action_torsor_check(E).ok
 
 
@@ -260,8 +260,8 @@ def test_arrows_of_interval_are_not_transitive():
     # validates but connectivity fails.
     GP = constant_groupoid_presheaf(pt_site(), trivial_groupoid((0, 1)))
     E = arrows_action_torsor(GP)
-    ok, problems = validate_action_torsor(E)
-    assert ok, problems
+    valid = validate_action_torsor(E)
+    assert valid, valid.render()
     check = action_torsor_check(E)
     assert not check.ok
     assert "joined by an arrow" in check.render()
@@ -289,8 +289,8 @@ def test_bundle_levels_are_translation_strings():
     T5 = action_to_bundle(A, trunc=3)
     Y = T5.total.values["pt"]
     assert [Y.size(n) for n in range(4)] == [2, 4, 8, 16]
-    assert validate_sset_presheaf(T5.total)[0]
-    assert validate_sset_presheaf_map(T5.projection)[0]
+    assert validate_sset_presheaf(T5.total).ok
+    assert validate_sset_presheaf_map(T5.projection).ok
 
 
 def test_point_over_nerve_is_not_a_bundle_torsor():
@@ -334,8 +334,8 @@ def test_wbar_presheaf_levels_and_validity():
     W = wbar_presheaf(Q)
     for U in Q.site.objects:
         assert [W.values[U].size(n) for n in range(5)] == [1, 2, 4, 8, 16]
-    ok, problems = validate_sset_presheaf(W)
-    assert ok, problems
+    valid = validate_sset_presheaf(W)
+    assert valid, valid.render()
 
 
 def test_w_total_presheaf_levels_and_validity():
@@ -343,23 +343,23 @@ def test_w_total_presheaf_levels_and_validity():
     W = w_total_presheaf(Q)
     for U in Q.site.objects:
         assert [W.values[U].size(n) for n in range(4)] == [2, 4, 8, 16]
-    ok, problems = validate_sset_presheaf(W)
-    assert ok, problems
+    valid = validate_sset_presheaf(W)
+    assert valid, valid.render()
 
 
 def test_db_presheaf_validity():
     Q = z2_presheaf(s1_site(), trunc=3)
     D = db_presheaf(Q)
-    ok, problems = validate_sset_presheaf(D)
-    assert ok, problems
-    assert validate_sset_presheaf_map(to_point_map(D))[0]
+    valid = validate_sset_presheaf(D)
+    assert valid, valid.render()
+    assert validate_sset_presheaf_map(to_point_map(D)).ok
 
 
 def test_nerve_presheaf_of_two_components():
     GP = constant_groupoid_presheaf(pt_site(), twocomp_groupoid())
     N = bg_presheaf(GP, trunc=3)
-    ok, problems = validate_sset_presheaf(N)
-    assert ok, problems
+    valid = validate_sset_presheaf(N)
+    assert valid, valid.render()
     assert [N.values["pt"].size(n) for n in range(4)] == [2, 2, 2, 2]
 
 
@@ -368,7 +368,7 @@ def test_group_presheaf_as_groupoid_shares_sections():
     GP = group_presheaf_as_groupoid(G)
     vals = {id(v) for v in GP.values.values()}
     assert len(vals) == 1
-    assert validate_groupoid_presheaf(GP)[0]
+    assert validate_groupoid_presheaf(GP).ok
 
 
 def test_representable_torsor_carrier():

@@ -55,8 +55,8 @@ def test_level_counts_for_a_constant_group():
     W = wbar(C)
     for n in range(5):
         assert W.size(n) == 2**n == cocycle_count(C, n)
-    ok, problems = validate_sset(W)
-    assert ok, problems
+    valid = validate_sset(W)
+    assert valid, valid.render()
 
 
 def test_level_counts_for_ascending_degrees():
@@ -66,8 +66,8 @@ def test_level_counts_for_ascending_degrees():
     W = wbar(C, trunc=4)
     for n in range(5):
         assert W.size(n) == 2 ** (n * (n - 1) // 2)
-    ok, problems = validate_sset(W)
-    assert ok, problems
+    valid = validate_sset(W)
+    assert valid, valid.render()
 
 
 def test_ordinal_action_agrees_with_elementary_decomposition():
@@ -128,8 +128,8 @@ def test_components_split_over_disjoint_union():
         }
     )
     W = wbar(C)
-    ok, problems = validate_sset(W)
-    assert ok, problems
+    valid = validate_sset(W)
+    assert valid, valid.render()
     assert len(pi0_classes(W)) == 2
     for n in range(4):
         assert W.size(n) == 2**n + 3**n
@@ -145,8 +145,8 @@ def test_classifier_preserves_products():
     WP = f1.source
     target = sset_product(f1.target, f2.target)
     paired = sset_map(WP, target, lambda n, x: (f1(n, x), f2(n, x)))
-    ok, problems = validate_sset_map(paired)
-    assert ok, problems
+    valid = validate_sset_map(paired)
+    assert valid, valid.render()
     assert is_bijective(paired)
 
 
@@ -161,8 +161,8 @@ def test_functor_images_are_simplicial():
         sign[g] = inversions % 2
     F = sgd_functor(C, D, lambda a: "*", lambda a, b, n, f: sign[f])
     f = wbar_map(F)
-    ok, problems = validate_sset_map(f)
-    assert ok, problems
+    valid = validate_sset_map(f)
+    assert valid, valid.render()
 
 
 def test_comparison_map_is_a_bijection_for_constant_inputs():
@@ -171,8 +171,8 @@ def test_comparison_map_is_a_bijection_for_constant_inputs():
         constant_sgroupoid(trivial_groupoid((0, 1)), trunc=3),
     ):
         j = j_map(C)
-        ok, problems = validate_sset_map(j)
-        assert ok, problems
+        valid = validate_sset_map(j)
+        assert valid, valid.render()
         assert is_bijective(j)
 
 
@@ -184,8 +184,8 @@ def test_comparison_map_is_a_weak_equivalence():
 def test_comparison_map_is_simplicial_for_ascending_degrees():
     C = b_2groupoid(one_object_one_cell_2groupoid(zmod(2)), trunc=3)
     j = j_map(C)
-    ok, problems = validate_sset_map(j)
-    assert ok, problems
+    valid = validate_sset_map(j)
+    assert valid, valid.render()
     # sizes differ, so this comparison is not a bijection
     assert not is_bijective(j)
     assert weq_check(j, maxdeg=1).ok
@@ -196,15 +196,15 @@ def test_total_object_level_counts_and_validity():
     T = w_total(C)
     for n in range(4):
         assert T.size(n) == 2 ** (n + 1)
-    ok, problems = validate_sset(T)
-    assert ok, problems
+    valid = validate_sset(T)
+    assert valid, valid.render()
 
 
 def test_forgetting_the_leading_cell_is_simplicial():
     C = constant_sgroup(zmod(2), trunc=3)
     q = w_quotient_map(C)
-    ok, problems = validate_sset_map(q)
-    assert ok, problems
+    valid = validate_sset_map(q)
+    assert valid, valid.render()
 
 
 def test_total_object_is_contractible():
