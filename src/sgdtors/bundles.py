@@ -33,13 +33,16 @@ from .presheaf import (
     SSetPresheaf,
     SSetPresheafMap,
     constant_sgd_presheaf,
+    constant_sset_presheaf,
+    sset_presheaf,
+    sset_presheaf_map,
     validate_sset_presheaf,
 )
 from .report import Check, invariant, require, validator
 from .search import solve
-from .sgroupoid import SgdFunctor, constant_sgroupoid, validate_sgd_functor
+from .sgroupoid import SgdFunctor, constant_sgroupoid, string_steps, validate_sgd_functor
 from .sheaf import cover_elements, local_weq_check
-from .sset import idkey, sset_map
+from .sset import TruncSSet, _sorted_ids, idkey, sset_map
 from .torsors import (
     _shared_values,
     db_presheaf,
@@ -147,58 +150,48 @@ def wg_action(Q: SgdPresheaf) -> SGroupAction:
     return sgroup_action(Q, space, lambda U, n, g, x: w_action(Q.values[U], n, g, x))
 
 
+def _cells_presheaf(Q: SgdPresheaf, restrict) -> SSetPresheaf:
+    """The cells of each one-object section, restricting by
+    restrict(f, n, x)."""
+    values = _shared_values(Q.values, lambda H: H.homs[(_one_object(H), _one_object(H))])
+    return sset_presheaf(Q.site, values.__getitem__, restrict)
+
+
 def translation_action(Q: SgdPresheaf) -> SGroupAction:
     """The group of each section acting on itself by composition."""
-    values = _shared_values(Q.values, lambda H: H.homs[(_one_object(H), _one_object(H))])
-    res = {}
-    for f, (V, U) in Q.site.cat.morphisms.items():
-        F = Q.res[f]
-        a = _one_object(Q.values[U])
-        X = values[U]
-        res[f] = {
-            n: {x: F.on_hom(a, a, n, x) for x in X.level(n)}
-            for n in range(X.trunc + 1)
-        }
-    space = SSetPresheaf(Q.site, values, res)
+    point = {U: _one_object(H) for U, H in Q.values.items()}
+
+    def restrict(f, n, x):
+        a = point[Q.site.cat.dst(f)]
+        return Q.res[f].on_hom(a, a, n, x)
 
     def act(U, n, g, x):
-        H = Q.values[U]
-        a = _one_object(H)
-        return H.compose(a, a, a, n, g, x)
+        a = point[U]
+        return Q.values[U].compose(a, a, a, n, g, x)
 
-    return sgroup_action(Q, space, act)
+    return sgroup_action(Q, _cells_presheaf(Q, restrict), act)
 
 
 def twisted_sgroup_action(Q: SgdPresheaf, cochain) -> SGroupAction:
     """The group of each section acting on itself contravariantly, with
     restriction twisted on the left by a vertex cell per site morphism;
     the two sides commute without any commutativity of the group."""
-    values = _shared_values(Q.values, lambda H: H.homs[(_one_object(H), _one_object(H))])
-    res = {}
-    for f, (V, U) in Q.site.cat.morphisms.items():
-        F = Q.res[f]
-        HV = Q.values[V]
-        aU, aV = _one_object(Q.values[U]), _one_object(HV)
-        X = values[U]
-        res[f] = {
-            n: {
-                x: HV.compose(
-                    aV, aV, aV, n,
-                    _degen_lift(HV, aV, cochain[f], n),
-                    F.on_hom(aU, aU, n, x),
-                )
-                for x in X.level(n)
-            }
-            for n in range(X.trunc + 1)
-        }
-    space = SSetPresheaf(Q.site, values, res)
+    point = {U: _one_object(H) for U, H in Q.values.items()}
+
+    def restrict(f, n, x):
+        V, U = Q.site.cat.morphisms[f]
+        HV, aU, aV = Q.values[V], point[U], point[V]
+        return HV.compose(
+            aV, aV, aV, n,
+            _degen_lift(HV, aV, cochain[f], n),
+            Q.res[f].on_hom(aU, aU, n, x),
+        )
 
     def act(U, n, g, x):
-        H = Q.values[U]
-        a = _one_object(H)
+        H, a = Q.values[U], point[U]
         return H.compose(a, a, a, n, x, H.inverse(a, a, n, g))
 
-    return sgroup_action(Q, space, act)
+    return sgroup_action(Q, _cells_presheaf(Q, restrict), act)
 
 
 def _degen_lift(H, a, vertex_cell, n):
@@ -315,14 +308,11 @@ def orbit_tables(A: SGroupAction, U):
 def sgroup_quotient(A: SGroupAction, maxdim=None):
     """The levelwise orbit presheaf, the projection onto it, and a check
     that the projection is a sectionwise fibration."""
-    from .sset import TruncSSet, _sorted_ids
-
     site = A.group.site
     reps = {U: orbit_tables(A, U) for U in site.objects}
-    values, comps = {}, {}
-    for U in site.objects:
-        X = A.space.values[U]
-        rep = reps[U]
+
+    def value(U):
+        X, rep = A.space.values[U], reps[U]
         simplices = {
             n: _sorted_ids({rep[(n, x)] for x in X.level(n)})
             for n in range(X.trunc + 1)
@@ -343,27 +333,16 @@ def sgroup_quotient(A: SGroupAction, maxdim=None):
             for n in range(X.trunc)
             for j in range(n + 1)
         }
-        values[U] = TruncSSet(X.trunc, simplices, faces, degeneracies)
-        comps[U] = {
-            n: {x: rep[(n, x)] for x in X.level(n)} for n in range(X.trunc + 1)
-        }
-    res = {
-        f: {
-            n: {
-                x: reps[V][(n, A.space.res[f][n][x])]
-                for x in values[U].level(n)
-            }
-            for n in range(values[U].trunc + 1)
-        }
-        for f, (V, U) in site.cat.morphisms.items()
-    }
-    space = SSetPresheaf(site, values, res)
-    q = SSetPresheafMap(A.space, space, comps)
+        return TruncSSet(X.trunc, simplices, faces, degeneracies)
+
+    space = sset_presheaf(
+        site, value, lambda f, n, x: reps[site.cat.src(f)][(n, A.space.res[f][n][x])]
+    )
+    q = sset_presheaf_map(A.space, space, lambda U, n, x: reps[U][(n, x)])
     check = Check("orbit projection is a sectionwise fibration", True,
                   params={"maxdim": maxdim})
     for U in site.objects:
-        qU = sset_map(A.space.values[U], values[U], lambda n, x: comps[U][n][x])
-        part = fibration_check(qU, maxdim)
+        part = fibration_check(q.component(U), maxdim)
         part.claim = f"horns over {U!r} lift"
         check.add(part)
     return space, q, check
@@ -372,40 +351,21 @@ def sgroup_quotient(A: SGroupAction, maxdim=None):
 def borel(A: SGroupAction) -> SSetPresheaf:
     """Diagonal bar construction: level n couples a level-n simplex with
     a string of n cells acting on it."""
-    site = A.group.site
-    values = {U: holim(section_functor(A, U)) for U in site.objects}
-    res = {}
-    for f, (V, U) in site.cat.morphisms.items():
-        F = A.group.res[f]
-        aU = _one_object(A.group.values[U])
-        X = values[U]
-        res[f] = {
-            n: {
-                (a0, x, fs): (
-                    F.ob[a0],
-                    A.space.res[f][n][x],
-                    tuple(F.on_hom(aU, aU, n, g) for g in fs),
-                )
-                for (a0, x, fs) in X.level(n)
-            }
-            for n in range(X.trunc + 1)
-        }
-    return SSetPresheaf(site, values, res)
+    point = {U: _one_object(H) for U, H in A.group.values.items()}
+
+    def restrict(f, n, s):
+        F, a = A.group.res[f], point[A.group.site.cat.dst(f)]
+        a0, x, fs = s
+        return (F.ob[a0], A.space.res[f][n][x], tuple(F.on_hom(a, a, n, g) for g in fs))
+
+    return sset_presheaf(A.group.site, lambda U: holim(section_functor(A, U)), restrict)
 
 
 def borel_projection(A: SGroupAction, E: SSetPresheaf = None) -> SSetPresheafMap:
     """Forget the space coordinate, landing in the diagonal nerve."""
     if E is None:
         E = borel(A)
-    D = db_presheaf(A.group)
-    comps = {
-        U: {
-            n: {s: (s[0], s[2]) for s in E.values[U].level(n)}
-            for n in range(E.values[U].trunc + 1)
-        }
-        for U in E.site.objects
-    }
-    return SSetPresheafMap(E, D, comps)
+    return sset_presheaf_map(E, db_presheaf(A.group), lambda U, n, s: (s[0], s[2]))
 
 
 def borel_to_quotient(A: SGroupAction, E: SSetPresheaf = None) -> SSetPresheafMap:
@@ -414,14 +374,7 @@ def borel_to_quotient(A: SGroupAction, E: SSetPresheaf = None) -> SSetPresheafMa
     if E is None:
         E = borel(A)
     space, q, _ = sgroup_quotient(A)
-    comps = {
-        U: {
-            n: {s: q.components[U][n][s[1]] for s in E.values[U].level(n)}
-            for n in range(E.values[U].trunc + 1)
-        }
-        for U in E.site.objects
-    }
-    return SSetPresheafMap(E, space, comps)
+    return sset_presheaf_map(E, space, lambda U, n, s: q.components[U][n][s[1]])
 
 
 def sgroup_torsor_check(A: SGroupAction, depth=2) -> Check:
@@ -455,17 +408,8 @@ def j_presheaf(Q: SgdPresheaf) -> SSetPresheafMap:
     assembled over the site."""
     D = db_presheaf(Q)
     W = wbar_presheaf(Q)
-    tables = _shared_values(Q.values, lambda H: _j_tables(H))
-    comps = {U: tables[U] for U in Q.site.objects}
-    return SSetPresheafMap(D, W, comps)
-
-
-def _j_tables(H):
-    j = j_map(H)
-    X = j.source
-    return {
-        n: {x: j(n, x) for x in X.level(n)} for n in range(X.trunc + 1)
-    }
+    tables = _shared_values(Q.values, lambda H: j_map(H).levels)
+    return SSetPresheafMap(D, W, {U: tables[U] for U in Q.site.objects})
 
 
 def psi_sgroup(u: SSetPresheafMap, Q: SgdPresheaf):
@@ -474,13 +418,10 @@ def psi_sgroup(u: SSetPresheafMap, Q: SgdPresheaf):
     C = u.source
     WT = w_total_presheaf(Q)
     quot = w_quotient_presheaf_map(Q)
-    site = Q.site
-    values, comps = {}, {}
-    for U in site.objects:
+
+    def value(U):
         X, W = C.values[U], WT.values[U]
         trunc = X.trunc
-        from .sset import TruncSSet, _sorted_ids
-
         simplices = {
             n: _sorted_ids(
                 (c, w)
@@ -506,25 +447,15 @@ def psi_sgroup(u: SSetPresheafMap, Q: SgdPresheaf):
             for n in range(trunc)
             for j in range(n + 1)
         }
-        values[U] = TruncSSet(trunc, simplices, faces, degeneracies)
-        comps[U] = {
-            n: {(c, w): c for (c, w) in simplices[n]} for n in range(trunc + 1)
-        }
-    res = {
-        f: {
-            n: {
-                (c, w): (C.res[f][n][c], WT.res[f][n][w])
-                for (c, w) in values[U].level(n)
-            }
-            for n in range(values[U].trunc + 1)
-        }
-        for f, (V, U) in site.cat.morphisms.items()
-    }
-    space = SSetPresheaf(site, values, res)
+        return TruncSSet(trunc, simplices, faces, degeneracies)
+
+    space = sset_presheaf(
+        Q.site, value, lambda f, n, s: (C.res[f][n][s[0]], WT.res[f][n][s[1]])
+    )
     A = sgroup_action(
         Q, space, lambda U, n, g, x: (x[0], w_action(Q.values[U], n, g, x[1]))
     )
-    return A, SSetPresheafMap(space, C, comps)
+    return A, sset_presheaf_map(space, C, lambda U, n, s: s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -585,37 +516,19 @@ def validate_sgd_diagram(D: SgdDiagram):
 def holim_presheaf(D: SgdDiagram):
     """The assembled homotopy colimit with its projection to the
     diagonal nerve."""
-    site = D.coeff.site
-    values = {U: holim(D.functors[U]) for U in site.objects}
-    res = {}
-    for f, (V, U) in site.cat.morphisms.items():
-        F = D.coeff.res[f]
-        H = D.coeff.values[U]
-        X = values[U]
-        tab = {}
-        for n in range(X.trunc + 1):
-            level = {}
-            for (a0, x, fs) in X.level(n):
-                from .sgroupoid import string_steps
+    Q = D.coeff
 
-                steps = string_steps(H, a0, fs, n)
-                level[(a0, x, fs)] = (
-                    F.ob[a0],
-                    D.res[f][a0][n][x],
-                    tuple(F.on_hom(a, b, n, g) for a, b, g in steps),
-                )
-            tab[n] = level
-        res[f] = tab
-    E = SSetPresheaf(site, values, res)
-    Dnerve = db_presheaf(D.coeff)
-    comps = {
-        U: {
-            n: {s: (s[0], s[2]) for s in values[U].level(n)}
-            for n in range(values[U].trunc + 1)
-        }
-        for U in site.objects
-    }
-    return E, SSetPresheafMap(E, Dnerve, comps)
+    def restrict(f, n, s):
+        F, H = Q.res[f], Q.values[Q.site.cat.dst(f)]
+        a0, x, fs = s
+        return (
+            F.ob[a0],
+            D.res[f][a0][n][x],
+            tuple(F.on_hom(a, b, n, g) for a, b, g in string_steps(H, a0, fs, n)),
+        )
+
+    E = sset_presheaf(Q.site, lambda U: holim(D.functors[U]), restrict)
+    return E, sset_presheaf_map(E, db_presheaf(Q), lambda U, n, s: (s[0], s[2]))
 
 
 def sgd_torsor_check(D: SgdDiagram, depth=2) -> Check:
@@ -847,8 +760,6 @@ def psi_sgd(u: SgdPresheafMap) -> SgdDiagram:
             for n in range(H.trunc + 1):
                 inner = {}
                 for (b0, g0, us) in X.level(n):
-                    from .sgroupoid import string_steps
-
                     steps = string_steps(I, b0, us, n)
                     inner[(b0, g0, us)] = (
                         FP.ob[b0],
@@ -959,6 +870,10 @@ def validate_two_gpd_action(A: TwoGpdAction):
                             problems.append(
                                 f"arrow {arrow!r} mistypes {x!r} over {U!r}"
                             )
+    if problems:
+        return problems
+    for U in A.site.objects:
+        tab = A.act1[U]
         for p in T.objects:
             e = T.identities1[p]
             for x in A.elements[U].get(p, ()):
@@ -992,39 +907,17 @@ def validate_two_gpd_action(A: TwoGpdAction):
 def two_gpd_display(A: TwoGpdAction, trunc):
     """Assemble the sectionwise total objects over the constant cocycle
     presheaf of the 2-groupoid."""
-    site = A.site
-    values, comps = {}, {}
-    W = None
-    for U in site.objects:
-        act = A.act1[U]
-        Y, proj = holim_2gpd(
-            A.gpd2, A.elements[U], lambda arrow, x: act[(arrow, x)], trunc
+    displays = {
+        U: holim_2gpd(
+            A.gpd2, A.elements[U], lambda arrow, x, act=A.act1[U]: act[(arrow, x)], trunc
         )
-        values[U] = Y
-        comps[U] = {
-            n: {s: proj(n, s) for s in Y.level(n)} for n in range(trunc + 1)
-        }
-        W = proj.target
-    res = {
-        f: {
-            n: {
-                (x, sigma): (A.res[f][x], sigma)
-                for (x, sigma) in values[U].level(n)
-            }
-            for n in range(trunc + 1)
-        }
-        for f, (V, U) in site.cat.morphisms.items()
+        for U in A.site.objects
     }
-    total = SSetPresheaf(site, values, res)
-    base = SSetPresheaf(
-        site,
-        {U: W for U in site.objects},
-        {
-            f: {n: {s: s for s in W.level(n)} for n in range(trunc + 1)}
-            for f in site.morphisms
-        },
+    total = sset_presheaf(
+        A.site, lambda U: displays[U][0], lambda f, n, s: (A.res[f][s[0]], s[1])
     )
-    return total, SSetPresheafMap(total, base, comps)
+    base = constant_sset_presheaf(A.site, displays[A.site.objects[-1]][1].target)
+    return total, sset_presheaf_map(total, base, lambda U, n, s: displays[U][1](n, s))
 
 
 def two_gpd_shape_check(total: SSetPresheaf, pi: SSetPresheafMap) -> Check:

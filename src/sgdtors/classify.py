@@ -52,6 +52,9 @@ from .presheaf import (
     SSetPresheaf,
     SSetPresheafMap,
     constant_group_presheaf,
+    constant_sset_presheaf,
+    sset_presheaf,
+    sset_presheaf_map,
     validate_sset_presheaf_map,
 )
 from .report import Check, InvariantError, require, unique_hit
@@ -87,16 +90,6 @@ def star_cover(site):
 
 # ---------------------------------------------------------------------------
 # strict presheaf maps and homotopy classes of them
-
-
-def _components_of(Y: SSetPresheaf, per_section) -> dict:
-    return {
-        U: {
-            n: {x: per_section[U](n, x) for x in Y.values[U].level(n)}
-            for n in range(Y.values[U].trunc + 1)
-        }
-        for U in Y.site.objects
-    }
 
 
 def _strict_maps(Y: SSetPresheaf, Z: SSetPresheaf, forced, limit=None, bound=None):
@@ -139,21 +132,12 @@ def enumerate_sset_presheaf_maps(Y: SSetPresheaf, Z: SSetPresheaf, bound=None):
 def cylinder_presheaf(Y: SSetPresheaf) -> SSetPresheaf:
     """Sectionwise product with the interval, restricting the first
     coordinate only."""
-    site = Y.site
-    trunc = Y.values[site.objects[0]].trunc
-    I = delta(1, trunc)
-    values = {U: sset_product(Y.values[U], I) for U in site.objects}
-    res = {
-        f: {
-            n: {
-                (x, t): (Y.res[f][n][x], t)
-                for (x, t) in values[U].level(n)
-            }
-            for n in range(trunc + 1)
-        }
-        for f, (V, U) in site.cat.morphisms.items()
-    }
-    return SSetPresheaf(site, values, res)
+    I = delta(1, Y.trunc)
+    return sset_presheaf(
+        Y.site,
+        lambda U: sset_product(Y.values[U], I),
+        lambda f, n, s: (Y.res[f][n][s[0]], s[1]),
+    )
 
 
 def presheaf_homotopies(f: SSetPresheafMap, g: SSetPresheafMap):
@@ -212,7 +196,7 @@ def _cocycle_map(source: SSetPresheaf, target: SSetPresheaf, entry) -> SSetPresh
     """The map sending a cell of section W at level n to
     entry(W)(n, cell), checked to be a strict presheaf map."""
     per_section = {W: entry(W) for W in source.site.objects}
-    u = SSetPresheafMap(source, target, _components_of(source, per_section))
+    u = sset_presheaf_map(source, target, lambda W, n, cell: per_section[W](n, cell))
     checked = validate_sset_presheaf_map(u)
     if not checked:
         raise InvariantError(f"cocycle tables are not a presheaf map: {checked.witness}")
@@ -274,7 +258,6 @@ def sgroup_classifying_map(
     total space, into the cocycle object."""
     Q = A.group
     site = Q.site
-    trunc = next(iter(Q.values.values())).trunc
     if target is None:
         target = wbar_presheaf(Q)
     chosen = _chosen(cover, lambda member: A.space.values[member].level(0))
@@ -296,26 +279,13 @@ def sgroup_classifying_map(
             tuple(transition(cell[m - 1], cell[m], n - m) for m in range(1, n + 1)),
         )
 
-    return _cocycle_map(cech_resolution(site, cover, trunc), target, entry)
+    return _cocycle_map(cech_resolution(site, cover, Q.trunc), target, entry)
 
 
 def two_gpd_base_presheaf(site, T, trunc) -> SSetPresheaf:
     """The constant presheaf on the 2-groupoid's cocycle object."""
-    _, proj = holim_2gpd(
-        T,
-        {p: () for p in T.objects},
-        lambda arrow, x: x,
-        trunc,
-    )
-    W = proj.target
-    return SSetPresheaf(
-        site,
-        {U: W for U in site.objects},
-        {
-            f: {n: {s: s for s in W.level(n)} for n in range(trunc + 1)}
-            for f in site.morphisms
-        },
-    )
+    _, proj = holim_2gpd(T, {p: () for p in T.objects}, lambda arrow, x: x, trunc)
+    return constant_sset_presheaf(site, proj.target)
 
 
 def two_gpd_classifying_map(
@@ -360,18 +330,15 @@ def two_gpd_classifying_map(
 
 def db_presheaf_map(u: SgdPresheafMap) -> SSetPresheafMap:
     """Diagonal nerve of a map of enriched groupoid presheaves."""
-    DP = db_presheaf(u.source)
-    DQ = db_presheaf(u.target)
 
-    def entry(U):
+    def component(U, n, cell):
         F, H = u.components[U], u.source.values[U]
-        return lambda n, cell: (
+        return (
             F.ob[cell[0]],
             tuple(F.on_hom(a, b, n, g) for (a, b, g) in string_steps(H, *cell, n)),
         )
 
-    per_section = {U: entry(U) for U in DP.site.objects}
-    return SSetPresheafMap(DP, DQ, _components_of(DP, per_section))
+    return sset_presheaf_map(db_presheaf(u.source), db_presheaf(u.target), component)
 
 
 def sgd_classifying_map(
@@ -381,7 +348,6 @@ def sgd_classifying_map(
     on resolutions: entries are the images of the unique connecting
     cells, read backwards along each string."""
     P, Q = u.source, u.target
-    trunc = next(iter(P.values.values())).trunc
     if target is None:
         target = wbar_presheaf(Q)
 
@@ -400,7 +366,7 @@ def sgd_classifying_map(
             ),
         )
 
-    return _cocycle_map(cech_resolution(P.site, cover, trunc), target, entry)
+    return _cocycle_map(cech_resolution(P.site, cover, P.trunc), target, entry)
 
 
 def constant_cocycle_map(
@@ -676,7 +642,7 @@ def classify(kind, site, coefficients, trunc=None, depth=2, bound=None,
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     flavour = FLAVOURS[kind]
     if flavour.enriched:
-        trunc = next(iter(coefficients.values.values())).trunc
+        trunc = coefficients.trunc
     run = SimpleNamespace(
         site=site, coeff=coefficients, trunc=trunc, depth=depth, bound=bound,
         cover=cover or star_cover(site),

@@ -17,7 +17,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .bundles import (
     constant_enrichment,
@@ -56,7 +56,6 @@ from .sset import (
 )
 from .torsors import (
     group_torsor_check,
-    group_torsor_to_action,
     h1_cech_classes,
     h1_cech_oracle,
     representable_action_torsor,
@@ -618,7 +617,7 @@ def truncate_sgd(H: SimpGroupoid, N) -> SimpGroupoid:
 
 
 def truncate_sgd_presheaf(Q: SgdPresheaf, N) -> SgdPresheaf:
-    if N == presheaf_trunc(Q):
+    if N == Q.trunc:
         return Q
     values = {U: truncate_sgd(H, N) for U, H in Q.values.items()}
     res = {}
@@ -629,10 +628,6 @@ def truncate_sgd_presheaf(Q: SgdPresheaf, N) -> SgdPresheaf:
         }
         res[f] = SgdFunctor(values[U], values[V], dict(F.ob), maps)
     return SgdPresheaf(Q.site, values, res)
-
-
-def presheaf_trunc(Q: SgdPresheaf):
-    return next(iter(Q.values.values())).trunc
 
 
 def resolve_trunc(cfg: RunConfig, available):
@@ -813,7 +808,7 @@ def cmd_torsor(cfg: RunConfig):
     site = load_site(cfg.site) if cfg.site else None
     Q = load_coefficient(cfg.inputs[0], site)
     site = Q.site
-    N = resolve_trunc(cfg, presheaf_trunc(Q))
+    N = resolve_trunc(cfg, Q.trunc)
     Q = truncate_sgd_presheaf(Q, N)
     coeff = _kind_coefficients(cfg.kind, site, Q)
     family = star_cover(site)["family"]

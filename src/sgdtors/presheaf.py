@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .groupoid import FinGroup
 from .report import validator
 from .search import solve
-from .sgroupoid import SgdFunctor, SimpGroupoid, validate_sgd_functor
+from .sgroupoid import SimpGroupoid, validate_sgd_functor
 from .site import FinSite
 from .sset import SSetMap, TruncSSet, idkey, validate_sset_map
 
@@ -244,6 +244,10 @@ class SSetPresheaf:
     values: dict   # object -> TruncSSet
     res: dict      # morphism -> {dim: {id: id}}
 
+    @property
+    def trunc(self):
+        return next(iter(self.values.values())).trunc
+
     def res_map(self, f) -> SSetMap:
         V, U = self.site.cat.morphisms[f]
         return SSetMap(self.values[U], self.values[V], self.res[f])
@@ -304,14 +308,7 @@ def validate_sset_presheaf(Y: SSetPresheaf):
 
 
 def constant_sset_presheaf(site, X: TruncSSet) -> SSetPresheaf:
-    return SSetPresheaf(
-        site,
-        {U: X for U in site.objects},
-        {
-            f: {n: {x: x for x in X.level(n)} for n in range(X.trunc + 1)}
-            for f in site.morphisms
-        },
-    )
+    return sset_presheaf(site, lambda U: X, lambda f, n, x: x)
 
 
 def terminal_sset_presheaf(site, trunc) -> SSetPresheaf:
@@ -385,6 +382,10 @@ class SgdPresheaf:
     site: FinSite
     values: dict   # object -> SimpGroupoid
     res: dict      # morphism -> SgdFunctor
+
+    @property
+    def trunc(self):
+        return next(iter(self.values.values())).trunc
 
     def restrict_ob(self, f, a):
         return self.res[f].ob[a]

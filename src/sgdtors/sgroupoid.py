@@ -308,6 +308,9 @@ def validate_sgd_functor(F: SgdFunctor):
     problems = []
     G, H = F.source, F.target
     N = G.trunc
+    for a in G.objects:
+        if F.ob.get(a) not in H.objects:
+            return [f"object map misses or mistypes {a!r}"]
     for a, b in itertools.product(G.objects, repeat=2):
         hom_s = G.homs[(a, b)]
         hom_t = H.homs[(F.ob[a], F.ob[b])]

@@ -18,6 +18,7 @@ from .presheaf import (
     SSetPresheaf,
     SSetPresheafMap,
     set_presheaf_map,
+    sset_presheaf,
     validate_set_presheaf_map,
     validate_sset_presheaf_map,
 )
@@ -246,37 +247,23 @@ def cech_resolution(site: FinSite, cover, trunc) -> SSetPresheaf:
     based = cover.get("object") is not None
     base_of = cover_base_map(site, cover) if based else None
 
-    values = {}
-    for W in site.objects:
+    def value(W):
         elems = E.values[W]
 
-        def levels(n, elems=elems):
+        def levels(n):
             tuples = itertools.product(elems, repeat=n + 1)
             if based:
                 return [t for t in tuples if len({base_of(e) for e in t}) <= 1]
             return list(tuples)
 
-        values[W] = build_sset(
+        return build_sset(
             trunc,
             levels,
             lambda n, i, t: t[:i] + t[i + 1:],
             lambda n, j, t: t[: j + 1] + t[j:],
         )
 
-    def restrict(f, n, t):
-        return tuple(E.res[f][e] for e in t)
-
-    return SSetPresheaf(
-        site,
-        values,
-        {
-            f: {
-                n: {t: restrict(f, n, t) for t in values[site.cat.dst(f)].level(n)}
-                for n in range(trunc + 1)
-            }
-            for f in site.morphisms
-        },
-    )
+    return sset_presheaf(site, value, lambda f, n, t: tuple(E.res[f][e] for e in t))
 
 
 def cech_local_epi_check(site: FinSite, cover, depth=2) -> Check:
@@ -374,9 +361,8 @@ def local_weq_check(phi: SSetPresheafMap, maxdeg=None, depth=2) -> Check:
     vertex; Kan sections are a stated precondition checked first.
     """
     X, Y = phi.source, phi.target
-    trunc = next(iter(X.values.values())).trunc
     if maxdeg is None:
-        maxdeg = trunc - 2
+        maxdeg = X.trunc - 2
     check = Check(
         "map is a local weak equivalence", True,
         params={"maxdeg": maxdeg, "depth": depth},

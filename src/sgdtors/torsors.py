@@ -32,6 +32,7 @@ from .presheaf import (
     product_set_presheaf,
     set_presheaf,
     set_presheaf_map,
+    sset_presheaf,
     sset_presheaf_map,
     terminal_presheaf,
     terminal_sset_presheaf,
@@ -146,74 +147,52 @@ def _cocycle_image(F, n, s):
     )
 
 
+def _cocycle_presheaf(Q: SgdPresheaf, build, shift) -> SSetPresheaf:
+    """Sections build(H); a level-n simplex restricts as a cocycle of
+    level n + shift."""
+    values = _shared_values(Q.values, build)
+    return sset_presheaf(
+        Q.site, values.__getitem__, lambda f, n, s: _cocycle_image(Q.res[f], n + shift, s)
+    )
+
+
 def wbar_presheaf(Q: SgdPresheaf, trunc=None) -> SSetPresheaf:
     """The cocycle classifying object of each section."""
-    values = _shared_values(Q.values, lambda H: wbar(H, trunc))
-    res = {}
-    for f, (V, U) in Q.site.cat.morphisms.items():
-        F = Q.res[f]
-        X = values[U]
-        res[f] = {
-            n: {s: _cocycle_image(F, n, s) for s in X.level(n)}
-            for n in range(X.trunc + 1)
-        }
-    return SSetPresheaf(Q.site, values, res)
+    return _cocycle_presheaf(Q, lambda H: wbar(H, trunc), 0)
 
 
 def w_total_presheaf(Q: SgdPresheaf) -> SSetPresheaf:
     """The total object of each section; level n holds shifted cocycles."""
-    values = _shared_values(Q.values, w_total)
-    res = {}
-    for f, (V, U) in Q.site.cat.morphisms.items():
-        F = Q.res[f]
-        X = values[U]
-        res[f] = {
-            n: {s: _cocycle_image(F, n + 1, s) for s in X.level(n)}
-            for n in range(X.trunc + 1)
-        }
-    return SSetPresheaf(Q.site, values, res)
+    return _cocycle_presheaf(Q, w_total, 1)
 
 
 def db_presheaf(Q: SgdPresheaf) -> SSetPresheaf:
     """Diagonal nerve of each section."""
     values = _shared_values(Q.values, db_sgroupoid)
-    res = {}
-    for f, (V, U) in Q.site.cat.morphisms.items():
-        F = Q.res[f]
-        H = Q.values[U]
-        X = values[U]
 
-        def image(n, s, F=F, H=H):
-            x0, gs = s
-            steps = string_steps(H, x0, gs, n)
-            return (F.ob[x0], tuple(F.on_hom(a, b, n, g) for a, b, g in steps))
+    def restrict(f, n, s):
+        F, H = Q.res[f], Q.values[Q.site.cat.dst(f)]
+        x0, gs = s
+        steps = string_steps(H, x0, gs, n)
+        return (F.ob[x0], tuple(F.on_hom(a, b, n, g) for a, b, g in steps))
 
-        res[f] = {
-            n: {s: image(n, s) for s in X.level(n)} for n in range(X.trunc + 1)
-        }
-    return SSetPresheaf(Q.site, values, res)
+    return sset_presheaf(Q.site, values.__getitem__, restrict)
 
 
 def bg_presheaf(GP: GroupoidPresheaf, trunc) -> SSetPresheaf:
     """Nerve of each section of a groupoid presheaf."""
     values = _shared_values(GP.values, lambda G: nerve_groupoid(G, trunc))
-    res = {}
-    for f, (V, U) in GP.site.cat.morphisms.items():
+
+    def restrict(f, n, s):
         obmap, mormap = GP.res[f]
-        X = values[U]
-        res[f] = {
-            n: {
-                (x0, fs): (obmap[x0], tuple(mormap[g] for g in fs))
-                for (x0, fs) in X.level(n)
-            }
-            for n in range(X.trunc + 1)
-        }
-    return SSetPresheaf(GP.site, values, res)
+        x0, fs = s
+        return (obmap[x0], tuple(mormap[g] for g in fs))
+
+    return sset_presheaf(GP.site, values.__getitem__, restrict)
 
 
 def to_point_map(Y: SSetPresheaf) -> SSetPresheafMap:
-    trunc = next(iter(Y.values.values())).trunc
-    T = terminal_sset_presheaf(Y.site, trunc)
+    T = terminal_sset_presheaf(Y.site, Y.trunc)
     return sset_presheaf_map(Y, T, lambda U, n, x: (0,) * (n + 1))
 
 
@@ -854,53 +833,37 @@ def translation_groupoid_anchored(T: ActionTorsor, U) -> FinGroupoid:
 def action_to_bundle(T: ActionTorsor, trunc) -> BundleTorsor:
     site = T.total.site
     BG = bg_presheaf(T.gpd, trunc)
-    values, res, comps = {}, {}, {}
-    for U in site.objects:
+
+    def value(U):
         E = translation_groupoid_anchored(T, U)
-        values[U] = relabel(
-            nerve_groupoid(E, trunc), lambda n, s: s[0] if n == 0 else s
-        )
+        return relabel(nerve_groupoid(E, trunc), lambda n, s: s[0] if n == 0 else s)
 
-    def restrict_arrow(f, m):
-        e, g = m
-        return (T.total.res[f][e], T.gpd.res[f][1][g])
+    def restrict(f, n, s):
+        r = T.total.res[f]
+        if n == 0:
+            return r[s]
+        mormap = T.gpd.res[f][1]
+        e0, ms = s
+        return (r[e0], tuple((r[e], mormap[g]) for e, g in ms))
 
-    for f, (V, U) in site.cat.morphisms.items():
-        X = values[U]
-        tab = {0: {e: T.total.res[f][e] for e in X.level(0)}}
-        for n in range(1, trunc + 1):
-            tab[n] = {
-                (e0, ms): (
-                    T.total.res[f][e0],
-                    tuple(restrict_arrow(f, m) for m in ms),
-                )
-                for (e0, ms) in X.level(n)
-            }
-        res[f] = tab
+    def project(U, n, s):
+        anchor = T.anchor[U]
+        if n == 0:
+            return (anchor[s], ())
+        e0, ms = s
+        return (anchor[e0], tuple(g for _, g in ms))
 
-    for U in site.objects:
-        X = values[U]
-        comp = {0: {e: (T.anchor[U][e], ()) for e in X.level(0)}}
-        for n in range(1, trunc + 1):
-            comp[n] = {
-                (e0, ms): (T.anchor[U][e0], tuple(m[1] for m in ms))
-                for (e0, ms) in X.level(n)
-            }
-        comps[U] = comp
-
-    Y = SSetPresheaf(site, values, res)
-    proj = SSetPresheafMap(Y, BG, comps)
-    return BundleTorsor(T.gpd, BG, Y, proj)
+    Y = sset_presheaf(site, value, restrict)
+    return BundleTorsor(T.gpd, BG, Y, sset_presheaf_map(Y, BG, project))
 
 
 def pullback_shape_check(total: SSetPresheaf, pi: SSetPresheafMap, claim) -> Check:
     """Every level of the total object is recovered from level zero by
     pullback along the last-vertex map of the base."""
-    trunc = next(iter(total.values.values())).trunc
-    check = Check(claim, True, params={"trunc": trunc})
+    check = Check(claim, True, params={"trunc": total.trunc})
     for U in total.site.objects:
         X, N, comp = total.values[U], pi.target.values[U], pi.components[U]
-        for n in range(1, trunc + 1):
+        for n in range(1, total.trunc + 1):
             pairs = {(X.vertex(n, n, x), comp[n][x]) for x in X.level(n)}
             wanted = {
                 (y, w)

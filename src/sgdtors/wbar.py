@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ordinal import OrdinalMap, all_maps, coface, codegeneracy
+from .ordinal import OrdinalMap, coface, codegeneracy
 from .report import Check, invariant, require, unique_hit
 from .sgroupoid import SgdFunctor, SimpGroupoid, db_sgroupoid, string_steps
 from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map

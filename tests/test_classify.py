@@ -204,10 +204,31 @@ def test_trivial_cocycle_map_sits_in_the_trivial_class():
     assert len(hits) == 1
 
 
-@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(sgdtors.__path__)])
+MODULES = [m.name for m in pkgutil.iter_modules(sgdtors.__path__)]
+
+
+def _module_tree(name):
+    with open(importlib.import_module(f"sgdtors.{name}").__file__) as fh:
+        return ast.parse(fh.read())
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_module_has_no_asserts(name):
     # python -O strips asserts, so runtime invariants here raise instead
-    with open(importlib.import_module(f"sgdtors.{name}").__file__) as fh:
-        tree = ast.parse(fh.read())
+    tree = _module_tree(name)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_import(name):
+    tree = _module_tree(name)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -389,6 +389,13 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
         path.write_text(dumps(H) + "\n")
         assert cli.main(["wbar", str(path)]) == 2
         assert "identity vertex missing at '*'" in capsys.readouterr().out
+    # a restriction whose object map is empty
+    Q = encode_sgd_presheaf(z2_presheaf(s1_site(), 3))
+    Q["restrictions"][0]["ob"] = []
+    path = tmp_path / "obless.json"
+    path.write_text(dumps(Q) + "\n")
+    assert cli.main(["torsor", "check", "--kind", "sgroup", str(path)]) == 2
+    assert "object map misses or mistypes '*'" in capsys.readouterr().out
 
 
 def test_unknown_kind_is_a_usage_error(corpus):

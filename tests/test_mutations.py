@@ -3,9 +3,11 @@ validator fail, and its witness names the corrupted spot."""
 
 import pytest
 
+from sgdtors.bundles import twisted_two_gpd_action, validate_two_gpd_action
 from sgdtors.fixtures import interval_sgd, s1_site
-from sgdtors.groupoid import trivial_groupoid, validate_groupoid
+from sgdtors.groupoid import trivial_groupoid, validate_groupoid, zmod
 from sgdtors.presheaf import (
+    constant_group_presheaf,
     constant_sset_presheaf,
     set_presheaf,
     validate_set_presheaf,
@@ -13,6 +15,7 @@ from sgdtors.presheaf import (
 )
 from sgdtors.sgroupoid import validate_sgroupoid
 from sgdtors.sset import delta, identity_map, validate_sset, validate_sset_map
+from sgdtors.torsors import enumerate_group_cochains
 
 
 def sset_face():
@@ -53,6 +56,14 @@ def sset_presheaf_restriction():
     return validate_sset_presheaf(Y), spot
 
 
+def two_gpd_action_entry():
+    site, F = s1_site(), zmod(2)
+    (cochain, *_) = enumerate_group_cochains(constant_group_presheaf(site, F))
+    A = twisted_two_gpd_action(site, F, cochain)
+    del A.act1["U"][(1, 0)]
+    return validate_two_gpd_action(A), "arrow 1 mistypes 0 over 'U'"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -62,6 +73,7 @@ def sset_presheaf_restriction():
         sgroupoid_composite,
         set_presheaf_restriction,
         sset_presheaf_restriction,
+        two_gpd_action_entry,
     ],
     ids=lambda corrupt: corrupt.__name__,
 )

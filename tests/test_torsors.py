@@ -371,6 +371,15 @@ def test_group_presheaf_as_groupoid_shares_sections():
     assert validate_groupoid_presheaf(GP).ok
 
 
+def test_classifying_presheaves_share_identical_sections():
+    site = s1_site()
+    Q = z2_presheaf(site, trunc=3)
+    GP = constant_groupoid_presheaf(site, group_as_groupoid(Z2))
+    for Y in (wbar_presheaf(Q), w_total_presheaf(Q), db_presheaf(Q), bg_presheaf(GP, 3)):
+        first = Y.values[site.objects[0]]
+        assert all(Y.values[U] is first for U in site.objects)
+
+
 def test_representable_torsor_carrier():
     GP = constant_groupoid_presheaf(pt_site(), twocomp_groupoid())
     T = representable_action_torsor(GP, ("l", "*"))
