@@ -34,6 +34,7 @@ from .presheaf import (
     SSetPresheafMap,
     constant_sgd_presheaf,
     constant_sset_presheaf,
+    set_presheaf,
     sset_presheaf,
     sset_presheaf_map,
     validate_sset_presheaf,
@@ -268,17 +269,13 @@ def vertex_groupoid_presheaf(Q: SgdPresheaf):
 def level0_group_torsor(A: SGroupAction):
     """The vertex-level set torsor of an action: level-zero cells acting
     on level-zero simplices on the right."""
-    from .presheaf import SetPresheaf
     from .torsors import GroupTorsor
 
-    Q = A.group
-    site = Q.site
-    G = vertex_group_presheaf(Q)
+    site = A.group.site
+    G = vertex_group_presheaf(A.group)
     groups = G.values
-    total = SetPresheaf(
-        site,
-        {U: tuple(A.space.values[U].level(0)) for U in site.objects},
-        {f: dict(A.space.res[f][0]) for f in site.morphisms},
+    total = set_presheaf(
+        site, lambda U: A.space.values[U].level(0), lambda f, e: A.space.res[f][0][e]
     )
     action = {
         U: {
@@ -893,11 +890,17 @@ def validate_two_gpd_action(A: TwoGpdAction):
     if problems:
         return problems
     for f, (V, U) in A.site.cat.morphisms.items():
-        r = A.res[f]
+        r = A.res.get(f, {})
         for p, xs in A.elements[U].items():
             for x in xs:
-                if r[x] not in set(A.elements[V].get(p, ())):
+                if x not in r:
+                    problems.append(f"restriction along {f!r} misses {x!r}")
+                elif r[x] not in set(A.elements[V].get(p, ())):
                     problems.append(f"restriction along {f!r} moves the anchor of {x!r}")
+    if problems:
+        return problems
+    for f, (V, U) in A.site.cat.morphisms.items():
+        r = A.res[f]
         for (arrow, x), y in A.act1[U].items():
             if r[y] != A.act1[V][(arrow, r[x])]:
                 problems.append(f"restriction along {f!r} is not equivariant")

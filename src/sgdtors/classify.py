@@ -13,12 +13,13 @@ local section: a torsor yields a classifying map on the nose, and the
 map's homotopy class is located among the enumerated ones.  The report
 fails loudly whenever the two sides disagree.
 
-One driver, ``classify``, runs every flavour.  ``FLAVOURS`` holds one
-entry per flavour: how to build the torsor family and the objects the
-isomorphism search compares, that search, the classifying target, the
-checks on each class representative, the classifying map, and any
-extra checks and report keys (the cocycle-class count for the group
-flavours, the bundle round trip, the represented torsors for ``sgpd``).
+One driver, ``classify``, runs every flavour, and ``classify_torsors``
+runs its torsor side alone.  ``FLAVOURS`` holds one entry per flavour:
+how to build the torsor family and the objects the isomorphism search
+compares, that search, the classifying target, the checks on each class
+representative, the classifying map, and any extra checks and report
+keys (the cocycle-class count for the group flavours, the bundle round
+trip, the represented torsors for ``sgpd``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .presheaf import (
     validate_sset_presheaf_map,
 )
 from .report import Check, InvariantError, require, unique_hit
-from .search import solve
+from .search import Partition, solve
 from .sgroupoid import string_steps
 from .sheaf import cech_resolution, cover_elements
 from .sset import delta, sset_product
@@ -165,22 +166,16 @@ def presheaf_homotopic(f: SSetPresheafMap, g: SSetPresheafMap) -> bool:
 
 
 def _grouped(count, related):
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    """Classes of range(count) under the transitive closure of
+    ``related``, which is asked only about pairs i < j not yet in one
+    class.  Joining keeps the root of i's class, and the classes come
+    sorted by root, which need not be their smallest member."""
+    classes = Partition(range(count))
     for i in range(count):
         for j in range(i + 1, count):
-            if find(i) != find(j) and related(i, j):
-                parent[find(j)] = find(i)
-    classes = {}
-    for i in range(count):
-        classes.setdefault(find(i), []).append(i)
-    return [sorted(members) for _, members in sorted(classes.items())]
+            if classes.find(i) != classes.find(j) and related(i, j):
+                classes.join(i, j)
+    return sorted(classes.classes(), key=lambda members: classes.find(members[0]))
 
 
 def presheaf_map_classes(maps):
@@ -629,6 +624,33 @@ def _locate(u: SSetPresheafMap, maps, classes):
     return None
 
 
+def classify_torsors(kind, site, coefficients, trunc=None, depth=2, bound=None,
+                     cover=None):
+    """The torsor half of a classification run: the family, its
+    isomorphism classes, and the checks on each class representative.
+    Takes the arguments of ``classify`` and returns the run, with the
+    verdict so far in ``run.check``."""
+    if kind not in FLAVOURS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    flavour = FLAVOURS[kind]
+    if flavour.enriched:
+        trunc = coefficients.trunc
+    run = SimpleNamespace(
+        flavour=flavour, site=site, coeff=coefficients, trunc=trunc, depth=depth,
+        bound=bound, cover=cover or star_cover(site),
+    )
+    run.family = flavour.family(run)
+    run.searched = searched = flavour.searched(run) if flavour.searched else run.family
+    run.torsor_classes = _grouped(
+        len(searched), lambda i, j: bool(flavour.iso(run, searched[i], searched[j]))
+    )
+    run.check = Check(flavour.claim, True, params={"trunc": trunc, "depth": depth})
+    for members in run.torsor_classes:
+        for part in flavour.checks(run, members[0]):
+            run.check.add(part)
+    return run
+
+
 def classify(kind, site, coefficients, trunc=None, depth=2, bound=None,
              cover=None):
     """Classify the torsors of one flavour over the site.
@@ -638,32 +660,15 @@ def classify(kind, site, coefficients, trunc=None, depth=2, bound=None,
     SgdPresheaf for "sgroup" and "sgpd", which take their truncation
     from it.
     """
-    if kind not in FLAVOURS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    flavour = FLAVOURS[kind]
-    if flavour.enriched:
-        trunc = coefficients.trunc
-    run = SimpleNamespace(
-        site=site, coeff=coefficients, trunc=trunc, depth=depth, bound=bound,
-        cover=cover or star_cover(site),
-    )
-    run.family = flavour.family(run)
-    run.searched = searched = flavour.searched(run) if flavour.searched else run.family
-    run.torsor_classes = torsor_classes = _grouped(
-        len(searched), lambda i, j: bool(flavour.iso(run, searched[i], searched[j]))
-    )
+    run = classify_torsors(kind, site, coefficients, trunc, depth, bound, cover)
+    flavour, check, torsor_classes = run.flavour, run.check, run.torsor_classes
     run.target = flavour.target(run)
-    run.source = cech_resolution(site, run.cover, trunc)
+    run.source = cech_resolution(site, run.cover, run.trunc)
     run.maps = maps = enumerate_sset_presheaf_maps(run.source, run.target, bound=bound)
     run.map_classes = map_classes = presheaf_map_classes(maps)
-    check = Check(flavour.claim, True, params={"trunc": trunc, "depth": depth})
-    representatives = [members[0] for members in torsor_classes]
-    for i in representatives:
-        for part in flavour.checks(run, i):
-            check.add(part)
     run.matching = matching = [
-        (ci, _locate(flavour.classifying_map(run, i), maps, map_classes))
-        for ci, i in enumerate(representatives)
+        (ci, _locate(flavour.classifying_map(run, members[0]), maps, map_classes))
+        for ci, members in enumerate(torsor_classes)
     ]
     keys = flavour.extra(run, check) if flavour.extra else {}
     assignment = [j for _, j in matching]

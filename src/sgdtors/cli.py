@@ -31,7 +31,7 @@ from .bundles import (
     vertex_group_presheaf,
     vertex_groupoid_presheaf,
 )
-from .classify import KINDS, classify, star_cover
+from .classify import KINDS, classify, classify_torsors, star_cover
 from .fixtures import interval_sgd, pt_site, s1_site, twocomp_sgd, z2_sgroup
 from .holim import corepresented_functor, holim, holim_projection, homotopy_fibre_check
 from .join import alpha_beta_check, naturality_check
@@ -43,6 +43,7 @@ from .sgroupoid import (
     SimpGroupoid,
     db_sgroupoid,
     identity_functor,
+    validate_sgd_functor,
     validate_sgroupoid,
 )
 from .site import FinCat, FinSite, validate_cat
@@ -449,6 +450,9 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
                 )
             maps[(a, b)] = levels
         res[f] = SgdFunctor(values[U], values[V], ob, maps)
+        checked = validate_sgd_functor(res[f])
+        if not checked:
+            raise SchemaError(rw, f"not an enriched functor: {checked.witness[0]}")
     if set(res) != set(site.cat.morphisms):
         raise SchemaError(
             f"{where}/restrictions", "need one restriction per site morphism"
@@ -641,6 +645,14 @@ def resolve_trunc(cfg: RunConfig, available):
     return N
 
 
+def load_truncated_sgd(cfg: RunConfig):
+    """The enriched groupoid of the first input, cut at the requested
+    truncation, and that truncation."""
+    H = load_sgd(cfg.inputs[0])
+    N = resolve_trunc(cfg, H.trunc)
+    return truncate_sgd(H, N), N
+
+
 def parse_object(text, objects, pointer="/object"):
     if text is None:
         return sorted(objects, key=idkey)[0]
@@ -662,9 +674,8 @@ def levels_line(counts):
 
 
 def cmd_wbar(cfg: RunConfig):
-    H = load_sgd(cfg.inputs[0])
-    N = resolve_trunc(cfg, H.trunc)
-    W = wbar(truncate_sgd(H, N))
+    H, N = load_truncated_sgd(cfg)
+    W = wbar(H)
     check = replace(validate_sset(W), claim="cocycle object is a simplicial set",
                     params={"trunc": N, "levels": W.level_counts()})
     return [certificate("wbar/levels", check, input=cfg.inputs[0])], {
@@ -673,9 +684,8 @@ def cmd_wbar(cfg: RunConfig):
 
 
 def cmd_w_total(cfg: RunConfig):
-    H = load_sgd(cfg.inputs[0])
-    N = resolve_trunc(cfg, H.trunc)
-    T = w_total(truncate_sgd(H, N))
+    H, N = load_truncated_sgd(cfg)
+    T = w_total(H)
     check = replace(validate_sset(T), claim="total object is a simplicial set",
                     params={"trunc": N, "levels": T.level_counts()})
     return [certificate("w-total/levels", check, input=cfg.inputs[0])], {
@@ -684,9 +694,8 @@ def cmd_w_total(cfg: RunConfig):
 
 
 def cmd_j_map(cfg: RunConfig):
-    H = load_sgd(cfg.inputs[0])
-    N = resolve_trunc(cfg, H.trunc)
-    j = j_map(truncate_sgd(H, N))
+    H, N = load_truncated_sgd(cfg)
+    j = j_map(H)
     check = replace(
         validate_sset_map(j),
         claim="diagonal-to-cocycle comparison is simplicial",
@@ -702,9 +711,7 @@ def cmd_j_map(cfg: RunConfig):
 
 
 def cmd_check(cfg: RunConfig):
-    H = load_sgd(cfg.inputs[0])
-    N = resolve_trunc(cfg, H.trunc)
-    H = truncate_sgd(H, N)
+    H, N = load_truncated_sgd(cfg)
     if cfg.target == "j-weq":
         check = weq_check(j_map(H))
     elif cfg.target == "kan":
@@ -724,9 +731,7 @@ def cmd_check(cfg: RunConfig):
 
 
 def cmd_holim(cfg: RunConfig):
-    H = load_sgd(cfg.inputs[0])
-    N = resolve_trunc(cfg, H.trunc)
-    H = truncate_sgd(H, N)
+    H, N = load_truncated_sgd(cfg)
     a = parse_object(cfg.at, H.objects)
     X = corepresented_functor(H, a)
     Y = holim(X)
@@ -746,9 +751,7 @@ def cmd_holim(cfg: RunConfig):
 def cmd_comma(cfg: RunConfig):
     from .holim import comma_db
 
-    H = load_sgd(cfg.inputs[0])
-    N = resolve_trunc(cfg, H.trunc)
-    H = truncate_sgd(H, N)
+    H, N = load_truncated_sgd(cfg)
     a = parse_object(cfg.at, H.objects)
     D = comma_db(identity_functor(H), a)
     check = replace(validate_sset(D), claim="comma object is a simplicial set",
@@ -759,9 +762,7 @@ def cmd_comma(cfg: RunConfig):
 
 
 def cmd_alpha_beta(cfg: RunConfig):
-    H = load_sgd(cfg.inputs[0])
-    N = resolve_trunc(cfg, H.trunc)
-    H = truncate_sgd(H, N)
+    H, N = load_truncated_sgd(cfg)
     check = Check("interval prism on doubled strings", True, params={"trunc": N})
     check.add(alpha_beta_check(H))
     check.add(naturality_check(identity_functor(H)))
@@ -769,9 +770,7 @@ def cmd_alpha_beta(cfg: RunConfig):
 
 
 def cmd_fibre_check(cfg: RunConfig):
-    H = load_sgd(cfg.inputs[0])
-    N = resolve_trunc(cfg, H.trunc)
-    H = truncate_sgd(H, N)
+    H, N = load_truncated_sgd(cfg)
     a = parse_object(cfg.at, H.objects)
     check = homotopy_fibre_check(corepresented_functor(H, a), maxdim=min(3, N - 1))
     return [
@@ -829,9 +828,22 @@ def cmd_torsor(cfg: RunConfig):
     if cfg.kind == "sgpd" and not all(constant_enrichment(H) for H in Q.values.values()):
         raise SchemaError("/kind", "kind 'sgpd' enumerates only constant hom enrichments")
     try:
-        result = classify(
-            cfg.kind, site, coeff, trunc=N, depth=cfg.depth, bound=cfg.bound
-        )
+        if cfg.target == "enumerate":
+            run = classify_torsors(
+                cfg.kind, site, coeff, trunc=N, depth=cfg.depth, bound=cfg.bound
+            )
+            result = {
+                "family": len(run.family),
+                "torsor_classes": run.torsor_classes,
+                "classes": len(run.torsor_classes),
+                "check": replace(
+                    run.check, claim="every torsor class representative passes its checks"
+                ),
+            }
+        else:
+            result = classify(
+                cfg.kind, site, coeff, trunc=N, depth=cfg.depth, bound=cfg.bound
+            )
     except ValueError as exc:
         raise SchemaError("/bound", str(exc))
     params = {

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .report import Check, invariant, require
-from .search import solve
-from .sset import SSetMap, TruncSSet, idkey, pi0, pi0_classes, sset_product, validate_sset_map
+from .search import Partition, solve
+from .sset import SSetMap, TruncSSet, idkey, pi0, pi0_classes, validate_sset_map
 
 
 def horn_assignments(X: TruncSSet, n: int, k: int):
@@ -167,32 +167,19 @@ def pi_n(X: TruncSSet, v, n: int) -> PiGroup:
         x for x in X.level(n) if all(X.face(n, i, x) == base_lo for i in range(n + 1))
     ]
     # single-simplex homotopies, then transitive closure
-    parent = {x: x for x in candidates}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if idkey(rb) < idkey(ra):
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    homotopic = Partition(candidates)
     cand_set = set(candidates)
     for w in X.level(n + 1):
         if all(X.face(n + 1, i, w) == base for i in range(n)):
             a, b = X.face(n + 1, n, w), X.face(n + 1, n + 1, w)
             if a in cand_set and b in cand_set:
-                union(a, b)
+                homotopic.join(a, b)
 
-    reps = sorted({find(x) for x in candidates}, key=idkey)
-    index = {r: i for i, r in enumerate(reps)}
-    cls_of = {x: index[find(x)] for x in candidates}
-    classes = [frozenset(x for x in candidates if find(x) == r) for r in reps]
+    classes = sorted(
+        (frozenset(c) for c in homotopic.classes()), key=lambda c: min(map(idkey, c))
+    )
+    index = {x: i for i, c in enumerate(classes) for x in c}
+    cls_of = {x: index[x] for x in candidates}
 
     # multiplication via horn fillers: faces (base,...,base, x, -, y)
     mult = {}
@@ -309,7 +296,7 @@ def weq_check(f: SSetMap, maxdeg=None) -> Check:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive simplicial-map enumeration and naive homotopies.
+# Exhaustive simplicial-map enumeration.
 
 
 def _degeneracy_origin(X: TruncSSet, n, x):
@@ -375,47 +362,3 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None, limit=None):
         })
         for chosen in solve(domains, constraints, limit)
     ]
-
-
-def naive_homotopy_search(f: SSetMap, g: SSetMap):
-    """A one-step homotopy X x Delta^1 -> Y from f to g, or None.
-
-    The ends are the faces of the interval coordinate: constant 0 gives f,
-    constant 1 gives g.
-    """
-    from .sset import delta
-
-    X, Y = f.source, f.target
-    invariant(g.source == X and g.target == Y, "a homotopy needs maps with equal ends")
-    interval = delta(1, X.trunc)
-    P = sset_product(X, interval)
-    forced = {}
-    for n in range(X.trunc + 1):
-        for x in X.level(n):
-            forced[(n, (x, tuple([0] * (n + 1))))] = f(n, x)
-            forced[(n, (x, tuple([1] * (n + 1))))] = g(n, x)
-    found = enumerate_sset_maps(P, Y, forced=forced, limit=1)
-    return found[0] if found else None
-
-
-def homotopy_classes(maps):
-    """Partition maps by existence of naive homotopies, closed transitively."""
-    k = len(maps)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in itertools.combinations(range(k), 2):
-        if find(i) == find(j):
-            continue
-        if (naive_homotopy_search(maps[i], maps[j]) is not None
-                or naive_homotopy_search(maps[j], maps[i]) is not None):
-            parent[find(j)] = find(i)
-    groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())

@@ -1,4 +1,5 @@
-"""One backtracking core for every exhaustive map search.
+"""One backtracking core for every exhaustive map search, and one
+union-find for every partition into classes.
 
 A search is stated as slots, a domain per slot, and constraints; the
 core lists the solutions.  A constraint ``(scope, pred)`` is a tuple of
@@ -66,3 +67,30 @@ def solve(domains, constraints, limit=None, bound=None):
             break
         chosen.pop()
     return out
+
+
+class Partition:
+    """Union-find over hashable items (Tarjan, JACM 22, 1975), with path
+    halving.  ``join(a, b)`` hangs the class of ``b`` under the root of
+    ``a``, so a caller decides which root a class keeps."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def join(self, a, b):
+        self.parent[self.find(b)] = self.find(a)
+
+    def classes(self):
+        """The classes as lists, in the order of their first items;
+        members keep the order of the items."""
+        groups = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())

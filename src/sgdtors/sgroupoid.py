@@ -15,6 +15,7 @@ from .bisset import BisSSet, build_bisset, diagonal
 from .groupoid import Fin2Groupoid, FinGroup, FinGroupoid, nerve_groupoid
 from .ordinal import OrdinalMap, coface, codegeneracy
 from .report import InvariantError, invariant, validator
+from .search import Partition
 from .sset import TruncSSet, build_sset, idkey, relabel, sset_product
 
 
@@ -256,23 +257,13 @@ def product_sgd(G: SimpGroupoid, H: SimpGroupoid) -> SimpGroupoid:
 
 
 def pi0_sgroupoid(H: SimpGroupoid):
-    """Isomorphism classes of objects: nonempty hom means connected."""
-    parent = {a: a for a in H.objects}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    """Isomorphism classes of objects: nonempty hom means connected.
+    Each class is named by its least object by ``idkey``."""
+    classes = Partition(H.objects)
     for a, b in itertools.product(H.objects, repeat=2):
         if H.homs[(a, b)].size(0) > 0:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if idkey(rb) < idkey(ra):
-                    ra, rb = rb, ra
-                parent[rb] = ra
-    return sorted({find(a) for a in H.objects}, key=idkey)
+            classes.join(a, b)
+    return sorted((min(c, key=idkey) for c in classes.classes()), key=idkey)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +307,7 @@ def validate_sgd_functor(F: SgdFunctor):
         hom_t = H.homs[(F.ob[a], F.ob[b])]
         for n in range(N + 1):
             for f in hom_s.level(n):
-                v = F.maps[(a, b)].get(n, {}).get(f)
+                v = F.maps.get((a, b), {}).get(n, {}).get(f)
                 if v is None or v not in set(hom_t.level(n)):
                     problems.append(f"value missing/mistyped at {(a, b)} level {n}")
                     return problems

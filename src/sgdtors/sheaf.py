@@ -17,12 +17,14 @@ from .presheaf import (
     SetPresheafMap,
     SSetPresheaf,
     SSetPresheafMap,
+    set_presheaf,
     set_presheaf_map,
     sset_presheaf,
     validate_set_presheaf_map,
     validate_sset_presheaf_map,
 )
 from .report import Check, require
+from .search import solve
 from .site import FinSite, comma_site, min_sieves
 from .sset import build_sset, idkey, pi0, pi0_classes
 
@@ -32,38 +34,21 @@ def matching_families(P: SetPresheaf, sieve):
 
     A family assigns m_f over the source of each f in the sieve, with
     m_{f . h} equal to the restriction of m_f along h.  Families are
-    canonical tuples ((f, m_f), ...) sorted by key.
+    canonical tuples ((f, m_f), ...) sorted by key.  One search slot per
+    sieve member ranges over the sections at its source, and each h
+    into that source constrains the pair (f, f . h).
     """
     C = P.site.cat
     order = sorted(sieve, key=idkey)
-    out = []
-
-    def consistent(assign, f, m):
-        V = C.src(f)
-        for h in C.into(V):
-            fh = C.comp[(f, h)]
-            if fh in assign and assign[fh] != P.res[h][m]:
-                return False
-        for g in assign:
-            W = C.src(g)
-            for h in C.into(W):
-                if C.comp[(g, h)] == f and P.res[h][assign[g]] != m:
-                    return False
-        return True
-
-    def extend(assign, i):
-        if i == len(order):
-            out.append(tuple((f, assign[f]) for f in order))
-            return
-        f = order[i]
-        for m in P.values[C.src(f)]:
-            if consistent(assign, f, m):
-                assign[f] = m
-                extend(assign, i + 1)
-                del assign[f]
-
-    extend({}, 0)
-    return out
+    slot = {f: i for i, f in enumerate(order)}
+    constraints = [
+        ((slot[f], slot[C.comp[(f, h)]]), lambda m, down, r=P.res[h]: r[m] == down)
+        for f in order
+        for h in C.into(C.src(f))
+        if C.comp[(f, h)] in slot
+    ]
+    domains = [P.values[C.src(f)] for f in order]
+    return [tuple(zip(order, family)) for family in solve(domains, constraints)]
 
 
 def plus_construction(P: SetPresheaf, depth=2) -> SetPresheaf:
@@ -71,17 +56,15 @@ def plus_construction(P: SetPresheaf, depth=2) -> SetPresheaf:
     site = P.site
     sieves = min_sieves(site, depth)
     C = site.cat
-    values = {U: tuple(matching_families(P, sieves[U])) for U in site.objects}
-    res = {}
-    for f, (V, U) in C.morphisms.items():
-        tab = {}
-        for m in values[U]:
-            lookup = dict(m)
-            tab[m] = tuple(
-                (g, lookup[C.comp[(f, g)]]) for g in sorted(sieves[V], key=idkey)
-            )
-        res[f] = tab
-    return SetPresheaf(site, values, res)
+    values = {U: matching_families(P, sieves[U]) for U in site.objects}
+
+    def restrict(f, m):
+        lookup = dict(m)
+        return tuple(
+            (g, lookup[C.comp[(f, g)]]) for g in sorted(sieves[C.src(f)], key=idkey)
+        )
+
+    return set_presheaf(site, values.__getitem__, restrict)
 
 
 def plus_unit(P: SetPresheaf, depth=2) -> SetPresheafMap:
@@ -196,31 +179,13 @@ def cover_elements(site: FinSite, cover) -> SetPresheaf:
     family covers the terminal presheaf.
     """
     C = site.cat
-    base = cover.get("object")
     family = list(cover["family"])
-    if base is None:
-        def value(W):
-            return [
-                (i, h) for i, V in enumerate(family) for h in C.hom(W, V)
-            ]
-    else:
-        def value(W):
-            return [
-                (i, h)
-                for i, m in enumerate(family)
-                for h in C.hom(W, C.src(m))
-            ]
-
-    return SetPresheaf(
+    if cover.get("object") is not None:
+        family = [C.src(m) for m in family]
+    return set_presheaf(
         site,
-        {U: tuple(sorted(value(U), key=idkey)) for U in site.objects},
-        {
-            f: {
-                (i, h): (i, C.comp[(h, f)])
-                for (i, h) in sorted(value(C.dst(f)), key=idkey)
-            }
-            for f in C.morphisms
-        },
+        lambda W: [(i, h) for i, V in enumerate(family) for h in C.hom(W, V)],
+        lambda f, s: (s[0], C.comp[(s[1], f)]),
     )
 
 
@@ -293,8 +258,6 @@ def pi0_presheaf(Y: SSetPresheaf) -> SetPresheaf:
         V, U = Y.site.cat.morphisms[f]
         return roots[V][Y.res[f][0][r]]
 
-    from .presheaf import set_presheaf
-
     return set_presheaf(Y.site, value, restrict)
 
 
@@ -322,7 +285,6 @@ def _comma_pi_presheaves(phi: SSetPresheafMap, U, v, n):
     v is a vertex of the source sections over U; base vertices elsewhere
     come from restricting it.  Class indices name the elements.
     """
-    from .presheaf import set_presheaf
     from .sset import SSetMap
 
     X, Y = phi.source, phi.target

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .ordinal import OrdinalMap, decompose
 from .report import InvariantError, invariant, validator
+from .search import Partition
 
 DEFAULT_TRUNC = 4
 
@@ -330,26 +331,16 @@ def point(trunc=DEFAULT_TRUNC):
 def pi0(X: TruncSSet):
     """Components of the vertex set under the edge relation.
 
-    Returns a dict vertex -> canonical representative.
+    Returns a dict vertex -> canonical representative, the least vertex
+    of its component by ``idkey``.
     """
-    parent = {v: v for v in X.level(0)}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if idkey(rb) < idkey(ra):
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    components = Partition(X.level(0))
     for e in X.level(1):
-        union(X.face(1, 0, e), X.face(1, 1, e))
-    return {v: find(v) for v in X.level(0)}
+        components.join(X.face(1, 0, e), X.face(1, 1, e))
+    least = {}
+    for c in components.classes():
+        least.update(dict.fromkeys(c, min(c, key=idkey)))
+    return {v: least[v] for v in X.level(0)}
 
 
 def pi0_classes(X: TruncSSet):

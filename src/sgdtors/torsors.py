@@ -643,25 +643,22 @@ def representable_action_torsor(T_gpd: GroupoidPresheaf, anchor_at) -> ActionTor
     choice everywhere."""
     if not isinstance(anchor_at, dict):
         anchor_at = {U: anchor_at for U in T_gpd.site.objects}
-    values, anchor, action = {}, {}, {}
+
+    def arrows_into_anchor(U):
+        G = T_gpd.values[U]
+        return [m for m in G.morphisms if G.dst(m) == anchor_at[U]]
+
+    total = set_presheaf(T_gpd.site, arrows_into_anchor, lambda f, m: T_gpd.res[f][1][m])
+    anchor, action = {}, {}
     for U in T_gpd.site.objects:
         G = T_gpd.values[U]
-        arrows = tuple(
-            sorted((m for m in G.morphisms if G.dst(m) == anchor_at[U]), key=idkey)
-        )
-        values[U] = arrows
-        anchor[U] = {m: G.src(m) for m in arrows}
-        tab = {}
-        for m in arrows:
-            for g, (a, b) in G.morphisms.items():
-                if b == G.src(m):
-                    tab[(m, g)] = G.comp[(m, g)]
-        action[U] = tab
-    res = {
-        f: {m: T_gpd.res[f][1][m] for m in values[U]}
-        for f, (V, U) in T_gpd.site.cat.morphisms.items()
-    }
-    total = SetPresheaf(T_gpd.site, values, res)
+        anchor[U] = {m: G.src(m) for m in total.values[U]}
+        action[U] = {
+            (m, g): G.comp[(m, g)]
+            for m in total.values[U]
+            for g, (a, b) in G.morphisms.items()
+            if b == G.src(m)
+        }
     return ActionTorsor(T_gpd, total, anchor, action)
 
 
@@ -921,10 +918,8 @@ def bundle_to_action(T5: BundleTorsor) -> ActionTorsor:
         raise ValueError("bundle does not pull back from level zero: "
                          + shape.render().splitlines()[-1])
     site = T5.total.site
-    total = SetPresheaf(
-        site,
-        {U: tuple(T5.total.values[U].level(0)) for U in site.objects},
-        {f: dict(T5.total.res[f][0]) for f in site.morphisms},
+    total = set_presheaf(
+        site, lambda U: T5.total.values[U].level(0), lambda f, e: T5.total.res[f][0][e]
     )
     anchor, action = {}, {}
     for U in site.objects:

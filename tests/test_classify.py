@@ -15,6 +15,7 @@ import pytest
 import sgdtors
 
 from sgdtors.classify import (
+    _grouped,
     action_classifying_map,
     classify,
     constant_cocycle_map,
@@ -232,3 +233,11 @@ def test_module_uses_every_import(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_classes_come_in_root_order_not_least_member_order():
+    # (0, 3) joins 3 under root 0, then (2, 3) hangs that class under
+    # root 2, which sorts after the singleton {1}
+    pairs = {(0, 3), (2, 3)}
+    assert _grouped(4, lambda i, j: (i, j) in pairs) == [[1], [0, 2, 3]]
+

@@ -35,6 +35,7 @@ from sgdtors.fixtures import (
     z2_sgroup,
 )
 from sgdtors.groupoid import group_as_2groupoid, zmod
+from sgdtors.presheaf import constant_sgd_presheaf
 from sgdtors.report import Check, require
 from sgdtors.sgroupoid import b_2groupoid
 from sgdtors.site import validate_site
@@ -262,6 +263,25 @@ def test_torsor_enumerate_reports_the_family(corpus, capsys):
     assert "torsor classes: 2" in out
 
 
+def test_torsor_enumerate_runs_only_the_torsor_side(corpus, capsys, monkeypatch):
+    import sgdtors.classify
+
+    calls = []
+    real = sgdtors.classify.enumerate_sset_presheaf_maps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sgdtors.classify, "enumerate_sset_presheaf_maps", counted)
+    argv = ["--kind", "sgroup", "--site", corpus["s1.json"], corpus["z2const.json"]]
+    assert cli.main(["torsor", "enumerate", *argv, "--trunc", "3"]) == 0
+    assert "torsor classes: 2" in capsys.readouterr().out
+    assert calls == []
+    assert cli.main(["torsor", "classify", *argv, "--trunc", "3"]) == 0
+    assert len(calls) == 1
+
+
 def test_torsor_check_verifies_the_translation_torsors(corpus, capsys):
     for kind, site, coeff in (
         ("group", "pt.json", "twocomp.json"),
@@ -395,7 +415,18 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     path = tmp_path / "obless.json"
     path.write_text(dumps(Q) + "\n")
     assert cli.main(["torsor", "check", "--kind", "sgroup", str(path)]) == 2
-    assert "object map misses or mistypes '*'" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "invalid input at /restrictions/0" in out
+    assert "object map misses or mistypes '*'" in out
+    # a restriction with no hom map
+    Q = encode_sgd_presheaf(constant_sgd_presheaf(s1_site(), z2_sgroup(3)))
+    Q["restrictions"][1]["maps"] = []
+    path = tmp_path / "mapless.json"
+    path.write_text(dumps(Q) + "\n")
+    assert cli.main(["torsor", "check", "--kind", "sgroup", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "invalid input at /restrictions/1" in out
+    assert "value missing/mistyped at ('*', '*') level 0" in out
 
 
 def test_unknown_kind_is_a_usage_error(corpus):

@@ -1,5 +1,11 @@
 import pytest
 
+from sgdtors.classify import (
+    enumerate_sset_presheaf_maps,
+    presheaf_homotopies,
+    presheaf_map_classes,
+)
+from sgdtors.fixtures import pt_site
 from sgdtors.groupoid import (
     group_as_groupoid,
     nerve_groupoid,
@@ -10,14 +16,13 @@ from sgdtors.groupoid import (
 from sgdtors.kan import (
     TruncationError,
     enumerate_sset_maps,
-    homotopy_classes,
     horn_assignments,
     horn_fillers,
     kan_check,
-    naive_homotopy_search,
     pi_n,
     weq_check,
 )
+from sgdtors.presheaf import constant_sset_presheaf
 from sgdtors.sset import delta, disjoint_union, identity_map, point, sset_map
 
 
@@ -120,28 +125,32 @@ def test_enumeration_covers_degenerate_simplices_consistently():
                     assert f(n - 1, X.face(n, i, x)) == Y.face(n, i, f(n, x))
 
 
+def on_the_point(X):
+    return constant_sset_presheaf(pt_site(), X)
+
+
 def test_one_step_homotopies_connect_all_interval_endomaps():
-    X = delta(1, trunc=2)
-    maps = enumerate_sset_maps(X, X)
+    X = on_the_point(delta(1, trunc=2))
+    maps = enumerate_sset_presheaf_maps(X, X)
     assert len(maps) == 3
-    classes = homotopy_classes(maps)
+    classes = presheaf_map_classes(maps)
     assert len(classes) == 1
 
 
 def test_no_homotopy_between_distinct_constants_into_two_points():
-    X = delta(0, trunc=2)
+    X = on_the_point(delta(0, trunc=2))
     Y = nerve_groupoid(trivial_groupoid((0,)), trunc=2)
-    Y2 = disjoint_union({"l": Y, "r": Y})
-    maps = enumerate_sset_maps(X, Y2)
+    Y2 = on_the_point(disjoint_union({"l": Y, "r": Y}))
+    maps = enumerate_sset_presheaf_maps(X, Y2)
     assert len(maps) == 2
-    assert naive_homotopy_search(maps[0], maps[1]) is None
-    assert len(homotopy_classes(maps)) == 2
+    assert presheaf_homotopies(maps[0], maps[1]) == []
+    assert len(presheaf_map_classes(maps)) == 2
 
 
 def test_product_with_interval_supports_projection_homotopy():
-    X = delta(1, trunc=2)
-    maps = enumerate_sset_maps(X, X)
-    by_image = {(f(0, (0,)), f(0, (1,))): f for f in maps}
+    X = on_the_point(delta(1, trunc=2))
+    maps = enumerate_sset_presheaf_maps(X, X)
+    by_image = {(f.components["pt"][0][(0,)], f.components["pt"][0][(1,)]): f for f in maps}
     c0 = by_image[((0,), (0,))]
     c1 = by_image[((1,), (1,))]
-    assert naive_homotopy_search(c0, c1) is not None
+    assert presheaf_homotopies(c0, c1) != []

@@ -64,6 +64,20 @@ def two_gpd_action_entry():
     return validate_two_gpd_action(A), "arrow 1 mistypes 0 over 'U'"
 
 
+def two_gpd_restriction_missing():
+    site = s1_site()
+    A = twisted_two_gpd_action(site, zmod(2), {f: 0 for f in site.morphisms})
+    del A.res[("U", "U")][0]
+    return validate_two_gpd_action(A), "along ('U', 'U') misses 0"
+
+
+def two_gpd_restriction_out_of_range():
+    site = s1_site()
+    A = twisted_two_gpd_action(site, zmod(2), {f: 0 for f in site.morphisms})
+    A.res[("A", "U")][0] = "zz"
+    return validate_two_gpd_action(A), "along ('A', 'U') moves the anchor of 0"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -74,6 +88,8 @@ def two_gpd_action_entry():
         set_presheaf_restriction,
         sset_presheaf_restriction,
         two_gpd_action_entry,
+        two_gpd_restriction_missing,
+        two_gpd_restriction_out_of_range,
     ],
     ids=lambda corrupt: corrupt.__name__,
 )

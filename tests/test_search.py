@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdtors.search import solve
+from sgdtors.search import Partition, solve
 
 
 def _dependent(values, shift):
@@ -62,3 +62,26 @@ def test_solve_is_product_then_filter(problem, k):
     assert solve(domains, constraints, bound=static) == everything
     with pytest.raises(ValueError, match=f"needs {static} candidates, bound is {static - 1}$"):
         solve(domains, constraints, bound=static - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+def test_partition_classes_are_the_components(n, edges):
+    edges = [(a % n, b % n) for a, b in edges]
+    classes = Partition(range(n))
+    for a, b in edges:
+        root = classes.find(a)
+        classes.join(a, b)
+        assert classes.find(b) == root
+    reach = {i: frozenset([i]) for i in range(n)}
+    for _ in range(n):
+        for a, b in edges:
+            merged = reach[a] | reach[b]
+            for x in merged:
+                reach[x] = merged
+    found = classes.classes()
+    assert sorted(x for c in found for x in c) == list(range(n))
+    assert all(c == sorted(c) for c in found)
+    assert [c[0] for c in found] == sorted(c[0] for c in found)
+    assert {frozenset(c) for c in found} == set(reach.values())
+
