@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .report import validator
-from .sset import TruncSSet, _sorted_ids
+from .sset import SSetMap, TruncSSet, _sorted_ids, validate_sset, validate_sset_map
 
 
 @dataclass
@@ -61,48 +60,46 @@ def build_bisset(trunc, levels, hface, vface, hdegen, vdegen):
     return BisSSet(trunc, simplices, hfaces, vfaces, hdegens, vdegens)
 
 
+def _line(B: BisSSet, at, faces, degens) -> TruncSSet:
+    """The simplicial set with level n at B's degree at(n): a row or a
+    column, with the faces and degeneracies of that direction."""
+    N = B.trunc
+    return TruncSSet(
+        N,
+        {n: B.level(*at(n)) for n in range(N + 1)},
+        {(n, i): faces.get(at(n) + (i,)) for n in range(1, N + 1) for i in range(n + 1)},
+        {(n, j): degens.get(at(n) + (j,)) for n in range(N) for j in range(n + 1)},
+    )
+
+
 @validator("input is a bisimplicial set")
 def validate_bisset(B: BisSSet):
-    """Simplicial identities in each direction plus cross-commutation."""
+    """Every row and column is a simplicial set, and every horizontal
+    face and degeneracy is a simplicial map between columns."""
     problems = []
     N = B.trunc
+    rows = [_line(B, lambda p, q=q: (p, q), B.hfaces, B.hdegen) for q in range(N + 1)]
+    columns = [_line(B, lambda q, p=p: (p, q), B.vfaces, B.vdegen) for p in range(N + 1)]
+    for name, lines in (("row", rows), ("column", columns)):
+        for k, X in enumerate(lines):
+            line = validate_sset(X)
+            if not line:
+                problems.append(f"{name} {k}: {line.witness[0]}")
+    if problems:
+        return problems
 
-    def hf(p, q, i, x):
-        return B.hfaces[(p, q, i)][x]
+    def horizontal(name, tables, p, p2, k):
+        levels = {q: tables[(p, q, k)] for q in range(N + 1)}
+        check = validate_sset_map(SSetMap(columns[p], columns[p2], levels))
+        if not check:
+            problems.append(f"horizontal {name}_{k} at column {p}: {check.witness[0]}")
 
-    def vf(p, q, i, x):
-        return B.vfaces[(p, q, i)][x]
-
-    for p in range(2, N + 1):
-        for q in range(N + 1):
-            for i, j in itertools.combinations(range(p + 1), 2):
-                for x in B.level(p, q):
-                    if hf(p - 1, q, i, hf(p, q, j, x)) != hf(p - 1, q, j - 1, hf(p, q, i, x)):
-                        problems.append(f"horizontal d_{i} d_{j} fails at {(p, q)}")
-    for q in range(2, N + 1):
-        for p in range(N + 1):
-            for i, j in itertools.combinations(range(q + 1), 2):
-                for x in B.level(p, q):
-                    if vf(p, q - 1, i, vf(p, q, j, x)) != vf(p, q - 1, j - 1, vf(p, q, i, x)):
-                        problems.append(f"vertical d_{i} d_{j} fails at {(p, q)}")
     for p in range(1, N + 1):
-        for q in range(1, N + 1):
-            for i in range(p + 1):
-                for j in range(q + 1):
-                    for x in B.level(p, q):
-                        a = B.vfaces[(p - 1, q, j)][B.hfaces[(p, q, i)][x]]
-                        b = B.hfaces[(p, q - 1, i)][B.vfaces[(p, q, j)][x]]
-                        if a != b:
-                            problems.append(f"h/v faces do not commute at {(p, q)}")
+        for i in range(p + 1):
+            horizontal("d", B.hfaces, p, p - 1, i)
     for p in range(N):
-        for q in range(N):
-            for i in range(p + 1):
-                for j in range(q + 1):
-                    for x in B.level(p, q):
-                        a = B.vdegen[(p + 1, q, j)][B.hdegen[(p, q, i)][x]]
-                        b = B.hdegen[(p, q + 1, i)][B.vdegen[(p, q, j)][x]]
-                        if a != b:
-                            problems.append(f"h/v degeneracies do not commute at {(p, q)}")
+        for j in range(p + 1):
+            horizontal("s", B.hdegen, p, p + 1, j)
     return problems
 
 

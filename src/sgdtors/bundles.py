@@ -41,9 +41,15 @@ from .presheaf import (
 )
 from .report import Check, invariant, require, validator
 from .search import solve
-from .sgroupoid import SgdFunctor, constant_sgroupoid, string_steps, validate_sgd_functor
+from .sgroupoid import (
+    SgdFunctor,
+    constant_sgroupoid,
+    level_groupoid,
+    string_steps,
+    validate_sgd_functor,
+)
 from .sheaf import cover_elements, local_weq_check
-from .sset import TruncSSet, _sorted_ids, idkey, sset_map
+from .sset import SSetMap, TruncSSet, _sorted_ids, idkey, sset_map, validate_sset_map
 from .torsors import (
     _shared_values,
     db_presheaf,
@@ -101,34 +107,29 @@ def section_functor(A: SGroupAction, U) -> SimplicialFunctor:
     )
 
 
+def action_diagram(A: SGroupAction) -> SgdDiagram:
+    """The action as a diagram over its one-object coefficients."""
+    site = A.group.site
+    return SgdDiagram(
+        A.group,
+        {U: section_functor(A, U) for U in site.objects},
+        {f: {_one_object(A.group.values[U]): A.space.res[f]}
+         for f, (V, U) in site.cat.morphisms.items()},
+    )
+
+
 @validator("action tables are simplicial and natural")
 def validate_sgroup_action(A: SGroupAction):
-    problems = []
+    """The space is a simplicial presheaf and the action's one-object
+    diagram is valid."""
     space = validate_sset_presheaf(A.space)
     if not space:
         return [f"space: {space.witness[0]}"]
     for U in A.group.site.objects:
         if len(A.group.values[U].objects) != 1:
             return [f"coefficients over {U!r} have several objects"]
-        action = validate_simplicial_functor(section_functor(A, U))
-        if not action:
-            problems.append(f"action over {U!r}: {action.witness[0]}")
-    if problems:
-        return problems
-    for f, (V, U) in A.group.site.cat.morphisms.items():
-        F = A.group.res[f]
-        aU = _one_object(A.group.values[U])
-        for n, tab in A.action[U].items():
-            for (g, x), y in tab.items():
-                lhs = A.space.res[f][n][y]
-                rhs = A.action[V][n][
-                    (F.on_hom(aU, aU, n, g), A.space.res[f][n][x])
-                ]
-                if lhs != rhs:
-                    problems.append(
-                        f"action not natural along {f!r} at level {n} on {(g, x)!r}"
-                    )
-    return problems
+    diagram = validate_sgd_diagram(action_diagram(A))
+    return [] if diagram else diagram.witness
 
 
 def sgroup_free_action_check(A: SGroupAction) -> Check:
@@ -231,29 +232,11 @@ def vertex_group_presheaf(Q: SgdPresheaf):
 
 def vertex_groupoid_presheaf(Q: SgdPresheaf):
     """Level-zero cells of an enriched presheaf, as a plain groupoid
-    presheaf.  Arrow ids carry their endpoints so cells reused across
-    hom pairs never collide."""
-    from .groupoid import FinGroupoid
+    presheaf."""
     from .torsors import GroupoidPresheaf
 
     site = Q.site
-
-    def build(H):
-        morphisms = {}
-        comp = {}
-        for (a, b), hom in H.homs.items():
-            for f in hom.level(0):
-                morphisms[(a, b, f)] = (a, b)
-        for (a, b, c), levels in H.comp.items():
-            for (g, f), h in levels[0].items():
-                comp[((b, c, g), (a, b, f))] = (a, c, h)
-        identities = {a: (a, a, H.identities[a]) for a in H.objects}
-        inverses = {
-            (a, b, f): (b, a, H.inverse(a, b, 0, f)) for (a, b, f) in morphisms
-        }
-        return FinGroupoid(H.objects, morphisms, comp, identities, inverses)
-
-    values = _shared_values(Q.values, build)
+    values = _shared_values(Q.values, lambda H: level_groupoid(H, 0))
     res = {}
     for f, (V, U) in site.cat.morphisms.items():
         F = Q.res[f]
@@ -365,11 +348,10 @@ def borel_projection(A: SGroupAction, E: SSetPresheaf = None) -> SSetPresheafMap
     return sset_presheaf_map(E, db_presheaf(A.group), lambda U, n, s: (s[0], s[2]))
 
 
-def borel_to_quotient(A: SGroupAction, E: SSetPresheaf = None) -> SSetPresheafMap:
+def borel_to_quotient(A: SGroupAction) -> SSetPresheafMap:
     """Forget the cell string and project the space coordinate to orbits;
     a sectionwise equivalence whenever the action is free."""
-    if E is None:
-        E = borel(A)
+    E = borel(A)
     space, q, _ = sgroup_quotient(A)
     return sset_presheaf_map(E, space, lambda U, n, s: q.components[U][n][s[1]])
 
@@ -470,6 +452,9 @@ class SgdDiagram:
 
 @validator("diagram is functorial and natural")
 def validate_sgd_diagram(D: SgdDiagram):
+    """Each section is a valid simplicial functor, each restriction
+    component a simplicial map, and restriction commutes with the
+    actions."""
     problems = []
     for U in D.coeff.site.objects:
         functor = validate_simplicial_functor(D.functors[U])
@@ -478,24 +463,16 @@ def validate_sgd_diagram(D: SgdDiagram):
     if problems:
         return problems
     for f, (V, U) in D.coeff.site.cat.morphisms.items():
-        F = D.coeff.res[f]
-        XU, XV = D.functors[U], D.functors[V]
-        H = D.coeff.values[U]
-        for a in H.objects:
-            src, dst = XU.values[a], XV.values[F.ob[a]]
-            tab = D.res[f][a]
-            for n in range(src.trunc + 1):
-                for x in src.level(n):
-                    if not dst.has(n, tab[n][x]):
-                        problems.append(f"restriction along {f!r} escapes at {a!r}")
-                        break
-            for n in range(1, src.trunc + 1):
-                for i in range(n + 1):
-                    for x in src.level(n):
-                        if tab[n - 1][src.face(n, i, x)] != dst.face(n, i, tab[n][x]):
-                            problems.append(
-                                f"restriction along {f!r} not simplicial at {a!r}"
-                            )
+        F, XU, XV = D.coeff.res[f], D.functors[U], D.functors[V]
+        for a in D.coeff.values[U].objects:
+            tab = D.res.get(f, {}).get(a, {})
+            restriction = validate_sset_map(SSetMap(XU.values[a], XV.values[F.ob[a]], tab))
+            if not restriction:
+                problems.append(f"restriction along {f!r} at {a!r}: {restriction.witness[0]}")
+    if problems:
+        return problems
+    for f, (V, U) in D.coeff.site.cat.morphisms.items():
+        F, XU, XV = D.coeff.res[f], D.functors[U], D.functors[V]
         for (a, b), levels in XU.action.items():
             for n, cells in levels.items():
                 for (g, x), y in cells.items():
@@ -857,16 +834,20 @@ def validate_two_gpd_action(A: TwoGpdAction):
                 if x in owner:
                     problems.append(f"element {x!r} anchored twice over {U!r}")
                 owner[x] = p
-        tab = A.act1[U]
+        tab, typed = A.act1.get(U, {}), set()
         for p in T.objects:
             for q in T.objects:
                 for arrow in T.homs[(p, q)].objects:
                     for x in A.elements[U].get(p, ()):
+                        typed.add((arrow, x))
                         y = tab.get((arrow, x))
                         if y is None or owner.get(y) != q:
                             problems.append(
                                 f"arrow {arrow!r} mistypes {x!r} over {U!r}"
                             )
+        stray = sorted(set(tab) - typed, key=idkey)
+        if stray:
+            problems.append(f"act1 entry {stray[0]!r} over {U!r} is off the elements")
     if problems:
         return problems
     for U in A.site.objects:

@@ -36,7 +36,7 @@ from .fixtures import interval_sgd, pt_site, s1_site, twocomp_sgd, z2_sgroup
 from .holim import corepresented_functor, holim, holim_projection, homotopy_fibre_check
 from .join import alpha_beta_check, naturality_check
 from .kan import kan_check, weq_check
-from .presheaf import SgdPresheaf, constant_sgd_presheaf, validate_sgd_presheaf
+from .presheaf import SgdPresheaf, constant_sgd_presheaf, validate_sgd_presheaf_laws
 from .report import Check, require
 from .sgroupoid import (
     SgdFunctor,
@@ -457,8 +457,9 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
         raise SchemaError(
             f"{where}/restrictions", "need one restriction per site morphism"
         )
+    # sections and restrictions are checked above, entry by entry
     Q = SgdPresheaf(site, values, res)
-    checked = validate_sgd_presheaf(Q)
+    checked = validate_sgd_presheaf_laws(Q)
     if not checked:
         raise SchemaError(where, f"not an enriched presheaf: {checked.witness[0]}")
     return Q
@@ -653,7 +654,7 @@ def load_truncated_sgd(cfg: RunConfig):
     return truncate_sgd(H, N), N
 
 
-def parse_object(text, objects, pointer="/object"):
+def parse_object(text, objects):
     if text is None:
         return sorted(objects, key=idkey)[0]
     try:
@@ -661,7 +662,7 @@ def parse_object(text, objects, pointer="/object"):
     except json.JSONDecodeError:
         a = text
     if a not in objects:
-        raise SchemaError(pointer, f"{a!r} is not one of the objects")
+        raise SchemaError("/object", f"{a!r} is not one of the objects")
     return a
 
 

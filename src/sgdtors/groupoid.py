@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .ordinal import OrdinalMap
 from .report import InvariantError, invariant, validator
+from .site import FinCat, validate_cat
 from .sset import build_sset
 
 
@@ -53,22 +54,8 @@ def symmetric_group(n):
 
 
 @dataclass
-class FinGroupoid:
-    objects: tuple
-    morphisms: dict    # id -> (src, dst)
-    comp: dict         # (g, f) -> g . f, for f: a->b, g: b->c
-    identities: dict   # object -> identity morphism id
+class FinGroupoid(FinCat):
     inverses: dict     # id -> id
-
-    def src(self, f):
-        return self.morphisms[f][0]
-
-    def dst(self, f):
-        return self.morphisms[f][1]
-
-    def hom(self, a, b):
-        return tuple(f for f, (s, d) in sorted(self.morphisms.items(), key=lambda kv: str(kv[0]))
-                     if s == a and d == b)
 
     def compose_path(self, fs):
         """Composite of a left-to-right chain f1; f2; ...; fk."""
@@ -80,40 +67,33 @@ class FinGroupoid:
 
 @validator("input is a groupoid")
 def validate_groupoid(G: FinGroupoid):
+    """The category laws of G as a FinCat, then its inverses."""
+    category = validate_cat(G)
+    if not category:
+        return category.witness
     problems = []
     for f, (a, b) in G.morphisms.items():
-        if a not in G.objects or b not in G.objects:
-            problems.append(f"morphism {f!r} has unknown endpoints")
-    for a in G.objects:
-        e = G.identities.get(a)
-        if e is None or G.morphisms.get(e) != (a, a):
-            problems.append(f"identity at {a!r} missing or mistyped")
-    for g, (b1, c) in G.morphisms.items():
-        for f, (a, b2) in G.morphisms.items():
-            if b1 == b2:
-                h = G.comp.get((g, f))
-                if h is None or G.morphisms.get(h) != (a, c):
-                    problems.append(f"composite of {g!r} after {f!r} missing or mistyped")
-    if problems:
-        return problems
-    for f, (a, b) in G.morphisms.items():
-        if G.comp[(f, G.identities[a])] != f or G.comp[(G.identities[b], f)] != f:
-            problems.append(f"identity law fails at {f!r}")
         finv = G.inverses.get(f)
-        if finv is None or G.morphisms[finv] != (b, a):
+        if finv is None or G.morphisms.get(finv) != (b, a):
             problems.append(f"inverse of {f!r} missing or mistyped")
         elif G.comp[(finv, f)] != G.identities[a] or G.comp[(f, finv)] != G.identities[b]:
             problems.append(f"inverse law fails at {f!r}")
-    for h, (c, d) in G.morphisms.items():
-        for g, (b, c2) in G.morphisms.items():
-            if c2 != c:
-                continue
-            for f, (a, b2) in G.morphisms.items():
-                if b2 != b:
-                    continue
-                if G.comp[(h, G.comp[(g, f)])] != G.comp[(G.comp[(h, g)], f)]:
-                    problems.append(f"associativity fails at {h!r},{g!r},{f!r}")
     return problems
+
+
+def groupoid_from(objects, morphisms, comp, identities) -> FinGroupoid:
+    """The groupoid with these tables and inverses found by search; an
+    arrow with no inverse gets no entry, which validate_groupoid reports."""
+    between = {}
+    for g, ends in morphisms.items():
+        between.setdefault(ends, []).append(g)
+    inverses = {}
+    for f, (a, b) in morphisms.items():
+        for g in between.get((b, a), ()):
+            if comp.get((g, f)) == identities.get(a) and comp.get((f, g)) == identities.get(b):
+                inverses[f] = g
+                break
+    return FinGroupoid(tuple(objects), morphisms, comp, identities, inverses)
 
 
 def group_as_groupoid(F: FinGroup) -> FinGroupoid:
@@ -231,25 +211,34 @@ class Fin2Groupoid:
     hcomp2: dict     # (a, b, c) -> {(beta, alpha): beta . alpha on 2-cells}
     identities1: dict  # a -> identity 1-cell in homs[(a, a)]
 
-    def hom(self, a, b) -> FinGroupoid:
-        return self.homs[(a, b)]
-
 
 @validator("input is a 2-groupoid")
 def validate_2groupoid(T: Fin2Groupoid):
+    """Hom groupoids, the 1-cells forming a groupoid under horizontal
+    composition, typed 2-cell composition, and interchange."""
     problems = []
     for (a, b), H in T.homs.items():
         hom = validate_groupoid(H)
         if not hom:
             problems.append(f"hom groupoid {(a, b)}: {hom.witness[0]}")
+    if problems:
+        return problems
+    ones = validate_groupoid(groupoid_from(
+        T.objects,
+        {(a, b, p): (a, b) for (a, b), H in T.homs.items() for p in H.objects},
+        {
+            ((b, c, q), (a, b, p)): (a, c, h)
+            for (a, b, c), table in T.hcomp1.items()
+            for (q, p), h in table.items()
+        },
+        {a: (a, a, T.identities1[a]) for a in T.objects},
+    ))
+    if not ones:
+        return [f"1-cells: {ones.witness[0]}"]
     for a, b, c in itertools.product(T.objects, repeat=3):
         h1 = T.hcomp1[(a, b, c)]
         h2 = T.hcomp2[(a, b, c)]
         AB, BC, AC = T.homs[(a, b)], T.homs[(b, c)], T.homs[(a, c)]
-        for q, p in itertools.product(BC.objects, AB.objects):
-            if (q, p) not in h1 or h1[(q, p)] not in AC.objects:
-                problems.append(f"1-cell composition missing at {(a, b, c)}")
-                return problems
         for beta in BC.morphisms:
             for alpha in AB.morphisms:
                 g = h2.get((beta, alpha))
@@ -271,29 +260,6 @@ def validate_2groupoid(T: Fin2Groupoid):
         for q, p in itertools.product(BC.objects, AB.objects):
             if h2[(BC.identities[q], AB.identities[p])] != AC.identities[h1[(q, p)]]:
                 problems.append(f"horizontal composition breaks identity 2-cells at {(a, b, c)}")
-    for a, b in itertools.product(T.objects, repeat=2):
-        for p in T.homs[(a, b)].objects:
-            if T.hcomp1[(a, a, b)][(p, T.identities1[a])] != p:
-                problems.append(f"identity 1-cell not right-neutral at {(a, b)}")
-            if T.hcomp1[(a, b, b)][(T.identities1[b], p)] != p:
-                problems.append(f"identity 1-cell not left-neutral at {(a, b)}")
-    for a, b, c, d in itertools.product(T.objects, repeat=4):
-        for r in T.homs[(c, d)].objects:
-            for q in T.homs[(b, c)].objects:
-                for p in T.homs[(a, b)].objects:
-                    lhs = T.hcomp1[(a, b, d)][(T.hcomp1[(b, c, d)][(r, q)], p)]
-                    rhs = T.hcomp1[(a, c, d)][(r, T.hcomp1[(a, b, c)][(q, p)])]
-                    if lhs != rhs:
-                        problems.append("1-cell composition not associative")
-    # strict invertibility of 1-cells
-    for a, b in itertools.product(T.objects, repeat=2):
-        for p in T.homs[(a, b)].objects:
-            if not any(
-                T.hcomp1[(a, b, a)][(q, p)] == T.identities1[a]
-                and T.hcomp1[(b, a, b)][(p, q)] == T.identities1[b]
-                for q in T.homs[(b, a)].objects
-            ):
-                problems.append(f"1-cell {p!r} has no strict inverse")
     return problems
 
 

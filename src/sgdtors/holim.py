@@ -32,7 +32,18 @@ from .sgroupoid import (
     db_sgroupoid,
     string_steps,
 )
-from .sset import SSetMap, TruncSSet, build_sset, point, relabel, sset_map, subcomplex
+from .sset import (
+    SSetMap,
+    TruncSSet,
+    build_sset,
+    point,
+    relabel,
+    sset_map,
+    sset_product,
+    subcomplex,
+    validate_sset,
+    validate_sset_map,
+)
 from .wbar import wbar
 
 
@@ -71,8 +82,9 @@ def simplicial_functor(C: SimpGroupoid, value, act) -> SimplicialFunctor:
 
 @validator("diagram is a valid enriched functor")
 def validate_simplicial_functor(X: SimplicialFunctor):
-    from .sset import validate_sset
-
+    """Each value is a simplicial set and each action table a simplicial
+    map hom(a, b) x X(a) -> X(b), with identities acting trivially and
+    composites acting in turn."""
     problems = []
     C = X.source
     N = C.trunc
@@ -88,30 +100,13 @@ def validate_simplicial_functor(X: SimplicialFunctor):
         return problems
     for a, b in itertools.product(C.objects, repeat=2):
         hom = C.homs[(a, b)]
-        for n in range(N + 1):
-            for g in hom.level(n):
-                for x in X.values[a].level(n):
-                    y = X.action[(a, b)].get(n, {}).get((g, x))
-                    if y is None or y not in set(X.values[b].level(n)):
-                        problems.append(f"action missing/mistyped at {(a, b)} level {n}")
-                        return problems
-        # action commutes with the simplicial structure in both variables
-        for n in range(1, N + 1):
-            for i in range(n + 1):
-                for g in hom.level(n):
-                    for x in X.values[a].level(n):
-                        lhs = X.values[b].face(n, i, X.act(a, b, n, g, x))
-                        rhs = X.act(a, b, n - 1, hom.face(n, i, g), X.values[a].face(n, i, x))
-                        if lhs != rhs:
-                            problems.append(f"action breaks d_{i} at {(a, b)} level {n}")
-        for n in range(N):
-            for j in range(n + 1):
-                for g in hom.level(n):
-                    for x in X.values[a].level(n):
-                        lhs = X.values[b].degen(n, j, X.act(a, b, n, g, x))
-                        rhs = X.act(a, b, n + 1, hom.degen(n, j, g), X.values[a].degen(n, j, x))
-                        if lhs != rhs:
-                            problems.append(f"action breaks s_{j} at {(a, b)} level {n}")
+        if hom.trunc != N:
+            problems.append(f"hom({a!r},{b!r}) is truncated at {hom.trunc}, not {N}")
+            continue
+        product = sset_product(hom, X.values[a])
+        action = validate_sset_map(SSetMap(product, X.values[b], X.action.get((a, b), {})))
+        if not action:
+            problems.append(f"action at {(a, b)}: {action.witness[0]}")
     if problems:
         return problems
     for a in C.objects:
@@ -369,7 +364,7 @@ def holim_2gpd_oracle_check(G: FinGroupoid, values, act1, trunc) -> Check:
     be a simplicial bijection onto the nerve of the translation groupoid.
     """
     from .groupoid import groupoid_as_2groupoid, nerve_groupoid
-    from .sset import is_bijective, validate_sset_map
+    from .sset import is_bijective
 
     T = groupoid_as_2groupoid(G)
     Y, _ = holim_2gpd(T, values, act1, trunc)

@@ -310,14 +310,14 @@ def _degeneracy_origin(X: TruncSSet, n, x):
     return None
 
 
-def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None, limit=None):
+def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
     """All simplicial maps X -> Y, as SSetMaps.
 
     There is one slot per nondegenerate simplex, dimension by dimension,
     ranging over the simplices of Y with the faces already chosen;
     degenerate values follow.  ``forced`` is a dict (dim, id) -> id of
     required values, each a constraint on the slot its simplex
-    degenerates from.  ``limit`` stops the search early.
+    degenerates from.
     """
     invariant(X.trunc == Y.trunc, "a simplicial map needs equal truncations")
     N = X.trunc
@@ -360,5 +360,5 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None, limit=None):
         SSetMap(X, Y, {
             m: {x: value(chosen, m, x) for x in X.level(m)} for m in range(N + 1)
         })
-        for chosen in solve(domains, constraints, limit)
+        for chosen in solve(domains, constraints)
     ]

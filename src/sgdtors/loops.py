@@ -84,7 +84,7 @@ def _leading_hom(X: TruncSSet, C: SimpGroupoid, v, n, x):
     return C.homs[(v[X.vertex(n, 1, x)], v[X.vertex(n, 0, x)])]
 
 
-def twisting_check(X: TruncSSet, C: SimpGroupoid, v, phi, W=None) -> Check:
+def twisting_check(X: TruncSSet, C: SimpGroupoid, v, phi) -> Check:
     """Tables are correctly typed and rebuild to a simplicial map."""
     check = Check("tables transpose to a map", True)
     typed = []
@@ -99,7 +99,7 @@ def twisting_check(X: TruncSSet, C: SimpGroupoid, v, phi, W=None) -> Check:
     check.add(require(not typed, "tables correctly typed", witness=typed[:3]))
     if not check.ok:
         return check
-    f = rebuild_map(X, C, v, phi, W)
+    f = rebuild_map(X, C, v, phi)
     check.add(replace(validate_sset_map(f), claim="rebuilt map is simplicial"))
     return check
 

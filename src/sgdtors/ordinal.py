@@ -56,9 +56,6 @@ class OrdinalMap:
     def is_surjective(self):
         return set(self.values) == set(range(self.cod + 1))
 
-    def is_injective(self):
-        return len(set(self.values)) == self.dom + 1
-
     def restricted(self, i: int) -> "OrdinalMap":
         """The map [dom - i] -> [cod - theta(i)] sending j to theta(i + j) - theta(i).
 

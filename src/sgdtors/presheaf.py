@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .groupoid import FinGroup
 from .report import validator
 from .search import solve
-from .sgroupoid import SimpGroupoid, validate_sgd_functor
+from .sgroupoid import SimpGroupoid, validate_sgd_functor, validate_sgroupoid
 from .site import FinSite
-from .sset import SSetMap, TruncSSet, idkey, validate_sset_map
+from .sset import SSetMap, TruncSSet, idkey, validate_sset, validate_sset_map
 
 
 @dataclass
@@ -24,12 +24,6 @@ class SetPresheaf:
     site: FinSite
     values: dict   # object -> tuple
     res: dict      # morphism -> {section over dst -> section over src}
-
-    def value(self, U):
-        return self.values[U]
-
-    def restrict(self, f, s):
-        return self.res[f][s]
 
 
 def set_presheaf(site, value, restrict):
@@ -47,12 +41,12 @@ def validate_set_presheaf(P: SetPresheaf):
     problems = []
     C = P.site.cat
     for f, (V, U) in C.morphisms.items():
-        tab = P.res.get(f)
+        tab, below = P.res.get(f), set(P.values[V])
         if tab is None:
             problems.append(f"no restriction along {f!r}")
             continue
         for s in P.values[U]:
-            if s not in tab or tab[s] not in set(P.values[V]):
+            if s not in tab or tab[s] not in below:
                 problems.append(f"restriction along {f!r} mistyped at {s!r}")
     if problems:
         return problems
@@ -97,9 +91,6 @@ class SetPresheafMap:
     source: SetPresheaf
     target: SetPresheaf
     components: dict   # object -> {section -> section}
-
-    def at(self, U, s):
-        return self.components[U][s]
 
 
 def set_presheaf_map(P, Q, component):
@@ -252,9 +243,6 @@ class SSetPresheaf:
         V, U = self.site.cat.morphisms[f]
         return SSetMap(self.values[U], self.values[V], self.res[f])
 
-    def restrict(self, f, n, x):
-        return self.res[f][n][x]
-
 
 def sset_presheaf(site, value, restrict):
     """Build from callables value(U) -> TruncSSet, restrict(f, n, x)."""
@@ -270,10 +258,9 @@ def sset_presheaf(site, value, restrict):
 
 @validator("input is a simplicial presheaf")
 def validate_sset_presheaf(Y: SSetPresheaf):
-    from .sset import validate_sset
-
+    """Sections are simplicial sets, restrictions simplicial maps, and
+    each level is a presheaf of sets."""
     problems = []
-    C = Y.site.cat
     truncs = {X.trunc for X in Y.values.values()}
     if len(truncs) != 1:
         return ["sections have mixed truncations"]
@@ -283,27 +270,20 @@ def validate_sset_presheaf(Y: SSetPresheaf):
             problems.append(f"sections over {U!r}: {sections.witness[0]}")
     if problems:
         return problems
-    for f in C.morphisms:
+    for f in Y.site.cat.morphisms:
         restriction = validate_sset_map(Y.res_map(f))
         if not restriction:
             problems.append(f"restriction along {f!r}: {restriction.witness[0]}")
     if problems:
         return problems
-    for U in C.objects:
-        e = C.identities[U]
-        for n in range(Y.values[U].trunc + 1):
-            for x in Y.values[U].level(n):
-                if Y.res[e][n][x] != x:
-                    problems.append(f"identity restriction moves {x!r} at {U!r}")
-    for f, (V, U) in C.morphisms.items():
-        for g, (W, V2) in C.morphisms.items():
-            if V2 != V:
-                continue
-            fg = C.comp[(f, g)]
-            for n in range(Y.values[U].trunc + 1):
-                for x in Y.values[U].level(n):
-                    if Y.res[fg][n][x] != Y.res[g][n][Y.res[f][n][x]]:
-                        problems.append(f"restrictions break composition {f!r},{g!r}")
+    for n in range(Y.trunc + 1):
+        level = validate_set_presheaf(SetPresheaf(
+            Y.site,
+            {U: X.level(n) for U, X in Y.values.items()},
+            {f: tab.get(n, {}) for f, tab in Y.res.items()},
+        ))
+        if not level:
+            problems.append(f"level {n}: {level.witness[0]}")
     return problems
 
 
@@ -338,9 +318,6 @@ class SSetPresheafMap:
 
     def component(self, U) -> SSetMap:
         return SSetMap(self.source.values[U], self.target.values[U], self.components[U])
-
-    def at(self, U, n, x):
-        return self.components[U][n][x]
 
 
 def sset_presheaf_map(Y, Z, component):
@@ -387,26 +364,19 @@ class SgdPresheaf:
     def trunc(self):
         return next(iter(self.values.values())).trunc
 
-    def restrict_ob(self, f, a):
-        return self.res[f].ob[a]
-
-    def restrict_cell(self, f, a, b, n, c):
-        return self.res[f].on_hom(a, b, n, c)
-
 
 @validator("input is a presheaf of enriched groupoids")
 def validate_sgd_presheaf(Q: SgdPresheaf):
-    from .sgroupoid import validate_sgroupoid
-
+    """Sections are enriched groupoids, restrictions enriched functors
+    between them, and the restrictions satisfy the presheaf laws."""
     problems = []
-    C = Q.site.cat
     for U, H in Q.values.items():
         sections = validate_sgroupoid(H)
         if not sections:
             problems.append(f"sections over {U!r}: {sections.witness[0]}")
     if problems:
         return problems
-    for f, (V, U) in C.morphisms.items():
+    for f, (V, U) in Q.site.cat.morphisms.items():
         F = Q.res[f]
         if F.source is not Q.values[U] or F.target is not Q.values[V]:
             problems.append(f"restriction along {f!r} connects the wrong sections")
@@ -416,34 +386,29 @@ def validate_sgd_presheaf(Q: SgdPresheaf):
             problems.append(f"restriction along {f!r}: {restriction.witness[0]}")
     if problems:
         return problems
-    for U in C.objects:
-        e = C.identities[U]
-        F = Q.res[e]
-        if any(F.ob[a] != a for a in Q.values[U].objects):
-            problems.append(f"identity restriction moves objects at {U!r}")
-        H = Q.values[U]
-        for a, b in itertools.product(H.objects, repeat=2):
-            for n in range(H.trunc + 1):
-                for c in H.homs[(a, b)].level(n):
-                    if F.on_hom(a, b, n, c) != c:
-                        problems.append(f"identity restriction moves cells at {U!r}")
-    for f, (V, U) in C.morphisms.items():
-        for g, (W, V2) in C.morphisms.items():
-            if V2 != V:
-                continue
-            fg = C.comp[(f, g)]
-            Ff, Fg, Ffg = Q.res[f], Q.res[g], Q.res[fg]
-            H = Q.values[U]
-            if any(Ffg.ob[a] != Fg.ob[Ff.ob[a]] for a in H.objects):
-                problems.append(f"object restrictions break composition {f!r},{g!r}")
-                continue
-            for a, b in itertools.product(H.objects, repeat=2):
-                for n in range(H.trunc + 1):
-                    for c in H.homs[(a, b)].level(n):
-                        lhs = Ffg.on_hom(a, b, n, c)
-                        rhs = Fg.on_hom(Ff.ob[a], Ff.ob[b], n, Ff.on_hom(a, b, n, c))
-                        if lhs != rhs:
-                            problems.append(f"cell restrictions break composition {f!r},{g!r}")
+    laws = validate_sgd_presheaf_laws(Q)
+    return [] if laws else laws.witness
+
+
+@validator("restrictions satisfy the presheaf laws")
+def validate_sgd_presheaf_laws(Q: SgdPresheaf):
+    """The identity and composition laws of restrictions that are
+    already enriched functors: the objects, and the level-n cells
+    (a, b, c) with c in hom(a, b), are presheaves of sets."""
+    problems = []
+    objects = set_presheaf(Q.site, lambda U: Q.values[U].objects, lambda f, a: Q.res[f].ob[a])
+    laws = validate_set_presheaf(objects)
+    if not laws:
+        return [f"objects: {laws.witness[0]}"]
+    for n in range(max(H.trunc for H in Q.values.values()) + 1):
+        cells = set_presheaf(
+            Q.site,
+            lambda U: [(a, b, c) for (a, b), hom in Q.values[U].homs.items() for c in hom.level(n)],
+            lambda f, s: (Q.res[f].ob[s[0]], Q.res[f].ob[s[1]], Q.res[f].on_hom(*s[:2], n, s[2])),
+        )
+        laws = validate_set_presheaf(cells)
+        if not laws:
+            problems.append(f"cells at level {n}: {laws.witness[0]}")
     return problems
 
 

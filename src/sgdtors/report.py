@@ -7,6 +7,13 @@ The ``validate_*`` table checks list their problems and are wrapped by
 ``validator``; a caller that names the part differently renames it with
 ``dataclasses.replace``.  A computation whose input breaks an invariant it relies on raises
 ``InvariantError`` instead.
+
+Each law has one home.  A validator for a composite structure builds
+the derived object its law lives on (a product such as
+hom(b, c) x hom(a, b), a level presheaf, the underlying category),
+calls the base validator on it, and prefixes the base validator's first
+witness with where the derived object sits, e.g. ``composition at
+(a, b, c): ...``.  It checks by hand only what belongs to it alone.
 """
 
 from __future__ import annotations

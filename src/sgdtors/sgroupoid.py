@@ -12,11 +12,27 @@ import itertools
 from dataclasses import dataclass
 
 from .bisset import BisSSet, build_bisset, diagonal
-from .groupoid import Fin2Groupoid, FinGroup, FinGroupoid, nerve_groupoid
+from .groupoid import (
+    Fin2Groupoid,
+    FinGroup,
+    FinGroupoid,
+    groupoid_from,
+    nerve_groupoid,
+    validate_groupoid,
+)
 from .ordinal import OrdinalMap, coface, codegeneracy
 from .report import InvariantError, invariant, validator
 from .search import Partition
-from .sset import TruncSSet, build_sset, idkey, relabel, sset_product
+from .sset import (
+    SSetMap,
+    TruncSSet,
+    build_sset,
+    idkey,
+    relabel,
+    sset_product,
+    validate_sset,
+    validate_sset_map,
+)
 
 
 @dataclass
@@ -26,9 +42,6 @@ class SimpGroupoid:
     homs: dict        # (a, b) -> TruncSSet
     comp: dict        # (a, b, c) -> {level: {(g, f): g . f}}  with f: a->b, g: b->c
     identities: dict  # a -> vertex id of homs[(a, a)]
-
-    def hom(self, a, b) -> TruncSSet:
-        return self.homs[(a, b)]
 
     def identity_at(self, a, n):
         cur = self.identities[a]
@@ -64,11 +77,14 @@ class SimpGroupoid:
 
 @validator("input is an enriched groupoid")
 def validate_sgroupoid(H: SimpGroupoid):
-    from .sset import validate_sset
-
+    """Each hom is a simplicial set, each composition table a simplicial
+    map hom(b, c) x hom(a, b) -> hom(a, c), and each level a groupoid."""
     problems = []
     N = H.trunc
     for (a, b), hom in H.homs.items():
+        if hom.trunc != N:
+            problems.append(f"hom({a!r},{b!r}) is truncated at {hom.trunc}, not {N}")
+            continue
         cells = validate_sset(hom)
         if not cells:
             problems.append(f"hom({a!r},{b!r}): {cells.witness[0]}")
@@ -81,26 +97,14 @@ def validate_sgroupoid(H: SimpGroupoid):
             continue
         AB, BC, AC = H.homs[(a, b)], H.homs[(b, c)], H.homs[(a, c)]
         for n in range(N + 1):
+            targets = set(AC.level(n))
             for g, f in itertools.product(BC.level(n), AB.level(n)):
-                h = table.get(n, {}).get((g, f))
-                if h is None or h not in set(AC.level(n)):
+                if table.get(n, {}).get((g, f)) not in targets:
                     problems.append(f"composite missing at {(a, b, c)} level {n}")
                     return problems
-        # composition is a simplicial map
-        for n in range(1, N + 1):
-            for i in range(n + 1):
-                for g, f in itertools.product(BC.level(n), AB.level(n)):
-                    lhs = AC.face(n, i, table[n][(g, f)])
-                    rhs = table[n - 1][(BC.face(n, i, g), AB.face(n, i, f))]
-                    if lhs != rhs:
-                        problems.append(f"composition breaks d_{i} at {(a, b, c)} level {n}")
-        for n in range(N):
-            for j in range(n + 1):
-                for g, f in itertools.product(BC.level(n), AB.level(n)):
-                    lhs = AC.degen(n, j, table[n][(g, f)])
-                    rhs = table[n + 1][(BC.degen(n, j, g), AB.degen(n, j, f))]
-                    if lhs != rhs:
-                        problems.append(f"composition breaks s_{j} at {(a, b, c)} level {n}")
+        composition = validate_sset_map(SSetMap(sset_product(BC, AB), AC, table))
+        if not composition:
+            problems.append(f"composition at {(a, b, c)}: {composition.witness[0]}")
     if problems:
         return problems
     for a in H.objects:
@@ -108,32 +112,27 @@ def validate_sgroupoid(H: SimpGroupoid):
             problems.append(f"identity vertex missing at {a!r}")
     if problems:
         return problems
-    for a, b in itertools.product(H.objects, repeat=2):
-        for n in range(N + 1):
-            for f in H.homs[(a, b)].level(n):
-                if H.compose(a, a, b, n, f, H.identity_at(a, n)) != f:
-                    problems.append(f"right identity law fails at {(a, b)} level {n}")
-                if H.compose(a, b, b, n, H.identity_at(b, n), f) != f:
-                    problems.append(f"left identity law fails at {(a, b)} level {n}")
-    for a, b, c, d in itertools.product(H.objects, repeat=4):
-        for n in range(N + 1):
-            for h in H.homs[(c, d)].level(n):
-                for g in H.homs[(b, c)].level(n):
-                    hg = H.compose(b, c, d, n, h, g)
-                    for f in H.homs[(a, b)].level(n):
-                        if H.compose(a, b, d, n, hg, f) != H.compose(
-                            a, c, d, n, h, H.compose(a, b, c, n, g, f)
-                        ):
-                            problems.append(f"associativity fails at {(a, b, c, d)} level {n}")
-    # groupoid: inverses exist levelwise
-    for a, b in itertools.product(H.objects, repeat=2):
-        for n in range(N + 1):
-            for f in H.homs[(a, b)].level(n):
-                try:
-                    H.inverse(a, b, n, f)
-                except ValueError as e:
-                    problems.append(str(e))
+    for n in range(N + 1):
+        level = validate_groupoid(level_groupoid(H, n))
+        if not level:
+            problems.append(f"level {n}: {level.witness[0]}")
     return problems
+
+
+def level_groupoid(H: SimpGroupoid, n) -> FinGroupoid:
+    """The level-n cells as a plain groupoid.  Arrow ids carry their
+    endpoints, (a, b, cell), so cells reused across hom pairs never
+    collide."""
+    return groupoid_from(
+        H.objects,
+        {(a, b, f): (a, b) for (a, b), hom in H.homs.items() for f in hom.level(n)},
+        {
+            ((b, c, g), (a, b, f)): (a, c, h)
+            for (a, b, c), levels in H.comp.items()
+            for (g, f), h in levels.get(n, {}).items()
+        },
+        {a: (a, a, H.identity_at(a, n)) for a in H.objects},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +295,8 @@ def sgd_functor(source, target, ob, on_hom):
 
 @validator("input is an enriched functor")
 def validate_sgd_functor(F: SgdFunctor):
+    """Each hom map is a simplicial map; identities and composition are
+    preserved."""
     problems = []
     G, H = F.source, F.target
     N = G.trunc
@@ -305,26 +306,15 @@ def validate_sgd_functor(F: SgdFunctor):
     for a, b in itertools.product(G.objects, repeat=2):
         hom_s = G.homs[(a, b)]
         hom_t = H.homs[(F.ob[a], F.ob[b])]
+        levels = F.maps.get((a, b), {})
         for n in range(N + 1):
-            for f in hom_s.level(n):
-                v = F.maps.get((a, b), {}).get(n, {}).get(f)
-                if v is None or v not in set(hom_t.level(n)):
-                    problems.append(f"value missing/mistyped at {(a, b)} level {n}")
-                    return problems
-        for n in range(1, N + 1):
-            for i in range(n + 1):
-                for f in hom_s.level(n):
-                    if F.on_hom(a, b, n - 1, hom_s.face(n, i, f)) != hom_t.face(
-                        n, i, F.on_hom(a, b, n, f)
-                    ):
-                        problems.append(f"breaks d_{i} at {(a, b)} level {n}")
-        for n in range(N):
-            for j in range(n + 1):
-                for f in hom_s.level(n):
-                    if F.on_hom(a, b, n + 1, hom_s.degen(n, j, f)) != hom_t.degen(
-                        n, j, F.on_hom(a, b, n, f)
-                    ):
-                        problems.append(f"breaks s_{j} at {(a, b)} level {n}")
+            targets = set(hom_t.level(n))
+            if any(levels.get(n, {}).get(f) not in targets for f in hom_s.level(n)):
+                problems.append(f"value missing/mistyped at {(a, b)} level {n}")
+                return problems
+        hom = validate_sset_map(SSetMap(hom_s, hom_t, levels))
+        if not hom:
+            problems.append(f"hom map at {(a, b)}: {hom.witness[0]}")
     for a in G.objects:
         if F.on_hom(a, a, 0, G.identities[a]) != H.identities[F.ob[a]]:
             problems.append(f"does not preserve identity at {a!r}")

@@ -270,7 +270,7 @@ def pi0_presheaf_map(phi: SSetPresheafMap) -> SetPresheafMap:
     )
 
 
-def _bijective_componentwise(phi: SetPresheafMap):
+def is_componentwise_bijection(phi: SetPresheafMap):
     return all(
         len(set(phi.components[U].values()))
         == len(phi.source.values[U])
@@ -342,7 +342,7 @@ def local_weq_check(phi: SSetPresheafMap, maxdeg=None, depth=2) -> Check:
         check.add(Check("sections are fibrant", True))
 
     sh = sheafify_map(pi0_presheaf_map(phi), depth)
-    ok0 = _bijective_componentwise(sh)
+    ok0 = is_componentwise_bijection(sh)
     check.add(require(ok0, "associated component sheaves agree",
                       witness={U: (len(sh.source.values[U]), len(sh.target.values[U]))
                                for U in X.site.objects}))
@@ -358,7 +358,7 @@ def local_weq_check(phi: SSetPresheafMap, maxdeg=None, depth=2) -> Check:
                     check.add(Check(f"degree {n} classes over {U!r}", False, witness=str(e)))
                     return check
                 shn = sheafify_map(themap, depth)
-                okn = _bijective_componentwise(shn)
+                okn = is_componentwise_bijection(shn)
                 check.add(
                     require(
                         okn,

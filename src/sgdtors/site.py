@@ -43,9 +43,6 @@ class FinCat:
             if d == b
         )
 
-    def compose(self, g, f):
-        return self.comp[(g, f)]
-
 
 @validator("input is a category")
 def validate_cat(C: FinCat):
@@ -70,13 +67,12 @@ def validate_cat(C: FinCat):
     for f, (a, b) in C.morphisms.items():
         if C.comp[(f, C.identities[a])] != f or C.comp[(C.identities[b], f)] != f:
             problems.append(f"identity law fails at {f!r}")
+    into = {}
+    for f, (a, b) in C.morphisms.items():
+        into.setdefault(b, []).append(f)
     for h, (c, d) in C.morphisms.items():
-        for g, (b, c2) in C.morphisms.items():
-            if c2 != c:
-                continue
-            for f, (a, b2) in C.morphisms.items():
-                if b2 != b:
-                    continue
+        for g in into.get(c, ()):
+            for f in into.get(C.morphisms[g][0], ()):
                 if C.comp[(h, C.comp[(g, f)])] != C.comp[(C.comp[(h, g)], f)]:
                     problems.append(f"associativity fails at {h!r},{g!r},{f!r}")
     return problems

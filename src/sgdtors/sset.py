@@ -75,9 +75,6 @@ class TruncSSet:
     def degen(self, n, j, x):
         return self.degeneracies[(n, j)][x]
 
-    def has(self, n, x):
-        return x in self.faces.get((n, 0), {}) if n >= 1 else x in set(self.level(0))
-
     def apply(self, theta: OrdinalMap, x):
         """Contravariant action: x an n-simplex, theta: [m] -> [n]; m-simplex out."""
         cur = x
@@ -143,7 +140,8 @@ def validate_sset(X: TruncSSet):
                 if tab is None or set(tab) != level:
                     problems.append(f"face table d_{i} at dim {n} not total")
                     continue
-                bad = [x for x in level if tab[x] not in set(X.level(n - 1))]
+                below = set(X.level(n - 1))
+                bad = [x for x in level if tab[x] not in below]
                 if bad:
                     problems.append(f"d_{i} at dim {n} leaves the complex at {bad[0]!r}")
         if n < N:
@@ -152,7 +150,8 @@ def validate_sset(X: TruncSSet):
                 if tab is None or set(tab) != level:
                     problems.append(f"degeneracy table s_{j} at dim {n} not total")
                     continue
-                bad = [x for x in level if tab[x] not in set(X.level(n + 1))]
+                above = set(X.level(n + 1))
+                bad = [x for x in level if tab[x] not in above]
                 if bad:
                     problems.append(f"s_{j} at dim {n} leaves the complex at {bad[0]!r}")
     if problems:
@@ -292,27 +291,26 @@ def disjoint_union(pieces):
     return build_sset(N, levels, face, degen)
 
 
-def collapse_to_point(X: TruncSSet, inside, point="*"):
-    """Collapse the subcomplex selected by inside(dim, id) to a single point.
+def collapse_to_point(X: TruncSSet, inside):
+    """Collapse the subcomplex selected by inside(dim, id) to the point "*".
 
     The selection must be a nonempty full subcomplex.
     """
 
     def name(n, x):
-        return point if inside(n, x) else x
+        return "*" if inside(n, x) else x
 
     def levels(n):
-        seen = [name(n, x) for x in X.level(n)]
-        return seen
+        return [name(n, x) for x in X.level(n)]
 
     def face(n, i, x):
-        if x == point:
-            return point
+        if x == "*":
+            return "*"
         return name(n - 1, X.face(n, i, x))
 
     def degen(n, j, x):
-        if x == point:
-            return point
+        if x == "*":
+            return "*"
         return name(n + 1, X.degen(n, j, x))
 
     return build_sset(X.trunc, levels, face, degen)
@@ -374,11 +372,11 @@ def validate_sset_map(f: SSetMap):
     X, Y = f.source, f.target
     problems = []
     for n in range(X.trunc + 1):
-        tab = f.levels.get(n, {})
+        tab, target = f.levels.get(n, {}), set(Y.level(n))
         for x in X.level(n):
             if x not in tab:
                 problems.append(f"no value at dim {n} for {x!r}")
-            elif not (tab[x] in set(Y.level(n))):
+            elif tab[x] not in target:
                 problems.append(f"value at dim {n} for {x!r} not in target")
     if problems:
         return problems

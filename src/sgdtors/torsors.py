@@ -59,12 +59,6 @@ class GroupoidPresheaf:
     values: dict   # object -> FinGroupoid
     res: dict      # morphism -> (object table, arrow table)
 
-    def restrict_ob(self, f, a):
-        return self.res[f][0][a]
-
-    def restrict_arrow(self, f, m):
-        return self.res[f][1][m]
-
 
 def _shared_values(values, build):
     """Build per section, reusing the result for identical sections."""
@@ -156,9 +150,9 @@ def _cocycle_presheaf(Q: SgdPresheaf, build, shift) -> SSetPresheaf:
     )
 
 
-def wbar_presheaf(Q: SgdPresheaf, trunc=None) -> SSetPresheaf:
+def wbar_presheaf(Q: SgdPresheaf) -> SSetPresheaf:
     """The cocycle classifying object of each section."""
-    return _cocycle_presheaf(Q, lambda H: wbar(H, trunc), 0)
+    return _cocycle_presheaf(Q, wbar, 0)
 
 
 def w_total_presheaf(Q: SgdPresheaf) -> SSetPresheaf:
@@ -361,15 +355,6 @@ def group_torsor_maps(T1: GroupTorsor, T2: GroupTorsor):
     return natural_maps(T1.total, T2.total, _equivariance(T1, T2, acting))
 
 
-def is_componentwise_bijection(phi: SetPresheafMap):
-    return all(
-        len(set(phi.components[U].values()))
-        == len(phi.source.values[U])
-        == len(phi.target.values[U])
-        for U in phi.source.site.objects
-    )
-
-
 # ---------------------------------------------------------------------------
 # The cocycle oracle.  Degree-one cocycles over a fixed family of
 # objects covering the terminal presheaf, counted modulo coboundaries.
@@ -509,8 +494,8 @@ def h1_cech_classes(G: GroupPresheaf, cover=None):
     }
 
 
-def h1_cech_oracle(G: GroupPresheaf, cover=None) -> int:
-    return len(h1_cech_classes(G, cover)["reps"])
+def h1_cech_oracle(G: GroupPresheaf) -> int:
+    return len(h1_cech_classes(G)["reps"])
 
 
 def torsor_cech_class(T: GroupTorsor, data) -> int:
@@ -662,13 +647,13 @@ def representable_action_torsor(T_gpd: GroupoidPresheaf, anchor_at) -> ActionTor
     return ActionTorsor(T_gpd, total, anchor, action)
 
 
-def one_object_group(G: FinGroupoid, U_label=""):
+def one_object_group(G: FinGroupoid):
     """The arrows of a one-object groupoid as a group."""
     from .groupoid import make_group
 
     (obj,) = G.objects
     elements = tuple(sorted(G.morphisms, key=idkey))
-    return make_group(f"arrows{U_label}", elements, lambda g, h: G.comp[(g, h)])
+    return make_group("arrows", elements, lambda g, h: G.comp[(g, h)])
 
 
 def groupoid_presheaf_as_group(GP: GroupoidPresheaf) -> GroupPresheaf:

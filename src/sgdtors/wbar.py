@@ -87,10 +87,10 @@ def wbar(C: SimpGroupoid, trunc=None) -> TruncSSet:
     return build_sset(N, levels, face, degen)
 
 
-def wbar_map(F: SgdFunctor, trunc=None) -> SSetMap:
+def wbar_map(F: SgdFunctor) -> SSetMap:
     """Image of an enriched functor between the classifying objects."""
-    X = wbar(F.source, trunc)
-    Y = wbar(F.target, trunc)
+    X = wbar(F.source)
+    Y = wbar(F.target)
 
     def assign(n, s):
         objs, arrows = s

@@ -8,6 +8,7 @@ two-class answer with an explicit bijective matching.
 
 import ast
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -208,9 +209,13 @@ def test_trivial_cocycle_map_sits_in_the_trivial_class():
 MODULES = [m.name for m in pkgutil.iter_modules(sgdtors.__path__)]
 
 
-def _module_tree(name):
-    with open(importlib.import_module(f"sgdtors.{name}").__file__) as fh:
+def _parse(path):
+    with open(path) as fh:
         return ast.parse(fh.read())
+
+
+def _module_tree(name):
+    return _parse(importlib.import_module(f"sgdtors.{name}").__file__)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -233,6 +238,28 @@ def test_module_uses_every_import(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_method_is_used():
+    # a method is used when its name is read as an attribute somewhere
+    # in src/ or tests/
+    sources = [_module_tree(name) for name in MODULES]
+    tests = os.path.dirname(os.path.abspath(__file__))
+    trees = sources + [
+        _parse(os.path.join(tests, name)) for name in os.listdir(tests) if name.endswith(".py")
+    ]
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    defined = {
+        f"{cls.name}.{fn.name}"
+        for tree in sources
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+    }
+    assert sorted(m for m in defined if m.split(".")[1] not in read) == []
 
 
 def test_classes_come_in_root_order_not_least_member_order():

@@ -5,6 +5,7 @@ codes, and the shipped fixture corpus.
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -37,7 +38,7 @@ from sgdtors.fixtures import (
 from sgdtors.groupoid import group_as_2groupoid, zmod
 from sgdtors.presheaf import constant_sgd_presheaf
 from sgdtors.report import Check, require
-from sgdtors.sgroupoid import b_2groupoid
+from sgdtors.sgroupoid import b_2groupoid, validate_sgd_functor, validate_sgroupoid
 from sgdtors.site import validate_site
 from sgdtors.sset import circle, delta, sset_product, validate_sset
 from sgdtors.wbar import wbar
@@ -346,6 +347,27 @@ def test_invalid_configuration_exits_two(corpus, capsys):
     assert "invalid input at /depth" in capsys.readouterr().out
     assert cli.main(["wbar", corpus["z2const.json"], "--bound", "0"]) == 2
     assert "invalid input at /bound" in capsys.readouterr().out
+
+
+def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypatch):
+    calls = {}
+    for original in (validate_sgroupoid, validate_sgd_functor):
+        name = original.__name__
+
+        def counted(*args, name=name, original=original):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("sgdtors") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    site = s1_site()
+    Q = decode_sgd_presheaf(encode_sgd_presheaf(z2_presheaf(site, 3)))
+    assert len(Q.values) == len(site.objects) == 4
+    assert calls == {
+        "validate_sgroupoid": len(site.objects),
+        "validate_sgd_functor": len(site.morphisms),
+    }
 
 
 def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):

@@ -3,17 +3,32 @@ validator fail, and its witness names the corrupted spot."""
 
 import pytest
 
-from sgdtors.bundles import twisted_two_gpd_action, validate_two_gpd_action
-from sgdtors.fixtures import interval_sgd, s1_site
+from sgdtors.bisset import validate_bisset
+from sgdtors.bundles import (
+    corepresented_diagram,
+    twisted_two_gpd_action,
+    validate_sgd_diagram,
+    validate_two_gpd_action,
+)
+from sgdtors.fixtures import interval_sgd, s1_site, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import trivial_groupoid, validate_groupoid, zmod
+from sgdtors.holim import corepresented_functor, validate_simplicial_functor
 from sgdtors.presheaf import (
     constant_group_presheaf,
+    constant_sgd_presheaf,
     constant_sset_presheaf,
     set_presheaf,
     validate_set_presheaf,
+    validate_sgd_presheaf,
     validate_sset_presheaf,
 )
-from sgdtors.sgroupoid import validate_sgroupoid
+from sgdtors.sgroupoid import (
+    constant_sgroup,
+    identity_functor,
+    nerve_sgroupoid,
+    validate_sgd_functor,
+    validate_sgroupoid,
+)
 from sgdtors.sset import delta, identity_map, validate_sset, validate_sset_map
 from sgdtors.torsors import enumerate_group_cochains
 
@@ -78,6 +93,75 @@ def two_gpd_restriction_out_of_range():
     return validate_two_gpd_action(A), "along ('A', 'U') moves the anchor of 0"
 
 
+def two_gpd_action_stray_entry():
+    site = s1_site()
+    A = twisted_two_gpd_action(site, zmod(2), {f: 0 for f in site.morphisms})
+    A.act1["U"][(1, "zz")] = 0
+    return validate_two_gpd_action(A), "act1 entry (1, 'zz') over 'U'"
+
+
+def sgroupoid_level_one_composite():
+    H = interval_sgd(2)
+    H.comp[(0, 1, 0)][1][((1, 0), (0, 1))] = (1, 1)
+    return validate_sgroupoid(H), "composite missing at (0, 1, 0) level 1"
+
+
+def sgroupoid_composition_breaks_a_face():
+    H = z2_sgroup(2)
+    H.comp[("*", "*", "*")][1][(1, 1)] = 1
+    spot = "composition at ('*', '*', '*'): does not commute with d_0 at dim 1 on (1, 1)"
+    return validate_sgroupoid(H), spot
+
+
+def sgroupoid_hom_truncation():
+    H = interval_sgd(2)
+    H.homs[(0, 1)] = interval_sgd(1).homs[(0, 1)]
+    return validate_sgroupoid(H), "hom(0,1) is truncated at 1, not 2"
+
+
+def simplicial_functor_action():
+    X = corepresented_functor(interval_sgd(2), 0)
+    X.action[(0, 1)][1][((0, 1), (0, 0))] = (0, 0)
+    return validate_simplicial_functor(X), "action at (0, 1): value at dim 1 for ((0, 1), (0, 0))"
+
+
+def sgd_functor_hom_map():
+    F = identity_functor(z2_sgroup(2))
+    F.maps[("*", "*")][1][1] = 0
+    spot = "hom map at ('*', '*'): does not commute with d_0 at dim 1 on 1"
+    return validate_sgd_functor(F), spot
+
+
+def sgd_diagram_restriction():
+    D = corepresented_diagram(z2_presheaf(s1_site(), 2), "*")
+    D.res[("A", "U")]["*"][1][1] = 0
+    spot = "along ('A', 'U') at '*': does not commute with d_0 at dim 1 on 1"
+    return validate_sgd_diagram(D), spot
+
+
+def sgd_presheaf_identity_restriction():
+    H = constant_sgroup(zmod(3), 1)
+    Q = constant_sgd_presheaf(s1_site(), H)
+    F = identity_functor(H)
+    for cells in F.maps[("*", "*")].values():
+        cells[1], cells[2] = 2, 1
+    Q.res[Q.site.cat.identities["U"]] = F
+    return validate_sgd_presheaf(Q), "identity restriction moves ('*', '*', 1) at 'U'"
+
+
+def groupoid_inverse_missing():
+    G = trivial_groupoid((0, 1))
+    del G.inverses[(0, 1)]
+    return validate_groupoid(G), "inverse of (0, 1) missing"
+
+
+def bisset_horizontal_face():
+    B = nerve_sgroupoid(interval_sgd(1))
+    B.hfaces[(1, 1, 0)][(0, ((0, 1),))] = (0, ())
+    spot = "horizontal d_0 at column 1: does not commute with d_0 at dim 1 on (0, ((0, 1),))"
+    return validate_bisset(B), spot
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -90,6 +174,16 @@ def two_gpd_restriction_out_of_range():
         two_gpd_action_entry,
         two_gpd_restriction_missing,
         two_gpd_restriction_out_of_range,
+        two_gpd_action_stray_entry,
+        sgroupoid_level_one_composite,
+        sgroupoid_composition_breaks_a_face,
+        sgroupoid_hom_truncation,
+        simplicial_functor_action,
+        sgd_functor_hom_map,
+        sgd_diagram_restriction,
+        sgd_presheaf_identity_restriction,
+        groupoid_inverse_missing,
+        bisset_horizontal_face,
     ],
     ids=lambda corrupt: corrupt.__name__,
 )

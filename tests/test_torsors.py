@@ -16,6 +16,7 @@ from sgdtors.presheaf import (
     validate_sset_presheaf_map,
 )
 from sgdtors.report import InvariantError
+from sgdtors.sheaf import is_componentwise_bijection
 from sgdtors.torsors import (
     ActionTorsor,
     BundleTorsor,
@@ -40,7 +41,6 @@ from sgdtors.torsors import (
     group_torsor_to_action,
     h1_cech_classes,
     h1_cech_oracle,
-    is_componentwise_bijection,
     representable_action_torsor,
     to_point_map,
     torsor_cech_class,
