@@ -1,4 +1,10 @@
-"""Truncated bisimplicial sets and their diagonals."""
+"""Truncated bisimplicial sets and their diagonals.
+
+Both builders take the same six arguments: the truncation, the simplices
+at each bidegree, and the four face and degeneracy callables.
+``build_bisset`` materialises every bidegree and table, as
+``validate_bisset`` needs; ``diagonal`` lists only the (n, n) bidegrees.
+"""
 
 from __future__ import annotations
 
@@ -25,9 +31,6 @@ class BisSSet:
 
     def level(self, p, q):
         return self.simplices.get((p, q), ())
-
-    def size(self, p, q):
-        return len(self.level(p, q))
 
 
 def build_bisset(trunc, levels, hface, vface, hdegen, vdegen):
@@ -103,22 +106,19 @@ def validate_bisset(B: BisSSet):
     return problems
 
 
-def diagonal(B: BisSSet) -> TruncSSet:
-    """d(B)_n = B_{n,n} with d_i = d_i^h d_i^v and s_j = s_j^h s_j^v."""
-    N = B.trunc
-    simplices = {n: B.level(n, n) for n in range(N + 1)}
+def diagonal(trunc, levels, hface, vface, hdegen, vdegen) -> TruncSSet:
+    """d(B) for the B that build_bisset builds from the same arguments:
+    d(B)_n = B_{n,n}, d_i = d_i^v d_i^h and s_j = s_j^v s_j^h, with no
+    off-diagonal level or table."""
+    simplices = {n: _sorted_ids(levels(n, n)) for n in range(trunc + 1)}
     faces = {
-        (n, i): {
-            x: B.vfaces[(n - 1, n, i)][B.hfaces[(n, n, i)][x]] for x in B.level(n, n)
-        }
-        for n in range(1, N + 1)
+        (n, i): {x: vface(n - 1, n, i, hface(n, n, i, x)) for x in simplices[n]}
+        for n in range(1, trunc + 1)
         for i in range(n + 1)
     }
     degeneracies = {
-        (n, j): {
-            x: B.vdegen[(n + 1, n, j)][B.hdegen[(n, n, j)][x]] for x in B.level(n, n)
-        }
-        for n in range(N)
+        (n, j): {x: vdegen(n + 1, n, j, hdegen(n, n, j, x)) for x in simplices[n]}
+        for n in range(trunc)
         for j in range(n + 1)
     }
-    return TruncSSet(N, simplices, faces, degeneracies)
+    return TruncSSet(trunc, simplices, faces, degeneracies)

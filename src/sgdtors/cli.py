@@ -34,7 +34,7 @@ from .bundles import (
 from .classify import KINDS, classify, classify_torsors, star_cover
 from .fixtures import interval_sgd, pt_site, s1_site, twocomp_sgd, z2_sgroup
 from .holim import corepresented_functor, holim, holim_projection, homotopy_fibre_check
-from .join import alpha_beta_check, naturality_check
+from .join import alpha_beta, alpha_beta_check, naturality_check
 from .kan import kan_check, weq_check
 from .presheaf import SgdPresheaf, constant_sgd_presheaf, validate_sgd_presheaf_laws
 from .report import Check, require
@@ -765,8 +765,9 @@ def cmd_comma(cfg: RunConfig):
 def cmd_alpha_beta(cfg: RunConfig):
     H, N = load_truncated_sgd(cfg)
     check = Check("interval prism on doubled strings", True, params={"trunc": N})
-    check.add(alpha_beta_check(H))
-    check.add(naturality_check(identity_functor(H)))
+    prism = alpha_beta(H)
+    check.add(alpha_beta_check(prism))
+    check.add(naturality_check(identity_functor(H), prism))
     return [certificate("alpha-beta/prism", check, input=cfg.inputs[0])], {}
 
 

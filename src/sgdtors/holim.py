@@ -30,6 +30,7 @@ from .sgroupoid import (
     _nerve_level_theta,
     b_2groupoid,
     db_sgroupoid,
+    nerve_bidegrees,
     string_steps,
 )
 from .sset import (
@@ -148,7 +149,9 @@ def corepresented_functor(C: SimpGroupoid, a) -> SimplicialFunctor:
 
 
 # ---------------------------------------------------------------------------
-# The translation total object and its diagonal.
+# The translation total object and its diagonal.  translation_total
+# materialises every bidegree, for validate_bisset; holim builds only the
+# diagonal, from the same bidegree functions.
 
 
 def translation_theta(X: SimplicialFunctor, theta: OrdinalMap, q, simplex):
@@ -170,26 +173,14 @@ def translation_theta(X: SimplicialFunctor, theta: OrdinalMap, q, simplex):
     return (objs[k], new_x, new_fs)
 
 
-def translation_total(X: SimplicialFunctor) -> BisSSet:
-    """At bidegree (p, q): a level-q value simplex and p composable q-cells."""
-    C = X.source
-    N = C.trunc
+def translation_bidegrees(X: SimplicialFunctor):
+    """The build_bisset arguments of the translation total object: at
+    bidegree (p, q), a level-q value simplex at the head of a nerve string
+    of p composable q-cells; vertical maps act on both."""
+    N, strings, _, nerve_vface, _, nerve_vdeg = nerve_bidegrees(X.source)
 
     def levels(p, q):
-        out = []
-
-        def extend(a0, x, at, fs, k):
-            if k == 0:
-                out.append((a0, x, tuple(fs)))
-                return
-            for b in C.objects:
-                for f in C.homs[(at, b)].level(q):
-                    extend(a0, x, b, fs + [f], k - 1)
-
-        for a0 in C.objects:
-            for x in X.values[a0].level(q):
-                extend(a0, x, a0, [], p)
-        return out
+        return [(a0, x, fs) for a0, fs in strings(p, q) for x in X.values[a0].level(q)]
 
     def hface(p, q, i, s):
         return translation_theta(X, coface(p, i), q, s)
@@ -199,27 +190,21 @@ def translation_total(X: SimplicialFunctor) -> BisSSet:
 
     def vface(p, q, i, s):
         a0, x, fs = s
-        steps = string_steps(C, a0, fs, q)
-        return (
-            a0,
-            X.values[a0].face(q, i, x),
-            tuple(C.homs[(a, b)].face(q, i, f) for a, b, f in steps),
-        )
+        return (a0, X.values[a0].face(q, i, x), nerve_vface(p, q, i, (a0, fs))[1])
 
     def vdeg(p, q, j, s):
         a0, x, fs = s
-        steps = string_steps(C, a0, fs, q)
-        return (
-            a0,
-            X.values[a0].degen(q, j, x),
-            tuple(C.homs[(a, b)].degen(q, j, f) for a, b, f in steps),
-        )
+        return (a0, X.values[a0].degen(q, j, x), nerve_vdeg(p, q, j, (a0, fs))[1])
 
-    return build_bisset(N, levels, hface, vface, hdeg, vdeg)
+    return N, levels, hface, vface, hdeg, vdeg
+
+
+def translation_total(X: SimplicialFunctor) -> BisSSet:
+    return build_bisset(*translation_bidegrees(X))
 
 
 def holim(X: SimplicialFunctor) -> TruncSSet:
-    return diagonal(translation_total(X))
+    return diagonal(*translation_bidegrees(X))
 
 
 def holim_projection(X: SimplicialFunctor) -> SSetMap:

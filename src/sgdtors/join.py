@@ -9,6 +9,10 @@ ordinal comparison sending (i, eps) to the left or right copy of i
 yields a prism from the left restriction to the right one, and every
 step of it is a restriction of the doubled string, so simpliciality
 comes down to the naturality of the comparison.
+
+``alpha_beta`` materialises the carrier, the diagonal nerve and the
+prism's domain carrier x interval; both checks take its result, so a
+check of one enriched groupoid builds each of them once.
 """
 
 from __future__ import annotations
@@ -79,19 +83,19 @@ def alpha_beta(G: SimpGroupoid):
     return J, alpha, beta, H
 
 
-def alpha_beta_check(G: SimpGroupoid) -> Check:
-    """The prism is simplicial and restricts to the two halves on the nose."""
-    J, alpha, beta, H = alpha_beta(G)
+def alpha_beta_check(prism) -> Check:
+    """alpha_beta(G)'s prism is simplicial and restricts to the two halves on the nose."""
+    J, alpha, beta, H = prism
     check = Check(
         "prism between the left and right halves of doubled strings",
         True,
-        params={"trunc": G.trunc, "carrier_counts": J.level_counts()},
+        params={"trunc": J.trunc, "carrier_counts": J.level_counts()},
     )
     for name, f in (("left", alpha), ("right", beta), ("prism", H)):
         check.add(replace(validate_sset_map(f), claim=f"{name} map is simplicial"))
     ends_ok = True
     witness = None
-    for n in range(G.trunc + 1):
+    for n in range(J.trunc + 1):
         zeros = (0,) * (n + 1)
         ones = (1,) * (n + 1)
         for w in J.level(n):
@@ -105,11 +109,10 @@ def alpha_beta_check(G: SimpGroupoid) -> Check:
     return check
 
 
-def join_map(F: SgdFunctor) -> SSetMap:
-    """The carrier map induced by an enriched functor."""
-    G, G2 = F.source, F.target
-    J = join_object(G)
-    J2 = join_object(G2)
+def join_map(F: SgdFunctor, J, J2) -> SSetMap:
+    """The carrier map J -> J2 induced by an enriched functor, between the
+    join objects of its source and target."""
+    G = F.source
 
     def assign(n, w):
         a0, x, hs = w
@@ -129,12 +132,13 @@ def join_map(F: SgdFunctor) -> SSetMap:
     return sset_map(J, J2, assign)
 
 
-def naturality_check(F: SgdFunctor) -> Check:
-    """The prism commutes with the maps an enriched functor induces."""
-    J1, _, _, H1 = alpha_beta(F.source)
-    _, _, _, H2 = alpha_beta(F.target)
-    jf = join_map(F)
-    bf = db_map(F)
+def naturality_check(F: SgdFunctor, prism) -> Check:
+    """The prism commutes with the maps an enriched functor induces; prism
+    is alpha_beta(F.source), reused for F.target when F is an endofunctor."""
+    J1, _, _, H1 = prism
+    J2, _, _, H2 = prism if F.target is F.source else alpha_beta(F.target)
+    jf = join_map(F, J1, J2)
+    bf = db_map(F, H1.target, H2.target)
     check = Check("prism is natural in the index", True, params={"trunc": F.source.trunc})
     check.add(replace(validate_sset_map(jf), claim="induced carrier map is simplicial"))
     square_ok = True

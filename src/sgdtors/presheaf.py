@@ -105,12 +105,12 @@ def validate_set_presheaf_map(phi: SetPresheafMap):
     P, Q = phi.source, phi.target
     problems = []
     for U in P.site.objects:
-        tab = phi.components.get(U)
+        tab, sections = phi.components.get(U), set(Q.values[U])
         if tab is None:
             problems.append(f"no component at {U!r}")
             continue
         for s in P.values[U]:
-            if s not in tab or tab[s] not in set(Q.values[U]):
+            if s not in tab or tab[s] not in sections:
                 problems.append(f"component at {U!r} mistyped at {s!r}")
     if problems:
         return problems
@@ -277,14 +277,19 @@ def validate_sset_presheaf(Y: SSetPresheaf):
     if problems:
         return problems
     for n in range(Y.trunc + 1):
-        level = validate_set_presheaf(SetPresheaf(
-            Y.site,
-            {U: X.level(n) for U, X in Y.values.items()},
-            {f: tab.get(n, {}) for f, tab in Y.res.items()},
-        ))
+        level = validate_set_presheaf(_level_presheaf(Y, n))
         if not level:
             problems.append(f"level {n}: {level.witness[0]}")
     return problems
+
+
+def _level_presheaf(Y: SSetPresheaf, n) -> SetPresheaf:
+    """The presheaf of level-n simplices."""
+    return SetPresheaf(
+        Y.site,
+        {U: X.level(n) for U, X in Y.values.items()},
+        {f: tab.get(n, {}) for f, tab in Y.res.items()},
+    )
 
 
 def constant_sset_presheaf(site, X: TruncSSet) -> SSetPresheaf:
@@ -342,11 +347,13 @@ def validate_sset_presheaf_map(phi: SSetPresheafMap):
             problems.append(f"component at {U!r}: {component.witness[0]}")
     if problems:
         return problems
-    for f, (V, U) in Y.site.cat.morphisms.items():
-        for n in range(Y.values[U].trunc + 1):
-            for x in Y.values[U].level(n):
-                if phi.components[V][n][Y.res[f][n][x]] != Z.res[f][n][phi.components[U][n][x]]:
-                    problems.append(f"naturality fails along {f!r} at dim {n}")
+    for n in range(Y.trunc + 1):
+        level = validate_set_presheaf_map(SetPresheafMap(
+            _level_presheaf(Y, n), _level_presheaf(Z, n),
+            {U: tab.get(n, {}) for U, tab in phi.components.items()},
+        ))
+        if not level:
+            problems.append(f"level {n}: {level.witness[0]}")
     return problems
 
 

@@ -29,6 +29,7 @@ from .sset import (
     build_sset,
     idkey,
     relabel,
+    sset_map,
     sset_product,
     validate_sset,
     validate_sset_map,
@@ -422,8 +423,9 @@ def string_steps(H: SimpGroupoid, x0, fs, q):
     return steps
 
 
-def nerve_sgroupoid(H: SimpGroupoid) -> BisSSet:
-    """Horizontal degree p, vertical degree q: strings of p composable q-cells."""
+def nerve_bidegrees(H: SimpGroupoid):
+    """The build_bisset arguments of the nerve: at horizontal degree p and
+    vertical degree q, strings of p composable q-cells."""
     N = H.trunc
 
     def levels(p, q):
@@ -457,28 +459,29 @@ def nerve_sgroupoid(H: SimpGroupoid) -> BisSSet:
         steps = string_steps(H, x0, fs, q)
         return (x0, tuple(H.homs[(a, b)].degen(q, j, f) for a, b, f in steps))
 
-    return build_bisset(N, levels, hface, vface, hdeg, vdeg)
+    return N, levels, hface, vface, hdeg, vdeg
+
+
+def nerve_sgroupoid(H: SimpGroupoid) -> BisSSet:
+    return build_bisset(*nerve_bidegrees(H))
 
 
 def db_sgroupoid(H: SimpGroupoid) -> TruncSSet:
     """Diagonal of the nerve: n-simplices are strings of n composable n-cells."""
-    return diagonal(nerve_sgroupoid(H))
+    return diagonal(*nerve_bidegrees(H))
 
 
 def identity_functor(H: SimpGroupoid) -> SgdFunctor:
     return sgd_functor(H, H, lambda a: a, lambda a, b, n, f: f)
 
 
-def db_map(F: SgdFunctor):
-    """The map of diagonal nerves induced by an enriched functor."""
-    from .sset import sset_map
-
-    src = db_sgroupoid(F.source)
-    tgt = db_sgroupoid(F.target)
+def db_map(F: SgdFunctor, B, B2):
+    """The map B -> B2 induced by an enriched functor, between the
+    diagonal nerves of its source and target."""
 
     def assign(n, s):
         x0, fs = s
         steps = string_steps(F.source, x0, fs, n)
         return (F.ob[x0], tuple(F.on_hom(a, b, n, f) for a, b, f in steps))
 
-    return sset_map(src, tgt, assign)
+    return sset_map(B, B2, assign)

@@ -557,7 +557,7 @@ def validate_action_torsor(T: ActionTorsor):
         return [f"total object: {total.witness[0]}"]
     for U in T.total.site.objects:
         G = T.gpd.values[U]
-        anchor = T.anchor[U]
+        anchor, carrier = T.anchor[U], set(T.total.values[U])
         tab = T.action.get(U, {})
         want = {
             (e, g)
@@ -570,7 +570,7 @@ def validate_action_torsor(T: ActionTorsor):
             continue
         for (e, g) in want:
             out = tab[(e, g)]
-            if out not in set(T.total.values[U]) or anchor[out] != G.src(g):
+            if out not in carrier or anchor[out] != G.src(g):
                 problems.append(f"action mistyped over {U!r} at {(e, g)!r}")
         for e in T.total.values[U]:
             if tab[(e, G.identities[anchor[e]])] != e:

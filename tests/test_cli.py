@@ -36,9 +36,10 @@ from sgdtors.fixtures import (
     z2_sgroup,
 )
 from sgdtors.groupoid import group_as_2groupoid, zmod
+from sgdtors.join import join_object
 from sgdtors.presheaf import constant_sgd_presheaf
 from sgdtors.report import Check, require
-from sgdtors.sgroupoid import b_2groupoid, validate_sgd_functor, validate_sgroupoid
+from sgdtors.sgroupoid import b_2groupoid, db_sgroupoid, validate_sgd_functor, validate_sgroupoid
 from sgdtors.site import validate_site
 from sgdtors.sset import circle, delta, sset_product, validate_sset
 from sgdtors.wbar import wbar
@@ -349,9 +350,10 @@ def test_invalid_configuration_exits_two(corpus, capsys):
     assert "invalid input at /bound" in capsys.readouterr().out
 
 
-def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypatch):
+def _count_calls(monkeypatch, functions):
+    """Count calls to each function through every sgdtors module that binds it."""
     calls = {}
-    for original in (validate_sgroupoid, validate_sgd_functor):
+    for original in functions:
         name = original.__name__
 
         def counted(*args, name=name, original=original):
@@ -361,6 +363,11 @@ def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypat
         for module in list(sys.modules.values()):
             if module.__name__.startswith("sgdtors") and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypatch):
+    calls = _count_calls(monkeypatch, (validate_sgroupoid, validate_sgd_functor))
     site = s1_site()
     Q = decode_sgd_presheaf(encode_sgd_presheaf(z2_presheaf(site, 3)))
     assert len(Q.values) == len(site.objects) == 4
@@ -368,6 +375,13 @@ def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypat
         "validate_sgroupoid": len(site.objects),
         "validate_sgd_functor": len(site.morphisms),
     }
+
+
+def test_alpha_beta_builds_the_carrier_and_the_diagonal_nerve_once(monkeypatch, corpus, capsys):
+    calls = _count_calls(monkeypatch, (join_object, db_sgroupoid))
+    assert cli.main(["alpha-beta", corpus["interval.json"]]) == 0
+    capsys.readouterr()
+    assert calls == {"join_object": 1, "db_sgroupoid": 1}
 
 
 def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):

@@ -43,7 +43,7 @@ def test_middle_cell_recomposes_the_attached_cell():
 
 def test_prism_validates_and_has_the_right_ends():
     for G in (z2_sgroup(TR), interval_sgd(TR)):
-        check = alpha_beta_check(G)
+        check = alpha_beta_check(alpha_beta(G))
         assert check.ok, check.render()
 
 
@@ -57,14 +57,14 @@ def test_the_two_halves_differ_before_the_prism_connects_them():
 def test_prism_is_natural_for_the_interval_collapse():
     F = interval_collapse()
     assert validate_sgd_functor(F).ok
-    check = naturality_check(F)
+    check = naturality_check(F, alpha_beta(F.source))
     assert check.ok, check.render()
 
 
 def test_join_map_of_the_collapse_hits_every_simplex():
     F = interval_collapse()
-    jf = join_map(F)
     J2 = join_object(F.target)
+    jf = join_map(F, join_object(F.source), J2)
     for n in range(TR + 1):
         hit = {jf(n, w) for w in jf.source.level(n)}
         assert hit == set(J2.level(n))
