@@ -4,8 +4,11 @@ Three flavours, in increasing generality of the coefficients: an
 enriched group presheaf acting on a simplicial presheaf, a diagram of
 simplicial presheaves over an enriched groupoid presheaf, and an action
 of a 2-groupoid on anchored element families.  In each case the torsor
-verdict is the same: the assembled total object (Borel construction,
-homotopy colimit, or display) must be locally trivial over the site.
+verdict is the same: the assembled total object (homotopy colimit, or
+display) must be locally trivial over the site.  An enriched group is a
+one-object enriched groupoid, so the Borel construction of an action is
+the homotopy colimit of the action's one-object diagram, and the first
+two flavours share one assembler, ``holim_presheaf``.
 
 The conversions between torsors and maps into the classifying presheaf
 run through pullbacks of the total-object quotient and through comma
@@ -49,7 +52,7 @@ from .sgroupoid import (
     validate_sgd_functor,
 )
 from .sheaf import cover_elements, local_weq_check
-from .sset import SSetMap, TruncSSet, _sorted_ids, idkey, sset_map, validate_sset_map
+from .sset import SSetMap, build_sset, idkey, sset_map, validate_sset_map
 from .torsors import (
     _shared_values,
     db_presheaf,
@@ -293,27 +296,12 @@ def sgroup_quotient(A: SGroupAction, maxdim=None):
 
     def value(U):
         X, rep = A.space.values[U], reps[U]
-        simplices = {
-            n: _sorted_ids({rep[(n, x)] for x in X.level(n)})
-            for n in range(X.trunc + 1)
-        }
-        faces = {
-            (n, i): {
-                rep[(n, x)]: rep[(n - 1, X.face(n, i, rep[(n, x)]))]
-                for x in X.level(n)
-            }
-            for n in range(1, X.trunc + 1)
-            for i in range(n + 1)
-        }
-        degeneracies = {
-            (n, j): {
-                rep[(n, x)]: rep[(n + 1, X.degen(n, j, rep[(n, x)]))]
-                for x in X.level(n)
-            }
-            for n in range(X.trunc)
-            for j in range(n + 1)
-        }
-        return TruncSSet(X.trunc, simplices, faces, degeneracies)
+        return build_sset(
+            X.trunc,
+            lambda n: (rep[(n, x)] for x in X.level(n)),
+            lambda n, i, r: rep[(n - 1, X.face(n, i, r))],
+            lambda n, j, r: rep[(n + 1, X.degen(n, j, r))],
+        )
 
     space = sset_presheaf(
         site, value, lambda f, n, x: reps[site.cat.src(f)][(n, A.space.res[f][n][x])]
@@ -328,43 +316,20 @@ def sgroup_quotient(A: SGroupAction, maxdim=None):
     return space, q, check
 
 
-def borel(A: SGroupAction) -> SSetPresheaf:
-    """Diagonal bar construction: level n couples a level-n simplex with
-    a string of n cells acting on it."""
-    point = {U: _one_object(H) for U, H in A.group.values.items()}
-
-    def restrict(f, n, s):
-        F, a = A.group.res[f], point[A.group.site.cat.dst(f)]
-        a0, x, fs = s
-        return (F.ob[a0], A.space.res[f][n][x], tuple(F.on_hom(a, a, n, g) for g in fs))
-
-    return sset_presheaf(A.group.site, lambda U: holim(section_functor(A, U)), restrict)
-
-
-def borel_projection(A: SGroupAction, E: SSetPresheaf = None) -> SSetPresheafMap:
-    """Forget the space coordinate, landing in the diagonal nerve."""
-    if E is None:
-        E = borel(A)
-    return sset_presheaf_map(E, db_presheaf(A.group), lambda U, n, s: (s[0], s[2]))
-
-
 def borel_to_quotient(A: SGroupAction) -> SSetPresheafMap:
     """Forget the cell string and project the space coordinate to orbits;
     a sectionwise equivalence whenever the action is free."""
-    E = borel(A)
+    E = holim_presheaf(action_diagram(A))
     space, q, _ = sgroup_quotient(A)
     return sset_presheaf_map(E, space, lambda U, n, s: q.components[U][n][s[1]])
 
 
 def sgroup_torsor_check(A: SGroupAction, depth=2) -> Check:
-    check = Check("action presents a torsor for the enriched group", True,
-                  params={"depth": depth})
-    if not check.add(validate_sgroup_action(A)):
-        return check
-    weq = local_weq_check(to_point_map(borel(A)), depth=depth)
-    weq.claim = "quotient by the action is locally trivial"
-    check.add(weq)
-    return check
+    return _holim_torsor_check(
+        "action presents a torsor for the enriched group",
+        "quotient by the action is locally trivial",
+        validate_sgroup_action(A), lambda: action_diagram(A), depth,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,33 +365,15 @@ def psi_sgroup(u: SSetPresheafMap, Q: SgdPresheaf):
 
     def value(U):
         X, W = C.values[U], WT.values[U]
-        trunc = X.trunc
-        simplices = {
-            n: _sorted_ids(
-                (c, w)
-                for c in X.level(n)
-                for w in W.level(n)
-                if u.components[U][n][c] == quot.components[U][n][w]
-            )
-            for n in range(trunc + 1)
-        }
-        faces = {
-            (n, i): {
-                (c, w): (X.face(n, i, c), W.face(n, i, w))
-                for (c, w) in simplices[n]
-            }
-            for n in range(1, trunc + 1)
-            for i in range(n + 1)
-        }
-        degeneracies = {
-            (n, j): {
-                (c, w): (X.degen(n, j, c), W.degen(n, j, w))
-                for (c, w) in simplices[n]
-            }
-            for n in range(trunc)
-            for j in range(n + 1)
-        }
-        return TruncSSet(trunc, simplices, faces, degeneracies)
+        over, under = u.components[U], quot.components[U]
+        return build_sset(
+            X.trunc,
+            lambda n: (
+                (c, w) for c in X.level(n) for w in W.level(n) if over[n][c] == under[n][w]
+            ),
+            lambda n, i, s: (X.face(n, i, s[0]), W.face(n, i, s[1])),
+            lambda n, j, s: (X.degen(n, j, s[0]), W.degen(n, j, s[1])),
+        )
 
     space = sset_presheaf(
         Q.site, value, lambda f, n, s: (C.res[f][n][s[0]], WT.res[f][n][s[1]])
@@ -487,9 +434,8 @@ def validate_sgd_diagram(D: SgdDiagram):
     return problems
 
 
-def holim_presheaf(D: SgdDiagram):
-    """The assembled homotopy colimit with its projection to the
-    diagonal nerve."""
+def holim_presheaf(D: SgdDiagram) -> SSetPresheaf:
+    """The homotopy colimit of each section, restricted along the site."""
     Q = D.coeff
 
     def restrict(f, n, s):
@@ -501,20 +447,35 @@ def holim_presheaf(D: SgdDiagram):
             tuple(F.on_hom(a, b, n, g) for a, b, g in string_steps(H, a0, fs, n)),
         )
 
-    E = sset_presheaf(Q.site, lambda U: holim(D.functors[U]), restrict)
-    return E, sset_presheaf_map(E, db_presheaf(Q), lambda U, n, s: (s[0], s[2]))
+    return sset_presheaf(Q.site, lambda U: holim(D.functors[U]), restrict)
+
+
+def holim_presheaf_projection(D: SgdDiagram) -> SSetPresheafMap:
+    """Forget the value coordinate of holim_presheaf(D), landing in the
+    diagonal nerve."""
+    return sset_presheaf_map(
+        holim_presheaf(D), db_presheaf(D.coeff), lambda U, n, s: (s[0], s[2])
+    )
+
+
+def _holim_torsor_check(claim, local_claim, valid: Check, diagram, depth) -> Check:
+    """A diagram presents a torsor when it is valid and the homotopy
+    colimit of ``diagram()`` is locally trivial."""
+    check = Check(claim, True, params={"depth": depth})
+    if not check.add(valid):
+        return check
+    weq = local_weq_check(to_point_map(holim_presheaf(diagram())), depth=depth)
+    weq.claim = local_claim
+    check.add(weq)
+    return check
 
 
 def sgd_torsor_check(D: SgdDiagram, depth=2) -> Check:
-    check = Check("diagram presents a torsor for the enriched groupoid", True,
-                  params={"depth": depth})
-    if not check.add(validate_sgd_diagram(D)):
-        return check
-    E, _ = holim_presheaf(D)
-    weq = local_weq_check(to_point_map(E), depth=depth)
-    weq.claim = "homotopy colimit is locally trivial"
-    check.add(weq)
-    return check
+    return _holim_torsor_check(
+        "diagram presents a torsor for the enriched groupoid",
+        "homotopy colimit is locally trivial",
+        validate_sgd_diagram(D), lambda: D, depth,
+    )
 
 
 def corepresented_diagram(Q: SgdPresheaf, at) -> SgdDiagram:

@@ -33,7 +33,7 @@ from .bundles import (
 )
 from .classify import KINDS, classify, classify_torsors, star_cover
 from .fixtures import interval_sgd, pt_site, s1_site, twocomp_sgd, z2_sgroup
-from .holim import corepresented_functor, holim, holim_projection, homotopy_fibre_check
+from .holim import comma_db, corepresented_functor, holim_projection, homotopy_fibre_check
 from .join import alpha_beta, alpha_beta_check, naturality_check
 from .kan import kan_check, weq_check
 from .presheaf import SgdPresheaf, constant_sgd_presheaf, validate_sgd_presheaf_laws
@@ -674,24 +674,25 @@ def levels_line(counts):
 # Handlers.  Each returns (certificates, artifacts).
 
 
+def _levels_result(cfg: RunConfig, name, claim, X: TruncSSet, **params):
+    """Certify that X is a simplicial set and return it as the artifact
+    ``name``; the handlers that build one simplicial set end here."""
+    check = replace(validate_sset(X), claim=claim,
+                    params={**params, "levels": X.level_counts()})
+    return [certificate(f"{name}/levels", check, input=cfg.inputs[0])], {
+        name: encode_sset(X)
+    }
+
+
 def cmd_wbar(cfg: RunConfig):
     H, N = load_truncated_sgd(cfg)
-    W = wbar(H)
-    check = replace(validate_sset(W), claim="cocycle object is a simplicial set",
-                    params={"trunc": N, "levels": W.level_counts()})
-    return [certificate("wbar/levels", check, input=cfg.inputs[0])], {
-        "wbar": encode_sset(W)
-    }
+    return _levels_result(cfg, "wbar", "cocycle object is a simplicial set", wbar(H), trunc=N)
 
 
 def cmd_w_total(cfg: RunConfig):
     H, N = load_truncated_sgd(cfg)
-    T = w_total(H)
-    check = replace(validate_sset(T), claim="total object is a simplicial set",
-                    params={"trunc": N, "levels": T.level_counts()})
-    return [certificate("w-total/levels", check, input=cfg.inputs[0])], {
-        "w-total": encode_sset(T)
-    }
+    return _levels_result(cfg, "w-total", "total object is a simplicial set", w_total(H),
+                          trunc=N)
 
 
 def cmd_j_map(cfg: RunConfig):
@@ -734,9 +735,8 @@ def cmd_check(cfg: RunConfig):
 def cmd_holim(cfg: RunConfig):
     H, N = load_truncated_sgd(cfg)
     a = parse_object(cfg.at, H.objects)
-    X = corepresented_functor(H, a)
-    Y = holim(X)
-    p = holim_projection(X)
+    p = holim_projection(corepresented_functor(H, a))
+    Y = p.source
     check = Check(
         "homotopy colimit of the corepresented diagram",
         True,
@@ -750,16 +750,10 @@ def cmd_holim(cfg: RunConfig):
 
 
 def cmd_comma(cfg: RunConfig):
-    from .holim import comma_db
-
     H, N = load_truncated_sgd(cfg)
     a = parse_object(cfg.at, H.objects)
-    D = comma_db(identity_functor(H), a)
-    check = replace(validate_sset(D), claim="comma object is a simplicial set",
-                    params={"trunc": N, "at": repr(a), "levels": D.level_counts()})
-    return [certificate("comma/levels", check, input=cfg.inputs[0])], {
-        "comma": encode_sset(D)
-    }
+    return _levels_result(cfg, "comma", "comma object is a simplicial set",
+                          comma_db(identity_functor(H), a), trunc=N, at=repr(a))
 
 
 def cmd_alpha_beta(cfg: RunConfig):
@@ -878,12 +872,8 @@ def _canonical_torsor_check(kind, site, Q, coeff, N, depth) -> Check:
     if kind == "group":
         return group_torsor_check(trivial_group_torsor(coeff), depth)
     if kind in ("groupoid-action", "groupoid-bundle"):
-        common = set(next(iter(coeff.values.values())).objects)
-        for gpd in coeff.values.values():
-            common &= set(gpd.objects)
-        if not common:
-            raise SchemaError("/kind", "no shared object to anchor the torsor at")
-        T = representable_action_torsor(coeff, sorted(common, key=idkey)[0])
+        at = _shared_object(coeff, "no shared object to anchor the torsor at")
+        T = representable_action_torsor(coeff, at)
         if kind == "groupoid-action":
             from .torsors import action_torsor_check
 
@@ -897,13 +887,16 @@ def _canonical_torsor_check(kind, site, Q, coeff, N, depth) -> Check:
         return two_gpd_torsor_check(total, pi, depth)
     if kind == "sgroup":
         return sgroup_torsor_check(translation_action(Q), depth)
-    common = set(next(iter(Q.values.values())).objects)
-    for H in Q.values.values():
-        common &= set(H.objects)
+    at = _shared_object(Q, "no shared object to corepresent at")
+    return sgd_torsor_check(corepresented_diagram(Q, at), depth)
+
+
+def _shared_object(presheaf, missing):
+    """The least object, by id, that every section of the presheaf has."""
+    common = set.intersection(*(set(section.objects) for section in presheaf.values.values()))
     if not common:
-        raise SchemaError("/kind", "no shared object to corepresent at")
-    D = corepresented_diagram(Q, sorted(common, key=idkey)[0])
-    return sgd_torsor_check(D, depth)
+        raise SchemaError("/kind", missing)
+    return min(common, key=idkey)
 
 
 def cmd_h1(cfg: RunConfig):

@@ -208,10 +208,12 @@ def holim(X: SimplicialFunctor) -> TruncSSet:
 
 
 def holim_projection(X: SimplicialFunctor) -> SSetMap:
-    """Forget the value coordinate; lands in the diagonal nerve."""
-    E = holim(X)
-    B = db_sgroupoid(X.source)
-    return sset_map(E, B, lambda n, s: (s[0], s[2]))
+    """Forget the value coordinate; lands in the diagonal nerve.
+
+    The one place the carrier holim(X) meets db_sgroupoid(X.source):
+    callers that need both read them off as the source and the target.
+    """
+    return sset_map(holim(X), db_sgroupoid(X.source), lambda n, s: (s[0], s[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +395,18 @@ def functor_transport_map(X: SimplicialFunctor, a, b, g) -> SSetMap:
     return sset_map(X.values[a], X.values[b], assign)
 
 
-def literal_fibre(X: SimplicialFunctor, a) -> TruncSSet:
-    """Simplices of the homotopy colimit over the degenerate simplices at
-    the vertex a, relabeled to bare value simplices."""
-    E = holim(X)
-    p = holim_projection(X)
+def literal_fibre(p: SSetMap, a) -> TruncSSet:
+    """Simplices of a homotopy colimit over the degenerate simplices at
+    the vertex a, relabeled to bare value simplices.
+
+    p is a projection holim_projection(X); the fibre is cut out of its
+    source, and nothing is rebuilt.
+    """
     B = p.target
     base = {
         n: iterated_degeneracy(B, (a, ()), n) for n in range(B.trunc + 1)
     }
-    sub = subcomplex(E, lambda n, s: p(n, s) == base[n])
+    sub = subcomplex(p.source, lambda n, s: p(n, s) == base[n])
     return relabel(sub, lambda n, s: s[1])
 
 
@@ -424,7 +428,7 @@ def homotopy_fibre_check(X: SimplicialFunctor, maxdim=None) -> Check:
     p = holim_projection(X)
     check.add(fibration_check(p, maxdim))
     for a in C.objects:
-        fib = literal_fibre(X, a)
+        fib = literal_fibre(p, a)
         check.add(
             require(
                 fib == X.values[a],

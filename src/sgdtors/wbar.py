@@ -136,19 +136,12 @@ def j_map(C: SimpGroupoid) -> SSetMap:
 def w_total(C: SimpGroupoid) -> TruncSSet:
     """Shift of the classifying object: level n is its level n + 1."""
     W = wbar(C, C.trunc + 1)
-    N = C.trunc
-    simplices = {n: W.level(n + 1) for n in range(N + 1)}
-    faces = {
-        (n, i): {x: W.face(n + 1, i + 1, x) for x in W.level(n + 1)}
-        for n in range(1, N + 1)
-        for i in range(n + 1)
-    }
-    degeneracies = {
-        (n, j): {x: W.degen(n + 1, j + 1, x) for x in W.level(n + 1)}
-        for n in range(N)
-        for j in range(n + 1)
-    }
-    return TruncSSet(N, simplices, faces, degeneracies)
+    return build_sset(
+        C.trunc,
+        lambda n: W.level(n + 1),
+        lambda n, i, x: W.face(n + 1, i + 1, x),
+        lambda n, j, x: W.degen(n + 1, j + 1, x),
+    )
 
 
 def w_quotient_map(C: SimpGroupoid) -> SSetMap:

@@ -12,13 +12,14 @@ import pytest
 from sgdtors.bundles import (
     SgdDiagram,
     TwoGpdAction,
-    borel,
-    borel_projection,
+    action_diagram,
     borel_to_quotient,
     cech_sgd_presheaf,
     comma_value_comparison,
     corepresented_diagram,
     enumerate_sgd_presheaf_maps,
+    holim_presheaf,
+    holim_presheaf_projection,
     j_presheaf,
     level0_group_torsor,
     psi_sgd,
@@ -101,7 +102,7 @@ def test_bar_object_level_counts_by_hand():
         (translation_action(Q), [2, 4, 8, 16]),
         (wg_action(Q), [2, 8, 32, 128]),
     ):
-        B = borel(A)
+        B = holim_presheaf(action_diagram(A))
         assert validate_sset_presheaf(B).ok
         for U in site.objects:
             sizes = [B.values[U].size(n) for n in range(4)]
@@ -157,8 +158,8 @@ def test_bar_object_of_the_point_action_is_the_diagonal_nerve():
     site = s1_site()
     Q = z2_presheaf(site, 3)
     A = sgroup_action(Q, terminal_sset_presheaf(site, 3), lambda U, n, g, x: x)
-    B = borel(A)
-    p = borel_projection(A, B)
+    p = holim_presheaf_projection(action_diagram(A))
+    B = p.source
     assert validate_sset_presheaf_map(p).ok
     for U in site.objects:
         for n in range(4):
@@ -178,6 +179,18 @@ def test_sgroup_torsor_verdicts():
         Q, terminal_sset_presheaf(site, 3), lambda U, n, g, x: x
     )
     assert not sgroup_torsor_check(point_action)
+    # an enriched group is a one-object enriched groupoid: both checks
+    # read the same homotopy colimit
+    plain = {f: 0 for f in site.morphisms}
+    twisted = {**plain, ("A", "U"): 1}
+    for A in (
+        translation_action(Q),
+        wg_action(Q),
+        point_action,
+        twisted_sgroup_action(Q, plain),
+        twisted_sgroup_action(Q, twisted),
+    ):
+        assert bool(sgroup_torsor_check(A)) == bool(sgd_torsor_check(action_diagram(A)))
 
 
 # ---------------------------------------------------------------------------

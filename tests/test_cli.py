@@ -36,6 +36,7 @@ from sgdtors.fixtures import (
     z2_sgroup,
 )
 from sgdtors.groupoid import group_as_2groupoid, zmod
+from sgdtors.holim import holim
 from sgdtors.join import join_object
 from sgdtors.presheaf import constant_sgd_presheaf
 from sgdtors.report import Check, require
@@ -384,6 +385,23 @@ def test_alpha_beta_builds_the_carrier_and_the_diagonal_nerve_once(monkeypatch, 
     assert calls == {"join_object": 1, "db_sgroupoid": 1}
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["holim", "interval.json"], {"holim": 1, "db_sgroupoid": 1}),
+        (["fibre-check", "twocomp.json"], {"holim": 1, "db_sgroupoid": 1}),
+        (["torsor", "check", "--kind", "sgpd", "twocomp.json", "--site", "pt.json"],
+         {"holim": 1}),
+    ],
+    ids=["holim", "fibre-check", "torsor-check-sgpd"],
+)
+def test_holim_commands_build_each_carrier_once(monkeypatch, corpus, capsys, argv, expected):
+    calls = _count_calls(monkeypatch, (holim, db_sgroupoid))
+    assert cli.main([corpus.get(arg, arg) for arg in argv]) == 0
+    capsys.readouterr()
+    assert calls == expected
+
+
 def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     assert cli.main(["wbar", "/nonexistent/file.json"]) == 2
     assert "no such file" in capsys.readouterr().out
@@ -462,7 +480,7 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     assert cli.main(["torsor", "check", "--kind", "sgroup", str(path)]) == 2
     out = capsys.readouterr().out
     assert "invalid input at /restrictions/1" in out
-    assert "value missing/mistyped at ('*', '*') level 0" in out
+    assert "hom map at ('*', '*'): no value at dim 0 for" in out
 
 
 def test_unknown_kind_is_a_usage_error(corpus):
