@@ -121,18 +121,27 @@ def action_diagram(A: SGroupAction) -> SgdDiagram:
     )
 
 
-@validator("action tables are simplicial and natural")
-def validate_sgroup_action(A: SGroupAction):
-    """The space is a simplicial presheaf and the action's one-object
-    diagram is valid."""
+_ACTION_LAWS = "action tables are simplicial and natural"
+
+
+def _action_problems(A: SGroupAction):
+    """The problems ``validate_sgroup_action`` reports, and the one-object
+    diagram it checked, or None if it stopped before building one."""
     space = validate_sset_presheaf(A.space)
     if not space:
-        return [f"space: {space.witness[0]}"]
+        return [f"space: {space.witness[0]}"], None
     for U in A.group.site.objects:
         if len(A.group.values[U].objects) != 1:
-            return [f"coefficients over {U!r} have several objects"]
-    diagram = validate_sgd_diagram(action_diagram(A))
-    return [] if diagram else diagram.witness
+            return [f"coefficients over {U!r} have several objects"], None
+    D = action_diagram(A)
+    diagram = validate_sgd_diagram(D)
+    return ([] if diagram else diagram.witness), D
+
+
+@validator(_ACTION_LAWS)
+def validate_sgroup_action(A: SGroupAction):
+    """The space is a simplicial presheaf and the one-object diagram is valid."""
+    return _action_problems(A)[0]
 
 
 def sgroup_free_action_check(A: SGroupAction) -> Check:
@@ -325,10 +334,11 @@ def borel_to_quotient(A: SGroupAction) -> SSetPresheafMap:
 
 
 def sgroup_torsor_check(A: SGroupAction, depth=2) -> Check:
+    problems, D = _action_problems(A)
     return _holim_torsor_check(
         "action presents a torsor for the enriched group",
         "quotient by the action is locally trivial",
-        validate_sgroup_action(A), lambda: action_diagram(A), depth,
+        require(not problems, _ACTION_LAWS, witness=problems[:3]), D, depth,
     )
 
 
@@ -458,13 +468,13 @@ def holim_presheaf_projection(D: SgdDiagram) -> SSetPresheafMap:
     )
 
 
-def _holim_torsor_check(claim, local_claim, valid: Check, diagram, depth) -> Check:
-    """A diagram presents a torsor when it is valid and the homotopy
-    colimit of ``diagram()`` is locally trivial."""
+def _holim_torsor_check(claim, local_claim, valid: Check, D: SgdDiagram, depth) -> Check:
+    """A diagram D presents a torsor when it is valid and its homotopy
+    colimit is locally trivial; D is read only once ``valid`` holds."""
     check = Check(claim, True, params={"depth": depth})
     if not check.add(valid):
         return check
-    weq = local_weq_check(to_point_map(holim_presheaf(diagram())), depth=depth)
+    weq = local_weq_check(to_point_map(holim_presheaf(D)), depth=depth)
     weq.claim = local_claim
     check.add(weq)
     return check
@@ -474,7 +484,7 @@ def sgd_torsor_check(D: SgdDiagram, depth=2) -> Check:
     return _holim_torsor_check(
         "diagram presents a torsor for the enriched groupoid",
         "homotopy colimit is locally trivial",
-        validate_sgd_diagram(D), lambda: D, depth,
+        validate_sgd_diagram(D), D, depth,
     )
 
 

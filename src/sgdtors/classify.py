@@ -141,10 +141,10 @@ def cylinder_presheaf(Y: SSetPresheaf) -> SSetPresheaf:
     )
 
 
-def presheaf_homotopies(f: SSetPresheafMap, g: SSetPresheafMap):
-    """A natural cylinder homotopy from f to g, as a one-element list,
-    or an empty list: the first strict map off the cylinder with end 0
-    forced to f and end 1 to g."""
+def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap):
+    """A natural homotopy from f to g, as a one-element list, or an empty
+    list: the first strict map off C = ``cylinder_presheaf(f.source)``
+    with end 0 forced to f and end 1 to g."""
     Y = f.source
 
     def ends(U):
@@ -156,13 +156,14 @@ def presheaf_homotopies(f: SSetPresheafMap, g: SSetPresheafMap):
                 forced[(n, (x, (1,) * (n + 1)))] = g.components[U][n][x]
         return forced
 
-    return _strict_maps(cylinder_presheaf(Y), f.target, ends, limit=1)
+    return _strict_maps(C, f.target, ends, limit=1)
 
 
-def presheaf_homotopic(f: SSetPresheafMap, g: SSetPresheafMap) -> bool:
+def presheaf_homotopic(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap) -> bool:
+    """Equal, or homotopic either way off the cylinder C of their source."""
     if f.components == g.components:
         return True
-    return bool(presheaf_homotopies(f, g) or presheaf_homotopies(g, f))
+    return bool(presheaf_homotopies(C, f, g) or presheaf_homotopies(C, g, f))
 
 
 def _grouped(count, related):
@@ -178,9 +179,9 @@ def _grouped(count, related):
     return sorted(classes.classes(), key=lambda members: classes.find(members[0]))
 
 
-def presheaf_map_classes(maps):
-    """Homotopy classes of strict presheaf maps, as index lists."""
-    return _grouped(len(maps), lambda i, j: presheaf_homotopic(maps[i], maps[j]))
+def presheaf_map_classes(C: SSetPresheaf, maps):
+    """Homotopy classes of strict presheaf maps off the cylinder C, as index lists."""
+    return _grouped(len(maps), lambda i, j: presheaf_homotopic(C, maps[i], maps[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +495,7 @@ def _represented_torsors(run, check):
     ]
     for a in constant_objects:
         triv = constant_cocycle_map(run.source, run.target, Q, a)
-        located = _locate(triv, run.maps, run.map_classes)
+        located = _locate(run.cylinder, triv, run.maps, run.map_classes)
         partners = [ci for ci, mj in run.matching if mj == located]
         D = corepresented_diagram(Q, {U: a for U in site.objects})
         hits = [
@@ -612,14 +613,15 @@ KINDS = tuple(FLAVOURS)
 # the classification run
 
 
-def _locate(u: SSetPresheafMap, maps, classes):
+def _locate(C: SSetPresheaf, u: SSetPresheafMap, maps, classes):
+    """The class of u in ``classes``: by equality, else by homotopy off C; or None."""
     for index, candidate in enumerate(maps):
         if candidate.components == u.components:
             for ci, members in enumerate(classes):
                 if index in members:
                     return ci
     for ci, members in enumerate(classes):
-        if any(presheaf_homotopic(u, maps[k]) for k in members):
+        if any(presheaf_homotopic(C, u, maps[k]) for k in members):
             return ci
     return None
 
@@ -664,10 +666,11 @@ def classify(kind, site, coefficients, trunc=None, depth=2, bound=None,
     flavour, check, torsor_classes = run.flavour, run.check, run.torsor_classes
     run.target = flavour.target(run)
     run.source = cech_resolution(site, run.cover, run.trunc)
+    run.cylinder = C = cylinder_presheaf(run.source)
     run.maps = maps = enumerate_sset_presheaf_maps(run.source, run.target, bound=bound)
-    run.map_classes = map_classes = presheaf_map_classes(maps)
+    run.map_classes = map_classes = presheaf_map_classes(C, maps)
     run.matching = matching = [
-        (ci, _locate(flavour.classifying_map(run, members[0]), maps, map_classes))
+        (ci, _locate(C, flavour.classifying_map(run, members[0]), maps, map_classes))
         for ci, members in enumerate(torsor_classes)
     ]
     keys = flavour.extra(run, check) if flavour.extra else {}

@@ -299,17 +299,6 @@ def weq_check(f: SSetMap, maxdeg=None) -> Check:
 # Exhaustive simplicial-map enumeration.
 
 
-def _degeneracy_origin(X: TruncSSet, n, x):
-    """Some (j, y) with s_j y = x, or None if x is nondegenerate."""
-    if n == 0:
-        return None
-    for j in range(n):
-        for y in X.level(n - 1):
-            if X.degen(n - 1, j, y) == x:
-                return (j, y)
-    return None
-
-
 def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
     """All simplicial maps X -> Y, as SSetMaps.
 
@@ -323,15 +312,18 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
     N = X.trunc
     slots, lift = [], {}   # (dim, id) -> (slot, degeneracies applied to its value)
     for n in range(N + 1):
+        # x lifts through its first s_j y: j ascending, y in level order, not table order
+        for j in range(n):
+            table = X.degeneracies[(n - 1, j)]
+            for y in X.level(n - 1):
+                x = table[y]
+                if (n, x) not in lift:
+                    root, chain = lift[(n - 1, y)]
+                    lift[(n, x)] = (root, chain + ((n - 1, j),))
         for x in X.level(n):
-            origin = _degeneracy_origin(X, n, x)
-            if origin is None:
+            if (n, x) not in lift:
                 lift[(n, x)] = (len(slots), ())
                 slots.append((n, x))
-            else:
-                j, y = origin
-                root, chain = lift[(n - 1, y)]
-                lift[(n, x)] = (root, chain + ((n - 1, j),))
     by_faces = {n: {} for n in range(1, N + 1)}
     for n, index in by_faces.items():
         for z in Y.level(n):

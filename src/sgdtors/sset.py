@@ -87,16 +87,11 @@ class TruncSSet:
         return self.apply(OrdinalMap(0, n, (i,)), x)
 
     def is_degenerate(self, n, x):
-        if n == 0:
-            return False
-        return any(
-            self.degen(n - 1, j, y) == x
-            for j in range(n)
-            for y in self.level(n - 1)
-        )
+        return any(x in self.degeneracies[(n - 1, j)].values() for j in range(n))
 
     def nondegenerate(self, n):
-        return tuple(x for x in self.level(n) if not self.is_degenerate(n, x))
+        degenerate = {x for j in range(n) for x in self.degeneracies[(n - 1, j)].values()}
+        return tuple(x for x in self.level(n) if x not in degenerate)
 
     def face_tuple(self, n, x):
         return tuple(self.face(n, i, x) for i in range(n + 1))

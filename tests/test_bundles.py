@@ -7,7 +7,10 @@ oracles come first; the torsor verdicts and the conversions to and
 from classifying maps are frozen against them.
 """
 
+import copy
+
 import pytest
+from call_counts import count_calls
 
 from sgdtors.bundles import (
     SgdDiagram,
@@ -24,6 +27,7 @@ from sgdtors.bundles import (
     level0_group_torsor,
     psi_sgd,
     psi_sgroup,
+    section_functor,
     sgd_diagram_maps,
     sgd_torsor_check,
     sgroup_action,
@@ -191,6 +195,33 @@ def test_sgroup_torsor_verdicts():
         twisted_sgroup_action(Q, twisted),
     ):
         assert bool(sgroup_torsor_check(A)) == bool(sgd_torsor_check(action_diagram(A)))
+
+
+def test_sgroup_torsor_check_builds_each_section_functor_once(monkeypatch):
+    site = s1_site()
+    A = translation_action(z2_presheaf(site, 3))
+    calls = count_calls(monkeypatch, (section_functor,))
+    assert sgroup_torsor_check(A)
+    assert calls == {"section_functor": len(site.objects)}
+
+
+def test_sgroup_torsor_check_reports_the_action_verdict():
+    site = s1_site()
+    A = translation_action(z2_presheaf(site, 3))
+    U = site.objects[0]
+    # a broken action table, then a broken space: the diagram is built
+    # in the first case only
+    bad_action = copy.deepcopy(A)
+    bad_action.action[U][1][(0, 0)] = 1
+    bad_space = copy.deepcopy(A)
+    X = bad_space.space.values[U]
+    X.faces[(1, 0)][X.level(1)[0]] = "zz"
+    for B, where in ((bad_action, "diagram over"), (bad_space, "space:")):
+        valid = validate_sgroup_action(B)
+        assert not valid and valid.witness[0].startswith(where)
+        check = sgroup_torsor_check(B)
+        assert not check
+        assert check.parts[0].to_obj() == valid.to_obj()
 
 
 # ---------------------------------------------------------------------------

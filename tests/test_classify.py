@@ -12,6 +12,7 @@ import os
 import pkgutil
 
 import pytest
+from call_counts import count_calls
 
 import sgdtors
 
@@ -24,6 +25,7 @@ from sgdtors.classify import (
     db_presheaf_map,
     enumerate_sset_presheaf_maps,
     presheaf_homotopic,
+    presheaf_homotopies,
     presheaf_map_classes,
     sgd_classifying_map,
     star_cover,
@@ -76,7 +78,7 @@ def test_strict_maps_are_the_cocycle_pairs():
 
     pairs = {pair(u) for u in maps}
     assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    classes = presheaf_map_classes(maps)
+    classes = presheaf_map_classes(cylinder_presheaf(source), maps)
     split = sorted(sorted(pair(maps[i]) for i in members) for members in classes)
     assert split == [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
 
@@ -84,12 +86,20 @@ def test_strict_maps_are_the_cocycle_pairs():
 def test_homotopy_placement_is_consistent():
     site, G, cover, source, target = circle_setup()
     maps = enumerate_sset_presheaf_maps(source, target)
-    classes = presheaf_map_classes(maps)
+    C = cylinder_presheaf(source)
+    classes = presheaf_map_classes(C, maps)
     assert [len(c) for c in classes] == [2, 2]
     for members in classes:
-        assert presheaf_homotopic(maps[members[0]], maps[members[1]])
-    assert not presheaf_homotopic(maps[classes[0][0]], maps[classes[1][0]])
-    assert presheaf_homotopic(maps[0], maps[0])
+        assert presheaf_homotopic(C, maps[members[0]], maps[members[1]])
+    assert not presheaf_homotopic(C, maps[classes[0][0]], maps[classes[1][0]])
+    assert presheaf_homotopic(C, maps[0], maps[0])
+
+
+def test_classify_builds_one_cylinder_for_every_homotopy_search(monkeypatch):
+    calls = count_calls(monkeypatch, (cylinder_presheaf, presheaf_homotopies))
+    site = s1_site()
+    classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
+    assert calls == {"cylinder_presheaf": 1, "presheaf_homotopies": 10}
 
 
 def test_cylinder_levels_count():

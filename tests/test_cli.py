@@ -5,9 +5,9 @@ codes, and the shipped fixture corpus.
 import hashlib
 import json
 import os
-import sys
 
 import pytest
+from call_counts import count_calls
 
 from sgdtors import cli
 from sgdtors.cli import (
@@ -351,24 +351,8 @@ def test_invalid_configuration_exits_two(corpus, capsys):
     assert "invalid input at /bound" in capsys.readouterr().out
 
 
-def _count_calls(monkeypatch, functions):
-    """Count calls to each function through every sgdtors module that binds it."""
-    calls = {}
-    for original in functions:
-        name = original.__name__
-
-        def counted(*args, name=name, original=original):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("sgdtors") and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypatch):
-    calls = _count_calls(monkeypatch, (validate_sgroupoid, validate_sgd_functor))
+    calls = count_calls(monkeypatch, (validate_sgroupoid, validate_sgd_functor))
     site = s1_site()
     Q = decode_sgd_presheaf(encode_sgd_presheaf(z2_presheaf(site, 3)))
     assert len(Q.values) == len(site.objects) == 4
@@ -379,7 +363,7 @@ def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypat
 
 
 def test_alpha_beta_builds_the_carrier_and_the_diagonal_nerve_once(monkeypatch, corpus, capsys):
-    calls = _count_calls(monkeypatch, (join_object, db_sgroupoid))
+    calls = count_calls(monkeypatch, (join_object, db_sgroupoid))
     assert cli.main(["alpha-beta", corpus["interval.json"]]) == 0
     capsys.readouterr()
     assert calls == {"join_object": 1, "db_sgroupoid": 1}
@@ -396,7 +380,7 @@ def test_alpha_beta_builds_the_carrier_and_the_diagonal_nerve_once(monkeypatch, 
     ids=["holim", "fibre-check", "torsor-check-sgpd"],
 )
 def test_holim_commands_build_each_carrier_once(monkeypatch, corpus, capsys, argv, expected):
-    calls = _count_calls(monkeypatch, (holim, db_sgroupoid))
+    calls = count_calls(monkeypatch, (holim, db_sgroupoid))
     assert cli.main([corpus.get(arg, arg) for arg in argv]) == 0
     capsys.readouterr()
     assert calls == expected

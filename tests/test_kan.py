@@ -1,11 +1,13 @@
 import pytest
 
 from sgdtors.classify import (
+    cylinder_presheaf,
     enumerate_sset_presheaf_maps,
     presheaf_homotopies,
     presheaf_map_classes,
+    star_cover,
 )
-from sgdtors.fixtures import pt_site
+from sgdtors.fixtures import pt_site, s1_site
 from sgdtors.groupoid import (
     group_as_groupoid,
     nerve_groupoid,
@@ -22,8 +24,18 @@ from sgdtors.kan import (
     pi_n,
     weq_check,
 )
-from sgdtors.presheaf import constant_sset_presheaf
-from sgdtors.sset import delta, disjoint_union, identity_map, point, sset_map
+from sgdtors.presheaf import constant_group_presheaf, constant_sset_presheaf
+from sgdtors.sheaf import cech_resolution
+from sgdtors.sset import (
+    delta,
+    disjoint_union,
+    identity_map,
+    point,
+    relabel,
+    sset_map,
+    sset_product,
+)
+from sgdtors.torsors import bg_presheaf, group_presheaf_as_groupoid
 
 
 def test_interval_is_not_kan():
@@ -115,6 +127,41 @@ def test_map_enumeration_respects_forced_values():
     assert maps[0](0, (1,)) == (1,)
 
 
+def assert_forced_is_filtered(X, Y, keys):
+    """Forcing the values of some simplices lists the unforced maps with
+    those values, in the same order, for the values of each map."""
+    every = enumerate_sset_maps(X, Y)
+    assert every
+    for f in every:
+        forced = {(n, x): f(n, x) for n, x in keys}
+        kept = [g for g in every if all(g(n, x) == v for (n, x), v in forced.items())]
+        assert enumerate_sset_maps(X, Y, forced) == kept
+
+
+def test_forced_maps_off_the_cylinder_are_the_filtered_maps():
+    site = s1_site()
+    source = cech_resolution(site, star_cover(site), 2)
+    C = cylinder_presheaf(source)
+    G = constant_group_presheaf(site, zmod(2))
+    target = bg_presheaf(group_presheaf_as_groupoid(G), 2)
+    for U in site.objects:
+        X = C.values[U]
+        end0 = [(n, s) for n in range(3) for s in X.level(n) if set(s[1]) == {0}]
+        assert_forced_is_filtered(X, target.values[U], end0)
+
+
+def test_forced_maps_of_a_relabelled_set_are_the_filtered_maps():
+    # relabel reverses each level, so the tables keep the old order
+    X = sset_product(delta(1, trunc=2), delta(1, trunc=2))
+    R = relabel(X, lambda n, x: X.size(n) - X.level(n).index(x))
+    assert list(R.degeneracies[(0, 0)]) != list(R.level(0))
+    assert list(R.degeneracies[(1, 1)]) != list(R.level(1))
+    Y = nerve_groupoid(group_as_groupoid(zmod(2)), trunc=2)
+    degenerate = R.degen(0, 0, R.level(0)[0])
+    assert_forced_is_filtered(R, Y, [(0, R.level(0)[-1]), (1, degenerate)])
+    assert_forced_is_filtered(R, Y, [(1, x) for x in R.nondegenerate(1)[:2]])
+
+
 def test_enumeration_covers_degenerate_simplices_consistently():
     X = delta(1, trunc=2)
     Y = nerve_groupoid(group_as_groupoid(zmod(2)), trunc=2)
@@ -133,7 +180,7 @@ def test_one_step_homotopies_connect_all_interval_endomaps():
     X = on_the_point(delta(1, trunc=2))
     maps = enumerate_sset_presheaf_maps(X, X)
     assert len(maps) == 3
-    classes = presheaf_map_classes(maps)
+    classes = presheaf_map_classes(cylinder_presheaf(X), maps)
     assert len(classes) == 1
 
 
@@ -143,8 +190,9 @@ def test_no_homotopy_between_distinct_constants_into_two_points():
     Y2 = on_the_point(disjoint_union({"l": Y, "r": Y}))
     maps = enumerate_sset_presheaf_maps(X, Y2)
     assert len(maps) == 2
-    assert presheaf_homotopies(maps[0], maps[1]) == []
-    assert len(presheaf_map_classes(maps)) == 2
+    C = cylinder_presheaf(X)
+    assert presheaf_homotopies(C, maps[0], maps[1]) == []
+    assert len(presheaf_map_classes(C, maps)) == 2
 
 
 def test_product_with_interval_supports_projection_homotopy():
@@ -153,4 +201,4 @@ def test_product_with_interval_supports_projection_homotopy():
     by_image = {(f.components["pt"][0][(0,)], f.components["pt"][0][(1,)]): f for f in maps}
     c0 = by_image[((0,), (0,))]
     c1 = by_image[((1,), (1,))]
-    assert presheaf_homotopies(c0, c1) != []
+    assert presheaf_homotopies(cylinder_presheaf(X), c0, c1) != []
