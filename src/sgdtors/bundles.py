@@ -30,13 +30,14 @@ from .holim import (
     simplicial_functor,
     validate_simplicial_functor,
 )
-from .kan import enumerate_sset_maps, fibration_check
+from .kan import enumerate_sset_maps, fibration_check, iterated_degeneracy
 from .presheaf import (
     SgdPresheaf,
     SSetPresheaf,
     SSetPresheafMap,
     constant_sgd_presheaf,
     constant_sset_presheaf,
+    natural_maps,
     set_presheaf,
     sset_presheaf,
     sset_presheaf_map,
@@ -55,14 +56,13 @@ from .sheaf import cover_elements, local_weq_check
 from .sset import SSetMap, build_sset, idkey, sset_map, validate_sset_map
 from .torsors import (
     _shared_values,
-    db_presheaf,
     display_torsor_check,
     pullback_shape_check,
     to_point_map,
     w_total_presheaf,
     wbar_presheaf,
 )
-from .wbar import j_map, w_action
+from .wbar import w_action
 
 
 def _one_object(H):
@@ -197,7 +197,7 @@ def twisted_sgroup_action(Q: SgdPresheaf, cochain) -> SGroupAction:
         HV, aU, aV = Q.values[V], point[U], point[V]
         return HV.compose(
             aV, aV, aV, n,
-            _degen_lift(HV, aV, cochain[f], n),
+            iterated_degeneracy(HV.homs[(aV, aV)], cochain[f], n),
             Q.res[f].on_hom(aU, aU, n, x),
         )
 
@@ -206,13 +206,6 @@ def twisted_sgroup_action(Q: SgdPresheaf, cochain) -> SGroupAction:
         return H.compose(a, a, a, n, x, H.inverse(a, a, n, g))
 
     return sgroup_action(Q, _cells_presheaf(Q, restrict), act)
-
-
-def _degen_lift(H, a, vertex_cell, n):
-    cur = vertex_cell
-    for d in range(n):
-        cur = H.homs[(a, a)].degen(d, 0, cur)
-    return cur
 
 
 def vertex_group_presheaf(Q: SgdPresheaf):
@@ -357,15 +350,6 @@ def w_quotient_presheaf_map(Q: SgdPresheaf) -> SSetPresheafMap:
     return SSetPresheafMap(WT, WB, {U: tables[U] for U in Q.site.objects})
 
 
-def j_presheaf(Q: SgdPresheaf) -> SSetPresheafMap:
-    """The comparison from the diagonal nerve to the cocycle object,
-    assembled over the site."""
-    D = db_presheaf(Q)
-    W = wbar_presheaf(Q)
-    tables = _shared_values(Q.values, lambda H: j_map(H).levels)
-    return SSetPresheafMap(D, W, {U: tables[U] for U in Q.site.objects})
-
-
 def psi_sgroup(u: SSetPresheafMap, Q: SgdPresheaf):
     """Pull the total object back along u; returns the action and the
     projection identifying the orbit presheaf with u's source."""
@@ -458,14 +442,6 @@ def holim_presheaf(D: SgdDiagram) -> SSetPresheaf:
         )
 
     return sset_presheaf(Q.site, lambda U: holim(D.functors[U]), restrict)
-
-
-def holim_presheaf_projection(D: SgdDiagram) -> SSetPresheafMap:
-    """Forget the value coordinate of holim_presheaf(D), landing in the
-    diagonal nerve."""
-    return sset_presheaf_map(
-        holim_presheaf(D), db_presheaf(D.coeff), lambda U, n, s: (s[0], s[2])
-    )
 
 
 def _holim_torsor_check(claim, local_claim, valid: Check, D: SgdDiagram, depth) -> Check:
@@ -908,30 +884,26 @@ def twisted_two_gpd_action(site, F: FinGroup, cochain) -> TwoGpdAction:
 
 
 def two_gpd_action_maps(A1: TwoGpdAction, A2: TwoGpdAction):
-    """Anchor-preserving equivariant natural families between the
-    element presheaves: one slot per element of A1, ranging over the
-    elements of A2 with its anchor."""
-    site = A1.site
-    objects = sorted(site.objects, key=idkey)
-    xs = {U: [x for v in A1.elements[U].values() for x in v] for U in objects}
-    keys = [(U, x) for U in objects for x in xs[U]]
-    slot = {key: i for i, key in enumerate(keys)}
+    """Anchor-preserving equivariant natural maps between the element
+    presheaves."""
 
-    def anchored(U, x):
-        p = next(p for p, v in A1.elements[U].items() if x in v)
-        return [y for q, v in A2.elements[U].items() if q == p for y in v]
+    def element_presheaf(A):
+        return set_presheaf(
+            A.site,
+            lambda U: [x for xs in A.elements[U].values() for x in xs],
+            lambda f, x: A.res[f][x],
+        )
 
-    constraints = [
-        ((slot[(U, A1.act1[U][(arrow, x)])], slot[(U, x)]),
-         lambda y1, y, tab=A2.act1[U], arrow=arrow: y1 == tab[(arrow, y)])
-        for U in objects
-        for (arrow, x) in A1.act1[U]
-    ] + [
-        ((slot[(V, A1.res[f][x])], slot[(U, x)]), lambda w, y, r=A2.res[f]: w == r[y])
-        for f, (V, U) in site.cat.morphisms.items()
-        for x in xs[U]
+    anchor2 = {U: {y: q for q, ys in A2.elements[U].items() for y in ys} for U in A2.site.objects}
+    anchored = [
+        (((U, x),), lambda y, tab=anchor2[U], p=p: tab[y] == p)
+        for U in A1.site.objects
+        for p, xs in A1.elements[U].items()
+        for x in xs
     ]
-    return [
-        {U: {x: combo[slot[(U, x)]] for x in xs[U]} for U in objects}
-        for combo in solve([anchored(*key) for key in keys], constraints)
+    equivariant = [
+        (((U, x1), (U, x)), lambda y1, y, tab=A2.act1[U], arrow=arrow: y1 == tab[(arrow, y)])
+        for U in A1.site.objects
+        for (arrow, x), x1 in A1.act1[U].items()
     ]
+    return natural_maps(element_presheaf(A1), element_presheaf(A2), anchored + equivariant)

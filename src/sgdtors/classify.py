@@ -60,7 +60,6 @@ from .presheaf import (
 )
 from .report import Check, InvariantError, require, unique_hit
 from .search import Partition, solve
-from .sgroupoid import string_steps
 from .sheaf import cech_resolution, cover_elements
 from .sset import delta, sset_product
 from .torsors import (
@@ -71,7 +70,6 @@ from .torsors import (
     bg_presheaf,
     bundle_to_action,
     bundle_torsor_check,
-    db_presheaf,
     enumerate_action_torsors,
     enumerate_group_cochains,
     enumerate_group_torsors,
@@ -322,19 +320,6 @@ def two_gpd_classifying_map(
         return cell_value
 
     return _cocycle_map(cech_resolution(site, cover, trunc), target, entry)
-
-
-def db_presheaf_map(u: SgdPresheafMap) -> SSetPresheafMap:
-    """Diagonal nerve of a map of enriched groupoid presheaves."""
-
-    def component(U, n, cell):
-        F, H = u.components[U], u.source.values[U]
-        return (
-            F.ob[cell[0]],
-            tuple(F.on_hom(a, b, n, g) for (a, b, g) in string_steps(H, *cell, n)),
-        )
-
-    return sset_presheaf_map(db_presheaf(u.source), db_presheaf(u.target), component)
 
 
 def sgd_classifying_map(

@@ -46,7 +46,7 @@ from .sgroupoid import (
     validate_sgd_functor,
     validate_sgroupoid,
 )
-from .site import FinCat, FinSite, validate_cat
+from .site import FinCat, FinSite, validate_site
 from .sset import (
     DEFAULT_TRUNC,
     TruncSSet,
@@ -283,9 +283,6 @@ def decode_site(obj, where="") -> FinSite:
             )
         identities[a] = found[0]
     cat = FinCat(objects, morphisms, comp, identities)
-    checked = validate_cat(cat)
-    if not checked:
-        raise SchemaError(where, f"not a category: {checked.witness[0]}")
     star, covers = [], {}
     for k, c in enumerate(_get(obj, "covers", where, list, required=False, default=[])):
         cw = f"{where}/covers/{k}"
@@ -307,7 +304,14 @@ def decode_site(obj, where="") -> FinSite:
             covers.setdefault(base, []).append(fam)
     if not star:
         raise SchemaError(f"{where}/covers", "no cover of the terminal presheaf")
-    return FinSite(cat, covers, star)
+    site = FinSite(cat, covers, star)
+    category, *parts = validate_site(site).parts
+    if not category:
+        raise SchemaError(where, f"not a category: {category.witness[0]}")
+    for part in parts:
+        if not part:
+            raise SchemaError(f"{where}/covers", f"{part.claim} fails: {part.witness!r}")
+    return site
 
 
 # ---------------------------------------------------------------------------

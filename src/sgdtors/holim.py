@@ -286,23 +286,6 @@ def comma_construction_functor(F: SgdFunctor) -> SimplicialFunctor:
     return simplicial_functor(H, lambda a: comma_db(F, a), act)
 
 
-def comma_2groupoid(T: Fin2Groupoid, x0) -> FinGroupoid:
-    """Arrows into x0, with the unique filling cell between any two.
-
-    All filler cells exist and are unique because every arrow of T is
-    invertible, so the result is the chaotic groupoid on the arrow set
-    and its classifying object is contractible.
-    """
-    from .groupoid import trivial_groupoid
-
-    cells = [
-        c
-        for x in T.objects
-        for c in T.homs[(x, x0)].objects
-    ]
-    return trivial_groupoid(tuple(cells))
-
-
 # ---------------------------------------------------------------------------
 # Homotopy colimits over a 2-groupoid.  Simplices pair a value element
 # with a classifying-object simplex; the element sits at the last vertex,

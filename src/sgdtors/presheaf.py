@@ -196,35 +196,6 @@ def constant_group_presheaf(site, F: FinGroup) -> GroupPresheaf:
     )
 
 
-def section_group(G: GroupPresheaf, F: SetPresheaf):
-    """The group of maps F -> underlying(G), multiplied pointwise.
-
-    Elements are canonical tuples ((U, s, value), ...) sorted by key.
-    """
-    maps = enumerate_presheaf_maps(F, G.underlying())
-    elements = []
-    from_map = {}
-    for phi in maps:
-        key = tuple(
-            (U, s, phi.components[U][s])
-            for U in sorted(F.site.objects, key=idkey)
-            for s in F.values[U]
-        )
-        elements.append(key)
-        from_map[key] = phi
-    elements = sorted(elements, key=idkey)
-
-    def mul(k1, k2):
-        return tuple(
-            (U, s, G.values[U].mul[(v1, v2)])
-            for (U, s, v1), (_, _, v2) in zip(k1, k2)
-        )
-
-    from .groupoid import make_group
-
-    return make_group("sections", elements, mul), from_map
-
-
 # ---------------------------------------------------------------------------
 # Simplicial-set-valued presheaves.
 

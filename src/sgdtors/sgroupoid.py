@@ -22,12 +22,10 @@ from .groupoid import (
 )
 from .ordinal import OrdinalMap, coface, codegeneracy
 from .report import InvariantError, invariant, validator
-from .search import Partition
 from .sset import (
     SSetMap,
     TruncSSet,
     build_sset,
-    idkey,
     relabel,
     sset_map,
     sset_product,
@@ -256,16 +254,6 @@ def product_sgd(G: SimpGroupoid, H: SimpGroupoid) -> SimpGroupoid:
     return SimpGroupoid(N, objects, homs, comp, identities)
 
 
-def pi0_sgroupoid(H: SimpGroupoid):
-    """Isomorphism classes of objects: nonempty hom means connected.
-    Each class is named by its least object by ``idkey``."""
-    classes = Partition(H.objects)
-    for a, b in itertools.product(H.objects, repeat=2):
-        if H.homs[(a, b)].size(0) > 0:
-            classes.join(a, b)
-    return sorted((min(c, key=idkey) for c in classes.classes()), key=idkey)
-
-
 # ---------------------------------------------------------------------------
 # Enriched functors.
 
@@ -324,59 +312,6 @@ def validate_sgd_functor(F: SgdFunctor):
                     if lhs != rhs:
                         problems.append(f"does not preserve composition at {(a, b, c)} level {n}")
     return problems
-
-
-def pullback_sgd(p: SgdFunctor, g: SgdFunctor) -> tuple:
-    """Pullback of Z --g--> W <--p-- Y among enriched groupoids.
-
-    Returns (P, to_Z, to_Y) with P the levelwise fibered product: objects
-    are pairs agreeing in W, hom simplices are pairs agreeing in W.
-    """
-    Z, Y, W = g.source, p.source, p.target
-    invariant(g.target is W or g.target == W, "the two functors have different targets")
-    N = Z.trunc
-    objects = tuple(
-        (z, y) for z in Z.objects for y in Y.objects if g.ob[z] == p.ob[y]
-    )
-
-    homs = {}
-    comp = {}
-    for (z1, y1), (z2, y2) in itertools.product(objects, repeat=2):
-        pairs = {
-            n: tuple(
-                (f1, f2)
-                for f1 in Z.homs[(z1, z2)].level(n)
-                for f2 in Y.homs[(y1, y2)].level(n)
-                if g.on_hom(z1, z2, n, f1) == p.on_hom(y1, y2, n, f2)
-            )
-            for n in range(N + 1)
-        }
-        ZH, YH = Z.homs[(z1, z2)], Y.homs[(y1, y2)]
-        homs[((z1, y1), (z2, y2))] = build_sset(
-            N,
-            lambda n, pairs=pairs: pairs[n],
-            lambda n, i, x, ZH=ZH, YH=YH: (ZH.face(n, i, x[0]), YH.face(n, i, x[1])),
-            lambda n, j, x, ZH=ZH, YH=YH: (ZH.degen(n, j, x[0]), YH.degen(n, j, x[1])),
-        )
-    for (z1, y1), (z2, y2), (z3, y3) in itertools.product(objects, repeat=3):
-        per = {}
-        for n in range(N + 1):
-            per[n] = {
-                (gg, ff): (
-                    Z.compose(z1, z2, z3, n, gg[0], ff[0]),
-                    Y.compose(y1, y2, y3, n, gg[1], ff[1]),
-                )
-                for gg in homs[((z2, y2), (z3, y3))].level(n)
-                for ff in homs[((z1, y1), (z2, y2))].level(n)
-            }
-        comp[((z1, y1), (z2, y2), (z3, y3))] = per
-    identities = {
-        (z, y): (Z.identities[z], Y.identities[y]) for (z, y) in objects
-    }
-    P = SimpGroupoid(N, objects, homs, comp, identities)
-    to_z = sgd_functor(P, Z, lambda o: o[0], lambda a, b, n, f: f[0])
-    to_y = sgd_functor(P, Y, lambda o: o[1], lambda a, b, n, f: f[1])
-    return P, to_z, to_y
 
 
 # ---------------------------------------------------------------------------

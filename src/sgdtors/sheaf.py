@@ -101,32 +101,8 @@ def sheafify(P: SetPresheaf, depth=2) -> SetPresheaf:
     return plus_construction(plus_construction(P, depth), depth)
 
 
-def sheafify_unit(P: SetPresheaf, depth=2) -> SetPresheafMap:
-    first = plus_unit(P, depth)
-    second = plus_unit(first.target, depth)
-    return SetPresheafMap(
-        P,
-        second.target,
-        {
-            U: {
-                s: second.components[U][first.components[U][s]]
-                for s in P.values[U]
-            }
-            for U in P.site.objects
-        },
-    )
-
-
 def sheafify_map(phi: SetPresheafMap, depth=2) -> SetPresheafMap:
     return plus_map(plus_map(phi, depth), depth)
-
-
-def is_separated(P: SetPresheaf, depth=2):
-    unit = plus_unit(P, depth)
-    return all(
-        len(set(unit.components[U].values())) == len(P.values[U])
-        for U in P.site.objects
-    )
 
 
 def is_sheaf(P: SetPresheaf, depth=2):

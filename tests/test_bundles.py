@@ -22,8 +22,6 @@ from sgdtors.bundles import (
     corepresented_diagram,
     enumerate_sgd_presheaf_maps,
     holim_presheaf,
-    holim_presheaf_projection,
-    j_presheaf,
     level0_group_torsor,
     psi_sgd,
     psi_sgroup,
@@ -55,6 +53,7 @@ from sgdtors.holim import corepresented_functor
 from sgdtors.kan import weq_check
 from sgdtors.presheaf import (
     SSetPresheafMap,
+    sset_presheaf_map,
     terminal_sset_presheaf,
     validate_sgd_presheaf,
     validate_sset_presheaf,
@@ -63,6 +62,7 @@ from sgdtors.presheaf import (
 from sgdtors.sgroupoid import constant_sgroup, constant_sgroupoid, validate_sgd_functor
 from sgdtors.sset import sset_map, validate_sset_map
 from sgdtors.torsors import (
+    db_presheaf,
     group_torsor_check,
     group_torsor_maps,
     h1_cech_classes,
@@ -162,8 +162,9 @@ def test_bar_object_of_the_point_action_is_the_diagonal_nerve():
     site = s1_site()
     Q = z2_presheaf(site, 3)
     A = sgroup_action(Q, terminal_sset_presheaf(site, 3), lambda U, n, g, x: x)
-    p = holim_presheaf_projection(action_diagram(A))
-    B = p.source
+    # forget the value coordinate of each simplex of the bar object
+    B = holim_presheaf(action_diagram(A))
+    p = sset_presheaf_map(B, db_presheaf(Q), lambda U, n, s: (s[0], s[2]))
     assert validate_sset_presheaf_map(p).ok
     for U in site.objects:
         for n in range(4):

@@ -22,7 +22,6 @@ from sgdtors.classify import (
     classify,
     constant_cocycle_map,
     cylinder_presheaf,
-    db_presheaf_map,
     enumerate_sset_presheaf_maps,
     presheaf_homotopic,
     presheaf_homotopies,
@@ -193,8 +192,6 @@ def test_diagonal_nerve_of_an_enriched_map_validates():
     us = enumerate_sgd_presheaf_maps(P, Q)
     assert len(us) == 2
     for u in us:
-        m = db_presheaf_map(u)
-        assert validate_sset_presheaf_map(m).ok
         kappa = sgd_classifying_map(u, cover)
         assert validate_sset_presheaf_map(kappa).ok
 
@@ -248,6 +245,119 @@ def test_module_uses_every_import(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+# Top-level functions of src/ that no run of the command line, of
+# classify or of a benchmark stage reaches, each with why it stays.
+BUILDER = "builds or inspects test input"
+VALIDATOR = "checks the laws of a structure built by hand in tests"
+ORACLE = "independent reference that a test compares against"
+
+KEPT = {
+    "bisset._line": "used only by bisset.validate_bisset",
+    "bisset.validate_bisset": VALIDATOR,
+    "bundles.borel_to_quotient": "only check: a free action's Borel construction is its orbits",
+    "bundles.comma_value_comparison": "only check: a torsor diagram's comma diagonal is its value",
+    "bundles.orbit_tables": "used only by bundles.borel_to_quotient",
+    "bundles.psi_sgroup": "only check of the map-to-torsor direction",
+    "bundles.sgroup_free_action_check": "only check: translation and universal actions are free",
+    "bundles.sgroup_quotient": "used only by bundles.borel_to_quotient",
+    "bundles.translation_sgd": "used only by bundles.comma_value_comparison",
+    "bundles.unit_sgd_presheaf": BUILDER,
+    "bundles.validate_sgroup_action": VALIDATOR,
+    "bundles.validate_two_gpd_action": VALIDATOR,
+    "bundles.w_quotient_presheaf_map": "used only by bundles.psi_sgroup",
+    "bundles.wg_action": "only check: W over W-bar is the universal free action",
+    "fixtures.cover_site": BUILDER,
+    "fixtures.interval_presheaf": BUILDER,
+    "fixtures.torus_site": BUILDER,
+    "fixtures.twocomp_presheaf": BUILDER,
+    "fixtures.z2_presheaf": BUILDER,
+    "groupoid.disjoint_union_groupoids": BUILDER,
+    "groupoid.symmetric_group": BUILDER,
+    "groupoid.validate_2groupoid": VALIDATOR,
+    "holim.constant_functor": BUILDER,
+    "holim.holim_2gpd_oracle_check": ORACLE,
+    "holim.point_functor": BUILDER,
+    "holim.translation_groupoid": ORACLE,
+    "loops._iterate_d0": ORACLE,
+    "loops._leading_hom": ORACLE,
+    "loops.enumerate_twistings": ORACLE,
+    "loops.fill_degenerate_cells": ORACLE,
+    "loops.rebuild_map": ORACLE,
+    "loops.transpose_round_trip_check": ORACLE,
+    "loops.transpose_to_tables": ORACLE,
+    "loops.twisting_check": ORACLE,
+    "ordinal.all_maps": BUILDER,
+    "ordinal.join_left": ORACLE,
+    "ordinal.join_of_maps": ORACLE,
+    "ordinal.join_right": ORACLE,
+    "ordinal.join_size": ORACLE,
+    "presheaf.validate_group_presheaf": VALIDATOR,
+    "presheaf.validate_sgd_presheaf": VALIDATOR,
+    "presheaf.yoneda_sset_presheaf": BUILDER,
+    "sgroupoid.nerve_sgroupoid": "only check: an enriched groupoid's nerve is bisimplicial",
+    "sgroupoid.product_sgd": "only check: W-bar preserves products, with wbar.wbar_map",
+    "sheaf.cech_local_epi_check": "only check: a cover's elements hit the point locally",
+    "sheaf.sheafify": BUILDER,
+    "sset.boundary": BUILDER,
+    "sset.circle": BUILDER,
+    "sset.collapse_to_point": BUILDER,
+    "sset.disjoint_union": BUILDER,
+    "sset.horn": BUILDER,
+    "sset.identity_map": BUILDER,
+    "sset.is_bijective": BUILDER,
+    "torsors.arrows_action_torsor": "only non-torsor input of the action and bundle torsor checks",
+    "torsors.constant_groupoid_presheaf": BUILDER,
+    "torsors.validate_groupoid_presheaf": VALIDATOR,
+    "torsors.w_total_presheaf": "used only by bundles.psi_sgroup and bundles.wg_action",
+    "wbar.wbar_map": "only check: W-bar preserves products, with sgroupoid.product_sgd",
+}
+
+
+def _stage_functions():
+    """The "module.function" names that perfbench/tracing.py's STAGES wrap,
+    read from its source: the third argument of every Stage."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tree = _parse(os.path.join(root, "perfbench", "tracing.py"))
+    (stages,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["STAGES"]
+    ]
+    return [name.value for stage in stages.elts for name in stage.args[2].elts]
+
+
+def test_every_function_is_reached_or_kept():
+    # a top-level definition reaches every definition whose name it reads
+    reads, functions, owners = {}, set(), {}
+    for module in MODULES:
+        for node in _module_tree(module).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                functions.add(f"{module}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            read = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            for name in names:
+                reads[f"{module}.{name}"] = read
+                owners.setdefault(name, []).append(f"{module}.{name}")
+    todo = ["cli.main", "cli.HANDLERS", "classify.classify", "classify.FLAVOURS"]
+    todo += _stage_functions()
+    reached = set()
+    while todo:
+        qualified = todo.pop()
+        if qualified not in reached:
+            reached.add(qualified)
+            todo.extend(q for name in reads[qualified] for q in owners.get(name, ()))
+    assert sorted(functions - reached) == sorted(KEPT)
 
 
 def test_every_method_is_used():

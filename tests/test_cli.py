@@ -439,6 +439,15 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     for command in (["h1"], ["torsor", "classify", "--kind", "group"]):
         assert cli.main([*command, "--site", str(path), corpus["z2const.json"]]) == 2
         assert "invalid input at /covers" in capsys.readouterr().out
+    # an empty covering family leaves its object with an empty covering sieve
+    site = json.load(open(corpus["s1cov.json"]))
+    site["covers"].append({"object": "A", "family": []})
+    path = tmp_path / "emptycover.json"
+    path.write_text(dumps(site) + "\n")
+    assert cli.main(["h1", "--site", str(path), corpus["z2const.json"]]) == 2
+    out = capsys.readouterr().out
+    assert "invalid input at /covers" in out
+    assert "no object has an empty covering sieve fails: ['A']" in out
     # an identity that is missing or not a vertex of its hom
     for identities in ([], [["*", "bogus"]]):
         H = encode_sgd(z2_sgroup(3))

@@ -2,7 +2,6 @@ import itertools
 
 from sgdtors.groupoid import group_as_groupoid, trivial_groupoid, zmod
 from sgdtors.holim import (
-    comma_2groupoid,
     comma_construction_functor,
     comma_db,
     constant_functor,
@@ -186,15 +185,6 @@ def test_comma_construction_functor_validates_and_acts_by_composition():
     s = X.values["*"].level(0)[0]
     moved = X.act("*", "*", 0, 1, s)
     assert moved != s and X.act("*", "*", 0, 1, moved) == s
-
-
-def test_comma_2groupoid_is_chaotic_on_the_incoming_cells():
-    T = group_as_2groupoid(zmod(2))
-    K = comma_2groupoid(T, "*")
-    assert validate_groupoid(K).ok
-    assert len(K.objects) == 2
-    N = nerve_groupoid(K, TR)
-    assert weq_check(collapse(N)).ok
 
 
 def test_2gpd_holim_of_a_point_matches_the_classifying_object():

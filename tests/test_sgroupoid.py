@@ -16,9 +16,7 @@ from sgdtors.sgroupoid import (
     db_sgroupoid,
     disjoint_union_sgd,
     nerve_sgroupoid,
-    pi0_sgroupoid,
     product_sgd,
-    pullback_sgd,
     sgd_functor,
     validate_sgd_functor,
     validate_sgroupoid,
@@ -93,7 +91,6 @@ def test_disjoint_union_has_empty_cross_homs():
     valid = validate_sgroupoid(H)
     assert valid, valid.render()
     assert H.homs[(("l", "*"), ("r", 0))].size(0) == 0
-    assert pi0_sgroupoid(H) == [("l", "*"), ("r", 0)]
 
 
 def test_product_multiplies_hom_sizes():
@@ -103,22 +100,6 @@ def test_product_multiplies_hom_sizes():
     valid = validate_sgroupoid(P)
     assert valid, valid.render()
     assert P.homs[(("*", "*"), ("*", "*"))].size(1) == 6
-
-
-def test_pullback_over_trivial_base_is_a_product():
-    A = constant_sgroup(zmod(2), trunc=2)
-    B = constant_sgroup(zmod(3), trunc=2)
-    T = constant_sgroup(zmod(1), trunc=2)
-    to_t_a = sgd_functor(A, T, lambda a: "*", lambda a, b, n, f: 0)
-    to_t_b = sgd_functor(B, T, lambda a: "*", lambda a, b, n, f: 0)
-    P, pr_a, pr_b = pullback_sgd(to_t_a, to_t_b)
-    valid = validate_sgroupoid(P)
-    assert valid, valid.render()
-    assert len(P.objects) == 1
-    assert P.homs[(P.objects[0], P.objects[0])].size(0) == 6
-    for F in (pr_a, pr_b):
-        valid = validate_sgd_functor(F)
-        assert valid, valid.render()
 
 
 def test_identity_functor_is_valid():
