@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import validator
-from .sset import SSetMap, TruncSSet, _sorted_ids, validate_sset, validate_sset_map
+from .sset import SSetMap, TruncSSet, _sorted_ids, build_sset, validate_sset, validate_sset_map
 
 
 @dataclass
@@ -110,15 +110,9 @@ def diagonal(trunc, levels, hface, vface, hdegen, vdegen) -> TruncSSet:
     """d(B) for the B that build_bisset builds from the same arguments:
     d(B)_n = B_{n,n}, d_i = d_i^v d_i^h and s_j = s_j^v s_j^h, with no
     off-diagonal level or table."""
-    simplices = {n: _sorted_ids(levels(n, n)) for n in range(trunc + 1)}
-    faces = {
-        (n, i): {x: vface(n - 1, n, i, hface(n, n, i, x)) for x in simplices[n]}
-        for n in range(1, trunc + 1)
-        for i in range(n + 1)
-    }
-    degeneracies = {
-        (n, j): {x: vdegen(n + 1, n, j, hdegen(n, n, j, x)) for x in simplices[n]}
-        for n in range(trunc)
-        for j in range(n + 1)
-    }
-    return TruncSSet(trunc, simplices, faces, degeneracies)
+    return build_sset(
+        trunc,
+        lambda n: levels(n, n),
+        lambda n, i, x: vface(n - 1, n, i, hface(n, n, i, x)),
+        lambda n, j, x: vdegen(n + 1, n, j, hdegen(n, n, j, x)),
+    )

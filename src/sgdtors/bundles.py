@@ -256,24 +256,14 @@ def vertex_groupoid_presheaf(Q: SgdPresheaf):
 
 def level0_group_torsor(A: SGroupAction):
     """The vertex-level set torsor of an action: level-zero cells acting
-    on level-zero simplices on the right."""
-    from .torsors import GroupTorsor
+    on level-zero simplices on the right, anchored at "*"."""
+    from .torsors import group_action_torsor
 
-    site = A.group.site
     G = vertex_group_presheaf(A.group)
-    groups = G.values
     total = set_presheaf(
-        site, lambda U: A.space.values[U].level(0), lambda f, e: A.space.res[f][0][e]
+        G.site, lambda U: A.space.values[U].level(0), lambda f, e: A.space.res[f][0][e]
     )
-    action = {
-        U: {
-            (e, g): A.act(U, 0, groups[U].inv[g], e)
-            for e in total.values[U]
-            for g in groups[U].elements
-        }
-        for U in site.objects
-    }
-    return GroupTorsor(G, total, action)
+    return group_action_torsor(G, total, lambda U, e, g: A.act(U, 0, G.values[U].inv[g], e))
 
 
 def orbit_tables(A: SGroupAction, U):

@@ -76,7 +76,6 @@ from .torsors import (
     group_presheaf_as_groupoid,
     group_torsor_check,
     group_torsor_maps,
-    group_torsor_to_action,
     h1_cech_classes,
     torsor_cech_class,
     wbar_presheaf,
@@ -518,8 +517,7 @@ FLAVOURS = {
         target=lambda run: bg_presheaf(group_presheaf_as_groupoid(run.coeff), run.trunc),
         checks=lambda run, i: [group_torsor_check(run.family[i], depth=run.depth)],
         classifying_map=lambda run, i: action_classifying_map(
-            group_torsor_to_action(run.family[i]), run.cover, run.trunc,
-            target=run.target,
+            run.family[i], run.cover, run.trunc, target=run.target
         ),
         extra=_group_cech,
     ),

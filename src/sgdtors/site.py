@@ -32,16 +32,12 @@ class FinCat:
         return self.morphisms[f][1]
 
     def hom(self, a, b):
-        return tuple(
-            f for f, (s, d) in sorted(self.morphisms.items(), key=lambda kv: idkey(kv[0]))
-            if s == a and d == b
-        )
+        hits = (f for f, ends in self.morphisms.items() if ends == (a, b))
+        return tuple(sorted(hits, key=idkey))
 
     def into(self, b):
-        return tuple(
-            f for f, (s, d) in sorted(self.morphisms.items(), key=lambda kv: idkey(kv[0]))
-            if d == b
-        )
+        hits = (f for f, (_, d) in self.morphisms.items() if d == b)
+        return tuple(sorted(hits, key=idkey))
 
 
 @validator("input is a category")

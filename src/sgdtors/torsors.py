@@ -1,12 +1,15 @@
 """Torsors over a finite site, in the set-level flavours.
 
-Coefficients come in two shapes here: presheaves of groups acting on
-set presheaves, and presheaves of groupoids acting on anchored set
-presheaves.  Both have an equivalent bundle picture, a simplicial
-presheaf over the nerve whose higher levels are recovered from level
-zero by pullback; the conversions run in both directions and are
-mutually inverse on the nose.  An independent cocycle count over a
-fixed cover family cross-checks every classification number.
+One torsor type serves both shapes of coefficients here: a presheaf
+of groupoids acting on an anchored set presheaf (ActionTorsor).  A
+presheaf of groups is the one-object case: its torsors are anchored
+actions of group_presheaf_as_groupoid(G), every element anchored at
+"*", with the group elements as the arrows.  Anchored actions have an
+equivalent bundle picture, a simplicial presheaf over the nerve whose
+higher levels are recovered from level zero by pullback; the
+conversions run in both directions and are mutually inverse on the
+nose.  An independent cocycle count over a fixed cover family
+cross-checks every classification number.
 
 The simplicial coefficient flavours live in bundles.py and the
 component counting in classify.py; this module also builds the
@@ -46,7 +49,7 @@ from .search import solve
 from .sgroupoid import db_sgroupoid, string_steps
 from .sheaf import is_sheaf, local_epi_check, local_weq_check, plus_construction
 from .sset import idkey, relabel
-from .wbar import wbar, w_total
+from .wbar import cocycle_image, wbar, w_total
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +133,12 @@ def validate_groupoid_presheaf(GP: GroupoidPresheaf):
 # restriction tables; identical sections share one table.
 
 
-def _cocycle_image(F, n, s):
-    objs, arrows = s
-    return (
-        tuple(F.ob[x] for x in objs),
-        tuple(
-            F.on_hom(objs[i], objs[i - 1], n - i, a)
-            for i, a in enumerate(arrows, start=1)
-        ),
-    )
-
-
 def _cocycle_presheaf(Q: SgdPresheaf, build, shift) -> SSetPresheaf:
     """Sections build(H); a level-n simplex restricts as a cocycle of
     level n + shift."""
     values = _shared_values(Q.values, build)
     return sset_presheaf(
-        Q.site, values.__getitem__, lambda f, n, s: _cocycle_image(Q.res[f], n + shift, s)
+        Q.site, values.__getitem__, lambda f, n, s: cocycle_image(Q.res[f], n + shift, s)
     )
 
 
@@ -191,81 +183,46 @@ def to_point_map(Y: SSetPresheaf) -> SSetPresheafMap:
 
 
 # ---------------------------------------------------------------------------
-# Torsors for presheaves of groups: a set presheaf with a right action,
-# checked to be locally nonempty, free, and transitive after
-# sheafification.
+# Torsors for presheaves of groups.  A group is a one-object groupoid, so
+# a group torsor is an ActionTorsor (below) over
+# group_presheaf_as_groupoid(G) with every element anchored at "*": the
+# group elements are the arrows of T.gpd, and the action laws are those
+# of validate_action_torsor.  The check asks for a set presheaf that is
+# locally nonempty, and free and transitive after sheafification.
 
 
-@dataclass
-class GroupTorsor:
-    group: GroupPresheaf
-    total: SetPresheaf
-    action: dict   # object -> {(element, group element): element}
-
-
-@validator("action tables form a presheaf action")
-def validate_group_action(T: GroupTorsor):
-    problems = []
-    total = validate_set_presheaf(T.total)
-    if not total:
-        return [f"total object: {total.witness[0]}"]
-    for U in T.total.site.objects:
-        F = T.group.values[U]
-        tab = T.action.get(U, {})
-        want = {(e, g) for e in T.total.values[U] for g in F.elements}
-        if set(tab) != want:
-            problems.append(f"action table over {U!r} has the wrong domain")
-            continue
-        carrier = set(T.total.values[U])
-        for e in T.total.values[U]:
-            if tab[(e, F.e)] != e:
-                problems.append(f"unit law fails over {U!r} at {e!r}")
-            for g, h in itertools.product(F.elements, repeat=2):
-                if tab[(e, g)] not in carrier:
-                    problems.append(f"action escapes the carrier over {U!r}")
-                elif tab[(tab[(e, g)], h)] != tab[(e, F.mul[(g, h)])]:
-                    problems.append(f"associativity fails over {U!r} at {(e, g, h)!r}")
-    if problems:
-        return problems
-    for f, (V, U) in T.total.site.cat.morphisms.items():
-        for e in T.total.values[U]:
-            for g in T.group.values[U].elements:
-                lhs = T.total.res[f][T.action[U][(e, g)]]
-                rhs = T.action[V][(T.total.res[f][e], T.group.res[f][g])]
-                if lhs != rhs:
-                    problems.append(f"action not natural along {f!r} at {(e, g)!r}")
-    return problems
-
-
-def trivial_group_torsor(G: GroupPresheaf) -> GroupTorsor:
-    """The group acting on itself by right translation."""
-    total = G.underlying()
+def group_action_torsor(G: GroupPresheaf, total: SetPresheaf, act) -> ActionTorsor:
+    """The right action e.g = act(U, e, g) of G on total, as the
+    one-object case of the anchored action."""
+    objects = G.site.objects
+    anchor = {U: {e: "*" for e in total.values[U]} for U in objects}
     action = {
-        U: {
-            (e, g): G.values[U].mul[(e, g)]
-            for e in total.values[U]
-            for g in G.values[U].elements
-        }
-        for U in G.site.objects
+        U: {(e, g): act(U, e, g) for e in total.values[U] for g in G.values[U].elements}
+        for U in objects
     }
-    return GroupTorsor(G, total, action)
+    return ActionTorsor(group_presheaf_as_groupoid(G), total, anchor, action)
 
 
-def group_torsor_check(T: GroupTorsor, depth=2) -> Check:
+def trivial_group_torsor(G: GroupPresheaf) -> ActionTorsor:
+    """The group acting on itself by right translation: the torsor of
+    the unit cochain."""
+    return cochain_torsor(G, {f: G.values[G.site.cat.src(f)].e for f in G.site.morphisms})
+
+
+def group_torsor_check(T: ActionTorsor, depth=2) -> Check:
     """Locally nonempty, and free and transitive on sheafified sections."""
     check = Check(
         "total object is a torsor for the group presheaf",
         True,
         params={"depth": depth},
     )
-    if not check.add(validate_group_action(T)):
+    valid = validate_action_torsor(T)
+    if not check.add(replace(valid, claim="action tables form a presheaf action")):
         return check
-    check.add(require(is_sheaf(T.group.underlying(), depth), "coefficients form a sheaf"))
+    check.add(require(is_sheaf(arrows_presheaf(T.gpd), depth), "coefficients form a sheaf"))
     if not check.ok:
         return check
-    for part in _sheafified_checks(
-        group_torsor_to_action(T), depth, "action is transitive on sheafified sections"
-    ):
+    for part in _sheafified_checks(T, depth, "action is transitive on sheafified sections"):
         check.add(part)
     return check
 
@@ -309,7 +266,7 @@ def enumerate_group_cochains(G: GroupPresheaf, bound=None):
     ]
 
 
-def cochain_torsor(G: GroupPresheaf, c) -> GroupTorsor:
+def cochain_torsor(G: GroupPresheaf, c) -> ActionTorsor:
     """Carrier G with right translation, restriction twisted by c."""
     site = G.site
 
@@ -318,41 +275,30 @@ def cochain_torsor(G: GroupPresheaf, c) -> GroupTorsor:
         return G.values[W].mul[(c[f], G.res[f][e])]
 
     total = set_presheaf(site, lambda U: G.values[U].elements, restrict)
-    action = {
-        U: {
-            (e, g): G.values[U].mul[(e, g)]
-            for e in total.values[U]
-            for g in G.values[U].elements
-        }
-        for U in site.objects
-    }
-    return GroupTorsor(G, total, action)
+    return group_action_torsor(G, total, lambda U, e, g: G.values[U].mul[(e, g)])
 
 
 def enumerate_group_torsors(G: GroupPresheaf, bound=None):
     return [cochain_torsor(G, c) for c in enumerate_group_cochains(G, bound)]
 
 
-def _equivariance(T1, T2, acting):
-    """Constraints phi(e.g) = phi(e).g, one for each (U, e, g) in acting."""
+def _equivariance(T1: ActionTorsor, T2: ActionTorsor):
+    """Constraints phi(e.g) = phi(e).g, one for each action entry of T1."""
     return [
         (
-            ((U, T1.action[U][(e, g)]), (U, e)),
+            ((U, out), (U, e)),
             lambda y, x, tab=T2.action[U], g=g: y == tab[(x, g)],
         )
-        for U, e, g in acting
-    ]
-
-
-def group_torsor_maps(T1: GroupTorsor, T2: GroupTorsor):
-    """All equivariant presheaf maps between the total objects."""
-    acting = [
-        (U, e, g)
         for U in T1.total.site.objects
-        for e in T1.total.values[U]
-        for g in T1.group.values[U].elements
+        for (e, g), out in T1.action[U].items()
     ]
-    return natural_maps(T1.total, T2.total, _equivariance(T1, T2, acting))
+
+
+def group_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
+    """All equivariant presheaf maps between the totals of two group
+    torsors; every element sits at the one object, so no anchor
+    constraint is needed."""
+    return natural_maps(T1.total, T2.total, _equivariance(T1, T2))
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +444,16 @@ def h1_cech_oracle(G: GroupPresheaf) -> int:
     return len(h1_cech_classes(G)["reps"])
 
 
-def torsor_cech_class(T: GroupTorsor, data) -> int:
-    """Place a torsor with globally nonempty sections in its cocycle class.
+def torsor_cech_class(T: ActionTorsor, data) -> int:
+    """Place a group torsor with globally nonempty sections in its
+    cocycle class.
 
     Trivializes over each cover object by the first listed element; the
     transition section over a pair product sends (h_i, h_j) to the
-    unique g carrying the first trivialization to the second.
+    unique arrow g of T.gpd carrying the first trivialization to the
+    second.
     """
-    site = T.total.site
     cover = data["cover"]
-    G = T.group
     base = {}
     for i, Ui in enumerate(cover):
         if not T.total.values[Ui]:
@@ -518,7 +464,7 @@ def torsor_cech_class(T: GroupTorsor, data) -> int:
         ei = T.total.res[hi][base[i]]
         ej = T.total.res[hj][base[j]]
         return unique_hit(
-            [g for g in G.values[W].elements if T.action[W][(ei, g)] == ej],
+            [g for g in T.gpd.values[W].morphisms if T.action[W][(ei, g)] == ej],
             "torsor sections are not free and transitive",
         )
 
@@ -568,19 +514,22 @@ def validate_action_torsor(T: ActionTorsor):
         if set(tab) != want:
             problems.append(f"action table over {U!r} has the wrong anchored domain")
             continue
-        for (e, g) in want:
-            out = tab[(e, g)]
-            if out not in carrier or anchor[out] != G.src(g):
-                problems.append(f"action mistyped over {U!r} at {(e, g)!r}")
+        mistyped = [
+            f"action mistyped over {U!r} at {(e, g)!r}"
+            for (e, g), out in tab.items()
+            if out not in carrier or anchor[out] != G.src(g)
+        ]
+        if mistyped:
+            problems.extend(mistyped)
+            continue
         for e in T.total.values[U]:
-            if tab[(e, G.identities[anchor[e]])] != e:
-                problems.append(f"unit law fails over {U!r} at {e!r}")
-        for (e, g) in want:
+            unit = (e, G.identities[anchor[e]])
+            if tab[unit] != e:
+                problems.append(f"unit law fails over {U!r} at {unit!r}")
+        for (e, g), out in tab.items():
             for h, (c, a2) in G.morphisms.items():
-                if a2 != G.src(g):
-                    continue
-                if tab[(tab[(e, g)], h)] != tab[(e, G.comp[(g, h)])]:
-                    problems.append(f"associativity fails over {U!r}")
+                if a2 == G.src(g) and tab[(out, h)] != tab[(e, G.comp[(g, h)])]:
+                    problems.append(f"associativity fails over {U!r} at {(e, g, h)!r}")
     if problems:
         return problems
     for f, (V, U) in T.total.site.cat.morphisms.items():
@@ -594,12 +543,6 @@ def validate_action_torsor(T: ActionTorsor):
             if lhs != rhs:
                 problems.append(f"action not natural along {f!r} at {(e, g)!r}")
     return problems
-
-
-def group_torsor_to_action(T: GroupTorsor) -> ActionTorsor:
-    GP = group_presheaf_as_groupoid(T.group)
-    anchor = {U: {e: "*" for e in T.total.values[U]} for U in T.total.site.objects}
-    return ActionTorsor(GP, T.total, anchor, T.action)
 
 
 def arrows_action_torsor(GP: GroupoidPresheaf) -> ActionTorsor:
@@ -694,8 +637,7 @@ def action_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
         for U in objects
         for e in T1.total.values[U]
     ]
-    acting = [(U, e, g) for U in objects for (e, g) in T1.action[U]]
-    return natural_maps(T1.total, T2.total, anchored + _equivariance(T1, T2, acting))
+    return natural_maps(T1.total, T2.total, anchored + _equivariance(T1, T2))
 
 
 def _plus_action_anchored(T: ActionTorsor, E, anchor, action, depth=2):

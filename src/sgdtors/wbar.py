@@ -87,21 +87,22 @@ def wbar(C: SimpGroupoid, trunc=None) -> TruncSSet:
     return build_sset(N, levels, face, degen)
 
 
-def wbar_map(F: SgdFunctor) -> SSetMap:
-    """Image of an enriched functor between the classifying objects."""
-    X = wbar(F.source)
-    Y = wbar(F.target)
-
-    def assign(n, s):
-        objs, arrows = s
-        new_objs = tuple(F.ob[x] for x in objs)
-        new_arrows = tuple(
+def cocycle_image(F: SgdFunctor, n, s):
+    """The image under F of a level-n cocycle s: F on every object, and
+    on every cell at its degree."""
+    objs, arrows = s
+    return (
+        tuple(F.ob[x] for x in objs),
+        tuple(
             F.on_hom(objs[i], objs[i - 1], n - i, a)
             for i, a in enumerate(arrows, start=1)
-        )
-        return (new_objs, new_arrows)
+        ),
+    )
 
-    return sset_map(X, Y, assign)
+
+def wbar_map(F: SgdFunctor) -> SSetMap:
+    """Image of an enriched functor between the classifying objects."""
+    return sset_map(wbar(F.source), wbar(F.target), lambda n, s: cocycle_image(F, n, s))
 
 
 def j_map(C: SimpGroupoid) -> SSetMap:

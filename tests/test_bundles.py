@@ -44,6 +44,7 @@ from sgdtors.bundles import (
     validate_sgd_diagram,
     validate_sgroup_action,
     validate_two_gpd_action,
+    vertex_group_presheaf,
     w_quotient_presheaf_map,
     wg_action,
 )
@@ -245,7 +246,7 @@ def test_twisted_actions_are_torsors_in_distinct_classes():
         assert group_torsor_check(T)
         torsors.append(T)
     T0, T1 = torsors
-    data = h1_cech_classes(T0.group)
+    data = h1_cech_classes(vertex_group_presheaf(Q))
     assert len(data["reps"]) == 2
     assert torsor_cech_class(T0, data) != torsor_cech_class(T1, data)
     assert group_torsor_maps(T0, T1) == []
@@ -257,8 +258,9 @@ def test_level0_of_the_translation_action_is_trivial():
     Q = z2_presheaf(site, 3)
     T = level0_group_torsor(translation_action(Q))
     assert group_torsor_check(T)
-    data = h1_cech_classes(T.group)
-    reference = trivial_group_torsor(T.group)
+    G = vertex_group_presheaf(Q)
+    data = h1_cech_classes(G)
+    reference = trivial_group_torsor(G)
     assert torsor_cech_class(T, data) == torsor_cech_class(reference, data)
 
 
@@ -285,8 +287,9 @@ def test_pullback_along_the_base_point_is_the_trivial_torsor():
     for U in site.objects:
         assert [space.values[U].size(n) for n in range(4)] == [1, 1, 1, 1]
     T = level0_group_torsor(A)
-    data = h1_cech_classes(T.group)
-    reference = trivial_group_torsor(T.group)
+    G = vertex_group_presheaf(Q)
+    data = h1_cech_classes(G)
+    reference = trivial_group_torsor(G)
     assert torsor_cech_class(T, data) == torsor_cech_class(reference, data)
 
 

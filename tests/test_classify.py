@@ -42,7 +42,6 @@ from sgdtors.torsors import (
     bg_presheaf,
     enumerate_group_torsors,
     group_presheaf_as_groupoid,
-    group_torsor_to_action,
     wbar_presheaf,
 )
 
@@ -115,9 +114,7 @@ def test_classifying_maps_land_among_the_enumerated_ones():
     maps = enumerate_sset_presheaf_maps(source, target)
     tables = [u.components for u in maps]
     for T in enumerate_group_torsors(G):
-        u = action_classifying_map(
-            group_torsor_to_action(T), cover, 3, target=target
-        )
+        u = action_classifying_map(T, cover, 3, target=target)
         assert u.components in tables
 
 

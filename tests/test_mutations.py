@@ -30,7 +30,7 @@ from sgdtors.sgroupoid import (
     validate_sgroupoid,
 )
 from sgdtors.sset import delta, identity_map, validate_sset, validate_sset_map
-from sgdtors.torsors import enumerate_group_cochains
+from sgdtors.torsors import cochain_torsor, enumerate_group_cochains, validate_action_torsor
 
 
 def sset_face():
@@ -77,6 +77,24 @@ def two_gpd_action_entry():
     A = twisted_two_gpd_action(site, F, cochain)
     del A.act1["U"][(1, 0)]
     return validate_two_gpd_action(A), "arrow 1 mistypes 0 over 'U'"
+
+
+def group_action_unit_entry():
+    G = constant_group_presheaf(s1_site(), zmod(2))
+    (cochain, *_) = enumerate_group_cochains(G)
+    T = cochain_torsor(G, cochain)
+    T.action["U"][(1, 0)] = 0
+    return validate_action_torsor(T), "unit law fails over 'U' at (1, 0)"
+
+
+def group_action_value_off_the_carrier():
+    # the law loops look up the action on an action value, so this one
+    # must be reported before they run
+    G = constant_group_presheaf(s1_site(), zmod(2))
+    (cochain, *_) = enumerate_group_cochains(G)
+    T = cochain_torsor(G, cochain)
+    T.action["U"][(0, 1)] = "zz"
+    return validate_action_torsor(T), "action mistyped over 'U' at (0, 1)"
 
 
 def two_gpd_restriction_missing():
@@ -172,6 +190,8 @@ def bisset_horizontal_face():
         set_presheaf_restriction,
         sset_presheaf_restriction,
         two_gpd_action_entry,
+        group_action_unit_entry,
+        group_action_value_off_the_carrier,
         two_gpd_restriction_missing,
         two_gpd_restriction_out_of_range,
         two_gpd_action_stray_entry,

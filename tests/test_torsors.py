@@ -20,7 +20,6 @@ from sgdtors.sheaf import is_componentwise_bijection
 from sgdtors.torsors import (
     ActionTorsor,
     BundleTorsor,
-    GroupTorsor,
     action_to_bundle,
     action_torsor_check,
     action_torsor_maps,
@@ -35,10 +34,10 @@ from sgdtors.torsors import (
     enumerate_action_torsors,
     enumerate_group_cochains,
     enumerate_group_torsors,
+    group_action_torsor,
     group_presheaf_as_groupoid,
     group_torsor_check,
     group_torsor_maps,
-    group_torsor_to_action,
     h1_cech_classes,
     h1_cech_oracle,
     representable_action_torsor,
@@ -132,29 +131,22 @@ def test_group_torsor_check_failures():
 
     # Two disjoint orbits: free but not transitive.
     two = set_presheaf(site, lambda U: tuple(itertools.product((0, 1), Z2.elements)), lambda f, s: s)
-    action = {
-        "pt": {
-            ((i, e), g): (i, Z2.mul[(e, g)])
-            for i in (0, 1)
-            for e in Z2.elements
-            for g in Z2.elements
-        }
-    }
-    check = group_torsor_check(GroupTorsor(G, two, action))
+    check = group_torsor_check(
+        group_action_torsor(G, two, lambda U, s, g: (s[0], Z2.mul[(s[1], g)]))
+    )
     assert not check.ok
     lines = check.render()
     assert "transitive" in lines and "FAIL" in lines
 
     # A fixed point: transitive but not free.
     pt = set_presheaf(site, lambda U: ("*",), lambda f, s: s)
-    fixed = {"pt": {("*", g): "*" for g in Z2.elements}}
-    check = group_torsor_check(GroupTorsor(G, pt, fixed))
+    check = group_torsor_check(group_action_torsor(G, pt, lambda U, s, g: "*"))
     assert not check.ok
     assert "free" in check.render()
 
     # Nothing there at all: fails to cover the point.
     empty = set_presheaf(site, lambda U: (), lambda f, s: s)
-    check = group_torsor_check(GroupTorsor(G, empty, {"pt": {}}))
+    check = group_torsor_check(group_action_torsor(G, empty, lambda U, s, g: s))
     assert not check.ok
     assert "covers the point" in check.render()
 
@@ -165,9 +157,9 @@ def test_cech_class_of_a_non_free_action_raises():
     site = s1_site()
     G = constant_group_presheaf(site, Z2)
     pt = set_presheaf(site, lambda U: ("*",), lambda f, s: s)
-    fixed = {U: {("*", g): "*" for g in Z2.elements} for U in site.objects}
+    fixed = group_action_torsor(G, pt, lambda U, s, g: "*")
     with pytest.raises(InvariantError, match="not free and transitive"):
-        torsor_cech_class(GroupTorsor(G, pt, fixed), h1_cech_classes(G))
+        torsor_cech_class(fixed, h1_cech_classes(G))
 
 
 def test_circle_torsor_classes_match_cocycle_classes():
@@ -214,8 +206,8 @@ def test_groupoid_presheaf_validation():
 
 def test_group_torsor_as_anchored_action():
     G = constant_group_presheaf(s1_site(), Z2)
-    for T in enumerate_group_torsors(G, bound=10**6)[:4]:
-        A = group_torsor_to_action(T)
+    for A in enumerate_group_torsors(G, bound=10**6)[:4]:
+        assert A.gpd == group_presheaf_as_groupoid(G)
         valid = validate_action_torsor(A)
         assert valid, valid.render()
         assert action_torsor_check(A).ok
@@ -274,8 +266,7 @@ def test_arrows_of_interval_are_not_transitive():
 def test_action_to_bundle_round_trips():
     G = constant_group_presheaf(s1_site(), Z2)
     torsors = enumerate_group_torsors(G, bound=10**6)
-    for T in (torsors[0], torsors[5]):
-        A = group_torsor_to_action(T)
+    for A in (torsors[0], torsors[5]):
         T5 = action_to_bundle(A, trunc=3)
         check = bundle_torsor_check(T5)
         assert check.ok, check.render()
