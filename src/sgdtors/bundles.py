@@ -8,7 +8,10 @@ verdict is the same: the assembled total object (homotopy colimit, or
 display) must be locally trivial over the site.  An enriched group is a
 one-object enriched groupoid, so the Borel construction of an action is
 the homotopy colimit of the action's one-object diagram, and the first
-two flavours share one assembler, ``holim_presheaf``.
+two flavours share one assembler, ``holim_presheaf``.  A 2-groupoid
+acts on anchored elements through its 1-cells alone, so a 2-groupoid
+action is the 1-cell ActionTorsor of torsors.py plus the 2-groupoid its
+display is built over.
 
 The conversions between torsors and maps into the classifying presheaf
 run through pullbacks of the total-object quotient and through comma
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groupoid import Fin2Groupoid, FinGroup, group_as_2groupoid, trivial_groupoid
+from .groupoid import Fin2Groupoid, trivial_groupoid
 from .holim import (
     SimplicialFunctor,
     comma_construction_functor,
@@ -49,12 +52,15 @@ from .sgroupoid import (
     SgdFunctor,
     constant_sgroupoid,
     level_groupoid,
-    string_steps,
+    string_image,
     validate_sgd_functor,
 )
 from .sheaf import cover_elements, local_weq_check
 from .sset import SSetMap, build_sset, idkey, sset_map, validate_sset_map
 from .torsors import (
+    ActionTorsor,
+    _anchored,
+    _equivariance,
     _shared_values,
     display_torsor_check,
     pullback_shape_check,
@@ -423,13 +429,9 @@ def holim_presheaf(D: SgdDiagram) -> SSetPresheaf:
     Q = D.coeff
 
     def restrict(f, n, s):
-        F, H = Q.res[f], Q.values[Q.site.cat.dst(f)]
+        F = Q.res[f]
         a0, x, fs = s
-        return (
-            F.ob[a0],
-            D.res[f][a0][n][x],
-            tuple(F.on_hom(a, b, n, g) for a, b, g in string_steps(H, a0, fs, n)),
-        )
+        return (F.ob[a0], D.res[f][a0][n][x], string_image(F, a0, fs, n))
 
     return sset_presheaf(Q.site, lambda U: holim(D.functors[U]), restrict)
 
@@ -663,7 +665,6 @@ def psi_sgd(u: SgdPresheafMap) -> SgdDiagram:
     for f, (V, U) in Q.site.cat.morphisms.items():
         FP, FQ = u.source.res[f], Q.res[f]
         H = Q.values[U]
-        I = u.source.values[U]
         tab = {}
         for a in H.objects:
             X = functors[U].values[a]
@@ -671,11 +672,10 @@ def psi_sgd(u: SgdPresheafMap) -> SgdDiagram:
             for n in range(H.trunc + 1):
                 inner = {}
                 for (b0, g0, us) in X.level(n):
-                    steps = string_steps(I, b0, us, n)
                     inner[(b0, g0, us)] = (
                         FP.ob[b0],
                         FQ.on_hom(u.components[U].ob[b0], a, n, g0),
-                        tuple(FP.on_hom(p, q, n, c) for p, q, c in steps),
+                        string_image(FP, b0, us, n),
                     )
                 level[n] = inner
             tab[a] = level
@@ -745,99 +745,30 @@ def comma_value_comparison(X: SimplicialFunctor, a):
 
 
 # ---------------------------------------------------------------------------
-# Actions of a 2-groupoid on anchored families of elements.  The display
-# couples an element with a cocycle simplex whose last vertex carries
-# its anchor; the torsor conditions are the pullback shape of the
-# display plus local triviality.
+# Actions of a 2-groupoid on anchored families of elements.  The 2-cells
+# act trivially on anchored elements, so the action is the ActionTorsor
+# of its 1-cell groupoid, an arrow g acting as the 1-cell g^-1, plus the
+# 2-groupoid whose cocycle object the display is built over.  The
+# display couples an element with a cocycle simplex whose last vertex
+# carries its anchor; the torsor conditions are the pullback shape of
+# the display plus local triviality.
 
 
-@dataclass
-class TwoGpdAction:
-    gpd2: Fin2Groupoid
-    site: object
-    elements: dict   # site object -> {gpd object: tuple of elements}
-    act1: dict       # site object -> {(arrow, element): element}
-    res: dict        # site morphism -> {element: element}
+def two_gpd_display(T: Fin2Groupoid, A: ActionTorsor, trunc):
+    """Assemble the sectionwise total objects of A over the constant
+    cocycle presheaf of T, whose 1-cells are the arrows of A.gpd."""
+    site = A.total.site
 
+    def display(U):
+        anchor, tab, inverses = A.anchor[U], A.action[U], A.gpd.values[U].inverses
+        elements = {p: tuple(x for x in A.total.values[U] if anchor[x] == p) for p in T.objects}
+        return holim_2gpd(T, elements, lambda arrow, x: tab[(x, inverses[arrow])], trunc)
 
-@validator("input is an anchored 2-groupoid action")
-def validate_two_gpd_action(A: TwoGpdAction):
-    problems = []
-    T = A.gpd2
-    for U in A.site.objects:
-        owner = {}
-        for p, xs in A.elements[U].items():
-            for x in xs:
-                if x in owner:
-                    problems.append(f"element {x!r} anchored twice over {U!r}")
-                owner[x] = p
-        tab, typed = A.act1.get(U, {}), set()
-        for p in T.objects:
-            for q in T.objects:
-                for arrow in T.homs[(p, q)].objects:
-                    for x in A.elements[U].get(p, ()):
-                        typed.add((arrow, x))
-                        y = tab.get((arrow, x))
-                        if y is None or owner.get(y) != q:
-                            problems.append(
-                                f"arrow {arrow!r} mistypes {x!r} over {U!r}"
-                            )
-        stray = sorted(set(tab) - typed, key=idkey)
-        if stray:
-            problems.append(f"act1 entry {stray[0]!r} over {U!r} is off the elements")
-    if problems:
-        return problems
-    for U in A.site.objects:
-        tab = A.act1[U]
-        for p in T.objects:
-            e = T.identities1[p]
-            for x in A.elements[U].get(p, ()):
-                if tab[(e, x)] != x:
-                    problems.append(f"identity arrow moves {x!r} over {U!r}")
-        for p in T.objects:
-            for q in T.objects:
-                for r in T.objects:
-                    for g in T.homs[(q, r)].objects:
-                        for h in T.homs[(p, q)].objects:
-                            gh = T.hcomp1[(p, q, r)][(g, h)]
-                            for x in A.elements[U].get(p, ()):
-                                if tab[(gh, x)] != tab[(g, tab[(h, x)])]:
-                                    problems.append(
-                                        f"composition breaks on {x!r} over {U!r}"
-                                    )
-    if problems:
-        return problems
-    for f, (V, U) in A.site.cat.morphisms.items():
-        r = A.res.get(f, {})
-        for p, xs in A.elements[U].items():
-            for x in xs:
-                if x not in r:
-                    problems.append(f"restriction along {f!r} misses {x!r}")
-                elif r[x] not in set(A.elements[V].get(p, ())):
-                    problems.append(f"restriction along {f!r} moves the anchor of {x!r}")
-    if problems:
-        return problems
-    for f, (V, U) in A.site.cat.morphisms.items():
-        r = A.res[f]
-        for (arrow, x), y in A.act1[U].items():
-            if r[y] != A.act1[V][(arrow, r[x])]:
-                problems.append(f"restriction along {f!r} is not equivariant")
-    return problems
-
-
-def two_gpd_display(A: TwoGpdAction, trunc):
-    """Assemble the sectionwise total objects over the constant cocycle
-    presheaf of the 2-groupoid."""
-    displays = {
-        U: holim_2gpd(
-            A.gpd2, A.elements[U], lambda arrow, x, act=A.act1[U]: act[(arrow, x)], trunc
-        )
-        for U in A.site.objects
-    }
+    displays = {U: display(U) for U in site.objects}
     total = sset_presheaf(
-        A.site, lambda U: displays[U][0], lambda f, n, s: (A.res[f][s[0]], s[1])
+        site, lambda U: displays[U][0], lambda f, n, s: (A.total.res[f][s[0]], s[1])
     )
-    base = constant_sset_presheaf(A.site, displays[A.site.objects[-1]][1].target)
+    base = constant_sset_presheaf(site, displays[site.objects[-1]][1].target)
     return total, sset_presheaf_map(total, base, lambda U, n, s: displays[U][1](n, s))
 
 
@@ -852,48 +783,6 @@ def two_gpd_torsor_check(total: SSetPresheaf, pi: SSetPresheafMap, depth=2) -> C
     )
 
 
-def twisted_two_gpd_action(site, F: FinGroup, cochain) -> TwoGpdAction:
-    """The group of 1-cells acting on itself, with restriction twisted
-    by a group element per site morphism; arrows act contravariantly so
-    the left twisting stays equivariant."""
-    T = group_as_2groupoid(F)
-    elements = {U: {"*": tuple(F.elements)} for U in site.objects}
-    act1 = {
-        U: {
-            (g, x): F.mul[(x, F.inv[g])]
-            for g in F.elements
-            for x in F.elements
-        }
-        for U in site.objects
-    }
-    res = {
-        f: {x: F.mul[(cochain[f], x)] for x in F.elements}
-        for f in site.morphisms
-    }
-    return TwoGpdAction(T, site, elements, act1, res)
-
-
-def two_gpd_action_maps(A1: TwoGpdAction, A2: TwoGpdAction):
-    """Anchor-preserving equivariant natural maps between the element
-    presheaves."""
-
-    def element_presheaf(A):
-        return set_presheaf(
-            A.site,
-            lambda U: [x for xs in A.elements[U].values() for x in xs],
-            lambda f, x: A.res[f][x],
-        )
-
-    anchor2 = {U: {y: q for q, ys in A2.elements[U].items() for y in ys} for U in A2.site.objects}
-    anchored = [
-        (((U, x),), lambda y, tab=anchor2[U], p=p: tab[y] == p)
-        for U in A1.site.objects
-        for p, xs in A1.elements[U].items()
-        for x in xs
-    ]
-    equivariant = [
-        (((U, x1), (U, x)), lambda y1, y, tab=A2.act1[U], arrow=arrow: y1 == tab[(arrow, y)])
-        for U in A1.site.objects
-        for (arrow, x), x1 in A1.act1[U].items()
-    ]
-    return natural_maps(element_presheaf(A1), element_presheaf(A2), anchored + equivariant)
+def two_gpd_action_maps(A1: ActionTorsor, A2: ActionTorsor):
+    """Anchor-preserving equivariant natural maps between the totals."""
+    return natural_maps(A1.total, A2.total, _anchored(A1, A2) + _equivariance(A1, A2))

@@ -19,7 +19,9 @@ how to build the torsor family and the objects the isomorphism search
 compares, that search, the classifying target, the checks on each class
 representative, the classifying map, and any extra checks and report
 keys (the cocycle-class count for the group flavours, the bundle round
-trip, the represented torsors for ``sgpd``).
+trip, the represented torsors for ``sgpd``).  A ``2gpd`` torsor is the
+1-cell ActionTorsor of a cochain of the constant group presheaf, and
+its display is built over the group's 2-groupoid, ``run.gpd2``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .bundles import (
     sgd_torsor_check,
     sgroup_torsor_check,
     twisted_sgroup_action,
-    twisted_two_gpd_action,
     two_gpd_action_maps,
     two_gpd_display,
     two_gpd_torsor_check,
@@ -46,7 +47,6 @@ from .bundles import (
     vertex_group_presheaf,
 )
 from .groupoid import group_as_2groupoid
-from .holim import holim_2gpd
 from .kan import enumerate_sset_maps
 from .presheaf import (
     SgdPresheaf,
@@ -60,6 +60,7 @@ from .presheaf import (
 )
 from .report import Check, InvariantError, require, unique_hit
 from .search import Partition, solve
+from .sgroupoid import b_2groupoid
 from .sheaf import cech_resolution, cover_elements
 from .sset import delta, sset_product
 from .torsors import (
@@ -80,6 +81,7 @@ from .torsors import (
     torsor_cech_class,
     wbar_presheaf,
 )
+from .wbar import wbar
 
 def star_cover(site):
     """The designated covering family of the terminal presheaf."""
@@ -211,16 +213,14 @@ def _transition(hits):
     return unique_hit(hits, "transitions must be unique to classify")
 
 
-def action_classifying_map(
-    T: ActionTorsor, cover, trunc, target: SSetPresheaf = None
-) -> SSetPresheafMap:
-    """The transition cocycle of one chosen section over each cover
-    member, as a map from the covering resolution into the nerve."""
-    site = T.total.site
-    if target is None:
-        target = bg_presheaf(T.gpd, trunc)
+def _transition_cocycle(T: ActionTorsor, cover, source, target, value) -> SSetPresheafMap:
+    """The map sending a level-n cell of the covering resolution
+    ``source`` to value(G, n, anchors, arrows) in ``target``: the anchor
+    of one chosen section over each vertex, and the arrow of G = T.gpd
+    over the cell's section carrying each vertex's section to the one
+    before it."""
     chosen = _chosen(cover, lambda member: T.total.values[member])
-    E = cover_elements(site, cover)
+    E = cover_elements(T.total.site, cover)
 
     def entry(W):
         G, anchor, tab = T.gpd.values[W], T.anchor[W], T.action[W]
@@ -236,25 +236,36 @@ def action_classifying_map(
                 ]
             )
 
-        return lambda n, cell: (
-            anchor[local[cell[0]]],
-            tuple(transition(cell[m - 1], cell[m]) for m in range(1, n + 1)),
+        return lambda n, cell: value(
+            G,
+            n,
+            [anchor[local[e]] for e in cell],
+            [transition(cell[m - 1], cell[m]) for m in range(1, n + 1)],
         )
 
-    return _cocycle_map(cech_resolution(site, cover, trunc), target, entry)
+    return _cocycle_map(source, target, entry)
+
+
+def action_classifying_map(
+    T: ActionTorsor, cover, source: SSetPresheaf, target: SSetPresheaf
+) -> SSetPresheafMap:
+    """The transition cocycle of one chosen section over each cover
+    member, as a map from the covering resolution ``source`` into the
+    nerve ``target``."""
+    return _transition_cocycle(
+        T, cover, source, target, lambda G, n, anchors, arrows: (anchors[0], tuple(arrows))
+    )
 
 
 def sgroup_classifying_map(
-    A, cover, target: SSetPresheaf = None
+    A, cover, source: SSetPresheaf, target: SSetPresheaf
 ) -> SSetPresheafMap:
     """Transition cocycle of an enriched group action with a discrete
-    total space, into the cocycle object."""
+    total space, from the covering resolution ``source`` into the
+    cocycle object ``target``."""
     Q = A.group
-    site = Q.site
-    if target is None:
-        target = wbar_presheaf(Q)
     chosen = _chosen(cover, lambda member: A.space.values[member].level(0))
-    E = cover_elements(site, cover)
+    E = cover_elements(Q.site, cover)
 
     def entry(W):
         H = Q.values[W]
@@ -272,64 +283,39 @@ def sgroup_classifying_map(
             tuple(transition(cell[m - 1], cell[m], n - m) for m in range(1, n + 1)),
         )
 
-    return _cocycle_map(cech_resolution(site, cover, Q.trunc), target, entry)
+    return _cocycle_map(source, target, entry)
 
 
 def two_gpd_base_presheaf(site, T, trunc) -> SSetPresheaf:
     """The constant presheaf on the 2-groupoid's cocycle object."""
-    _, proj = holim_2gpd(T, {p: () for p in T.objects}, lambda arrow, x: x, trunc)
-    return constant_sset_presheaf(site, proj.target)
+    return constant_sset_presheaf(site, wbar(b_2groupoid(T, trunc)))
 
 
 def two_gpd_classifying_map(
-    A, cover, trunc, target: SSetPresheaf = None
+    A: ActionTorsor, cover, source: SSetPresheaf, target: SSetPresheaf
 ) -> SSetPresheafMap:
-    """Transition cocycle of a 2-groupoid action, for discrete hom
-    2-cells; entries are degenerate strings on the transition arrow."""
-    site = A.site
-    T = A.gpd2
-    if target is None:
-        target = two_gpd_base_presheaf(site, T, trunc)
-    chosen = _chosen(
-        cover,
-        lambda member: [
-            x for p in sorted(A.elements[member]) for x in A.elements[member][p]
-        ],
-    )
-    E = cover_elements(site, cover)
+    """Transition cocycle of a 2-groupoid action, given as its 1-cell
+    ActionTorsor, for discrete hom 2-cells: a transition arrow g is the
+    1-cell g^-1, and entries are degenerate strings on it."""
 
-    def entry(W):
-        owner = {x: p for p, xs in A.elements[W].items() for x in xs}
-        local = {(i, h): A.res[h][chosen[i]] for (i, h) in E.values[W]}
-        anchors = {e: owner[local[e]] for e in local}
-        act = A.act1[W]
+    def value(G, n, anchors, arrows):
+        cells = [G.inverses[g] for g in arrows]
+        return (
+            tuple(anchors),
+            tuple((t, (("id", t),) * (n - m)) for m, t in enumerate(cells, 1)),
+        )
 
-        def transition(prev, nxt):
-            x, y = local[nxt], local[prev]
-            arrows = T.homs[(anchors[nxt], anchors[prev])].objects
-            return _transition([arrow for arrow in arrows if act[(arrow, x)] == y])
-
-        def cell_value(n, cell):
-            steps = [transition(cell[m - 1], cell[m]) for m in range(1, n + 1)]
-            return (
-                tuple(anchors[e] for e in cell),
-                tuple((t, (("id", t),) * (n - m)) for m, t in enumerate(steps, 1)),
-            )
-
-        return cell_value
-
-    return _cocycle_map(cech_resolution(site, cover, trunc), target, entry)
+    return _transition_cocycle(A, cover, source, target, value)
 
 
 def sgd_classifying_map(
-    u: SgdPresheafMap, cover, target: SSetPresheaf = None
+    u: SgdPresheafMap, cover, source: SSetPresheaf, target: SSetPresheaf
 ) -> SSetPresheafMap:
     """For a map off the covering coefficients, the induced cocycle map
-    on resolutions: entries are the images of the unique connecting
-    cells, read backwards along each string."""
-    P, Q = u.source, u.target
-    if target is None:
-        target = wbar_presheaf(Q)
+    from the covering resolution ``source`` into ``target``: entries are
+    the images of the unique connecting cells, read backwards along each
+    string."""
+    P = u.source
 
     def entry(W):
         F, HP = u.components[W], P.values[W]
@@ -346,7 +332,7 @@ def sgd_classifying_map(
             ),
         )
 
-    return _cocycle_map(cech_resolution(P.site, cover, P.trunc), target, entry)
+    return _cocycle_map(source, target, entry)
 
 
 def constant_cocycle_map(
@@ -397,9 +383,8 @@ def _bundle_family(run):
 
 
 def _two_gpd_family(run):
-    G = constant_group_presheaf(run.site, run.coeff)
-    cochains = enumerate_group_cochains(G, run.bound)
-    return [twisted_two_gpd_action(run.site, run.coeff, c) for c in cochains]
+    run.gpd2 = group_as_2groupoid(run.coeff)
+    return enumerate_group_torsors(constant_group_presheaf(run.site, run.coeff), run.bound)
 
 
 def _sgroup_family(run):
@@ -517,7 +502,7 @@ FLAVOURS = {
         target=lambda run: bg_presheaf(group_presheaf_as_groupoid(run.coeff), run.trunc),
         checks=lambda run, i: [group_torsor_check(run.family[i], depth=run.depth)],
         classifying_map=lambda run, i: action_classifying_map(
-            run.family[i], run.cover, run.trunc, target=run.target
+            run.family[i], run.cover, run.source, run.target
         ),
         extra=_group_cech,
     ),
@@ -529,7 +514,7 @@ FLAVOURS = {
         target=lambda run: bg_presheaf(run.coeff, run.trunc),
         checks=lambda run, i: [action_torsor_check(run.family[i], depth=run.depth)],
         classifying_map=lambda run, i: action_classifying_map(
-            run.family[i], run.cover, run.trunc, target=run.target
+            run.family[i], run.cover, run.source, run.target
         ),
     ),
     "groupoid-bundle": Flavour(
@@ -541,7 +526,7 @@ FLAVOURS = {
         target=lambda run: bg_presheaf(run.coeff, run.trunc),
         checks=lambda run, i: [bundle_torsor_check(run.family[i], depth=run.depth)],
         classifying_map=lambda run, i: action_classifying_map(
-            run.searched[i], run.cover, run.trunc, target=run.target
+            run.searched[i], run.cover, run.source, run.target
         ),
         extra=_bundle_round_trip,
     ),
@@ -550,16 +535,14 @@ FLAVOURS = {
         enriched=False,
         family=_two_gpd_family,
         iso=lambda run, x, y: two_gpd_action_maps(x, y),
-        target=lambda run: two_gpd_base_presheaf(
-            run.site, group_as_2groupoid(run.coeff), run.trunc
-        ),
+        target=lambda run: two_gpd_base_presheaf(run.site, run.gpd2, run.trunc),
         checks=lambda run, i: [
             two_gpd_torsor_check(
-                *two_gpd_display(run.family[i], run.trunc), depth=run.depth
+                *two_gpd_display(run.gpd2, run.family[i], run.trunc), depth=run.depth
             )
         ],
         classifying_map=lambda run, i: two_gpd_classifying_map(
-            run.family[i], run.cover, run.trunc, target=run.target
+            run.family[i], run.cover, run.source, run.target
         ),
     ),
     "sgroup": Flavour(
@@ -571,7 +554,7 @@ FLAVOURS = {
         target=lambda run: wbar_presheaf(run.coeff),
         checks=lambda run, i: [sgroup_torsor_check(run.family[i], depth=run.depth)],
         classifying_map=lambda run, i: sgroup_classifying_map(
-            run.family[i], run.cover, target=run.target
+            run.family[i], run.cover, run.source, run.target
         ),
         extra=_sgroup_cech,
     ),
@@ -583,7 +566,7 @@ FLAVOURS = {
         target=lambda run: wbar_presheaf(run.coeff),
         checks=_sgd_checks,
         classifying_map=lambda run, i: sgd_classifying_map(
-            run.charts[i], run.cover, target=run.target
+            run.charts[i], run.cover, run.source, run.target
         ),
         extra=_represented_torsors,
     ),

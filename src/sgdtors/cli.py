@@ -25,7 +25,6 @@ from .bundles import (
     sgd_torsor_check,
     sgroup_torsor_check,
     translation_action,
-    twisted_two_gpd_action,
     two_gpd_display,
     two_gpd_torsor_check,
     vertex_group_presheaf,
@@ -33,10 +32,16 @@ from .bundles import (
 )
 from .classify import KINDS, classify, classify_torsors, star_cover
 from .fixtures import interval_sgd, pt_site, s1_site, twocomp_sgd, z2_sgroup
+from .groupoid import group_as_2groupoid
 from .holim import comma_db, corepresented_functor, holim_projection, homotopy_fibre_check
 from .join import alpha_beta, alpha_beta_check, naturality_check
 from .kan import kan_check, weq_check
-from .presheaf import SgdPresheaf, constant_sgd_presheaf, validate_sgd_presheaf_laws
+from .presheaf import (
+    SgdPresheaf,
+    constant_group_presheaf,
+    constant_sgd_presheaf,
+    validate_sgd_presheaf_laws,
+)
 from .report import Check, require
 from .sgroupoid import (
     SgdFunctor,
@@ -886,9 +891,8 @@ def _canonical_torsor_check(kind, site, Q, coeff, N, depth) -> Check:
 
         return bundle_torsor_check(action_to_bundle(T, N), depth)
     if kind == "2gpd":
-        zero = {f: coeff.e for f in site.cat.morphisms}
-        total, pi = two_gpd_display(twisted_two_gpd_action(site, coeff, zero), N)
-        return two_gpd_torsor_check(total, pi, depth)
+        T = trivial_group_torsor(constant_group_presheaf(site, coeff))
+        return two_gpd_torsor_check(*two_gpd_display(group_as_2groupoid(coeff), T, N), depth)
     if kind == "sgroup":
         return sgroup_torsor_check(translation_action(Q), depth)
     at = _shared_object(Q, "no shared object to corepresent at")

@@ -28,6 +28,7 @@ from .sgroupoid import (
     db_map,
     db_sgroupoid,
     identity_functor,
+    string_image,
     string_steps,
 )
 from .sset import SSetMap, delta, sset_map, sset_product, validate_sset_map
@@ -112,21 +113,14 @@ def alpha_beta_check(prism) -> Check:
 def join_map(F: SgdFunctor, J, J2) -> SSetMap:
     """The carrier map J -> J2 induced by an enriched functor, between the
     join objects of its source and target."""
-    G = F.source
 
     def assign(n, w):
         a0, x, hs = w
         b0, g0, us = x
-        new_us = tuple(
-            F.on_hom(a, b, n, u) for a, b, u in string_steps(G, b0, us, n)
-        )
-        new_hs = tuple(
-            F.on_hom(a, b, n, h) for a, b, h in string_steps(G, a0, hs, n)
-        )
         return (
             F.ob[a0],
-            (F.ob[b0], F.on_hom(b0, a0, n, g0), new_us),
-            new_hs,
+            (F.ob[b0], F.on_hom(b0, a0, n, g0), string_image(F, b0, us, n)),
+            string_image(F, a0, hs, n),
         )
 
     return sset_map(J, J2, assign)

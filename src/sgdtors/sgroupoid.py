@@ -351,6 +351,11 @@ def string_steps(H: SimpGroupoid, x0, fs, q):
     return steps
 
 
+def string_image(F: SgdFunctor, x0, fs, n):
+    """The image under F of a string of n-cells starting at x0."""
+    return tuple(F.on_hom(a, b, n, f) for a, b, f in string_steps(F.source, x0, fs, n))
+
+
 def nerve_bidegrees(H: SimpGroupoid):
     """The build_bisset arguments of the nerve: at horizontal degree p and
     vertical degree q, strings of p composable q-cells."""
@@ -409,7 +414,6 @@ def db_map(F: SgdFunctor, B, B2):
 
     def assign(n, s):
         x0, fs = s
-        steps = string_steps(F.source, x0, fs, n)
-        return (F.ob[x0], tuple(F.on_hom(a, b, n, f) for a, b, f in steps))
+        return (F.ob[x0], string_image(F, x0, fs, n))
 
     return sset_map(B, B2, assign)

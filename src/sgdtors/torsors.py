@@ -11,7 +11,10 @@ conversions run in both directions and are mutually inverse on the
 nose.  An independent cocycle count over a fixed cover family
 cross-checks every classification number.
 
-The simplicial coefficient flavours live in bundles.py and the
+The 2-groupoid flavour in bundles.py uses ActionTorsor too: the
+2-cells act trivially on anchored elements, so a 2-groupoid action is
+the ActionTorsor of its 1-cells plus the 2-groupoid its display is built
+over.  The simplicial coefficient flavours live in bundles.py and the
 component counting in classify.py; this module also builds the
 classifying presheaves (cocycle object, total object, diagonal nerve)
 that all of them map into.
@@ -46,7 +49,7 @@ from .presheaf import (
 )
 from .report import Check, InvariantError, require, unique_hit, validator
 from .search import solve
-from .sgroupoid import db_sgroupoid, string_steps
+from .sgroupoid import db_sgroupoid, string_image
 from .sheaf import is_sheaf, local_epi_check, local_weq_check, plus_construction
 from .sset import idkey, relabel
 from .wbar import cocycle_image, wbar, w_total
@@ -157,10 +160,9 @@ def db_presheaf(Q: SgdPresheaf) -> SSetPresheaf:
     values = _shared_values(Q.values, db_sgroupoid)
 
     def restrict(f, n, s):
-        F, H = Q.res[f], Q.values[Q.site.cat.dst(f)]
+        F = Q.res[f]
         x0, gs = s
-        steps = string_steps(H, x0, gs, n)
-        return (F.ob[x0], tuple(F.on_hom(a, b, n, g) for a, b, g in steps))
+        return (F.ob[x0], string_image(F, x0, gs, n))
 
     return sset_presheaf(Q.site, values.__getitem__, restrict)
 
@@ -504,6 +506,10 @@ def validate_action_torsor(T: ActionTorsor):
     for U in T.total.site.objects:
         G = T.gpd.values[U]
         anchor, carrier = T.anchor[U], set(T.total.values[U])
+        unanchored = [e for e in T.total.values[U] if e not in anchor]
+        if unanchored:
+            problems.append(f"anchor missing over {U!r} for {unanchored[0]!r}")
+            continue
         tab = T.action.get(U, {})
         want = {
             (e, g)
@@ -512,7 +518,12 @@ def validate_action_torsor(T: ActionTorsor):
             if anchor[e] == b
         }
         if set(tab) != want:
-            problems.append(f"action table over {U!r} has the wrong anchored domain")
+            missing = sorted(want - set(tab), key=idkey)[:1]
+            stray = sorted(set(tab) - want, key=idkey)[:1]
+            spots = [f"missing {k!r}" for k in missing] + [f"stray {k!r}" for k in stray]
+            problems.append(
+                f"action table over {U!r} has the wrong anchored domain: {', '.join(spots)}"
+            )
             continue
         mistyped = [
             f"action mistyped over {U!r} at {(e, g)!r}"
@@ -627,17 +638,20 @@ def enumerate_action_torsors(GP: GroupoidPresheaf, bound=None):
     return [representable_action_torsor(GP, a) for a in constant]
 
 
+def _anchored(T1: ActionTorsor, T2: ActionTorsor):
+    """Constraints anchor(phi(e)) = anchor(e), one for each element of T1."""
+    return [
+        (((U, e),), lambda t, tab=T2.anchor[U], a=T1.anchor[U][e]: tab[t] == a)
+        for U in T1.total.site.objects
+        for e in T1.total.values[U]
+    ]
+
+
 def action_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
     """Equivariant, anchor-preserving presheaf maps between the totals.
     The anchor constraints come first, so an equivariance constraint
     only looks up actions on elements with the right anchor."""
-    objects = T1.total.site.objects
-    anchored = [
-        (((U, e),), lambda t, tab=T2.anchor[U], a=T1.anchor[U][e]: tab[t] == a)
-        for U in objects
-        for e in T1.total.values[U]
-    ]
-    return natural_maps(T1.total, T2.total, anchored + _equivariance(T1, T2))
+    return natural_maps(T1.total, T2.total, _anchored(T1, T2) + _equivariance(T1, T2))
 
 
 def _plus_action_anchored(T: ActionTorsor, E, anchor, action, depth=2):

@@ -13,8 +13,6 @@ import pytest
 from call_counts import count_calls
 
 from sgdtors.bundles import (
-    SgdDiagram,
-    TwoGpdAction,
     action_diagram,
     borel_to_quotient,
     cech_sgd_presheaf,
@@ -35,7 +33,6 @@ from sgdtors.bundles import (
     translation_action,
     translation_sgd,
     twisted_sgroup_action,
-    twisted_two_gpd_action,
     two_gpd_action_maps,
     two_gpd_display,
     two_gpd_shape_check,
@@ -43,7 +40,6 @@ from sgdtors.bundles import (
     unit_sgd_presheaf,
     validate_sgd_diagram,
     validate_sgroup_action,
-    validate_two_gpd_action,
     vertex_group_presheaf,
     w_quotient_presheaf_map,
     wg_action,
@@ -53,6 +49,8 @@ from sgdtors.groupoid import group_as_2groupoid, trivial_groupoid, zmod
 from sgdtors.holim import corepresented_functor
 from sgdtors.kan import weq_check
 from sgdtors.presheaf import (
+    constant_group_presheaf,
+    set_presheaf,
     SSetPresheafMap,
     sset_presheaf_map,
     terminal_sset_presheaf,
@@ -63,12 +61,15 @@ from sgdtors.presheaf import (
 from sgdtors.sgroupoid import constant_sgroup, constant_sgroupoid, validate_sgd_functor
 from sgdtors.sset import sset_map, validate_sset_map
 from sgdtors.torsors import (
+    cochain_torsor,
     db_presheaf,
+    group_action_torsor,
     group_torsor_check,
     group_torsor_maps,
     h1_cech_classes,
     torsor_cech_class,
     trivial_group_torsor,
+    validate_action_torsor,
     wbar_presheaf,
 )
 
@@ -392,8 +393,8 @@ def test_element_groupoid_comparison_is_an_equivalence():
 
 def test_display_levels_pair_elements_with_nerve_strings():
     site = s1_site()
-    A = twisted_two_gpd_action(site, zmod(2), {f: 0 for f in site.morphisms})
-    total, pi = two_gpd_display(A, 3)
+    A = trivial_group_torsor(constant_group_presheaf(site, zmod(2)))
+    total, pi = two_gpd_display(group_as_2groupoid(zmod(2)), A, 3)
     assert validate_sset_presheaf(total).ok
     assert validate_sset_presheaf_map(pi).ok
     for U in site.objects:
@@ -406,12 +407,13 @@ def test_twisted_two_gpd_displays_are_torsors():
     plain = {f: 0 for f in site.morphisms}
     twisted = dict(plain)
     twisted[("A", "U")] = 1
+    G, T = constant_group_presheaf(site, zmod(2)), group_as_2groupoid(zmod(2))
     actions = []
     for cochain in (plain, twisted):
-        A = twisted_two_gpd_action(site, zmod(2), cochain)
-        valid = validate_two_gpd_action(A)
+        A = cochain_torsor(G, cochain)
+        valid = validate_action_torsor(A)
         assert valid, valid.render()
-        total, pi = two_gpd_display(A, 3)
+        total, pi = two_gpd_display(T, A, 3)
         assert two_gpd_shape_check(total, pi)
         assert two_gpd_torsor_check(total, pi)
         actions.append(A)
@@ -423,20 +425,14 @@ def test_two_orbit_action_has_the_shape_but_is_not_locally_trivial():
     site = s1_site()
     T = group_as_2groupoid(zmod(2))
     swap = {0: 1, 1: 0, 2: 3, 3: 2}
-    elements = {U: {"*": (0, 1, 2, 3)} for U in site.objects}
-    act1 = {
-        U: {
-            (g, x): x if g == 0 else swap[x]
-            for g in (0, 1)
-            for x in (0, 1, 2, 3)
-        }
-        for U in site.objects
-    }
-    res = {f: {x: x for x in (0, 1, 2, 3)} for f in site.morphisms}
-    A = TwoGpdAction(T, site, elements, act1, res)
-    valid = validate_two_gpd_action(A)
+    elements = set_presheaf(site, lambda U: (0, 1, 2, 3), lambda f, x: x)
+    A = group_action_torsor(
+        constant_group_presheaf(site, zmod(2)), elements,
+        lambda U, x, g: x if g == 0 else swap[x],
+    )
+    valid = validate_action_torsor(A)
     assert valid, valid.render()
-    total, pi = two_gpd_display(A, 3)
+    total, pi = two_gpd_display(T, A, 3)
     assert two_gpd_shape_check(total, pi)
     verdict = two_gpd_torsor_check(total, pi)
     assert not verdict

@@ -114,7 +114,7 @@ def test_classifying_maps_land_among_the_enumerated_ones():
     maps = enumerate_sset_presheaf_maps(source, target)
     tables = [u.components for u in maps]
     for T in enumerate_group_torsors(G):
-        u = action_classifying_map(T, cover, 3, target=target)
+        u = action_classifying_map(T, cover, source, target)
         assert u.components in tables
 
 
@@ -188,8 +188,9 @@ def test_diagonal_nerve_of_an_enriched_map_validates():
     P = cech_sgd_presheaf(site, cover, 3)
     us = enumerate_sgd_presheaf_maps(P, Q)
     assert len(us) == 2
+    source, target = cech_resolution(site, cover, 3), wbar_presheaf(Q)
     for u in us:
-        kappa = sgd_classifying_map(u, cover)
+        kappa = sgd_classifying_map(u, cover, source, target)
         assert validate_sset_presheaf_map(kappa).ok
 
 
@@ -205,7 +206,7 @@ def test_trivial_cocycle_map_sits_in_the_trivial_class():
     assert triv.components in [u.components for u in maps]
     P = cech_sgd_presheaf(site, cover, 3)
     us = enumerate_sgd_presheaf_maps(P, Q)
-    kappas = [sgd_classifying_map(u, cover, target=target) for u in us]
+    kappas = [sgd_classifying_map(u, cover, source, target) for u in us]
     hits = [k for k in kappas if k.components == triv.components]
     assert len(hits) == 1
 
@@ -230,9 +231,7 @@ def test_module_has_no_asserts(name):
     assert lines == []
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_module_uses_every_import(name):
-    tree = _module_tree(name)
+def _unused_imports(tree):
     imported = {
         (alias.asname or alias.name).split(".")[0]
         for node in ast.walk(tree)
@@ -241,7 +240,21 @@ def test_module_uses_every_import(name):
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported - used) == []
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_import(name):
+    assert _unused_imports(_module_tree(name)) == []
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+TEST_FILES = sorted(name for name in os.listdir(TESTS) if name.endswith(".py"))
+
+
+@pytest.mark.parametrize("name", TEST_FILES)
+def test_test_file_uses_every_import(name):
+    assert _unused_imports(_parse(os.path.join(TESTS, name))) == []
 
 
 # Top-level functions of src/ that no run of the command line, of
@@ -262,7 +275,6 @@ KEPT = {
     "bundles.translation_sgd": "used only by bundles.comma_value_comparison",
     "bundles.unit_sgd_presheaf": BUILDER,
     "bundles.validate_sgroup_action": VALIDATOR,
-    "bundles.validate_two_gpd_action": VALIDATOR,
     "bundles.w_quotient_presheaf_map": "used only by bundles.psi_sgroup",
     "bundles.wg_action": "only check: W over W-bar is the universal free action",
     "fixtures.cover_site": BUILDER,
@@ -361,10 +373,7 @@ def test_every_method_is_used():
     # a method is used when its name is read as an attribute somewhere
     # in src/ or tests/
     sources = [_module_tree(name) for name in MODULES]
-    tests = os.path.dirname(os.path.abspath(__file__))
-    trees = sources + [
-        _parse(os.path.join(tests, name)) for name in os.listdir(tests) if name.endswith(".py")
-    ]
+    trees = sources + [_parse(os.path.join(TESTS, name)) for name in TEST_FILES]
     read = {
         node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
     }

@@ -11,7 +11,6 @@ from call_counts import count_calls
 
 from sgdtors import cli
 from sgdtors.cli import (
-    Certificate,
     RunConfig,
     SchemaError,
     certificate,

@@ -5,7 +5,6 @@ from sgdtors.groupoid import (
     group_as_2groupoid,
     group_as_groupoid,
     groupoid_as_2groupoid,
-    make_group,
     nerve_groupoid,
     nerve_theta,
     symmetric_group,

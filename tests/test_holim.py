@@ -1,5 +1,3 @@
-import itertools
-
 from sgdtors.groupoid import group_as_groupoid, trivial_groupoid, zmod
 from sgdtors.holim import (
     comma_construction_functor,
@@ -21,7 +19,6 @@ from sgdtors.holim import (
 from sgdtors.fixtures import interval_sgd, twocomp_sgd, z2_sgroup
 from sgdtors.groupoid import (
     group_as_2groupoid,
-    groupoid_as_2groupoid,
     nerve_groupoid,
     validate_groupoid,
 )

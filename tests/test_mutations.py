@@ -4,12 +4,7 @@ validator fail, and its witness names the corrupted spot."""
 import pytest
 
 from sgdtors.bisset import validate_bisset
-from sgdtors.bundles import (
-    corepresented_diagram,
-    twisted_two_gpd_action,
-    validate_sgd_diagram,
-    validate_two_gpd_action,
-)
+from sgdtors.bundles import corepresented_diagram, validate_sgd_diagram
 from sgdtors.fixtures import interval_sgd, s1_site, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import trivial_groupoid, validate_groupoid, zmod
 from sgdtors.holim import corepresented_functor, validate_simplicial_functor
@@ -30,7 +25,12 @@ from sgdtors.sgroupoid import (
     validate_sgroupoid,
 )
 from sgdtors.sset import delta, identity_map, validate_sset, validate_sset_map
-from sgdtors.torsors import cochain_torsor, enumerate_group_cochains, validate_action_torsor
+from sgdtors.torsors import (
+    cochain_torsor,
+    enumerate_group_cochains,
+    trivial_group_torsor,
+    validate_action_torsor,
+)
 
 
 def sset_face():
@@ -71,12 +71,16 @@ def sset_presheaf_restriction():
     return validate_sset_presheaf(Y), spot
 
 
+def _z2_circle_torsor():
+    return trivial_group_torsor(constant_group_presheaf(s1_site(), zmod(2)))
+
+
 def two_gpd_action_entry():
-    site, F = s1_site(), zmod(2)
-    (cochain, *_) = enumerate_group_cochains(constant_group_presheaf(site, F))
-    A = twisted_two_gpd_action(site, F, cochain)
-    del A.act1["U"][(1, 0)]
-    return validate_two_gpd_action(A), "arrow 1 mistypes 0 over 'U'"
+    G = constant_group_presheaf(s1_site(), zmod(2))
+    (cochain, *_) = enumerate_group_cochains(G)
+    T = cochain_torsor(G, cochain)
+    del T.action["U"][(0, 1)]
+    return validate_action_torsor(T), "over 'U' has the wrong anchored domain: missing (0, 1)"
 
 
 def group_action_unit_entry():
@@ -97,25 +101,28 @@ def group_action_value_off_the_carrier():
     return validate_action_torsor(T), "action mistyped over 'U' at (0, 1)"
 
 
+def group_action_anchor_missing():
+    T = _z2_circle_torsor()
+    del T.anchor["U"][1]
+    return validate_action_torsor(T), "anchor missing over 'U' for 1"
+
+
 def two_gpd_restriction_missing():
-    site = s1_site()
-    A = twisted_two_gpd_action(site, zmod(2), {f: 0 for f in site.morphisms})
-    del A.res[("U", "U")][0]
-    return validate_two_gpd_action(A), "along ('U', 'U') misses 0"
+    T = _z2_circle_torsor()
+    del T.total.res[("U", "U")][0]
+    return validate_action_torsor(T), "restriction along ('U', 'U') mistyped at 0"
 
 
 def two_gpd_restriction_out_of_range():
-    site = s1_site()
-    A = twisted_two_gpd_action(site, zmod(2), {f: 0 for f in site.morphisms})
-    A.res[("A", "U")][0] = "zz"
-    return validate_two_gpd_action(A), "along ('A', 'U') moves the anchor of 0"
+    T = _z2_circle_torsor()
+    T.total.res[("A", "U")][0] = "zz"
+    return validate_action_torsor(T), "restriction along ('A', 'U') mistyped at 0"
 
 
 def two_gpd_action_stray_entry():
-    site = s1_site()
-    A = twisted_two_gpd_action(site, zmod(2), {f: 0 for f in site.morphisms})
-    A.act1["U"][(1, "zz")] = 0
-    return validate_two_gpd_action(A), "act1 entry (1, 'zz') over 'U'"
+    T = _z2_circle_torsor()
+    T.action["U"][("zz", 1)] = 0
+    return validate_action_torsor(T), "over 'U' has the wrong anchored domain: stray ('zz', 1)"
 
 
 def sgroupoid_level_one_composite():
@@ -192,6 +199,7 @@ def bisset_horizontal_face():
         two_gpd_action_entry,
         group_action_unit_entry,
         group_action_value_off_the_carrier,
+        group_action_anchor_missing,
         two_gpd_restriction_missing,
         two_gpd_restriction_out_of_range,
         two_gpd_action_stray_entry,

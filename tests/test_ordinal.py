@@ -1,7 +1,6 @@
 import itertools
 
 from sgdtors.ordinal import (
-    OrdinalMap,
     all_maps,
     codegeneracy,
     coface,

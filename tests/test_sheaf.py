@@ -20,7 +20,6 @@ from sgdtors.sheaf import (
     local_weq_check,
     matching_families,
     pi0_presheaf,
-    plus_construction,
     plus_unit,
     sheafify,
 )

@@ -1,11 +1,8 @@
-import itertools
 import json
 import math
 
-import pytest
-
 from sgdtors.cli import decode_sset, dumps, encode_sset
-from sgdtors.ordinal import OrdinalMap, all_maps
+from sgdtors.ordinal import all_maps
 from sgdtors.sset import (
     boundary,
     build_sset,
@@ -21,7 +18,6 @@ from sgdtors.sset import (
     relabel,
     sset_map,
     sset_product,
-    subcomplex,
     validate_sset,
     validate_sset_map,
 )

@@ -18,7 +18,6 @@ from sgdtors.presheaf import (
 from sgdtors.report import InvariantError
 from sgdtors.sheaf import is_componentwise_bijection
 from sgdtors.torsors import (
-    ActionTorsor,
     BundleTorsor,
     action_to_bundle,
     action_torsor_check,
@@ -28,7 +27,6 @@ from sgdtors.torsors import (
     bundle_shape_check,
     bundle_to_action,
     bundle_torsor_check,
-    cochain_torsor,
     constant_groupoid_presheaf,
     db_presheaf,
     enumerate_action_torsors,

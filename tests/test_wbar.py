@@ -19,7 +19,6 @@ from sgdtors.sgroupoid import (
     sgd_functor,
 )
 from sgdtors.sset import (
-    SSetMap,
     is_bijective,
     pi0_classes,
     point,
