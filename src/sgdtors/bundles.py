@@ -6,12 +6,13 @@ simplicial presheaves over an enriched groupoid presheaf, and an action
 of a 2-groupoid on anchored element families.  In each case the torsor
 verdict is the same: the assembled total object (homotopy colimit, or
 display) must be locally trivial over the site.  An enriched group is a
-one-object enriched groupoid, so the Borel construction of an action is
-the homotopy colimit of the action's one-object diagram, and the first
-two flavours share one assembler, ``holim_presheaf``.  A 2-groupoid
-acts on anchored elements through its 1-cells alone, so a 2-groupoid
-action is the 1-cell ActionTorsor of torsors.py plus the 2-groupoid its
-display is built over.
+one-object enriched groupoid, so an enriched group action is the
+one-object SgdDiagram: the first two flavours share one type, one
+validator and one assembler, ``holim_presheaf``, whose value on an
+action is its Borel construction.  A 2-groupoid acts on anchored
+elements through its 1-cells alone, so a 2-groupoid action is the
+1-cell ActionTorsor of torsors.py plus the cocycle object of the
+2-groupoid its display is built over.
 
 The conversions between torsors and maps into the classifying presheaf
 run through pullbacks of the total-object quotient and through comma
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groupoid import Fin2Groupoid, trivial_groupoid
+from .groupoid import trivial_groupoid
 from .holim import (
     SimplicialFunctor,
     comma_construction_functor,
@@ -35,6 +36,7 @@ from .holim import (
 )
 from .kan import enumerate_sset_maps, fibration_check, iterated_degeneracy
 from .presheaf import (
+    SetPresheaf,
     SgdPresheaf,
     SSetPresheaf,
     SSetPresheafMap,
@@ -44,7 +46,7 @@ from .presheaf import (
     set_presheaf,
     sset_presheaf,
     sset_presheaf_map,
-    validate_sset_presheaf,
+    validate_set_presheaf,
 )
 from .report import Check, invariant, require, validator
 from .search import solve
@@ -56,7 +58,7 @@ from .sgroupoid import (
     validate_sgd_functor,
 )
 from .sheaf import cover_elements, local_weq_check
-from .sset import SSetMap, build_sset, idkey, sset_map, validate_sset_map
+from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, validate_sset_map
 from .torsors import (
     ActionTorsor,
     _anchored,
@@ -77,85 +79,59 @@ def _one_object(H):
 
 
 # ---------------------------------------------------------------------------
-# Actions of an enriched group presheaf on a simplicial presheaf.  Every
-# section of the coefficient presheaf must have a single object; the
-# action tables are levelwise, covariant, and natural in the site.
+# Actions of an enriched group presheaf on a simplicial presheaf.  An
+# enriched group is a one-object enriched groupoid, so an action is the
+# one-object SgdDiagram below: its value at the object of each section
+# is the space, and its restriction there is the space's.
 
 
-@dataclass
-class SGroupAction:
-    group: SgdPresheaf
-    space: SSetPresheaf
-    action: dict   # object -> {level: {(hom cell, simplex): simplex}}
-
-    def act(self, U, n, g, x):
-        return self.action[U][n][(g, x)]
-
-
-def sgroup_action(Q: SgdPresheaf, space: SSetPresheaf, act) -> SGroupAction:
-    """Build from a callable act(U, n, g, x)."""
-    action = {}
-    for U in Q.site.objects:
-        H, X = Q.values[U], space.values[U]
-        a = _one_object(H)
-        action[U] = {
-            n: {
-                (g, x): act(U, n, g, x)
-                for g in H.homs[(a, a)].level(n)
-                for x in X.level(n)
-            }
-            for n in range(X.trunc + 1)
-        }
-    return SGroupAction(Q, space, action)
+def sgroup_action(Q: SgdPresheaf, space: SSetPresheaf, act) -> SgdDiagram:
+    """The one-object diagram of Q acting on space by the callable
+    act(U, n, g, x)."""
+    site = Q.site
+    functors = {
+        U: simplicial_functor(
+            Q.values[U],
+            lambda _, U=U: space.values[U],
+            lambda a, b, n, g, x, U=U: act(U, n, g, x),
+        )
+        for U in site.objects
+    }
+    res = {
+        f: {_one_object(Q.values[U]): space.res[f]}
+        for f, (V, U) in site.cat.morphisms.items()
+    }
+    return SgdDiagram(Q, functors, res)
 
 
-def section_functor(A: SGroupAction, U) -> SimplicialFunctor:
-    H = A.group.values[U]
-    return simplicial_functor(
-        H, lambda _: A.space.values[U], lambda a, b, n, g, x: A.action[U][n][(g, x)]
+def _space(D: SgdDiagram) -> SSetPresheaf:
+    """The simplicial presheaf a one-object diagram acts on."""
+    Q = D.coeff
+    point = {U: _one_object(H) for U, H in Q.values.items()}
+    return SSetPresheaf(
+        Q.site,
+        {U: D.functors[U].values[point[U]] for U in Q.site.objects},
+        {f: D.res[f][point[U]] for f, (V, U) in Q.site.cat.morphisms.items()},
     )
 
 
-def action_diagram(A: SGroupAction) -> SgdDiagram:
-    """The action as a diagram over its one-object coefficients."""
-    site = A.group.site
-    return SgdDiagram(
-        A.group,
-        {U: section_functor(A, U) for U in site.objects},
-        {f: {_one_object(A.group.values[U]): A.space.res[f]}
-         for f, (V, U) in site.cat.morphisms.items()},
-    )
-
-
-_ACTION_LAWS = "action tables are simplicial and natural"
-
-
-def _action_problems(A: SGroupAction):
-    """The problems ``validate_sgroup_action`` reports, and the one-object
-    diagram it checked, or None if it stopped before building one."""
-    space = validate_sset_presheaf(A.space)
-    if not space:
-        return [f"space: {space.witness[0]}"], None
-    for U in A.group.site.objects:
-        if len(A.group.values[U].objects) != 1:
-            return [f"coefficients over {U!r} have several objects"], None
-    D = action_diagram(A)
+@validator("action tables are simplicial and natural")
+def validate_sgroup_action(D: SgdDiagram):
+    """Every section of the coefficients has one object, and the diagram
+    is valid."""
+    for U in D.coeff.site.objects:
+        if len(D.coeff.values[U].objects) != 1:
+            return [f"coefficients over {U!r} have several objects"]
     diagram = validate_sgd_diagram(D)
-    return ([] if diagram else diagram.witness), D
+    return [] if diagram else diagram.witness
 
 
-@validator(_ACTION_LAWS)
-def validate_sgroup_action(A: SGroupAction):
-    """The space is a simplicial presheaf and the one-object diagram is valid."""
-    return _action_problems(A)[0]
-
-
-def sgroup_free_action_check(A: SGroupAction) -> Check:
+def sgroup_free_action_check(D: SgdDiagram) -> Check:
     hits = []
-    for U in A.group.site.objects:
-        H = A.group.values[U]
+    for U in D.coeff.site.objects:
+        H = D.coeff.values[U]
         a = _one_object(H)
-        for n, tab in A.action[U].items():
+        for n, tab in D.functors[U].action[(a, a)].items():
             e = H.identity_at(a, n)
             hits.extend(
                 (U, n, g, x) for (g, x), y in tab.items() if y == x and g != e
@@ -164,39 +140,18 @@ def sgroup_free_action_check(A: SGroupAction) -> Check:
                    witness=hits[:3])
 
 
-def wg_action(Q: SgdPresheaf) -> SGroupAction:
+def wg_action(Q: SgdPresheaf) -> SgdDiagram:
     """The universal free action on the total object."""
     space = w_total_presheaf(Q)
     return sgroup_action(Q, space, lambda U, n, g, x: w_action(Q.values[U], n, g, x))
 
 
-def _cells_presheaf(Q: SgdPresheaf, restrict) -> SSetPresheaf:
-    """The cells of each one-object section, restricting by
-    restrict(f, n, x)."""
-    values = _shared_values(Q.values, lambda H: H.homs[(_one_object(H), _one_object(H))])
-    return sset_presheaf(Q.site, values.__getitem__, restrict)
-
-
-def translation_action(Q: SgdPresheaf) -> SGroupAction:
-    """The group of each section acting on itself by composition."""
-    point = {U: _one_object(H) for U, H in Q.values.items()}
-
-    def restrict(f, n, x):
-        a = point[Q.site.cat.dst(f)]
-        return Q.res[f].on_hom(a, a, n, x)
-
-    def act(U, n, g, x):
-        a = point[U]
-        return Q.values[U].compose(a, a, a, n, g, x)
-
-    return sgroup_action(Q, _cells_presheaf(Q, restrict), act)
-
-
-def twisted_sgroup_action(Q: SgdPresheaf, cochain) -> SGroupAction:
+def twisted_sgroup_action(Q: SgdPresheaf, cochain) -> SgdDiagram:
     """The group of each section acting on itself contravariantly, with
     restriction twisted on the left by a vertex cell per site morphism;
     the two sides commute without any commutativity of the group."""
     point = {U: _one_object(H) for U, H in Q.values.items()}
+    cells = _shared_values(Q.values, lambda H: H.homs[(_one_object(H), _one_object(H))])
 
     def restrict(f, n, x):
         V, U = Q.site.cat.morphisms[f]
@@ -211,7 +166,7 @@ def twisted_sgroup_action(Q: SgdPresheaf, cochain) -> SGroupAction:
         H, a = Q.values[U], point[U]
         return H.compose(a, a, a, n, x, H.inverse(a, a, n, g))
 
-    return sgroup_action(Q, _cells_presheaf(Q, restrict), act)
+    return sgroup_action(Q, sset_presheaf(Q.site, cells.__getitem__, restrict), act)
 
 
 def vertex_group_presheaf(Q: SgdPresheaf):
@@ -260,40 +215,43 @@ def vertex_groupoid_presheaf(Q: SgdPresheaf):
     return GroupoidPresheaf(site, values, res)
 
 
-def level0_group_torsor(A: SGroupAction):
+def level0_group_torsor(D: SgdDiagram):
     """The vertex-level set torsor of an action: level-zero cells acting
     on level-zero simplices on the right, anchored at "*"."""
     from .torsors import group_action_torsor
 
-    G = vertex_group_presheaf(A.group)
-    total = set_presheaf(
-        G.site, lambda U: A.space.values[U].level(0), lambda f, e: A.space.res[f][0][e]
-    )
-    return group_action_torsor(G, total, lambda U, e, g: A.act(U, 0, G.values[U].inv[g], e))
+    G, X = vertex_group_presheaf(D.coeff), _space(D)
+    total = set_presheaf(G.site, lambda U: X.values[U].level(0), lambda f, e: X.res[f][0][e])
+
+    def act(U, e, g):
+        a = _one_object(D.coeff.values[U])
+        return D.functors[U].act(a, a, 0, G.values[U].inv[g], e)
+
+    return group_action_torsor(G, total, act)
 
 
-def orbit_tables(A: SGroupAction, U):
+def orbit_tables(D: SgdDiagram, U):
     """Orbit representative of every simplex, by least id."""
-    H = A.group.values[U]
+    H = D.coeff.values[U]
     a = _one_object(H)
-    X = A.space.values[U]
+    X = D.functors[U]
     rep = {}
-    for n in range(X.trunc + 1):
+    for n in range(H.trunc + 1):
         cells = H.homs[(a, a)].level(n)
-        for x in X.level(n):
-            orbit = {A.action[U][n][(g, x)] for g in cells}
+        for x in X.values[a].level(n):
+            orbit = {X.act(a, a, n, g, x) for g in cells}
             rep[(n, x)] = min(orbit, key=idkey)
     return rep
 
 
-def sgroup_quotient(A: SGroupAction, maxdim=None):
+def sgroup_quotient(D: SgdDiagram, maxdim=None):
     """The levelwise orbit presheaf, the projection onto it, and a check
     that the projection is a sectionwise fibration."""
-    site = A.group.site
-    reps = {U: orbit_tables(A, U) for U in site.objects}
+    site, Y = D.coeff.site, _space(D)
+    reps = {U: orbit_tables(D, U) for U in site.objects}
 
     def value(U):
-        X, rep = A.space.values[U], reps[U]
+        X, rep = Y.values[U], reps[U]
         return build_sset(
             X.trunc,
             lambda n: (rep[(n, x)] for x in X.level(n)),
@@ -302,9 +260,9 @@ def sgroup_quotient(A: SGroupAction, maxdim=None):
         )
 
     space = sset_presheaf(
-        site, value, lambda f, n, x: reps[site.cat.src(f)][(n, A.space.res[f][n][x])]
+        site, value, lambda f, n, x: reps[site.cat.src(f)][(n, Y.res[f][n][x])]
     )
-    q = sset_presheaf_map(A.space, space, lambda U, n, x: reps[U][(n, x)])
+    q = sset_presheaf_map(Y, space, lambda U, n, x: reps[U][(n, x)])
     check = Check("orbit projection is a sectionwise fibration", True,
                   params={"maxdim": maxdim})
     for U in site.objects:
@@ -314,20 +272,20 @@ def sgroup_quotient(A: SGroupAction, maxdim=None):
     return space, q, check
 
 
-def borel_to_quotient(A: SGroupAction) -> SSetPresheafMap:
+def borel_to_quotient(D: SgdDiagram) -> SSetPresheafMap:
     """Forget the cell string and project the space coordinate to orbits;
     a sectionwise equivalence whenever the action is free."""
-    E = holim_presheaf(action_diagram(A))
-    space, q, _ = sgroup_quotient(A)
-    return sset_presheaf_map(E, space, lambda U, n, s: q.components[U][n][s[1]])
+    space, q, _ = sgroup_quotient(D)
+    return sset_presheaf_map(
+        holim_presheaf(D), space, lambda U, n, s: q.components[U][n][s[1]]
+    )
 
 
-def sgroup_torsor_check(A: SGroupAction, depth=2) -> Check:
-    problems, D = _action_problems(A)
+def sgroup_torsor_check(D: SgdDiagram, depth=2) -> Check:
     return _holim_torsor_check(
         "action presents a torsor for the enriched group",
         "quotient by the action is locally trivial",
-        require(not problems, _ACTION_LAWS, witness=problems[:3]), D, depth,
+        validate_sgroup_action(D), D, depth,
     )
 
 
@@ -368,10 +326,10 @@ def psi_sgroup(u: SSetPresheafMap, Q: SgdPresheaf):
     space = sset_presheaf(
         Q.site, value, lambda f, n, s: (C.res[f][n][s[0]], WT.res[f][n][s[1]])
     )
-    A = sgroup_action(
+    D = sgroup_action(
         Q, space, lambda U, n, g, x: (x[0], w_action(Q.values[U], n, g, x[1]))
     )
-    return A, sset_presheaf_map(space, C, lambda U, n, s: s[0])
+    return D, sset_presheaf_map(space, C, lambda U, n, s: s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +348,8 @@ class SgdDiagram:
 @validator("diagram is functorial and natural")
 def validate_sgd_diagram(D: SgdDiagram):
     """Each section is a valid simplicial functor, each restriction
-    component a simplicial map, and restriction commutes with the
+    component a simplicial map, the value cells (a, x) of each level
+    form a presheaf of sets, and restriction commutes with the
     actions."""
     problems = []
     for U in D.coeff.site.objects:
@@ -406,6 +365,21 @@ def validate_sgd_diagram(D: SgdDiagram):
             restriction = validate_sset_map(SSetMap(XU.values[a], XV.values[F.ob[a]], tab))
             if not restriction:
                 problems.append(f"restriction along {f!r} at {a!r}: {restriction.witness[0]}")
+    if problems:
+        return problems
+    site = D.coeff.site
+    for n in range(D.coeff.trunc + 1):
+        cells = {
+            U: [(a, x) for a, X in D.functors[U].values.items() for x in X.level(n)]
+            for U in site.objects
+        }
+        res = {
+            f: {(a, x): (D.coeff.res[f].ob[a], D.res[f][a][n][x]) for a, x in cells[U]}
+            for f, (V, U) in site.cat.morphisms.items()
+        }
+        laws = validate_set_presheaf(SetPresheaf(site, cells, res))
+        if not laws:
+            problems.append(f"value cells at level {n}: {laws.witness[0]}")
     if problems:
         return problems
     for f, (V, U) in D.coeff.site.cat.morphisms.items():
@@ -596,6 +570,13 @@ def constant_enrichment(H) -> bool:
     )
 
 
+def require_constant_enrichment(*presheaves):
+    """Raise ValueError unless every section of every presheaf has
+    constant hom enrichments, the only ones the enumerations handle."""
+    if not all(constant_enrichment(H) for R in presheaves for H in R.values.values()):
+        raise ValueError("enumeration needs constant hom enrichments")
+
+
 def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
     """All presheaf maps, for constant-enrichment sections: a component
     is fixed by its object map and its vertex-level cell maps.
@@ -605,10 +586,7 @@ def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
     hom its ends land in.  Each section's slots must form a functor, and
     each site morphism adds the naturality constraint between its two
     sections."""
-    for R in (P, Q):
-        for H in R.values.values():
-            if not constant_enrichment(H):
-                raise ValueError("enumeration needs constant hom enrichments")
+    require_constant_enrichment(P, Q)
     site = P.site
     obs = [(U, a) for U in site.objects for a in P.values[U].objects]
     cells = [
@@ -754,21 +732,22 @@ def comma_value_comparison(X: SimplicialFunctor, a):
 # the display plus local triviality.
 
 
-def two_gpd_display(T: Fin2Groupoid, A: ActionTorsor, trunc):
+def two_gpd_display(W: TruncSSet, A: ActionTorsor):
     """Assemble the sectionwise total objects of A over the constant
-    cocycle presheaf of T, whose 1-cells are the arrows of A.gpd."""
+    presheaf on W, the cocycle object of a 2-groupoid whose objects are
+    those of A.gpd and whose 1-cells are its arrows."""
     site = A.total.site
 
     def display(U):
-        anchor, tab, inverses = A.anchor[U], A.action[U], A.gpd.values[U].inverses
-        elements = {p: tuple(x for x in A.total.values[U] if anchor[x] == p) for p in T.objects}
-        return holim_2gpd(T, elements, lambda arrow, x: tab[(x, inverses[arrow])], trunc)
+        anchor, tab, G = A.anchor[U], A.action[U], A.gpd.values[U]
+        elements = {p: tuple(x for x in A.total.values[U] if anchor[x] == p) for p in G.objects}
+        return holim_2gpd(W, elements, lambda arrow, x: tab[(x, G.inverses[arrow])])
 
     displays = {U: display(U) for U in site.objects}
     total = sset_presheaf(
         site, lambda U: displays[U][0], lambda f, n, s: (A.total.res[f][s[0]], s[1])
     )
-    base = constant_sset_presheaf(site, displays[site.objects[-1]][1].target)
+    base = constant_sset_presheaf(site, W)
     return total, sset_presheaf_map(total, base, lambda U, n, s: displays[U][1](n, s))
 
 

@@ -20,8 +20,12 @@ compares, that search, the classifying target, the checks on each class
 representative, the classifying map, and any extra checks and report
 keys (the cocycle-class count for the group flavours, the bundle round
 trip, the represented torsors for ``sgpd``).  A ``2gpd`` torsor is the
-1-cell ActionTorsor of a cochain of the constant group presheaf, and
-its display is built over the group's 2-groupoid, ``run.gpd2``.
+1-cell ActionTorsor of a cochain of the constant group presheaf; its
+display is built over the cocycle object of the group's 2-groupoid,
+``run.wbar``, built once per run and also the classifying target.  An
+``sgroup`` torsor is an enriched group action, the one-object SgdDiagram
+of a twisted cochain; its isomorphism search and its classifying map
+read its vertex-level ActionTorsor, ``run.searched``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .bundles import (
     enumerate_sgd_presheaf_maps,
     level0_group_torsor,
     psi_sgd,
+    require_constant_enrichment,
     sgd_diagram_maps,
     sgd_torsor_check,
     sgroup_torsor_check,
@@ -47,7 +52,7 @@ from .bundles import (
     vertex_group_presheaf,
 )
 from .groupoid import group_as_2groupoid
-from .kan import enumerate_sset_maps
+from .kan import enumerate_sset_maps, iterated_degeneracy
 from .presheaf import (
     SgdPresheaf,
     SSetPresheaf,
@@ -215,10 +220,10 @@ def _transition(hits):
 
 def _transition_cocycle(T: ActionTorsor, cover, source, target, value) -> SSetPresheafMap:
     """The map sending a level-n cell of the covering resolution
-    ``source`` to value(G, n, anchors, arrows) in ``target``: the anchor
-    of one chosen section over each vertex, and the arrow of G = T.gpd
-    over the cell's section carrying each vertex's section to the one
-    before it."""
+    ``source`` over the section W to value(W, G, n, anchors, arrows) in
+    ``target``: the anchor of one chosen section over each vertex, and
+    the arrow of G = T.gpd.values[W] carrying each vertex's section to
+    the one before it."""
     chosen = _chosen(cover, lambda member: T.total.values[member])
     E = cover_elements(T.total.site, cover)
 
@@ -237,6 +242,7 @@ def _transition_cocycle(T: ActionTorsor, cover, source, target, value) -> SSetPr
             )
 
         return lambda n, cell: value(
+            W,
             G,
             n,
             [anchor[local[e]] for e in cell],
@@ -253,42 +259,31 @@ def action_classifying_map(
     member, as a map from the covering resolution ``source`` into the
     nerve ``target``."""
     return _transition_cocycle(
-        T, cover, source, target, lambda G, n, anchors, arrows: (anchors[0], tuple(arrows))
+        T, cover, source, target, lambda W, G, n, anchors, arrows: (anchors[0], tuple(arrows))
     )
 
 
 def sgroup_classifying_map(
-    A, cover, source: SSetPresheaf, target: SSetPresheaf
+    Q: SgdPresheaf, T: ActionTorsor, cover, source: SSetPresheaf, target: SSetPresheaf
 ) -> SSetPresheafMap:
     """Transition cocycle of an enriched group action with a discrete
-    total space, from the covering resolution ``source`` into the
-    cocycle object ``target``."""
-    Q = A.group
-    chosen = _chosen(cover, lambda member: A.space.values[member].level(0))
-    E = cover_elements(Q.site, cover)
+    total space, read off its vertex-level torsor T, from the covering
+    resolution ``source`` into the cocycle object ``target`` of Q: a
+    transition arrow g is the vertex cell g^-1, degenerated to its
+    level."""
 
-    def entry(W):
+    def value(W, G, n, anchors, arrows):
         H = Q.values[W]
         a = next(iter(H.objects))
-        local = {(i, h): A.space.res[h][0][chosen[i]] for (i, h) in E.values[W]}
-
-        def transition(prev, nxt, k):
-            x, y = local[nxt], local[prev]
-            return _transition(
-                [g for g in H.homs[(a, a)].level(k) if A.act(W, k, g, x) == y]
-            )
-
-        return lambda n, cell: (
+        return (
             (a,) * (n + 1),
-            tuple(transition(cell[m - 1], cell[m], n - m) for m in range(1, n + 1)),
+            tuple(
+                iterated_degeneracy(H.homs[(a, a)], G.inverses[g], n - m)
+                for m, g in enumerate(arrows, 1)
+            ),
         )
 
-    return _cocycle_map(source, target, entry)
-
-
-def two_gpd_base_presheaf(site, T, trunc) -> SSetPresheaf:
-    """The constant presheaf on the 2-groupoid's cocycle object."""
-    return constant_sset_presheaf(site, wbar(b_2groupoid(T, trunc)))
+    return _transition_cocycle(T, cover, source, target, value)
 
 
 def two_gpd_classifying_map(
@@ -298,7 +293,7 @@ def two_gpd_classifying_map(
     ActionTorsor, for discrete hom 2-cells: a transition arrow g is the
     1-cell g^-1, and entries are degenerate strings on it."""
 
-    def value(G, n, anchors, arrows):
+    def value(W, G, n, anchors, arrows):
         cells = [G.inverses[g] for g in arrows]
         return (
             tuple(anchors),
@@ -383,11 +378,12 @@ def _bundle_family(run):
 
 
 def _two_gpd_family(run):
-    run.gpd2 = group_as_2groupoid(run.coeff)
+    run.wbar = wbar(b_2groupoid(group_as_2groupoid(run.coeff), run.trunc))
     return enumerate_group_torsors(constant_group_presheaf(run.site, run.coeff), run.bound)
 
 
 def _sgroup_family(run):
+    require_constant_enrichment(run.coeff)
     run.vertex_group = vertex_group_presheaf(run.coeff)
     cochains = enumerate_group_cochains(run.vertex_group, run.bound)
     return [twisted_sgroup_action(run.coeff, c) for c in cochains]
@@ -535,11 +531,9 @@ FLAVOURS = {
         enriched=False,
         family=_two_gpd_family,
         iso=lambda run, x, y: two_gpd_action_maps(x, y),
-        target=lambda run: two_gpd_base_presheaf(run.site, run.gpd2, run.trunc),
+        target=lambda run: constant_sset_presheaf(run.site, run.wbar),
         checks=lambda run, i: [
-            two_gpd_torsor_check(
-                *two_gpd_display(run.gpd2, run.family[i], run.trunc), depth=run.depth
-            )
+            two_gpd_torsor_check(*two_gpd_display(run.wbar, run.family[i]), depth=run.depth)
         ],
         classifying_map=lambda run, i: two_gpd_classifying_map(
             run.family[i], run.cover, run.source, run.target
@@ -554,7 +548,7 @@ FLAVOURS = {
         target=lambda run: wbar_presheaf(run.coeff),
         checks=lambda run, i: [sgroup_torsor_check(run.family[i], depth=run.depth)],
         classifying_map=lambda run, i: sgroup_classifying_map(
-            run.family[i], run.cover, run.source, run.target
+            run.coeff, run.searched[i], run.cover, run.source, run.target
         ),
         extra=_sgroup_cech,
     ),

@@ -24,7 +24,6 @@ from .bundles import (
     corepresented_diagram,
     sgd_torsor_check,
     sgroup_torsor_check,
-    translation_action,
     two_gpd_display,
     two_gpd_torsor_check,
     vertex_group_presheaf,
@@ -46,6 +45,7 @@ from .report import Check, require
 from .sgroupoid import (
     SgdFunctor,
     SimpGroupoid,
+    b_2groupoid,
     db_sgroupoid,
     identity_functor,
     validate_sgd_functor,
@@ -830,8 +830,10 @@ def cmd_torsor(cfg: RunConfig):
         )
         return [cert], {}
 
-    if cfg.kind == "sgpd" and not all(constant_enrichment(H) for H in Q.values.values()):
-        raise SchemaError("/kind", "kind 'sgpd' enumerates only constant hom enrichments")
+    if cfg.kind in ("sgroup", "sgpd") and not all(
+        constant_enrichment(H) for H in Q.values.values()
+    ):
+        raise SchemaError("/kind", f"kind {cfg.kind!r} enumerates only constant hom enrichments")
     try:
         if cfg.target == "enumerate":
             run = classify_torsors(
@@ -892,9 +894,11 @@ def _canonical_torsor_check(kind, site, Q, coeff, N, depth) -> Check:
         return bundle_torsor_check(action_to_bundle(T, N), depth)
     if kind == "2gpd":
         T = trivial_group_torsor(constant_group_presheaf(site, coeff))
-        return two_gpd_torsor_check(*two_gpd_display(group_as_2groupoid(coeff), T, N), depth)
+        W = wbar(b_2groupoid(group_as_2groupoid(coeff), N))
+        return two_gpd_torsor_check(*two_gpd_display(W, T), depth)
     if kind == "sgroup":
-        return sgroup_torsor_check(translation_action(Q), depth)
+        at = {U: next(iter(H.objects)) for U, H in Q.values.items()}
+        return sgroup_torsor_check(corepresented_diagram(Q, at), depth)
     at = _shared_object(Q, "no shared object to corepresent at")
     return sgd_torsor_check(corepresented_diagram(Q, at), depth)
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .bisset import BisSSet, build_bisset, diagonal
-from .groupoid import Fin2Groupoid, FinGroupoid
+from .groupoid import FinGroupoid
 from .kan import fibration_check, iterated_degeneracy, weq_check
 from .ordinal import OrdinalMap, coface, codegeneracy
 from .report import Check, invariant, require, validator
@@ -293,14 +293,13 @@ def comma_construction_functor(F: SgdFunctor) -> SimplicialFunctor:
 # only the last face transports it, along that single arrow.
 
 
-def holim_2gpd(T: Fin2Groupoid, values, act1, trunc):
-    """values: object -> tuple of elements; act1(arrow, x) the 1-cell action.
+def holim_2gpd(W: TruncSSet, values, act1):
+    """W: the classifying object of a 2-groupoid, ``wbar(b_2groupoid(T,
+    trunc))``; values: object -> tuple of elements; act1(arrow, x) the
+    1-cell action.
 
-    Returns (Y, projection) with the projection landing in the
-    classifying object of T.
+    Returns (Y, projection) with the projection landing in W.
     """
-    C = b_2groupoid(T, trunc)
-    W = wbar(C)
 
     def levels(n):
         return [
@@ -321,7 +320,7 @@ def holim_2gpd(T: Fin2Groupoid, values, act1, trunc):
         x, sigma = s
         return (x, W.degen(n, j, sigma))
 
-    Y = build_sset(trunc, levels, face, degen)
+    Y = build_sset(W.trunc, levels, face, degen)
     proj = sset_map(Y, W, lambda n, s: s[1])
     return Y, proj
 
@@ -337,7 +336,7 @@ def holim_2gpd_oracle_check(G: FinGroupoid, values, act1, trunc) -> Check:
     from .sset import is_bijective
 
     T = groupoid_as_2groupoid(G)
-    Y, _ = holim_2gpd(T, values, act1, trunc)
+    Y, _ = holim_2gpd(wbar(b_2groupoid(T, trunc)), values, act1)
     E = translation_groupoid(G, values, act1)
     B = nerve_groupoid(E, trunc)
 

@@ -13,11 +13,13 @@ cross-checks every classification number.
 
 The 2-groupoid flavour in bundles.py uses ActionTorsor too: the
 2-cells act trivially on anchored elements, so a 2-groupoid action is
-the ActionTorsor of its 1-cells plus the 2-groupoid its display is built
-over.  The simplicial coefficient flavours live in bundles.py and the
-component counting in classify.py; this module also builds the
-classifying presheaves (cocycle object, total object, diagonal nerve)
-that all of them map into.
+the ActionTorsor of its 1-cells plus the cocycle object of the
+2-groupoid its display is built over.  The simplicial coefficient
+flavours live in bundles.py, where an enriched group action is the
+one-object SgdDiagram, just as a group torsor here is the one-object
+ActionTorsor; the component counting lives in classify.py.  This module
+also builds the classifying presheaves (cocycle object, total object,
+diagonal nerve) that all of them map into.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 """Small handmade groupoid-flavored inputs shared between test modules."""
 
+import itertools
+
 from sgdtors.groupoid import Fin2Groupoid, group_as_groupoid
+from sgdtors.sgroupoid import SimpGroupoid
+from sgdtors.sset import build_sset
 
 
 def one_object_one_cell_2groupoid(F):
@@ -14,3 +18,25 @@ def one_object_one_cell_2groupoid(F):
         }
     }
     return Fin2Groupoid(("x",), homs, hcomp1, hcomp2, {"x": "*"})
+
+
+def ez2_sgroup(trunc):
+    """EZ/2: the n-cells are the (n+1)-tuples over Z/2, faces delete and
+    degeneracies repeat an entry, and cells compose by pointwise
+    addition.  Its hom gains cells at every level, so the enrichment is
+    not constant."""
+    hom = build_sset(
+        trunc,
+        lambda n: itertools.product((0, 1), repeat=n + 1),
+        lambda n, i, x: x[:i] + x[i + 1:],
+        lambda n, j, x: x[:j + 1] + x[j:],
+    )
+    comp = {
+        n: {
+            (g, f): tuple((a + b) % 2 for a, b in zip(g, f))
+            for g in hom.level(n)
+            for f in hom.level(n)
+        }
+        for n in range(trunc + 1)
+    }
+    return SimpGroupoid(trunc, ("*",), {("*", "*"): hom}, {("*", "*", "*"): comp}, {"*": (0,)})

@@ -1,10 +1,11 @@
 """Torsors with simplicial coefficients.
 
 Covers the three flavours in bundles.py: an enriched group presheaf
-acting on a simplicial presheaf, diagrams over an enriched groupoid
-presheaf, and 2-groupoid actions on anchored elements.  Counting
-oracles come first; the torsor verdicts and the conversions to and
-from classifying maps are frozen against them.
+acting on a simplicial presheaf, which is the one-object diagram over
+it, diagrams over an enriched groupoid presheaf, and 2-groupoid
+actions on anchored elements.  Counting oracles come first; the torsor
+verdicts and the conversions to and from classifying maps are frozen
+against them.
 """
 
 import copy
@@ -13,7 +14,6 @@ import pytest
 from call_counts import count_calls
 
 from sgdtors.bundles import (
-    action_diagram,
     borel_to_quotient,
     cech_sgd_presheaf,
     comma_value_comparison,
@@ -23,14 +23,12 @@ from sgdtors.bundles import (
     level0_group_torsor,
     psi_sgd,
     psi_sgroup,
-    section_functor,
     sgd_diagram_maps,
     sgd_torsor_check,
     sgroup_action,
     sgroup_free_action_check,
     sgroup_quotient,
     sgroup_torsor_check,
-    translation_action,
     translation_sgd,
     twisted_sgroup_action,
     two_gpd_action_maps,
@@ -46,7 +44,7 @@ from sgdtors.bundles import (
 )
 from sgdtors.fixtures import pt_site, s1_site, twocomp_presheaf, z2_presheaf
 from sgdtors.groupoid import group_as_2groupoid, trivial_groupoid, zmod
-from sgdtors.holim import corepresented_functor
+from sgdtors.holim import corepresented_functor, simplicial_functor
 from sgdtors.kan import weq_check
 from sgdtors.presheaf import (
     constant_group_presheaf,
@@ -58,7 +56,12 @@ from sgdtors.presheaf import (
     validate_sset_presheaf,
     validate_sset_presheaf_map,
 )
-from sgdtors.sgroupoid import constant_sgroup, constant_sgroupoid, validate_sgd_functor
+from sgdtors.sgroupoid import (
+    b_2groupoid,
+    constant_sgroup,
+    constant_sgroupoid,
+    validate_sgd_functor,
+)
 from sgdtors.sset import sset_map, validate_sset_map
 from sgdtors.torsors import (
     cochain_torsor,
@@ -72,6 +75,7 @@ from sgdtors.torsors import (
     validate_action_torsor,
     wbar_presheaf,
 )
+from sgdtors.wbar import wbar
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +90,13 @@ def test_contractible_total_object_orbit_counts_by_hand():
     Q = z2_presheaf(site, 3)
     A = wg_action(Q)
     H = Q.values["U"]
-    X = A.space.values["U"]
+    F = A.functors["U"]
+    X = F.values["*"]
     assert [X.size(n) for n in range(4)] == [2, 4, 8, 16]
     for n in range(4):
         cells = H.homs[("*", "*")].level(n)
         orbits = {
-            frozenset(A.act("U", n, g, x) for g in cells) for x in X.level(n)
+            frozenset(F.act("*", "*", n, g, x) for g in cells) for x in X.level(n)
         }
         assert len(orbits) == 2 ** n
         assert all(len(orbit) == len(cells) for orbit in orbits)
@@ -105,16 +110,16 @@ def test_bar_object_level_counts_by_hand():
     site = s1_site()
     Q = z2_presheaf(site, 3)
     for A, expected in (
-        (translation_action(Q), [2, 4, 8, 16]),
+        (corepresented_diagram(Q, "*"), [2, 4, 8, 16]),
         (wg_action(Q), [2, 8, 32, 128]),
     ):
-        B = holim_presheaf(action_diagram(A))
+        B = holim_presheaf(A)
         assert validate_sset_presheaf(B).ok
         for U in site.objects:
             sizes = [B.values[U].size(n) for n in range(4)]
             assert sizes == expected
             for n in range(4):
-                x_count = A.space.values[U].size(n)
+                x_count = A.functors[U].values["*"].size(n)
                 g_count = Q.values[U].homs[("*", "*")].size(n)
                 assert sizes[n] == x_count * g_count ** n
 
@@ -165,7 +170,7 @@ def test_bar_object_of_the_point_action_is_the_diagonal_nerve():
     Q = z2_presheaf(site, 3)
     A = sgroup_action(Q, terminal_sset_presheaf(site, 3), lambda U, n, g, x: x)
     # forget the value coordinate of each simplex of the bar object
-    B = holim_presheaf(action_diagram(A))
+    B = holim_presheaf(A)
     p = sset_presheaf_map(B, db_presheaf(Q), lambda U, n, s: (s[0], s[2]))
     assert validate_sset_presheaf_map(p).ok
     for U in site.objects:
@@ -178,7 +183,7 @@ def test_bar_object_of_the_point_action_is_the_diagonal_nerve():
 def test_sgroup_torsor_verdicts():
     site = s1_site()
     Q = z2_presheaf(site, 3)
-    assert sgroup_torsor_check(translation_action(Q))
+    assert sgroup_torsor_check(corepresented_diagram(Q, "*"))
     contractible_total = sgroup_torsor_check(wg_action(Q))
     assert not contractible_total
     assert "locally trivial" in contractible_total.render()
@@ -191,35 +196,35 @@ def test_sgroup_torsor_verdicts():
     plain = {f: 0 for f in site.morphisms}
     twisted = {**plain, ("A", "U"): 1}
     for A in (
-        translation_action(Q),
+        corepresented_diagram(Q, "*"),
         wg_action(Q),
         point_action,
         twisted_sgroup_action(Q, plain),
         twisted_sgroup_action(Q, twisted),
     ):
-        assert bool(sgroup_torsor_check(A)) == bool(sgd_torsor_check(action_diagram(A)))
+        assert bool(sgroup_torsor_check(A)) == bool(sgd_torsor_check(A))
 
 
-def test_sgroup_torsor_check_builds_each_section_functor_once(monkeypatch):
-    site = s1_site()
-    A = translation_action(z2_presheaf(site, 3))
-    calls = count_calls(monkeypatch, (section_functor,))
+def test_sgroup_torsor_check_builds_no_simplicial_functor(monkeypatch):
+    # the action is its diagram: the check reads the sections it holds
+    A = corepresented_diagram(z2_presheaf(s1_site(), 3), "*")
+    calls = count_calls(monkeypatch, (simplicial_functor,))
     assert sgroup_torsor_check(A)
-    assert calls == {"section_functor": len(site.objects)}
+    assert calls == {}
 
 
 def test_sgroup_torsor_check_reports_the_action_verdict():
     site = s1_site()
-    A = translation_action(z2_presheaf(site, 3))
+    A = corepresented_diagram(z2_presheaf(site, 3), "*")
     U = site.objects[0]
-    # a broken action table, then a broken space: the diagram is built
-    # in the first case only
+    # a broken action table, then a broken space: both belong to the
+    # diagram's section over U
     bad_action = copy.deepcopy(A)
-    bad_action.action[U][1][(0, 0)] = 1
+    bad_action.functors[U].action[("*", "*")][1][(0, 0)] = 1
     bad_space = copy.deepcopy(A)
-    X = bad_space.space.values[U]
+    X = bad_space.functors[U].values["*"]
     X.faces[(1, 0)][X.level(1)[0]] = "zz"
-    for B, where in ((bad_action, "diagram over"), (bad_space, "space:")):
+    for B, where in ((bad_action, "diagram over"), (bad_space, "diagram over")):
         valid = validate_sgroup_action(B)
         assert not valid and valid.witness[0].startswith(where)
         check = sgroup_torsor_check(B)
@@ -254,10 +259,10 @@ def test_twisted_actions_are_torsors_in_distinct_classes():
     assert len(group_torsor_maps(T0, T0)) == 2
 
 
-def test_level0_of_the_translation_action_is_trivial():
+def test_level0_of_the_corepresented_action_is_trivial():
     site = s1_site()
     Q = z2_presheaf(site, 3)
-    T = level0_group_torsor(translation_action(Q))
+    T = level0_group_torsor(corepresented_diagram(Q, "*"))
     assert group_torsor_check(T)
     G = vertex_group_presheaf(Q)
     data = h1_cech_classes(G)
@@ -394,7 +399,7 @@ def test_element_groupoid_comparison_is_an_equivalence():
 def test_display_levels_pair_elements_with_nerve_strings():
     site = s1_site()
     A = trivial_group_torsor(constant_group_presheaf(site, zmod(2)))
-    total, pi = two_gpd_display(group_as_2groupoid(zmod(2)), A, 3)
+    total, pi = two_gpd_display(wbar(b_2groupoid(group_as_2groupoid(zmod(2)), 3)), A)
     assert validate_sset_presheaf(total).ok
     assert validate_sset_presheaf_map(pi).ok
     for U in site.objects:
@@ -407,13 +412,14 @@ def test_twisted_two_gpd_displays_are_torsors():
     plain = {f: 0 for f in site.morphisms}
     twisted = dict(plain)
     twisted[("A", "U")] = 1
-    G, T = constant_group_presheaf(site, zmod(2)), group_as_2groupoid(zmod(2))
+    G = constant_group_presheaf(site, zmod(2))
+    W = wbar(b_2groupoid(group_as_2groupoid(zmod(2)), 3))
     actions = []
     for cochain in (plain, twisted):
         A = cochain_torsor(G, cochain)
         valid = validate_action_torsor(A)
         assert valid, valid.render()
-        total, pi = two_gpd_display(T, A, 3)
+        total, pi = two_gpd_display(W, A)
         assert two_gpd_shape_check(total, pi)
         assert two_gpd_torsor_check(total, pi)
         actions.append(A)
@@ -423,7 +429,7 @@ def test_twisted_two_gpd_displays_are_torsors():
 
 def test_two_orbit_action_has_the_shape_but_is_not_locally_trivial():
     site = s1_site()
-    T = group_as_2groupoid(zmod(2))
+    W = wbar(b_2groupoid(group_as_2groupoid(zmod(2)), 3))
     swap = {0: 1, 1: 0, 2: 3, 3: 2}
     elements = set_presheaf(site, lambda U: (0, 1, 2, 3), lambda f, x: x)
     A = group_action_torsor(
@@ -432,7 +438,7 @@ def test_two_orbit_action_has_the_shape_but_is_not_locally_trivial():
     )
     valid = validate_action_torsor(A)
     assert valid, valid.render()
-    total, pi = two_gpd_display(T, A, 3)
+    total, pi = two_gpd_display(W, A)
     assert two_gpd_shape_check(total, pi)
     verdict = two_gpd_torsor_check(total, pi)
     assert not verdict

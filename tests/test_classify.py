@@ -13,6 +13,7 @@ import pkgutil
 
 import pytest
 from call_counts import count_calls
+from gpd_fixtures import ez2_sgroup
 
 import sgdtors
 
@@ -34,6 +35,7 @@ from sgdtors.fixtures import pt_site, s1_site, twocomp_presheaf, z2_presheaf
 from sgdtors.groupoid import zmod
 from sgdtors.presheaf import (
     constant_group_presheaf,
+    constant_sgd_presheaf,
     validate_sset_presheaf,
     validate_sset_presheaf_map,
 )
@@ -44,6 +46,7 @@ from sgdtors.torsors import (
     group_presheaf_as_groupoid,
     wbar_presheaf,
 )
+from sgdtors.wbar import wbar
 
 
 def circle_setup(trunc=3):
@@ -98,6 +101,20 @@ def test_classify_builds_one_cylinder_for_every_homotopy_search(monkeypatch):
     site = s1_site()
     classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
     assert calls == {"cylinder_presheaf": 1, "presheaf_homotopies": 10}
+
+
+def test_classify_builds_the_2gpd_cocycle_object_once(monkeypatch):
+    calls = count_calls(monkeypatch, (wbar,))
+    classify("2gpd", s1_site(), zmod(2), trunc=3)
+    assert calls == {"wbar": 1}
+
+
+def test_sgroup_classification_needs_a_constant_enrichment():
+    # the vertex-level torsors stand for the actions only when every
+    # level has the vertex cells
+    site = s1_site()
+    with pytest.raises(ValueError, match="constant hom enrichments"):
+        classify("sgroup", site, constant_sgd_presheaf(site, ez2_sgroup(2)))
 
 
 def test_cylinder_levels_count():
@@ -274,7 +291,6 @@ KEPT = {
     "bundles.sgroup_quotient": "used only by bundles.borel_to_quotient",
     "bundles.translation_sgd": "used only by bundles.comma_value_comparison",
     "bundles.unit_sgd_presheaf": BUILDER,
-    "bundles.validate_sgroup_action": VALIDATOR,
     "bundles.w_quotient_presheaf_map": "used only by bundles.psi_sgroup",
     "bundles.wg_action": "only check: W over W-bar is the universal free action",
     "fixtures.cover_site": BUILDER,

@@ -8,6 +8,7 @@ import os
 
 import pytest
 from call_counts import count_calls
+from gpd_fixtures import ez2_sgroup
 
 from sgdtors import cli
 from sgdtors.cli import (
@@ -432,8 +433,19 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     path.write_text(dumps(encode_sgd(b_2groupoid(group_as_2groupoid(zmod(2)), 3))) + "\n")
     argv = ["--kind", "sgpd", "--site", corpus["pt.json"], str(path)]
     assert cli.main(["torsor", "classify", *argv]) == 2
-    assert "invalid input at /kind" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "invalid input at /kind" in out
+    assert "kind 'sgpd' enumerates only constant hom enrichments" in out
     assert cli.main(["torsor", "check", *argv]) == 0
+    # sgroup compares vertex-level torsors, so it needs constant homs too
+    path = tmp_path / "ez2.json"
+    path.write_text(dumps(encode_sgd(ez2_sgroup(2))) + "\n")
+    for target in ("enumerate", "classify"):
+        argv = ["torsor", target, "--kind", "sgroup", "--site", corpus["s1.json"], str(path)]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr().out
+        assert "invalid input at /kind" in out
+        assert "kind 'sgroup' enumerates only constant hom enrichments" in out
     # a site without a cover of the terminal presheaf has nothing to classify over
     site = encode_site(s1_site(object_covers=True))
     site["covers"] = [c for c in site["covers"] if c["object"] is not None]

@@ -187,9 +187,9 @@ def test_comma_construction_functor_validates_and_acts_by_composition():
 def test_2gpd_holim_of_a_point_matches_the_classifying_object():
     T = group_as_2groupoid(zmod(2))
     values = {"*": ("x",)}
-    Y, proj = holim_2gpd(T, values, lambda arrow, x: x, TR)
-    assert validate_sset(Y).ok
     W = wbar(b_2groupoid(T, TR))
+    Y, proj = holim_2gpd(W, values, lambda arrow, x: x)
+    assert validate_sset(Y).ok
     assert Y.level_counts() == W.level_counts() == (1, 2, 4, 8)
     assert validate_sset_map(proj).ok
     assert is_bijective(proj)
@@ -198,7 +198,7 @@ def test_2gpd_holim_of_a_point_matches_the_classifying_object():
 def test_2gpd_holim_with_trivial_index_is_the_discrete_value():
     T = group_as_2groupoid(zmod(1))
     values = {"*": (0, 1)}
-    Y, _ = holim_2gpd(T, values, lambda arrow, x: x, TR)
+    Y, _ = holim_2gpd(wbar(b_2groupoid(T, TR)), values, lambda arrow, x: x)
     assert validate_sset(Y).ok
     assert relabel(Y, lambda n, s: s[0]) == constant_sset((0, 1), TR)
 

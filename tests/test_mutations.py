@@ -4,7 +4,7 @@ validator fail, and its witness names the corrupted spot."""
 import pytest
 
 from sgdtors.bisset import validate_bisset
-from sgdtors.bundles import corepresented_diagram, validate_sgd_diagram
+from sgdtors.bundles import corepresented_diagram, sgd_torsor_check, validate_sgd_diagram
 from sgdtors.fixtures import interval_sgd, s1_site, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import trivial_groupoid, validate_groupoid, zmod
 from sgdtors.holim import corepresented_functor, validate_simplicial_functor
@@ -164,6 +164,20 @@ def sgd_diagram_restriction():
     return validate_sgd_diagram(D), spot
 
 
+def _swapped_identity_restriction():
+    # swapping the two cells is simplicial and equivariant, so only the
+    # presheaf laws of the restrictions can see it
+    D = corepresented_diagram(z2_presheaf(s1_site(), 2), "*")
+    for cells in D.res[("U", "U")]["*"].values():
+        cells[0], cells[1] = cells[1], cells[0]
+    return D
+
+
+def sgd_diagram_identity_restriction():
+    D = _swapped_identity_restriction()
+    return validate_sgd_diagram(D), "identity restriction moves ('*', 0) at 'U'"
+
+
 def sgd_presheaf_identity_restriction():
     H = constant_sgroup(zmod(3), 1)
     Q = constant_sgd_presheaf(s1_site(), H)
@@ -209,6 +223,7 @@ def bisset_horizontal_face():
         simplicial_functor_action,
         sgd_functor_hom_map,
         sgd_diagram_restriction,
+        sgd_diagram_identity_restriction,
         sgd_presheaf_identity_restriction,
         groupoid_inverse_missing,
         bisset_horizontal_face,
@@ -219,3 +234,9 @@ def test_corrupted_entry_is_named_in_the_witness(corrupt):
     valid, spot = corrupt()
     assert not valid
     assert spot in valid.witness[0], valid.render()
+
+
+def test_torsor_check_rejects_restrictions_that_break_the_presheaf_laws():
+    check = sgd_torsor_check(_swapped_identity_restriction())
+    assert not check
+    assert "identity restriction moves ('*', 0) at 'U'" in check.parts[0].witness[0]
