@@ -48,7 +48,6 @@ from .bundles import (
     two_gpd_action_maps,
     two_gpd_display,
     two_gpd_torsor_check,
-    validate_sgd_diagram,
     vertex_group_presheaf,
 )
 from .groupoid import group_as_2groupoid
@@ -439,10 +438,8 @@ def _bundle_round_trip(run, check):
 
 
 def _sgd_checks(run, i):
-    return [
-        replace(validate_sgd_diagram(run.family[i]), claim="pullback is a valid diagram"),
-        sgd_torsor_check(run.family[i], depth=run.depth),
-    ]
+    check = sgd_torsor_check(run.family[i], depth=run.depth)
+    return [replace(check.parts[0], claim="pullback is a valid diagram"), check]
 
 
 def _represented_torsors(run, check):

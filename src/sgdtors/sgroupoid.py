@@ -343,7 +343,7 @@ def string_steps(H: SimpGroupoid, x0, fs, q):
     steps = []
     at = x0
     for f in fs:
-        hits = [b for b in H.objects if f in H.homs[(at, b)].level(q)]
+        hits = [b for b in H.objects if H.homs[(at, b)].has(q, f)]
         if len(hits) != 1:
             raise InvariantError(f"cell {f!r} from {at!r} matches {len(hits)} targets")
         steps.append((at, hits[0], f))

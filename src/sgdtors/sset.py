@@ -66,6 +66,14 @@ class TruncSSet:
     def size(self, n):
         return len(self.level(n))
 
+    def has(self, n, x):
+        """Whether x is an n-simplex, read off a table keyed by the level."""
+        if 1 <= n <= self.trunc:
+            return x in self.faces[(n, 0)]
+        if 0 <= n < self.trunc:
+            return x in self.degeneracies[(n, 0)]
+        return x in self.level(n)
+
     def level_counts(self):
         return tuple(self.size(n) for n in range(self.trunc + 1))
 
@@ -98,7 +106,22 @@ class TruncSSet:
 
 
 def _sorted_ids(ids):
-    return tuple(sorted(set(ids), key=idkey))
+    """The distinct ids in ``idkey`` order; each distinct sub-object is
+    keyed once per call.
+
+    The memo is keyed by object identity, which the set being sorted
+    keeps alive; equality would merge ``(True,)`` with ``(1,)``, which
+    ``idkey`` orders apart.
+    """
+    memo = {}
+
+    def key(x):
+        k = memo.get(id(x))
+        if k is None:
+            k = memo[id(x)] = (2, tuple(map(key, x))) if isinstance(x, tuple) else idkey(x)
+        return k
+
+    return tuple(sorted(set(ids), key=key))
 
 
 def build_sset(trunc, levels, face, degen):

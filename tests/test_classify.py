@@ -30,7 +30,11 @@ from sgdtors.classify import (
     sgd_classifying_map,
     star_cover,
 )
-from sgdtors.bundles import cech_sgd_presheaf, enumerate_sgd_presheaf_maps
+from sgdtors.bundles import (
+    cech_sgd_presheaf,
+    enumerate_sgd_presheaf_maps,
+    validate_sgd_diagram,
+)
 from sgdtors.fixtures import pt_site, s1_site, twocomp_presheaf, z2_presheaf
 from sgdtors.groupoid import zmod
 from sgdtors.presheaf import (
@@ -107,6 +111,13 @@ def test_classify_builds_the_2gpd_cocycle_object_once(monkeypatch):
     calls = count_calls(monkeypatch, (wbar,))
     classify("2gpd", s1_site(), zmod(2), trunc=3)
     assert calls == {"wbar": 1}
+
+
+def test_classify_validates_each_sgpd_representative_once(monkeypatch):
+    calls = count_calls(monkeypatch, (validate_sgd_diagram,))
+    site = s1_site()
+    classify("sgpd", site, z2_presheaf(site, 3), trunc=3)
+    assert calls == {"validate_sgd_diagram": 2}
 
 
 def test_sgroup_classification_needs_a_constant_enrichment():

@@ -1,9 +1,13 @@
 import json
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sgdtors.cli import decode_sset, dumps, encode_sset
 from sgdtors.ordinal import all_maps
 from sgdtors.sset import (
+    _sorted_ids,
     boundary,
     build_sset,
     circle,
@@ -12,6 +16,7 @@ from sgdtors.sset import (
     disjoint_union,
     horn,
     identity_map,
+    idkey,
     is_bijective,
     pi0_classes,
     point,
@@ -177,3 +182,56 @@ def test_degenerate_detection():
     assert not D.is_degenerate(1, (0, 1))
     assert D.is_degenerate(1, (0, 0))
     assert D.nondegenerate(2) == ()
+
+
+def test_has_agrees_with_level_membership():
+    strangers = [(5,), (0, 0, 0, 0, 0, 0), ((0,), (1,)), ((0, 9), (0, 1)), "zz", 0, True]
+    for X in [
+        delta(2, trunc=3),
+        sset_product(delta(1, trunc=2), delta(1, trunc=2)),
+        delta(1, trunc=0),
+        boundary(0, trunc=2),  # every level empty
+    ]:
+        ids = {x for n in range(X.trunc + 1) for x in X.level(n)}
+        for n in range(-1, X.trunc + 2):
+            for x in sorted(ids, key=idkey) + strangers:
+                assert X.has(n, x) == (x in X.level(n)), (X.trunc, n, x)
+
+
+_leaves = (
+    st.integers(-2, 2)
+    | st.booleans()
+    | st.text("ab1", max_size=2)
+    | st.frozensets(st.integers(0, 2) | st.booleans(), max_size=2)
+)
+_nested = st.recursive(_leaves, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+
+
+def _as_ints(x):
+    if isinstance(x, tuple):
+        return tuple(map(_as_ints, x))
+    return int(x) if isinstance(x, bool) else x
+
+
+@st.composite
+def shared_ids(draw):
+    """Ids built from a small pool, so that sub-objects repeat; the pool
+    holds each member's twin with bools as ints, equal but keyed apart."""
+    pool = draw(st.lists(_nested, min_size=1, max_size=4))
+    picks = st.sampled_from(pool + [_as_ints(x) for x in pool])
+    return draw(st.lists(picks | st.lists(picks, max_size=3).map(tuple), max_size=12))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(shared_ids())
+def test_sorted_ids_is_idkey_order(ids):
+    got = _sorted_ids(ids)
+    want = tuple(sorted(set(ids), key=idkey))
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert repr(got) == repr(want)
+
+
+def test_sorted_ids_keys_equal_but_differently_typed_sub_ids_apart():
+    # (True,) == (1,), but idkey puts ints before bools
+    assert _sorted_ids({((True,), "a"), ((1,), "b")}) == (((1,), "b"), ((True,), "a"))
