@@ -407,7 +407,8 @@ def holim_presheaf(D: SgdDiagram) -> SSetPresheaf:
         a0, x, fs = s
         return (F.ob[a0], D.res[f][a0][n][x], string_image(F, a0, fs, n))
 
-    return sset_presheaf(Q.site, lambda U: holim(D.functors[U]), restrict)
+    carriers = _shared_values(D.functors, holim)
+    return sset_presheaf(Q.site, carriers.__getitem__, restrict)
 
 
 def _holim_torsor_check(claim, local_claim, valid: Check, D: SgdDiagram, depth) -> Check:
@@ -436,7 +437,13 @@ def corepresented_diagram(Q: SgdPresheaf, at) -> SgdDiagram:
     everywhere."""
     if not isinstance(at, dict):
         at = {U: at for U in Q.site.objects}
-    functors = {U: corepresented_functor(Q.values[U], at[U]) for U in Q.site.objects}
+    built = {}
+    functors = {}
+    for U in Q.site.objects:
+        key = (id(Q.values[U]), at[U])
+        if key not in built:
+            built[key] = corepresented_functor(Q.values[U], at[U])
+        functors[U] = built[key]
     res = {}
     for f, (V, U) in Q.site.cat.morphisms.items():
         F = Q.res[f]

@@ -58,6 +58,7 @@ from .presheaf import (
     SSetPresheafMap,
     constant_group_presheaf,
     constant_sset_presheaf,
+    fixed_objects,
     sset_presheaf,
     sset_presheaf_map,
     validate_sset_presheaf_map,
@@ -447,14 +448,7 @@ def _represented_torsors(run, check):
     constant cocycle; a strict comparison with its class exists only
     when no section carries more than one chart."""
     Q, site = run.coeff, run.site
-    constant_objects = [
-        a
-        for a in sorted(
-            set.intersection(*[set(H.objects) for H in Q.values.values()]),
-            key=repr,
-        )
-        if all(Q.res[f].ob.get(a) == a for f in site.morphisms)
-    ]
+    constant_objects = fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()], key=repr)
     for a in constant_objects:
         triv = constant_cocycle_map(run.source, run.target, Q, a)
         located = _locate(run.cylinder, triv, run.maps, run.map_classes)

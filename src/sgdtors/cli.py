@@ -4,10 +4,13 @@ Each subcommand wraps one library construction: `wbar`, `w-total`, and
 `j-map` emit cocycle objects with level tables; `check` runs named
 verdicts; `holim`, `comma`, `alpha-beta`, and `fibre-check` cover the
 diagram side; `torsor` and `h1` run the classification machinery; and
-`fixtures` writes the built-in corpus.  Emitted JSON is canonical, so
-emit, parse, emit again is byte-identical and certificates can be
-diffed.  Exit codes: 0 when every certificate passes, 1 when any
-fails, 2 for invalid input, reported with JSON pointers.
+`fixtures` writes the built-in corpus.  Every verdict is a ``Check``;
+a certificate is its JSON object (``Check.to_obj``, under ``detail``)
+inside a parameter envelope, with the verdict and the failing leaves
+as witnesses.  Emitted JSON is canonical, so emit, parse, emit again is
+byte-identical and certificates can be diffed.  Exit codes: 0 when
+every certificate passes, 1 when any fails, 2 for invalid input,
+reported with JSON pointers.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .presheaf import (
     SgdPresheaf,
     constant_group_presheaf,
     constant_sgd_presheaf,
+    fixed_objects,
     validate_sgd_presheaf_laws,
 )
 from .report import Check, require
@@ -61,6 +65,10 @@ from .sset import (
     validate_sset_map,
 )
 from .torsors import (
+    _shared_values,
+    action_to_bundle,
+    action_torsor_check,
+    bundle_torsor_check,
     group_torsor_check,
     h1_cech_classes,
     h1_cech_oracle,
@@ -83,7 +91,10 @@ class SchemaError(Exception):
 # Canonical JSON.  Simplex ids and site names are nested tuples, strings,
 # and integers; JSON carries tuples as arrays and table keys as the
 # compact JSON encoding of the id, so parsing is exact and re-emitting
-# is byte-identical.
+# is byte-identical.  A table keyed by pairs (composition, a restriction
+# level) travels as rows, arrays of ids with the value last, sorted by
+# their JSON text (``_rows``); ``_row`` reads one row back and
+# ``_level_tables`` a ``levels`` object of them, pointing at the row.
 
 
 def as_data(x):
@@ -133,16 +144,30 @@ def _int_key(s, where):
         raise SchemaError(where, f"expected an integer key, got {s!r}")
 
 
-def _triple(row, where):
-    if not isinstance(row, list) or len(row) != 3:
-        raise SchemaError(where, "expected a three-entry array")
+def _rows(rows):
+    """Table rows, each a tuple of ids, as JSON arrays in the order of
+    their JSON text."""
+    encoded = (as_data(row) for row in rows)
+    return sorted(encoded, key=lambda row: json.dumps(row, sort_keys=True))
+
+
+def _row(row, where, width):
+    if not isinstance(row, list) or len(row) != width:
+        raise SchemaError(where, f"expected a {['two', 'three'][width - 2]}-entry array")
     return tuple(as_key(v) for v in row)
 
 
-def _pair(row, where):
-    if not isinstance(row, list) or len(row) != 2:
-        raise SchemaError(where, "expected a two-entry array")
-    return as_key(row[0]), as_key(row[1])
+def _level_tables(obj, where, width):
+    """The ``levels`` of obj: for each level, rows whose last entry is
+    the value at the key the others make (one entry is its own key)."""
+    tables = {}
+    for ns, rows in _get(obj, "levels", where, dict).items():
+        n = _int_key(ns, f"{where}/levels")
+        tables[n] = {}
+        for i, row in enumerate(rows):
+            row = _row(row, f"{where}/levels/{ns}/{i}", width)
+            tables[n][row[0] if width == 2 else row[:-1]] = row[-1]
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +175,22 @@ def _pair(row, where):
 
 
 def encode_sset(X: TruncSSet) -> dict:
+    def tables(tabs, dims):
+        return {
+            str(n): {
+                str(i): {kenc(x): as_data(y) for x, y in tabs[(n, i)].items()}
+                for i in range(n + 1)
+            }
+            for n in dims
+        }
+
     return {
         "trunc": X.trunc,
         "simplices": {
             str(n): [as_data(x) for x in X.level(n)] for n in range(X.trunc + 1)
         },
-        "faces": {
-            str(n): {
-                str(i): {kenc(x): as_data(y) for x, y in X.faces[(n, i)].items()}
-                for i in range(n + 1)
-            }
-            for n in range(1, X.trunc + 1)
-        },
-        "degeneracies": {
-            str(n): {
-                str(j): {kenc(x): as_data(y) for x, y in X.degeneracies[(n, j)].items()}
-                for j in range(n + 1)
-            }
-            for n in range(X.trunc)
-        },
+        "faces": tables(X.faces, range(1, X.trunc + 1)),
+        "degeneracies": tables(X.degeneracies, range(X.trunc)),
     }
 
 
@@ -224,10 +246,6 @@ def encode_sset_map(f) -> dict:
 
 def encode_site(S: FinSite) -> dict:
     cat = S.cat
-    composition = sorted(
-        ([as_data(g), as_data(f), as_data(h)] for (g, f), h in cat.comp.items()),
-        key=lambda row: json.dumps(row, sort_keys=True),
-    )
     covers = [
         {"object": None, "family": [as_data(u) for u in fam]} for fam in S.star_covers
     ]
@@ -240,7 +258,7 @@ def encode_site(S: FinSite) -> dict:
             {"id": as_data(f), "src": as_data(s), "dst": as_data(d)}
             for f, (s, d) in sorted(cat.morphisms.items(), key=lambda kv: idkey(kv[0]))
         ],
-        "composition": composition,
+        "composition": _rows((g, f, h) for (g, f), h in cat.comp.items()),
         "covers": covers,
     }
 
@@ -260,7 +278,7 @@ def decode_site(obj, where="") -> FinSite:
     comp = {}
     for k, row in enumerate(_get(obj, "composition", where, list)):
         cw = f"{where}/composition/{k}"
-        g, f, h = _triple(row, cw)
+        g, f, h = _row(row, cw, 3)
         for m in (g, f, h):
             if m not in morphisms:
                 raise SchemaError(cw, f"unknown morphism {m!r}")
@@ -327,10 +345,7 @@ def encode_sgd(H: SimpGroupoid) -> dict:
     composition = []
     for (a, b, c) in sorted(H.comp, key=lambda t: tuple(idkey(x) for x in t)):
         levels = {
-            str(n): sorted(
-                ([as_data(g), as_data(f), as_data(h)] for (g, f), h in tab.items()),
-                key=lambda row: json.dumps(row, sort_keys=True),
-            )
+            str(n): _rows((g, f, h) for (g, f), h in tab.items())
             for n, tab in H.comp[(a, b, c)].items()
         }
         composition.append(
@@ -371,18 +386,10 @@ def decode_sgd(obj, where="") -> SimpGroupoid:
         a = as_key(_get(c, "src", cw))
         b = as_key(_get(c, "mid", cw))
         d = as_key(_get(c, "dst", cw))
-        levels = {}
-        for ns, rows in _get(c, "levels", cw, dict).items():
-            n = _int_key(ns, f"{cw}/levels")
-            tab = {}
-            for r, row in enumerate(rows):
-                g, f, gf = _triple(row, f"{cw}/levels/{ns}/{r}")
-                tab[(g, f)] = gf
-            levels[n] = tab
-        comp[(a, b, d)] = levels
+        comp[(a, b, d)] = _level_tables(c, cw, 3)
     identities = {}
     for k, row in enumerate(_get(obj, "identities", where, list)):
-        a, e = _pair(row, f"{where}/identities/{k}")
+        a, e = _row(row, f"{where}/identities/{k}", 2)
         identities[a] = e
     H = SimpGroupoid(trunc, objects, homs, comp, identities)
     checked = validate_sgroupoid(H)
@@ -399,13 +406,7 @@ def encode_sgd_presheaf(Q: SgdPresheaf) -> dict:
         V, U = site.cat.morphisms[f]
         maps = []
         for (a, b) in sorted(F.maps, key=lambda ab: (idkey(ab[0]), idkey(ab[1]))):
-            levels = {
-                str(n): sorted(
-                    ([as_data(c), as_data(y)] for c, y in tab.items()),
-                    key=lambda row: json.dumps(row, sort_keys=True),
-                )
-                for n, tab in F.maps[(a, b)].items()
-            }
+            levels = {str(n): _rows(tab.items()) for n, tab in F.maps[(a, b)].items()}
             maps.append({"src": as_data(a), "dst": as_data(b), "levels": levels})
         restrictions.append(
             {
@@ -445,19 +446,13 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
         V, U = site.cat.morphisms[f]
         ob = {}
         for j, row in enumerate(_get(r, "ob", rw, list)):
-            a, y = _pair(row, f"{rw}/ob/{j}")
+            a, y = _row(row, f"{rw}/ob/{j}", 2)
             ob[a] = y
         maps = {}
         for j, m in enumerate(_get(r, "maps", rw, list)):
             mw = f"{rw}/maps/{j}"
             a, b = as_key(_get(m, "src", mw)), as_key(_get(m, "dst", mw))
-            levels = {}
-            for ns, rows in _get(m, "levels", mw, dict).items():
-                n = _int_key(ns, f"{mw}/levels")
-                levels[n] = dict(
-                    _pair(row, f"{mw}/levels/{ns}/{i}") for i, row in enumerate(rows)
-                )
-            maps[(a, b)] = levels
+            maps[(a, b)] = _level_tables(m, mw, 2)
         res[f] = SgdFunctor(values[U], values[V], ob, maps)
         checked = validate_sgd_functor(res[f])
         if not checked:
@@ -520,26 +515,6 @@ def _plain(v):
     return repr(v)
 
 
-@dataclass
-class Certificate:
-    claim: str
-    verdict: str
-    parameters: dict
-    witnesses: list
-    detail: dict = None
-
-    def to_obj(self):
-        obj = {
-            "claim": self.claim,
-            "verdict": self.verdict,
-            "parameters": self.parameters,
-            "witnesses": self.witnesses,
-        }
-        if self.detail is not None:
-            obj["detail"] = self.detail
-        return obj
-
-
 def _failing_leaves(check: Check, acc):
     if check.ok:
         return
@@ -556,19 +531,19 @@ def _failing_leaves(check: Check, acc):
         _failing_leaves(p, acc)
 
 
-def certificate(claim, check: Check, **parameters) -> Certificate:
-    params = dict(parameters)
-    for k, v in check.params.items():
-        params.setdefault(k, v)
+def certificate(claim, check: Check, **parameters) -> dict:
+    """The certificate of a check, as its JSON object: the verdict, the
+    parameter envelope (the given parameters over the check's own), the
+    failing leaves as witnesses, and the check itself as ``detail``."""
     witnesses = []
     _failing_leaves(check, witnesses)
-    return Certificate(
-        claim,
-        "PASS" if check.ok else "FAIL",
-        _plain(params),
-        witnesses,
-        check.to_obj(),
-    )
+    return {
+        "claim": claim,
+        "verdict": "PASS" if check.ok else "FAIL",
+        "parameters": _plain({**check.params, **parameters}),
+        "witnesses": witnesses,
+        "detail": check.to_obj(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +608,7 @@ def truncate_sgd(H: SimpGroupoid, N) -> SimpGroupoid:
 def truncate_sgd_presheaf(Q: SgdPresheaf, N) -> SgdPresheaf:
     if N == Q.trunc:
         return Q
-    values = {U: truncate_sgd(H, N) for U, H in Q.values.items()}
+    values = _shared_values(Q.values, lambda H: truncate_sgd(H, N))
     res = {}
     for f, (V, U) in Q.site.cat.morphisms.items():
         F = Q.res[f]
@@ -815,20 +790,16 @@ def cmd_torsor(cfg: RunConfig):
     N = resolve_trunc(cfg, Q.trunc)
     Q = truncate_sgd_presheaf(Q, N)
     coeff = _kind_coefficients(cfg.kind, site, Q)
-    family = star_cover(site)["family"]
-
+    envelope = {
+        "kind": cfg.kind,
+        "trunc": N,
+        "depth": cfg.depth,
+        "cover": star_cover(site)["family"],
+        "input": cfg.inputs[0],
+    }
     if cfg.target == "check":
         check = _canonical_torsor_check(cfg.kind, site, Q, coeff, N, cfg.depth)
-        cert = certificate(
-            f"torsor/check/{cfg.kind}",
-            check,
-            kind=cfg.kind,
-            trunc=N,
-            depth=cfg.depth,
-            cover=family,
-            input=cfg.inputs[0],
-        )
-        return [cert], {}
+        return [certificate(f"torsor/check/{cfg.kind}", check, **envelope)], {}
 
     if cfg.kind in ("sgroup", "sgpd") and not all(
         constant_enrichment(H) for H in Q.values.values()
@@ -853,29 +824,16 @@ def cmd_torsor(cfg: RunConfig):
             )
     except ValueError as exc:
         raise SchemaError("/bound", str(exc))
-    params = {
-        "kind": cfg.kind,
-        "trunc": N,
-        "depth": cfg.depth,
-        "bound": cfg.bound,
-        "cover": family,
-        "input": cfg.inputs[0],
-        "family": result["family"],
-        "torsor_classes": result["torsor_classes"],
-        "classes": result["classes"],
-    }
-    if cfg.target == "enumerate":
-        cert = certificate(f"torsor/enumerate/{cfg.kind}", result["check"], **params)
-        return [cert], {}
-    params.update(
-        map_count=result["map_count"],
-        map_classes=result["map_classes"],
-        matching=result["matching"],
+    reported = {key: result[key] for key in _REPORTED if key in result}
+    cert = certificate(
+        f"torsor/{cfg.target}/{cfg.kind}", result["check"], bound=cfg.bound, **envelope, **reported
     )
-    if "cocycle_classes" in result:
-        params["cocycle_classes"] = result["cocycle_classes"]
-    cert = certificate(f"torsor/classify/{cfg.kind}", result["check"], **params)
     return [cert], {}
+
+
+# the result keys a torsor enumerate or classify certificate reports
+_REPORTED = ("family", "torsor_classes", "classes", "map_count", "map_classes",
+             "matching", "cocycle_classes")
 
 
 def _canonical_torsor_check(kind, site, Q, coeff, N, depth) -> Check:
@@ -883,14 +841,10 @@ def _canonical_torsor_check(kind, site, Q, coeff, N, depth) -> Check:
     if kind == "group":
         return group_torsor_check(trivial_group_torsor(coeff), depth)
     if kind in ("groupoid-action", "groupoid-bundle"):
-        at = _shared_object(coeff, "no shared object to anchor the torsor at")
+        at = _shared_object(Q, "no shared object to anchor the torsor at")
         T = representable_action_torsor(coeff, at)
         if kind == "groupoid-action":
-            from .torsors import action_torsor_check
-
             return action_torsor_check(T, depth)
-        from .torsors import action_to_bundle, bundle_torsor_check
-
         return bundle_torsor_check(action_to_bundle(T, N), depth)
     if kind == "2gpd":
         T = trivial_group_torsor(constant_group_presheaf(site, coeff))
@@ -903,12 +857,13 @@ def _canonical_torsor_check(kind, site, Q, coeff, N, depth) -> Check:
     return sgd_torsor_check(corepresented_diagram(Q, at), depth)
 
 
-def _shared_object(presheaf, missing):
-    """The least object, by id, that every section of the presheaf has."""
-    common = set.intersection(*(set(section.objects) for section in presheaf.values.values()))
-    if not common:
+def _shared_object(Q: SgdPresheaf, missing):
+    """The least object, by id, that every section has and every
+    restriction fixes."""
+    fixed = fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()])
+    if not fixed:
         raise SchemaError("/kind", missing)
-    return min(common, key=idkey)
+    return fixed[0]
 
 
 def cmd_h1(cfg: RunConfig):
@@ -999,7 +954,7 @@ def run(command, config: RunConfig):
         return 2, [], {
             "invalid": [{"pointer": exc.pointer, "message": exc.message}]
         }
-    code = 0 if all(c.verdict == "PASS" for c in certs) else 1
+    code = 0 if all(c["verdict"] == "PASS" for c in certs) else 1
     return code, certs, artifacts
 
 
@@ -1021,34 +976,33 @@ def render_text(certs, artifacts):
             f"invalid input at {inv['pointer'] or 'document root'}: {inv['message']}"
         )
     for c in certs:
+        params = c["parameters"]
         shown = {
             k: v
-            for k, v in sorted(c.parameters.items())
+            for k, v in sorted(params.items())
             if k not in ("levels", "matching", "torsor_classes", "map_classes")
         }
         extra = (
             " [" + ", ".join(f"{k}={v}" for k, v in shown.items()) + "]" if shown else ""
         )
-        lines.append(f"{c.verdict} {c.claim}{extra}")
-        if "levels" in c.parameters:
-            lines.extend(_level_table(c.parameters["levels"]))
+        lines.append(f"{c['verdict']} {c['claim']}{extra}")
+        if "levels" in params:
+            lines.extend(_level_table(params["levels"]))
         for key in ("source_levels", "target_levels"):
-            if key in c.parameters:
-                lines.append(f"  {key.split('_')[0]}: {levels_line(c.parameters[key])}")
-        if "torsor_classes" in c.parameters:
-            sizes = [len(members) for members in c.parameters["torsor_classes"]]
+            if key in params:
+                lines.append(f"  {key.split('_')[0]}: {levels_line(params[key])}")
+        if "torsor_classes" in params:
+            sizes = [len(members) for members in params["torsor_classes"]]
             lines.append(
                 f"  torsor classes: {len(sizes)} (sizes {levels_line(sizes)})"
             )
-        if "map_classes" in c.parameters:
-            sizes = [len(members) for members in c.parameters["map_classes"]]
+        if "map_classes" in params:
+            sizes = [len(members) for members in params["map_classes"]]
             lines.append(f"  map classes: {len(sizes)} (sizes {levels_line(sizes)})")
-        if "matching" in c.parameters:
-            pairs = ", ".join(
-                f"torsor {i} ~ map {j}" for i, j in c.parameters["matching"]
-            )
+        if "matching" in params:
+            pairs = ", ".join(f"torsor {i} ~ map {j}" for i, j in params["matching"])
             lines.append(f"  matching: {pairs}")
-        for w in c.witnesses:
+        for w in c["witnesses"]:
             lines.append(f"  witness: {w['claim']}: {w['witness']}")
     return "\n".join(lines)
 
@@ -1135,7 +1089,7 @@ def main(argv=None):
     code, certs, artifacts = run(ns.command, cfg)
     doc = {
         "command": ns.command,
-        "certificates": [c.to_obj() for c in certs],
+        "certificates": certs,
         "artifacts": artifacts,
     }
     if cfg.format == "json":

@@ -395,3 +395,11 @@ def constant_sgd_presheaf(site, H: SimpGroupoid) -> SgdPresheaf:
 
     ident = sgd_functor(H, H, lambda a: a, lambda a, b, n, c: c)
     return SgdPresheaf(site, {U: H for U in site.objects}, {f: ident for f in site.morphisms})
+
+
+def fixed_objects(sections, object_maps, key=idkey):
+    """The objects that every section has and every restriction's
+    object map fixes, sorted by key: where a constant choice of object
+    is natural."""
+    shared = set.intersection(*(set(H.objects) for H in sections))
+    return sorted((a for a in shared if all(ob.get(a) == a for ob in object_maps)), key=key)

@@ -3,6 +3,8 @@
 Every verifier in the package returns a ``Check``: a verdict, a short
 claim, the parameters that scope the claim (truncation, degree bounds,
 cover family), and a witness when the verdict is negative.  Checks nest.
+It is the only verdict type: a CLI certificate is a check's JSON object
+(``to_obj``) inside a parameter envelope.
 The ``validate_*`` table checks list their problems and are wrapped by
 ``validator``; a caller that names the part differently renames it with
 ``dataclasses.replace``.  A computation whose input breaks an invariant it relies on raises

@@ -36,6 +36,7 @@ from .presheaf import (
     SSetPresheaf,
     SSetPresheafMap,
     enumerate_presheaf_maps,
+    fixed_objects,
     natural_maps,
     product_set_presheaf,
     set_presheaf,
@@ -630,13 +631,7 @@ def enumerate_action_torsors(GP: GroupoidPresheaf, bound=None):
             }
             out.append(ActionTorsor(GP, T.total, anchor, T.action))
         return out
-    constant = [
-        a
-        for a in sorted(
-            set.intersection(*[set(G.objects) for G in GP.values.values()]), key=idkey
-        )
-        if all(GP.res[f][0].get(a) == a for f in GP.site.morphisms)
-    ]
+    constant = fixed_objects(GP.values.values(), [ob for ob, _ in GP.res.values()])
     return [representable_action_torsor(GP, a) for a in constant]
 
 

@@ -2,8 +2,10 @@
 
 import itertools
 
+from sgdtors.fixtures import s1_site
 from sgdtors.groupoid import Fin2Groupoid, group_as_groupoid
 from sgdtors.sgroupoid import SimpGroupoid
+from sgdtors.site import FinSite, poset_category
 from sgdtors.sset import build_sset
 
 
@@ -40,3 +42,14 @@ def ez2_sgroup(trunc):
         for n in range(trunc + 1)
     }
     return SimpGroupoid(trunc, ("*",), {("*", "*"): hom}, {("*", "*", "*"): comp}, {"*": (0,)})
+
+
+def cone_site():
+    """The cone over the circle: s1_site() with an apex P below every
+    object, covered by [U, V].  Its composable pairs of non-identity
+    morphisms, such as P -> A -> U, make the cocycle condition bind."""
+    base = s1_site()
+    cat = poset_category(
+        base.objects + ("P",), lambda a, b: a == "P" or (a, b) in base.cat.morphisms
+    )
+    return FinSite(cat, {}, [["U", "V"]])

@@ -13,7 +13,7 @@ import pkgutil
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import ez2_sgroup
+from gpd_fixtures import cone_site, ez2_sgroup
 
 import sgdtors
 
@@ -35,7 +35,7 @@ from sgdtors.bundles import (
     enumerate_sgd_presheaf_maps,
     validate_sgd_diagram,
 )
-from sgdtors.fixtures import pt_site, s1_site, twocomp_presheaf, z2_presheaf
+from sgdtors.fixtures import pt_site, s1_site, twocomp_presheaf, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import zmod
 from sgdtors.presheaf import (
     constant_group_presheaf,
@@ -48,6 +48,7 @@ from sgdtors.torsors import (
     bg_presheaf,
     enumerate_group_torsors,
     group_presheaf_as_groupoid,
+    h1_cech_oracle,
     wbar_presheaf,
 )
 from sgdtors.wbar import wbar
@@ -189,6 +190,29 @@ def test_all_six_kinds_give_the_same_two_classes():
     assert [r["kind"] for r in runs] == [
         "group", "groupoid-action", "groupoid-bundle", "2gpd", "sgroup", "sgpd",
     ]
+
+
+def test_all_six_kinds_classify_the_cone_as_the_oracle_does():
+    # P -> A -> U composes two non-identity morphisms, so of the 2^8
+    # cochains only the 16 cocycles survive
+    site = cone_site()
+    G = constant_group_presheaf(site, zmod(2))
+    GP = group_presheaf_as_groupoid(G)
+    Q = constant_sgd_presheaf(site, z2_sgroup(3))
+    oracle = h1_cech_oracle(G)
+    assert oracle == 1
+    for kind, coeff in (
+        ("group", G),
+        ("groupoid-action", GP),
+        ("groupoid-bundle", GP),
+        ("2gpd", zmod(2)),
+        ("sgroup", Q),
+        ("sgpd", Q),
+    ):
+        r = classify(kind, site, coeff, trunc=3)
+        assert r["classes"] == len(r["map_classes"]) == oracle, kind
+        assert r["family"] == (2 if kind == "sgpd" else 16), kind
+        assert r["check"], kind
 
 
 def test_classify_sgd_over_the_point_with_two_components():

@@ -40,7 +40,15 @@ from sgdtors.holim import holim
 from sgdtors.join import join_object
 from sgdtors.presheaf import constant_sgd_presheaf
 from sgdtors.report import Check, require
-from sgdtors.sgroupoid import b_2groupoid, db_sgroupoid, validate_sgd_functor, validate_sgroupoid
+from sgdtors.sgroupoid import (
+    b_2groupoid,
+    constant_sgroup,
+    db_sgroupoid,
+    disjoint_union_sgd,
+    sgd_functor,
+    validate_sgd_functor,
+    validate_sgroupoid,
+)
 from sgdtors.site import validate_site
 from sgdtors.sset import circle, delta, sset_product, validate_sset
 from sgdtors.wbar import wbar
@@ -120,6 +128,24 @@ def test_schema_errors_carry_json_pointers():
     with pytest.raises(SchemaError) as err:
         decode_site(enc)
     assert err.value.pointer == "/covers/0/family"
+
+    # table rows and level keys
+    enc = encode_sgd(z2_sgroup(2))
+    enc["composition"][0]["levels"]["1"][0] = [0, 1]
+    with pytest.raises(SchemaError, match="expected a three-entry array") as err:
+        decode_sgd(enc)
+    assert err.value.pointer == "/composition/0/levels/1/0"
+    enc = encode_sgd(z2_sgroup(2))
+    enc["composition"][0]["levels"]["one"] = []
+    with pytest.raises(SchemaError, match="expected an integer key") as err:
+        decode_sgd(enc)
+    assert err.value.pointer == "/composition/0/levels"
+
+    enc = encode_sgd_presheaf(z2_presheaf(s1_site(), 2))
+    enc["restrictions"][0]["maps"][0]["levels"]["0"][0] = [0, 0, 0]
+    with pytest.raises(SchemaError, match="expected a two-entry array") as err:
+        decode_sgd_presheaf(enc)
+    assert err.value.pointer == "/restrictions/0/maps/0/levels/0/0"
 
 
 def test_fixture_corpus_validates(corpus):
@@ -380,14 +406,55 @@ def test_alpha_beta_builds_the_carrier_and_the_diagonal_nerve_once(monkeypatch, 
         (["fibre-check", "twocomp.json"], {"holim": 1, "db_sgroupoid": 1}),
         (["torsor", "check", "--kind", "sgpd", "twocomp.json", "--site", "pt.json"],
          {"holim": 1}),
+        # the four sections over the circle are one groupoid, so they
+        # share one homotopy colimit, also when cut to a lower truncation
+        (["torsor", "check", "--kind", "sgroup", "z2const.json", "--site", "s1.json"],
+         {"holim": 1}),
+        (["torsor", "check", "--kind", "sgroup", "z2const.json", "--site", "s1.json",
+          "--trunc", "2"],
+         {"holim": 1}),
     ],
-    ids=["holim", "fibre-check", "torsor-check-sgpd"],
+    ids=["holim", "fibre-check", "torsor-check-sgpd", "torsor-check-sgroup",
+         "torsor-check-sgroup-trunc-2"],
 )
 def test_holim_commands_build_each_carrier_once(monkeypatch, corpus, capsys, argv, expected):
     calls = count_calls(monkeypatch, (holim, db_sgroupoid))
     assert cli.main([corpus.get(arg, arg) for arg in argv]) == 0
     capsys.readouterr()
     assert calls == expected
+
+
+def _components_swapped_along_A_U(tmp_path, names, swap):
+    """A presheaf over the circle of one enriched groupoid, a disjoint
+    union of trivial components, whose restriction along ('A', 'U')
+    permutes the components by swap and whose others are identities."""
+    H = disjoint_union_sgd({name: constant_sgroup(zmod(1), 2) for name in names})
+    Q = constant_sgd_presheaf(s1_site(), H)
+    move = {name: swap.get(name, name) for name in names}
+    Q.res[("A", "U")] = sgd_functor(
+        H, H, lambda a: (move[a[0]], *a[1:]), lambda a, b, n, c: (move[c[0]], *c[1:])
+    )
+    path = tmp_path / f"swapped-{''.join(names)}.json"
+    path.write_text(dumps(encode_sgd_presheaf(Q)) + "\n")
+    return str(path)
+
+
+def test_torsor_check_anchors_at_an_object_every_restriction_fixes(tmp_path, capsys):
+    kinds = {
+        "sgpd": "no shared object to corepresent at",
+        "groupoid-bundle": "no shared object to anchor the torsor at",
+        "groupoid-action": "no shared object to anchor the torsor at",
+    }
+    # both components move, so no constant choice of object is natural
+    path = _components_swapped_along_A_U(tmp_path, "lr", {"l": "r", "r": "l"})
+    for kind, missing in kinds.items():
+        assert cli.main(["torsor", "check", "--kind", kind, path]) == 2
+        assert f"invalid input at /kind: {missing}" in capsys.readouterr().out
+    # the least object moves, so the check anchors at the one that stays
+    path = _components_swapped_along_A_U(tmp_path, "lmr", {"l": "m", "m": "l"})
+    for kind in kinds:
+        assert cli.main(["torsor", "check", "--kind", kind, path]) == 0
+        assert f"PASS torsor/check/{kind}" in capsys.readouterr().out
 
 
 def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
@@ -567,8 +634,8 @@ def test_failing_certificates_exit_one(monkeypatch, capsys):
     outer = Check("outer claim", True, params={"trunc": 3})
     outer.add(inner)
     cert = certificate("demo/claim", outer, input="x.json")
-    assert cert.verdict == "FAIL"
-    assert cert.witnesses == [
+    assert cert["verdict"] == "FAIL"
+    assert cert["witnesses"] == [
         {"claim": "part that fails", "witness": {"at": [1, 2]}, "params": {}}
     ]
     monkeypatch.setitem(cli.HANDLERS, "wbar", lambda cfg: ([cert], {}))
@@ -581,10 +648,10 @@ def test_failing_certificates_exit_one(monkeypatch, capsys):
 def test_passing_certificates_carry_the_parameter_envelope():
     check = require(True, "fine", trunc=3, depth=2)
     cert = certificate("demo/pass", check, bound=8)
-    assert cert.verdict == "PASS"
-    assert cert.parameters == {"bound": 8, "trunc": 3, "depth": 2}
-    assert cert.witnesses == []
-    doc = json.loads(dumps(cert.to_obj()))
+    assert cert["verdict"] == "PASS"
+    assert cert["parameters"] == {"bound": 8, "trunc": 3, "depth": 2}
+    assert cert["witnesses"] == []
+    doc = json.loads(dumps(cert))
     assert doc["claim"] == "demo/pass"
 
 

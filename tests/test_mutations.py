@@ -1,10 +1,14 @@
 """Mutation tests: corrupting one table entry makes the matching
-validator fail, and its witness names the corrupted spot."""
+validator fail, and its witness names the corrupted spot; dropping the
+constraints of a shared search makes a classification fail."""
 
 import pytest
+from gpd_fixtures import cone_site
 
+from sgdtors import torsors
 from sgdtors.bisset import validate_bisset
 from sgdtors.bundles import corepresented_diagram, sgd_torsor_check, validate_sgd_diagram
+from sgdtors.classify import classify
 from sgdtors.fixtures import interval_sgd, s1_site, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import trivial_groupoid, validate_groupoid, zmod
 from sgdtors.holim import corepresented_functor, validate_simplicial_functor
@@ -24,6 +28,8 @@ from sgdtors.sgroupoid import (
     validate_sgd_functor,
     validate_sgroupoid,
 )
+from sgdtors.report import InvariantError
+from sgdtors.search import solve
 from sgdtors.sset import delta, identity_map, validate_sset, validate_sset_map
 from sgdtors.torsors import (
     cochain_torsor,
@@ -240,3 +246,20 @@ def test_torsor_check_rejects_restrictions_that_break_the_presheaf_laws():
     check = sgd_torsor_check(_swapped_identity_restriction())
     assert not check
     assert "identity restriction moves ('*', 0) at 'U'" in check.parts[0].witness[0]
+
+
+def test_classifying_the_cone_needs_the_cocycle_constraints(monkeypatch):
+    # the circle has no composable pair of non-identity morphisms, so
+    # only a site like the cone sees a cochain family that skips the
+    # cocycle condition; drop every constraint, not just some, since
+    # which ones bind depends on how the morphisms sort
+    monkeypatch.setattr(
+        torsors, "solve", lambda domains, constraints, bound=None: solve(domains, [], bound=bound)
+    )
+    site = cone_site()
+    try:
+        result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
+        passed = bool(result["check"])
+    except InvariantError:
+        passed = False
+    assert not passed
