@@ -57,7 +57,7 @@ from .sgroupoid import (
     string_image,
     validate_sgd_functor,
 )
-from .sheaf import cover_elements, local_weq_check
+from .sheaf import PLUS_STEPS, cover_elements, local_weq_check
 from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, validate_sset_map
 from .torsors import (
     ActionTorsor,
@@ -281,11 +281,11 @@ def borel_to_quotient(D: SgdDiagram) -> SSetPresheafMap:
     )
 
 
-def sgroup_torsor_check(D: SgdDiagram, depth=2) -> Check:
+def sgroup_torsor_check(D: SgdDiagram) -> Check:
     return _holim_torsor_check(
         "action presents a torsor for the enriched group",
         "quotient by the action is locally trivial",
-        validate_sgroup_action(D), D, depth,
+        validate_sgroup_action(D), D,
     )
 
 
@@ -411,23 +411,23 @@ def holim_presheaf(D: SgdDiagram) -> SSetPresheaf:
     return sset_presheaf(Q.site, carriers.__getitem__, restrict)
 
 
-def _holim_torsor_check(claim, local_claim, valid: Check, D: SgdDiagram, depth) -> Check:
+def _holim_torsor_check(claim, local_claim, valid: Check, D: SgdDiagram) -> Check:
     """A diagram D presents a torsor when it is valid and its homotopy
     colimit is locally trivial; D is read only once ``valid`` holds."""
-    check = Check(claim, True, params={"depth": depth})
+    check = Check(claim, True, params={"depth": PLUS_STEPS})
     if not check.add(valid):
         return check
-    weq = local_weq_check(to_point_map(holim_presheaf(D)), depth=depth)
+    weq = local_weq_check(to_point_map(holim_presheaf(D)))
     weq.claim = local_claim
     check.add(weq)
     return check
 
 
-def sgd_torsor_check(D: SgdDiagram, depth=2) -> Check:
+def sgd_torsor_check(D: SgdDiagram) -> Check:
     return _holim_torsor_check(
         "diagram presents a torsor for the enriched groupoid",
         "homotopy colimit is locally trivial",
-        validate_sgd_diagram(D), D, depth,
+        validate_sgd_diagram(D), D,
     )
 
 
@@ -762,10 +762,10 @@ def two_gpd_shape_check(total: SSetPresheaf, pi: SSetPresheafMap) -> Check:
     return pullback_shape_check(total, pi, "display levels pull back from level zero")
 
 
-def two_gpd_torsor_check(total: SSetPresheaf, pi: SSetPresheafMap, depth=2) -> Check:
+def two_gpd_torsor_check(total: SSetPresheaf, pi: SSetPresheafMap) -> Check:
     return display_torsor_check(
         "display presents a torsor for the 2-groupoid", "display",
-        total, pi, lambda: two_gpd_shape_check(total, pi), depth,
+        total, pi, lambda: two_gpd_shape_check(total, pi),
     )
 
 

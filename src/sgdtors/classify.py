@@ -9,9 +9,10 @@ Each run computes two sides and matches them class by class:
   groups them into homotopy classes over the cylinder.
 
 The bridge in both directions is the transition cocycle of a chosen
-local section: a torsor yields a classifying map on the nose, and the
-map's homotopy class is located among the enumerated ones.  The report
-fails loudly whenever the two sides disagree.
+local section: a torsor yields a classifying map on the nose, which is
+looked up among the enumerated ones to read its homotopy class; a map
+missing from them fails the matching.  The report fails loudly whenever
+the two sides disagree.
 
 One driver, ``classify``, runs every flavour, and ``classify_torsors``
 runs its torsor side alone.  ``FLAVOURS`` holds one entry per flavour:
@@ -66,7 +67,7 @@ from .presheaf import (
 from .report import Check, InvariantError, require, unique_hit
 from .search import Partition, solve
 from .sgroupoid import b_2groupoid
-from .sheaf import cech_resolution, cover_elements
+from .sheaf import PLUS_STEPS, cech_resolution, cover_elements
 from .sset import delta, sset_product
 from .torsors import (
     ActionTorsor,
@@ -439,7 +440,7 @@ def _bundle_round_trip(run, check):
 
 
 def _sgd_checks(run, i):
-    check = sgd_torsor_check(run.family[i], depth=run.depth)
+    check = sgd_torsor_check(run.family[i])
     return [replace(check.parts[0], claim="pullback is a valid diagram"), check]
 
 
@@ -451,7 +452,7 @@ def _represented_torsors(run, check):
     constant_objects = fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()], key=repr)
     for a in constant_objects:
         triv = constant_cocycle_map(run.source, run.target, Q, a)
-        located = _locate(run.cylinder, triv, run.maps, run.map_classes)
+        located = _locate(triv, run.maps, run.map_classes)
         partners = [ci for ci, mj in run.matching if mj == located]
         D = corepresented_diagram(Q, {U: a for U in site.objects})
         hits = [
@@ -487,7 +488,7 @@ FLAVOURS = {
         family=lambda run: enumerate_group_torsors(run.coeff, run.bound),
         iso=lambda run, x, y: group_torsor_maps(x, y),
         target=lambda run: bg_presheaf(group_presheaf_as_groupoid(run.coeff), run.trunc),
-        checks=lambda run, i: [group_torsor_check(run.family[i], depth=run.depth)],
+        checks=lambda run, i: [group_torsor_check(run.family[i])],
         classifying_map=lambda run, i: action_classifying_map(
             run.family[i], run.cover, run.source, run.target
         ),
@@ -499,7 +500,7 @@ FLAVOURS = {
         family=lambda run: enumerate_action_torsors(run.coeff, run.bound),
         iso=lambda run, x, y: action_torsor_maps(x, y),
         target=lambda run: bg_presheaf(run.coeff, run.trunc),
-        checks=lambda run, i: [action_torsor_check(run.family[i], depth=run.depth)],
+        checks=lambda run, i: [action_torsor_check(run.family[i])],
         classifying_map=lambda run, i: action_classifying_map(
             run.family[i], run.cover, run.source, run.target
         ),
@@ -511,7 +512,7 @@ FLAVOURS = {
         searched=lambda run: [bundle_to_action(B) for B in run.family],
         iso=lambda run, x, y: action_torsor_maps(x, y),
         target=lambda run: bg_presheaf(run.coeff, run.trunc),
-        checks=lambda run, i: [bundle_torsor_check(run.family[i], depth=run.depth)],
+        checks=lambda run, i: [bundle_torsor_check(run.family[i])],
         classifying_map=lambda run, i: action_classifying_map(
             run.searched[i], run.cover, run.source, run.target
         ),
@@ -524,7 +525,7 @@ FLAVOURS = {
         iso=lambda run, x, y: two_gpd_action_maps(x, y),
         target=lambda run: constant_sset_presheaf(run.site, run.wbar),
         checks=lambda run, i: [
-            two_gpd_torsor_check(*two_gpd_display(run.wbar, run.family[i]), depth=run.depth)
+            two_gpd_torsor_check(*two_gpd_display(run.wbar, run.family[i]))
         ],
         classifying_map=lambda run, i: two_gpd_classifying_map(
             run.family[i], run.cover, run.source, run.target
@@ -537,7 +538,7 @@ FLAVOURS = {
         searched=lambda run: [level0_group_torsor(A) for A in run.family],
         iso=lambda run, x, y: group_torsor_maps(x, y),
         target=lambda run: wbar_presheaf(run.coeff),
-        checks=lambda run, i: [sgroup_torsor_check(run.family[i], depth=run.depth)],
+        checks=lambda run, i: [sgroup_torsor_check(run.family[i])],
         classifying_map=lambda run, i: sgroup_classifying_map(
             run.coeff, run.searched[i], run.cover, run.source, run.target
         ),
@@ -564,21 +565,14 @@ KINDS = tuple(FLAVOURS)
 # the classification run
 
 
-def _locate(C: SSetPresheaf, u: SSetPresheafMap, maps, classes):
-    """The class of u in ``classes``: by equality, else by homotopy off C; or None."""
-    for index, candidate in enumerate(maps):
-        if candidate.components == u.components:
-            for ci, members in enumerate(classes):
-                if index in members:
-                    return ci
-    for ci, members in enumerate(classes):
-        if any(presheaf_homotopic(C, u, maps[k]) for k in members):
-            return ci
-    return None
+def _locate(u: SSetPresheafMap, maps, classes):
+    """The class in ``classes`` of the member of ``maps`` with u's
+    components, or None when u is not among ``maps``."""
+    index = next((k for k, m in enumerate(maps) if m.components == u.components), None)
+    return next((ci for ci, members in enumerate(classes) if index in members), None)
 
 
-def classify_torsors(kind, site, coefficients, trunc=None, depth=2, bound=None,
-                     cover=None):
+def classify_torsors(kind, site, coefficients, trunc=None, bound=None, cover=None):
     """The torsor half of a classification run: the family, its
     isomorphism classes, and the checks on each class representative.
     Takes the arguments of ``classify`` and returns the run, with the
@@ -589,23 +583,22 @@ def classify_torsors(kind, site, coefficients, trunc=None, depth=2, bound=None,
     if flavour.enriched:
         trunc = coefficients.trunc
     run = SimpleNamespace(
-        flavour=flavour, site=site, coeff=coefficients, trunc=trunc, depth=depth,
-        bound=bound, cover=cover or star_cover(site),
+        flavour=flavour, site=site, coeff=coefficients, trunc=trunc, bound=bound,
+        cover=cover or star_cover(site),
     )
     run.family = flavour.family(run)
     run.searched = searched = flavour.searched(run) if flavour.searched else run.family
     run.torsor_classes = _grouped(
         len(searched), lambda i, j: bool(flavour.iso(run, searched[i], searched[j]))
     )
-    run.check = Check(flavour.claim, True, params={"trunc": trunc, "depth": depth})
+    run.check = Check(flavour.claim, True, params={"trunc": trunc, "depth": PLUS_STEPS})
     for members in run.torsor_classes:
         for part in flavour.checks(run, members[0]):
             run.check.add(part)
     return run
 
 
-def classify(kind, site, coefficients, trunc=None, depth=2, bound=None,
-             cover=None):
+def classify(kind, site, coefficients, trunc=None, bound=None, cover=None):
     """Classify the torsors of one flavour over the site.
 
     coefficients: a GroupPresheaf for "group", a GroupoidPresheaf for
@@ -613,15 +606,14 @@ def classify(kind, site, coefficients, trunc=None, depth=2, bound=None,
     SgdPresheaf for "sgroup" and "sgpd", which take their truncation
     from it.
     """
-    run = classify_torsors(kind, site, coefficients, trunc, depth, bound, cover)
+    run = classify_torsors(kind, site, coefficients, trunc, bound, cover)
     flavour, check, torsor_classes = run.flavour, run.check, run.torsor_classes
     run.target = flavour.target(run)
     run.source = cech_resolution(site, run.cover, run.trunc)
-    run.cylinder = C = cylinder_presheaf(run.source)
     run.maps = maps = enumerate_sset_presheaf_maps(run.source, run.target, bound=bound)
-    run.map_classes = map_classes = presheaf_map_classes(C, maps)
+    run.map_classes = map_classes = presheaf_map_classes(cylinder_presheaf(run.source), maps)
     run.matching = matching = [
-        (ci, _locate(C, flavour.classifying_map(run, members[0]), maps, map_classes))
+        (ci, _locate(flavour.classifying_map(run, members[0]), maps, map_classes))
         for ci, members in enumerate(torsor_classes)
     ]
     keys = flavour.extra(run, check) if flavour.extra else {}

@@ -55,6 +55,7 @@ from .sgroupoid import (
     validate_sgd_functor,
     validate_sgroupoid,
 )
+from .sheaf import PLUS_STEPS
 from .site import FinCat, FinSite, validate_site
 from .sset import (
     DEFAULT_TRUNC,
@@ -426,7 +427,9 @@ def encode_sgd_presheaf(Q: SgdPresheaf) -> dict:
 
 def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
     site = decode_site(_get(obj, "site", where, dict), f"{where}/site")
-    values = {}
+    # equal sections decode to one groupoid, keyed by canonical JSON text,
+    # so whatever is built once per distinct section is shared
+    values, decoded = {}, {}
     for k, row in enumerate(_get(obj, "values", where, list)):
         vw = f"{where}/values/{k}"
         if not isinstance(row, list) or len(row) != 2:
@@ -434,7 +437,10 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
         U = as_key(row[0])
         if U not in site.objects:
             raise SchemaError(f"{vw}/0", f"{U!r} is not a site object")
-        values[U] = decode_sgd(row[1], f"{vw}/1")
+        text = dumps(row[1])
+        if text not in decoded:
+            decoded[text] = decode_sgd(row[1], f"{vw}/1")
+        values[U] = decoded[text]
     if set(values) != set(site.objects):
         raise SchemaError(f"{where}/values", "need one groupoid per site object")
     res = {}
@@ -481,7 +487,6 @@ DEFAULT_BOUND = 65536
 @dataclass
 class RunConfig:
     trunc: int = None
-    depth: int = 2
     bound: int = DEFAULT_BOUND
     inputs: tuple = ()
     site: str = None
@@ -496,8 +501,6 @@ def config_problems(cfg: RunConfig):
     problems = []
     if cfg.trunc is not None and cfg.trunc < 2:
         problems.append(("/trunc", "truncation must be at least 2"))
-    if cfg.depth < 1:
-        problems.append(("/depth", "refinement depth must be positive"))
     if cfg.bound < 1:
         problems.append(("/bound", "enumeration bound must be positive"))
     if cfg.format not in ("json", "text"):
@@ -793,12 +796,12 @@ def cmd_torsor(cfg: RunConfig):
     envelope = {
         "kind": cfg.kind,
         "trunc": N,
-        "depth": cfg.depth,
+        "depth": PLUS_STEPS,
         "cover": star_cover(site)["family"],
         "input": cfg.inputs[0],
     }
     if cfg.target == "check":
-        check = _canonical_torsor_check(cfg.kind, site, Q, coeff, N, cfg.depth)
+        check = _canonical_torsor_check(cfg.kind, site, Q, coeff, N)
         return [certificate(f"torsor/check/{cfg.kind}", check, **envelope)], {}
 
     if cfg.kind in ("sgroup", "sgpd") and not all(
@@ -807,9 +810,7 @@ def cmd_torsor(cfg: RunConfig):
         raise SchemaError("/kind", f"kind {cfg.kind!r} enumerates only constant hom enrichments")
     try:
         if cfg.target == "enumerate":
-            run = classify_torsors(
-                cfg.kind, site, coeff, trunc=N, depth=cfg.depth, bound=cfg.bound
-            )
+            run = classify_torsors(cfg.kind, site, coeff, trunc=N, bound=cfg.bound)
             result = {
                 "family": len(run.family),
                 "torsor_classes": run.torsor_classes,
@@ -819,9 +820,7 @@ def cmd_torsor(cfg: RunConfig):
                 ),
             }
         else:
-            result = classify(
-                cfg.kind, site, coeff, trunc=N, depth=cfg.depth, bound=cfg.bound
-            )
+            result = classify(cfg.kind, site, coeff, trunc=N, bound=cfg.bound)
     except ValueError as exc:
         raise SchemaError("/bound", str(exc))
     reported = {key: result[key] for key in _REPORTED if key in result}
@@ -836,25 +835,25 @@ _REPORTED = ("family", "torsor_classes", "classes", "map_count", "map_classes",
              "matching", "cocycle_classes")
 
 
-def _canonical_torsor_check(kind, site, Q, coeff, N, depth) -> Check:
+def _canonical_torsor_check(kind, site, Q, coeff, N) -> Check:
     """Verdict for the translation-style torsor each kind owns."""
     if kind == "group":
-        return group_torsor_check(trivial_group_torsor(coeff), depth)
+        return group_torsor_check(trivial_group_torsor(coeff))
     if kind in ("groupoid-action", "groupoid-bundle"):
         at = _shared_object(Q, "no shared object to anchor the torsor at")
         T = representable_action_torsor(coeff, at)
         if kind == "groupoid-action":
-            return action_torsor_check(T, depth)
-        return bundle_torsor_check(action_to_bundle(T, N), depth)
+            return action_torsor_check(T)
+        return bundle_torsor_check(action_to_bundle(T, N))
     if kind == "2gpd":
         T = trivial_group_torsor(constant_group_presheaf(site, coeff))
         W = wbar(b_2groupoid(group_as_2groupoid(coeff), N))
-        return two_gpd_torsor_check(*two_gpd_display(W, T), depth)
+        return two_gpd_torsor_check(*two_gpd_display(W, T))
     if kind == "sgroup":
         at = {U: next(iter(H.objects)) for U, H in Q.values.items()}
-        return sgroup_torsor_check(corepresented_diagram(Q, at), depth)
+        return sgroup_torsor_check(corepresented_diagram(Q, at))
     at = _shared_object(Q, "no shared object to corepresent at")
-    return sgd_torsor_check(corepresented_diagram(Q, at), depth)
+    return sgd_torsor_check(corepresented_diagram(Q, at))
 
 
 def _shared_object(Q: SgdPresheaf, missing):
@@ -1019,7 +1018,6 @@ def build_parser():
         if inputs:
             p.add_argument("inputs", nargs=inputs, metavar="FILE")
         p.add_argument("--trunc", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
         p.add_argument("--bound", type=int, default=None)
         p.add_argument("--site", default=None)
         p.add_argument("--out", default=None)
@@ -1044,37 +1042,33 @@ def build_parser():
     return parser
 
 
+# the RunConfig fields a flag sets, else the config file, else their default
+_SETTINGS = ("trunc", "bound", "format")
+
+
 def config_from_args(ns):
-    defaults = {"trunc": None, "depth": 2, "bound": DEFAULT_BOUND, "format": "text"}
-    fromfile = {}
+    settings = {}
     if getattr(ns, "config", None):
         obj = load_json(ns.config)
         if not isinstance(obj, dict):
             raise SchemaError("", "config file must be a JSON object")
-        for key in defaults:
+        for key in _SETTINGS:
             if key in obj:
                 want = str if key == "format" else int
                 if not isinstance(obj[key], want):
                     raise SchemaError(f"/{key}", f"expected {want.__name__}")
-                fromfile[key] = obj[key]
-
-    def pick(key):
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            return flag
-        return fromfile.get(key, defaults[key])
-
+                settings[key] = obj[key]
+    for key in _SETTINGS:
+        if getattr(ns, key, None) is not None:
+            settings[key] = getattr(ns, key)
     return RunConfig(
-        trunc=pick("trunc"),
-        depth=pick("depth"),
-        bound=pick("bound"),
         inputs=tuple(getattr(ns, "inputs", ()) or ()),
         site=getattr(ns, "site", None),
         kind=getattr(ns, "kind", None),
         at=getattr(ns, "at", None),
         target=getattr(ns, "target", None),
         out=getattr(ns, "out", None),
-        format=pick("format"),
+        **settings,
     )
 
 

@@ -1,8 +1,9 @@
 """Sheafification and local notions over a finite site.
 
-Everything is computed against the smallest covering sieves.  On a
-finite site the plus construction is just the matching families of that
-sieve, and applying it twice gives the associated sheaf.  Local
+Everything is computed against the smallest covering sieves, the fixed
+point of refinement that ``site.min_sieves`` works out from the site.
+On a finite site the plus construction is just the matching families of
+that sieve, and ``PLUS_STEPS`` of them give the associated sheaf.  Local
 surjectivity and local weak equivalence quantify over those sieves, so
 with no covering data they collapse to their sectionwise versions.
 """
@@ -28,6 +29,10 @@ from .search import solve
 from .site import FinSite, comma_site, min_sieves
 from .sset import build_sset, idkey, pi0, pi0_classes
 
+# plus-construction steps from a presheaf to its associated sheaf; the
+# local checks built on them report it as their "depth"
+PLUS_STEPS = 2
+
 
 def matching_families(P: SetPresheaf, sieve):
     """All sieve-indexed families compatible under restriction.
@@ -51,10 +56,10 @@ def matching_families(P: SetPresheaf, sieve):
     return [tuple(zip(order, family)) for family in solve(domains, constraints)]
 
 
-def plus_construction(P: SetPresheaf, depth=2) -> SetPresheaf:
+def plus_construction(P: SetPresheaf) -> SetPresheaf:
     """Sections over U are matching families for its smallest sieve."""
     site = P.site
-    sieves = min_sieves(site, depth)
+    sieves = min_sieves(site)
     C = site.cat
     values = {U: matching_families(P, sieves[U]) for U in site.objects}
 
@@ -67,11 +72,11 @@ def plus_construction(P: SetPresheaf, depth=2) -> SetPresheaf:
     return set_presheaf(site, values.__getitem__, restrict)
 
 
-def plus_unit(P: SetPresheaf, depth=2) -> SetPresheafMap:
+def plus_unit(P: SetPresheaf) -> SetPresheafMap:
     """Canonical map into the plus construction: restrict along the sieve."""
-    sieves = min_sieves(P.site, depth)
+    sieves = min_sieves(P.site)
     C = P.site.cat
-    Q = plus_construction(P, depth)
+    Q = plus_construction(P)
     return set_presheaf_map(
         P, Q,
         lambda U, s: tuple(
@@ -80,10 +85,10 @@ def plus_unit(P: SetPresheaf, depth=2) -> SetPresheafMap:
     )
 
 
-def plus_map(phi: SetPresheafMap, depth=2) -> SetPresheafMap:
+def plus_map(phi: SetPresheafMap) -> SetPresheafMap:
     """The plus construction applied to a map, componentwise on families."""
-    Pp = plus_construction(phi.source, depth)
-    Qp = plus_construction(phi.target, depth)
+    Pp = plus_construction(phi.source)
+    Qp = plus_construction(phi.target)
     C = phi.source.site.cat
     return SetPresheafMap(
         Pp, Qp,
@@ -97,16 +102,20 @@ def plus_map(phi: SetPresheafMap, depth=2) -> SetPresheafMap:
     )
 
 
-def sheafify(P: SetPresheaf, depth=2) -> SetPresheaf:
-    return plus_construction(plus_construction(P, depth), depth)
+def sheafify(P: SetPresheaf) -> SetPresheaf:
+    for _ in range(PLUS_STEPS):
+        P = plus_construction(P)
+    return P
 
 
-def sheafify_map(phi: SetPresheafMap, depth=2) -> SetPresheafMap:
-    return plus_map(plus_map(phi, depth), depth)
+def sheafify_map(phi: SetPresheafMap) -> SetPresheafMap:
+    for _ in range(PLUS_STEPS):
+        phi = plus_map(phi)
+    return phi
 
 
-def is_sheaf(P: SetPresheaf, depth=2):
-    unit = plus_unit(P, depth)
+def is_sheaf(P: SetPresheaf):
+    unit = plus_unit(P)
     Q = unit.target
     return all(
         len(set(unit.components[U].values())) == len(P.values[U]) == len(Q.values[U])
@@ -114,11 +123,11 @@ def is_sheaf(P: SetPresheaf, depth=2):
     )
 
 
-def local_epi_check(phi: SetPresheafMap, depth=2) -> Check:
+def local_epi_check(phi: SetPresheafMap) -> Check:
     """Every section of the target is hit after restricting along a cover."""
     P, Q = phi.source, phi.target
     site = P.site
-    sieves = min_sieves(site, depth)
+    sieves = min_sieves(site)
     check = Check("map is a local epimorphism", True)
     if not check.add(validate_set_presheaf_map(phi)):
         return check
@@ -207,14 +216,14 @@ def cech_resolution(site: FinSite, cover, trunc) -> SSetPresheaf:
     return sset_presheaf(site, value, lambda f, n, t: tuple(E.res[f][e] for e in t))
 
 
-def cech_local_epi_check(site: FinSite, cover, depth=2) -> Check:
+def cech_local_epi_check(site: FinSite, cover) -> Check:
     """The cover's elements hit the terminal presheaf locally."""
     from .presheaf import terminal_presheaf
 
     E = cover_elements(site, cover)
     T = terminal_presheaf(site)
     phi = set_presheaf_map(E, T, lambda U, s: "*")
-    check = local_epi_check(phi, depth)
+    check = local_epi_check(phi)
     check.claim = "cover elements surject locally onto the point"
     return check
 
@@ -292,7 +301,7 @@ def _comma_pi_presheaves(phi: SSetPresheafMap, U, v, n):
     return PX, PY, themap, over
 
 
-def local_weq_check(phi: SSetPresheafMap, maxdeg=None, depth=2) -> Check:
+def local_weq_check(phi: SSetPresheafMap, maxdeg=None) -> Check:
     """Sheafified components and homotopy classes match in all degrees.
 
     Degree n uses the comma site over each object at every source
@@ -303,7 +312,7 @@ def local_weq_check(phi: SSetPresheafMap, maxdeg=None, depth=2) -> Check:
         maxdeg = X.trunc - 2
     check = Check(
         "map is a local weak equivalence", True,
-        params={"maxdeg": maxdeg, "depth": depth},
+        params={"maxdeg": maxdeg, "depth": PLUS_STEPS},
     )
     if not check.add(validate_sset_presheaf_map(phi)):
         return check
@@ -317,7 +326,7 @@ def local_weq_check(phi: SSetPresheafMap, maxdeg=None, depth=2) -> Check:
                     return check
         check.add(Check("sections are fibrant", True))
 
-    sh = sheafify_map(pi0_presheaf_map(phi), depth)
+    sh = sheafify_map(pi0_presheaf_map(phi))
     ok0 = is_componentwise_bijection(sh)
     check.add(require(ok0, "associated component sheaves agree",
                       witness={U: (len(sh.source.values[U]), len(sh.target.values[U]))
@@ -333,7 +342,7 @@ def local_weq_check(phi: SSetPresheafMap, maxdeg=None, depth=2) -> Check:
                 except TruncationError as e:
                     check.add(Check(f"degree {n} classes over {U!r}", False, witness=str(e)))
                     return check
-                shn = sheafify_map(themap, depth)
+                shn = sheafify_map(themap)
                 okn = is_componentwise_bijection(shn)
                 check.add(
                     require(

@@ -4,9 +4,10 @@ A site here is a finite category plus, per object, a list of covering
 families (lists of morphisms into that object).  The covering sieve
 actually used everywhere is the smallest one compatible with the listed
 families: the intersection of the sieves they generate, refined by
-composition until stable.  Objects with no listed family get the
-maximal sieve, so an empty covers table gives the trivial topology and
-every construction downstream collapses to its sectionwise version.
+composition to its fixed point, which the site alone determines.
+Objects with no listed family get the maximal sieve, so an empty covers
+table gives the trivial topology and every construction downstream
+collapses to its sectionwise version.
 """
 
 from __future__ import annotations
@@ -126,12 +127,13 @@ def maximal_sieve(site: FinSite, U):
     return frozenset(site.cat.into(U))
 
 
-def min_sieves(site: FinSite, depth=2):
-    """Smallest covering sieve per object.
+def min_sieves(site: FinSite):
+    """Smallest covering sieve per object: the fixed point of refinement.
 
     Start from the intersection of the listed families' sieves (maximal
-    when none are listed) and refine by composing covers of covers until
-    stable or the round bound runs out.
+    when none are listed) and refine by composing covers of covers.  A
+    round keeps a subset of each sieve, so unless the category is broken
+    the fixed point comes within one round per morphism.
     """
     C = site.cat
     current = {}
@@ -145,7 +147,7 @@ def min_sieves(site: FinSite, depth=2):
             current[U] = frozenset(s)
         else:
             current[U] = maximal_sieve(site, U)
-    for _ in range(depth):
+    for _ in range(len(C.morphisms) + 1):
         refined = {
             U: frozenset(
                 C.comp[(f, g)] for f in current[U] for g in current[C.src(f)]
@@ -153,9 +155,9 @@ def min_sieves(site: FinSite, depth=2):
             for U in C.objects
         }
         if refined == current:
-            break
+            return current
         current = refined
-    return current
+    raise InvariantError("sieve refinement does not reach a fixed point")
 
 
 def pullback_sieve(site: FinSite, sieve, h):
@@ -164,8 +166,8 @@ def pullback_sieve(site: FinSite, sieve, h):
     return frozenset(g for g in C.into(C.src(h)) if C.comp[(h, g)] in sieve)
 
 
-def validate_site(site: FinSite, depth=2) -> Check:
-    check = Check("covering data is coherent", True, params={"depth": depth})
+def validate_site(site: FinSite) -> Check:
+    check = Check("covering data is coherent", True)
     if not check.add(replace(validate_cat(site.cat), claim="underlying category is valid")):
         return check
     typed = []
@@ -181,9 +183,7 @@ def validate_site(site: FinSite, depth=2) -> Check:
     check.add(require(not typed, "cover families correctly typed", witness=typed[:3]))
     if not check.ok:
         return check
-    sieves = min_sieves(site, depth)
-    stable = min_sieves(site, depth + 1) == sieves
-    check.add(require(stable, "sieve refinement reached a fixed point"))
+    sieves = min_sieves(site)
     unstable = [
         (U, h)
         for U in site.objects

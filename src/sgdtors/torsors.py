@@ -53,7 +53,7 @@ from .presheaf import (
 from .report import Check, InvariantError, require, unique_hit, validator
 from .search import solve
 from .sgroupoid import db_sgroupoid, string_image
-from .sheaf import is_sheaf, local_epi_check, local_weq_check, plus_construction
+from .sheaf import PLUS_STEPS, is_sheaf, local_epi_check, local_weq_check, plus_construction
 from .sset import idkey, relabel
 from .wbar import cocycle_image, wbar, w_total
 
@@ -214,20 +214,20 @@ def trivial_group_torsor(G: GroupPresheaf) -> ActionTorsor:
     return cochain_torsor(G, {f: G.values[G.site.cat.src(f)].e for f in G.site.morphisms})
 
 
-def group_torsor_check(T: ActionTorsor, depth=2) -> Check:
+def group_torsor_check(T: ActionTorsor) -> Check:
     """Locally nonempty, and free and transitive on sheafified sections."""
     check = Check(
         "total object is a torsor for the group presheaf",
         True,
-        params={"depth": depth},
+        params={"depth": PLUS_STEPS},
     )
     valid = validate_action_torsor(T)
     if not check.add(replace(valid, claim="action tables form a presheaf action")):
         return check
-    check.add(require(is_sheaf(arrows_presheaf(T.gpd), depth), "coefficients form a sheaf"))
+    check.add(require(is_sheaf(arrows_presheaf(T.gpd)), "coefficients form a sheaf"))
     if not check.ok:
         return check
-    for part in _sheafified_checks(T, depth, "action is transitive on sheafified sections"):
+    for part in _sheafified_checks(T, "action is transitive on sheafified sections"):
         check.add(part)
     return check
 
@@ -651,10 +651,10 @@ def action_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
     return natural_maps(T1.total, T2.total, _anchored(T1, T2) + _equivariance(T1, T2))
 
 
-def _plus_action_anchored(T: ActionTorsor, E, anchor, action, depth=2):
+def _plus_action_anchored(T: ActionTorsor, E, anchor, action):
     """One plus-construction step of the anchored action."""
     C = E.site.cat
-    Ep = plus_construction(E, depth)
+    Ep = plus_construction(E)
     new_anchor, new_action = {}, {}
     for U in E.site.objects:
         atab, tab = {}, {}
@@ -679,48 +679,45 @@ def _plus_action_anchored(T: ActionTorsor, E, anchor, action, depth=2):
     return Ep, new_anchor, new_action
 
 
-def action_torsor_check(T: ActionTorsor, depth=2) -> Check:
+def action_torsor_check(T: ActionTorsor) -> Check:
     """Locally nonempty, free, and connected by arrows after sheafification."""
     check = Check(
         "anchored action is a torsor for the groupoid presheaf",
         True,
-        params={"depth": depth},
+        params={"depth": PLUS_STEPS},
     )
     if not check.add(validate_action_torsor(T)):
         return check
-    sheaves = is_sheaf(objects_presheaf(T.gpd), depth) and is_sheaf(
-        arrows_presheaf(T.gpd), depth
-    )
+    sheaves = is_sheaf(objects_presheaf(T.gpd)) and is_sheaf(arrows_presheaf(T.gpd))
     check.add(require(sheaves, "coefficients form a sheaf of groupoids"))
     if not check.ok:
         return check
-    for part in _sheafified_checks(
-        T, depth, "any two sheafified sections are joined by an arrow"
-    ):
+    for part in _sheafified_checks(T, "any two sheafified sections are joined by an arrow"):
         check.add(part)
     return check
 
 
-def _sheafified_checks(T: ActionTorsor, depth, joined_claim):
+def _sheafified_checks(T: ActionTorsor, joined_claim):
     """The total object covers the point locally, and the action is free
-    and joins any two sections after two plus-construction steps."""
+    and joins any two sections after PLUS_STEPS plus-construction steps."""
     to_pt = set_presheaf_map(T.total, terminal_presheaf(T.total.site), lambda U, s: "*")
-    epi = local_epi_check(to_pt, depth)
+    epi = local_epi_check(to_pt)
     epi.claim = "total object covers the point locally"
-    E1, an1, a1 = _plus_action_anchored(T, T.total, T.anchor, T.action, depth)
-    E2, an2, a2 = _plus_action_anchored(T, E1, an1, a1, depth)
+    E, anchor, action = T.total, T.anchor, T.action
+    for _ in range(PLUS_STEPS):
+        E, anchor, action = _plus_action_anchored(T, E, anchor, action)
     stabilized = [
         (U, e, g)
-        for U in E2.site.objects
-        for (e, g) in a2[U]
-        if a2[U][(e, g)] == e and g != T.gpd.values[U].identities[an2[U][e]]
+        for U in E.site.objects
+        for (e, g) in action[U]
+        if action[U][(e, g)] == e and g != T.gpd.values[U].identities[anchor[U][e]]
     ]
     untied = [
         (U, e, e2)
-        for U in E2.site.objects
-        for e in E2.values[U]
-        for e2 in E2.values[U]
-        if not any(a2[U].get((e, g)) == e2 for g in T.gpd.values[U].morphisms)
+        for U in E.site.objects
+        for e in E.values[U]
+        for e2 in E.values[U]
+        if not any(action[U].get((e, g)) == e2 for g in T.gpd.values[U].morphisms)
     ]
     return [
         epi,
@@ -825,26 +822,26 @@ def bundle_shape_check(T5: BundleTorsor) -> Check:
     )
 
 
-def display_torsor_check(claim, noun, total, pi, shape, depth) -> Check:
+def display_torsor_check(claim, noun, total, pi, shape) -> Check:
     """A simplicial presheaf over a nerve is a torsor when it and its
     projection are valid, the pullback check ``shape()`` passes, and it
     is locally trivial; ``noun`` names it in the claims."""
-    check = Check(claim, True, params={"depth": depth})
+    check = Check(claim, True, params={"depth": PLUS_STEPS})
     check.add(replace(validate_sset_presheaf(total), claim=f"{noun} is a simplicial presheaf"))
     check.add(replace(validate_sset_presheaf_map(pi), claim="projection is a presheaf map"))
     if check.ok:
         check.add(shape())
     if check.ok:
-        weq = local_weq_check(to_point_map(total), depth=depth)
+        weq = local_weq_check(to_point_map(total))
         weq.claim = f"{noun} is locally trivial"
         check.add(weq)
     return check
 
 
-def bundle_torsor_check(T5: BundleTorsor, depth=2) -> Check:
+def bundle_torsor_check(T5: BundleTorsor) -> Check:
     return display_torsor_check(
         "simplicial bundle over the nerve is a torsor", "total object",
-        T5.total, T5.projection, lambda: bundle_shape_check(T5), depth,
+        T5.total, T5.projection, lambda: bundle_shape_check(T5),
     )
 
 

@@ -53,3 +53,14 @@ def cone_site():
         base.objects + ("P",), lambda a, b: a == "P" or (a, b) in base.cat.morphisms
     )
     return FinSite(cat, {}, [["U", "V"]])
+
+
+def chain_site(length=6):
+    """The poset chain C0 <- C1 <- ... in which each object is covered by
+    the next one down, and C0 covers the point.  Refining the sieve of
+    C0 takes one round per link, so its smallest covering sieve is the
+    one morphism from the bottom of the chain."""
+    objects = tuple(f"C{i}" for i in range(length))
+    cat = poset_category(objects, lambda a, b: int(a[1:]) >= int(b[1:]))
+    covers = {objects[i]: [[(objects[i + 1], objects[i])]] for i in range(length - 1)}
+    return FinSite(cat, covers, [[objects[0]]])

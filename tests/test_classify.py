@@ -34,8 +34,16 @@ from sgdtors.bundles import (
     cech_sgd_presheaf,
     enumerate_sgd_presheaf_maps,
     validate_sgd_diagram,
+    vertex_groupoid_presheaf,
 )
-from sgdtors.fixtures import pt_site, s1_site, twocomp_presheaf, z2_presheaf, z2_sgroup
+from sgdtors.fixtures import (
+    interval_presheaf,
+    pt_site,
+    s1_site,
+    twocomp_presheaf,
+    z2_presheaf,
+    z2_sgroup,
+)
 from sgdtors.groupoid import zmod
 from sgdtors.presheaf import (
     constant_group_presheaf,
@@ -225,6 +233,27 @@ def test_classify_sgd_over_the_point_with_two_components():
     assert r["check"]
     rendered = r["check"].render()
     assert "lands in its classified class" in rendered
+
+
+@pytest.mark.parametrize("kind", ["groupoid-action", "groupoid-bundle", "sgpd"])
+@pytest.mark.parametrize("make_site", [pt_site, s1_site], ids=["pt", "s1"])
+@pytest.mark.parametrize(
+    "make_coefficients, classes",
+    [(twocomp_presheaf, 2), (interval_presheaf, 1)],
+    ids=["twocomp", "interval"],
+)
+def test_two_object_coefficients_classify_by_their_components(
+    make_coefficients, classes, make_site, kind
+):
+    # two objects per section: the anchor constraints of the isomorphism
+    # search bind, and the count is the number of components
+    site = make_site()
+    Q = make_coefficients(site, 3)
+    coefficients = Q if kind == "sgpd" else vertex_groupoid_presheaf(Q)
+    r = classify(kind, site, coefficients, trunc=3)
+    assert r["classes"] == len(r["map_classes"]) == classes
+    assert sorted(j for _, j in r["matching"]) == list(range(classes))
+    assert r["check"], r["check"].render()
 
 
 def test_unknown_kind_is_rejected():

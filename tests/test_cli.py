@@ -8,7 +8,7 @@ import os
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import ez2_sgroup
+from gpd_fixtures import chain_site, ez2_sgroup
 
 from sgdtors import cli
 from sgdtors.cli import (
@@ -375,10 +375,21 @@ def test_alpha_beta_and_fibre_check_pass(corpus, capsys):
 def test_invalid_configuration_exits_two(corpus, capsys):
     assert cli.main(["wbar", corpus["z2const.json"], "--trunc", "1"]) == 2
     assert "invalid input at /trunc" in capsys.readouterr().out
-    assert cli.main(["wbar", corpus["z2const.json"], "--depth", "0"]) == 2
-    assert "invalid input at /depth" in capsys.readouterr().out
+    # the covering sieves are worked out from the site, so no flag sets a depth
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wbar", corpus["z2const.json"], "--depth", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth 0" in capsys.readouterr().err
     assert cli.main(["wbar", corpus["z2const.json"], "--bound", "0"]) == 2
     assert "invalid input at /bound" in capsys.readouterr().out
+
+
+def test_a_deep_cover_chain_runs_from_its_site_file(corpus, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(dumps(encode_site(chain_site(6))) + "\n")
+    for argv in (["h1"], ["torsor", "check", "--kind", "group"]):
+        code = cli.main([*argv, "--site", str(path), corpus["z2const.json"]])
+        assert code == 0, capsys.readouterr().out
 
 
 def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypatch):
@@ -386,8 +397,10 @@ def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypat
     site = s1_site()
     Q = decode_sgd_presheaf(encode_sgd_presheaf(z2_presheaf(site, 3)))
     assert len(Q.values) == len(site.objects) == 4
+    # the four sections are equal, so they decode to one groupoid
+    assert len({id(H) for H in Q.values.values()}) == 1
     assert calls == {
-        "validate_sgroupoid": len(site.objects),
+        "validate_sgroupoid": 1,
         "validate_sgd_functor": len(site.morphisms),
     }
 
@@ -413,13 +426,20 @@ def test_alpha_beta_builds_the_carrier_and_the_diagonal_nerve_once(monkeypatch, 
         (["torsor", "check", "--kind", "sgroup", "z2const.json", "--site", "s1.json",
           "--trunc", "2"],
          {"holim": 1}),
+        # a presheaf file repeats the section; equal sections decode once
+        (["torsor", "check", "--kind", "sgroup", "z2-over-s1.json"], {"holim": 1}),
     ],
     ids=["holim", "fibre-check", "torsor-check-sgpd", "torsor-check-sgroup",
-         "torsor-check-sgroup-trunc-2"],
+         "torsor-check-sgroup-trunc-2", "torsor-check-sgroup-presheaf-file"],
 )
-def test_holim_commands_build_each_carrier_once(monkeypatch, corpus, capsys, argv, expected):
+def test_holim_commands_build_each_carrier_once(
+    monkeypatch, corpus, tmp_path, capsys, argv, expected
+):
+    presheaf = tmp_path / "z2-over-s1.json"
+    presheaf.write_text(dumps(encode_sgd_presheaf(z2_presheaf(s1_site(), 2))) + "\n")
+    files = {**corpus, presheaf.name: str(presheaf)}
     calls = count_calls(monkeypatch, (holim, db_sgroupoid))
-    assert cli.main([corpus.get(arg, arg) for arg in argv]) == 0
+    assert cli.main([files.get(arg, arg) for arg in argv]) == 0
     capsys.readouterr()
     assert calls == expected
 

@@ -1,15 +1,22 @@
 """Mutation tests: corrupting one table entry makes the matching
 validator fail, and its witness names the corrupted spot; dropping the
-constraints of a shared search makes a classification fail."""
+constraints of a shared search, or a map from the enumeration, makes a
+classification fail."""
 
 import pytest
 from gpd_fixtures import cone_site
 
+from sgdtors import classify as classify_module
 from sgdtors import torsors
 from sgdtors.bisset import validate_bisset
-from sgdtors.bundles import corepresented_diagram, sgd_torsor_check, validate_sgd_diagram
+from sgdtors.bundles import (
+    corepresented_diagram,
+    sgd_torsor_check,
+    validate_sgd_diagram,
+    vertex_groupoid_presheaf,
+)
 from sgdtors.classify import classify
-from sgdtors.fixtures import interval_sgd, s1_site, z2_presheaf, z2_sgroup
+from sgdtors.fixtures import interval_sgd, s1_site, twocomp_presheaf, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import trivial_groupoid, validate_groupoid, zmod
 from sgdtors.holim import corepresented_functor, validate_simplicial_functor
 from sgdtors.presheaf import (
@@ -261,5 +268,38 @@ def test_classifying_the_cone_needs_the_cocycle_constraints(monkeypatch):
         result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
         passed = bool(result["check"])
     except InvariantError:
+        passed = False
+    assert not passed
+
+
+@pytest.mark.parametrize("dropped", [0, 1])
+def test_a_classifying_map_missing_from_the_enumeration_fails(monkeypatch, dropped):
+    # a torsor's classifying map is looked up among the enumerated maps,
+    # so an enumeration that misses it leaves the torsor class unmatched
+    enumerate_maps = classify_module.enumerate_sset_presheaf_maps
+    monkeypatch.setattr(
+        classify_module,
+        "enumerate_sset_presheaf_maps",
+        lambda *args, **kwargs: [
+            u for k, u in enumerate(enumerate_maps(*args, **kwargs)) if k != dropped
+        ],
+    )
+    site = s1_site()
+    result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
+    assert not result["check"]
+    assert None in [j for _, j in result["matching"]]
+
+
+def test_classifying_two_components_needs_the_anchor_constraints(monkeypatch):
+    # with one object per section every element has the same anchor, so
+    # only coefficients with two objects see an isomorphism search that
+    # skips the anchors; the skipped anchors surface as a lookup failure
+    # inside the equivariance constraints, or as a failing check
+    monkeypatch.setattr(torsors, "_anchored", lambda T1, T2: [])
+    site = s1_site()
+    coefficients = vertex_groupoid_presheaf(twocomp_presheaf(site, 3))
+    try:
+        passed = bool(classify("groupoid-action", site, coefficients, trunc=3)["check"])
+    except KeyError:
         passed = False
     assert not passed

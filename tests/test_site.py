@@ -1,8 +1,14 @@
 import json
 
+import pytest
+from gpd_fixtures import chain_site
+
 from sgdtors.cli import decode_site, dumps, encode_site
 from sgdtors.fixtures import cover_site, pt_site, s1_site, torus_site
+from sgdtors.report import InvariantError
 from sgdtors.site import (
+    FinCat,
+    FinSite,
     comma_site,
     generated_sieve,
     maximal_sieve,
@@ -82,3 +88,27 @@ def test_site_json_round_trip_is_stable():
     assert again == text
     report = validate_site(decode_site(json.loads(text)))
     assert report.ok, report.render()
+
+
+def test_deep_cover_chain_reaches_its_fixed_point():
+    # each round of refinement moves the sieve of C0 one link down the
+    # chain, so no fixed round count would reach the bottom of a longer one
+    site = chain_site(6)
+    assert min_sieves(site)["C0"] == {("C5", "C0")}
+    assert min_sieves(site)["C3"] == {("C5", "C3")}
+    report = validate_site(site)
+    assert report.ok, report.render()
+
+
+def test_refinement_that_cycles_is_a_broken_category():
+    # composites that leave their sieve make refinement swing between
+    # {x, y} and {y, z}, which no category can do
+    morphisms = {m: ("a", "a") for m in "exyz"}
+    comp = {
+        ("x", "e"): "x", ("x", "x"): "y", ("x", "y"): "y", ("x", "z"): "x",
+        ("y", "x"): "z", ("y", "y"): "y", ("y", "z"): "x",
+        ("z", "y"): "x", ("z", "z"): "x",
+    }
+    site = FinSite(FinCat(("a",), morphisms, comp, {"a": "e"}), {"a": [["x"]]})
+    with pytest.raises(InvariantError, match="fixed point"):
+        min_sieves(site)
