@@ -449,7 +449,7 @@ def _represented_torsors(run, check):
     constant cocycle; a strict comparison with its class exists only
     when no section carries more than one chart."""
     Q, site = run.coeff, run.site
-    constant_objects = fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()], key=repr)
+    constant_objects = fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()])
     for a in constant_objects:
         triv = constant_cocycle_map(run.source, run.target, Q, a)
         located = _locate(triv, run.maps, run.map_classes)

@@ -4,13 +4,22 @@ Each subcommand wraps one library construction: `wbar`, `w-total`, and
 `j-map` emit cocycle objects with level tables; `check` runs named
 verdicts; `holim`, `comma`, `alpha-beta`, and `fibre-check` cover the
 diagram side; `torsor` and `h1` run the classification machinery; and
-`fixtures` writes the built-in corpus.  Every verdict is a ``Check``;
-a certificate is its JSON object (``Check.to_obj``, under ``detail``)
-inside a parameter envelope, with the verdict and the failing leaves
-as witnesses.  Emitted JSON is canonical, so emit, parse, emit again is
-byte-identical and certificates can be diffed.  Exit codes: 0 when
-every certificate passes, 1 when any fails, 2 for invalid input,
-reported with JSON pointers.
+`fixtures` writes the built-in corpus.
+
+Settings come only from flags, and a subcommand takes only those its
+handler reads (``FLAGS``): each takes ``--out`` and ``--format``; `wbar`,
+`w-total`, `j-map`, `alpha-beta` and `check` add ``--trunc``; `holim`,
+`comma` and `fibre-check` add ``--trunc`` and ``--object``; `torsor`
+adds ``--kind``, ``--trunc``, ``--bound`` and ``--site``; `h1` adds
+``--site``; `fixtures` adds nothing.  Any other flag is a usage error.
+
+Every verdict is a ``Check``; a certificate is its JSON object
+(``Check.to_obj``, under ``detail``) inside a parameter envelope, with
+the verdict and the failing leaves as witnesses.  Emitted JSON is
+canonical, so emit, parse, emit again is byte-identical and
+certificates can be diffed.  Exit codes: 0 when every certificate
+passes, 1 when any fails, 2 for invalid input, reported with JSON
+pointers, and for a usage error.
 """
 
 from __future__ import annotations
@@ -71,8 +80,8 @@ from .torsors import (
     action_torsor_check,
     bundle_torsor_check,
     group_torsor_check,
+    gauge_orbit_count,
     h1_cech_classes,
-    h1_cech_oracle,
     representable_action_torsor,
     trivial_group_torsor,
 )
@@ -104,9 +113,11 @@ def as_data(x):
     return x
 
 
-def as_key(x):
+def as_key(x, where):
     if isinstance(x, list):
-        return tuple(as_key(v) for v in x)
+        return tuple(as_key(v, f"{where}/{i}") for i, v in enumerate(x))
+    if isinstance(x, dict):
+        raise SchemaError(where, "an id cannot be an object")
     return x
 
 
@@ -116,9 +127,10 @@ def kenc(x):
 
 def kdec(s, where):
     try:
-        return as_key(json.loads(s))
+        decoded = json.loads(s)
     except json.JSONDecodeError:
         raise SchemaError(where, f"table key {s!r} is not canonical JSON")
+    return as_key(decoded, where)
 
 
 def dumps(obj):
@@ -138,6 +150,11 @@ def _get(obj, key, where, typ=None, required=True, default=None):
     return val
 
 
+def _id(obj, key, where, typ=None):
+    """The id at obj[key]; with typ=list, the tuple of ids there."""
+    return as_key(_get(obj, key, where, typ), f"{where}/{key}")
+
+
 def _int_key(s, where):
     try:
         return int(s)
@@ -155,7 +172,7 @@ def _rows(rows):
 def _row(row, where, width):
     if not isinstance(row, list) or len(row) != width:
         raise SchemaError(where, f"expected a {['two', 'three'][width - 2]}-entry array")
-    return tuple(as_key(v) for v in row)
+    return as_key(row, where)
 
 
 def _level_tables(obj, where, width):
@@ -164,6 +181,8 @@ def _level_tables(obj, where, width):
     tables = {}
     for ns, rows in _get(obj, "levels", where, dict).items():
         n = _int_key(ns, f"{where}/levels")
+        if not isinstance(rows, list):
+            raise SchemaError(f"{where}/levels/{ns}", "expected an array of rows")
         tables[n] = {}
         for i, row in enumerate(rows):
             row = _row(row, f"{where}/levels/{ns}/{i}", width)
@@ -203,7 +222,7 @@ def decode_sset(obj, where="") -> TruncSSet:
     simplices = {}
     for n in range(trunc + 1):
         cells = _get(raw, str(n), f"{where}/simplices", list)
-        simplices[n] = tuple(as_key(x) for x in cells)
+        simplices[n] = as_key(cells, f"{where}/simplices/{n}")
 
     def tables(key, dims):
         src = _get(obj, key, where, dict)
@@ -212,10 +231,8 @@ def decode_sset(obj, where="") -> TruncSSet:
             level = _get(src, str(n), f"{where}/{key}", dict)
             for i in range(n + 1):
                 tab = _get(level, str(i), f"{where}/{key}/{n}", dict)
-                out[(n, i)] = {
-                    kdec(k, f"{where}/{key}/{n}/{i}"): as_key(v)
-                    for k, v in tab.items()
-                }
+                tw = f"{where}/{key}/{n}/{i}"
+                out[(n, i)] = {kdec(k, tw): as_key(v, f"{tw}/{k}") for k, v in tab.items()}
         return out
 
     X = TruncSSet(
@@ -265,12 +282,11 @@ def encode_site(S: FinSite) -> dict:
 
 
 def decode_site(obj, where="") -> FinSite:
-    objects = tuple(as_key(a) for a in _get(obj, "objects", where, list))
+    objects = _id(obj, "objects", where, list)
     morphisms = {}
     for k, m in enumerate(_get(obj, "morphisms", where, list)):
         mw = f"{where}/morphisms/{k}"
-        f = as_key(_get(m, "id", mw))
-        s, d = as_key(_get(m, "src", mw)), as_key(_get(m, "dst", mw))
+        f, s, d = _id(m, "id", mw), _id(m, "src", mw), _id(m, "dst", mw)
         if s not in objects or d not in objects:
             raise SchemaError(mw, "endpoints are not listed objects")
         if f in morphisms:
@@ -310,8 +326,8 @@ def decode_site(obj, where="") -> FinSite:
     star, covers = [], {}
     for k, c in enumerate(_get(obj, "covers", where, list, required=False, default=[])):
         cw = f"{where}/covers/{k}"
-        base = as_key(_get(c, "object", cw))
-        fam = [as_key(u) for u in _get(c, "family", cw, list)]
+        base = _id(c, "object", cw)
+        fam = list(_id(c, "family", cw, list))
         if base is None:
             for u in fam:
                 if u not in objects:
@@ -367,11 +383,11 @@ def encode_sgd(H: SimpGroupoid) -> dict:
 
 def decode_sgd(obj, where="") -> SimpGroupoid:
     trunc = _get(obj, "trunc", where, int)
-    objects = tuple(as_key(a) for a in _get(obj, "objects", where, list))
+    objects = _id(obj, "objects", where, list)
     homs = {}
     for k, h in enumerate(_get(obj, "homs", where, list)):
         hw = f"{where}/homs/{k}"
-        a, b = as_key(_get(h, "src", hw)), as_key(_get(h, "dst", hw))
+        a, b = _id(h, "src", hw), _id(h, "dst", hw)
         cells = decode_sset(_get(h, "cells", hw, dict), f"{hw}/cells")
         if cells.trunc != trunc:
             raise SchemaError(f"{hw}/cells/trunc", "hom truncation differs")
@@ -384,9 +400,7 @@ def decode_sgd(obj, where="") -> SimpGroupoid:
     comp = {}
     for k, c in enumerate(_get(obj, "composition", where, list)):
         cw = f"{where}/composition/{k}"
-        a = as_key(_get(c, "src", cw))
-        b = as_key(_get(c, "mid", cw))
-        d = as_key(_get(c, "dst", cw))
+        a, b, d = _id(c, "src", cw), _id(c, "mid", cw), _id(c, "dst", cw)
         comp[(a, b, d)] = _level_tables(c, cw, 3)
     identities = {}
     for k, row in enumerate(_get(obj, "identities", where, list)):
@@ -434,7 +448,7 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
         vw = f"{where}/values/{k}"
         if not isinstance(row, list) or len(row) != 2:
             raise SchemaError(vw, "expected [object, groupoid]")
-        U = as_key(row[0])
+        U = as_key(row[0], f"{vw}/0")
         if U not in site.objects:
             raise SchemaError(f"{vw}/0", f"{U!r} is not a site object")
         text = dumps(row[1])
@@ -446,7 +460,7 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
     res = {}
     for k, r in enumerate(_get(obj, "restrictions", where, list)):
         rw = f"{where}/restrictions/{k}"
-        f = as_key(_get(r, "morphism", rw))
+        f = _id(r, "morphism", rw)
         if f not in site.cat.morphisms:
             raise SchemaError(f"{rw}/morphism", f"unknown morphism {f!r}")
         V, U = site.cat.morphisms[f]
@@ -457,7 +471,7 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
         maps = {}
         for j, m in enumerate(_get(r, "maps", rw, list)):
             mw = f"{rw}/maps/{j}"
-            a, b = as_key(_get(m, "src", mw)), as_key(_get(m, "dst", mw))
+            a, b = _id(m, "src", mw), _id(m, "dst", mw)
             maps[(a, b)] = _level_tables(m, mw, 2)
         res[f] = SgdFunctor(values[U], values[V], ob, maps)
         checked = validate_sgd_functor(res[f])
@@ -486,6 +500,9 @@ DEFAULT_BOUND = 65536
 
 @dataclass
 class RunConfig:
+    """One run's settings.  The command line gives only the flags its
+    subcommand reads; every other field keeps the default here."""
+
     trunc: int = None
     bound: int = DEFAULT_BOUND
     inputs: tuple = ()
@@ -495,17 +512,6 @@ class RunConfig:
     target: str = None
     out: str = None
     format: str = "text"
-
-
-def config_problems(cfg: RunConfig):
-    problems = []
-    if cfg.trunc is not None and cfg.trunc < 2:
-        problems.append(("/trunc", "truncation must be at least 2"))
-    if cfg.bound < 1:
-        problems.append(("/bound", "enumeration bound must be positive"))
-    if cfg.format not in ("json", "text"):
-        problems.append(("/format", "format must be json or text"))
-    return problems
 
 
 def _plain(v):
@@ -554,13 +560,19 @@ def certificate(claim, check: Check, **parameters) -> dict:
 
 
 def load_json(path):
+    """The JSON object in the file at path."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("", f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"{path} is not JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError("", f"cannot read {path}: {exc}")
+    if not isinstance(obj, dict):
+        raise SchemaError("", f"{path} does not hold a JSON object")
+    return obj
 
 
 def load_sgd(path) -> SimpGroupoid:
@@ -577,9 +589,11 @@ def load_site(path) -> FinSite:
     return decode_site(obj)
 
 
-def load_coefficient(path, site: FinSite) -> SgdPresheaf:
-    """A coefficient file is either an enriched groupoid, spread out as a
-    constant presheaf over --site, or a full presheaf with its own site."""
+def load_coefficient(cfg: RunConfig) -> SgdPresheaf:
+    """The first input: an enriched groupoid, spread out as a constant
+    presheaf over --site, or a full presheaf with its own site."""
+    site = load_site(cfg.site) if cfg.site else None
+    path = cfg.inputs[0]
     obj = load_json(path)
     if "values" in obj:
         Q = decode_sgd_presheaf(obj)
@@ -593,14 +607,10 @@ def load_coefficient(path, site: FinSite) -> SgdPresheaf:
     raise SchemaError("", f"{path} is neither a groupoid nor a presheaf file")
 
 
-def truncate_sset(X: TruncSSet, N) -> TruncSSet:
-    return build_sset(N, X.level, X.face, X.degen)
-
-
 def truncate_sgd(H: SimpGroupoid, N) -> SimpGroupoid:
     if N == H.trunc:
         return H
-    homs = {ab: truncate_sset(hom, N) for ab, hom in H.homs.items()}
+    homs = {ab: build_sset(N, X.level, X.face, X.degen) for ab, X in H.homs.items()}
     comp = {
         abc: {n: tab for n, tab in levels.items() if n <= N}
         for abc, levels in H.comp.items()
@@ -645,7 +655,7 @@ def parse_object(text, objects):
     if text is None:
         return sorted(objects, key=idkey)[0]
     try:
-        a = as_key(json.loads(text))
+        a = as_key(json.loads(text), "/object")
     except json.JSONDecodeError:
         a = text
     if a not in objects:
@@ -787,8 +797,9 @@ def _kind_coefficients(kind, site, Q: SgdPresheaf):
 
 
 def cmd_torsor(cfg: RunConfig):
-    site = load_site(cfg.site) if cfg.site else None
-    Q = load_coefficient(cfg.inputs[0], site)
+    if cfg.bound < 1:
+        raise SchemaError("/bound", "enumeration bound must be positive")
+    Q = load_coefficient(cfg)
     site = Q.site
     N = resolve_trunc(cfg, Q.trunc)
     Q = truncate_sgd_presheaf(Q, N)
@@ -866,13 +877,12 @@ def _shared_object(Q: SgdPresheaf, missing):
 
 
 def cmd_h1(cfg: RunConfig):
-    site = load_site(cfg.site) if cfg.site else None
-    Q = load_coefficient(cfg.inputs[0], site)
+    Q = load_coefficient(cfg)
     if any(len(H.objects) != 1 for H in Q.values.values()):
         raise SchemaError("/kind", "first-cohomology counts need one-object coefficients")
     G = vertex_group_presheaf(Q)
     data = h1_cech_classes(G)
-    oracle = h1_cech_oracle(G)
+    oracle = gauge_orbit_count(data)
     check = require(
         len(data["reps"]) == oracle,
         "orbit count matches the independent cocycle count",
@@ -939,9 +949,6 @@ def run(command, config: RunConfig):
     certificate passes, 1 when any fails, 2 for invalid input, with the
     problems listed under artifacts["invalid"] as pointer/message pairs.
     """
-    problems = config_problems(config)
-    if problems:
-        return 2, [], {"invalid": [{"pointer": p, "message": m} for p, m in problems]}
     handler = HANDLERS.get(command)
     if handler is None:
         return 2, [], {
@@ -1006,6 +1013,32 @@ def render_text(certs, artifacts):
     return "\n".join(lines)
 
 
+# The flags each subcommand reads besides --out and --format, which every
+# subcommand takes; a flag outside its subcommand's row is a usage error.
+FLAGS = {
+    **dict.fromkeys(("wbar", "w-total", "j-map", "alpha-beta", "check"), ("--trunc",)),
+    **dict.fromkeys(("holim", "comma", "fibre-check"), ("--trunc", "--object")),
+    "torsor": ("--kind", "--trunc", "--bound", "--site"),
+    "h1": ("--site",),
+    "fixtures": (),
+}
+
+# how each flag parses; one left out keeps its RunConfig default
+_FLAG_SPECS = {
+    "--trunc": {"type": int},
+    "--bound": {"type": int},
+    "--site": {},
+    "--object": {"dest": "at"},
+    "--kind": {"choices": KINDS, "required": True},
+    "--out": {},
+    "--format": {"choices": ("json", "text")},
+}
+
+# the subcommands whose first argument names what they check or run
+_TARGETS = {"check": ("j-weq", "kan", "free-action"),
+            "torsor": ("check", "enumerate", "classify")}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sgdtors",
@@ -1013,73 +1046,28 @@ def build_parser():
         "classification over finite sites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, inputs=1):
-        if inputs:
-            p.add_argument("inputs", nargs=inputs, metavar="FILE")
-        p.add_argument("--trunc", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--site", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "text"), default=None)
-        p.add_argument("--config", default=None, help="JSON file of default flags")
-
-    for name in ("wbar", "w-total", "j-map", "alpha-beta"):
-        common(sub.add_parser(name))
-    p = sub.add_parser("check")
-    p.add_argument("target", choices=("j-weq", "kan", "free-action"))
-    common(p)
-    for name in ("holim", "comma", "fibre-check"):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--object", dest="at", default=None)
-    p = sub.add_parser("torsor")
-    p.add_argument("target", choices=("check", "enumerate", "classify"))
-    p.add_argument("--kind", choices=KINDS, required=True)
-    common(p)
-    common(sub.add_parser("h1"))
-    common(sub.add_parser("fixtures"), inputs=0)
+    for name, flags in FLAGS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        if name in _TARGETS:
+            p.add_argument("target", choices=_TARGETS[name])
+        if name != "fixtures":
+            p.add_argument("inputs", nargs=1, metavar="FILE")
+        for flag in (*flags, "--out", "--format"):
+            p.add_argument(flag, **_FLAG_SPECS[flag])
     return parser
 
 
-# the RunConfig fields a flag sets, else the config file, else their default
-_SETTINGS = ("trunc", "bound", "format")
-
-
 def config_from_args(ns):
-    settings = {}
-    if getattr(ns, "config", None):
-        obj = load_json(ns.config)
-        if not isinstance(obj, dict):
-            raise SchemaError("", "config file must be a JSON object")
-        for key in _SETTINGS:
-            if key in obj:
-                want = str if key == "format" else int
-                if not isinstance(obj[key], want):
-                    raise SchemaError(f"/{key}", f"expected {want.__name__}")
-                settings[key] = obj[key]
-    for key in _SETTINGS:
-        if getattr(ns, key, None) is not None:
-            settings[key] = getattr(ns, key)
-    return RunConfig(
-        inputs=tuple(getattr(ns, "inputs", ()) or ()),
-        site=getattr(ns, "site", None),
-        kind=getattr(ns, "kind", None),
-        at=getattr(ns, "at", None),
-        target=getattr(ns, "target", None),
-        out=getattr(ns, "out", None),
-        **settings,
-    )
+    """The run configuration of the parsed arguments: the flags given,
+    over RunConfig's defaults."""
+    given = {key: v for key, v in vars(ns).items() if key != "command"}
+    return RunConfig(**{**given, "inputs": tuple(given.get("inputs", ()))})
 
 
 def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
-    try:
-        cfg = config_from_args(ns)
-    except SchemaError as exc:
-        print(f"invalid input at {exc.pointer or 'document root'}: {exc.message}")
-        return 2
+    cfg = config_from_args(ns)
     code, certs, artifacts = run(ns.command, cfg)
     doc = {
         "command": ns.command,

@@ -397,9 +397,9 @@ def constant_sgd_presheaf(site, H: SimpGroupoid) -> SgdPresheaf:
     return SgdPresheaf(site, {U: H for U in site.objects}, {f: ident for f in site.morphisms})
 
 
-def fixed_objects(sections, object_maps, key=idkey):
+def fixed_objects(sections, object_maps):
     """The objects that every section has and every restriction's
-    object map fixes, sorted by key: where a constant choice of object
+    object map fixes, sorted by id: where a constant choice of object
     is natural."""
     shared = set.intersection(*(set(H.objects) for H in sections))
-    return sorted((a for a in shared if all(ob.get(a) == a for ob in object_maps)), key=key)
+    return sorted((a for a in shared if all(ob.get(a) == a for ob in object_maps)), key=idkey)

@@ -349,7 +349,8 @@ def h1_cech_classes(G: GroupPresheaf, cover=None):
     """Cocycle classes over the cover family; returns the full bookkeeping.
 
     The result carries the pair presheaves and trivialization data that
-    classify() uses to place an enumerated torsor in its class.
+    classify() uses to place an enumerated torsor in its class, and the
+    gauge group with its action on cocycles, which gauge_orbit_count reads.
     """
     site = G.site
     if cover is None:
@@ -397,20 +398,25 @@ def h1_cech_classes(G: GroupPresheaf, cover=None):
         i: [_section_key(phi) for phi in enumerate_presheaf_maps(ys[i], G.underlying())]
         for i in range(k)
     }
-    left = {
-        (i, j): {
-            b: _key_along(b, set_presheaf_map(pair_ps[(i, j)], ys[i], lambda U, s: s[0]))
-            for b in zero_secs[i]
-        }
-        for (i, j) in pairs
-    }
-    right = {
-        (i, j): {
-            b: _key_along(b, set_presheaf_map(pair_ps[(i, j)], ys[j], lambda U, s: s[1]))
-            for b in zero_secs[j]
-        }
-        for (i, j) in pairs
-    }
+
+    def pulled(ij, end):
+        """Each section over the cover object at one end of the pair ij,
+        pulled back to the pair product."""
+        proj = set_presheaf_map(pair_ps[ij], ys[ij[end]], lambda U, s: s[end])
+        return {b: _key_along(b, proj) for b in zero_secs[ij[end]]}
+
+    left = {ij: pulled(ij, 0) for ij in pairs}
+    right_inv = {ij: {b: _key_inv(G, v) for b, v in pulled(ij, 1).items()} for ij in pairs}
+
+    # the gauge group: a 0-cochain, one section over each cover object
+    gauge = list(itertools.product(*[zero_secs[i] for i in range(k)]))
+
+    def act(b, z):
+        """The gauge b acting on the cocycle z: z_ij becomes b_i z_ij b_j^-1."""
+        return tuple(
+            _key_mul(G, _key_mul(G, left[ij][b[ij[0]]], z[t]), right_inv[ij][b[ij[1]]])
+            for t, ij in enumerate(pairs)
+        )
 
     orbit_of = {}
     reps = []
@@ -423,15 +429,8 @@ def h1_cech_classes(G: GroupPresheaf, cover=None):
         orbit_of[z] = label
         while stack:
             cur = stack.pop()
-            for b in itertools.product(*[zero_secs[i] for i in range(k)]):
-                moved = tuple(
-                    _key_mul(
-                        G,
-                        _key_mul(G, left[ij][b[ij[0]]], cur[t]),
-                        _key_inv(G, right[ij][b[ij[1]]]),
-                    )
-                    for t, ij in enumerate(pairs)
-                )
+            for b in gauge:
+                moved = act(b, cur)
                 if moved not in orbit_of:
                     orbit_of[moved] = label
                     stack.append(moved)
@@ -442,11 +441,22 @@ def h1_cech_classes(G: GroupPresheaf, cover=None):
         "cocycles": cocycles,
         "orbit_of": orbit_of,
         "reps": reps,
+        "gauge": gauge,
+        "act": act,
     }
 
 
+def gauge_orbit_count(data) -> int:
+    """The number of gauge orbits on the cocycles of h1_cech_classes, by
+    Burnside's lemma: the average over the gauge group of the number of
+    cocycles each of its elements fixes.  No orbit is walked."""
+    act = data["act"]
+    fixed = sum(act(b, z) == z for b in data["gauge"] for z in data["cocycles"])
+    return fixed // len(data["gauge"])
+
+
 def h1_cech_oracle(G: GroupPresheaf) -> int:
-    return len(h1_cech_classes(G)["reps"])
+    return gauge_orbit_count(h1_cech_classes(G))
 
 
 def torsor_cech_class(T: ActionTorsor, data) -> int:

@@ -5,6 +5,7 @@ codes, and the shipped fixture corpus.
 import hashlib
 import json
 import os
+import random
 
 import pytest
 from call_counts import count_calls
@@ -380,8 +381,33 @@ def test_invalid_configuration_exits_two(corpus, capsys):
         cli.main(["wbar", corpus["z2const.json"], "--depth", "0"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --depth 0" in capsys.readouterr().err
-    assert cli.main(["wbar", corpus["z2const.json"], "--bound", "0"]) == 2
+    argv = ["--site", corpus["s1.json"], corpus["z2const.json"], "--bound", "0"]
+    assert cli.main(["torsor", "classify", "--kind", "group", *argv]) == 2
     assert "invalid input at /bound" in capsys.readouterr().out
+    # only torsor reads a bound
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wbar", corpus["z2const.json"], "--bound", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 0" in capsys.readouterr().err
+
+
+# each subcommand's positional arguments, before the flags under test
+_POSITIONALS = {"check": ["kan", "x.json"], "torsor": ["check", "x.json", "--kind", "group"],
+                "fixtures": []}
+
+
+@pytest.mark.parametrize("command", sorted(cli.FLAGS))
+@pytest.mark.parametrize("flag", ["--trunc", "--bound", "--site", "--object", "--config"])
+def test_a_subcommand_takes_only_the_flags_it_reads(command, flag, capsys):
+    argv = [command, *_POSITIONALS.get(command, ["x.json"]), flag, "3"]
+    if flag in cli.FLAGS[command]:
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+        assert getattr(cfg, {"--object": "at"}.get(flag, flag[2:])) in (3, "3")
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 def test_a_deep_cover_chain_runs_from_its_site_file(corpus, tmp_path, capsys):
@@ -578,6 +604,77 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     assert "hom map at ('*', '*'): no value at dim 0 for" in out
 
 
+@pytest.mark.parametrize(
+    "content", [b"5", b"null", None, b"\xff\xfe"], ids=["five", "null", "directory", "not-utf8"]
+)
+def test_unreadable_or_non_object_files_exit_two(content, tmp_path, corpus, capsys):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    path = str(path)
+    for argv in (
+        ["wbar", path],
+        ["h1", "--site", path, corpus["z2const.json"]],
+        ["torsor", "check", "--kind", "group", "--site", corpus["s1.json"], path],
+    ):
+        assert cli.main(argv) == 2
+        assert "invalid input at document root" in capsys.readouterr().out
+
+
+# what replaces one value of a fixture file in the mutation run
+_MUTANTS = (5, None, {}, [], "x", [1, 2], {"a": 1}, -1, True, [[1]], 2.5)
+
+
+def _paths(doc, at=()):
+    """The path of every value below the top of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for k, v in items:
+        yield at + (k,)
+        yield from _paths(v, at + (k,))
+
+
+def test_mutated_fixture_files_exit_cleanly(corpus, tmp_path, capsys):
+    # replace one value of a fixture file and run a command on it: the
+    # CLI returns an exit code, whatever the value breaks
+    rng = random.Random(1)
+    texts = {name: open(path).read() for name, path in sorted(corpus.items())}
+    mutant = str(tmp_path / "mutant.json")
+    codes = []
+    for _ in range(300):
+        name = rng.choice(sorted(texts))
+        doc = json.loads(texts[name])
+        *path, last = rng.choice(list(_paths(doc)))
+        parent = doc
+        for k in path:
+            parent = parent[k]
+        parent[last] = rng.choice(_MUTANTS)
+        with open(mutant, "w") as fh:
+            json.dump(doc, fh)
+        if "covers" in doc:
+            runs = [["h1", "--site", mutant, corpus["z2const.json"]],
+                    ["torsor", "check", "--kind", "group", "--trunc", "2",
+                     "--site", mutant, corpus["z2const.json"]]]
+        else:
+            runs = [["wbar", "--trunc", "2", mutant],
+                    ["holim", "--trunc", "2", mutant],
+                    ["h1", "--site", corpus["s1.json"], mutant],
+                    ["torsor", "check", "--kind", "groupoid-action", "--trunc", "2",
+                     "--site", corpus["pt.json"], mutant]]
+        argv = rng.choice(runs)
+        codes.append(cli.main(argv))
+        capsys.readouterr()
+        assert codes[-1] in (0, 1, 2), (name, path, last, argv)
+    # most mutations break the file; the rest leave it valid
+    assert codes.count(2) > 250
+
+
 def test_unknown_kind_is_a_usage_error(corpus):
     with pytest.raises(SystemExit) as err:
         cli.main(["torsor", "classify", "--kind", "mystery", corpus["z2const.json"]])
@@ -610,21 +707,6 @@ def test_presheaf_coefficient_file(tmp_path, corpus, capsys):
     )
     assert code == 2
     assert "disagrees" in capsys.readouterr().out
-
-
-def test_config_file_supplies_defaults_and_flags_override(tmp_path, corpus, capsys):
-    conf = tmp_path / "conf.json"
-    conf.write_text('{"trunc": 3}\n')
-    assert cli.main(["wbar", corpus["z2const.json"], "--config", str(conf)]) == 0
-    out = capsys.readouterr().out
-    assert "trunc=3" in out
-    assert (
-        cli.main(
-            ["wbar", corpus["z2const.json"], "--config", str(conf), "--trunc", "2"]
-        )
-        == 0
-    )
-    assert "trunc=2" in capsys.readouterr().out
 
 
 def test_report_file_matches_stdout_document(tmp_path, corpus, capsys):

@@ -7,7 +7,7 @@ import pytest
 from gpd_fixtures import cone_site
 
 from sgdtors import classify as classify_module
-from sgdtors import torsors
+from sgdtors import cli, torsors
 from sgdtors.bisset import validate_bisset
 from sgdtors.bundles import (
     corepresented_diagram,
@@ -303,3 +303,23 @@ def test_classifying_two_components_needs_the_anchor_constraints(monkeypatch):
     except KeyError:
         passed = False
     assert not passed
+
+
+def test_h1_checks_its_classes_against_an_independent_count(monkeypatch, tmp_path, capsys):
+    # a duplicated class representative is one class too many for the
+    # Burnside count of gauge orbits, which walks no orbit
+    h1_cech_classes = torsors.h1_cech_classes
+
+    def duplicated(G, cover=None):
+        data = h1_cech_classes(G, cover)
+        return {**data, "reps": data["reps"] + data["reps"][:1]}
+
+    monkeypatch.setattr(torsors, "h1_cech_classes", duplicated)
+    monkeypatch.setattr(cli, "h1_cech_classes", duplicated)
+    site, coeff = tmp_path / "s1.json", tmp_path / "z2const.json"
+    site.write_text(cli.dumps(cli.encode_site(s1_site())))
+    coeff.write_text(cli.dumps(cli.encode_sgd(z2_sgroup(2))))
+    assert cli.main(["h1", "--site", str(site), str(coeff)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL h1/classes [classes=3" in out
+    assert "'independent': 2" in out
