@@ -65,7 +65,7 @@ from .presheaf import (
     validate_sset_presheaf_map,
 )
 from .report import Check, InvariantError, require, unique_hit
-from .search import Partition, solve
+from .search import solve
 from .sgroupoid import b_2groupoid
 from .sheaf import PLUS_STEPS, cech_resolution, cover_elements
 from .sset import delta, sset_product
@@ -165,27 +165,32 @@ def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap)
 
 
 def presheaf_homotopic(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap) -> bool:
-    """Equal, or homotopic either way off the cylinder C of their source."""
+    """Equal, or homotopic either way off the cylinder C of their source:
+    an equivalence relation when the target is sectionwise Kan."""
     if f.components == g.components:
         return True
     return bool(presheaf_homotopies(C, f, g) or presheaf_homotopies(C, g, f))
 
 
 def _grouped(count, related):
-    """Classes of range(count) under the transitive closure of
-    ``related``, which is asked only about pairs i < j not yet in one
-    class.  Joining keeps the root of i's class, and the classes come
-    sorted by root, which need not be their smallest member."""
-    classes = Partition(range(count))
-    for i in range(count):
-        for j in range(i + 1, count):
-            if classes.find(i) != classes.find(j) and related(i, j):
-                classes.join(i, j)
-    return sorted(classes.classes(), key=lambda members: classes.find(members[0]))
+    """Classes of range(count) under the equivalence ``related``, asked
+    only ``related(first, j)`` for the first member of each class so far:
+    j joins the first class that relates, so classes come in order of least
+    member.  Torsor isomorphism is an equivalence, as equivariant maps of
+    torsors are invertible, and so is homotopy into a sectionwise Kan
+    classifying object, which ``presheaf_homotopic`` tries both ways."""
+    classes = []
+    for j in range(count):
+        home = next((members for members in classes if related(members[0], j)), [])
+        if not home:
+            classes.append(home)
+        home.append(j)
+    return classes
 
 
 def presheaf_map_classes(C: SSetPresheaf, maps):
-    """Homotopy classes of strict presheaf maps off the cylinder C, as index lists."""
+    """Homotopy classes, as index lists, of strict presheaf maps off the
+    cylinder C into a sectionwise Kan presheaf, where homotopy is an equivalence."""
     return _grouped(len(maps), lambda i, j: presheaf_homotopic(C, maps[i], maps[j]))
 
 

@@ -18,8 +18,8 @@ Every verdict is a ``Check``; a certificate is its JSON object
 the verdict and the failing leaves as witnesses.  Emitted JSON is
 canonical, so emit, parse, emit again is byte-identical and
 certificates can be diffed.  Exit codes: 0 when every certificate
-passes, 1 when any fails, 2 for invalid input, reported with JSON
-pointers, and for a usage error.
+passes, 1 when any fails, 2 for invalid input (an unwritable ``--out``
+included), reported with JSON pointers, and for a usage error.
 """
 
 from __future__ import annotations
@@ -906,24 +906,28 @@ def fixture_corpus():
     }
 
 
+def unwritable(exc: OSError) -> SchemaError:
+    """A path given by ``--out`` that cannot be written, as invalid input."""
+    return SchemaError("/out", f"cannot write {exc.filename}: {exc.strerror}")
+
+
 def cmd_fixtures(cfg: RunConfig):
     outdir = cfg.out or "fixtures"
-    os.makedirs(outdir, exist_ok=True)
     certs = []
-    for name, obj in sorted(fixture_corpus().items()):
-        text = dumps(obj)
-        path = os.path.join(outdir, name)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        decoded = decode_site(obj) if "covers" in obj else decode_sgd(obj)
-        back = encode_site(decoded) if "covers" in obj else encode_sgd(decoded)
-        check = require(
-            dumps(back) == text,
-            "file validates and round-trips byte-exactly",
-            witness={"path": path},
-            path=path,
-        )
-        certs.append(certificate(f"fixtures/{name}", check))
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for name, obj in sorted(fixture_corpus().items()):
+            text = dumps(obj)
+            path = os.path.join(outdir, name)
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+            decoded = decode_site(obj) if "covers" in obj else decode_sgd(obj)
+            back = encode_site(decoded) if "covers" in obj else encode_sgd(decoded)
+            claim = "file validates and round-trips byte-exactly"
+            check = require(dumps(back) == text, claim, witness={"path": path}, path=path)
+            certs.append(certificate(f"fixtures/{name}", check))
+    except OSError as exc:
+        raise unwritable(exc)
     return certs, {}
 
 
@@ -942,6 +946,11 @@ HANDLERS = {
 }
 
 
+def invalid(exc: SchemaError):
+    """The artifacts of a run stopped by invalid input."""
+    return {"invalid": [{"pointer": exc.pointer, "message": exc.message}]}
+
+
 def run(command, config: RunConfig):
     """Execute one subcommand.
 
@@ -951,15 +960,11 @@ def run(command, config: RunConfig):
     """
     handler = HANDLERS.get(command)
     if handler is None:
-        return 2, [], {
-            "invalid": [{"pointer": "/command", "message": f"unknown command {command!r}"}]
-        }
+        return 2, [], invalid(SchemaError("/command", f"unknown command {command!r}"))
     try:
         certs, artifacts = handler(config)
     except SchemaError as exc:
-        return 2, [], {
-            "invalid": [{"pointer": exc.pointer, "message": exc.message}]
-        }
+        return 2, [], invalid(exc)
     code = 0 if all(c["verdict"] == "PASS" for c in certs) else 1
     return code, certs, artifacts
 
@@ -978,33 +983,23 @@ def _level_table(counts):
 def render_text(certs, artifacts):
     lines = []
     for inv in artifacts.get("invalid", []):
-        lines.append(
-            f"invalid input at {inv['pointer'] or 'document root'}: {inv['message']}"
-        )
+        lines.append(f"invalid input at {inv['pointer'] or 'document root'}: {inv['message']}")
+    hidden = ("levels", "matching", "torsor_classes", "map_classes")
     for c in certs:
         params = c["parameters"]
-        shown = {
-            k: v
-            for k, v in sorted(params.items())
-            if k not in ("levels", "matching", "torsor_classes", "map_classes")
-        }
-        extra = (
-            " [" + ", ".join(f"{k}={v}" for k, v in shown.items()) + "]" if shown else ""
-        )
+        shown = {k: v for k, v in sorted(params.items()) if k not in hidden}
+        extra = " [" + ", ".join(f"{k}={v}" for k, v in shown.items()) + "]" if shown else ""
         lines.append(f"{c['verdict']} {c['claim']}{extra}")
         if "levels" in params:
             lines.extend(_level_table(params["levels"]))
         for key in ("source_levels", "target_levels"):
             if key in params:
                 lines.append(f"  {key.split('_')[0]}: {levels_line(params[key])}")
-        if "torsor_classes" in params:
-            sizes = [len(members) for members in params["torsor_classes"]]
-            lines.append(
-                f"  torsor classes: {len(sizes)} (sizes {levels_line(sizes)})"
-            )
-        if "map_classes" in params:
-            sizes = [len(members) for members in params["map_classes"]]
-            lines.append(f"  map classes: {len(sizes)} (sizes {levels_line(sizes)})")
+        for key in ("torsor_classes", "map_classes"):
+            if key in params:
+                sizes = [len(members) for members in params[key]]
+                name = key.replace("_", " ")
+                lines.append(f"  {name}: {len(sizes)} (sizes {levels_line(sizes)})")
         if "matching" in params:
             pairs = ", ".join(f"torsor {i} ~ map {j}" for i, j in params["matching"])
             lines.append(f"  matching: {pairs}")
@@ -1065,22 +1060,21 @@ def config_from_args(ns):
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     cfg = config_from_args(ns)
     code, certs, artifacts = run(ns.command, cfg)
-    doc = {
-        "command": ns.command,
-        "certificates": certs,
-        "artifacts": artifacts,
-    }
+    doc = {"command": ns.command, "certificates": certs, "artifacts": artifacts}
+    if cfg.out and ns.command != "fixtures":
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(dumps(doc) + "\n")
+        except OSError as exc:
+            code = 2
+            doc.update(certificates=[], artifacts=invalid(unwritable(exc)))
     if cfg.format == "json":
         print(dumps(doc))
     else:
-        print(render_text(certs, artifacts))
-    if cfg.out and ns.command != "fixtures":
-        with open(cfg.out, "w") as fh:
-            fh.write(dumps(doc) + "\n")
+        print(render_text(doc["certificates"], doc["artifacts"]))
     return code
 
 

@@ -1,5 +1,5 @@
-"""One backtracking core for every exhaustive map search, and one
-union-find for every partition into classes.
+"""One backtracking core for every exhaustive map search, and the
+union-find that closes the edge relations of ``kan.pi_n`` and ``sset.pi0``.
 
 A search is stated as slots, a domain per slot, and constraints; the
 core lists the solutions.  A constraint ``(scope, pred)`` is a tuple of

@@ -14,6 +14,8 @@ import pkgutil
 import pytest
 from call_counts import count_calls
 from gpd_fixtures import cone_site, ez2_sgroup
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgdtors
 
@@ -51,11 +53,13 @@ from sgdtors.presheaf import (
     validate_sset_presheaf,
     validate_sset_presheaf_map,
 )
+from sgdtors.search import Partition
 from sgdtors.sheaf import cech_resolution
 from sgdtors.torsors import (
     bg_presheaf,
     enumerate_group_torsors,
     group_presheaf_as_groupoid,
+    group_torsor_maps,
     h1_cech_oracle,
     wbar_presheaf,
 )
@@ -113,7 +117,17 @@ def test_classify_builds_one_cylinder_for_every_homotopy_search(monkeypatch):
     calls = count_calls(monkeypatch, (cylinder_presheaf, presheaf_homotopies))
     site = s1_site()
     classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
-    assert calls == {"cylinder_presheaf": 1, "presheaf_homotopies": 10}
+    assert calls == {"cylinder_presheaf": 1, "presheaf_homotopies": 6}
+
+
+def test_classify_asks_each_torsor_about_one_member_of_each_class(monkeypatch):
+    # 81 torsors in three classes; asking every pair not yet in one class
+    # made 2265 isomorphism searches
+    calls = count_calls(monkeypatch, (group_torsor_maps,))
+    site = s1_site()
+    result = classify("group", site, constant_group_presheaf(site, zmod(3)), trunc=2)
+    assert calls == {"group_torsor_maps": 159}
+    assert [len(members) for members in result["torsor_classes"]] == [27, 27, 27]
 
 
 def test_classify_builds_the_2gpd_cocycle_object_once(monkeypatch):
@@ -468,9 +482,30 @@ def test_every_method_is_used():
     assert sorted(m for m in defined if m.split(".")[1] not in read) == []
 
 
-def test_classes_come_in_root_order_not_least_member_order():
-    # (0, 3) joins 3 under root 0, then (2, 3) hangs that class under
-    # root 2, which sorts after the singleton {1}
-    pairs = {(0, 3), (2, 3)}
-    assert _grouped(4, lambda i, j: (i, j) in pairs) == [[1], [0, 2, 3]]
+def _pairwise_closure(count, related):
+    """The grouping asked of every pair i < j that union-find has not
+    yet joined, kept as the reference for ``_grouped``."""
+    classes = Partition(range(count))
+    for i in range(count):
+        for j in range(i + 1, count):
+            if classes.find(i) != classes.find(j) and related(i, j):
+                classes.join(i, j)
+    return sorted(classes.classes(), key=lambda members: classes.find(members[0]))
 
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)))
+def test_grouping_asks_one_member_of_each_class(labels):
+    # an equivalence relation given by a labelling: i and j relate when
+    # their labels agree
+    count, asked = len(labels), []
+
+    def related(i, j):
+        asked.append((i, j))
+        return labels[i] == labels[j]
+
+    classes = _grouped(count, related)
+    assert classes == _pairwise_closure(count, lambda i, j: labels[i] == labels[j])
+    assert len(asked) <= count * len(classes)
+    firsts = {members[0] for members in classes}
+    assert all(i in firsts and i < j for i, j in asked)

@@ -731,6 +731,25 @@ def test_report_file_matches_stdout_document(tmp_path, corpus, capsys):
     assert doc["certificates"][0]["parameters"]["trunc"] == 2
 
 
+def test_fixtures_out_naming_a_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    assert cli.main(["fixtures", "--out", str(path), "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certificates"] == []
+    assert doc["artifacts"]["invalid"][0]["pointer"] == "/out"
+    assert path.read_text() == "kept\n"
+
+
+def test_report_out_in_a_missing_directory_exits_two(tmp_path, corpus, capsys):
+    report = tmp_path / "missing-dir" / "r.json"
+    assert cli.main(["wbar", corpus["z2const.json"], "--out", str(report)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"invalid input at /out: cannot write {report}")
+    assert "PASS" not in out
+    assert not report.parent.exists()
+
+
 def test_failing_certificates_exit_one(monkeypatch, capsys):
     inner = Check("part that fails", False, witness={"at": (1, 2)})
     outer = Check("outer claim", True, params={"trunc": 3})

@@ -1,7 +1,7 @@
 """Mutation tests: corrupting one table entry makes the matching
 validator fail, and its witness names the corrupted spot; dropping the
-constraints of a shared search, or a map from the enumeration, makes a
-classification fail."""
+constraints of a shared search or a map from the enumeration, or
+splitting the classes of the grouping, makes a classification fail."""
 
 import pytest
 from gpd_fixtures import cone_site
@@ -288,6 +288,31 @@ def test_a_classifying_map_missing_from_the_enumeration_fails(monkeypatch, dropp
     result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
     assert not result["check"]
     assert None in [j for _, j in result["matching"]]
+
+
+def test_grouping_against_the_newest_class_alone_fails(monkeypatch):
+    # a candidate asked only about the newest class opens a new class
+    # whenever it belongs to an older one; the cross-checks against the
+    # cocycle classes and the map classes catch the split
+    def newest_only(count, related):
+        classes = []
+        for j in range(count):
+            if classes and related(classes[-1][0], j):
+                classes[-1].append(j)
+            else:
+                classes.append([j])
+        return classes
+
+    monkeypatch.setattr(classify_module, "_grouped", newest_only)
+    site = s1_site()
+    result = classify("group", site, constant_group_presheaf(site, zmod(3)), trunc=2)
+    assert not result["check"]
+    assert result["classes"] > 3
+    assert {part.claim for part in result["check"].parts if not part} == {
+        "torsor classes match cocycle classes exactly",
+        "both sides have the same number of classes",
+        "classifying maps hit every homotopy class exactly once",
+    }
 
 
 def test_classifying_two_components_needs_the_anchor_constraints(monkeypatch):
