@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .ordinal import OrdinalMap
 from .report import InvariantError, invariant, validator
-from .site import FinCat, validate_cat
+from .site import FinCat, poset_category, validate_cat
 from .sset import build_sset
 
 
@@ -105,17 +105,9 @@ def group_as_groupoid(F: FinGroup) -> FinGroupoid:
 
 def trivial_groupoid(objects) -> FinGroupoid:
     """Exactly one morphism between any two objects (a contractible groupoid)."""
-    objects = tuple(objects)
-    morphisms = {(a, b): (a, b) for a in objects for b in objects}
-    comp = {
-        ((b, c), (a, b2)): (a, c)
-        for a, b2 in itertools.product(objects, repeat=2)
-        for b, c in itertools.product(objects, repeat=2)
-        if b == b2
-    }
-    identities = {a: (a, a) for a in objects}
-    inverses = {(a, b): (b, a) for a in objects for b in objects}
-    return FinGroupoid(objects, morphisms, comp, identities, inverses)
+    C = poset_category(objects, lambda a, b: True)
+    inverses = {(a, b): (b, a) for a, b in C.morphisms}
+    return FinGroupoid(C.objects, C.morphisms, C.comp, C.identities, inverses)
 
 
 def discrete_groupoid(objects) -> FinGroupoid:

@@ -217,8 +217,9 @@ def holim_projection(X: SimplicialFunctor) -> SSetMap:
 
 
 # ---------------------------------------------------------------------------
-# Set-valued translation groupoids: the one-level classical construction,
-# kept separate because it doubles as an independent oracle.
+# Set-valued translation groupoids: the one-level classical construction.
+# torsors.action_to_bundle builds the groupoid-bundle total object from
+# it, and holim_2gpd, which does not use it, is checked against it.
 
 
 def translation_groupoid(G: FinGroupoid, values, act) -> FinGroupoid:
@@ -421,7 +422,7 @@ def homotopy_fibre_check(X: SimplicialFunctor, maxdim=None) -> Check:
         )
     for a, b in itertools.product(C.objects, repeat=2):
         for g in C.homs[(a, b)].level(0):
-            rep = weq_check(functor_transport_map(X, a, b, g), maxdeg=max(0, N - 2))
+            rep = weq_check(functor_transport_map(X, a, b, g))
             check.add(
                 require(
                     rep.ok,

@@ -229,18 +229,16 @@ def induced_pi_map(f: SSetMap, pg_x: PiGroup, pg_y: PiGroup):
     return out
 
 
-def weq_check(f: SSetMap, maxdeg=None) -> Check:
-    """Bijective on components and isomorphic on pi_n up to maxdeg.
-
-    maxdeg defaults to trunc - 2, the largest degree the truncation
-    supports honestly (pi_n consumes simplices of dimension n + 1 and the
-    Kan precondition one more).
+def weq_check(f: SSetMap) -> Check:
+    """Bijective on components and isomorphic on pi_n up to degree
+    trunc - 2, the largest degree the truncation supports honestly (pi_n
+    consumes simplices of dimension n + 1 and the Kan precondition one
+    more); the truncation must be at least 2.
     """
     X, Y = f.source, f.target
     invariant(X.trunc == Y.trunc, "a weak equivalence needs equal truncations")
-    if maxdeg is None:
-        maxdeg = X.trunc - 2
-    invariant(0 <= maxdeg <= X.trunc - 2, "weak-equivalence degree exceeds truncation support")
+    invariant(X.trunc >= 2, "weak-equivalence degree exceeds truncation support")
+    maxdeg = X.trunc - 2
     check = Check(
         "weak equivalence", True, params={"maxdeg": maxdeg, "trunc": X.trunc}
     )

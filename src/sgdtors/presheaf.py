@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .groupoid import FinGroup
 from .report import validator
 from .search import solve
-from .sgroupoid import SimpGroupoid, validate_sgd_functor, validate_sgroupoid
+from .sgroupoid import SimpGroupoid, constant_sset, validate_sgd_functor, validate_sgroupoid
 from .site import FinSite
 from .sset import SSetMap, TruncSSet, idkey, validate_sset, validate_sset_map
 
@@ -275,15 +275,10 @@ def terminal_sset_presheaf(site, trunc) -> SSetPresheaf:
 
 def yoneda_sset_presheaf(site, U, trunc) -> SSetPresheaf:
     """The represented presheaf viewed as discrete simplicial sets."""
-    from .sset import build_sset
-
     P = yoneda(site, U)
-
-    def value(V):
-        elems = P.values[V]
-        return build_sset(trunc, lambda n: elems, lambda n, i, x: x, lambda n, j, x: x)
-
-    return sset_presheaf(site, value, lambda f, n, x: P.res[f][x])
+    return sset_presheaf(
+        site, lambda V: constant_sset(P.values[V], trunc), lambda f, n, x: P.res[f][x]
+    )
 
 
 @dataclass

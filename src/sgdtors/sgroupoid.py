@@ -20,6 +20,7 @@ from .groupoid import (
     nerve_groupoid,
     validate_groupoid,
 )
+from .kan import iterated_degeneracy
 from .ordinal import OrdinalMap, coface, codegeneracy
 from .report import InvariantError, invariant, validator
 from .sset import (
@@ -43,10 +44,7 @@ class SimpGroupoid:
     identities: dict  # a -> vertex id of homs[(a, a)]
 
     def identity_at(self, a, n):
-        cur = self.identities[a]
-        for d in range(n):
-            cur = self.homs[(a, a)].degen(d, 0, cur)
-        return cur
+        return iterated_degeneracy(self.homs[(a, a)], self.identities[a], n)
 
     def compose(self, a, b, c, n, g, f):
         return self.comp[(a, b, c)][n][(g, f)]

@@ -38,10 +38,15 @@ def matching_families(P: SetPresheaf, sieve):
     """All sieve-indexed families compatible under restriction.
 
     A family assigns m_f over the source of each f in the sieve, with
-    m_{f . h} equal to the restriction of m_f along h.  Families are
-    canonical tuples ((f, m_f), ...) sorted by key.  One search slot per
-    sieve member ranges over the sections at its source, and each h
-    into that source constrains the pair (f, f . h).
+    m_{f . h} equal to the restriction of m_f along h: it is a natural
+    map S -> P, where S is the subpresheaf of the representable whose
+    sections over V are the members of the sieve out of V.  Families
+    are canonical tuples ((f, m_f), ...) sorted by key.  One search slot
+    per sieve member ranges over the sections at its source, and each h
+    into that source constrains the pair (f, f . h): the slots and
+    constraints natural_maps(S, P, ()) would state.  They are stated
+    here directly: building S and one presheaf map per family added
+    about 2% to the wall time of the circle-homotopy benchmark workload.
     """
     C = P.site.cat
     order = sorted(sieve, key=idkey)
@@ -115,12 +120,7 @@ def sheafify_map(phi: SetPresheafMap) -> SetPresheafMap:
 
 
 def is_sheaf(P: SetPresheaf):
-    unit = plus_unit(P)
-    Q = unit.target
-    return all(
-        len(set(unit.components[U].values())) == len(P.values[U]) == len(Q.values[U])
-        for U in P.site.objects
-    )
+    return is_componentwise_bijection(plus_unit(P))
 
 
 def local_epi_check(phi: SetPresheafMap) -> Check:
@@ -301,15 +301,15 @@ def _comma_pi_presheaves(phi: SSetPresheafMap, U, v, n):
     return PX, PY, themap, over
 
 
-def local_weq_check(phi: SSetPresheafMap, maxdeg=None) -> Check:
-    """Sheafified components and homotopy classes match in all degrees.
+def local_weq_check(phi: SSetPresheafMap) -> Check:
+    """Sheafified components and homotopy classes match in degrees up to
+    trunc - 2.
 
     Degree n uses the comma site over each object at every source
     vertex; Kan sections are a stated precondition checked first.
     """
     X, Y = phi.source, phi.target
-    if maxdeg is None:
-        maxdeg = X.trunc - 2
+    maxdeg = X.trunc - 2
     check = Check(
         "map is a local weak equivalence", True,
         params={"maxdeg": maxdeg, "depth": PLUS_STEPS},

@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .groupoid import FinGroupoid, group_as_groupoid, nerve_groupoid
+from .holim import translation_groupoid
 from .presheaf import (
     GroupPresheaf,
     SetPresheaf,
@@ -589,16 +590,12 @@ def arrows_action_torsor(GP: GroupoidPresheaf) -> ActionTorsor:
 
 
 def representable_action_torsor(T_gpd: GroupoidPresheaf, anchor_at) -> ActionTorsor:
-    """Arrows into a chosen object, anchored by source, acted on by
-    precomposition.  anchor_at maps each site object to a groupoid
-    object, naturally in restrictions; a plain object means the same
-    choice everywhere."""
-    if not isinstance(anchor_at, dict):
-        anchor_at = {U: anchor_at for U in T_gpd.site.objects}
+    """Arrows into the object anchor_at of every section, anchored by
+    source, acted on by precomposition; restrictions must fix anchor_at."""
 
     def arrows_into_anchor(U):
         G = T_gpd.values[U]
-        return [m for m in G.morphisms if G.dst(m) == anchor_at[U]]
+        return [m for m in G.morphisms if G.dst(m) == anchor_at]
 
     total = set_presheaf(T_gpd.site, arrows_into_anchor, lambda f, m: T_gpd.res[f][1][m])
     anchor, action = {}, {}
@@ -737,11 +734,13 @@ def _sheafified_checks(T: ActionTorsor, joined_claim):
 
 
 # ---------------------------------------------------------------------------
-# The bundle picture: the nerve of the translation groupoid of an
-# anchored action, projected to the nerve of the coefficients.  Level
-# zero is the total object on the nose, and every higher level is the
-# pullback of the level-zero square, with the element coordinate riding
-# at the last vertex.
+# The bundle picture: the nerve of holim.translation_groupoid of an
+# anchored action, projected to the nerve of the coefficients.  An arrow
+# g: a -> b carries an element x anchored at a to x . g^-1, so an
+# n-simplex is a string ((a_0, x_0), ((g_1, x_0), ..., (g_n, x_(n-1))))
+# over (a_0, (g_1, ..., g_n)).  Level zero is relabelled to the total
+# object on the nose, and every higher level is the pullback of the
+# level-zero square along the last vertex.
 
 
 @dataclass
@@ -752,48 +751,29 @@ class BundleTorsor:
     projection: SSetPresheafMap
 
 
-def translation_groupoid_anchored(T: ActionTorsor, U) -> FinGroupoid:
-    G = T.gpd.values[U]
-    anchor = T.anchor[U]
-    morphisms = {}
-    for e in T.total.values[U]:
-        for g, (a, b) in G.morphisms.items():
-            if anchor[e] == b:
-                morphisms[(e, g)] = (T.action[U][(e, g)], e)
-    comp = {}
-    for (e2, g2), (s2, d2) in morphisms.items():
-        for (e1, g1), (s1, d1) in morphisms.items():
-            if d1 == s2:
-                comp[((e2, g2), (e1, g1))] = (e2, G.comp[(g2, g1)])
-    identities = {e: (e, G.identities[anchor[e]]) for e in T.total.values[U]}
-    inverses = {
-        (e, g): (T.action[U][(e, g)], G.inverses[g]) for (e, g) in morphisms
-    }
-    return FinGroupoid(tuple(T.total.values[U]), morphisms, comp, identities, inverses)
-
-
 def action_to_bundle(T: ActionTorsor, trunc) -> BundleTorsor:
     site = T.total.site
     BG = bg_presheaf(T.gpd, trunc)
 
     def value(U):
-        E = translation_groupoid_anchored(T, U)
-        return relabel(nerve_groupoid(E, trunc), lambda n, s: s[0] if n == 0 else s)
+        G, anchor, act = T.gpd.values[U], T.anchor[U], T.action[U]
+        over = {a: [e for e in T.total.values[U] if anchor[e] == a] for a in G.objects}
+        E = translation_groupoid(G, over, lambda g, x: act[(x, G.inverses[g])])
+        return relabel(nerve_groupoid(E, trunc), lambda n, s: s[0][1] if n == 0 else s)
 
     def restrict(f, n, s):
         r = T.total.res[f]
         if n == 0:
             return r[s]
-        mormap = T.gpd.res[f][1]
-        e0, ms = s
-        return (r[e0], tuple((r[e], mormap[g]) for e, g in ms))
+        obmap, mormap = T.gpd.res[f]
+        (a0, x0), ms = s
+        return ((obmap[a0], r[x0]), tuple((mormap[g], r[x]) for g, x in ms))
 
     def project(U, n, s):
-        anchor = T.anchor[U]
         if n == 0:
-            return (anchor[s], ())
-        e0, ms = s
-        return (anchor[e0], tuple(g for _, g in ms))
+            return (T.anchor[U][s], ())
+        (a0, _), ms = s
+        return (a0, tuple(g for g, _ in ms))
 
     Y = sset_presheaf(site, value, restrict)
     return BundleTorsor(T.gpd, BG, Y, sset_presheaf_map(Y, BG, project))

@@ -161,7 +161,7 @@ def w_action(C: SimpGroupoid, n, g, x):
     """
     objs, arrows = x
     src = objs[0]
-    hits = [b for b in C.objects if g in set(C.homs[(src, b)].level(n))]
+    hits = [b for b in C.objects if C.homs[(src, b)].has(n, g)]
     dst = unique_hit(hits, "acting cell must start at the leading object")
     a1 = C.compose(objs[1], src, dst, n, g, arrows[0])
     return ((dst,) + objs[1:], (a1,) + arrows[1:])
@@ -188,7 +188,7 @@ def free_action_check(C: SimpGroupoid) -> Check:
         for x in T.level(n):
             for b, g in w_action_cells(C, n, x):
                 y = w_action(C, n, g, x)
-                if y not in set(T.level(n)):
+                if not T.has(n, y):
                     stabilized.append(("escapes level", n, x, g))
                 elif y == x and g != C.identity_at(x[0][0], n):
                     stabilized.append((n, x, g))

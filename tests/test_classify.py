@@ -382,7 +382,6 @@ KEPT = {
     "holim.constant_functor": BUILDER,
     "holim.holim_2gpd_oracle_check": ORACLE,
     "holim.point_functor": BUILDER,
-    "holim.translation_groupoid": ORACLE,
     "loops._iterate_d0": ORACLE,
     "loops._leading_hom": ORACLE,
     "loops.enumerate_twistings": ORACLE,

@@ -52,7 +52,7 @@ from sgdtors.sgroupoid import (
 )
 from sgdtors.site import validate_site
 from sgdtors.sset import circle, delta, sset_product, validate_sset
-from sgdtors.wbar import wbar
+from sgdtors.wbar import w_total, wbar
 
 
 def _table(out):
@@ -182,6 +182,35 @@ def test_wbar_artifact_in_json_mode(corpus, capsys):
     assert dumps(doc) == out.strip()
     X = decode_sset(doc["artifacts"]["wbar"])
     assert X.level_counts() == (1, 2, 4, 8)
+
+
+LEVEL_FIXTURES = {"z2const": z2_sgroup, "interval": interval_sgd, "twocomp": twocomp_sgd}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_FIXTURES))
+def test_w_total_and_j_map_commands_report_the_level_counts(corpus, capsys, name):
+    H = LEVEL_FIXTURES[name](3)
+
+    def run_command(command):
+        code = cli.main([command, corpus[f"{name}.json"], "--trunc", "3", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        (cert,) = doc["certificates"]
+        assert cert["verdict"] == "PASS"
+        return cert, doc["artifacts"]
+
+    cert, artifacts = run_command("w-total")
+    assert cert["claim"] == "w-total/levels"
+    assert cert["detail"]["claim"] == "total object is a simplicial set"
+    levels = list(w_total(H).level_counts())
+    assert cert["parameters"]["levels"] == levels
+    assert list(decode_sset(artifacts["w-total"]).level_counts()) == levels
+
+    cert, artifacts = run_command("j-map")
+    assert cert["claim"] == "j-map/simplicial"
+    assert cert["detail"]["claim"] == "diagonal-to-cocycle comparison is simplicial"
+    assert cert["parameters"]["source_levels"] == list(db_sgroupoid(H).level_counts())
+    assert cert["parameters"]["target_levels"] == list(wbar(H).level_counts())
 
 
 def test_check_j_weq_passes(corpus, capsys):

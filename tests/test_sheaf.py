@@ -1,4 +1,10 @@
-from sgdtors.fixtures import cover_site, s1_site
+import itertools
+
+import pytest
+from gpd_fixtures import chain_site, cone_site
+
+from sgdtors.bundles import vertex_groupoid_presheaf
+from sgdtors.fixtures import cover_site, pt_site, s1_site, torus_site, twocomp_presheaf
 from sgdtors.groupoid import group_as_groupoid, nerve_groupoid, zmod
 from sgdtors.presheaf import (
     constant_sset_presheaf,
@@ -24,6 +30,8 @@ from sgdtors.sheaf import (
     sheafify,
 )
 from sgdtors.site import min_sieves
+from sgdtors.sset import idkey
+from sgdtors.torsors import arrows_presheaf, objects_presheaf
 
 
 def constant_set_presheaf(site, elems):
@@ -75,6 +83,43 @@ def test_matching_families_respect_compatibility():
     fams = matching_families(P, sieves["T"])
     assert len(fams) == 1
     assert len(P.values["T"]) == 0
+
+
+SIEVE_SITES = {
+    "pt": pt_site,
+    "s1": s1_site,
+    "s1-object-covers": lambda: s1_site(object_covers=True),
+    "cover": cover_site,
+    "torus": torus_site,
+    "chain": lambda: chain_site(6),
+    "cone": cone_site,
+}
+
+
+def filtered_product_families(P, sieve):
+    """Reference: every choice of a section over each sieve member's
+    source, kept when m_{f . h} is the restriction of m_f along each h."""
+    C = P.site.cat
+    order = sorted(sieve, key=idkey)
+    families = []
+    for values in itertools.product(*(P.values[C.src(f)] for f in order)):
+        m = dict(zip(order, values))
+        if all(P.res[h][m[f]] == m[C.comp[(f, h)]] for f in order for h in C.into(C.src(f))):
+            families.append(tuple(zip(order, values)))
+    return families
+
+
+@pytest.mark.parametrize("name", sorted(SIEVE_SITES))
+def test_matching_families_equal_the_filtered_product(name):
+    site = SIEVE_SITES[name]()
+    GP = vertex_groupoid_presheaf(twocomp_presheaf(site, 2))
+    presheaves = [terminal_presheaf(site), objects_presheaf(GP), arrows_presheaf(GP)]
+    presheaves += [yoneda(site, X) for X in site.objects]
+    for P in presheaves:
+        for U, sieve in min_sieves(site).items():
+            families = matching_families(P, sieve)
+            assert len(set(families)) == len(families)
+            assert set(families) == set(filtered_product_families(P, sieve)), (U, P.values)
 
 
 def test_sheafifying_a_representable_fills_in_covered_sections():

@@ -187,7 +187,7 @@ def test_comparison_map_is_simplicial_for_ascending_degrees():
     assert valid, valid.render()
     # sizes differ, so this comparison is not a bijection
     assert not is_bijective(j)
-    assert weq_check(j, maxdeg=1).ok
+    assert weq_check(j).ok
 
 
 def test_total_object_level_counts_and_validity():
