@@ -2,8 +2,9 @@
 
 Composition tables are explicit dicts.  ``comp[(g, f)]`` is "g after f":
 defined when f: a -> b and g: b -> c, landing in a -> c.  Nerves use
-strings x_0 -> x_1 -> ... -> x_n read left to right; the ordinal action
-composes over the gaps.
+strings x_0 -> x_1 -> ... -> x_n read left to right; an inner face
+composes two adjacent arrows and a degeneracy inserts an identity
+(``ordinal.string_face`` and ``ordinal.string_degeneracy``).
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .ordinal import OrdinalMap
-from .report import InvariantError, invariant, validator
+from .ordinal import string_degeneracy, string_face
+from .report import invariant, validator
 from .site import FinCat, poset_category, validate_cat
 from .sset import build_sset
 
@@ -56,13 +57,6 @@ def symmetric_group(n):
 @dataclass
 class FinGroupoid(FinCat):
     inverses: dict     # id -> id
-
-    def compose_path(self, fs):
-        """Composite of a left-to-right chain f1; f2; ...; fk."""
-        cur = fs[0]
-        for f in fs[1:]:
-            cur = self.comp[(f, cur)]
-        return cur
 
 
 @validator("input is a groupoid")
@@ -136,29 +130,6 @@ def disjoint_union_groupoids(pieces: dict) -> FinGroupoid:
 # Nerve of a groupoid (or any finite category shaped like the above).
 
 
-def _string_objects(G: FinGroupoid, x0, fs):
-    objs = [x0]
-    for f in fs:
-        if G.src(f) != objs[-1]:
-            raise InvariantError(f"string breaks at {f!r}")
-        objs.append(G.dst(f))
-    return objs
-
-
-def nerve_theta(G: FinGroupoid, theta: OrdinalMap, simplex):
-    """Ordinal action on a nerve string (x0, (f1, ..., fn))."""
-    x0, fs = simplex
-    objs = _string_objects(G, x0, fs)
-    new_fs = []
-    for i in range(1, theta.dom + 1):
-        p, q = theta(i - 1), theta(i)
-        if p == q:
-            new_fs.append(G.identities[objs[p]])
-        else:
-            new_fs.append(G.compose_path(fs[p:q]))
-    return (objs[theta(0)], tuple(new_fs))
-
-
 def nerve_groupoid(G: FinGroupoid, trunc):
     """The nerve: n-simplices are strings of n composable morphisms."""
 
@@ -180,13 +151,15 @@ def nerve_groupoid(G: FinGroupoid, trunc):
             extend(x0, [], n)
         return out
 
-    from .ordinal import coface, codegeneracy
-
     def face(n, i, x):
-        return nerve_theta(G, coface(n, i), x)
+        x0, fs = x
+        objs = (x0, *map(G.dst, fs))
+        return string_face(objs, fs, i, lambda a, b, c, g, f: G.comp[(g, f)])
 
     def degen(n, j, x):
-        return nerve_theta(G, codegeneracy(n, j), x)
+        x0, fs = x
+        objs = (x0, *map(G.dst, fs))
+        return string_degeneracy(objs, fs, j, lambda a: G.identities[a])
 
     return build_sset(trunc, levels, face, degen)
 

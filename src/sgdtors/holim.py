@@ -22,16 +22,13 @@ from dataclasses import dataclass, replace
 from .bisset import BisSSet, build_bisset, diagonal
 from .groupoid import FinGroupoid
 from .kan import fibration_check, iterated_degeneracy, weq_check
-from .ordinal import OrdinalMap, coface, codegeneracy
 from .report import Check, invariant, require, validator
 from .sgroupoid import (
     SgdFunctor,
     SimpGroupoid,
-    _nerve_level_theta,
     b_2groupoid,
     db_sgroupoid,
     nerve_bidegrees,
-    string_steps,
 )
 from .sset import (
     SSetMap,
@@ -149,44 +146,33 @@ def corepresented_functor(C: SimpGroupoid, a) -> SimplicialFunctor:
 
 
 # ---------------------------------------------------------------------------
-# The translation total object and its diagonal.  translation_total
-# materialises every bidegree, for validate_bisset; holim builds only the
-# diagonal, from the same bidegree functions.
-
-
-def translation_theta(X: SimplicialFunctor, theta: OrdinalMap, q, simplex):
-    """Horizontal ordinal action on (base object, value simplex, cell string).
-
-    The value rides at position 0; when theta moves position 0 forward the
-    composite of the skipped cells acts on it.
-    """
-    C = X.source
-    a0, x, fs = simplex
-    objs = [a0] + [b for _, b, _ in string_steps(C, a0, fs, q)]
-    k = theta(0)
-    if k == 0:
-        new_x = x
-    else:
-        g = C.compose_path(objs[: k + 1], q, list(fs[:k]))
-        new_x = X.act(a0, objs[k], q, g, x)
-    _, new_fs = _nerve_level_theta(C, theta, q, (a0, fs))
-    return (objs[k], new_x, new_fs)
+# The translation total object and its diagonal.  A simplex pairs a value
+# simplex with a nerve string; horizontally it moves as the string does,
+# and d_0, which drops the first cell, also pushes the value along that
+# cell to the new head.  translation_total materialises every bidegree,
+# for validate_bisset; holim builds only the diagonal, from the same
+# bidegree functions.
 
 
 def translation_bidegrees(X: SimplicialFunctor):
     """The build_bisset arguments of the translation total object: at
     bidegree (p, q), a level-q value simplex at the head of a nerve string
     of p composable q-cells; vertical maps act on both."""
-    N, strings, _, nerve_vface, _, nerve_vdeg = nerve_bidegrees(X.source)
+    N, strings, nerve_hface, nerve_vface, nerve_hdeg, nerve_vdeg = nerve_bidegrees(X.source)
 
     def levels(p, q):
         return [(a0, x, fs) for a0, fs in strings(p, q) for x in X.values[a0].level(q)]
 
     def hface(p, q, i, s):
-        return translation_theta(X, coface(p, i), q, s)
+        a0, x, fs = s
+        b0, new_fs = nerve_hface(p, q, i, (a0, fs))
+        if i == 0:
+            x = X.act(a0, b0, q, fs[0], x)
+        return (b0, x, new_fs)
 
     def hdeg(p, q, j, s):
-        return translation_theta(X, codegeneracy(p, j), q, s)
+        a0, x, fs = s
+        return (a0, x, nerve_hdeg(p, q, j, (a0, fs))[1])
 
     def vface(p, q, i, s):
         a0, x, fs = s

@@ -91,6 +91,29 @@ def codegeneracy(n: int, j: int) -> OrdinalMap:
     return OrdinalMap(n + 1, n, tuple(k if k <= j else k - 1 for k in range(n + 2)))
 
 
+def string_face(objs, cells, i, compose):
+    """The face d_i of a string of cells, cells[k]: objs[k] -> objs[k + 1].
+
+    Returns (first object, cells): d_0 drops the first cell, d_n the
+    last, and an inner d_i puts cell i after cell i - 1, as
+    compose(objs[i - 1], objs[i], objs[i + 1], cells[i], cells[i - 1]),
+    in place of the two.  This is the action of coface(n, i).
+    """
+    if i == 0:
+        return objs[1], cells[1:]
+    if i == len(cells):
+        return objs[0], cells[:-1]
+    composite = compose(objs[i - 1], objs[i], objs[i + 1], cells[i], cells[i - 1])
+    return objs[0], cells[: i - 1] + (composite,) + cells[i + 1 :]
+
+
+def string_degeneracy(objs, cells, j, identity):
+    """The degeneracy s_j of a string of cells, as (first object, cells):
+    identity(objs[j]) inserted as cell j.  This is the action of
+    codegeneracy(n, j)."""
+    return objs[0], cells[:j] + (identity(objs[j]),) + cells[j:]
+
+
 def all_maps(m: int, n: int):
     """All monotone maps [m] -> [n], lexicographically ordered."""
     return [
@@ -132,12 +155,8 @@ def decompose(theta: OrdinalMap):
 
 
 # ---------------------------------------------------------------------------
-# Poset joins.  join_size(n) elements, totally ordered; the left and right
+# Poset joins.  [n] * [n] is [2n+1], totally ordered; the left and right
 # copies of [n] include as initial and final segments.
-
-
-def join_size(n: int) -> int:
-    return 2 * n + 2
 
 
 def join_left(n: int) -> OrdinalMap:

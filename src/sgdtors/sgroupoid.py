@@ -21,7 +21,7 @@ from .groupoid import (
     validate_groupoid,
 )
 from .kan import iterated_degeneracy
-from .ordinal import OrdinalMap, coface, codegeneracy
+from .ordinal import string_degeneracy, string_face
 from .report import InvariantError, invariant, validator
 from .sset import (
     SSetMap,
@@ -74,8 +74,9 @@ class SimpGroupoid:
 
 @validator("input is an enriched groupoid")
 def validate_sgroupoid(H: SimpGroupoid):
-    """Each hom is a simplicial set, each composition table a simplicial
-    map hom(b, c) x hom(a, b) -> hom(a, c), and each level a groupoid."""
+    """Each hom is a simplicial set, the homs out of one object share no
+    cell, each composition table is a simplicial map
+    hom(b, c) x hom(a, b) -> hom(a, c), and each level is a groupoid."""
     problems = []
     N = H.trunc
     for (a, b), hom in H.homs.items():
@@ -85,6 +86,18 @@ def validate_sgroupoid(H: SimpGroupoid):
         cells = validate_sset(hom)
         if not cells:
             problems.append(f"hom({a!r},{b!r}): {cells.witness[0]}")
+    if problems:
+        return problems
+    # a string of cells finds its objects by looking each cell up among
+    # the homs out of its source, so those homs must not share a cell
+    owner = {}
+    for (a, b), hom in H.homs.items():
+        for n in range(N + 1):
+            for f in hom.level(n):
+                first = owner.setdefault((a, n, f), b)
+                if first != b:
+                    problems.append(f"cell {f!r} at level {n} lies in "
+                                    f"hom({a!r},{first!r}) and hom({a!r},{b!r})")
     if problems:
         return problems
     for a, b, c in itertools.product(H.objects, repeat=3):
@@ -316,27 +329,11 @@ def validate_sgd_functor(F: SgdFunctor):
 # Nerve: a bisimplicial set, horizontally the levelwise nerve.
 
 
-def _nerve_level_theta(H: SimpGroupoid, theta: OrdinalMap, q, simplex):
-    """Horizontal ordinal action on a string of q-cells (x0, (f1, ..., fp))."""
-    x0, fs = simplex
-    objs = [x0]
-    for a, b, f in string_steps(H, x0, fs, q):
-        objs.append(b)
-    new_fs = []
-    for i in range(1, theta.dom + 1):
-        p0, q0 = theta(i - 1), theta(i)
-        if p0 == q0:
-            new_fs.append(H.identity_at(objs[p0], q))
-        else:
-            new_fs.append(H.compose_path(objs[p0 : q0 + 1], q, list(fs[p0:q0])))
-    return (objs[theta(0)], tuple(new_fs))
-
-
 def string_steps(H: SimpGroupoid, x0, fs, q):
     """Recover the object chain of a string of q-cells by matching hom levels.
 
     Requires hom cell ids to be distinct across hom pairs with a common
-    source object; every constructor here arranges that.
+    source object, as validate_sgroupoid checks.
     """
     steps = []
     at = x0
@@ -374,11 +371,18 @@ def nerve_bidegrees(H: SimpGroupoid):
             extend(x0, x0, [], p)
         return out
 
+    def objects(x0, fs, q):
+        return [x0] + [b for _, b, _ in string_steps(H, x0, fs, q)]
+
     def hface(p, q, i, x):
-        return _nerve_level_theta(H, coface(p, i), q, x)
+        x0, fs = x
+        return string_face(
+            objects(x0, fs, q), fs, i, lambda a, b, c, g, f: H.compose(a, b, c, q, g, f)
+        )
 
     def hdeg(p, q, j, x):
-        return _nerve_level_theta(H, codegeneracy(p, j), q, x)
+        x0, fs = x
+        return string_degeneracy(objects(x0, fs, q), fs, j, lambda a: H.identity_at(a, q))
 
     def vface(p, q, i, x):
         x0, fs = x

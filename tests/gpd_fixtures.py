@@ -4,7 +4,7 @@ import itertools
 
 from sgdtors.fixtures import s1_site
 from sgdtors.groupoid import Fin2Groupoid, group_as_groupoid
-from sgdtors.sgroupoid import SimpGroupoid
+from sgdtors.sgroupoid import SimpGroupoid, constant_sset
 from sgdtors.site import FinSite, poset_category
 from sgdtors.sset import build_sset
 
@@ -44,15 +44,46 @@ def ez2_sgroup(trunc):
     return SimpGroupoid(trunc, ("*",), {("*", "*"): hom}, {("*", "*", "*"): comp}, {"*": (0,)})
 
 
-def cone_site():
-    """The cone over the circle: s1_site() with an apex P below every
+def one_cell_sgroupoid(trunc):
+    """Objects 0 and 1 and the one cell "c" in every hom: chaotic, but the
+    homs out of each object share their cell, so a string of cells cannot
+    tell where it goes."""
+    objects = (0, 1)
+    homs = {ab: constant_sset(["c"], trunc) for ab in itertools.product(objects, repeat=2)}
+    comp = {
+        abc: {n: {("c", "c"): "c"} for n in range(trunc + 1)}
+        for abc in itertools.product(objects, repeat=3)
+    }
+    return SimpGroupoid(trunc, objects, homs, comp, {0: "c", 1: "c"})
+
+
+def cone_site(apex="P"):
+    """The cone over the circle: s1_site() with an apex below every
     object, covered by [U, V].  Its composable pairs of non-identity
-    morphisms, such as P -> A -> U, make the cocycle condition bind."""
+    morphisms, such as apex -> A -> U, make the cocycle condition bind.
+    The default apex sorts after the circle's objects, and "0" sorts
+    before them, so the two cones order their composable pairs apart."""
     base = s1_site()
     cat = poset_category(
-        base.objects + ("P",), lambda a, b: a == "P" or (a, b) in base.cat.morphisms
+        base.objects + (apex,), lambda a, b: a == apex or (a, b) in base.cat.morphisms
     )
     return FinSite(cat, {}, [["U", "V"]])
+
+
+def string_action(theta, objs, cells, compose, identity):
+    """Reference action of a monotone map theta on a string of cells,
+    cells[k]: objs[k] -> objs[k + 1]: the string starts at objs[theta(0)],
+    and its cell i is the composite of the cells over the gap from
+    theta(i - 1) to theta(i), or identity(objs[theta(i)]) when the gap is
+    empty.  compose(a, b, c, g, f) is g after f, for f: a -> b, g: b -> c."""
+    out = []
+    for i in range(1, theta.dom + 1):
+        p, q = theta(i - 1), theta(i)
+        cell = identity(objs[p]) if p == q else cells[p]
+        for k in range(p + 1, q):
+            cell = compose(objs[p], objs[k], objs[k + 1], cells[k], cell)
+        out.append(cell)
+    return objs[theta(0)], tuple(out)
 
 
 def chain_site(length=6):

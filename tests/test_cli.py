@@ -9,7 +9,7 @@ import random
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import chain_site, ez2_sgroup
+from gpd_fixtures import chain_site, ez2_sgroup, one_cell_sgroupoid
 
 from sgdtors import cli
 from sgdtors.cli import (
@@ -631,6 +631,18 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     out = capsys.readouterr().out
     assert "invalid input at /restrictions/1" in out
     assert "hom map at ('*', '*'): no value at dim 0 for" in out
+
+
+def test_a_cell_in_two_homs_out_of_one_object_exits_two(tmp_path, capsys):
+    # a string of such cells cannot tell which hom each step lies in
+    path = tmp_path / "one-cell.json"
+    path.write_text(dumps(encode_sgd(one_cell_sgroupoid(2))) + "\n")
+    for argv in (["j-map"], ["holim"], ["comma"], ["alpha-beta"], ["fibre-check"],
+                 ["check", "j-weq"], ["check", "kan"], ["check", "free-action"]):
+        assert cli.main([*argv, str(path)]) == 2, argv
+        out = capsys.readouterr().out
+        assert "invalid input at document root" in out, argv
+        assert "cell 'c' at level 0 lies in hom(0,0) and hom(0,1)" in out, argv
 
 
 @pytest.mark.parametrize(

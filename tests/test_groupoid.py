@@ -1,4 +1,4 @@
-from gpd_fixtures import one_object_one_cell_2groupoid
+from gpd_fixtures import one_object_one_cell_2groupoid, string_action
 from sgdtors.groupoid import (
     disjoint_union_groupoids,
     discrete_groupoid,
@@ -6,7 +6,6 @@ from sgdtors.groupoid import (
     group_as_groupoid,
     groupoid_as_2groupoid,
     nerve_groupoid,
-    nerve_theta,
     symmetric_group,
     trivial_groupoid,
     validate_2groupoid,
@@ -14,7 +13,7 @@ from sgdtors.groupoid import (
     zmod,
 )
 from sgdtors.kan import kan_check
-from sgdtors.ordinal import coface
+from sgdtors.ordinal import all_maps, coface
 from sgdtors.sset import validate_sset
 
 
@@ -84,11 +83,23 @@ def test_nerve_faces_of_an_edge_are_its_endpoints():
 def test_nerve_action_composes_over_gaps():
     F = symmetric_group(3)
     G = group_as_groupoid(F)
+    X = nerve_groupoid(G, trunc=3)
     a, b = (1, 0, 2), (0, 2, 1)
     string = ("*", (a, b))
     # 0 -> 2 collapses the string to its full composite, b after a
-    collapsed = nerve_theta(G, coface(2, 1), string)
+    collapsed = X.apply(coface(2, 1), string)
     assert collapsed == ("*", (F.mul[(b, a)],))
+    # S_3 does not commute, so a nerve composed in the wrong order, which
+    # validate_sset still accepts, differs from the reference
+    for n in range(4):
+        for m in range(4):
+            for theta in all_maps(m, n):
+                for x0, fs in X.level(n):
+                    want = string_action(
+                        theta, (x0,) * (n + 1), fs,
+                        lambda x, y, z, g, f: F.mul[(g, f)], lambda x: F.e,
+                    )
+                    assert X.apply(theta, (x0, fs)) == want
 
 
 def test_two_groupoid_validators_accept_discrete_examples():

@@ -151,6 +151,12 @@ def sgroupoid_composition_breaks_a_face():
     return validate_sgroupoid(H), spot
 
 
+def sgroupoid_cell_in_two_homs_out_of_one_object():
+    H = interval_sgd(2)
+    H.homs[(0, 1)] = H.homs[(0, 0)]
+    return validate_sgroupoid(H), "cell (0, 0) at level 0 lies in hom(0,0) and hom(0,1)"
+
+
 def sgroupoid_hom_truncation():
     H = interval_sgd(2)
     H.homs[(0, 1)] = interval_sgd(1).homs[(0, 1)]
@@ -232,6 +238,7 @@ def bisset_horizontal_face():
         two_gpd_action_stray_entry,
         sgroupoid_level_one_composite,
         sgroupoid_composition_breaks_a_face,
+        sgroupoid_cell_in_two_homs_out_of_one_object,
         sgroupoid_hom_truncation,
         simplicial_functor_action,
         sgd_functor_hom_map,

@@ -18,10 +18,13 @@ from sgdtors.sgroupoid import (
     nerve_sgroupoid,
     product_sgd,
     sgd_functor,
+    string_steps,
     validate_sgd_functor,
     validate_sgroupoid,
 )
-from gpd_fixtures import one_object_one_cell_2groupoid
+from sgdtors.ordinal import all_maps
+from sgdtors.sset import TruncSSet
+from gpd_fixtures import one_object_one_cell_2groupoid, string_action
 
 
 def test_constant_enrichment_is_valid():
@@ -68,6 +71,34 @@ def test_two_groupoid_nerve_is_bisimplicial():
     H = b_2groupoid(T, trunc=2)
     valid = validate_bisset(nerve_sgroupoid(H))
     assert valid, valid.render()
+
+
+def test_nerve_rows_act_by_composing_over_gaps():
+    # two objects whose cells carry S_3, which does not commute, so a
+    # row composed in the wrong order differs from the reference
+    H = product_sgd(
+        constant_sgroupoid(trivial_groupoid((0, 1)), trunc=2),
+        constant_sgroup(symmetric_group(3), trunc=2),
+    )
+    B = nerve_sgroupoid(H)
+    N, q = H.trunc, 1
+    row = TruncSSet(
+        N,
+        {p: B.level(p, q) for p in range(N + 1)},
+        {(p, i): B.hfaces[(p, q, i)] for p in range(1, N + 1) for i in range(p + 1)},
+        {(p, j): B.hdegen[(p, q, j)] for p in range(N) for j in range(p + 1)},
+    )
+    for n in range(N + 1):
+        for m in range(N + 1):
+            for theta in all_maps(m, n):
+                for x0, fs in row.level(n):
+                    objs = (x0,) + tuple(b for _, b, _ in string_steps(H, x0, fs, q))
+                    want = string_action(
+                        theta, objs, fs,
+                        lambda a, b, c, g, f: H.compose(a, b, c, q, g, f),
+                        lambda a: H.identity_at(a, q),
+                    )
+                    assert row.apply(theta, (x0, fs)) == want
 
 
 def test_discrete_two_groupoid_enrichment_is_constant():
