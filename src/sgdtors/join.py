@@ -12,7 +12,10 @@ comes down to the naturality of the comparison.
 
 ``alpha_beta`` materialises the carrier, the diagonal nerve and the
 prism's domain carrier x interval; both checks take its result, so a
-check of one enriched groupoid builds each of them once.
+check of one enriched groupoid builds each of them once.  It unpacks
+each doubled string once and reuses it for every prism simplex over
+it; the cell targets, identities and inverses it reads come from
+lookups that the enriched groupoid fills once.
 """
 
 from __future__ import annotations
@@ -68,11 +71,13 @@ def alpha_beta(G: SimpGroupoid):
     alpha = sset_map(J, B, lambda n, w: (w[1][0], w[1][2]))
     beta = sset_map(J, B, lambda n, w: (w[0], w[2]))
     P = sset_product(J, delta(1, G.trunc))
+    strings = [{w: join_string(G, n, w) for w in J.level(n)} for n in range(J.trunc + 1)]
+    h_maps = [h_map(n) for n in range(J.trunc + 1)]
 
     def prism(n, s):
         w, omega = s
-        objs, cells = join_string(G, n, w)
-        h = h_map(n)
+        objs, cells = strings[n][w]
+        h = h_maps[n]
         gamma = [h[(i, omega[i])] for i in range(n + 1)]
         out = []
         for i in range(1, n + 1):

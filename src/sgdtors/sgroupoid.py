@@ -9,7 +9,8 @@ level with a constant object set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bisset import BisSSet, build_bisset, diagonal
 from .groupoid import (
@@ -37,14 +38,40 @@ from .sset import (
 
 @dataclass
 class SimpGroupoid:
+    """A SimpGroupoid is immutable after construction: ``target``,
+    ``identity_at`` and ``inverse`` read lookups filled from its tables
+    on first use and kept.  The targets of all cells are found at once;
+    identities and inverses are memoised one at a time."""
+
     trunc: int
     objects: tuple
     homs: dict        # (a, b) -> TruncSSet
     comp: dict        # (a, b, c) -> {level: {(g, f): g . f}}  with f: a->b, g: b->c
     identities: dict  # a -> vertex id of homs[(a, a)]
+    _identity_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _inverse_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _targets(self):
+        targets, clashes = _cell_targets(self)
+        if clashes:
+            raise InvariantError(clashes[0])
+        return targets
+
+    def target(self, a, n, f):
+        """The object that the level-n cell f out of a points to."""
+        try:
+            return self._targets[(a, n, f)]
+        except KeyError:
+            raise InvariantError(f"cell {f!r} at level {n} lies in no hom out of {a!r}") from None
 
     def identity_at(self, a, n):
-        return iterated_degeneracy(self.homs[(a, a)], self.identities[a], n)
+        try:
+            return self._identity_memo[(a, n)]
+        except KeyError:
+            e = iterated_degeneracy(self.homs[(a, a)], self.identities[a], n)
+            self._identity_memo[(a, n)] = e
+            return e
 
     def compose(self, a, b, c, n, g, f):
         return self.comp[(a, b, c)][n][(g, f)]
@@ -62,14 +89,31 @@ class SimpGroupoid:
         return cur
 
     def inverse(self, a, b, n, f):
-        back = self.homs[(b, a)]
-        for g in back.level(n):
-            if (
-                self.compose(a, b, a, n, g, f) == self.identity_at(a, n)
-                and self.compose(b, a, b, n, f, g) == self.identity_at(b, n)
-            ):
+        key = (a, b, n, f)
+        try:
+            return self._inverse_memo[key]
+        except KeyError:
+            pass
+        ida, idb = self.identity_at(a, n), self.identity_at(b, n)
+        for g in self.homs[(b, a)].level(n):
+            if self.compose(a, b, a, n, g, f) == ida and self.compose(b, a, b, n, f, g) == idb:
+                self._inverse_memo[key] = g
                 return g
         raise ValueError(f"no inverse for {f!r} in hom({a!r},{b!r}) level {n}")
+
+
+def _cell_targets(H: SimpGroupoid):
+    """The target of every cell, keyed by (source, level, cell), and a
+    problem for each cell that lies in two homs out of one object."""
+    targets, clashes = {}, []
+    for (a, b), hom in H.homs.items():
+        for n in range(H.trunc + 1):
+            for f in hom.level(n):
+                first = targets.setdefault((a, n, f), b)
+                if first != b:
+                    clashes.append(f"cell {f!r} at level {n} lies in "
+                                   f"hom({a!r},{first!r}) and hom({a!r},{b!r})")
+    return targets, clashes
 
 
 @validator("input is an enriched groupoid")
@@ -88,16 +132,10 @@ def validate_sgroupoid(H: SimpGroupoid):
             problems.append(f"hom({a!r},{b!r}): {cells.witness[0]}")
     if problems:
         return problems
-    # a string of cells finds its objects by looking each cell up among
-    # the homs out of its source, so those homs must not share a cell
-    owner = {}
-    for (a, b), hom in H.homs.items():
-        for n in range(N + 1):
-            for f in hom.level(n):
-                first = owner.setdefault((a, n, f), b)
-                if first != b:
-                    problems.append(f"cell {f!r} at level {n} lies in "
-                                    f"hom({a!r},{first!r}) and hom({a!r},{b!r})")
+    # a string of cells finds its objects in a table of cell targets,
+    # built once per groupoid, so the homs out of one object must not
+    # share a cell
+    problems = _cell_targets(H)[1]
     if problems:
         return problems
     for a, b, c in itertools.product(H.objects, repeat=3):
@@ -330,19 +368,14 @@ def validate_sgd_functor(F: SgdFunctor):
 
 
 def string_steps(H: SimpGroupoid, x0, fs, q):
-    """Recover the object chain of a string of q-cells by matching hom levels.
-
-    Requires hom cell ids to be distinct across hom pairs with a common
-    source object, as validate_sgroupoid checks.
-    """
+    """The steps (source, target, cell) of a string of q-cells from x0,
+    each target read off the groupoid's table of cell targets."""
     steps = []
     at = x0
     for f in fs:
-        hits = [b for b in H.objects if H.homs[(at, b)].has(q, f)]
-        if len(hits) != 1:
-            raise InvariantError(f"cell {f!r} from {at!r} matches {len(hits)} targets")
-        steps.append((at, hits[0], f))
-        at = hits[0]
+        b = H.target(at, q, f)
+        steps.append((at, b, f))
+        at = b
     return steps
 
 

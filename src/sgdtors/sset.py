@@ -91,8 +91,13 @@ class TruncSSet:
         return cur
 
     def vertex(self, n, i, x):
-        """The i-th vertex of an n-simplex."""
-        return self.apply(OrdinalMap(0, n, (i,)), x)
+        """The i-th vertex of an n-simplex: d_n, ..., d_{i+1} drop the
+        vertices after it, then d_0 drops the i before it."""
+        for k in range(n, i, -1):
+            x = self.faces[(k, k)][x]
+        for k in range(i, 0, -1):
+            x = self.faces[(k, 0)][x]
+        return x
 
     def is_degenerate(self, n, x):
         return any(x in self.degeneracies[(n - 1, j)].values() for j in range(n))

@@ -241,6 +241,16 @@ def group_torsor_check(T: ActionTorsor) -> Check:
 # is all of them.
 
 
+def _composable_pairs(C):
+    """The pairs (f, g) of morphisms whose composite f g is defined."""
+    return [
+        (f, g)
+        for f, (V, _) in C.morphisms.items()
+        for g, (_, V2) in C.morphisms.items()
+        if V2 == V
+    ]
+
+
 def enumerate_group_cochains(G: GroupPresheaf, bound=None):
     C = G.site.cat
     idset = set(C.identities.values())
@@ -248,9 +258,10 @@ def enumerate_group_cochains(G: GroupPresheaf, bound=None):
     slot = {f: i for i, f in enumerate(order)}
     units = {e: G.values[U].e for U, e in C.identities.items()}
 
-    def cocycle(f, g, W):
+    def cocycle(f, g):
         """c(fg) = c(g) res_g(c(f)), on the slots of the non-identities."""
         fg = C.comp[(f, g)]
+        W = C.src(g)
         free = [h for h in (f, g, fg) if h in slot]
 
         def pred(*values):
@@ -259,12 +270,7 @@ def enumerate_group_cochains(G: GroupPresheaf, bound=None):
 
         return tuple(slot[h] for h in free), pred
 
-    constraints = [
-        cocycle(f, g, W)
-        for f, (V, U) in C.morphisms.items()
-        for g, (W, V2) in C.morphisms.items()
-        if V2 == V
-    ]
+    constraints = [cocycle(f, g) for f, g in _composable_pairs(C)]
     domains = [G.values[C.src(f)].elements for f in order]
     return [
         {**dict(zip(order, choice)), **units}
@@ -787,12 +793,10 @@ def pullback_shape_check(total: SSetPresheaf, pi: SSetPresheafMap, claim) -> Che
         X, N, comp = total.values[U], pi.target.values[U], pi.components[U]
         for n in range(1, total.trunc + 1):
             pairs = {(X.vertex(n, n, x), comp[n][x]) for x in X.level(n)}
-            wanted = {
-                (y, w)
-                for y in X.level(0)
-                for w in N.level(n)
-                if N.vertex(n, n, w) == comp[0][y]
-            }
+            over = {}
+            for w in N.level(n):
+                over.setdefault(N.vertex(n, n, w), []).append(w)
+            wanted = {(y, w) for y in X.level(0) for w in over.get(comp[0][y], ())}
             ok = len(pairs) == X.size(n) and pairs == wanted
             check.add(
                 require(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .ordinal import OrdinalMap, coface, codegeneracy
-from .report import Check, invariant, require, unique_hit
+from .report import Check, invariant, require
 from .sgroupoid import SgdFunctor, SimpGroupoid, db_sgroupoid, string_steps
 from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map
 
@@ -161,8 +161,7 @@ def w_action(C: SimpGroupoid, n, g, x):
     """
     objs, arrows = x
     src = objs[0]
-    hits = [b for b in C.objects if C.homs[(src, b)].has(n, g)]
-    dst = unique_hit(hits, "acting cell must start at the leading object")
+    dst = C.target(src, n, g)
     a1 = C.compose(objs[1], src, dst, n, g, arrows[0])
     return ((dst,) + objs[1:], (a1,) + arrows[1:])
 

@@ -1,4 +1,7 @@
+from call_counts import count_calls
+
 from sgdtors.fixtures import interval_sgd, z2_sgroup
+from sgdtors.kan import iterated_degeneracy
 from sgdtors.join import (
     alpha_beta,
     alpha_beta_check,
@@ -68,3 +71,13 @@ def test_join_map_of_the_collapse_hits_every_simplex():
     for n in range(TR + 1):
         hit = {jf(n, w) for w in jf.source.level(n)}
         assert hit == set(J2.level(n))
+
+
+def test_alpha_beta_unpacks_each_doubled_string_once(monkeypatch):
+    # one unpacking per carrier simplex, not one per prism simplex over
+    # it, and one identity per object and level
+    calls = count_calls(monkeypatch, (join_string, iterated_degeneracy))
+    G = interval_sgd(4)
+    J, _, _, _ = alpha_beta(G)
+    assert calls["join_string"] == sum(J.level_counts()) == 1364
+    assert calls["iterated_degeneracy"] == len(G.objects) * (G.trunc + 1)

@@ -3,6 +3,8 @@ validator fail, and its witness names the corrupted spot; dropping the
 constraints of a shared search or a map from the enumeration, or
 splitting the classes of the grouping, makes a classification fail."""
 
+import operator
+
 import pytest
 from gpd_fixtures import cone_site
 
@@ -37,7 +39,7 @@ from sgdtors.sgroupoid import (
 )
 from sgdtors.report import InvariantError
 from sgdtors.search import solve
-from sgdtors.sset import delta, identity_map, validate_sset, validate_sset_map
+from sgdtors.sset import delta, identity_map, idkey, validate_sset, validate_sset_map
 from sgdtors.torsors import (
     cochain_torsor,
     enumerate_group_cochains,
@@ -277,6 +279,30 @@ def test_classifying_the_cone_needs_the_cocycle_constraints(monkeypatch):
     except InvariantError:
         passed = False
     assert not passed
+
+
+@pytest.mark.parametrize("keep", [operator.lt, operator.gt], ids=["f_before_g", "f_after_g"])
+def test_classifying_the_cones_needs_the_cocycle_constraints_in_both_orders(monkeypatch, keep):
+    # keeping only the composable pairs (f, g) of one idkey order drops
+    # the constraints that bind on one cone or the other: which ones
+    # bind depends on whether the apex sorts before or after the
+    # circle's objects, so both cones are classified
+    pairs = torsors._composable_pairs
+    monkeypatch.setattr(
+        torsors,
+        "_composable_pairs",
+        lambda C: [(f, g) for f, g in pairs(C) if keep(idkey(f), idkey(g))],
+    )
+    caught = 0
+    for apex in ("P", "0"):
+        site = cone_site(apex)
+        try:
+            result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
+            passed = bool(result["check"])
+        except InvariantError:
+            passed = False
+        caught += not passed
+    assert caught >= 1
 
 
 @pytest.mark.parametrize("dropped", [0, 1])

@@ -1,6 +1,9 @@
 import itertools
 
+import pytest
+
 from sgdtors.bisset import validate_bisset
+from sgdtors.fixtures import interval_sgd, twocomp_sgd, z2_sgroup
 from sgdtors.groupoid import (
     group_as_groupoid,
     groupoid_as_2groupoid,
@@ -23,8 +26,9 @@ from sgdtors.sgroupoid import (
     validate_sgroupoid,
 )
 from sgdtors.ordinal import all_maps
+from sgdtors.report import InvariantError
 from sgdtors.sset import TruncSSet
-from gpd_fixtures import one_object_one_cell_2groupoid, string_action
+from gpd_fixtures import one_cell_sgroupoid, one_object_one_cell_2groupoid, string_action
 
 
 def test_constant_enrichment_is_valid():
@@ -156,3 +160,55 @@ def test_levelwise_inverses_are_found():
     H = constant_sgroup(zmod(4), trunc=2)
     assert H.inverse("*", "*", 1, 3) == 1
     assert H.inverse("*", "*", 2, 0) == 0
+
+
+LOOKUP_FIXTURES = {
+    "z2const": lambda: z2_sgroup(3),
+    "interval": lambda: interval_sgd(3),
+    "twocomp": lambda: twocomp_sgd(3),
+    "b_2groupoid": lambda: b_2groupoid(one_object_one_cell_2groupoid(zmod(2)), trunc=3),
+    "interval x S3": lambda: product_sgd(
+        interval_sgd(3), constant_sgroup(symmetric_group(3), trunc=3)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOOKUP_FIXTURES)
+def test_cell_lookups_equal_a_scan_of_the_tables(name):
+    H = LOOKUP_FIXTURES[name]()
+    for n in range(H.trunc + 1):
+        cells = {
+            (a, b): H.homs[(a, b)].level(n) for a, b in itertools.product(H.objects, repeat=2)
+        }
+        # the identity is the one loop cell that every composite through it fixes
+        identity = {}
+        for a in H.objects:
+            (identity[a],) = [
+                e for e in cells[(a, a)]
+                if all(H.compose(b, a, a, n, e, f) == f for b in H.objects for f in cells[(b, a)])
+                and all(H.compose(a, a, c, n, g, e) == g for c in H.objects for g in cells[(a, c)])
+            ]
+            assert H.identity_at(a, n) == identity[a]
+        for (a, b), fs in cells.items():
+            for f in fs:
+                assert [c for c in H.objects if f in cells[(a, c)]] == [b]
+                assert H.target(a, n, f) == b
+                inverses = [
+                    g for g in cells[(b, a)]
+                    if H.compose(a, b, a, n, g, f) == identity[a]
+                    and H.compose(b, a, b, n, f, g) == identity[b]
+                ]
+                assert len(inverses) == 1
+                assert H.inverse(a, b, n, f) == inverses[0]
+
+
+def test_string_steps_reject_a_cell_in_two_homs_without_validation():
+    H = one_cell_sgroupoid(2)
+    with pytest.raises(InvariantError, match=r"cell 'c' at level 0 lies in hom\(0,0\) and hom\(0,1\)"):
+        string_steps(H, 0, ("c",), 0)
+
+
+def test_string_steps_name_a_cell_in_no_hom():
+    H = interval_sgd(2)
+    with pytest.raises(InvariantError, match=r"cell 'x' at level 1 lies in no hom out of 1"):
+        string_steps(H, 0, ((0, 1), "x"), 1)

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdtors.cli import decode_sset, dumps, encode_sset
-from sgdtors.ordinal import all_maps
+from sgdtors.fixtures import z2_sgroup
+from sgdtors.groupoid import group_as_groupoid, nerve_groupoid, symmetric_group
+from sgdtors.ordinal import OrdinalMap, all_maps
 from sgdtors.sset import (
     _sorted_ids,
     boundary,
@@ -26,6 +28,7 @@ from sgdtors.sset import (
     validate_sset,
     validate_sset_map,
 )
+from sgdtors.wbar import wbar
 
 
 def binom(a, b):
@@ -235,3 +238,16 @@ def test_sorted_ids_is_idkey_order(ids):
 def test_sorted_ids_keys_equal_but_differently_typed_sub_ids_apart():
     # (True,) == (1,), but idkey puts ints before bools
     assert _sorted_ids({((True,), "a"), ((1,), "b")}) == (((1,), "b"), ((True,), "a"))
+
+
+def test_vertex_is_the_action_of_a_point():
+    for X in (
+        delta(2, trunc=3),
+        circle(trunc=3),
+        nerve_groupoid(group_as_groupoid(symmetric_group(3)), trunc=3),
+        wbar(z2_sgroup(3)),
+    ):
+        for n in range(X.trunc + 1):
+            for x in X.level(n):
+                for i in range(n + 1):
+                    assert X.vertex(n, i, x) == X.apply(OrdinalMap(0, n, (i,)), x)
