@@ -69,8 +69,8 @@ from .site import FinCat, FinSite, validate_site
 from .sset import (
     DEFAULT_TRUNC,
     TruncSSet,
-    build_sset,
     idkey,
+    truncated,
     validate_sset,
     validate_sset_map,
 )
@@ -610,7 +610,7 @@ def load_coefficient(cfg: RunConfig) -> SgdPresheaf:
 def truncate_sgd(H: SimpGroupoid, N) -> SimpGroupoid:
     if N == H.trunc:
         return H
-    homs = {ab: build_sset(N, X.level, X.face, X.degen) for ab, X in H.homs.items()}
+    homs = {ab: truncated(X, N) for ab, X in H.homs.items()}
     comp = {
         abc: {n: tab for n, tab in levels.items() if n <= N}
         for abc, levels in H.comp.items()

@@ -1,94 +1,19 @@
-"""Finite ordinals and monotone maps.
+"""Strings of cells, and the comparison of a prism with a join.
 
-An ordinal map is a weakly monotone function [m] -> [n] between the
-finite totally ordered sets [m] = {0, ..., m} and [n] = {0, ..., n}.
-These index the face/degeneracy calculus of every truncated simplicial
-object in this package: a map theta: [m] -> [n] acts on n-simplices and
-produces m-simplices.
+A string is a chain of cells between objects.  The nerve of a groupoid,
+the rows of the enriched nerve, the translation object and the
+classifying object all state their faces and degeneracies by the two
+rules here: d_0 and d_n drop an end cell, an inner face composes two
+neighbouring cells, and a degeneracy inserts an identity.
 
->>> theta = OrdinalMap(2, 1, (0, 0, 1))
->>> theta(2)
-1
->>> theta.is_surjective()
-True
+>>> compose = lambda a, b, c, g, f: g + f
+>>> string_face("wxyz", ("p", "q", "r"), 1, compose)
+('w', ('qp', 'r'))
+>>> string_degeneracy("wxyz", ("p", "q", "r"), 3, lambda a: "1" + a)
+('w', ('p', 'q', 'r', '1z'))
 """
 
 from __future__ import annotations
-
-import itertools
-from dataclasses import dataclass
-
-from .report import InvariantError
-
-
-@dataclass(frozen=True)
-class OrdinalMap:
-    """Monotone map [dom] -> [cod], stored by its value tuple."""
-
-    dom: int
-    cod: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.dom < 0 or self.cod < 0:
-            raise InvariantError("ordinals must be nonnegative")
-        if len(self.values) != self.dom + 1:
-            raise InvariantError("one value per element of [dom]")
-        for v in self.values:
-            if not 0 <= v <= self.cod:
-                raise InvariantError("value out of range")
-        for a, b in zip(self.values, self.values[1:]):
-            if a > b:
-                raise InvariantError("not monotone")
-
-    def __call__(self, i):
-        return self.values[i]
-
-    def after(self, other: "OrdinalMap") -> "OrdinalMap":
-        """Composite self . other, defined when other.cod == self.dom."""
-        if other.cod != self.dom:
-            raise InvariantError("not composable")
-        return OrdinalMap(other.dom, self.cod, tuple(self.values[v] for v in other.values))
-
-    def is_identity(self):
-        return self.dom == self.cod and all(self.values[i] == i for i in range(self.dom + 1))
-
-    def is_surjective(self):
-        return set(self.values) == set(range(self.cod + 1))
-
-    def restricted(self, i: int) -> "OrdinalMap":
-        """The map [dom - i] -> [cod - theta(i)] sending j to theta(i + j) - theta(i).
-
-        This is the restriction of theta to the interval [i, dom],
-        renumbered so both intervals start at 0.  It is the ordinal map
-        through which cocycle entries get reindexed.
-        """
-        if not 0 <= i <= self.dom:
-            raise InvariantError("restriction point out of range")
-        base = self.values[i]
-        return OrdinalMap(
-            self.dom - i,
-            self.cod - base,
-            tuple(self.values[i + j] - base for j in range(self.dom - i + 1)),
-        )
-
-
-def identity(n: int) -> OrdinalMap:
-    return OrdinalMap(n, n, tuple(range(n + 1)))
-
-
-def coface(n: int, i: int) -> OrdinalMap:
-    """The injection [n-1] -> [n] missing i."""
-    if not (n >= 1 and 0 <= i <= n):
-        raise InvariantError("coface index out of range")
-    return OrdinalMap(n - 1, n, tuple(j if j < i else j + 1 for j in range(n)))
-
-
-def codegeneracy(n: int, j: int) -> OrdinalMap:
-    """The surjection [n+1] -> [n] repeating j."""
-    if not 0 <= j <= n:
-        raise InvariantError("codegeneracy index out of range")
-    return OrdinalMap(n + 1, n, tuple(k if k <= j else k - 1 for k in range(n + 2)))
 
 
 def string_face(objs, cells, i, compose):
@@ -97,7 +22,8 @@ def string_face(objs, cells, i, compose):
     Returns (first object, cells): d_0 drops the first cell, d_n the
     last, and an inner d_i puts cell i after cell i - 1, as
     compose(objs[i - 1], objs[i], objs[i + 1], cells[i], cells[i - 1]),
-    in place of the two.  This is the action of coface(n, i).
+    in place of the two.  This is the action of the injection
+    [n - 1] -> [n] that misses i.
     """
     if i == 0:
         return objs[1], cells[1:]
@@ -109,79 +35,19 @@ def string_face(objs, cells, i, compose):
 
 def string_degeneracy(objs, cells, j, identity):
     """The degeneracy s_j of a string of cells, as (first object, cells):
-    identity(objs[j]) inserted as cell j.  This is the action of
-    codegeneracy(n, j)."""
+    identity(objs[j]) inserted as cell j.  This is the action of the
+    surjection [n + 1] -> [n] that repeats j."""
     return objs[0], cells[:j] + (identity(objs[j]),) + cells[j:]
-
-
-def all_maps(m: int, n: int):
-    """All monotone maps [m] -> [n], lexicographically ordered."""
-    return [
-        OrdinalMap(m, n, vals)
-        for vals in itertools.combinations_with_replacement(range(n + 1), m + 1)
-    ]
-
-
-def decompose(theta: OrdinalMap):
-    """Peel theta into elementary steps, innermost action first.
-
-    Returns a list of ("d", n, i) / ("s", n, j) instructions such that
-    applying face d_i at dimension n, resp. degeneracy s_j at dimension n,
-    in order, realizes the contravariant action of theta on simplices.
-    """
-    steps = []
-    cur = theta
-    while True:
-        if cur.is_identity():
-            return steps
-        if not cur.is_surjective():
-            # theta = coface(i) . rest: act by d_i first.
-            img = set(cur.values)
-            i = min(v for v in range(cur.cod + 1) if v not in img)
-            steps.append(("d", cur.cod, i))
-            cur = OrdinalMap(
-                cur.dom, cur.cod - 1, tuple(v if v < i else v - 1 for v in cur.values)
-            )
-        else:
-            # theta = rest . codegeneracy(j): act by s_j last.
-            j = next(k for k in range(cur.dom) if cur.values[k] == cur.values[k + 1])
-            # record after recursing: s_j applies after the rest of theta
-            rest = OrdinalMap(
-                cur.dom - 1,
-                cur.cod,
-                cur.values[: j + 1] + cur.values[j + 2 :],
-            )
-            return steps + decompose(rest) + [("s", cur.dom - 1, j)]
-
-
-# ---------------------------------------------------------------------------
-# Poset joins.  [n] * [n] is [2n+1], totally ordered; the left and right
-# copies of [n] include as initial and final segments.
-
-
-def join_left(n: int) -> OrdinalMap:
-    """[n] -> [2n+1]: the initial segment."""
-    return OrdinalMap(n, 2 * n + 1, tuple(range(n + 1)))
-
-
-def join_right(n: int) -> OrdinalMap:
-    """[n] -> [2n+1]: the final segment."""
-    return OrdinalMap(n, 2 * n + 1, tuple(n + 1 + i for i in range(n + 1)))
-
-
-def join_of_maps(theta: OrdinalMap) -> OrdinalMap:
-    """theta * theta: [2m+1] -> [2n+1], acting as theta on both halves."""
-    m, n = theta.dom, theta.cod
-    left = tuple(theta.values[i] for i in range(m + 1))
-    right = tuple(n + 1 + theta.values[i] for i in range(m + 1))
-    return OrdinalMap(2 * m + 1, 2 * n + 1, left + right)
 
 
 def h_map(n: int):
     """The comparison (i, eps) -> element of the join, for i in [n], eps in {0,1}.
 
-    Sends (i, 0) to the left copy and (i, 1) to the right copy of i.  As a
-    function on the product poset [n] x [1] it is monotone, and it is natural:
-    join_of_maps(theta) . h_m = h_n . (theta x 1).
+    The join [n] * [n] is [2n+1], the left copy of [n] an initial and the
+    right copy a final segment.  h_n sends (i, 0) to the left copy and
+    (i, 1) to the right copy of i.  As a function on the product poset
+    [n] x [1] it is monotone, and it is natural: for monotone
+    theta: [m] -> [n], acting by theta on both copies after h_m is
+    h_n after theta x 1.
     """
     return {(i, eps): i if eps == 0 else n + 1 + i for i in range(n + 1) for eps in (0, 1)}

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .ordinal import OrdinalMap, decompose
 from .report import InvariantError, invariant, validator
 from .search import Partition
 
@@ -83,13 +82,6 @@ class TruncSSet:
     def degen(self, n, j, x):
         return self.degeneracies[(n, j)][x]
 
-    def apply(self, theta: OrdinalMap, x):
-        """Contravariant action: x an n-simplex, theta: [m] -> [n]; m-simplex out."""
-        cur = x
-        for kind, dim, idx in decompose(theta):
-            cur = self.face(dim, idx, cur) if kind == "d" else self.degen(dim, idx, cur)
-        return cur
-
     def vertex(self, n, i, x):
         """The i-th vertex of an n-simplex: d_n, ..., d_{i+1} drop the
         vertices after it, then d_0 drops the i before it."""
@@ -146,6 +138,11 @@ def build_sset(trunc, levels, face, degen):
         for j in range(n + 1)
     }
     return TruncSSet(trunc, simplices, faces, degeneracies)
+
+
+def truncated(X: TruncSSet, N) -> TruncSSet:
+    """X cut at truncation N <= X.trunc."""
+    return build_sset(N, X.level, X.face, X.degen)
 
 
 @validator("input is a simplicial set")

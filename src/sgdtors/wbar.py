@@ -2,9 +2,17 @@
 
 An n-simplex of the classifying object of an enriched groupoid C is a
 cocycle: objects x_0, ..., x_n together with connecting cells
-a_i in hom(x_i, x_{i-1}) of simplicial degree n - i.  The ordinal maps
-act by reindexing the cells along composites pushed down to the right
-degree, so faces generalize the familiar bar-construction shuffles.
+a_k in hom(x_k, x_{k-1}) of simplicial degree n - k.  Its faces and
+degeneracies are the textbook ones (May, *Simplicial Objects in
+Algebraic Topology*, 1967, section 21), stated on the string of cells
+with ``ordinal.string_face`` and ``ordinal.string_degeneracy``:
+
+- d_i pushes each a_k with k < i down by the face d_{i-k} of its hom,
+  then drops a_1 (i = 0) or a_n (i = n), or puts d_0 a_i after a_{i+1}
+  in place of the two; x_i drops out.
+- s_j pushes each a_k with k <= j up by the degeneracy s_{j-k}, then
+  inserts the identity of x_j at degree n - j as cell j + 1; x_j
+  repeats.
 
 The total object pairs every cocycle with one extra leading cell; its
 zeroth face forgets that cell, and level n cells act freely on it by
@@ -15,43 +23,10 @@ from __future__ import annotations
 
 import itertools
 
-from .ordinal import OrdinalMap, coface, codegeneracy
+from .ordinal import string_degeneracy, string_face
 from .report import Check, invariant, require
 from .sgroupoid import SgdFunctor, SimpGroupoid, db_sgroupoid, string_steps
-from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map
-
-
-def cocycle_gap_composite(C: SimpGroupoid, objs, arrows, n, p, q):
-    """The composite cell x_q -> x_p of a cocycle, at degree n - q.
-
-    Cell a_j sits at degree n - j and is pushed down by leading faces
-    before composing; requires p < q.
-    """
-    fs = []
-    for j in range(q, p, -1):
-        f = arrows[j - 1]
-        hom = C.homs[(objs[j], objs[j - 1])]
-        for t in range(q - j):
-            f = hom.face(n - j - t, 0, f)
-        fs.append(f)
-    chain = [objs[j] for j in range(q, p - 1, -1)]
-    return C.compose_path(chain, n - q, fs)
-
-
-def wbar_theta(C: SimpGroupoid, theta: OrdinalMap, simplex):
-    """Contravariant ordinal action on cocycles."""
-    objs, arrows = simplex
-    m, n = theta.dom, theta.cod
-    new_objs = tuple(objs[theta(i)] for i in range(m + 1))
-    new_arrows = []
-    for i in range(1, m + 1):
-        p, q = theta(i - 1), theta(i)
-        if p == q:
-            gamma = C.identity_at(objs[p], n - q)
-        else:
-            gamma = cocycle_gap_composite(C, objs, arrows, n, p, q)
-        new_arrows.append(C.homs[(objs[q], objs[p])].apply(theta.restricted(i), gamma))
-    return (new_objs, tuple(new_arrows))
+from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, truncated
 
 
 def wbar(C: SimpGroupoid, trunc=None) -> TruncSSet:
@@ -78,11 +53,30 @@ def wbar(C: SimpGroupoid, trunc=None) -> TruncSSet:
             extend([x0], [], 1)
         return out
 
+    # a_k points from x_k back to x_{k-1}, so the composite of a string
+    # face reads its three objects in reverse
     def face(n, i, x):
-        return wbar_theta(C, coface(n, i), x)
+        objs, cells = x
+        cells = tuple(
+            C.homs[(objs[k], objs[k - 1])].face(n - k, i - k, a) if k < i else a
+            for k, a in enumerate(cells, start=1)
+        )
+        _, cells = string_face(
+            objs, cells, i,
+            lambda a, b, c, g, f: C.compose(
+                c, b, a, n - i - 1, C.homs[(b, a)].face(n - i, 0, f), g
+            ),
+        )
+        return objs[:i] + objs[i + 1:], cells
 
     def degen(n, j, x):
-        return wbar_theta(C, codegeneracy(n, j), x)
+        objs, cells = x
+        cells = tuple(
+            C.homs[(objs[k], objs[k - 1])].degen(n - k, j - k, a) if k <= j else a
+            for k, a in enumerate(cells, start=1)
+        )
+        _, cells = string_degeneracy(objs, cells, j, lambda a: C.identity_at(a, n - j))
+        return objs[:j + 1] + objs[j:], cells
 
     return build_sset(N, levels, face, degen)
 
@@ -134,23 +128,29 @@ def j_map(C: SimpGroupoid) -> SSetMap:
 # The total object: one extra leading cell over each cocycle.
 
 
-def w_total(C: SimpGroupoid) -> TruncSSet:
-    """Shift of the classifying object: level n is its level n + 1."""
-    W = wbar(C, C.trunc + 1)
+def _shift(W: TruncSSet) -> TruncSSet:
+    """W one level down: level n is W's level n + 1, with faces d_{i+1}
+    and degeneracies s_{j+1}."""
     return build_sset(
-        C.trunc,
+        W.trunc - 1,
         lambda n: W.level(n + 1),
         lambda n, i, x: W.face(n + 1, i + 1, x),
         lambda n, j, x: W.degen(n + 1, j + 1, x),
     )
 
 
+def w_total(C: SimpGroupoid) -> TruncSSet:
+    """Shift of the classifying object: level n is its level n + 1."""
+    return _shift(wbar(C, C.trunc + 1))
+
+
 def w_quotient_map(C: SimpGroupoid) -> SSetMap:
-    """Forgetting the leading cell of the total object, a level map."""
+    """Forgetting the leading cell of the total object, a level map.
+
+    The total object and the classifying object are both read off one
+    classifying object built a level higher."""
     W = wbar(C, C.trunc + 1)
-    T = w_total(C)
-    B = wbar(C)
-    return sset_map(T, B, lambda n, x: W.face(n + 1, 0, x))
+    return sset_map(_shift(W), truncated(W, C.trunc), lambda n, x: W.face(n + 1, 0, x))
 
 
 def w_action(C: SimpGroupoid, n, g, x):
@@ -177,9 +177,8 @@ def w_action_cells(C: SimpGroupoid, n, x):
 def free_action_check(C: SimpGroupoid) -> Check:
     """The action on the total object is free and its orbits are exactly
     the fibres of the forgetful map to the classifying object."""
-    T = w_total(C)
-    B = wbar(C)
     q = w_quotient_map(C)
+    T, B = q.source, q.target
     check = Check("level cells act freely on the total object", True,
                   params={"trunc": C.trunc})
     for n in range(C.trunc + 1):

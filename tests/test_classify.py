@@ -393,10 +393,6 @@ KEPT = {
     "loops.transpose_round_trip_check": ORACLE,
     "loops.transpose_to_tables": ORACLE,
     "loops.twisting_check": ORACLE,
-    "ordinal.all_maps": BUILDER,
-    "ordinal.join_left": ORACLE,
-    "ordinal.join_of_maps": ORACLE,
-    "ordinal.join_right": ORACLE,
     "presheaf.validate_group_presheaf": VALIDATOR,
     "presheaf.validate_sgd_presheaf": VALIDATOR,
     "presheaf.yoneda_sset_presheaf": BUILDER,

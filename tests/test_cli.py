@@ -225,6 +225,15 @@ def test_kan_and_free_action_checks_pass(corpus, capsys):
     assert cli.main(["check", "free-action", corpus["z2const.json"], "--trunc", "3"]) == 0
 
 
+def test_free_action_check_builds_the_cocycle_object_once(monkeypatch, corpus, capsys):
+    # the total and classifying objects are both read off one cocycle
+    # object a level above the coefficients
+    calls = count_calls(monkeypatch, (wbar, w_total))
+    assert cli.main(["check", "free-action", corpus["z2const.json"]]) == 0
+    capsys.readouterr()
+    assert calls == {"wbar": 1}
+
+
 def test_torsor_classify_sgpd_over_the_point(corpus, capsys):
     code = cli.main(
         [

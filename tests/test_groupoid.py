@@ -1,4 +1,5 @@
 from gpd_fixtures import one_object_one_cell_2groupoid, string_action
+from ordinals import all_maps, apply, coface
 from sgdtors.groupoid import (
     disjoint_union_groupoids,
     discrete_groupoid,
@@ -13,7 +14,6 @@ from sgdtors.groupoid import (
     zmod,
 )
 from sgdtors.kan import kan_check
-from sgdtors.ordinal import all_maps, coface
 from sgdtors.sset import validate_sset
 
 
@@ -87,7 +87,7 @@ def test_nerve_action_composes_over_gaps():
     a, b = (1, 0, 2), (0, 2, 1)
     string = ("*", (a, b))
     # 0 -> 2 collapses the string to its full composite, b after a
-    collapsed = X.apply(coface(2, 1), string)
+    collapsed = apply(X, coface(2, 1), string)
     assert collapsed == ("*", (F.mul[(b, a)],))
     # S_3 does not commute, so a nerve composed in the wrong order, which
     # validate_sset still accepts, differs from the reference
@@ -99,7 +99,7 @@ def test_nerve_action_composes_over_gaps():
                         theta, (x0,) * (n + 1), fs,
                         lambda x, y, z, g, f: F.mul[(g, f)], lambda x: F.e,
                     )
-                    assert X.apply(theta, (x0, fs)) == want
+                    assert apply(X, theta, (x0, fs)) == want
 
 
 def test_two_groupoid_validators_accept_discrete_examples():

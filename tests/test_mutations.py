@@ -7,6 +7,7 @@ import operator
 
 import pytest
 from gpd_fixtures import cone_site
+from ordinals import cocycle_action, coface
 
 from sgdtors import classify as classify_module
 from sgdtors import cli, torsors
@@ -19,8 +20,9 @@ from sgdtors.bundles import (
 )
 from sgdtors.classify import classify
 from sgdtors.fixtures import interval_sgd, s1_site, twocomp_presheaf, z2_presheaf, z2_sgroup
-from sgdtors.groupoid import trivial_groupoid, validate_groupoid, zmod
+from sgdtors.groupoid import symmetric_group, trivial_groupoid, validate_groupoid, zmod
 from sgdtors.holim import corepresented_functor, validate_simplicial_functor
+from sgdtors.kan import kan_check
 from sgdtors.presheaf import (
     constant_group_presheaf,
     constant_sgd_presheaf,
@@ -46,6 +48,7 @@ from sgdtors.torsors import (
     trivial_group_torsor,
     validate_action_torsor,
 )
+from sgdtors.wbar import wbar
 
 
 def sset_face():
@@ -361,6 +364,25 @@ def test_classifying_two_components_needs_the_anchor_constraints(monkeypatch):
     except KeyError:
         passed = False
     assert not passed
+
+
+def test_a_cocycle_face_composed_in_the_wrong_order_differs_from_the_reference(monkeypatch):
+    # an inner face of the cocycle object composes d_0 a_i after a_(i+1);
+    # on the constant S_3 the reversed composite still gives a Kan
+    # simplicial set, so only the reference action tells the two apart
+    C = constant_sgroup(symmetric_group(3), trunc=2)
+    compose = C.compose
+    with monkeypatch.context() as m:
+        m.setattr(C, "compose", lambda a, b, c, n, g, f: compose(a, b, c, n, f, g))
+        W = wbar(C)
+    assert validate_sset(W) and kan_check(W).ok
+    wrong = {
+        (n, i)
+        for (n, i), table in W.faces.items()
+        for x, y in table.items()
+        if y != cocycle_action(C, coface(n, i), x)
+    }
+    assert wrong == {(2, 1)}
 
 
 def test_h1_checks_its_classes_against_an_independent_count(monkeypatch, tmp_path, capsys):

@@ -1,16 +1,17 @@
 import itertools
 
-from sgdtors.ordinal import (
+from ordinals import (
     all_maps,
     codegeneracy,
     coface,
     decompose,
-    h_map,
     identity,
     join_left,
     join_of_maps,
     join_right,
 )
+
+from sgdtors.ordinal import h_map
 
 
 def test_composition_and_identity():

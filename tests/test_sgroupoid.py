@@ -25,10 +25,10 @@ from sgdtors.sgroupoid import (
     validate_sgd_functor,
     validate_sgroupoid,
 )
-from sgdtors.ordinal import all_maps
 from sgdtors.report import InvariantError
 from sgdtors.sset import TruncSSet
 from gpd_fixtures import one_cell_sgroupoid, one_object_one_cell_2groupoid, string_action
+from ordinals import all_maps, apply
 
 
 def test_constant_enrichment_is_valid():
@@ -102,7 +102,7 @@ def test_nerve_rows_act_by_composing_over_gaps():
                         lambda a, b, c, g, f: H.compose(a, b, c, q, g, f),
                         lambda a: H.identity_at(a, q),
                     )
-                    assert row.apply(theta, (x0, fs)) == want
+                    assert apply(row, theta, (x0, fs)) == want
 
 
 def test_discrete_two_groupoid_enrichment_is_constant():

@@ -3,11 +3,11 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ordinals import OrdinalMap, all_maps, apply
 
 from sgdtors.cli import decode_sset, dumps, encode_sset
 from sgdtors.fixtures import z2_sgroup
 from sgdtors.groupoid import group_as_groupoid, nerve_groupoid, symmetric_group
-from sgdtors.ordinal import OrdinalMap, all_maps
 from sgdtors.sset import (
     _sorted_ids,
     boundary,
@@ -76,7 +76,7 @@ def test_ordinal_action_matches_tuple_composition():
     for m in range(4):
         for theta in all_maps(m, 3):
             for x in D.level(3):
-                got = D.apply(theta, x)
+                got = apply(D, theta, x)
                 assert got == tuple(x[v] for v in theta.values)
 
 
@@ -88,7 +88,7 @@ def test_ordinal_action_functorial_on_delta():
                 for k in range(4):
                     for tau in all_maps(k, m):
                         for x in D.level(n):
-                            assert D.apply(theta.after(tau), x) == D.apply(tau, D.apply(theta, x))
+                            assert apply(D, theta.after(tau), x) == apply(D, tau, apply(D, theta, x))
 
 
 def test_boundary_and_horn():
@@ -250,4 +250,4 @@ def test_vertex_is_the_action_of_a_point():
         for n in range(X.trunc + 1):
             for x in X.level(n):
                 for i in range(n + 1):
-                    assert X.vertex(n, i, x) == X.apply(OrdinalMap(0, n, (i,)), x)
+                    assert X.vertex(n, i, x) == apply(X, OrdinalMap(0, n, (i,)), x)

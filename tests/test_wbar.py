@@ -1,7 +1,12 @@
 import itertools
 
-from gpd_fixtures import one_object_one_cell_2groupoid
+import pytest
+from gpd_fixtures import ez2_sgroup, one_object_one_cell_2groupoid
+from ordinals import all_maps, apply, cocycle_action, codegeneracy, coface
+
+from sgdtors.fixtures import interval_sgd
 from sgdtors.groupoid import (
+    group_as_2groupoid,
     group_as_groupoid,
     nerve_groupoid,
     symmetric_group,
@@ -9,7 +14,6 @@ from sgdtors.groupoid import (
     zmod,
 )
 from sgdtors.kan import enumerate_sset_maps, kan_check, pi_n, weq_check
-from sgdtors.ordinal import all_maps
 from sgdtors.sgroupoid import (
     b_2groupoid,
     constant_sgroup,
@@ -34,7 +38,6 @@ from sgdtors.wbar import (
     w_total,
     wbar,
     wbar_map,
-    wbar_theta,
 )
 
 
@@ -69,24 +72,35 @@ def test_level_counts_for_ascending_degrees():
     assert valid, valid.render()
 
 
-def test_ordinal_action_agrees_with_elementary_decomposition():
-    C = constant_sgroup(zmod(2), trunc=3)
+@pytest.mark.parametrize(
+    "C",
+    [
+        constant_sgroup(zmod(2), trunc=3),
+        b_2groupoid(one_object_one_cell_2groupoid(zmod(2)), trunc=3),
+        # S_3 and the enriched Z/3 do not commute, and EZ/2 has cells at
+        # every level, so a composite in the wrong order or a cell pushed
+        # by the wrong face differs from the reference
+        constant_sgroup(symmetric_group(3), trunc=3),
+        ez2_sgroup(3),
+        b_2groupoid(group_as_2groupoid(zmod(3)), trunc=3),
+        product_sgd(interval_sgd(2), constant_sgroup(symmetric_group(3), trunc=2)),
+    ],
+    ids=["z2", "one-cell-2groupoid-z2", "s3", "ez2", "2groupoid-z3", "interval-x-s3"],
+)
+def test_ordinal_action_agrees_with_elementary_decomposition(C):
     W = wbar(C)
-    for n in range(4):
-        for m in range(4):
-            for theta in all_maps(m, n):
-                for x in W.level(n):
-                    assert wbar_theta(C, theta, x) == W.apply(theta, x)
-
-
-def test_ordinal_action_coherence_with_enriched_cells():
-    C = b_2groupoid(one_object_one_cell_2groupoid(zmod(2)), trunc=3)
-    W = wbar(C)
-    for n in range(4):
-        for m in range(4):
-            for theta in all_maps(m, n):
-                for x in W.level(n):
-                    assert wbar_theta(C, theta, x) == W.apply(theta, x)
+    top = min(C.trunc, 3)
+    for n, m in itertools.product(range(top + 1), repeat=2):
+        for theta in all_maps(m, n):
+            for x in W.level(n):
+                assert cocycle_action(C, theta, x) == apply(W, theta, x)
+    # one level up, each face and degeneracy is the reference's action of
+    # the coface and codegeneracy
+    W = wbar(C, C.trunc + 1)
+    for tables, elementary in ((W.faces, coface), (W.degeneracies, codegeneracy)):
+        for (n, i), table in tables.items():
+            action = elementary(n, i)
+            assert table == {x: cocycle_action(C, action, x) for x in table}
 
 
 def test_constant_group_classifier_is_isomorphic_to_the_nerve():
