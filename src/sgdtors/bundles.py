@@ -62,15 +62,15 @@ from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, validate_sset
 from .torsors import (
     ActionTorsor,
     _anchored,
+    _cocycle_presheaf,
     _equivariance,
     _shared_values,
     display_torsor_check,
     pullback_shape_check,
     to_point_map,
     w_total_presheaf,
-    wbar_presheaf,
 )
-from .wbar import w_action
+from .wbar import w_action, w_quotient_map
 
 
 def _one_object(H):
@@ -296,20 +296,19 @@ def sgroup_torsor_check(D: SgdDiagram) -> Check:
 
 
 def w_quotient_presheaf_map(Q: SgdPresheaf) -> SSetPresheafMap:
-    from .wbar import w_quotient_map
-
-    WT = w_total_presheaf(Q)
-    WB = wbar_presheaf(Q)
-    tables = _shared_values(Q.values, lambda H: dict(w_quotient_map(H).levels))
-    return SSetPresheafMap(WT, WB, {U: tables[U] for U in Q.site.objects})
+    """The forgetful map from the total object to the cocycle object."""
+    quotients = _shared_values(Q.values, w_quotient_map)
+    WT = _cocycle_presheaf(Q, {U: q.source for U, q in quotients.items()}, 1)
+    WB = _cocycle_presheaf(Q, {U: q.target for U, q in quotients.items()}, 0)
+    return SSetPresheafMap(WT, WB, {U: q.levels for U, q in quotients.items()})
 
 
 def psi_sgroup(u: SSetPresheafMap, Q: SgdPresheaf):
     """Pull the total object back along u; returns the action and the
     projection identifying the orbit presheaf with u's source."""
     C = u.source
-    WT = w_total_presheaf(Q)
     quot = w_quotient_presheaf_map(Q)
+    WT = quot.source
 
     def value(U):
         X, W = C.values[U], WT.values[U]

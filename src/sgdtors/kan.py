@@ -1,7 +1,9 @@
 """Horn filling, homotopy groups, and weak-equivalence checks.
 
 Everything is exhaustive over the stored simplices.  Horn enumeration
-walks compatible face tuples with backtracking; homotopy groups are
+walks compatible face tuples with backtracking, and a horn's fillers
+are looked up in a face index: one pass over level n files each
+n-simplex under its faces other than d_k, once per (n, k) and call.  Homotopy groups are
 computed from explicit candidate sets and single-simplex homotopies,
 closed transitively.  All claims are bounded by the truncation and say
 so in the returned ``Check``.
@@ -41,12 +43,14 @@ def horn_assignments(X: TruncSSet, n: int, k: int):
     ]
 
 
-def horn_fillers(X: TruncSSet, n: int, k: int, assignment):
-    return [
-        z
-        for z in X.level(n)
-        if all(X.face(n, i, z) == x for i, x in assignment.items())
-    ]
+def face_index(X: TruncSSet, n: int, k=None):
+    """The n-simplices of X in level order, keyed by the tuple of their faces d_i, i != k:
+    the fillers of every (n, k)-horn, or with k None the simplices on every boundary."""
+    tables = [X.faces[(n, i)] for i in range(n + 1) if i != k]
+    index = {}
+    for z in X.level(n):
+        index.setdefault(tuple(t[z] for t in tables), []).append(z)
+    return index
 
 
 def kan_check(X: TruncSSet, maxdim=None) -> Check:
@@ -58,9 +62,10 @@ def kan_check(X: TruncSSet, maxdim=None) -> Check:
     horns = 0
     for n in range(1, maxdim + 1):
         for k in range(n + 1):
+            fillers = face_index(X, n, k)
             for assignment in horn_assignments(X, n, k):
                 horns += 1
-                if not horn_fillers(X, n, k, assignment):
+                if tuple(assignment.values()) not in fillers:
                     check.ok = False
                     check.witness = ("horn", n, k, tuple(sorted(assignment.items())))
                     check.params["horns_checked"] = horns
@@ -80,34 +85,22 @@ def fibration_check(p: SSetMap, maxdim=None) -> Check:
     if maxdim is None:
         maxdim = X.trunc - 1
     invariant(1 <= maxdim <= X.trunc, "horns need fillers inside the truncation")
-    check = Check(
-        "every horn lifts against the base",
-        True,
-        params={"maxdim": maxdim, "trunc": X.trunc},
-    )
+    check = Check("every horn lifts against the base", True,
+                  params={"maxdim": maxdim, "trunc": X.trunc})
     horns = 0
     for n in range(1, maxdim + 1):
         for k in range(n + 1):
+            upstairs, downstairs = face_index(X, n, k), face_index(B, n, k)
+            below, here = p.levels[n - 1], p.levels[n]
             for assignment in horn_assignments(X, n, k):
-                images = {i: p(n - 1, x) for i, x in assignment.items()}
-                for sigma in B.level(n):
-                    if any(B.face(n, i, sigma) != y for i, y in images.items()):
-                        continue
+                fillers = upstairs.get(tuple(assignment.values()), ())
+                images = tuple(below[x] for x in assignment.values())
+                for sigma in downstairs.get(images, ()):
                     horns += 1
-                    fillers = [
-                        z
-                        for z in horn_fillers(X, n, k, assignment)
-                        if p(n, z) == sigma
-                    ]
-                    if not fillers:
+                    if not any(here[z] == sigma for z in fillers):
                         check.ok = False
-                        check.witness = (
-                            "relative horn",
-                            n,
-                            k,
-                            tuple(sorted(assignment.items())),
-                            sigma,
-                        )
+                        given = tuple(sorted(assignment.items()))
+                        check.witness = ("relative horn", n, k, given, sigma)
                         check.params["horns_checked"] = horns
                         return check
     check.params["horns_checked"] = horns
@@ -182,15 +175,13 @@ def pi_n(X: TruncSSet, v, n: int) -> PiGroup:
     cls_of = {x: index[x] for x in candidates}
 
     # multiplication via horn fillers: faces (base,...,base, x, -, y)
+    fillers, product_face = face_index(X, n + 1, n), X.faces[(n + 1, n)]
     mult = {}
     for (a, ca), (b, cb) in itertools.product(enumerate(classes), repeat=2):
         results = set()
         for x, y in itertools.product(ca, cb):
-            assignment = {i: base for i in range(n - 1)}
-            assignment[n - 1] = x
-            assignment[n + 1] = y
-            for w in horn_fillers(X, n + 1, n, assignment):
-                results.add(cls_of[X.face(n + 1, n, w)])
+            for w in fillers.get((base,) * (n - 1) + (x, y), ()):
+                results.add(cls_of[product_face[w]])
         if len(results) != 1:
             raise TruncationError(
                 f"pi_{n} product of classes {a},{b} not single-valued: {sorted(results)}"
@@ -322,10 +313,7 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
             if (n, x) not in lift:
                 lift[(n, x)] = (len(slots), ())
                 slots.append((n, x))
-    by_faces = {n: {} for n in range(1, N + 1)}
-    for n, index in by_faces.items():
-        for z in Y.level(n):
-            index.setdefault(Y.face_tuple(n, z), []).append(z)
+    by_faces = {n: face_index(Y, n) for n in range(1, N + 1)}
 
     def lifted(z, chain):
         for m, j in chain:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .report import Check, InvariantError, require, validator
 from .sset import idkey
@@ -33,12 +34,18 @@ class FinCat:
         return self.morphisms[f][1]
 
     def hom(self, a, b):
-        hits = (f for f, ends in self.morphisms.items() if ends == (a, b))
-        return tuple(sorted(hits, key=idkey))
+        return tuple(f for f in self.into(b) if self.morphisms[f][0] == a)
 
     def into(self, b):
-        hits = (f for f, (_, d) in self.morphisms.items() if d == b)
-        return tuple(sorted(hits, key=idkey))
+        return self._into.get(b, ())
+
+    @cached_property
+    def _into(self):
+        """Morphisms by target in ``idkey`` order: a category never changes."""
+        into = {}
+        for f in sorted(self.morphisms, key=idkey):
+            into.setdefault(self.dst(f), []).append(f)
+        return {b: tuple(fs) for b, fs in into.items()}
 
 
 @validator("input is a category")
@@ -110,6 +117,9 @@ class FinSite:
     def morphisms(self):
         return self.cat.morphisms
 
+    # min_sieves(site), worked out once: a site is never changed once built
+    _min_sieves = cached_property(lambda site: _refined_sieves(site))
+
 
 def generated_sieve(site: FinSite, U, family):
     """All morphisms into U that factor through a family member."""
@@ -133,8 +143,13 @@ def min_sieves(site: FinSite):
     Start from the intersection of the listed families' sieves (maximal
     when none are listed) and refine by composing covers of covers.  A
     round keeps a subset of each sieve, so unless the category is broken
-    the fixed point comes within one round per morphism.
+    the fixed point comes within one round per morphism.  It is worked
+    out once per site.
     """
+    return site._min_sieves
+
+
+def _refined_sieves(site: FinSite):
     C = site.cat
     current = {}
     for U in C.objects:

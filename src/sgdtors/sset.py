@@ -4,6 +4,8 @@ A ``TruncSSet`` stores every simplex up to a truncation dimension N,
 including all degenerate ones, together with total face and degeneracy
 tables.  Simplex ids are arbitrary hashable values (tuples, strings,
 ints); levels keep a deterministic order so searches are reproducible.
+``build_sset`` sorts each level by ``idkey``; a product keeps its
+factors' order, which is ``idkey`` order again, so it sorts nothing.
 
 All structures are treated as immutable once built and validated.
 """
@@ -98,9 +100,6 @@ class TruncSSet:
         degenerate = {x for j in range(n) for x in self.degeneracies[(n - 1, j)].values()}
         return tuple(x for x in self.level(n) if x not in degenerate)
 
-    def face_tuple(self, n, x):
-        return tuple(self.face(n, i, x) for i in range(n + 1))
-
 
 def _sorted_ids(ids):
     """The distinct ids in ``idkey`` order; each distinct sub-object is
@@ -127,16 +126,15 @@ def build_sset(trunc, levels, face, degen):
     levels: dim -> iterable of ids; face(n, i, x); degen(n, j, x).
     """
     simplices = {n: _sorted_ids(levels(n)) for n in range(trunc + 1)}
-    faces = {
-        (n, i): {x: face(n, i, x) for x in simplices[n]}
-        for n in range(1, trunc + 1)
-        for i in range(n + 1)
-    }
-    degeneracies = {
-        (n, j): {x: degen(n, j, x) for x in simplices[n]}
-        for n in range(trunc)
-        for j in range(n + 1)
-    }
+    return _tabulated(trunc, simplices,
+                      lambda n, i: {x: face(n, i, x) for x in simplices[n]},
+                      lambda n, j: {x: degen(n, j, x) for x in simplices[n]})
+
+
+def _tabulated(trunc, simplices, face, degen):
+    """The TruncSSet on levels already in order, with tables face(n, i) and degen(n, j)."""
+    faces = {(n, i): face(n, i) for n in range(1, trunc + 1) for i in range(n + 1)}
+    degeneracies = {(n, j): degen(n, j) for n in range(trunc) for j in range(n + 1)}
     return TruncSSet(trunc, simplices, faces, degeneracies)
 
 
@@ -177,33 +175,37 @@ def validate_sset(X: TruncSSet):
     if problems:
         return problems
 
+    d, s = X.faces, X.degeneracies
     for n in range(2, N + 1):
         for i, j in itertools.combinations(range(n + 1), 2):  # i < j
+            di_below, dj1_below = d[(n - 1, i)], d[(n - 1, j - 1)]
+            dj, di = d[(n, j)], d[(n, i)]
             for x in X.level(n):
-                if X.face(n - 1, i, X.face(n, j, x)) != X.face(n - 1, j - 1, X.face(n, i, x)):
+                if di_below[dj[x]] != dj1_below[di[x]]:
                     problems.append(
                         f"d_{i} d_{j} != d_{j-1} d_{i} at dim {n} on {x!r}"
                     )
     for n in range(N):
         for j in range(n + 1):
+            sj = s[(n, j)]
             for i in range(n + 2):
+                di = d[(n + 1, i)]
+                if i < j:
+                    down, up = d[(n, i)], s[(n - 1, j - 1)]
+                elif i > j + 1:
+                    down, up = d[(n, i - 1)], s[(n - 1, j)]
                 for x in X.level(n):
-                    got = X.face(n + 1, i, X.degen(n, j, x))
-                    if i < j:
-                        want = X.degen(n - 1, j - 1, X.face(n, i, x))
-                    elif i in (j, j + 1):
-                        want = x
-                    else:
-                        want = X.degen(n - 1, j, X.face(n, i - 1, x))
+                    got = di[sj[x]]
+                    want = x if i in (j, j + 1) else up[down[x]]
                     if got != want:
                         problems.append(f"d_{i} s_{j} identity fails at dim {n} on {x!r}")
     for n in range(N - 1):
         for i in range(n + 1):
             for j in range(i, n + 1):
+                si_above, sj1_above = s[(n + 1, i)], s[(n + 1, j + 1)]
+                sj, si = s[(n, j)], s[(n, i)]
                 for x in X.level(n):
-                    if X.degen(n + 1, i, X.degen(n, j, x)) != X.degen(
-                        n + 1, j + 1, X.degen(n, i, x)
-                    ):
+                    if si_above[sj[x]] != sj1_above[si[x]]:
                         problems.append(f"s_{i} s_{j} identity fails at dim {n} on {x!r}")
     return problems
 
@@ -275,19 +277,24 @@ def relabel(X: TruncSSet, rename):
 
 
 def sset_product(X: TruncSSet, Y: TruncSSet):
-    """Levelwise product; ids are pairs."""
+    """Levelwise product; ids are pairs, listed first factor first in the
+    factors' level orders: ``idkey`` order when the factors are in it."""
     invariant(X.trunc == Y.trunc, "factors have different truncations")
+    simplices = {n: tuple(itertools.product(X.level(n), Y.level(n))) for n in range(X.trunc + 1)}
 
-    def levels(n):
-        return itertools.product(X.level(n), Y.level(n))
+    # a level lists its pairs as the product of the factors' levels, so the
+    # values of d_i on it are the product of the factors' d_i values
+    def pairs(x_tables, y_tables):
+        def table(n, i):
+            x_values = map(x_tables[(n, i)].__getitem__, X.level(n))
+            y_values = map(y_tables[(n, i)].__getitem__, Y.level(n))
+            return dict(zip(simplices[n], itertools.product(x_values, y_values)))
 
-    def face(n, i, p):
-        return (X.face(n, i, p[0]), Y.face(n, i, p[1]))
+        return table
 
-    def degen(n, j, p):
-        return (X.degen(n, j, p[0]), Y.degen(n, j, p[1]))
-
-    return build_sset(X.trunc, levels, face, degen)
+    return _tabulated(
+        X.trunc, simplices, pairs(X.faces, Y.faces), pairs(X.degeneracies, Y.degeneracies)
+    )
 
 
 def disjoint_union(pieces):
@@ -401,14 +408,18 @@ def validate_sset_map(f: SSetMap):
     if problems:
         return problems
     for n in range(1, X.trunc + 1):
+        below, here = f.levels.get(n - 1, {}), f.levels.get(n, {})
         for i in range(n + 1):
+            x_face, y_face = X.faces[(n, i)], Y.faces[(n, i)]
             for x in X.level(n):
-                if f(n - 1, X.face(n, i, x)) != Y.face(n, i, f(n, x)):
+                if below[x_face[x]] != y_face[here[x]]:
                     problems.append(f"does not commute with d_{i} at dim {n} on {x!r}")
     for n in range(X.trunc):
+        here, above = f.levels.get(n, {}), f.levels.get(n + 1, {})
         for j in range(n + 1):
+            x_degen, y_degen = X.degeneracies[(n, j)], Y.degeneracies[(n, j)]
             for x in X.level(n):
-                if f(n + 1, X.degen(n, j, x)) != Y.degen(n, j, f(n, x)):
+                if above[x_degen[x]] != y_degen[here[x]]:
                     problems.append(f"does not commute with s_{j} at dim {n} on {x!r}")
     return problems
 

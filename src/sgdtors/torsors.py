@@ -140,10 +140,9 @@ def validate_groupoid_presheaf(GP: GroupoidPresheaf):
 # restriction tables; identical sections share one table.
 
 
-def _cocycle_presheaf(Q: SgdPresheaf, build, shift) -> SSetPresheaf:
-    """Sections build(H); a level-n simplex restricts as a cocycle of
+def _cocycle_presheaf(Q: SgdPresheaf, values, shift) -> SSetPresheaf:
+    """Sections values[U]; a level-n simplex restricts as a cocycle of
     level n + shift."""
-    values = _shared_values(Q.values, build)
     return sset_presheaf(
         Q.site, values.__getitem__, lambda f, n, s: cocycle_image(Q.res[f], n + shift, s)
     )
@@ -151,12 +150,12 @@ def _cocycle_presheaf(Q: SgdPresheaf, build, shift) -> SSetPresheaf:
 
 def wbar_presheaf(Q: SgdPresheaf) -> SSetPresheaf:
     """The cocycle classifying object of each section."""
-    return _cocycle_presheaf(Q, wbar, 0)
+    return _cocycle_presheaf(Q, _shared_values(Q.values, wbar), 0)
 
 
 def w_total_presheaf(Q: SgdPresheaf) -> SSetPresheaf:
     """The total object of each section; level n holds shifted cocycles."""
-    return _cocycle_presheaf(Q, w_total, 1)
+    return _cocycle_presheaf(Q, _shared_values(Q.values, w_total), 1)
 
 
 def db_presheaf(Q: SgdPresheaf) -> SSetPresheaf:

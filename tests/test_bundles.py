@@ -73,6 +73,7 @@ from sgdtors.torsors import (
     torsor_cech_class,
     trivial_group_torsor,
     validate_action_torsor,
+    w_total_presheaf,
     wbar_presheaf,
 )
 from sgdtors.wbar import wbar
@@ -148,6 +149,22 @@ def test_wg_action_is_free_and_quotient_is_the_cocycle_object():
             images = {wq.components[U][n][r] for r in reps}
             assert len(images) == len(reps)
             assert images == set(W.values[U].level(n))
+
+
+def test_the_quotient_map_and_the_pullback_build_the_cocycle_object_once(monkeypatch):
+    # the sections of z2_presheaf are one shared object, so one build of
+    # the cocycle object a level higher gives the total object, the
+    # cocycle object and the map between them
+    Q = z2_presheaf(s1_site(), 2)
+    u = _base_point_map(Q)
+    calls = count_calls(monkeypatch, (wbar,))
+    quot = w_quotient_presheaf_map(Q)
+    assert calls == {"wbar": 1}
+    assert quot.source == w_total_presheaf(Q)
+    assert quot.target == wbar_presheaf(Q)
+    calls.clear()
+    psi_sgroup(u, Q)
+    assert calls == {"wbar": 1}
 
 
 def test_bar_object_of_a_free_action_matches_the_orbit_space():
@@ -270,19 +287,26 @@ def test_level0_of_the_corepresented_action_is_trivial():
     assert torsor_cech_class(T, data) == torsor_cech_class(reference, data)
 
 
-def test_pullback_along_the_base_point_is_the_trivial_torsor():
-    site = s1_site()
-    Q = z2_presheaf(site, 3)
+def _base_point_map(Q):
+    """The map from the terminal presheaf to the cocycle object at the
+    cocycle of identities on the object "*"."""
+    site, trunc = Q.site, Q.trunc
     W = wbar_presheaf(Q)
-    C = terminal_sset_presheaf(site, 3)
+    C = terminal_sset_presheaf(site, trunc)
     components = {
         U: {
             n: {x: (("*",) * (n + 1), (0,) * n) for x in C.values[U].level(n)}
-            for n in range(4)
+            for n in range(trunc + 1)
         }
         for U in site.objects
     }
-    u = SSetPresheafMap(C, W, components)
+    return SSetPresheafMap(C, W, components)
+
+
+def test_pullback_along_the_base_point_is_the_trivial_torsor():
+    site = s1_site()
+    Q = z2_presheaf(site, 3)
+    u = _base_point_map(Q)
     assert validate_sset_presheaf_map(u).ok
     A, proj = psi_sgroup(u, Q)
     valid = validate_sgroup_action(A)

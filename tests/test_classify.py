@@ -410,7 +410,7 @@ KEPT = {
     "torsors.arrows_action_torsor": "only non-torsor input of the action and bundle torsor checks",
     "torsors.constant_groupoid_presheaf": BUILDER,
     "torsors.validate_groupoid_presheaf": VALIDATOR,
-    "torsors.w_total_presheaf": "used only by bundles.psi_sgroup and bundles.wg_action",
+    "torsors.w_total_presheaf": "used only by bundles.wg_action",
     "wbar.wbar_map": "only check: W-bar preserves products, with sgroupoid.product_sgd",
 }
 

@@ -1,5 +1,6 @@
 import pytest
 
+from sgdtors import kan
 from sgdtors.classify import (
     cylinder_presheaf,
     enumerate_sset_presheaf_maps,
@@ -18,8 +19,8 @@ from sgdtors.groupoid import (
 from sgdtors.kan import (
     TruncationError,
     enumerate_sset_maps,
+    fibration_check,
     horn_assignments,
-    horn_fillers,
     kan_check,
     pi_n,
     weq_check,
@@ -38,6 +39,42 @@ from sgdtors.sset import (
 from sgdtors.torsors import bg_presheaf, group_presheaf_as_groupoid
 
 
+def horn_fillers(X, n, k, assignment):
+    """The fillers of one horn by a scan of level n, kept as the
+    reference for ``kan.face_index``."""
+    return [
+        z
+        for z in X.level(n)
+        if all(X.face(n, i, z) == x for i, x in assignment.items())
+    ]
+
+
+class ScannedFillers:
+    """Stands in for ``kan.face_index(X, n, k)``: every lookup scans
+    level n with ``horn_fillers``."""
+
+    def __init__(self, X, n, k=None):
+        self.X, self.n, self.k = X, n, k
+        self.positions = [i for i in range(n + 1) if i != k]
+
+    def get(self, faces, default=None):
+        found = horn_fillers(self.X, self.n, self.k, dict(zip(self.positions, faces)))
+        return found or default
+
+    def __contains__(self, faces):
+        return self.get(faces) is not None
+
+
+def indexed_and_scanned(monkeypatch, check, *args):
+    """check(*args) with fillers looked up in the face index, then with
+    every horn's fillers found by a scan."""
+    indexed = check(*args)
+    with monkeypatch.context() as m:
+        m.setattr(kan, "face_index", ScannedFillers)
+        scanned = check(*args)
+    return indexed, scanned
+
+
 def test_interval_is_not_kan():
     X = delta(1, trunc=2)
     # the left horn built from the 01 edge and the degenerate edge at 0
@@ -54,6 +91,71 @@ def test_standard_simplex_inner_horns_fill():
     X = delta(2, trunc=3)
     for assignment in horn_assignments(X, 2, 1):
         assert horn_fillers(X, 2, 1, assignment)
+
+
+def _corrupted_delta2():
+    # the face that tests/test_mutations.py corrupts in its sset_face case
+    X = delta(2, trunc=3)
+    X.faces[(2, 0)][(0, 1, 2)] = (0, 1)
+    return X
+
+
+def _z2_nerve():
+    return nerve_groupoid(group_as_groupoid(zmod(2)), trunc=4)
+
+
+@pytest.mark.parametrize(
+    "build, maxdim",
+    [
+        (lambda: delta(1, trunc=2), 2),
+        (lambda: delta(2, trunc=3), 2),
+        (_corrupted_delta2, 2),
+        (_z2_nerve, None),
+        (lambda: nerve_groupoid(group_as_groupoid(symmetric_group(3)), trunc=3), None),
+        (lambda: nerve_groupoid(trivial_groupoid((0, 1)), trunc=3), None),
+        (lambda: sset_product(_z2_nerve(), delta(1, trunc=4)), 2),
+    ],
+)
+def test_kan_check_finds_the_fillers_the_scan_finds(monkeypatch, build, maxdim):
+    indexed, scanned = indexed_and_scanned(monkeypatch, kan_check, build(), maxdim)
+    assert indexed == scanned
+    assert indexed.params["horns_checked"] > 0
+
+
+def _projection(X, Y):
+    P = sset_product(X, Y)
+    return sset_map(P, Y, lambda n, p: p[1])
+
+
+@pytest.mark.parametrize(
+    "build, ok, horns",
+    [
+        (lambda: _projection(_z2_nerve(), delta(1, trunc=4)), True, 54),
+        (lambda: _projection(delta(1, trunc=4), _z2_nerve()), False, 11),
+        (lambda: sset_map(delta(1, trunc=3), point(trunc=3), lambda n, x: (0,) * (n + 1)), False, 6),
+        (lambda: sset_map(_corrupted_delta2(), point(trunc=3), lambda n, x: (0,) * (n + 1)),
+         False, 8),
+    ],
+)
+def test_fibration_check_lifts_what_the_scan_lifts(monkeypatch, build, ok, horns):
+    p = build()
+    indexed, scanned = indexed_and_scanned(monkeypatch, fibration_check, p, 2)
+    assert indexed == scanned
+    assert (indexed.ok, indexed.params["horns_checked"]) == (ok, horns)
+
+
+@pytest.mark.parametrize(
+    "X, v, n",
+    [
+        (nerve_groupoid(group_as_groupoid(symmetric_group(3)), trunc=3), ("*", ()), 1),
+        (_z2_nerve(), ("*", ()), 1),
+        (_z2_nerve(), ("*", ()), 2),
+        (nerve_groupoid(trivial_groupoid((0, 1)), trunc=3), (1, ()), 1),
+    ],
+)
+def test_pi_n_multiplies_as_the_scan_does(monkeypatch, X, v, n):
+    indexed, scanned = indexed_and_scanned(monkeypatch, pi_n, X, v, n)
+    assert indexed == scanned
 
 
 def test_group_nerve_is_kan():

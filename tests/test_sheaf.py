@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from call_counts import count_calls
 from gpd_fixtures import chain_site, cone_site
 
 from sgdtors.bundles import vertex_groupoid_presheaf
 from sgdtors.fixtures import cover_site, pt_site, s1_site, torus_site, twocomp_presheaf
 from sgdtors.groupoid import group_as_groupoid, nerve_groupoid, zmod
+from sgdtors.kan import kan_check
 from sgdtors.presheaf import (
     constant_sset_presheaf,
     set_presheaf,
@@ -30,7 +32,7 @@ from sgdtors.sheaf import (
     sheafify,
 )
 from sgdtors.site import min_sieves
-from sgdtors.sset import idkey
+from sgdtors.sset import delta, idkey
 from sgdtors.torsors import arrows_presheaf, objects_presheaf
 
 
@@ -189,6 +191,30 @@ def test_collapsing_loops_is_not_a_local_weak_equivalence():
     )
     report = local_weq_check(phi)
     assert not report.ok
+
+
+def test_local_weq_checks_each_distinct_section_for_horns_once(monkeypatch):
+    site = s1_site()
+    X = constant_sset_presheaf(site, nerve_groupoid(group_as_groupoid(zmod(2)), 4))
+    T = terminal_sset_presheaf(site, 4)
+    calls = count_calls(monkeypatch, (kan_check,))
+    assert local_weq_check(sset_presheaf_map(X, X, lambda U, n, x: x))
+    assert calls == {"kan_check": 1}
+    calls.clear()
+    assert not local_weq_check(
+        sset_presheaf_map(X, T, lambda U, n, x: T.values[U].level(n)[0])
+    )
+    assert calls == {"kan_check": 2}
+
+
+def test_local_weq_names_the_first_object_whose_sections_are_not_fibrant():
+    site = s1_site()
+    I = constant_sset_presheaf(site, delta(1, trunc=4))
+    T = terminal_sset_presheaf(site, 4)
+    report = local_weq_check(sset_presheaf_map(T, I, lambda U, n, x: (0,) * (n + 1)))
+    assert not report.ok
+    assert report.parts[-1].claim == f"target sections over {site.objects[0]!r} are fibrant"
+    assert report.parts[-1].witness == kan_check(delta(1, trunc=4), 3).witness
 
 
 def test_cech_augmentation_is_local_but_not_sectionwise_trivial():

@@ -1,11 +1,12 @@
 import json
 
 import pytest
-from gpd_fixtures import chain_site
+from gpd_fixtures import chain_site, cone_site
 
 from sgdtors.cli import decode_site, dumps, encode_site
 from sgdtors.fixtures import cover_site, pt_site, s1_site, torus_site
 from sgdtors.report import InvariantError
+from sgdtors.sset import idkey
 from sgdtors.site import (
     FinCat,
     FinSite,
@@ -23,6 +24,19 @@ def test_fixture_sites_are_coherent():
     for site in (pt_site(), s1_site(), s1_site(object_covers=True), cover_site(), torus_site()):
         report = validate_site(site)
         assert report.ok, report.render()
+
+
+def test_hom_and_into_list_the_morphisms_in_idkey_order():
+    # the scans over every morphism that the site's index replaced
+    for site in (pt_site(), s1_site(), cover_site(), torus_site(), cone_site(), chain_site()):
+        C = site.cat
+        for b in C.objects:
+            into = [f for f, (_, d) in C.morphisms.items() if d == b]
+            assert C.into(b) == tuple(sorted(into, key=idkey))
+            for a in C.objects:
+                hom = [f for f, ends in C.morphisms.items() if ends == (a, b)]
+                assert C.hom(a, b) == tuple(sorted(hom, key=idkey))
+        assert C.into("no such object") == C.hom("no such object", C.objects[0]) == ()
 
 
 def test_trivial_topology_has_maximal_sieves():

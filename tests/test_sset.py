@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 from ordinals import OrdinalMap, all_maps, apply
 
 from sgdtors.cli import decode_sset, dumps, encode_sset
-from sgdtors.fixtures import z2_sgroup
+from sgdtors.fixtures import interval_sgd, twocomp_sgd, z2_sgroup
 from sgdtors.groupoid import group_as_groupoid, nerve_groupoid, symmetric_group
 from sgdtors.sset import (
     _sorted_ids,
@@ -28,6 +29,7 @@ from sgdtors.sset import (
     validate_sset,
     validate_sset_map,
 )
+from sgdtors.join import join_object
 from sgdtors.wbar import wbar
 
 
@@ -251,3 +253,71 @@ def test_vertex_is_the_action_of_a_point():
             for x in X.level(n):
                 for i in range(n + 1):
                     assert X.vertex(n, i, x) == apply(X, OrdinalMap(0, n, (i,)), x)
+
+
+def reference_product(X, Y):
+    """The product through build_sset, which sorts every level: the
+    reference for sset_product."""
+    return build_sset(
+        X.trunc,
+        lambda n: itertools.product(X.level(n), Y.level(n)),
+        lambda n, i, p: (X.face(n, i, p[0]), Y.face(n, i, p[1])),
+        lambda n, j, p: (X.degen(n, j, p[0]), Y.degen(n, j, p[1])),
+    )
+
+
+def assert_product_keeps_idkey_order(X, Y):
+    P, want = sset_product(X, Y), reference_product(X, Y)
+    for n in range(P.trunc + 1):
+        assert P.level(n) == _sorted_ids(P.level(n)) == want.level(n)
+    for got_tables, want_tables in ((P.faces, want.faces), (P.degeneracies, want.degeneracies)):
+        assert got_tables == want_tables
+        # the tables are listed in the same order too, as encode_sset writes them
+        assert [list(t.items()) for t in got_tables.values()] == [
+            list(t.items()) for t in want_tables.values()
+        ]
+
+
+def test_product_of_fixture_complexes_keeps_idkey_order():
+    I = delta(1, trunc=3)
+    complexes = [nerve_groupoid(group_as_groupoid(symmetric_group(3)), 3)]
+    for G in (z2_sgroup(3), interval_sgd(3), twocomp_sgd(3)):
+        for X, Y in itertools.product(G.homs.values(), repeat=2):
+            assert_product_keeps_idkey_order(X, Y)
+        complexes += [wbar(G), join_object(G)]
+    for X in complexes:
+        assert_product_keeps_idkey_order(X, I)
+        assert_product_keeps_idkey_order(I, X)
+
+
+# ids whose idkey tells apart any two that differ: no digit strings,
+# which idkey would key with the bools
+_plain_ids = st.recursive(
+    st.integers(-2, 2) | st.booleans() | st.text("ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=4,
+)
+
+
+@st.composite
+def renamed_complexes(draw):
+    """A small complex at truncation 2 with its ids renamed per level."""
+    X = draw(st.sampled_from([
+        lambda: point(trunc=2),
+        lambda: delta(1, trunc=2),
+        lambda: delta(2, trunc=2),
+        lambda: circle(trunc=2),
+        lambda: boundary(2, trunc=2),
+    ]))()
+    names = {
+        n: draw(st.lists(_plain_ids, min_size=X.size(n), max_size=X.size(n), unique=True))
+        for n in range(X.trunc + 1)
+    }
+    position = {n: {x: i for i, x in enumerate(X.level(n))} for n in range(X.trunc + 1)}
+    return relabel(X, lambda n, x: names[n][position[n][x]])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(renamed_complexes(), renamed_complexes())
+def test_product_of_renamed_complexes_keeps_idkey_order(X, Y):
+    assert_product_keeps_idkey_order(X, Y)
