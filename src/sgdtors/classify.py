@@ -71,7 +71,7 @@ from .sheaf import PLUS_STEPS, cech_resolution, cover_elements
 from .sset import delta, sset_product
 from .torsors import (
     ActionTorsor,
-    action_to_bundle,
+    action_bundles,
     action_torsor_check,
     action_torsor_maps,
     bg_presheaf,
@@ -380,7 +380,7 @@ class Flavour:
 
 def _bundle_family(run):
     run.actions = enumerate_action_torsors(run.coeff, run.bound)
-    return [action_to_bundle(T, run.trunc) for T in run.actions]
+    return action_bundles(run.actions, run.trunc)
 
 
 def _two_gpd_family(run):
@@ -516,7 +516,9 @@ FLAVOURS = {
         family=_bundle_family,
         searched=lambda run: [bundle_to_action(B) for B in run.family],
         iso=lambda run, x, y: action_torsor_maps(x, y),
-        target=lambda run: bg_presheaf(run.coeff, run.trunc),
+        target=lambda run: (
+            run.family[0].nerve if run.family else bg_presheaf(run.coeff, run.trunc)
+        ),
         checks=lambda run, i: [bundle_torsor_check(run.family[i])],
         classifying_map=lambda run, i: action_classifying_map(
             run.searched[i], run.cover, run.source, run.target

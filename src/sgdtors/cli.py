@@ -76,7 +76,7 @@ from .sset import (
 )
 from .torsors import (
     _shared_values,
-    action_to_bundle,
+    action_bundles,
     action_torsor_check,
     bundle_torsor_check,
     group_torsor_check,
@@ -855,7 +855,7 @@ def _canonical_torsor_check(kind, site, Q, coeff, N) -> Check:
         T = representable_action_torsor(coeff, at)
         if kind == "groupoid-action":
             return action_torsor_check(T)
-        return bundle_torsor_check(action_to_bundle(T, N))
+        return bundle_torsor_check(action_bundles([T], N)[0])
     if kind == "2gpd":
         T = trivial_group_torsor(constant_group_presheaf(site, coeff))
         W = wbar(b_2groupoid(group_as_2groupoid(coeff), N))

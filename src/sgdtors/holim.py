@@ -204,7 +204,7 @@ def holim_projection(X: SimplicialFunctor) -> SSetMap:
 
 # ---------------------------------------------------------------------------
 # Set-valued translation groupoids: the one-level classical construction.
-# torsors.action_to_bundle builds the groupoid-bundle total object from
+# torsors.action_bundles builds the groupoid-bundle total object from
 # it, and holim_2gpd, which does not use it, is checked against it.
 
 

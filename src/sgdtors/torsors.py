@@ -745,7 +745,10 @@ def _sheafified_checks(T: ActionTorsor, joined_claim):
 # n-simplex is a string ((a_0, x_0), ((g_1, x_0), ..., (g_n, x_(n-1))))
 # over (a_0, (g_1, ..., g_n)).  Level zero is relabelled to the total
 # object on the nose, and every higher level is the pullback of the
-# level-zero square along the last vertex.
+# level-zero square along the last vertex.  A section over U reads only
+# the groupoid over U, the carrier in its order, and the anchor and
+# action tables over U; _bundle_section_key holds exactly these, so the
+# section is a function of its key.
 
 
 @dataclass
@@ -756,15 +759,42 @@ class BundleTorsor:
     projection: SSetPresheafMap
 
 
-def action_to_bundle(T: ActionTorsor, trunc) -> BundleTorsor:
-    site = T.total.site
-    BG = bg_presheaf(T.gpd, trunc)
+def _bundle_section_key(G: FinGroupoid, carrier, anchor, act):
+    """The groupoid by identity, the carrier in order, the anchor and
+    action tables."""
+    return (id(G), tuple(carrier), frozenset(anchor.items()), frozenset(act.items()))
 
+
+def action_bundles(torsors, trunc) -> list[BundleTorsor]:
+    """The bundle of each anchored action, in one pass over the family.
+
+    Sections with equal ``_bundle_section_key`` are one shared
+    TruncSSet, over every site object and every member, and each
+    coefficient presheaf's nerve is built once, as the base of all its
+    members.  Sharing is sound because a section is built from its key
+    alone and no section is changed after it is built."""
+    bases, sections = {}, {}
+
+    def section(G, carrier, anchor, act):
+        key = _bundle_section_key(G, carrier, anchor, act)
+        if key not in sections:
+            over = {a: [e for e in carrier if anchor[e] == a] for a in G.objects}
+            E = translation_groupoid(G, over, lambda g, x: act[(x, G.inverses[g])])
+            N = nerve_groupoid(E, trunc)
+            sections[key] = relabel(N, lambda n, s: s[0][1] if n == 0 else s)
+        return sections[key]
+
+    out = []
+    for T in torsors:
+        if id(T.gpd) not in bases:
+            bases[id(T.gpd)] = bg_presheaf(T.gpd, trunc)
+        out.append(_bundle(T, bases[id(T.gpd)], section))
+    return out
+
+
+def _bundle(T: ActionTorsor, BG: SSetPresheaf, section) -> BundleTorsor:
     def value(U):
-        G, anchor, act = T.gpd.values[U], T.anchor[U], T.action[U]
-        over = {a: [e for e in T.total.values[U] if anchor[e] == a] for a in G.objects}
-        E = translation_groupoid(G, over, lambda g, x: act[(x, G.inverses[g])])
-        return relabel(nerve_groupoid(E, trunc), lambda n, s: s[0][1] if n == 0 else s)
+        return section(T.gpd.values[U], T.total.values[U], T.anchor[U], T.action[U])
 
     def restrict(f, n, s):
         r = T.total.res[f]
@@ -780,7 +810,7 @@ def action_to_bundle(T: ActionTorsor, trunc) -> BundleTorsor:
         (a0, _), ms = s
         return (a0, tuple(g for g, _ in ms))
 
-    Y = sset_presheaf(site, value, restrict)
+    Y = sset_presheaf(T.total.site, value, restrict)
     return BundleTorsor(T.gpd, BG, Y, sset_presheaf_map(Y, BG, project))
 
 
@@ -854,18 +884,17 @@ def bundle_to_action(T5: BundleTorsor) -> ActionTorsor:
         X = T5.total.values[U]
         pi = T5.projection.components[U]
         anchor[U] = {e: pi[0][e][0] for e in total.values[U]}
+        fillers = {}
+        for s in X.level(1):
+            fillers.setdefault((pi[1][s], X.vertex(1, 1, s)), []).append(s)
         G = T5.gpd.values[U]
         tab = {}
         for e in total.values[U]:
             for g, (a, b) in G.morphisms.items():
                 if anchor[U][e] != b:
                     continue
-                fillers = [
-                    s
-                    for s in X.level(1)
-                    if pi[1][s] == (a, (g,)) and X.vertex(1, 1, s) == e
-                ]
-                filler = unique_hit(fillers, "filler over an arrow is not unique")
+                hits = fillers.get(((a, (g,)), e), [])
+                filler = unique_hit(hits, "filler over an arrow is not unique")
                 tab[(e, g)] = X.face(1, 1, filler)
         action[U] = tab
     return ActionTorsor(T5.gpd, total, anchor, action)

@@ -1,11 +1,14 @@
 """Mutation tests: corrupting one table entry makes the matching
 validator fail, and its witness names the corrupted spot; dropping the
 constraints of a shared search or a map from the enumeration, or
-splitting the classes of the grouping, makes a classification fail."""
+splitting the classes of the grouping, makes a classification fail;
+sharing bundle sections by a key that holds too little makes the
+family's bundles differ from the reference."""
 
 import operator
 
 import pytest
+import test_torsors
 from gpd_fixtures import cone_site
 from ordinals import cocycle_action, coface
 
@@ -403,3 +406,12 @@ def test_h1_checks_its_classes_against_an_independent_count(monkeypatch, tmp_pat
     out = capsys.readouterr().out
     assert "FAIL h1/classes [classes=3" in out
     assert "'independent': 2" in out
+
+
+def test_bundle_sections_keyed_by_the_groupoid_alone_fail_the_soundness_test(monkeypatch):
+    # without the carrier, anchor and action tables in the key, the
+    # arrows torsor of the mixed list takes the sections of the
+    # representable torsor before it
+    monkeypatch.setattr(torsors, "_bundle_section_key", lambda G, carrier, anchor, act: id(G))
+    with pytest.raises(AssertionError):
+        test_torsors.test_family_bundles_equal_bundles_built_one_at_a_time("mixed")

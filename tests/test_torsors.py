@@ -1,25 +1,36 @@
 import itertools
 
-import pytest
+import dataclasses
 
+import pytest
+from call_counts import count_calls
+
+from sgdtors.classify import classify
 from sgdtors.fixtures import pt_site, s1_site, torus_site, z2_presheaf
 from sgdtors.groupoid import (
     disjoint_union_groupoids,
     group_as_groupoid,
+    nerve_groupoid,
     trivial_groupoid,
     zmod,
 )
+from sgdtors.holim import translation_groupoid
 from sgdtors.presheaf import (
+    SSetPresheaf,
+    SSetPresheafMap,
     constant_group_presheaf,
     set_presheaf,
+    sset_presheaf,
+    sset_presheaf_map,
     validate_sset_presheaf,
     validate_sset_presheaf_map,
 )
 from sgdtors.report import InvariantError
 from sgdtors.sheaf import is_componentwise_bijection
+from sgdtors.sset import relabel
 from sgdtors.torsors import (
     BundleTorsor,
-    action_to_bundle,
+    action_bundles,
     action_torsor_check,
     action_torsor_maps,
     arrows_action_torsor,
@@ -265,17 +276,17 @@ def test_action_to_bundle_round_trips():
     G = constant_group_presheaf(s1_site(), Z2)
     torsors = enumerate_group_torsors(G, bound=10**6)
     for A in (torsors[0], torsors[5]):
-        T5 = action_to_bundle(A, trunc=3)
+        (T5,) = action_bundles([A], trunc=3)
         check = bundle_torsor_check(T5)
         assert check.ok, check.render()
         assert bundle_to_action(T5) == A
-        assert action_to_bundle(bundle_to_action(T5), trunc=3) == T5
+        assert action_bundles([bundle_to_action(T5)], trunc=3) == [T5]
 
 
 def test_bundle_levels_are_translation_strings():
     GP = constant_groupoid_presheaf(pt_site(), group_as_groupoid(Z2))
     A = enumerate_action_torsors(GP)[0]
-    T5 = action_to_bundle(A, trunc=3)
+    (T5,) = action_bundles([A], trunc=3)
     Y = T5.total.values["pt"]
     assert [Y.size(n) for n in range(4)] == [2, 4, 8, 16]
     assert validate_sset_presheaf(T5.total).ok
@@ -287,7 +298,7 @@ def test_point_over_nerve_is_not_a_bundle_torsor():
     # simplicial map but breaks the pullback shape in level one.
     GP = constant_groupoid_presheaf(pt_site(), group_as_groupoid(Z2))
     A = enumerate_action_torsors(GP)[0]
-    T5 = action_to_bundle(A, trunc=3)
+    (T5,) = action_bundles([A], trunc=3)
     BG = T5.nerve
     site = GP.site
     from sgdtors.presheaf import SSetPresheafMap, terminal_sset_presheaf
@@ -308,10 +319,110 @@ def test_point_over_nerve_is_not_a_bundle_torsor():
 def test_arrows_bundle_has_pullback_shape_but_is_not_locally_trivial():
     GP = constant_groupoid_presheaf(pt_site(), trivial_groupoid((0, 1)))
     E = arrows_action_torsor(GP)
-    T5 = action_to_bundle(E, trunc=2)
+    (T5,) = action_bundles([E], trunc=2)
     assert bundle_shape_check(T5).ok
     check = bundle_torsor_check(T5)
     assert not check.ok
+
+
+def test_a_duplicated_filler_is_rejected():
+    # a second level-one simplex with the faces and the projection of a
+    # filler makes the filler over its arrow ambiguous; the pullback check
+    # sees the surplus simplex before the filler lookup does
+    GP = constant_groupoid_presheaf(pt_site(), group_as_groupoid(Z2))
+    (T5,) = action_bundles(enumerate_action_torsors(GP)[:1], trunc=2)
+    X, pi = T5.total.values["pt"], T5.projection.components["pt"]
+    s = X.level(1)[0]
+    copy = ("copy", s)
+    faces = {k: {**tab, copy: tab[s]} if k[0] == 1 else tab for k, tab in X.faces.items()}
+    Y = dataclasses.replace(X, simplices={**X.simplices, 1: X.level(1) + (copy,)}, faces=faces)
+    comps = {"pt": {**pi, 1: {**pi[1], copy: pi[1][s]}}}
+    total = SSetPresheaf(GP.site, {"pt": Y}, T5.total.res)
+    duplicated = BundleTorsor(GP, T5.nerve, total, SSetPresheafMap(total, T5.nerve, comps))
+    with pytest.raises(ValueError, match="pull back"):
+        bundle_to_action(duplicated)
+
+
+# ---------------------------------------------------------------------------
+# A family's bundles share every section with an equal key.  The
+# reference builds one torsor at a time, every section afresh.
+
+
+def reference_bundle(T, trunc) -> BundleTorsor:
+    BG = bg_presheaf(T.gpd, trunc)
+
+    def value(U):
+        G, anchor, act = T.gpd.values[U], T.anchor[U], T.action[U]
+        over = {a: [e for e in T.total.values[U] if anchor[e] == a] for a in G.objects}
+        E = translation_groupoid(G, over, lambda g, x: act[(x, G.inverses[g])])
+        return relabel(nerve_groupoid(E, trunc), lambda n, s: s[0][1] if n == 0 else s)
+
+    def restrict(f, n, s):
+        r = T.total.res[f]
+        if n == 0:
+            return r[s]
+        obmap, mormap = T.gpd.res[f]
+        (a0, x0), ms = s
+        return ((obmap[a0], r[x0]), tuple((mormap[g], r[x]) for g, x in ms))
+
+    def project(U, n, s):
+        if n == 0:
+            return (T.anchor[U][s], ())
+        (a0, _), ms = s
+        return (a0, tuple(g for g, _ in ms))
+
+    Y = sset_presheaf(T.total.site, value, restrict)
+    return BundleTorsor(T.gpd, BG, Y, sset_presheaf_map(Y, BG, project))
+
+
+def _group_torsors(n):
+    GP = group_presheaf_as_groupoid(constant_group_presheaf(s1_site(), zmod(n)))
+    return enumerate_action_torsors(GP, bound=10**6)
+
+
+def _representable_torsors(site, G):
+    GP = constant_groupoid_presheaf(site, G)
+    return [representable_action_torsor(GP, a) for a in G.objects]
+
+
+def mixed_torsors():
+    """One coefficient presheaf, with sections that differ between the
+    two members in carrier, anchor and action."""
+    GP = constant_groupoid_presheaf(s1_site(), trivial_groupoid((0, 1)))
+    return [representable_action_torsor(GP, 0), arrows_action_torsor(GP)]
+
+
+BUNDLE_FAMILIES = {
+    "z2-s1": lambda: _group_torsors(2),
+    "z3-s1": lambda: _group_torsors(3),
+    "interval-pt": lambda: _representable_torsors(pt_site(), trivial_groupoid((0, 1))),
+    "interval-s1": lambda: _representable_torsors(s1_site(), trivial_groupoid((0, 1))),
+    "twocomp-pt": lambda: _representable_torsors(pt_site(), twocomp_groupoid()),
+    "twocomp-s1": lambda: _representable_torsors(s1_site(), twocomp_groupoid()),
+    "mixed": mixed_torsors,
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUNDLE_FAMILIES))
+def test_family_bundles_equal_bundles_built_one_at_a_time(family):
+    torsors = BUNDLE_FAMILIES[family]()
+    assert len(torsors) > 1
+    assert action_bundles(torsors, 3) == [reference_bundle(T, 3) for T in torsors]
+
+
+def test_the_circle_bundles_build_one_section_and_one_base(monkeypatch):
+    # the parent built every section of every torsor, and the base once
+    # per torsor: 81 nerve_groupoid and 17 bg_presheaf calls, counting the
+    # target's base
+    site = s1_site()
+    GP = group_presheaf_as_groupoid(constant_group_presheaf(site, Z2))
+    calls = count_calls(monkeypatch, (nerve_groupoid, bg_presheaf))
+    result = classify("groupoid-bundle", site, GP, trunc=4)
+    assert result["check"].ok and result["classes"] == 2
+    assert calls == {"nerve_groupoid": 2, "bg_presheaf": 1}
+    family = action_bundles(enumerate_action_torsors(GP), 4)
+    assert len(family) == 16
+    assert len({id(X) for B in family for X in B.total.values.values()}) == 1
 
 
 # ---------------------------------------------------------------------------
