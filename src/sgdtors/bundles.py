@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groupoid import trivial_groupoid
+from .groupoid import make_group, trivial_groupoid
 from .holim import (
     SimplicialFunctor,
     comma_construction_functor,
+    comma_db,
     corepresented_functor,
     holim,
     holim_2gpd,
@@ -36,6 +37,7 @@ from .holim import (
 )
 from .kan import enumerate_sset_maps, fibration_check, iterated_degeneracy
 from .presheaf import (
+    GroupPresheaf,
     SetPresheaf,
     SgdPresheaf,
     SSetPresheaf,
@@ -43,29 +45,34 @@ from .presheaf import (
     constant_sgd_presheaf,
     constant_sset_presheaf,
     natural_maps,
+    natural_square,
     set_presheaf,
     sset_presheaf,
     sset_presheaf_map,
     validate_set_presheaf,
 )
 from .report import Check, invariant, require, validator
-from .search import solve
+from .search import Dependent, solve
 from .sgroupoid import (
     SgdFunctor,
+    SimpGroupoid,
     constant_sgroupoid,
     level_groupoid,
+    sgd_functor,
     string_image,
     validate_sgd_functor,
 )
 from .sheaf import PLUS_STEPS, cover_elements, local_weq_check
-from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, validate_sset_map
+from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, subcomplex, validate_sset_map
 from .torsors import (
     ActionTorsor,
+    GroupoidPresheaf,
     _anchored,
     _cocycle_presheaf,
     _equivariance,
     _shared_values,
     display_torsor_check,
+    group_action_torsor,
     pullback_shape_check,
     to_point_map,
     w_total_presheaf,
@@ -172,9 +179,6 @@ def twisted_sgroup_action(Q: SgdPresheaf, cochain) -> SgdDiagram:
 def vertex_group_presheaf(Q: SgdPresheaf):
     """Level-zero cells of a one-object enriched group presheaf, as a
     plain group presheaf."""
-    from .groupoid import make_group
-    from .presheaf import GroupPresheaf
-
     site = Q.site
     groups = _shared_values(
         Q.values,
@@ -199,8 +203,6 @@ def vertex_group_presheaf(Q: SgdPresheaf):
 def vertex_groupoid_presheaf(Q: SgdPresheaf):
     """Level-zero cells of an enriched presheaf, as a plain groupoid
     presheaf."""
-    from .torsors import GroupoidPresheaf
-
     site = Q.site
     values = _shared_values(Q.values, lambda H: level_groupoid(H, 0))
     res = {}
@@ -218,8 +220,6 @@ def vertex_groupoid_presheaf(Q: SgdPresheaf):
 def level0_group_torsor(D: SgdDiagram):
     """The vertex-level set torsor of an action: level-zero cells acting
     on level-zero simplices on the right, anchored at "*"."""
-    from .torsors import group_action_torsor
-
     G, X = vertex_group_presheaf(D.coeff), _space(D)
     total = set_presheaf(G.site, lambda U: X.values[U].level(0), lambda f, e: X.res[f][0][e])
 
@@ -463,17 +463,17 @@ def corepresented_diagram(Q: SgdPresheaf, at) -> SgdDiagram:
 
 def sgd_diagram_maps(D1: SgdDiagram, D2: SgdDiagram, bound=None):
     """Families of levelwise tables commuting with the actions and the
-    restrictions: one slot per site object and groupoid object, ranging
-    over the simplicial maps between the two values there."""
+    restrictions, as dicts keyed (U, a): one slot per site object U and
+    groupoid object a, ranging over the simplicial maps between the two
+    values there."""
     site = D1.coeff.site
-    keys = [(U, a) for U in site.objects for a in D1.coeff.values[U].objects]
-    slot = {key: i for i, key in enumerate(keys)}
-    domains = []
-    for U, a in keys:
-        maps = enumerate_sset_maps(D1.functors[U].values[a], D2.functors[U].values[a])
-        if not maps:
-            return []
-        domains.append(maps)
+    domains = {}
+    for U in site.objects:
+        for a in D1.coeff.values[U].objects:
+            maps = enumerate_sset_maps(D1.functors[U].values[a], D2.functors[U].values[a])
+            if not maps:
+                return []
+            domains[(U, a)] = maps
 
     def equivariant(U, a, b, levels):
         act = D2.functors[U].act
@@ -483,24 +483,19 @@ def sgd_diagram_maps(D1: SgdDiagram, D2: SgdDiagram, bound=None):
             for (g, x), y in cells.items()
         )
 
-    def natural(f, U, a):
-        src, res1, res2 = D1.functors[U].values[a], D1.res[f][a], D2.res[f][a]
-        return lambda ma, mb: all(
-            mb(n, res1[n][x]) == res2[n][ma(n, x)]
-            for n in range(src.trunc + 1)
-            for x in src.level(n)
-        )
-
     constraints = [
-        ((slot[(U, b)], slot[(U, a)]), equivariant(U, a, b, levels))
+        (((U, b), (U, a)), equivariant(U, a, b, levels))
         for U in site.objects
         for (a, b), levels in D1.functors[U].action.items()
     ] + [
-        ((slot[(U, a)], slot[(V, D1.coeff.res[f].ob[a])]), natural(f, U, a))
+        (
+            ((U, a), (V, D1.coeff.res[f].ob[a])),
+            natural_square(D1.functors[U].values[a], D1.res[f][a], D2.res[f][a]),
+        )
         for f, (V, U) in site.cat.morphisms.items()
         for a in D1.coeff.values[U].objects
     ]
-    return [dict(zip(keys, combo)) for combo in solve(domains, constraints, bound=bound)]
+    return solve(domains, constraints, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -587,55 +582,50 @@ def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
     """All presheaf maps, for constant-enrichment sections: a component
     is fixed by its object map and its vertex-level cell maps.
 
-    One slot per source object ranges over the target objects, then one
-    slot per vertex-level source cell over the vertex-level cells of the
-    hom its ends land in.  Each section's slots must form a functor, and
-    each site morphism adds the naturality constraint between its two
-    sections."""
+    One slot (U, a) per source object ranges over the target objects,
+    then one slot (U, a, b, c) per vertex-level source cell over the
+    vertex-level cells of the hom that slots (U, a) and (U, b) pick out.
+    Each section's slots must form a functor, and each site morphism adds
+    the naturality constraint between its two sections."""
     require_constant_enrichment(P, Q)
     site = P.site
-    obs = [(U, a) for U in site.objects for a in P.values[U].objects]
-    cells = [
-        (U, a, b, c)
-        for U in site.objects
-        for (a, b), hom in P.values[U].homs.items()
-        for c in hom.level(0)
-    ]
-    keys = obs + cells
-    slot = {key: i for i, key in enumerate(keys)}
-    section = {U: [key for key in keys if key[0] == U] for U in site.objects}
-    scope = {U: tuple(slot[key] for key in section[U]) for U in site.objects}
-
-    def landing(U, a, b):
+    domains = {
+        (U, a): tuple(Q.values[U].objects) for U in site.objects for a in P.values[U].objects
+    }
+    for U in site.objects:
         homs = Q.values[U].homs
-        return lambda chosen: homs[(chosen[slot[(U, a)]], chosen[slot[(U, b)]])].level(0)
+        for (a, b), hom in P.values[U].homs.items():
+            for c in hom.level(0):
+                domains[(U, a, b, c)] = Dependent(
+                    ((U, a), (U, b)), lambda x, y, homs=homs: homs[(x, y)].level(0)
+                )
+    scope = {U: tuple(key for key in domains if key[0] == U) for U in site.objects}
 
-    def component(U, values):
-        H, v = P.values[U], dict(zip(section[U], values))
+    def component(U, v):
+        """The functor at U read off the values v of its slots, by key."""
+        H = P.values[U]
         maps = {
             (a, b): {n: {c: v[(U, a, b, c)] for c in hom.level(n)} for n in range(H.trunc + 1)}
             for (a, b), hom in H.homs.items()
         }
         return SgdFunctor(H, Q.values[U], {a: v[(U, a)] for a in H.objects}, maps)
 
-    def natural(f, V, U):
-        k = len(scope[U])
-        return lambda *values: not _unnatural(
-            P, Q, f, component(U, values[:k]), component(V, values[k:])
-        )
+    def keyed(keys, pred):
+        """A constraint on the slots keys whose predicate reads them by key."""
+        return keys, lambda *values: pred(dict(zip(keys, values)))
 
-    domains = [tuple(Q.values[U].objects) for U, _ in obs]
-    domains += [landing(U, a, b) for U, a, b, _ in cells]
     constraints = [
-        (scope[U], lambda *values, U=U: validate_sgd_functor(component(U, values)).ok)
+        keyed(scope[U], lambda v, U=U: validate_sgd_functor(component(U, v)).ok)
         for U in site.objects
     ] + [
-        (scope[U] + scope[V], natural(f, V, U)) for f, (V, U) in site.cat.morphisms.items()
+        keyed(
+            scope[U] + scope[V],
+            lambda v, f=f, U=U, V=V: not _unnatural(P, Q, f, component(U, v), component(V, v)),
+        )
+        for f, (V, U) in site.cat.morphisms.items()
     ]
     return [
-        SgdPresheafMap(
-            P, Q, {U: component(U, [chosen[i] for i in scope[U]]) for U in site.objects}
-        )
+        SgdPresheafMap(P, Q, {U: component(U, chosen) for U in site.objects})
         for chosen in solve(domains, constraints, bound=bound)
     ]
 
@@ -675,9 +665,6 @@ def psi_sgd(u: SgdPresheafMap) -> SgdDiagram:
 def translation_sgd(X: SimplicialFunctor):
     """The enriched groupoid of elements of a diagram with discrete
     values; returns it with the forgetful functor to the source."""
-    from .sgroupoid import SimpGroupoid, sgd_functor
-    from .sset import subcomplex
-
     C = X.source
     for a in C.objects:
         V = X.values[a]
@@ -716,8 +703,6 @@ def comma_value_comparison(X: SimplicialFunctor, a):
     """The map from the comma diagonal of the forgetful functor over a
     to the value at a; an equivalence exactly when the diagram is a
     torsor shape."""
-    from .holim import comma_db
-
     E, forget = translation_sgd(X)
     source = comma_db(forget, a)
 

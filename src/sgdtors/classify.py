@@ -60,6 +60,7 @@ from .presheaf import (
     constant_group_presheaf,
     constant_sset_presheaf,
     fixed_objects,
+    natural_square,
     sset_presheaf,
     sset_presheaf_map,
     validate_sset_presheaf_map,
@@ -102,29 +103,17 @@ def _strict_maps(Y: SSetPresheaf, Z: SSetPresheaf, forced, limit=None, bound=Non
     """Strict presheaf maps Y -> Z: one slot per section, ranging over
     its simplicial maps with the values forced(U), and a naturality
     constraint for every site morphism."""
-    objects = Y.site.objects
-    slot = {U: i for i, U in enumerate(objects)}
-    domains = []
-    for U in objects:
-        maps_U = enumerate_sset_maps(Y.values[U], Z.values[U], forced=forced(U))
-        if not maps_U:
+    domains = {}
+    for U in Y.site.objects:
+        domains[U] = enumerate_sset_maps(Y.values[U], Z.values[U], forced=forced(U))
+        if not domains[U]:
             return []
-        domains.append(maps_U)
-
-    def natural(f, V, U):
-        X = Y.values[U]
-        return lambda mU, mV: all(
-            Z.res[f][n][mU(n, x)] == mV(n, Y.res[f][n][x])
-            for n in range(X.trunc + 1)
-            for x in X.level(n)
-        )
-
     constraints = [
-        ((slot[U], slot[V]), natural(f, V, U))
+        ((U, V), natural_square(Y.values[U], Y.res[f], Z.res[f]))
         for f, (V, U) in Y.site.cat.morphisms.items()
     ]
     return [
-        SSetPresheafMap(Y, Z, {U: m.levels for U, m in zip(objects, combo)})
+        SSetPresheafMap(Y, Z, {U: m.levels for U, m in combo.items()})
         for combo in solve(domains, constraints, limit, bound)
     ]
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .bisset import BisSSet, build_bisset, diagonal
-from .groupoid import FinGroupoid
+from .groupoid import FinGroupoid, groupoid_as_2groupoid, nerve_groupoid
 from .kan import fibration_check, iterated_degeneracy, weq_check
 from .report import Check, invariant, require, validator
 from .sgroupoid import (
@@ -34,6 +34,8 @@ from .sset import (
     SSetMap,
     TruncSSet,
     build_sset,
+    idkey,
+    is_bijective,
     point,
     relabel,
     sset_map,
@@ -213,8 +215,6 @@ def translation_groupoid(G: FinGroupoid, values, act) -> FinGroupoid:
 
     values: object -> iterable; act(f, x) pushes x forward along f.
     """
-    from .sset import idkey
-
     objects = tuple(
         sorted(((a, x) for a in G.objects for x in values[a]), key=idkey)
     )
@@ -319,9 +319,6 @@ def holim_2gpd_oracle_check(G: FinGroupoid, values, act1, trunc) -> Check:
     the first vertex and reading the connecting arrows forward; it must
     be a simplicial bijection onto the nerve of the translation groupoid.
     """
-    from .groupoid import groupoid_as_2groupoid, nerve_groupoid
-    from .sset import is_bijective
-
     T = groupoid_as_2groupoid(G)
     Y, _ = holim_2gpd(wbar(b_2groupoid(T, trunc)), values, act1)
     E = translation_groupoid(G, values, act1)

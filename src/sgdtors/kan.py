@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .report import Check, invariant, require
-from .search import Partition, solve
+from .search import Dependent, Partition, solve
 from .sset import SSetMap, TruncSSet, idkey, pi0, pi0_classes, validate_sset_map
 
 
@@ -32,15 +32,12 @@ def horn_assignments(X: TruncSSet, n: int, k: int):
         return lambda xi, xj: di[xj] == dj[xi]
 
     constraints = [
-        ((a, b), matching(i, j))
+        ((i, j), matching(i, j))
         for b, j in enumerate(positions)
-        for a, i in enumerate(positions[:b])
+        for i in positions[:b]
         if n >= 2
     ]
-    return [
-        dict(zip(positions, values))
-        for values in solve([X.level(n - 1)] * len(positions), constraints)
-    ]
+    return solve({i: X.level(n - 1) for i in positions}, constraints)
 
 
 def face_index(X: TruncSSet, n: int, k=None):
@@ -292,14 +289,26 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
     """All simplicial maps X -> Y, as SSetMaps.
 
     There is one slot per nondegenerate simplex, dimension by dimension,
-    ranging over the simplices of Y with the faces already chosen;
-    degenerate values follow.  ``forced`` is a dict (dim, id) -> id of
-    required values, each a constraint on the slot its simplex
-    degenerates from.
+    keyed by its index in that order and ranging over the simplices of Y
+    with the faces already chosen; degenerate values follow.  ``forced``
+    is a dict (dim, id) -> id of required values, each a constraint on
+    the slot its simplex degenerates from.
     """
     invariant(X.trunc == Y.trunc, "a simplicial map needs equal truncations")
     N = X.trunc
-    slots, lift = [], {}   # (dim, id) -> (slot, degeneracies applied to its value)
+    by_faces = {n: face_index(Y, n) for n in range(1, N + 1)}
+
+    def lifted(z, chain):
+        for m, j in chain:
+            z = Y.degen(m, j, z)
+        return z
+
+    def with_faces(n, x):
+        roots, chains = zip(*[lift[(n - 1, X.face(n, i, x))] for i in range(n + 1)])
+        index = by_faces[n].get
+        return Dependent(roots, lambda *zs: index(tuple(map(lifted, zs, chains)), ()))
+
+    domains, lift = {}, {}   # lift: (dim, id) -> (slot, degeneracies applied to its value)
     for n in range(N + 1):
         # x lifts through its first s_j y: j ascending, y in level order, not table order
         for j in range(n):
@@ -311,25 +320,14 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
                     lift[(n, x)] = (root, chain + ((n - 1, j),))
         for x in X.level(n):
             if (n, x) not in lift:
-                lift[(n, x)] = (len(slots), ())
-                slots.append((n, x))
-    by_faces = {n: face_index(Y, n) for n in range(1, N + 1)}
-
-    def lifted(z, chain):
-        for m, j in chain:
-            z = Y.degen(m, j, z)
-        return z
+                root = len(domains)
+                lift[(n, x)] = (root, ())
+                domains[root] = Y.level(0) if n == 0 else with_faces(n, x)
 
     def value(chosen, n, x):
         root, chain = lift[(n, x)]
         return lifted(chosen[root], chain)
 
-    def with_faces(n, x):
-        faces = [X.face(n, i, x) for i in range(n + 1)]
-        index = by_faces[n]
-        return lambda chosen: index.get(tuple(value(chosen, n - 1, y) for y in faces), ())
-
-    domains = [Y.level(0) if n == 0 else with_faces(n, x) for n, x in slots]
     constraints = [
         ((lift[key][0],), lambda z, chain=lift[key][1], want=want: lifted(z, chain) == want)
         for key, want in (forced or {}).items()

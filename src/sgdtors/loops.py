@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
+from .kan import enumerate_sset_maps
 from .report import Check, require
-from .search import solve
+from .search import Dependent, solve
 from .sgroupoid import SimpGroupoid
 from .sset import SSetMap, TruncSSet, sset_map, validate_sset_map
 from .wbar import wbar
@@ -107,34 +108,34 @@ def twisting_check(X: TruncSSet, C: SimpGroupoid, v, phi) -> Check:
 def enumerate_twistings(X: TruncSSet, C: SimpGroupoid):
     """All (v, phi) tables whose rebuilt map is simplicial.
 
-    Slots are the vertex objects, then the leading cells of nondegenerate
-    simplices, each ranging over the hom its vertex objects pick out;
-    degenerate leading cells are forced.  One constraint on every slot
-    asks the rebuilt map to be simplicial.
+    Slots are the vertex objects, keyed (0, x), then the leading cells of
+    nondegenerate simplices, keyed (n, x) and each ranging over the hom
+    its two vertex objects pick out; degenerate leading cells are forced.
+    One constraint on every slot asks the rebuilt map to be simplicial.
     """
     W = wbar(C)
-    verts = list(X.level(0))
+    domains = {(0, x): C.objects for x in X.level(0)}
     cells = [(n, x) for n in range(1, X.trunc + 1) for x in X.nondegenerate(n)]
+    for n, x in cells:
+        domains[(n, x)] = Dependent(
+            ((0, X.vertex(n, 1, x)), (0, X.vertex(n, 0, x))),
+            lambda a, b, n=n: C.homs[(a, b)].level(n - 1),
+        )
 
-    def tables(values):
-        v = dict(zip(verts, values))
-        return v, fill_degenerate_cells(X, C, v, dict(zip(cells, values[len(verts):])))
+    def tables(chosen):
+        v = {x: chosen[(0, x)] for x in X.level(0)}
+        return v, fill_degenerate_cells(X, C, v, {key: chosen[key] for key in cells})
 
-    def leading(n, x):
-        return lambda chosen: _leading_hom(X, C, dict(zip(verts, chosen)), n, x).level(n - 1)
+    everything = tuple(domains)
 
     def simplicial(*values):
-        return validate_sset_map(rebuild_map(X, C, *tables(values), W)).ok
+        return validate_sset_map(rebuild_map(X, C, *tables(dict(zip(everything, values))), W)).ok
 
-    domains = [C.objects] * len(verts) + [leading(n, x) for n, x in cells]
-    everything = tuple(range(len(domains)))
-    return [tables(values) for values in solve(domains, [(everything, simplicial)])]
+    return [tables(chosen) for chosen in solve(domains, [(everything, simplicial)])]
 
 
 def transpose_round_trip_check(X: TruncSSet, C: SimpGroupoid) -> Check:
     """Maps X -> wbar(C) correspond exactly to valid tables, both ways."""
-    from .kan import enumerate_sset_maps
-
     W = wbar(C)
     maps = enumerate_sset_maps(X, W)
     tables = enumerate_twistings(X, C)

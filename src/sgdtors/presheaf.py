@@ -14,9 +14,15 @@ from dataclasses import dataclass
 from .groupoid import FinGroup
 from .report import validator
 from .search import solve
-from .sgroupoid import SimpGroupoid, constant_sset, validate_sgd_functor, validate_sgroupoid
+from .sgroupoid import (
+    SimpGroupoid,
+    constant_sset,
+    sgd_functor,
+    validate_sgd_functor,
+    validate_sgroupoid,
+)
 from .site import FinSite
-from .sset import SSetMap, TruncSSet, idkey, validate_sset, validate_sset_map
+from .sset import SSetMap, TruncSSet, idkey, point, validate_sset, validate_sset_map
 
 
 @dataclass
@@ -125,28 +131,23 @@ def natural_maps(P: SetPresheaf, Q: SetPresheaf, constraints):
     """Natural maps P -> Q that also satisfy ``constraints``, each a
     (scope, pred) pair whose scope lists sections (U, s) of P.
 
-    One slot per section of P ranges over Q(U), and every restriction
-    adds the naturality constraint between a section and its restriction.
+    One slot per section (U, s) of P ranges over Q(U), and every
+    restriction adds the naturality constraint between a section and its
+    restriction.
     """
-    keys = [(U, s) for U in sorted(P.site.objects, key=idkey) for s in P.values[U]]
-    slot = {key: i for i, key in enumerate(keys)}
+    domains = {
+        (U, s): Q.values[U] for U in sorted(P.site.objects, key=idkey) for s in P.values[U]
+    }
     natural = [
         (((U, s), (V, P.res[f][s])), lambda t, down, r=Q.res[f]: down == r[t])
         for f, (V, U) in P.site.cat.morphisms.items()
         for s in P.values[U]
     ]
-    found = solve(
-        [Q.values[U] for U, _ in keys],
-        [
-            (tuple(slot[key] for key in scope), pred)
-            for scope, pred in natural + list(constraints)
-        ],
-    )
     return [
         SetPresheafMap(P, Q, {
-            U: {s: values[slot[(U, s)]] for s in P.values[U]} for U in P.site.objects
+            U: {s: values[(U, s)] for s in P.values[U]} for U in P.site.objects
         })
-        for values in found
+        for values in solve(domains, natural + list(constraints))
     ]
 
 
@@ -268,8 +269,6 @@ def constant_sset_presheaf(site, X: TruncSSet) -> SSetPresheaf:
 
 
 def terminal_sset_presheaf(site, trunc) -> SSetPresheaf:
-    from .sset import point
-
     return constant_sset_presheaf(site, point(trunc))
 
 
@@ -321,6 +320,17 @@ def validate_sset_presheaf_map(phi: SSetPresheafMap):
         if not level:
             problems.append(f"level {n}: {level.witness[0]}")
     return problems
+
+
+def natural_square(X: TruncSSet, r_src, r_dst):
+    """The predicate on simplicial maps (m_src, m_dst) that m_dst r_src =
+    r_dst m_src on every simplex of X, the source of m_src, level by
+    level; r_src and r_dst are the restriction tables along one arrow."""
+    return lambda m_src, m_dst: all(
+        m_dst(n, r_src[n][x]) == r_dst[n][m_src(n, x)]
+        for n in range(X.trunc + 1)
+        for x in X.level(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +396,6 @@ def validate_sgd_presheaf_laws(Q: SgdPresheaf):
 
 
 def constant_sgd_presheaf(site, H: SimpGroupoid) -> SgdPresheaf:
-    from .sgroupoid import sgd_functor
-
     ident = sgd_functor(H, H, lambda a: a, lambda a, b, n, c: c)
     return SgdPresheaf(site, {U: H for U in site.objects}, {f: ident for f in site.morphisms})
 

@@ -2,49 +2,77 @@
 union-find that closes the edge relations of ``kan.pi_n`` and ``sset.pi0``.
 
 A search is stated as slots, a domain per slot, and constraints; the
-core lists the solutions.  A constraint ``(scope, pred)`` is a tuple of
-slot indices and a predicate on the values at those slots, in scope
-order.  It is checked as soon as the last slot in its scope has a value,
-so a partial assignment that breaks it is never extended.  This is the
-backtracking of Mackworth's networks of relations (AI 8, 1977) without
-his arc-consistency pass: domains are not narrowed ahead of the search.
+core lists the solutions.  Slots are named by hashable keys, and their
+order is the order of the ``domains`` dict.  A constraint
+``(scope, pred)`` is a tuple of slot keys and a predicate on the values
+at those slots, in scope order.  It is checked as soon as the last slot
+in its scope has a value, so a partial assignment that breaks it is
+never extended.  This is the backtracking of Mackworth's networks of
+relations (AI 8, 1977) without his arc-consistency pass: domains are
+not narrowed ahead of the search.  Callers never see slot positions, so
+the order in which slots are placed is this module's own business.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import prod
+from typing import Callable
+
+
+@dataclass(frozen=True)
+class Dependent:
+    """A domain that depends on earlier slots: ``choose`` gets the values
+    of the slots ``reads`` names, in that order, and returns the values
+    this slot ranges over."""
+
+    reads: tuple
+    choose: Callable
 
 
 def solve(domains, constraints, limit=None, bound=None):
-    """Every tuple with one value per slot, in ``itertools.product``
+    """Every assignment of one value per slot, in ``itertools.product``
     order, that satisfies every constraint; only the first ``limit``.
-    Constraints whose scopes end at the same slot are checked in the
-    order given, so an earlier one can guard a later one's lookups.
+    Each comes back as a dict from slot key to value, in the key order of
+    ``domains``.  Constraints whose scopes end at the same slot are
+    checked in the order given, so an earlier one can guard a later one's
+    lookups.
 
-    A domain is a sequence, or a function of the tuple of values already
-    chosen for the slots before it.  ``bound`` caps the product of the
-    sizes of the domains given as sequences and raises ValueError when
-    the search would range over more candidates.
+    ``domains`` maps each slot key to a sequence or a ``Dependent``,
+    whose reads must name earlier slots: ValueError names a read that
+    does not, and KeyError a constraint's unknown slot.  ``bound`` caps
+    the product of the sizes of the domains given as sequences and
+    raises ValueError when the search would range over more candidates.
     """
+    keys, listed = list(domains), list(domains.values())
+    at = {key: i for i, key in enumerate(keys)}
+    reads = [None] * len(keys)
+    for i, (key, d) in enumerate(domains.items()):
+        if isinstance(d, Dependent):
+            late = [r for r in d.reads if at.get(r, i) >= i]
+            if late:
+                raise ValueError(f"the domain of {key!r} reads {late[0]!r}, not an earlier slot")
+            reads[i] = [at[r] for r in d.reads]
     if bound is not None:
-        total = prod(len(d) for d in domains if not callable(d))
+        total = prod(len(d) for d in listed if not isinstance(d, Dependent))
         if total > bound:
             raise ValueError(f"search needs {total} candidates, bound is {bound}")
-    checks = [[] for _ in domains]
+    checks = [[] for _ in keys]
     for scope, pred in constraints:
         if scope:
-            checks[max(scope)].append((scope, pred))
+            places = tuple(at[key] for key in scope)
+            checks[max(places)].append((places, pred))
         elif not pred():
             return []
     out, chosen, pending = [], [], []
     if limit == 0:
         return out
-    if not domains:
-        return [()]
+    if not keys:
+        return [{}]
 
     def start(i):
-        d = domains[i]
-        pending.append(iter(d(tuple(chosen)) if callable(d) else d))
+        d, js = listed[i], reads[i]
+        pending.append(iter(d if js is None else d.choose(*[chosen[j] for j in js])))
 
     start(0)
     while pending:
@@ -59,10 +87,10 @@ def solve(domains, constraints, limit=None, bound=None):
             if chosen:
                 chosen.pop()
             continue
-        if i + 1 < len(domains):
+        if i + 1 < len(keys):
             start(i + 1)
             continue
-        out.append(tuple(chosen))
+        out.append(dict(zip(keys, chosen)))
         if len(out) == limit:
             break
         chosen.pop()

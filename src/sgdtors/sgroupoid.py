@@ -17,6 +17,7 @@ from .groupoid import (
     Fin2Groupoid,
     FinGroup,
     FinGroupoid,
+    group_as_groupoid,
     groupoid_from,
     nerve_groupoid,
     validate_groupoid,
@@ -213,8 +214,6 @@ def constant_sgroupoid(G: FinGroupoid, trunc) -> SimpGroupoid:
 
 
 def constant_sgroup(F: FinGroup, trunc) -> SimpGroupoid:
-    from .groupoid import group_as_groupoid
-
     return constant_sgroupoid(group_as_groupoid(F), trunc)
 
 

@@ -21,13 +21,14 @@ from .presheaf import (
     set_presheaf,
     set_presheaf_map,
     sset_presheaf,
+    terminal_presheaf,
     validate_set_presheaf_map,
     validate_sset_presheaf_map,
 )
 from .report import Check, require
 from .search import solve
 from .site import FinSite, comma_site, min_sieves
-from .sset import build_sset, idkey, pi0, pi0_classes
+from .sset import SSetMap, build_sset, idkey, pi0, pi0_classes
 
 # plus-construction steps from a presheaf to its associated sheaf; the
 # local checks built on them report it as their "depth"
@@ -49,16 +50,14 @@ def matching_families(P: SetPresheaf, sieve):
     about 2% to the wall time of the circle-homotopy benchmark workload.
     """
     C = P.site.cat
-    order = sorted(sieve, key=idkey)
-    slot = {f: i for i, f in enumerate(order)}
+    domains = {f: P.values[C.src(f)] for f in sorted(sieve, key=idkey)}
     constraints = [
-        ((slot[f], slot[C.comp[(f, h)]]), lambda m, down, r=P.res[h]: r[m] == down)
-        for f in order
+        ((f, C.comp[(f, h)]), lambda m, down, r=P.res[h]: r[m] == down)
+        for f in domains
         for h in C.into(C.src(f))
-        if C.comp[(f, h)] in slot
+        if C.comp[(f, h)] in domains
     ]
-    domains = [P.values[C.src(f)] for f in order]
-    return [tuple(zip(order, family)) for family in solve(domains, constraints)]
+    return [tuple(family.items()) for family in solve(domains, constraints)]
 
 
 def plus_construction(P: SetPresheaf) -> SetPresheaf:
@@ -218,8 +217,6 @@ def cech_resolution(site: FinSite, cover, trunc) -> SSetPresheaf:
 
 def cech_local_epi_check(site: FinSite, cover) -> Check:
     """The cover's elements hit the terminal presheaf locally."""
-    from .presheaf import terminal_presheaf
-
     E = cover_elements(site, cover)
     T = terminal_presheaf(site)
     phi = set_presheaf_map(E, T, lambda U, s: "*")
@@ -270,8 +267,6 @@ def _comma_pi_presheaves(phi: SSetPresheafMap, U, v, n):
     v is a vertex of the source sections over U; base vertices elsewhere
     come from restricting it.  Class indices name the elements.
     """
-    from .sset import SSetMap
-
     X, Y = phi.source, phi.target
     over, forget = comma_site(X.site, U)
     groups_x, groups_y, comps = {}, {}, {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .groupoid import FinGroupoid, group_as_groupoid, nerve_groupoid
+from .groupoid import FinGroupoid, group_as_groupoid, make_group, nerve_groupoid
 from .holim import translation_groupoid
 from .presheaf import (
     GroupPresheaf,
@@ -253,28 +253,25 @@ def _composable_pairs(C):
 def enumerate_group_cochains(G: GroupPresheaf, bound=None):
     C = G.site.cat
     idset = set(C.identities.values())
-    order = [f for f in sorted(C.morphisms, key=idkey) if f not in idset]
-    slot = {f: i for i, f in enumerate(order)}
+    domains = {
+        f: G.values[C.src(f)].elements for f in sorted(C.morphisms, key=idkey) if f not in idset
+    }
     units = {e: G.values[U].e for U, e in C.identities.items()}
 
     def cocycle(f, g):
         """c(fg) = c(g) res_g(c(f)), on the slots of the non-identities."""
         fg = C.comp[(f, g)]
         W = C.src(g)
-        free = [h for h in (f, g, fg) if h in slot]
+        free = tuple(h for h in (f, g, fg) if h in domains)
 
         def pred(*values):
             c = {**units, **dict(zip(free, values))}
             return c[fg] == G.values[W].mul[(c[g], G.res[g][c[f]])]
 
-        return tuple(slot[h] for h in free), pred
+        return free, pred
 
     constraints = [cocycle(f, g) for f, g in _composable_pairs(C)]
-    domains = [G.values[C.src(f)].elements for f in order]
-    return [
-        {**dict(zip(order, choice)), **units}
-        for choice in solve(domains, constraints, bound=bound)
-    ]
+    return [{**choice, **units} for choice in solve(domains, constraints, bound=bound)]
 
 
 def cochain_torsor(G: GroupPresheaf, c) -> ActionTorsor:
@@ -363,7 +360,10 @@ def h1_cech_classes(G: GroupPresheaf, cover=None):
         cover = list(site.star_covers[0])
     k = len(cover)
     ys = {i: yoneda(site, cover[i]) for i in range(k)}
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    # the ordered Cech nerve, i <= j <= l; the self-overlap y(Ui) x y(Ui)
+    # is y(Ui), with a trivial cocycle, unless some object maps into Ui twice
+    twice = {i for i in range(k) if any(len(hs) > 1 for hs in ys[i].values.values())}
+    pairs = [(i, j) for i in range(k) for j in range(i, k) if i < j or i in twice]
     pair_ps = {(i, j): product_set_presheaf(ys[i], ys[j]) for (i, j) in pairs}
     pair_secs = {
         ij: [_section_key(phi) for phi in enumerate_presheaf_maps(pair_ps[ij], G.underlying())]
@@ -371,7 +371,7 @@ def h1_cech_classes(G: GroupPresheaf, cover=None):
     }
 
     triples = [
-        (i, j, l) for i in range(k) for j in range(i + 1, k) for l in range(j + 1, k)
+        (i, j, l) for i, j in pairs for l in range(j, k) if (j, l) in pair_ps and (i, l) in pair_ps
     ]
     allowed = {}
     for (i, j, l) in triples:
@@ -618,8 +618,6 @@ def representable_action_torsor(T_gpd: GroupoidPresheaf, anchor_at) -> ActionTor
 
 def one_object_group(G: FinGroupoid):
     """The arrows of a one-object groupoid as a group."""
-    from .groupoid import make_group
-
     (obj,) = G.objects
     elements = tuple(sorted(G.morphisms, key=idkey))
     return make_group("arrows", elements, lambda g, h: G.comp[(g, h)])

@@ -5,7 +5,7 @@ import itertools
 from sgdtors.fixtures import s1_site
 from sgdtors.groupoid import Fin2Groupoid, group_as_groupoid
 from sgdtors.sgroupoid import SimpGroupoid, constant_sset
-from sgdtors.site import FinSite, poset_category
+from sgdtors.site import FinCat, FinSite, poset_category
 from sgdtors.sset import build_sset
 
 
@@ -84,6 +84,20 @@ def string_action(theta, objs, cells, compose, identity):
             cell = compose(objs[p], objs[k], objs[k + 1], cells[k], cell)
         out.append(cell)
     return objs[theta(0)], tuple(out)
+
+
+def bz_site(n):
+    """B(Z/n): one object o whose endomorphisms g0, ..., g(n-1) compose
+    as Z/n, with the trivial topology.  It is not a poset: o maps into
+    itself n times."""
+    arrows = [f"g{k}" for k in range(n)]
+    cat = FinCat(
+        ("o",),
+        {g: ("o", "o") for g in arrows},
+        {(arrows[a], arrows[b]): arrows[(a + b) % n] for a in range(n) for b in range(n)},
+        {"o": "g0"},
+    )
+    return FinSite(cat, {}, [["o"]])
 
 
 def chain_site(length=6):

@@ -13,7 +13,7 @@ import pkgutil
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import cone_site, ez2_sgroup
+from gpd_fixtures import bz_site, cone_site, ez2_sgroup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +46,7 @@ from sgdtors.fixtures import (
     z2_presheaf,
     z2_sgroup,
 )
-from sgdtors.groupoid import zmod
+from sgdtors.groupoid import symmetric_group, zmod
 from sgdtors.presheaf import (
     constant_group_presheaf,
     constant_sgd_presheaf,
@@ -214,6 +214,38 @@ def test_all_six_kinds_give_the_same_two_classes():
     ]
 
 
+def _conjugacy_classes_of_homomorphisms(n, F):
+    """|Hom(Z/n, F)/conjugation|: the classes of the elements x of F with
+    x^n = e, each the image of the generator."""
+    def power(x):
+        y = F.e
+        for _ in range(n):
+            y = F.mul[(y, x)]
+        return y
+
+    roots = {x for x in F.elements if power(x) == F.e}
+    return len({frozenset(F.mul[(F.mul[(g, x)], F.inv[g])] for g in F.elements) for x in roots})
+
+
+@pytest.mark.parametrize(
+    "n, F, classes",
+    [(2, zmod(2), 2), (3, zmod(3), 3), (2, symmetric_group(3), 2)],
+    ids=["Z2-over-BZ2", "Z3-over-BZ3", "S3-over-BZ2"],
+)
+def test_group_torsors_over_bz_are_homomorphisms_up_to_conjugacy(n, F, classes):
+    # B(Z/n) has one object, whose endomorphisms form Z/n, and the trivial
+    # topology, so a torsor is a homomorphism Z/n -> F up to conjugation
+    # (Serre, Galois Cohomology, I 5); the oracle finds the class on the
+    # self-overlap of the one cover object
+    assert _conjugacy_classes_of_homomorphisms(n, F) == classes
+    site = bz_site(n)
+    G = constant_group_presheaf(site, F)
+    assert h1_cech_oracle(G) == classes
+    r = classify("group", site, G, trunc=2)
+    assert r["classes"] == len(r["map_classes"]) == classes
+    assert r["check"], r["check"].render()
+
+
 def test_all_six_kinds_classify_the_cone_as_the_oracle_does():
     # apex -> A -> U composes two non-identity morphisms, so of the 2^8
     # cochains only the 16 cocycles survive; the apex "0" sorts before
@@ -344,6 +376,19 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("name", MODULES)
 def test_module_uses_every_import(name):
     assert _unused_imports(_module_tree(name)) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_only_at_module_level(name):
+    # no import cycle needs deferring, so every import is stated once, at the top
+    lines = [
+        node.lineno
+        for function in ast.walk(_module_tree(name))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert lines == []
 
 
 TESTS = os.path.dirname(os.path.abspath(__file__))

@@ -9,7 +9,7 @@ import random
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import chain_site, ez2_sgroup, one_cell_sgroupoid
+from gpd_fixtures import bz_site, chain_site, ez2_sgroup, one_cell_sgroupoid
 
 from sgdtors import cli
 from sgdtors.cli import (
@@ -454,6 +454,17 @@ def test_a_deep_cover_chain_runs_from_its_site_file(corpus, tmp_path, capsys):
     for argv in (["h1"], ["torsor", "check", "--kind", "group"]):
         code = cli.main([*argv, "--site", str(path), corpus["z2const.json"]])
         assert code == 0, capsys.readouterr().out
+
+
+def test_h1_counts_the_classes_of_a_site_that_is_not_a_poset(corpus, tmp_path, capsys):
+    # B(Z/2): the self-overlap of the one cover object carries the class
+    # of the nontrivial homomorphism Z/2 -> Z/2
+    path = tmp_path / "bz2.json"
+    path.write_text(dumps(encode_site(bz_site(2))) + "\n")
+    code = cli.main(["h1", "--site", str(path), corpus["z2const.json"]])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS h1/classes [classes=2," in out
 
 
 def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypatch):

@@ -1,37 +1,48 @@
-"""The backtracking core against brute force: every candidate tuple in
-product order, filtered by every constraint."""
+"""The backtracking core against brute force: every candidate assignment
+in product order, filtered by every constraint."""
 
+import re
 from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdtors.search import Partition, solve
+from sgdtors.search import Dependent, Partition, solve
 
 
-def _dependent(values, shift):
-    # a domain that depends on the values chosen before it
-    return lambda chosen: [v for v in values if (v + shift + sum(chosen)) % 3]
+def _dependent(reads, values, shift):
+    # a domain that depends on the values chosen at the slots it reads
+    return Dependent(tuple(reads), lambda *read: [v for v in values if (v + shift + sum(read)) % 3])
 
 
 def _predicate(salt):
     return lambda *values: (salt + sum((i + 2) * v for i, v in enumerate(values))) % 3 != 0
 
 
+# slot keys of mixed types, nested tuples among them; no two compare equal
+KEYS = st.one_of(
+    st.integers(-3, 9),
+    st.text("uv", max_size=2),
+    st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2), st.text("w", max_size=1))),
+    st.frozensets(st.integers(0, 2), max_size=2),
+)
+
+
 @st.composite
 def problems(draw):
-    width = draw(st.integers(0, 5))
-    domains = []
-    for _ in range(width):
+    keys = draw(st.lists(KEYS, max_size=5, unique=True))
+    domains = {}
+    for i, key in enumerate(keys):
         values = draw(st.lists(st.integers(0, 4), max_size=3, unique=True))
         if draw(st.booleans()):
-            domains.append(_dependent(values, draw(st.integers(0, 2))))
+            reads = draw(st.lists(st.sampled_from(keys[:i]), max_size=3)) if i else []
+            domains[key] = _dependent(reads, values, draw(st.integers(0, 2)))
         else:
-            domains.append(values)
+            domains[key] = values
     constraints = [
         (
-            tuple(draw(st.lists(st.integers(0, width - 1), max_size=3))) if width else (),
+            tuple(draw(st.lists(st.sampled_from(keys), max_size=3))) if keys else (),
             _predicate(draw(st.integers(0, 5))),
         )
         for _ in range(draw(st.integers(0, 4)))
@@ -40,13 +51,19 @@ def problems(draw):
 
 
 def brute_force(domains, constraints):
-    tuples = [()]
-    for d in domains:
-        tuples = [t + (v,) for t in tuples for v in (d(t) if callable(d) else d)]
+    keys = list(domains)
+    rows = [{}]
+    for key in keys:
+        d = domains[key]
+        rows = [
+            {**row, key: v}
+            for row in rows
+            for v in (d.choose(*[row[r] for r in d.reads]) if isinstance(d, Dependent) else d)
+        ]
     return [
-        t
-        for t in tuples
-        if all(pred(*[t[j] for j in scope]) for scope, pred in constraints)
+        row
+        for row in rows
+        if all(pred(*[row[key] for key in scope]) for scope, pred in constraints)
     ]
 
 
@@ -55,13 +72,34 @@ def brute_force(domains, constraints):
 def test_solve_is_product_then_filter(problem, k):
     domains, constraints = problem
     everything = brute_force(domains, constraints)
-    assert solve(domains, constraints) == everything
+    found = solve(domains, constraints)
+    assert found == everything
+    # each solution is keyed in the order the domains were given
+    assert all(list(solution) == list(domains) for solution in found)
     assert solve(domains, constraints, limit=k) == everything[:k]
     # the bound caps the product of the sizes of the domains given as sequences
-    static = prod(len(d) for d in domains if not callable(d))
+    static = prod(len(d) for d in domains.values() if not isinstance(d, Dependent))
     assert solve(domains, constraints, bound=static) == everything
     with pytest.raises(ValueError, match=f"needs {static} candidates, bound is {static - 1}$"):
         solve(domains, constraints, bound=static - 1)
+
+
+def _never(*values):
+    raise AssertionError("a rejected search evaluated a domain")
+
+
+@pytest.mark.parametrize(
+    "reads, named",
+    [((("b", 1),), ("b", 1)), (("a", "c"), "c"), (("z",), "z"), ((("a",),), ("a",))],
+    ids=["itself", "later", "unknown", "nested-unknown"],
+)
+def test_a_read_of_a_later_or_unknown_slot_is_rejected(reads, named):
+    # rejected when the search is set up: the empty first domain would
+    # end the search before the bad domain is ever evaluated
+    domains = {"a": [], ("b", 1): Dependent(reads, _never), "c": [0]}
+    message = f"the domain of ('b', 1) reads {named!r}, not an earlier slot"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(domains, [])
 
 
 @settings(max_examples=200, deadline=None)

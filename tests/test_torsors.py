@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 from call_counts import count_calls
+from gpd_fixtures import bz_site
 
 from sgdtors.classify import classify
 from sgdtors.fixtures import pt_site, s1_site, torus_site, z2_presheaf
@@ -99,6 +100,17 @@ def test_h1_counts_point_circle_torus():
     assert h1_cech_oracle(constant_group_presheaf(pt_site(), Z2)) == 1
     assert h1_cech_oracle(constant_group_presheaf(s1_site(), Z2)) == 2
     assert h1_cech_oracle(constant_group_presheaf(torus_site(), Z2)) == 4
+
+
+def test_cech_pairs_overlap_a_cover_object_with_itself_only_off_a_poset():
+    # on a poset y(U) x y(U) is y(U), so its cocycle is trivial; on B(Z/2)
+    # the one object maps into itself twice and the self-overlap is kept
+    assert h1_cech_classes(constant_group_presheaf(s1_site(), Z2))["pairs"] == [(0, 1)]
+    torus = h1_cech_classes(constant_group_presheaf(torus_site(), Z2))
+    assert torus["pairs"] == list(itertools.combinations(range(4), 2))
+    data = h1_cech_classes(constant_group_presheaf(bz_site(2), Z2))
+    assert data["pairs"] == [(0, 0)]
+    assert len(data["cocycles"]) == len(data["reps"]) == 2
 
 
 # ---------------------------------------------------------------------------
