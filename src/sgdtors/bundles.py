@@ -461,6 +461,30 @@ def corepresented_diagram(Q: SgdPresheaf, at) -> SgdDiagram:
     return SgdDiagram(Q, functors, res)
 
 
+def equivariant_square(F1: SimplicialFunctor, F2: SimplicialFunctor, a, b):
+    """The predicate on simplicial maps (m_b, m_a), from F1's values at b
+    and at a to F2's, that m_b(g x) = g m_a(x) for every cell g of
+    hom(a, b) and simplex x; both sides are compared as whole levels,
+    level 0 first, so a mismatch low down still ends the comparison
+    early."""
+    acts = F2.action[(a, b)]
+    plan = [
+        (n, list(cells.values()), [g for g, _ in cells], [x for _, x in cells],
+         acts[n].__getitem__)
+        for n, cells in F1.action[(a, b)].items()
+    ]
+
+    def square(m_b, m_a):
+        for n, moved, cells, xs, act in plan:
+            if list(map(m_b.levels[n].__getitem__, moved)) != list(
+                map(act, zip(cells, map(m_a.levels[n].__getitem__, xs)))
+            ):
+                return False
+        return True
+
+    return square
+
+
 def sgd_diagram_maps(D1: SgdDiagram, D2: SgdDiagram, bound=None):
     """Families of levelwise tables commuting with the actions and the
     restrictions, as dicts keyed (U, a): one slot per site object U and
@@ -475,18 +499,10 @@ def sgd_diagram_maps(D1: SgdDiagram, D2: SgdDiagram, bound=None):
                 return []
             domains[(U, a)] = maps
 
-    def equivariant(U, a, b, levels):
-        act = D2.functors[U].act
-        return lambda mb, ma: all(
-            mb(n, y) == act(a, b, n, g, ma(n, x))
-            for n, cells in levels.items()
-            for (g, x), y in cells.items()
-        )
-
     constraints = [
-        (((U, b), (U, a)), equivariant(U, a, b, levels))
+        (((U, b), (U, a)), equivariant_square(D1.functors[U], D2.functors[U], a, b))
         for U in site.objects
-        for (a, b), levels in D1.functors[U].action.items()
+        for a, b in D1.functors[U].action
     ] + [
         (
             ((U, a), (V, D1.coeff.res[f].ob[a])),

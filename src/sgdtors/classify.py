@@ -65,7 +65,7 @@ from .presheaf import (
     sset_presheaf_map,
     validate_sset_presheaf_map,
 )
-from .report import Check, InvariantError, require, unique_hit
+from .report import Check, InvariantError, invariant, require, unique_hit
 from .search import solve
 from .sgroupoid import b_2groupoid
 from .sheaf import PLUS_STEPS, cech_resolution, cover_elements
@@ -189,13 +189,10 @@ def presheaf_map_classes(C: SSetPresheaf, maps):
 
 def _cocycle_map(source: SSetPresheaf, target: SSetPresheaf, entry) -> SSetPresheafMap:
     """The map sending a cell of section W at level n to
-    entry(W)(n, cell), checked to be a strict presheaf map."""
+    entry(W)(n, cell); whether it is a strict presheaf map is left to
+    the caller."""
     per_section = {W: entry(W) for W in source.site.objects}
-    u = sset_presheaf_map(source, target, lambda W, n, cell: per_section[W](n, cell))
-    checked = validate_sset_presheaf_map(u)
-    if not checked:
-        raise InvariantError(f"cocycle tables are not a presheaf map: {checked.witness}")
-    return u
+    return sset_presheaf_map(source, target, lambda W, n, cell: per_section[W](n, cell))
 
 
 def _chosen(cover, pool):
@@ -338,7 +335,10 @@ def constant_cocycle_map(
             tuple(H.identity_at(a, n - m) for m in range(1, n + 1)),
         )
 
-    return _cocycle_map(source, target, entry)
+    u = _cocycle_map(source, target, entry)
+    checked = validate_sset_presheaf_map(u)
+    invariant(checked.ok, f"cocycle tables are not a presheaf map: {checked.witness}")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +392,30 @@ def _sgd_family(run):
 
 def _cech_classes(run, G):
     """The cocycle class of each torsor class's representative, sorted,
-    and the number of cocycle classes."""
+    the number of cocycle classes, and what a mismatch would name: the
+    first torsor class whose transitions are no cocycle (class None) or
+    repeat an earlier class's, else the first cocycle class no torsor
+    class reaches."""
     data = h1_cech_classes(G, run.cover["family"])
-    found = sorted(
-        torsor_cech_class(run.searched[members[0]], data)
-        for members in run.torsor_classes
-    )
-    return found, len(data["reps"])
+    found = [torsor_cech_class(run.searched[members[0]], data) for members in run.torsor_classes]
+    count, first = len(data["reps"]), {}
+    for ci, c in enumerate(found):
+        if c is None or c in first:
+            witness = {"torsor_class": ci, "cocycle_class": c, "shared_with": first.get(c)}
+            break
+        first[c] = ci
+    else:
+        witness = {"unreached_cocycle_class": next((c for c in range(count) if c not in first), None)}
+    return sorted(found, key=lambda c: -1 if c is None else c), count, witness
 
 
 def _group_cech(run, check):
-    found, count = _cech_classes(run, run.coeff)
+    found, count, witness = _cech_classes(run, run.coeff)
     check.add(
         require(
             found == list(range(count)),
             "torsor classes match cocycle classes exactly",
+            witness,
             classes=found,
             cocycle_classes=count,
         )
@@ -415,11 +424,12 @@ def _group_cech(run, check):
 
 
 def _sgroup_cech(run, check):
-    found, count = _cech_classes(run, run.vertex_group)
+    found, count, witness = _cech_classes(run, run.vertex_group)
     check.add(
         require(
             found == list(range(count)),
             "vertex-level classes match cocycle classes exactly",
+            witness,
             classes=found,
         )
     )
@@ -568,6 +578,20 @@ def _locate(u: SSetPresheafMap, maps, classes):
     return next((ci for ci, members in enumerate(classes) if index in members), None)
 
 
+def _match(run, ci, check):
+    """The homotopy class of torsor class ci's classifying map, or None
+    when that map is not among ``run.maps``.  A classifying map that is
+    not a strict presheaf map is a wrong classification, not a malformed
+    input: it adds a failing part to ``check`` with the naturality
+    witness."""
+    u = run.flavour.classifying_map(run, run.torsor_classes[ci][0])
+    natural = validate_sset_presheaf_map(u)
+    if not natural:
+        check.add(replace(natural, claim=f"classifying map of torsor class {ci} is a presheaf map"))
+        return None
+    return _locate(u, run.maps, run.map_classes)
+
+
 def classify_torsors(kind, site, coefficients, trunc=None, bound=None, cover=None):
     """The torsor half of a classification run: the family, its
     isomorphism classes, and the checks on each class representative.
@@ -608,10 +632,7 @@ def classify(kind, site, coefficients, trunc=None, bound=None, cover=None):
     run.source = cech_resolution(site, run.cover, run.trunc)
     run.maps = maps = enumerate_sset_presheaf_maps(run.source, run.target, bound=bound)
     run.map_classes = map_classes = presheaf_map_classes(cylinder_presheaf(run.source), maps)
-    run.matching = matching = [
-        (ci, _locate(flavour.classifying_map(run, members[0]), maps, map_classes))
-        for ci, members in enumerate(torsor_classes)
-    ]
+    run.matching = matching = [(ci, _match(run, ci, check)) for ci in range(len(torsor_classes))]
     keys = flavour.extra(run, check) if flavour.extra else {}
     assignment = [j for _, j in matching]
     check.add(

@@ -293,48 +293,74 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
     with the faces already chosen; degenerate values follow.  ``forced``
     is a dict (dim, id) -> id of required values, each a constraint on
     the slot its simplex degenerates from.
+
+    Each simplex x of X lifts through a chain of Y's degeneracy tables
+    from a root slot: x's value is the chain applied to the root's
+    value.  A slot's domain looks its faces' values up in Y's face
+    index, and skips the chains when all of them are empty.  A
+    solution's tables are filled level by level, each in ``X.level(n)``
+    order: a root is its slot's value, and x = s_j y, the first
+    degeneracy that reaches x, is Y's s_j table at y's value one level
+    down, so no chain is replayed.
     """
     invariant(X.trunc == Y.trunc, "a simplicial map needs equal truncations")
     N = X.trunc
     by_faces = {n: face_index(Y, n) for n in range(1, N + 1)}
 
     def lifted(z, chain):
-        for m, j in chain:
-            z = Y.degen(m, j, z)
+        for table in chain:
+            z = table[z]
         return z
 
     def with_faces(n, x):
         roots, chains = zip(*[lift[(n - 1, X.face(n, i, x))] for i in range(n + 1)])
         index = by_faces[n].get
+        if not any(chains):
+            return Dependent(roots, lambda *zs: index(zs, ()))
         return Dependent(roots, lambda *zs: index(tuple(map(lifted, zs, chains)), ()))
 
-    domains, lift = {}, {}   # lift: (dim, id) -> (slot, degeneracies applied to its value)
+    # lift: (dim, id) -> (slot, Y's degeneracy tables applied to its value);
+    # per level, the roots as (simplices, slots) and the first lifts as
+    # (Y's s_j table, simplices, the simplices one level down they lift from)
+    domains, lift, roots, lifts = {}, {}, [], []
     for n in range(N + 1):
+        level_lifts = []
         # x lifts through its first s_j y: j ascending, y in level order, not table order
         for j in range(n):
-            table = X.degeneracies[(n - 1, j)]
+            table, image = X.degeneracies[(n - 1, j)], Y.degeneracies[(n - 1, j)]
+            xs, ys = [], []
             for y in X.level(n - 1):
                 x = table[y]
                 if (n, x) not in lift:
                     root, chain = lift[(n - 1, y)]
-                    lift[(n, x)] = (root, chain + ((n - 1, j),))
+                    lift[(n, x)] = (root, chain + (image,))
+                    xs.append(x)
+                    ys.append(y)
+            level_lifts.append((image, xs, ys))
+        xs, slots = [], []
         for x in X.level(n):
             if (n, x) not in lift:
                 root = len(domains)
                 lift[(n, x)] = (root, ())
                 domains[root] = Y.level(0) if n == 0 else with_faces(n, x)
+                xs.append(x)
+                slots.append(root)
+        roots.append((xs, slots))
+        lifts.append(level_lifts)
 
-    def value(chosen, n, x):
-        root, chain = lift[(n, x)]
-        return lifted(chosen[root], chain)
+    def tables(chosen):
+        levels, below = {}, None
+        for n in range(N + 1):
+            here = levels[n] = dict.fromkeys(X.level(n))
+            xs, slots = roots[n]
+            here.update(zip(xs, map(chosen.__getitem__, slots)))
+            for image, xs, ys in lifts[n]:
+                here.update(zip(xs, map(image.__getitem__, map(below.__getitem__, ys))))
+            below = here
+        return SSetMap(X, Y, levels)
 
     constraints = [
         ((lift[key][0],), lambda z, chain=lift[key][1], want=want: lifted(z, chain) == want)
         for key, want in (forced or {}).items()
     ]
-    return [
-        SSetMap(X, Y, {
-            m: {x: value(chosen, m, x) for x in X.level(m)} for m in range(N + 1)
-        })
-        for chosen in solve(domains, constraints)
-    ]
+    return [tables(chosen) for chosen in solve(domains, constraints)]

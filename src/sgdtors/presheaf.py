@@ -324,13 +324,24 @@ def validate_sset_presheaf_map(phi: SSetPresheafMap):
 
 def natural_square(X: TruncSSet, r_src, r_dst):
     """The predicate on simplicial maps (m_src, m_dst) that m_dst r_src =
-    r_dst m_src on every simplex of X, the source of m_src, level by
-    level; r_src and r_dst are the restriction tables along one arrow."""
-    return lambda m_src, m_dst: all(
-        m_dst(n, r_src[n][x]) == r_dst[n][m_src(n, x)]
+    r_dst m_src on every simplex of X, the source of m_src; r_src and
+    r_dst are the restriction tables along one arrow.  Both sides are
+    compared as whole levels, level 0 first, so a mismatch low down
+    still ends the comparison early."""
+    plan = [
+        (n, X.level(n), [r_src[n][x] for x in X.level(n)], r_dst[n].__getitem__)
         for n in range(X.trunc + 1)
-        for x in X.level(n)
-    )
+    ]
+
+    def square(m_src, m_dst):
+        for n, xs, restricted, down in plan:
+            if list(map(m_dst.levels[n].__getitem__, restricted)) != list(
+                map(down, map(m_src.levels[n].__getitem__, xs))
+            ):
+                return False
+        return True
+
+    return square
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 from typing import Callable
 
 
@@ -28,6 +29,15 @@ class Dependent:
 
     reads: tuple
     choose: Callable
+
+
+def _reader(places):
+    """A C-level function from the list of chosen values to a sequence of
+    the values at ``places``, in that order: ``itemgetter`` of one index
+    returns the bare value, so one place, or none, reads a slice."""
+    if len(places) == 1:
+        return itemgetter(slice(places[0], places[0] + 1))
+    return itemgetter(*places) if places else itemgetter(slice(0, 0))
 
 
 def solve(domains, constraints, limit=None, bound=None):
@@ -43,6 +53,14 @@ def solve(domains, constraints, limit=None, bound=None):
     does not, and KeyError a constraint's unknown slot.  ``bound`` caps
     the product of the sizes of the domains given as sequences and
     raises ValueError when the search would range over more candidates.
+
+    Slot keys are resolved to positions once, before the search: each
+    constraint scope and each ``Dependent.reads`` becomes a reader of
+    the list ``chosen``, which holds the value at every placed position
+    (entries past the current one are stale and never read).  The
+    search keeps one iterator per position; a value is kept when every
+    check of its slot holds, tried in a plain loop that stops at the
+    first failure, and an exhausted iterator steps back one position.
     """
     keys, listed = list(domains), list(domains.values())
     at = {key: i for i, key in enumerate(keys)}
@@ -52,7 +70,7 @@ def solve(domains, constraints, limit=None, bound=None):
             late = [r for r in d.reads if at.get(r, i) >= i]
             if late:
                 raise ValueError(f"the domain of {key!r} reads {late[0]!r}, not an earlier slot")
-            reads[i] = [at[r] for r in d.reads]
+            reads[i] = _reader([at[r] for r in d.reads])
     if bound is not None:
         total = prod(len(d) for d in listed if not isinstance(d, Dependent))
         if total > bound:
@@ -60,40 +78,39 @@ def solve(domains, constraints, limit=None, bound=None):
     checks = [[] for _ in keys]
     for scope, pred in constraints:
         if scope:
-            places = tuple(at[key] for key in scope)
-            checks[max(places)].append((places, pred))
+            places = [at[key] for key in scope]
+            checks[max(places)].append((_reader(places), pred))
         elif not pred():
             return []
-    out, chosen, pending = [], [], []
+    out = []
     if limit == 0:
         return out
     if not keys:
         return [{}]
-
-    def start(i):
-        d, js = listed[i], reads[i]
-        pending.append(iter(d if js is None else d.choose(*[chosen[j] for j in js])))
-
-    start(0)
-    while pending:
-        i = len(pending) - 1
+    last = len(keys) - 1
+    chosen, pending = [None] * len(keys), [None] * len(keys)
+    pending[0] = iter(listed[0] if reads[0] is None else listed[0].choose())
+    i = 0
+    while i >= 0:
+        here = checks[i]
         for value in pending[i]:
-            chosen.append(value)
-            if all(pred(*[chosen[j] for j in scope]) for scope, pred in checks[i]):
+            chosen[i] = value
+            for read, pred in here:
+                if not pred(*read(chosen)):
+                    break
+            else:
                 break
-            chosen.pop()
         else:
-            pending.pop()
-            if chosen:
-                chosen.pop()
+            i -= 1
             continue
-        if i + 1 < len(keys):
-            start(i + 1)
+        if i < last:
+            i += 1
+            read = reads[i]
+            pending[i] = iter(listed[i] if read is None else listed[i].choose(*read(chosen)))
             continue
         out.append(dict(zip(keys, chosen)))
         if len(out) == limit:
             break
-        chosen.pop()
     return out
 
 

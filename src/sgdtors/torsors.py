@@ -465,9 +465,10 @@ def h1_cech_oracle(G: GroupPresheaf) -> int:
     return gauge_orbit_count(h1_cech_classes(G))
 
 
-def torsor_cech_class(T: ActionTorsor, data) -> int:
+def torsor_cech_class(T: ActionTorsor, data):
     """Place a group torsor with globally nonempty sections in its
-    cocycle class.
+    cocycle class: None when its transitions are no cocycle, as for a
+    family that skips the cocycle condition.
 
     Trivializes over each cover object by the first listed element; the
     transition section over a pair product sends (h_i, h_j) to the
@@ -498,7 +499,7 @@ def torsor_cech_class(T: ActionTorsor, data) -> int:
             for s in P.values[W]
         )
         key.append(sec)
-    return data["orbit_of"][tuple(key)]
+    return data["orbit_of"].get(tuple(key))
 
 
 # ---------------------------------------------------------------------------

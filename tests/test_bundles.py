@@ -9,6 +9,7 @@ against them.
 """
 
 import copy
+import itertools
 
 import pytest
 from call_counts import count_calls
@@ -19,6 +20,7 @@ from sgdtors.bundles import (
     comma_value_comparison,
     corepresented_diagram,
     enumerate_sgd_presheaf_maps,
+    equivariant_square,
     holim_presheaf,
     level0_group_torsor,
     psi_sgd,
@@ -42,12 +44,14 @@ from sgdtors.bundles import (
     w_quotient_presheaf_map,
     wg_action,
 )
-from sgdtors.fixtures import pt_site, s1_site, twocomp_presheaf, z2_presheaf
+from sgdtors.classify import star_cover
+from sgdtors.fixtures import interval_presheaf, pt_site, s1_site, twocomp_presheaf, z2_presheaf
 from sgdtors.groupoid import group_as_2groupoid, trivial_groupoid, zmod
 from sgdtors.holim import corepresented_functor, simplicial_functor
-from sgdtors.kan import weq_check
+from sgdtors.kan import enumerate_sset_maps, weq_check
 from sgdtors.presheaf import (
     constant_group_presheaf,
+    natural_square,
     set_presheaf,
     SSetPresheafMap,
     sset_presheaf_map,
@@ -62,11 +66,14 @@ from sgdtors.sgroupoid import (
     constant_sgroupoid,
     validate_sgd_functor,
 )
+from sgdtors.sheaf import cech_resolution
 from sgdtors.sset import sset_map, validate_sset_map
 from sgdtors.torsors import (
+    bg_presheaf,
     cochain_torsor,
     db_presheaf,
     group_action_torsor,
+    group_presheaf_as_groupoid,
     group_torsor_check,
     group_torsor_maps,
     h1_cech_classes,
@@ -344,6 +351,50 @@ def test_diagram_maps_distinguish_the_two_components():
     right = corepresented_diagram(Q, {"pt": ("r", "*")})
     assert sgd_diagram_maps(left, right) == []
     assert len(sgd_diagram_maps(left, left)) == 1
+
+
+def test_natural_square_agrees_with_its_per_simplex_definition():
+    site = s1_site()
+    Y = cech_resolution(site, star_cover(site), 2)
+    Z = bg_presheaf(group_presheaf_as_groupoid(constant_group_presheaf(site, zmod(2))), 2)
+    verdicts = set()
+    for f, (V, U) in site.cat.morphisms.items():
+        X, r_src, r_dst = Y.values[U], Y.res[f], Z.res[f]
+        square = natural_square(X, r_src, r_dst)
+        for m_src in enumerate_sset_maps(X, Z.values[U]):
+            for m_dst in enumerate_sset_maps(Y.values[V], Z.values[V]):
+                simplexwise = all(
+                    m_dst(n, r_src[n][x]) == r_dst[n][m_src(n, x)]
+                    for n in range(X.trunc + 1)
+                    for x in X.level(n)
+                )
+                assert square(m_src, m_dst) == simplexwise, (f, m_src.levels, m_dst.levels)
+                verdicts.add(simplexwise)
+    assert verdicts == {True, False}
+
+
+def test_equivariant_square_agrees_with_its_per_simplex_definition():
+    # Z/2 over the point acts on one object, the interval's homs join
+    # two objects, and the two components have empty homs between them
+    verdicts = set()
+    for coefficients in (z2_presheaf, interval_presheaf, twocomp_presheaf):
+        site = pt_site()
+        P = cech_sgd_presheaf(site, star_cover(site), 2)
+        family = [psi_sgd(u) for u in enumerate_sgd_presheaf_maps(P, coefficients(site, 2))]
+        for D1, D2, U in itertools.product(family, family, site.objects):
+            F1, F2 = D1.functors[U], D2.functors[U]
+            for a, b in F1.action:
+                square = equivariant_square(F1, F2, a, b)
+                for m_b in enumerate_sset_maps(F1.values[b], F2.values[b]):
+                    for m_a in enumerate_sset_maps(F1.values[a], F2.values[a]):
+                        simplexwise = all(
+                            m_b(n, y) == F2.act(a, b, n, g, m_a(n, x))
+                            for n, cells in F1.action[(a, b)].items()
+                            for (g, x), y in cells.items()
+                        )
+                        assert square(m_b, m_a) == simplexwise, (a, b, m_b.levels, m_a.levels)
+                        verdicts.add(simplexwise)
+    assert verdicts == {True, False}
 
 
 def test_presheaf_maps_from_the_unit_pick_a_component():

@@ -246,6 +246,30 @@ def test_group_torsors_over_bz_are_homomorphisms_up_to_conjugacy(n, F, classes):
     assert r["check"], r["check"].render()
 
 
+def test_all_six_kinds_classify_bz2_as_the_oracle_does():
+    # B(Z/2) is not a poset: its one object has the endomorphisms Z/2, so
+    # each flavour meets the self-overlap of the one cover object, where
+    # the oracle finds the nontrivial homomorphism Z/2 -> Z/2
+    site = bz_site(2)
+    G = constant_group_presheaf(site, zmod(2))
+    GP = group_presheaf_as_groupoid(G)
+    Q = constant_sgd_presheaf(site, z2_sgroup(3))
+    oracle = h1_cech_oracle(G)
+    assert oracle == 2
+    for kind, coeff in (
+        ("group", G),
+        ("groupoid-action", GP),
+        ("groupoid-bundle", GP),
+        ("2gpd", zmod(2)),
+        ("sgroup", Q),
+        ("sgpd", Q),
+    ):
+        r = classify(kind, site, coeff, trunc=3)
+        assert r["classes"] == len(r["map_classes"]) == oracle, kind
+        assert sorted(j for _, j in r["matching"]) == [0, 1], kind
+        assert r["check"], (kind, r["check"].render())
+
+
 def test_all_six_kinds_classify_the_cone_as_the_oracle_does():
     # apex -> A -> U composes two non-identity morphisms, so of the 2^8
     # cochains only the 16 cocycles survive; the apex "0" sorts before

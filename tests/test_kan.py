@@ -28,6 +28,7 @@ from sgdtors.kan import (
 from sgdtors.presheaf import constant_group_presheaf, constant_sset_presheaf
 from sgdtors.sheaf import cech_resolution
 from sgdtors.sset import (
+    boundary,
     delta,
     disjoint_union,
     identity_map,
@@ -272,6 +273,76 @@ def test_enumeration_covers_degenerate_simplices_consistently():
             for x in X.level(n):
                 for i in range(n + 1):
                     assert f(n - 1, X.face(n, i, x)) == Y.face(n, i, f(n, x))
+
+
+def _chain_replayed(X, Y, f):
+    """f's tables rebuilt the way the enumeration once read them off a
+    solution: each simplex lifts from the root of its first s_j y (j
+    ascending, y in level order) through a chain of (dim, j) pairs, which
+    Y.degen replays on the root's value."""
+    lift = {}
+    for n in range(X.trunc + 1):
+        for j in range(n):
+            for y in X.level(n - 1):
+                x = X.degen(n - 1, j, y)
+                if (n, x) not in lift:
+                    root, chain = lift[(n - 1, y)]
+                    lift[(n, x)] = (root, chain + ((n - 1, j),))
+        for x in X.level(n):
+            lift.setdefault((n, x), ((n, x), ()))
+
+    def value(n, x):
+        root, chain = lift[(n, x)]
+        z = f(*root)
+        for m, j in chain:
+            z = Y.degen(m, j, z)
+        return z
+
+    return {n: {x: value(n, x) for x in X.level(n)} for n in range(X.trunc + 1)}
+
+
+def _sphere_into_s3():
+    X = boundary(3, trunc=4)
+    return [(X, nerve_groupoid(group_as_groupoid(symmetric_group(3)), trunc=4), None)]
+
+
+def _cylinders_with_forced_ends():
+    # each section of the circle's cylinder, both ends forced to one map
+    # of the section below, or to its first and last maps
+    site = s1_site()
+    source = cech_resolution(site, star_cover(site), 2)
+    C = cylinder_presheaf(source)
+    target = bg_presheaf(group_presheaf_as_groupoid(constant_group_presheaf(site, zmod(2))), 2)
+    cases = []
+    for U in site.objects:
+        ends = enumerate_sset_maps(source.values[U], target.values[U])
+        for f, g in ((ends[0], ends[0]), (ends[0], ends[-1])):
+            forced = {
+                (n, (x, (k,) * (n + 1))): h(n, x)
+                for k, h in ((0, f), (1, g))
+                for n in range(3)
+                for x in source.values[U].level(n)
+            }
+            cases.append((C.values[U], target.values[U], forced))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "cases, count",
+    [(_sphere_into_s3, 6**3), (_cylinders_with_forced_ends, 16)],
+    ids=["sphere-into-S3", "circle-cylinders"],
+)
+def test_enumerated_tables_follow_level_order_and_the_chain_replay(cases, count):
+    # certificates (cli.encode_sset_map) write each table in its key
+    # order, so every table must be built in X.level(n) order
+    found = 0
+    for X, Y, forced in cases():
+        for f in enumerate_sset_maps(X, Y, forced):
+            found += 1
+            assert list(f.levels) == list(range(X.trunc + 1))
+            assert all(list(f.levels[n]) == list(X.level(n)) for n in f.levels)
+            assert f.levels == _chain_replayed(X, Y, f)
+    assert found == count
 
 
 def on_the_point(X):

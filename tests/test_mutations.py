@@ -42,7 +42,6 @@ from sgdtors.sgroupoid import (
     validate_sgd_functor,
     validate_sgroupoid,
 )
-from sgdtors.report import InvariantError
 from sgdtors.search import solve
 from sgdtors.sset import delta, identity_map, idkey, validate_sset, validate_sset_map
 from sgdtors.torsors import (
@@ -279,12 +278,26 @@ def test_classifying_the_cone_needs_the_cocycle_constraints(monkeypatch):
         torsors, "solve", lambda domains, constraints, bound=None: solve(domains, [], bound=bound)
     )
     site = cone_site()
-    try:
-        result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
-        passed = bool(result["check"])
-    except InvariantError:
-        passed = False
-    assert not passed
+    result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
+    assert not result["check"]
+    _assert_an_unnatural_classifying_map_is_witnessed(result)
+
+
+def _assert_an_unnatural_classifying_map_is_witnessed(result):
+    # a non-cocycle's transitions are no presheaf map: a failing part
+    # names the naturality witness, the class is unmatched, and the Cech
+    # part names a torsor class with no cocycle class
+    unnatural = [
+        part for part in result["check"].parts
+        if part.claim.startswith("classifying map of torsor class ")
+    ]
+    assert unnatural and not any(part.ok for part in unnatural)
+    for part in unnatural:
+        ci = int(part.claim.split()[5])
+        assert "naturality fails along" in part.witness[0], part.witness
+        assert result["matching"][ci] == (ci, None)
+    cech = next(p for p in result["check"].parts if p.claim.startswith("torsor classes match"))
+    assert not cech.ok and cech.witness["cocycle_class"] is None
 
 
 @pytest.mark.parametrize("keep", [operator.lt, operator.gt], ids=["f_before_g", "f_after_g"])
@@ -302,12 +315,10 @@ def test_classifying_the_cones_needs_the_cocycle_constraints_in_both_orders(monk
     caught = 0
     for apex in ("P", "0"):
         site = cone_site(apex)
-        try:
-            result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
-            passed = bool(result["check"])
-        except InvariantError:
-            passed = False
-        caught += not passed
+        result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
+        if not result["check"]:
+            _assert_an_unnatural_classifying_map_is_witnessed(result)
+            caught += 1
     assert caught >= 1
 
 
