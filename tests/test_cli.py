@@ -354,33 +354,47 @@ def test_torsor_enumerate_runs_only_the_torsor_side(corpus, capsys, monkeypatch)
     assert len(calls) == 1
 
 
+# the inputs of `torsor check` for each kind: the site and the coefficient file
+CHECK_INPUTS = {
+    "group": ("pt.json", "z2const.json"),
+    "groupoid-action": ("pt.json", "twocomp.json"),
+    "groupoid-bundle": ("pt.json", "twocomp.json"),
+    "2gpd": ("s1.json", "z2const.json"),
+    "sgroup": ("s1.json", "z2const.json"),
+    "sgpd": ("pt.json", "twocomp.json"),
+}
+
+
+def _torsor_check(corpus, kind, *flags):
+    site, coeff = CHECK_INPUTS[kind]
+    argv = ["torsor", "check", "--kind", kind, "--site", corpus[site], corpus[coeff]]
+    return cli.main([*argv, "--trunc", "3", *flags])
+
+
 def test_torsor_check_verifies_the_translation_torsors(corpus, capsys):
-    for kind, site, coeff in (
-        ("group", "pt.json", "twocomp.json"),
-        ("groupoid-action", "pt.json", "twocomp.json"),
-        ("groupoid-bundle", "pt.json", "twocomp.json"),
-        ("2gpd", "s1.json", "z2const.json"),
-        ("sgroup", "s1.json", "z2const.json"),
-        ("sgpd", "pt.json", "twocomp.json"),
-    ):
-        if kind in ("group", "2gpd", "sgroup"):
-            coeff = "z2const.json"
-        code = cli.main(
-            [
-                "torsor",
-                "check",
-                "--kind",
-                kind,
-                "--site",
-                corpus[site],
-                corpus[coeff],
-                "--trunc",
-                "3",
-            ]
-        )
+    for kind in CHECK_INPUTS:
+        code = _torsor_check(corpus, kind)
         out = capsys.readouterr().out
         assert code == 0, (kind, out)
         assert f"PASS torsor/check/{kind}" in out
+
+
+# sha256 of the certificate detail of each `torsor check` above
+CHECK_PINS = {
+    "group": "3a860663b4b13115e30cfa8adb783252995ef0bea687d583d73ca7078edb772c",
+    "groupoid-action": "4f260504b984ede67ea1718b5ff80498bcb5085acb305b3fcbdb3877f6be95ce",
+    "groupoid-bundle": "a5ad7cbdc1c1eadc86fe43d133068df08b370002594a2d42cf2a3a643a9ae5e6",
+    "2gpd": "15609092a9ba3d8ccc4d70a6240d058b1e63daa88fd8dbe1ba02f715549d604e",
+    "sgroup": "d46f4db4c32c209d1963f938244610968cd8ae91cfe01283861fb6798c2bbba1",
+    "sgpd": "08828194daf947bebd961639111b1f7660581c7f696ff5cbefcdf82f69cb3707",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_PINS))
+def test_torsor_check_output_is_pinned(corpus, capsys, kind):
+    assert _torsor_check(corpus, kind, "--format", "json") == 0
+    cert = json.loads(capsys.readouterr().out)["certificates"][0]
+    assert hashlib.sha256(dumps(cert["detail"]).encode()).hexdigest() == CHECK_PINS[kind]
 
 
 def test_h1_command_counts_two_classes(corpus, capsys):
