@@ -14,13 +14,17 @@ looked up among the enumerated ones to read its homotopy class; a map
 missing from them fails the matching.  The report fails loudly whenever
 the two sides disagree.
 
-One driver, ``classify``, runs every flavour, and ``classify_torsors``
-runs its torsor side alone.  ``FLAVOURS`` holds one entry per flavour:
-how to build the torsor family and the objects the isomorphism search
-compares, that search, the classifying target, the checks on each class
-representative, the classifying map, and any extra checks and report
-keys (the cocycle-class count for the group flavours, the bundle round
-trip, the represented torsors for ``sgpd``).  A ``2gpd`` torsor is the
+One driver, ``classify``, runs every flavour, ``classify_torsors``
+runs its torsor side alone, and ``canonical_check`` runs the torsor
+check of one translation-style torsor.  ``FLAVOURS`` holds one entry per
+flavour, and is the one place that names a kind, so the `torsor` command
+dispatches through it too: how to read the coefficients off an enriched
+presheaf, how to build the torsor family, the translation-style torsor
+and the objects the isomorphism search compares, that search, the
+classifying target, the checks on each class representative, the
+classifying map, and any extra checks and report keys (the
+cocycle-class count for the group flavours, the bundle round trip, the
+represented torsors for ``sgpd``).  A ``2gpd`` torsor is the
 1-cell ActionTorsor of a cochain of the constant group presheaf; its
 display is built over the cocycle object of the group's 2-groupoid,
 ``run.wbar``, built once per run and also the classifying target.  An
@@ -50,6 +54,7 @@ from .bundles import (
     two_gpd_display,
     two_gpd_torsor_check,
     vertex_group_presheaf,
+    vertex_groupoid_presheaf,
 )
 from .groupoid import group_as_2groupoid
 from .kan import enumerate_sset_maps, iterated_degeneracy
@@ -85,14 +90,16 @@ from .torsors import (
     group_torsor_check,
     group_torsor_maps,
     h1_cech_classes,
+    representable_action_torsor,
     torsor_cech_class,
+    trivial_group_torsor,
     wbar_presheaf,
 )
 from .wbar import wbar
 
 def star_cover(site):
-    """The designated covering family of the terminal presheaf."""
-    return {"object": None, "family": list(site.star_covers[0])}
+    """The designated cover of the terminal presheaf: a list of objects."""
+    return list(site.star_covers[0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,7 @@ def _cocycle_map(source: SSetPresheaf, target: SSetPresheaf, entry) -> SSetPresh
 def _chosen(cover, pool):
     """The first entry of pool(member) for each cover member, by index."""
     chosen = {}
-    for i, member in enumerate(cover["family"]):
+    for i, member in enumerate(cover):
         found = pool(member)
         if not found:
             raise InvariantError(f"no section over {member!r} to trivialise with")
@@ -349,16 +356,20 @@ def constant_cocycle_map(
 class Flavour:
     """What one torsor flavour gives the classification run.
 
-    The functions take the run, a namespace holding classify()'s
-    arguments and what the run has built so far.  They name the
-    searches and checks through module globals, looked up at call time,
-    so that a wrapper rebound over a global after import (as
-    perfbench/tracing.py installs) sees every call.
+    ``reads`` takes an enriched presheaf; the other functions take the
+    run, a namespace holding classify()'s arguments and what the run has
+    built so far.  They name the searches and checks through module
+    globals, looked up at call time, so that a wrapper rebound over a
+    global after import (as perfbench/tracing.py installs) sees every
+    call.  The last entry of ``checks`` is the verdict that the member is
+    a torsor, the one ``canonical_check`` reports.
     """
 
     claim: str
     enriched: bool         # truncation is the coefficients', not an argument
+    reads: object          # enriched presheaf -> the coefficients; ValueError if unfit
     family: object         # run -> the torsor family
+    canonical: object      # run -> the translation-style torsor, a family member
     iso: object            # (run, x, y) -> isomorphisms of searched objects
     target: object         # run -> the classifying presheaf
     checks: object         # (run, i) -> checks on family member i
@@ -367,14 +378,59 @@ class Flavour:
     extra: object = None   # (run, check) -> report keys, after the matching
 
 
+def _needs_one_object(kind, read):
+    """``reads`` for a kind whose coefficients have one object in every
+    section."""
+
+    def reads(Q):
+        if not all(len(H.objects) == 1 for H in Q.values.values()):
+            raise ValueError(f"kind {kind!r} needs one-object coefficients")
+        return read(Q)
+
+    return reads
+
+
+def _constant_group(Q):
+    """The vertex group of every section, when the sections share it and
+    every restriction fixes it."""
+    G = vertex_group_presheaf(Q)
+    first = next(iter(G.values.values()))
+    if not all(
+        H.elements == first.elements and H.mul == first.mul for H in G.values.values()
+    ) or any(G.res[f][g] != g for f in G.res for g in first.elements):
+        raise ValueError("kind '2gpd' needs a constant group coefficient")
+    return first
+
+
+def _constant_objects(Q):
+    """The objects, by id, that every section has and every restriction
+    fixes."""
+    return fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()])
+
+
+def _shared_object(run, missing):
+    """The least of the enriched coefficients' constant objects."""
+    fixed = _constant_objects(run.enriched)
+    if not fixed:
+        raise ValueError(missing)
+    return fixed[0]
+
+
+def _representable(run):
+    """Arrows into the least constant object, anchored by source."""
+    at = _shared_object(run, "no shared object to anchor the torsor at")
+    return representable_action_torsor(run.coeff, at)
+
+
 def _bundle_family(run):
     run.actions = enumerate_action_torsors(run.coeff, run.bound)
     return action_bundles(run.actions, run.trunc)
 
 
-def _two_gpd_family(run):
+def _two_gpd_torsors(run, build):
+    """build(constant group presheaf), with ``run.wbar`` built first."""
     run.wbar = wbar(b_2groupoid(group_as_2groupoid(run.coeff), run.trunc))
-    return enumerate_group_torsors(constant_group_presheaf(run.site, run.coeff), run.bound)
+    return build(constant_group_presheaf(run.site, run.coeff))
 
 
 def _sgroup_family(run):
@@ -396,7 +452,7 @@ def _cech_classes(run, G):
     first torsor class whose transitions are no cocycle (class None) or
     repeat an earlier class's, else the first cocycle class no torsor
     class reaches."""
-    data = h1_cech_classes(G, run.cover["family"])
+    data = h1_cech_classes(G, run.cover)
     found = [torsor_cech_class(run.searched[members[0]], data) for members in run.torsor_classes]
     count, first = len(data["reps"]), {}
     for ci, c in enumerate(found):
@@ -444,6 +500,8 @@ def _bundle_round_trip(run, check):
 
 
 def _sgd_checks(run, i):
+    """The verdict's first part, renamed "pullback is a valid diagram",
+    then the torsor verdict itself."""
     check = sgd_torsor_check(run.family[i])
     return [replace(check.parts[0], claim="pullback is a valid diagram"), check]
 
@@ -452,13 +510,12 @@ def _represented_torsors(run, check):
     """The represented torsor at each constant object classifies by the
     constant cocycle; a strict comparison with its class exists only
     when no section carries more than one chart."""
-    Q, site = run.coeff, run.site
-    constant_objects = fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()])
-    for a in constant_objects:
+    Q = run.coeff
+    for a in _constant_objects(Q):
         triv = constant_cocycle_map(run.source, run.target, Q, a)
         located = _locate(triv, run.maps, run.map_classes)
         partners = [ci for ci, mj in run.matching if mj == located]
-        D = corepresented_diagram(Q, {U: a for U in site.objects})
+        D = corepresented_diagram(Q, a)
         hits = [
             ci
             for ci, members in enumerate(run.torsor_classes)
@@ -489,7 +546,9 @@ FLAVOURS = {
     "group": Flavour(
         "group torsors match classifying maps",
         enriched=False,
+        reads=_needs_one_object("group", vertex_group_presheaf),
         family=lambda run: enumerate_group_torsors(run.coeff, run.bound),
+        canonical=lambda run: trivial_group_torsor(run.coeff),
         iso=lambda run, x, y: group_torsor_maps(x, y),
         target=lambda run: bg_presheaf(group_presheaf_as_groupoid(run.coeff), run.trunc),
         checks=lambda run, i: [group_torsor_check(run.family[i])],
@@ -501,7 +560,9 @@ FLAVOURS = {
     "groupoid-action": Flavour(
         "anchored torsors match classifying maps",
         enriched=False,
+        reads=vertex_groupoid_presheaf,
         family=lambda run: enumerate_action_torsors(run.coeff, run.bound),
+        canonical=_representable,
         iso=lambda run, x, y: action_torsor_maps(x, y),
         target=lambda run: bg_presheaf(run.coeff, run.trunc),
         checks=lambda run, i: [action_torsor_check(run.family[i])],
@@ -512,7 +573,9 @@ FLAVOURS = {
     "groupoid-bundle": Flavour(
         "pulled-back bundles match classifying maps",
         enriched=False,
+        reads=vertex_groupoid_presheaf,
         family=_bundle_family,
+        canonical=lambda run: action_bundles([_representable(run)], run.trunc)[0],
         searched=lambda run: [bundle_to_action(B) for B in run.family],
         iso=lambda run, x, y: action_torsor_maps(x, y),
         target=lambda run: (
@@ -527,7 +590,11 @@ FLAVOURS = {
     "2gpd": Flavour(
         "2-groupoid actions match classifying maps",
         enriched=False,
-        family=_two_gpd_family,
+        reads=_needs_one_object("2gpd", _constant_group),
+        family=lambda run: _two_gpd_torsors(
+            run, lambda G: enumerate_group_torsors(G, run.bound)
+        ),
+        canonical=lambda run: _two_gpd_torsors(run, trivial_group_torsor),
         iso=lambda run, x, y: two_gpd_action_maps(x, y),
         target=lambda run: constant_sset_presheaf(run.site, run.wbar),
         checks=lambda run, i: [
@@ -540,7 +607,11 @@ FLAVOURS = {
     "sgroup": Flavour(
         "enriched group actions match classifying maps",
         enriched=True,
+        reads=_needs_one_object("sgroup", lambda Q: Q),
         family=_sgroup_family,
+        canonical=lambda run: corepresented_diagram(
+            run.coeff, {U: next(iter(H.objects)) for U, H in run.coeff.values.items()}
+        ),
         searched=lambda run: [level0_group_torsor(A) for A in run.family],
         iso=lambda run, x, y: group_torsor_maps(x, y),
         target=lambda run: wbar_presheaf(run.coeff),
@@ -553,7 +624,11 @@ FLAVOURS = {
     "sgpd": Flavour(
         "pulled-back diagrams match classifying maps",
         enriched=True,
+        reads=lambda Q: Q,
         family=_sgd_family,
+        canonical=lambda run: corepresented_diagram(
+            run.coeff, _shared_object(run, "no shared object to corepresent at")
+        ),
         iso=lambda run, x, y: sgd_diagram_maps(x, y, bound=run.bound),
         target=lambda run: wbar_presheaf(run.coeff),
         checks=_sgd_checks,
@@ -592,26 +667,42 @@ def _match(run, ci, check):
     return _locate(u, run.maps, run.map_classes)
 
 
+def _run(kind, site, coefficients, trunc, bound=None, cover=None):
+    """A run of the kind's flavour, holding the arguments of ``classify``."""
+    if kind not in FLAVOURS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    flavour = FLAVOURS[kind]
+    return SimpleNamespace(
+        flavour=flavour, site=site, coeff=coefficients, bound=bound,
+        trunc=coefficients.trunc if flavour.enriched else trunc,
+        cover=cover or star_cover(site),
+    )
+
+
+def canonical_check(kind, site, enriched, coefficients, trunc):
+    """The torsor verdict on the kind's translation-style torsor: the
+    last check that classification runs on a class representative, run
+    on a family of that one torsor.  ``enriched`` is the presheaf whose
+    ``reads`` gave the coefficients."""
+    run = _run(kind, site, coefficients, trunc)
+    run.enriched = enriched
+    run.family = [run.flavour.canonical(run)]
+    return run.flavour.checks(run, 0)[-1]
+
+
 def classify_torsors(kind, site, coefficients, trunc=None, bound=None, cover=None):
     """The torsor half of a classification run: the family, its
     isomorphism classes, and the checks on each class representative.
     Takes the arguments of ``classify`` and returns the run, with the
     verdict so far in ``run.check``."""
-    if kind not in FLAVOURS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    flavour = FLAVOURS[kind]
-    if flavour.enriched:
-        trunc = coefficients.trunc
-    run = SimpleNamespace(
-        flavour=flavour, site=site, coeff=coefficients, trunc=trunc, bound=bound,
-        cover=cover or star_cover(site),
-    )
+    run = _run(kind, site, coefficients, trunc, bound, cover)
+    flavour = run.flavour
     run.family = flavour.family(run)
     run.searched = searched = flavour.searched(run) if flavour.searched else run.family
     run.torsor_classes = _grouped(
         len(searched), lambda i, j: bool(flavour.iso(run, searched[i], searched[j]))
     )
-    run.check = Check(flavour.claim, True, params={"trunc": trunc, "depth": PLUS_STEPS})
+    run.check = Check(flavour.claim, True, params={"trunc": run.trunc, "depth": PLUS_STEPS})
     for members in run.torsor_classes:
         for part in flavour.checks(run, members[0]):
             run.check.add(part)

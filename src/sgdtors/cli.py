@@ -4,7 +4,11 @@ Each subcommand wraps one library construction: `wbar`, `w-total`, and
 `j-map` emit cocycle objects with level tables; `check` runs named
 verdicts; `holim`, `comma`, `alpha-beta`, and `fibre-check` cover the
 diagram side; `torsor` and `h1` run the classification machinery; and
-`fixtures` writes the built-in corpus.
+`fixtures` writes the built-in corpus.  `torsor` keeps no per-kind code:
+it dispatches through ``classify.FLAVOURS``, whose entry for ``--kind``
+reads the coefficients off the input presheaf and, for `torsor check`,
+builds the translation-style torsor and runs classification's own
+torsor check on it.
 
 Settings come only from flags, and a subcommand takes only those its
 handler reads (``FLAGS``): each takes ``--out`` and ``--format``; `wbar`,
@@ -31,34 +35,21 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .bundles import (
-    constant_enrichment,
-    corepresented_diagram,
-    sgd_torsor_check,
-    sgroup_torsor_check,
-    two_gpd_display,
-    two_gpd_torsor_check,
-    vertex_group_presheaf,
-    vertex_groupoid_presheaf,
-)
-from .classify import KINDS, classify, classify_torsors, star_cover
+from .bundles import constant_enrichment, vertex_group_presheaf
+from .classify import FLAVOURS, KINDS, canonical_check, classify, classify_torsors, star_cover
 from .fixtures import interval_sgd, pt_site, s1_site, twocomp_sgd, z2_sgroup
-from .groupoid import group_as_2groupoid
 from .holim import comma_db, corepresented_functor, holim_projection, homotopy_fibre_check
 from .join import alpha_beta, alpha_beta_check, naturality_check
 from .kan import kan_check, weq_check
 from .presheaf import (
     SgdPresheaf,
-    constant_group_presheaf,
     constant_sgd_presheaf,
-    fixed_objects,
     validate_sgd_presheaf_laws,
 )
 from .report import Check, require
 from .sgroupoid import (
     SgdFunctor,
     SimpGroupoid,
-    b_2groupoid,
     db_sgroupoid,
     identity_functor,
     validate_sgd_functor,
@@ -74,17 +65,7 @@ from .sset import (
     validate_sset,
     validate_sset_map,
 )
-from .torsors import (
-    _shared_values,
-    action_bundles,
-    action_torsor_check,
-    bundle_torsor_check,
-    group_torsor_check,
-    gauge_orbit_count,
-    h1_cech_classes,
-    representable_action_torsor,
-    trivial_group_torsor,
-)
+from .torsors import _shared_values, gauge_orbit_count, h1_cech_classes
 from .wbar import free_action_check, j_map, w_total, wbar
 
 
@@ -771,31 +752,6 @@ def cmd_fibre_check(cfg: RunConfig):
     ], {}
 
 
-def _kind_coefficients(kind, site, Q: SgdPresheaf):
-    """Extract what a classification kind consumes from an enriched
-    presheaf, guarding the shapes that only make sense one-object."""
-    one_object = all(len(H.objects) == 1 for H in Q.values.values())
-    if kind in ("group", "2gpd", "sgroup") and not one_object:
-        raise SchemaError("/kind", f"kind {kind!r} needs one-object coefficients")
-    if kind == "group":
-        return vertex_group_presheaf(Q)
-    if kind in ("groupoid-action", "groupoid-bundle"):
-        return vertex_groupoid_presheaf(Q)
-    if kind == "2gpd":
-        G = vertex_group_presheaf(Q)
-        groups = list(G.values.values())
-        same = all(
-            H.elements == groups[0].elements and H.mul == groups[0].mul
-            for H in groups
-        ) and all(
-            G.res[f][g] == g for f in site.cat.morphisms for g in groups[0].elements
-        )
-        if not same:
-            raise SchemaError("/kind", "kind '2gpd' needs a constant group coefficient")
-        return groups[0]
-    return Q
-
-
 def cmd_torsor(cfg: RunConfig):
     if cfg.bound < 1:
         raise SchemaError("/bound", "enumeration bound must be positive")
@@ -803,21 +759,23 @@ def cmd_torsor(cfg: RunConfig):
     site = Q.site
     N = resolve_trunc(cfg, Q.trunc)
     Q = truncate_sgd_presheaf(Q, N)
-    coeff = _kind_coefficients(cfg.kind, site, Q)
+    flavour = FLAVOURS[cfg.kind]
     envelope = {
         "kind": cfg.kind,
         "trunc": N,
         "depth": PLUS_STEPS,
-        "cover": star_cover(site)["family"],
+        "cover": star_cover(site),
         "input": cfg.inputs[0],
     }
-    if cfg.target == "check":
-        check = _canonical_torsor_check(cfg.kind, site, Q, coeff, N)
-        return [certificate(f"torsor/check/{cfg.kind}", check, **envelope)], {}
+    try:
+        coeff = flavour.reads(Q)
+        if cfg.target == "check":
+            check = canonical_check(cfg.kind, site, Q, coeff, N)
+            return [certificate(f"torsor/check/{cfg.kind}", check, **envelope)], {}
+    except ValueError as exc:
+        raise SchemaError("/kind", str(exc))
 
-    if cfg.kind in ("sgroup", "sgpd") and not all(
-        constant_enrichment(H) for H in Q.values.values()
-    ):
+    if flavour.enriched and not all(constant_enrichment(H) for H in Q.values.values()):
         raise SchemaError("/kind", f"kind {cfg.kind!r} enumerates only constant hom enrichments")
     try:
         if cfg.target == "enumerate":
@@ -834,46 +792,11 @@ def cmd_torsor(cfg: RunConfig):
             result = classify(cfg.kind, site, coeff, trunc=N, bound=cfg.bound)
     except ValueError as exc:
         raise SchemaError("/bound", str(exc))
-    reported = {key: result[key] for key in _REPORTED if key in result}
+    reported = {key: value for key, value in result.items() if key not in ("kind", "check")}
     cert = certificate(
         f"torsor/{cfg.target}/{cfg.kind}", result["check"], bound=cfg.bound, **envelope, **reported
     )
     return [cert], {}
-
-
-# the result keys a torsor enumerate or classify certificate reports
-_REPORTED = ("family", "torsor_classes", "classes", "map_count", "map_classes",
-             "matching", "cocycle_classes")
-
-
-def _canonical_torsor_check(kind, site, Q, coeff, N) -> Check:
-    """Verdict for the translation-style torsor each kind owns."""
-    if kind == "group":
-        return group_torsor_check(trivial_group_torsor(coeff))
-    if kind in ("groupoid-action", "groupoid-bundle"):
-        at = _shared_object(Q, "no shared object to anchor the torsor at")
-        T = representable_action_torsor(coeff, at)
-        if kind == "groupoid-action":
-            return action_torsor_check(T)
-        return bundle_torsor_check(action_bundles([T], N)[0])
-    if kind == "2gpd":
-        T = trivial_group_torsor(constant_group_presheaf(site, coeff))
-        W = wbar(b_2groupoid(group_as_2groupoid(coeff), N))
-        return two_gpd_torsor_check(*two_gpd_display(W, T))
-    if kind == "sgroup":
-        at = {U: next(iter(H.objects)) for U, H in Q.values.items()}
-        return sgroup_torsor_check(corepresented_diagram(Q, at))
-    at = _shared_object(Q, "no shared object to corepresent at")
-    return sgd_torsor_check(corepresented_diagram(Q, at))
-
-
-def _shared_object(Q: SgdPresheaf, missing):
-    """The least object, by id, that every section has and every
-    restriction fixes."""
-    fixed = fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()])
-    if not fixed:
-        raise SchemaError("/kind", missing)
-    return fixed[0]
 
 
 def cmd_h1(cfg: RunConfig):

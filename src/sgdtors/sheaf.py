@@ -156,58 +156,29 @@ def local_epi_check(phi: SetPresheafMap) -> Check:
 
 
 def cover_elements(site: FinSite, cover) -> SetPresheaf:
-    """Disjoint union of the representables of a covering family.
-
-    cover: {"object": base or None, "family": [...]}; with a base the
-    family lists morphisms into it, without one it lists objects and the
-    family covers the terminal presheaf.
-    """
+    """Disjoint union of the representables of a cover of the terminal
+    presheaf, given as a list of objects."""
     C = site.cat
-    family = list(cover["family"])
-    if cover.get("object") is not None:
-        family = [C.src(m) for m in family]
     return set_presheaf(
         site,
-        lambda W: [(i, h) for i, V in enumerate(family) for h in C.hom(W, V)],
+        lambda W: [(i, h) for i, V in enumerate(cover) for h in C.hom(W, V)],
         lambda f, s: (s[0], C.comp[(s[1], f)]),
     )
-
-
-def cover_base_map(site: FinSite, cover):
-    """For a based cover, the map (i, h) -> composite into the base."""
-    C = site.cat
-    family = list(cover["family"])
-
-    def base_of(elt):
-        i, h = elt
-        return C.comp[(family[i], h)]
-
-    return base_of
 
 
 def cech_resolution(site: FinSite, cover, trunc) -> SSetPresheaf:
     """Levelwise nerve of the chaotic groupoid on the cover's elements.
 
-    n-simplices over W are (n + 1)-tuples of elements, constrained to a
-    common composite into the base when the cover has one; faces drop an
+    n-simplices over W are (n + 1)-tuples of elements; faces drop an
     entry and degeneracies repeat one.
     """
     E = cover_elements(site, cover)
-    based = cover.get("object") is not None
-    base_of = cover_base_map(site, cover) if based else None
 
     def value(W):
         elems = E.values[W]
-
-        def levels(n):
-            tuples = itertools.product(elems, repeat=n + 1)
-            if based:
-                return [t for t in tuples if len({base_of(e) for e in t}) <= 1]
-            return list(tuples)
-
         return build_sset(
             trunc,
-            levels,
+            lambda n: list(itertools.product(elems, repeat=n + 1)),
             lambda n, i, t: t[:i] + t[i + 1:],
             lambda n, j, t: t[: j + 1] + t[j:],
         )

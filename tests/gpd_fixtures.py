@@ -100,6 +100,24 @@ def bz_site(n):
     return FinSite(cat, {}, [["o"]])
 
 
+def flip_site():
+    """Two objects o and p, not a poset: o has the endomorphisms 1o and
+    t, with t t = 1o, and p maps into o twice, by a and by b = t a.  The
+    topology is trivial and o covers the point; the fundamental group of
+    the category's groupoid completion is Z/2, generated by t = b a^-1."""
+    cat = FinCat(
+        ("o", "p"),
+        {"1o": ("o", "o"), "t": ("o", "o"), "1p": ("p", "p"), "a": ("p", "o"), "b": ("p", "o")},
+        {
+            ("1o", "1o"): "1o", ("1o", "t"): "t", ("t", "1o"): "t", ("t", "t"): "1o",
+            ("1p", "1p"): "1p", ("a", "1p"): "a", ("b", "1p"): "b",
+            ("1o", "a"): "a", ("1o", "b"): "b", ("t", "a"): "b", ("t", "b"): "a",
+        },
+        {"o": "1o", "p": "1p"},
+    )
+    return FinSite(cat, {}, [["o"]])
+
+
 def chain_site(length=6):
     """The poset chain C0 <- C1 <- ... in which each object is covered by
     the next one down, and C0 covers the point.  Refining the sieve of

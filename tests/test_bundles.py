@@ -428,8 +428,7 @@ def test_pullback_diagrams_match_corepresented_ones():
 
 def test_cover_coefficients_validate():
     site = s1_site()
-    cover = {"object": None, "family": site.star_covers[0]}
-    C = cech_sgd_presheaf(site, cover, 2)
+    C = cech_sgd_presheaf(site, star_cover(site), 2)
     assert validate_sgd_presheaf(C).ok
 
 

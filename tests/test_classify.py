@@ -13,7 +13,7 @@ import pkgutil
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import bz_site, cone_site, ez2_sgroup
+from gpd_fixtures import bz_site, cone_site, ez2_sgroup, flip_site
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,7 +54,9 @@ from sgdtors.presheaf import (
     validate_sset_presheaf_map,
 )
 from sgdtors.search import Partition
+from sgdtors.sgroupoid import constant_sgroup
 from sgdtors.sheaf import cech_resolution
+from sgdtors.site import validate_site
 from sgdtors.torsors import (
     bg_presheaf,
     enumerate_group_torsors,
@@ -267,6 +269,29 @@ def test_all_six_kinds_classify_bz2_as_the_oracle_does():
         r = classify(kind, site, coeff, trunc=3)
         assert r["classes"] == len(r["map_classes"]) == oracle, kind
         assert sorted(j for _, j in r["matching"]) == [0, 1], kind
+        assert r["check"], (kind, r["check"].render())
+
+
+@pytest.mark.parametrize("n, classes", [(2, 2), (3, 1)])
+def test_all_six_kinds_classify_a_two_object_non_poset_as_the_oracle_does(n, classes):
+    # p maps into o twice, by a and by t a, so the loop t survives in the
+    # groupoid completion and the count is Hom(Z/2, Z/n)
+    site = flip_site()
+    assert validate_site(site), validate_site(site).render()
+    G = constant_group_presheaf(site, zmod(n))
+    GP = group_presheaf_as_groupoid(G)
+    Q = constant_sgd_presheaf(site, constant_sgroup(zmod(n), 3))
+    assert h1_cech_oracle(G) == classes
+    for kind, coeff in (
+        ("group", G),
+        ("groupoid-action", GP),
+        ("groupoid-bundle", GP),
+        ("2gpd", zmod(n)),
+        ("sgroup", Q),
+        ("sgpd", Q),
+    ):
+        r = classify(kind, site, coeff, trunc=3)
+        assert r["classes"] == len(r["map_classes"]) == classes, kind
         assert r["check"], (kind, r["check"].render())
 
 

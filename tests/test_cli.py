@@ -12,6 +12,7 @@ from call_counts import count_calls
 from gpd_fixtures import bz_site, chain_site, ez2_sgroup, one_cell_sgroupoid
 
 from sgdtors import cli
+from sgdtors.bundles import sgd_torsor_check, sgroup_torsor_check, two_gpd_torsor_check
 from sgdtors.cli import (
     RunConfig,
     SchemaError,
@@ -52,6 +53,7 @@ from sgdtors.sgroupoid import (
 )
 from sgdtors.site import validate_site
 from sgdtors.sset import circle, delta, sset_product, validate_sset
+from sgdtors.torsors import action_torsor_check, bundle_torsor_check, group_torsor_check
 from sgdtors.wbar import w_total, wbar
 
 
@@ -377,6 +379,19 @@ def test_torsor_check_verifies_the_translation_torsors(corpus, capsys):
         out = capsys.readouterr().out
         assert code == 0, (kind, out)
         assert f"PASS torsor/check/{kind}" in out
+
+
+def test_torsor_check_runs_one_classification_check(corpus, capsys, monkeypatch):
+    # each kind's verdict is the last check that classification runs on a
+    # class representative, called once
+    checks = (group_torsor_check, action_torsor_check, bundle_torsor_check,
+              two_gpd_torsor_check, sgroup_torsor_check, sgd_torsor_check)
+    calls = count_calls(monkeypatch, checks)
+    for kind, check in zip(CHECK_INPUTS, checks):
+        assert _torsor_check(corpus, kind) == 0
+        assert calls == {check.__name__: 1}, kind
+        calls.clear()
+    capsys.readouterr()
 
 
 # sha256 of the certificate detail of each `torsor check` above

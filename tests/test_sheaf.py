@@ -153,7 +153,7 @@ def test_local_epi_fails_without_a_cover():
 
 def test_cech_sections_count_cover_elements():
     site = s1_site()
-    C = cech_resolution(site, {"object": None, "family": ["U", "V"]}, trunc=3)
+    C = cech_resolution(site, ["U", "V"], trunc=3)
     valid = validate_sset_presheaf(C)
     assert valid, valid.render()
     assert C.values["U"].size(0) == 1
@@ -161,13 +161,14 @@ def test_cech_sections_count_cover_elements():
     assert C.values["A"].size(1) == 4
     for U in site.objects:
         assert len(pi0_presheaf(C).values[U]) == 1
-    report = cech_local_epi_check(site, {"object": None, "family": ["U", "V"]})
+    report = cech_local_epi_check(site, ["U", "V"])
     assert report.ok, report.render()
 
 
 def test_based_cech_sections_over_the_base_can_be_empty():
     site = cover_site()
-    C = cech_resolution(site, {"object": "T", "family": [("W", "T")]}, trunc=2)
+    # W covers T, and nothing maps from T into W
+    C = cech_resolution(site, ["W"], trunc=2)
     valid = validate_sset_presheaf(C)
     assert valid, valid.render()
     assert C.values["T"].size(0) == 0
@@ -219,8 +220,7 @@ def test_local_weq_names_the_first_object_whose_sections_are_not_fibrant():
 
 def test_cech_augmentation_is_local_but_not_sectionwise_trivial():
     site = cover_site()
-    cover = {"object": "T", "family": [("W", "T")]}
-    C = cech_resolution(site, cover, trunc=4)
+    C = cech_resolution(site, ["W"], trunc=4)
     Y = yoneda_sset_presheaf(site, "T", trunc=4)
     phi = sset_presheaf_map(C, Y, lambda U, n, t: ("W", "T") if U == "W" else None)
     report = local_weq_check(phi)
