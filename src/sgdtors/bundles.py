@@ -62,7 +62,7 @@ from .sgroupoid import (
     string_image,
     validate_sgd_functor,
 )
-from .sheaf import PLUS_STEPS, cover_elements, local_weq_check
+from .sheaf import PLUS_STEPS, cover_elements
 from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, subcomplex, validate_sset_map
 from .torsors import (
     ActionTorsor,
@@ -73,8 +73,7 @@ from .torsors import (
     _shared_values,
     display_torsor_check,
     group_action_torsor,
-    pullback_shape_check,
-    to_point_map,
+    locally_trivial_check,
     w_total_presheaf,
 )
 from .wbar import w_action, w_quotient_map
@@ -414,11 +413,8 @@ def _holim_torsor_check(claim, local_claim, valid: Check, D: SgdDiagram) -> Chec
     """A diagram D presents a torsor when it is valid and its homotopy
     colimit is locally trivial; D is read only once ``valid`` holds."""
     check = Check(claim, True, params={"depth": PLUS_STEPS})
-    if not check.add(valid):
-        return check
-    weq = local_weq_check(to_point_map(holim_presheaf(D)))
-    weq.claim = local_claim
-    check.add(weq)
+    if check.add(valid):
+        check.add(locally_trivial_check(holim_presheaf(D), local_claim))
     return check
 
 
@@ -560,21 +556,11 @@ def cech_sgd_presheaf(site, cover, trunc) -> SgdPresheaf:
     res = {}
     for f, (V, U) in site.cat.morphisms.items():
         tab = E.res[f]
-        res[f] = _chaotic_sgd_functor(values[U], values[V], lambda e, tab=tab: tab[e])
+        # the one cell of hom(x, y) in a chaotic groupoid is the pair (x, y)
+        res[f] = sgd_functor(
+            values[U], values[V], tab.__getitem__, lambda a, b, n, c: (tab[a], tab[b])
+        )
     return SgdPresheaf(site, values, res)
-
-
-def _chaotic_sgd_functor(HU, HV, ob) -> SgdFunctor:
-    """A functor between constant chaotic enrichments is fixed by its
-    object map: every hom level has exactly one cell."""
-    maps = {}
-    for (a, b), hom in HU.homs.items():
-        target = HV.homs[(ob(a), ob(b))]
-        maps[(a, b)] = {}
-        for n in range(HU.trunc + 1):
-            (cell,) = target.level(n)
-            maps[(a, b)][n] = {c: cell for c in hom.level(n)}
-    return SgdFunctor(HU, HV, {a: ob(a) for a in HU.objects}, maps)
 
 
 def constant_enrichment(H) -> bool:
@@ -758,14 +744,10 @@ def two_gpd_display(W: TruncSSet, A: ActionTorsor):
     return total, sset_presheaf_map(total, base, lambda U, n, s: displays[U][1](n, s))
 
 
-def two_gpd_shape_check(total: SSetPresheaf, pi: SSetPresheafMap) -> Check:
-    return pullback_shape_check(total, pi, "display levels pull back from level zero")
-
-
 def two_gpd_torsor_check(total: SSetPresheaf, pi: SSetPresheafMap) -> Check:
     return display_torsor_check(
         "display presents a torsor for the 2-groupoid", "display",
-        total, pi, lambda: two_gpd_shape_check(total, pi),
+        total, pi, "display levels pull back from level zero",
     )
 
 

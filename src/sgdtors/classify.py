@@ -74,6 +74,7 @@ from .report import Check, InvariantError, invariant, require, unique_hit
 from .search import solve
 from .sgroupoid import b_2groupoid
 from .sheaf import PLUS_STEPS, cech_resolution, cover_elements
+from .site import star_cover
 from .sset import delta, sset_product
 from .torsors import (
     ActionTorsor,
@@ -83,6 +84,7 @@ from .torsors import (
     bg_presheaf,
     bundle_to_action,
     bundle_torsor_check,
+    constant_objects,
     enumerate_action_torsors,
     enumerate_group_cochains,
     enumerate_group_torsors,
@@ -96,10 +98,6 @@ from .torsors import (
     wbar_presheaf,
 )
 from .wbar import wbar
-
-def star_cover(site):
-    """The designated cover of the terminal presheaf: a list of objects."""
-    return list(site.star_covers[0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +406,8 @@ def _constant_objects(Q):
     return fixed_objects(Q.values.values(), [F.ob for F in Q.res.values()])
 
 
-def _shared_object(run, missing):
-    """The least of the enriched coefficients' constant objects."""
-    fixed = _constant_objects(run.enriched)
+def _shared_object(fixed, missing):
+    """The least of the constant objects ``fixed``."""
     if not fixed:
         raise ValueError(missing)
     return fixed[0]
@@ -418,7 +415,7 @@ def _shared_object(run, missing):
 
 def _representable(run):
     """Arrows into the least constant object, anchored by source."""
-    at = _shared_object(run, "no shared object to anchor the torsor at")
+    at = _shared_object(constant_objects(run.coeff), "no shared object to anchor the torsor at")
     return representable_action_torsor(run.coeff, at)
 
 
@@ -627,7 +624,8 @@ FLAVOURS = {
         reads=lambda Q: Q,
         family=_sgd_family,
         canonical=lambda run: corepresented_diagram(
-            run.coeff, _shared_object(run, "no shared object to corepresent at")
+            run.coeff,
+            _shared_object(_constant_objects(run.coeff), "no shared object to corepresent at"),
         ),
         iso=lambda run, x, y: sgd_diagram_maps(x, y, bound=run.bound),
         target=lambda run: wbar_presheaf(run.coeff),
@@ -679,13 +677,11 @@ def _run(kind, site, coefficients, trunc, bound=None, cover=None):
     )
 
 
-def canonical_check(kind, site, enriched, coefficients, trunc):
+def canonical_check(kind, site, coefficients, trunc):
     """The torsor verdict on the kind's translation-style torsor: the
     last check that classification runs on a class representative, run
-    on a family of that one torsor.  ``enriched`` is the presheaf whose
-    ``reads`` gave the coefficients."""
+    on a family of that one torsor."""
     run = _run(kind, site, coefficients, trunc)
-    run.enriched = enriched
     run.family = [run.flavour.canonical(run)]
     return run.flavour.checks(run, 0)[-1]
 

@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .bundles import constant_enrichment, vertex_group_presheaf
-from .classify import FLAVOURS, KINDS, canonical_check, classify, classify_torsors, star_cover
+from .classify import FLAVOURS, KINDS, canonical_check, classify, classify_torsors
 from .fixtures import interval_sgd, pt_site, s1_site, twocomp_sgd, z2_sgroup
 from .holim import comma_db, corepresented_functor, holim_projection, homotopy_fibre_check
 from .join import alpha_beta, alpha_beta_check, naturality_check
@@ -55,8 +55,8 @@ from .sgroupoid import (
     validate_sgd_functor,
     validate_sgroupoid,
 )
-from .sheaf import PLUS_STEPS
-from .site import FinCat, FinSite, validate_site
+from .sheaf import PLUS_STEPS, cech_local_epi_check
+from .site import FinCat, FinSite, star_cover, validate_site
 from .sset import (
     DEFAULT_TRUNC,
     TruncSSet,
@@ -264,6 +264,8 @@ def encode_site(S: FinSite) -> dict:
 
 def decode_site(obj, where="") -> FinSite:
     objects = _id(obj, "objects", where, list)
+    if not objects:
+        raise SchemaError(f"{where}/objects", "a site needs at least one object")
     morphisms = {}
     for k, m in enumerate(_get(obj, "morphisms", where, list)):
         mw = f"{where}/morphisms/{k}"
@@ -304,7 +306,7 @@ def decode_site(obj, where="") -> FinSite:
             )
         identities[a] = found[0]
     cat = FinCat(objects, morphisms, comp, identities)
-    star, covers = [], {}
+    star, covers = {}, {}
     for k, c in enumerate(_get(obj, "covers", where, list, required=False, default=[])):
         cw = f"{where}/covers/{k}"
         base = _id(c, "object", cw)
@@ -313,7 +315,7 @@ def decode_site(obj, where="") -> FinSite:
             for u in fam:
                 if u not in objects:
                     raise SchemaError(f"{cw}/family", f"{u!r} is not an object")
-            star.append(fam)
+            star[f"{cw}/family"] = fam
         else:
             if base not in objects:
                 raise SchemaError(f"{cw}/object", f"{base!r} is not an object")
@@ -325,13 +327,19 @@ def decode_site(obj, where="") -> FinSite:
             covers.setdefault(base, []).append(fam)
     if not star:
         raise SchemaError(f"{where}/covers", "no cover of the terminal presheaf")
-    site = FinSite(cat, covers, star)
+    site = FinSite(cat, covers, list(star.values()))
     category, *parts = validate_site(site).parts
     if not category:
         raise SchemaError(where, f"not a category: {category.witness[0]}")
     for part in parts:
         if not part:
             raise SchemaError(f"{where}/covers", f"{part.claim} fails: {part.witness!r}")
+    for pointer, fam in star.items():
+        hit = cech_local_epi_check(site, fam)
+        if not hit:
+            miss = hit.parts[-1]
+            raise SchemaError(pointer, f"family does not cover the point: {miss.claim} "
+                                       f"fails at {miss.witness!r}")
     return site
 
 
@@ -770,7 +778,7 @@ def cmd_torsor(cfg: RunConfig):
     try:
         coeff = flavour.reads(Q)
         if cfg.target == "check":
-            check = canonical_check(cfg.kind, site, Q, coeff, N)
+            check = canonical_check(cfg.kind, site, coeff, N)
             return [certificate(f"torsor/check/{cfg.kind}", check, **envelope)], {}
     except ValueError as exc:
         raise SchemaError("/kind", str(exc))

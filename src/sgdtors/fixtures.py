@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 
-from .groupoid import trivial_groupoid, zmod
+from .groupoid import disjoint_union_groupoids, group_as_groupoid, trivial_groupoid, zmod
 from .presheaf import SgdPresheaf, constant_sgd_presheaf
-from .sgroupoid import SimpGroupoid, constant_sgroup, constant_sgroupoid, disjoint_union_sgd
+from .sgroupoid import SimpGroupoid, constant_sgroup, constant_sgroupoid
 from .site import FinSite, poset_category
 
 
@@ -69,12 +69,8 @@ def interval_sgd(trunc) -> SimpGroupoid:
 
 def twocomp_sgd(trunc) -> SimpGroupoid:
     """Two components with trivial cells: two classes and nothing else."""
-    return disjoint_union_sgd(
-        {
-            "l": constant_sgroup(zmod(1), trunc),
-            "r": constant_sgroup(zmod(1), trunc),
-        }
-    )
+    trivial = group_as_groupoid(zmod(1))
+    return constant_sgroupoid(disjoint_union_groupoids({"l": trivial, "r": trivial}), trunc)
 
 
 def z2_presheaf(site, trunc) -> SgdPresheaf:

@@ -29,7 +29,6 @@ from .sset import (
     SSetMap,
     TruncSSet,
     build_sset,
-    relabel,
     sset_map,
     sset_product,
     validate_sset,
@@ -242,38 +241,6 @@ def b_2groupoid(T: Fin2Groupoid, trunc) -> SimpGroupoid:
         comp[(a, b, c)] = per
     identities = {a: (T.identities1[a], ()) for a in T.objects}
     return SimpGroupoid(trunc, T.objects, homs, comp, identities)
-
-
-def disjoint_union_sgd(pieces: dict) -> SimpGroupoid:
-    truncs = {H.trunc for H in pieces.values()}
-    invariant(len(truncs) == 1, "pieces have different truncations")
-    (N,) = truncs
-    empty = build_sset(N, lambda n: (), None, None)
-    objects = tuple((t, a) for t, H in pieces.items() for a in H.objects)
-    homs = {}
-    comp = {}
-    for ta, a in objects:
-        for tb, b in objects:
-            if ta == tb:
-                homs[((ta, a), (tb, b))] = relabel(
-                    pieces[ta].homs[(a, b)], lambda n, x: (ta, x)
-                )
-            else:
-                homs[((ta, a), (tb, b))] = empty
-    for ta, a in objects:
-        for tb, b in objects:
-            for tc, c in objects:
-                key = ((ta, a), (tb, b), (tc, c))
-                if ta == tb == tc:
-                    src = pieces[ta].comp[(a, b, c)]
-                    comp[key] = {
-                        n: {((ta, g), (ta, f)): (ta, h) for (g, f), h in tab.items()}
-                        for n, tab in src.items()
-                    }
-                else:
-                    comp[key] = {n: {} for n in range(N + 1)}
-    identities = {(t, a): (t, pieces[t].identities[a]) for t, H in pieces.items() for a in H.objects}
-    return SimpGroupoid(N, objects, homs, comp, identities)
 
 
 def product_sgd(G: SimpGroupoid, H: SimpGroupoid) -> SimpGroupoid:

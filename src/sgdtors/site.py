@@ -13,6 +13,7 @@ collapses to its sectionwise version.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -50,7 +51,7 @@ class FinCat:
 
 @validator("input is a category")
 def validate_cat(C: FinCat):
-    problems = []
+    problems = [f"object {a!r} is repeated" for a, k in Counter(C.objects).items() if k > 1]
     for f, (a, b) in C.morphisms.items():
         if a not in C.objects or b not in C.objects:
             problems.append(f"morphism {f!r} has unknown endpoints")
@@ -119,6 +120,11 @@ class FinSite:
 
     # min_sieves(site), worked out once: a site is never changed once built
     _min_sieves = cached_property(lambda site: _refined_sieves(site))
+
+
+def star_cover(site: FinSite):
+    """The designated cover of the terminal presheaf: a list of objects."""
+    return list(site.star_covers[0])
 
 
 def generated_sieve(site: FinSite, U, family):

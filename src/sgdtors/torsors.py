@@ -55,6 +55,7 @@ from .report import Check, InvariantError, require, unique_hit, validator
 from .search import solve
 from .sgroupoid import db_sgroupoid, string_image
 from .sheaf import PLUS_STEPS, is_sheaf, local_epi_check, local_weq_check, plus_construction
+from .site import star_cover
 from .sset import idkey, relabel
 from .wbar import cocycle_image, wbar, w_total
 
@@ -216,20 +217,11 @@ def trivial_group_torsor(G: GroupPresheaf) -> ActionTorsor:
 
 def group_torsor_check(T: ActionTorsor) -> Check:
     """Locally nonempty, and free and transitive on sheafified sections."""
-    check = Check(
-        "total object is a torsor for the group presheaf",
-        True,
-        params={"depth": PLUS_STEPS},
+    return _sheafified_torsor_check(
+        T, [arrows_presheaf], "total object is a torsor for the group presheaf",
+        "action tables form a presheaf action", "coefficients form a sheaf",
+        "action is transitive on sheafified sections",
     )
-    valid = validate_action_torsor(T)
-    if not check.add(replace(valid, claim="action tables form a presheaf action")):
-        return check
-    check.add(require(is_sheaf(arrows_presheaf(T.gpd)), "coefficients form a sheaf"))
-    if not check.ok:
-        return check
-    for part in _sheafified_checks(T, "action is transitive on sheafified sections"):
-        check.add(part)
-    return check
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +349,7 @@ def h1_cech_classes(G: GroupPresheaf, cover=None):
     """
     site = G.site
     if cover is None:
-        cover = list(site.star_covers[0])
+        cover = star_cover(site)
     k = len(cover)
     ys = {i: yoneda(site, cover[i]) for i in range(k)}
     # the ordered Cech nerve, i <= j <= l; the self-overlap y(Ui) x y(Ui)
@@ -642,8 +634,13 @@ def enumerate_action_torsors(GP: GroupoidPresheaf, bound=None):
             }
             out.append(ActionTorsor(GP, T.total, anchor, T.action))
         return out
-    constant = fixed_objects(GP.values.values(), [ob for ob, _ in GP.res.values()])
-    return [representable_action_torsor(GP, a) for a in constant]
+    return [representable_action_torsor(GP, a) for a in constant_objects(GP)]
+
+
+def constant_objects(GP: GroupoidPresheaf):
+    """The objects, by id, that every section has and every restriction
+    fixes."""
+    return fixed_objects(GP.values.values(), [ob for ob, _ in GP.res.values()])
 
 
 def _anchored(T1: ActionTorsor, T2: ActionTorsor):
@@ -692,28 +689,29 @@ def _plus_action_anchored(T: ActionTorsor, E, anchor, action):
 
 def action_torsor_check(T: ActionTorsor) -> Check:
     """Locally nonempty, free, and connected by arrows after sheafification."""
-    check = Check(
+    return _sheafified_torsor_check(
+        T, [objects_presheaf, arrows_presheaf],
         "anchored action is a torsor for the groupoid presheaf",
-        True,
-        params={"depth": PLUS_STEPS},
+        "anchored action tables are natural", "coefficients form a sheaf of groupoids",
+        "any two sheafified sections are joined by an arrow",
     )
-    if not check.add(validate_action_torsor(T)):
-        return check
-    sheaves = is_sheaf(objects_presheaf(T.gpd)) and is_sheaf(arrows_presheaf(T.gpd))
-    check.add(require(sheaves, "coefficients form a sheaf of groupoids"))
-    if not check.ok:
-        return check
-    for part in _sheafified_checks(T, "any two sheafified sections are joined by an arrow"):
-        check.add(part)
-    return check
 
 
-def _sheafified_checks(T: ActionTorsor, joined_claim):
-    """The total object covers the point locally, and the action is free
-    and joins any two sections after PLUS_STEPS plus-construction steps."""
+def _sheafified_torsor_check(T: ActionTorsor, sheaf_parts, claim, valid_claim, sheaf_claim,
+                             joined_claim) -> Check:
+    """The action tables are valid and each coefficient part in
+    ``sheaf_parts`` is a sheaf; then the total object covers the point
+    locally, and the action is free and joins any two sections after
+    PLUS_STEPS plus-construction steps."""
+    check = Check(claim, True, params={"depth": PLUS_STEPS})
+    if not check.add(replace(validate_action_torsor(T), claim=valid_claim)):
+        return check
+    if not check.add(require(all(is_sheaf(part(T.gpd)) for part in sheaf_parts), sheaf_claim)):
+        return check
     to_pt = set_presheaf_map(T.total, terminal_presheaf(T.total.site), lambda U, s: "*")
     epi = local_epi_check(to_pt)
     epi.claim = "total object covers the point locally"
+    check.add(epi)
     E, anchor, action = T.total, T.anchor, T.action
     for _ in range(PLUS_STEPS):
         E, anchor, action = _plus_action_anchored(T, E, anchor, action)
@@ -730,11 +728,11 @@ def _sheafified_checks(T: ActionTorsor, joined_claim):
         for e2 in E.values[U]
         if not any(action[U].get((e, g)) == e2 for g in T.gpd.values[U].morphisms)
     ]
-    return [
-        epi,
-        require(not stabilized, "action is free on sheafified sections", witness=stabilized[:2]),
-        require(not untied, joined_claim, witness=untied[:2]),
-    ]
+    check.add(
+        require(not stabilized, "action is free on sheafified sections", witness=stabilized[:2])
+    )
+    check.add(require(not untied, joined_claim, witness=untied[:2]))
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -838,39 +836,43 @@ def pullback_shape_check(total: SSetPresheaf, pi: SSetPresheafMap, claim) -> Che
     return check
 
 
-def bundle_shape_check(T5: BundleTorsor) -> Check:
-    return pullback_shape_check(
-        T5.total, T5.projection, "higher levels pull back from level zero"
-    )
+def locally_trivial_check(total: SSetPresheaf, claim) -> Check:
+    """The map from ``total`` to the point is a local weak equivalence:
+    the last step of every torsor check on an assembled total object."""
+    weq = local_weq_check(to_point_map(total))
+    weq.claim = claim
+    return weq
 
 
-def display_torsor_check(claim, noun, total, pi, shape) -> Check:
+def display_torsor_check(claim, noun, total, pi, shape_claim) -> Check:
     """A simplicial presheaf over a nerve is a torsor when it and its
-    projection are valid, the pullback check ``shape()`` passes, and it
-    is locally trivial; ``noun`` names it in the claims."""
+    projection are valid, its higher levels pull back from level zero
+    (the part ``shape_claim``), and it is locally trivial; ``noun``
+    names it in the claims."""
     check = Check(claim, True, params={"depth": PLUS_STEPS})
     check.add(replace(validate_sset_presheaf(total), claim=f"{noun} is a simplicial presheaf"))
     check.add(replace(validate_sset_presheaf_map(pi), claim="projection is a presheaf map"))
     if check.ok:
-        check.add(shape())
+        check.add(pullback_shape_check(total, pi, shape_claim))
     if check.ok:
-        weq = local_weq_check(to_point_map(total))
-        weq.claim = f"{noun} is locally trivial"
-        check.add(weq)
+        check.add(locally_trivial_check(total, f"{noun} is locally trivial"))
     return check
+
+
+_BUNDLE_SHAPE = "higher levels pull back from level zero"
 
 
 def bundle_torsor_check(T5: BundleTorsor) -> Check:
     return display_torsor_check(
         "simplicial bundle over the nerve is a torsor", "total object",
-        T5.total, T5.projection, lambda: bundle_shape_check(T5),
+        T5.total, T5.projection, _BUNDLE_SHAPE,
     )
 
 
 def bundle_to_action(T5: BundleTorsor) -> ActionTorsor:
     """Extract the level-zero action; the value on an arrow is the first
     face of the unique filler over its nerve string."""
-    shape = bundle_shape_check(T5)
+    shape = pullback_shape_check(T5.total, T5.projection, _BUNDLE_SHAPE)
     if not shape.ok:
         raise ValueError("bundle does not pull back from level zero: "
                          + shape.render().splitlines()[-1])

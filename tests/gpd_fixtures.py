@@ -2,11 +2,33 @@
 
 import itertools
 
-from sgdtors.fixtures import s1_site
-from sgdtors.groupoid import Fin2Groupoid, group_as_groupoid
-from sgdtors.sgroupoid import SimpGroupoid, constant_sset
+from sgdtors.bundles import corepresented_diagram, two_gpd_display
+from sgdtors.fixtures import pt_site, s1_site, z2_presheaf
+from sgdtors.groupoid import (
+    Fin2Groupoid,
+    group_as_2groupoid,
+    group_as_groupoid,
+    trivial_groupoid,
+    zmod,
+)
+from sgdtors.presheaf import (
+    SSetPresheafMap,
+    constant_group_presheaf,
+    set_presheaf,
+    terminal_sset_presheaf,
+)
+from sgdtors.sgroupoid import SimpGroupoid, b_2groupoid, constant_sset
 from sgdtors.site import FinCat, FinSite, poset_category
 from sgdtors.sset import build_sset
+from sgdtors.torsors import (
+    BundleTorsor,
+    action_bundles,
+    arrows_action_torsor,
+    constant_groupoid_presheaf,
+    enumerate_action_torsors,
+    group_action_torsor,
+)
+from sgdtors.wbar import wbar
 
 
 def one_object_one_cell_2groupoid(F):
@@ -127,3 +149,64 @@ def chain_site(length=6):
     cat = poset_category(objects, lambda a, b: int(a[1:]) >= int(b[1:]))
     covers = {objects[i]: [[(objects[i + 1], objects[i])]] for i in range(length - 1)}
     return FinSite(cat, covers, [[objects[0]]])
+
+
+# ---------------------------------------------------------------------------
+# Torsor-check inputs that fail, each at its own step.
+
+
+def collapsed_bundle():
+    """The bundle of Z/2 acting on itself over the point, with its total
+    object collapsed to the base vertex: a valid simplicial map that
+    breaks the pullback shape in level one."""
+    GP = constant_groupoid_presheaf(pt_site(), group_as_groupoid(zmod(2)))
+    (T5,) = action_bundles(enumerate_action_torsors(GP)[:1], trunc=3)
+    pt = terminal_sset_presheaf(GP.site, 3)
+    e = zmod(2).e
+    comps = {
+        U: {n: {x: ("*", (e,) * n) for x in pt.values[U].level(n)} for n in range(4)}
+        for U in GP.site.objects
+    }
+    return BundleTorsor(GP, T5.nerve, pt, SSetPresheafMap(pt, T5.nerve, comps))
+
+
+def arrows_bundle():
+    """The arrows of the chaotic groupoid on two objects, as a bundle over
+    the point: it has the pullback shape, but its orbits are indexed by
+    sources, so it is not locally trivial."""
+    GP = constant_groupoid_presheaf(pt_site(), trivial_groupoid((0, 1)))
+    (T5,) = action_bundles([arrows_action_torsor(GP)], trunc=2)
+    return T5
+
+
+def two_orbit_display():
+    """Z/2 over the circle swapping 0 with 1 and 2 with 3, displayed over
+    the cocycle object of its 2-groupoid: the display has the pullback
+    shape, but two orbits are not locally trivial."""
+    site = s1_site()
+    W = wbar(b_2groupoid(group_as_2groupoid(zmod(2)), 3))
+    swap = {0: 1, 1: 0, 2: 3, 3: 2}
+    elements = set_presheaf(site, lambda U: (0, 1, 2, 3), lambda f, x: x)
+    A = group_action_torsor(
+        constant_group_presheaf(site, zmod(2)), elements,
+        lambda U, x, g: x if g == 0 else swap[x],
+    )
+    return A, two_gpd_display(W, A)
+
+
+def swapped_identity_restriction():
+    """The Z/2 diagram over the circle corepresented at its object, whose
+    identity restriction at U swaps the two cells: simplicial and
+    equivariant, so only the presheaf laws of the restrictions see it."""
+    D = corepresented_diagram(z2_presheaf(s1_site(), 2), "*")
+    for cells in D.res[("U", "U")]["*"].values():
+        cells[0], cells[1] = cells[1], cells[0]
+    return D
+
+
+def s1_point_cover(family):
+    """The circle site with the point covered by ``family``, a list of
+    its objects."""
+    site = s1_site()
+    site.star_covers = [list(family)]
+    return site

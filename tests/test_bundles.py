@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 from call_counts import count_calls
+from gpd_fixtures import two_orbit_display
 
 from sgdtors.bundles import (
     borel_to_quotient,
@@ -35,7 +36,6 @@ from sgdtors.bundles import (
     twisted_sgroup_action,
     two_gpd_action_maps,
     two_gpd_display,
-    two_gpd_shape_check,
     two_gpd_torsor_check,
     unit_sgd_presheaf,
     validate_sgd_diagram,
@@ -44,7 +44,6 @@ from sgdtors.bundles import (
     w_quotient_presheaf_map,
     wg_action,
 )
-from sgdtors.classify import star_cover
 from sgdtors.fixtures import interval_presheaf, pt_site, s1_site, twocomp_presheaf, z2_presheaf
 from sgdtors.groupoid import group_as_2groupoid, trivial_groupoid, zmod
 from sgdtors.holim import corepresented_functor, simplicial_functor
@@ -52,7 +51,6 @@ from sgdtors.kan import enumerate_sset_maps, weq_check
 from sgdtors.presheaf import (
     constant_group_presheaf,
     natural_square,
-    set_presheaf,
     SSetPresheafMap,
     sset_presheaf_map,
     terminal_sset_presheaf,
@@ -67,16 +65,17 @@ from sgdtors.sgroupoid import (
     validate_sgd_functor,
 )
 from sgdtors.sheaf import cech_resolution
+from sgdtors.site import star_cover
 from sgdtors.sset import sset_map, validate_sset_map
 from sgdtors.torsors import (
     bg_presheaf,
     cochain_torsor,
     db_presheaf,
-    group_action_torsor,
     group_presheaf_as_groupoid,
     group_torsor_check,
     group_torsor_maps,
     h1_cech_classes,
+    pullback_shape_check,
     torsor_cech_class,
     trivial_group_torsor,
     validate_action_torsor,
@@ -494,7 +493,7 @@ def test_twisted_two_gpd_displays_are_torsors():
         valid = validate_action_torsor(A)
         assert valid, valid.render()
         total, pi = two_gpd_display(W, A)
-        assert two_gpd_shape_check(total, pi)
+        assert pullback_shape_check(total, pi, "display levels pull back from level zero")
         assert two_gpd_torsor_check(total, pi)
         actions.append(A)
     assert two_gpd_action_maps(actions[0], actions[1]) == []
@@ -502,18 +501,10 @@ def test_twisted_two_gpd_displays_are_torsors():
 
 
 def test_two_orbit_action_has_the_shape_but_is_not_locally_trivial():
-    site = s1_site()
-    W = wbar(b_2groupoid(group_as_2groupoid(zmod(2)), 3))
-    swap = {0: 1, 1: 0, 2: 3, 3: 2}
-    elements = set_presheaf(site, lambda U: (0, 1, 2, 3), lambda f, x: x)
-    A = group_action_torsor(
-        constant_group_presheaf(site, zmod(2)), elements,
-        lambda U, x, g: x if g == 0 else swap[x],
-    )
+    A, (total, pi) = two_orbit_display()
     valid = validate_action_torsor(A)
     assert valid, valid.render()
-    total, pi = two_gpd_display(W, A)
-    assert two_gpd_shape_check(total, pi)
+    assert pullback_shape_check(total, pi, "display levels pull back from level zero")
     verdict = two_gpd_torsor_check(total, pi)
     assert not verdict
     assert "locally trivial" in verdict.render()

@@ -9,7 +9,7 @@ import random
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import bz_site, chain_site, ez2_sgroup, one_cell_sgroupoid
+from gpd_fixtures import bz_site, chain_site, ez2_sgroup, one_cell_sgroupoid, s1_point_cover
 
 from sgdtors import cli
 from sgdtors.bundles import sgd_torsor_check, sgroup_torsor_check, two_gpd_torsor_check
@@ -37,16 +37,15 @@ from sgdtors.fixtures import (
     z2_presheaf,
     z2_sgroup,
 )
-from sgdtors.groupoid import group_as_2groupoid, zmod
+from sgdtors.groupoid import disjoint_union_groupoids, group_as_2groupoid, group_as_groupoid, zmod
 from sgdtors.holim import holim
 from sgdtors.join import join_object
 from sgdtors.presheaf import constant_sgd_presheaf
 from sgdtors.report import Check, require
 from sgdtors.sgroupoid import (
     b_2groupoid,
-    constant_sgroup,
+    constant_sgroupoid,
     db_sgroupoid,
-    disjoint_union_sgd,
     sgd_functor,
     validate_sgd_functor,
     validate_sgroupoid,
@@ -71,6 +70,25 @@ def corpus(tmp_path_factory):
     code = cli.main(["fixtures", "--out", str(outdir)])
     assert code == 0
     return {name: str(outdir / name) for name in fixture_corpus()}
+
+
+# The sha256 of each file that `fixtures` writes.
+FIXTURE_PINS = {
+    "interval.json": "6b5a392df06f212427be9f2da90f47f5bdb9be2539e26caad595a19164dfabed",
+    "pt.json": "5e2126a465d520495691b2b820269fd42f5afc5275431806da634d6fd675f624",
+    "s1.json": "7a04462b9cf051a58ab0c5ade197fea0e11ab0941684a93fe80b1cde083b4dce",
+    "s1cov.json": "96d4b4ecae42ba71119894308a1d1d676b86d23c1bacd9afd5ff4002fe4d600d",
+    "twocomp.json": "9b2a97ff849d3fd1127b3a3f55b290e9ddbfac181c10dfd5e8261d7a725ca19d",
+    "z2const.json": "7da30341865ec9ff530d8111e789eb5c7a80c96f9870ae451cedb436a1d3bf3f",
+}
+
+
+def test_fixture_files_are_pinned(corpus):
+    written = {}
+    for name, path in corpus.items():
+        with open(path, "rb") as fh:
+            written[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert written == FIXTURE_PINS
 
 
 def test_simplicial_set_json_round_trips():
@@ -552,7 +570,9 @@ def _components_swapped_along_A_U(tmp_path, names, swap):
     """A presheaf over the circle of one enriched groupoid, a disjoint
     union of trivial components, whose restriction along ('A', 'U')
     permutes the components by swap and whose others are identities."""
-    H = disjoint_union_sgd({name: constant_sgroup(zmod(1), 2) for name in names})
+    H = constant_sgroupoid(
+        disjoint_union_groupoids({name: group_as_groupoid(zmod(1)) for name in names}), 2
+    )
     Q = constant_sgd_presheaf(s1_site(), H)
     move = {name: swap.get(name, name) for name in names}
     Q.res[("A", "U")] = sgd_functor(
@@ -680,6 +700,46 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     out = capsys.readouterr().out
     assert "invalid input at /restrictions/1" in out
     assert "hom map at ('*', '*'): no value at dim 0 for" in out
+
+
+def test_a_point_cover_that_misses_the_point_exits_two(tmp_path, corpus, capsys):
+    # the circle's point cover [U, V] cut to [] or [A] leaves U's section
+    # of the point unhit; read as given, h1 would count one class, not two
+    for family in ([], ["A"]):
+        path = tmp_path / "short.json"
+        path.write_text(dumps(encode_site(s1_point_cover(family))) + "\n")
+        for command in (["h1"], ["torsor", "classify", "--kind", "group"]):
+            assert cli.main([*command, "--site", str(path), corpus["z2const.json"]]) == 2
+            out = capsys.readouterr().out
+            assert "invalid input at /covers/0/family: family does not cover the point" in out
+            assert "section '*' over 'U' is locally hit fails" in out
+    # a site with no objects has no point to cover
+    site = {"objects": [], "morphisms": [], "composition": []}
+    site["covers"] = [{"object": None, "family": []}]
+    path = tmp_path / "objectless.json"
+    path.write_text(dumps(site) + "\n")
+    for command in (["h1"], ["torsor", "classify", "--kind", "group"],
+                    ["torsor", "check", "--kind", "group"]):
+        assert cli.main([*command, "--site", str(path), corpus["z2const.json"]]) == 2
+        out = capsys.readouterr().out
+        assert "invalid input at /objects: a site needs at least one object" in out
+
+
+def test_a_repeated_object_exits_two(tmp_path, corpus, capsys):
+    site = json.load(open(corpus["pt.json"]))
+    site["objects"] = ["pt", "pt"]
+    path = tmp_path / "twice.json"
+    path.write_text(dumps(site) + "\n")
+    assert cli.main(["h1", "--site", str(path), corpus["z2const.json"]]) == 2
+    assert "not a category: object 'pt' is repeated" in capsys.readouterr().out
+    H = json.load(open(corpus["z2const.json"]))
+    H["objects"] = ["*", "*"]
+    path = tmp_path / "star-twice.json"
+    path.write_text(dumps(H) + "\n")
+    classify = ["torsor", "classify", "--kind", "group", "--site", corpus["pt.json"], str(path)]
+    for argv in (["wbar", str(path)], classify):
+        assert cli.main(argv) == 2
+        assert "level 0: object '*' is repeated" in capsys.readouterr().out
 
 
 def test_a_cell_in_two_homs_out_of_one_object_exits_two(tmp_path, capsys):

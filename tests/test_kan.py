@@ -6,7 +6,6 @@ from sgdtors.classify import (
     enumerate_sset_presheaf_maps,
     presheaf_homotopies,
     presheaf_map_classes,
-    star_cover,
 )
 from sgdtors.fixtures import pt_site, s1_site
 from sgdtors.groupoid import (
@@ -27,6 +26,7 @@ from sgdtors.kan import (
 )
 from sgdtors.presheaf import constant_group_presheaf, constant_sset_presheaf
 from sgdtors.sheaf import cech_resolution
+from sgdtors.site import star_cover
 from sgdtors.sset import (
     boundary,
     delta,

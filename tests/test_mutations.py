@@ -9,7 +9,7 @@ import operator
 
 import pytest
 import test_torsors
-from gpd_fixtures import cone_site
+from gpd_fixtures import cone_site, swapped_identity_restriction
 from ordinals import cocycle_action, coface
 
 from sgdtors import classify as classify_module
@@ -22,7 +22,7 @@ from sgdtors.bundles import (
     vertex_groupoid_presheaf,
 )
 from sgdtors.classify import classify
-from sgdtors.fixtures import interval_sgd, s1_site, twocomp_presheaf, z2_presheaf, z2_sgroup
+from sgdtors.fixtures import interval_sgd, pt_site, s1_site, twocomp_presheaf, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import symmetric_group, trivial_groupoid, validate_groupoid, zmod
 from sgdtors.holim import corepresented_functor, validate_simplicial_functor
 from sgdtors.kan import kan_check
@@ -43,6 +43,7 @@ from sgdtors.sgroupoid import (
     validate_sgroupoid,
 )
 from sgdtors.search import solve
+from sgdtors.site import validate_cat
 from sgdtors.sset import delta, identity_map, idkey, validate_sset, validate_sset_map
 from sgdtors.torsors import (
     cochain_torsor,
@@ -190,17 +191,8 @@ def sgd_diagram_restriction():
     return validate_sgd_diagram(D), spot
 
 
-def _swapped_identity_restriction():
-    # swapping the two cells is simplicial and equivariant, so only the
-    # presheaf laws of the restrictions can see it
-    D = corepresented_diagram(z2_presheaf(s1_site(), 2), "*")
-    for cells in D.res[("U", "U")]["*"].values():
-        cells[0], cells[1] = cells[1], cells[0]
-    return D
-
-
 def sgd_diagram_identity_restriction():
-    D = _swapped_identity_restriction()
+    D = swapped_identity_restriction()
     return validate_sgd_diagram(D), "identity restriction moves ('*', 0) at 'U'"
 
 
@@ -212,6 +204,18 @@ def sgd_presheaf_identity_restriction():
         cells[1], cells[2] = 2, 1
     Q.res[Q.site.cat.identities["U"]] = F
     return validate_sgd_presheaf(Q), "identity restriction moves ('*', '*', 1) at 'U'"
+
+
+def site_repeated_object():
+    cat = pt_site().cat
+    cat.objects = ("pt", "pt")
+    return validate_cat(cat), "object 'pt' is repeated"
+
+
+def sgroupoid_repeated_object():
+    H = z2_sgroup(2)
+    H.objects = ("*", "*")
+    return validate_sgroupoid(H), "level 0: object '*' is repeated"
 
 
 def groupoid_inverse_missing():
@@ -254,6 +258,8 @@ def bisset_horizontal_face():
         sgd_presheaf_identity_restriction,
         groupoid_inverse_missing,
         bisset_horizontal_face,
+        site_repeated_object,
+        sgroupoid_repeated_object,
     ],
     ids=lambda corrupt: corrupt.__name__,
 )
@@ -264,7 +270,7 @@ def test_corrupted_entry_is_named_in_the_witness(corrupt):
 
 
 def test_torsor_check_rejects_restrictions_that_break_the_presheaf_laws():
-    check = sgd_torsor_check(_swapped_identity_restriction())
+    check = sgd_torsor_check(swapped_identity_restriction())
     assert not check
     assert "identity restriction moves ('*', 0) at 'U'" in check.parts[0].witness[0]
 

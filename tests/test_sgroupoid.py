@@ -5,6 +5,7 @@ import pytest
 from sgdtors.bisset import validate_bisset
 from sgdtors.fixtures import interval_sgd, twocomp_sgd, z2_sgroup
 from sgdtors.groupoid import (
+    disjoint_union_groupoids,
     group_as_groupoid,
     groupoid_as_2groupoid,
     nerve_groupoid,
@@ -17,7 +18,6 @@ from sgdtors.sgroupoid import (
     constant_sgroup,
     constant_sgroupoid,
     db_sgroupoid,
-    disjoint_union_sgd,
     nerve_sgroupoid,
     product_sgd,
     sgd_functor,
@@ -117,11 +117,11 @@ def test_discrete_two_groupoid_enrichment_is_constant():
 
 
 def test_disjoint_union_has_empty_cross_homs():
-    H = disjoint_union_sgd(
-        {
-            "l": constant_sgroup(zmod(2), trunc=2),
-            "r": constant_sgroupoid(trivial_groupoid((0, 1)), trunc=2),
-        }
+    H = constant_sgroupoid(
+        disjoint_union_groupoids(
+            {"l": group_as_groupoid(zmod(2)), "r": trivial_groupoid((0, 1))}
+        ),
+        trunc=2,
     )
     valid = validate_sgroupoid(H)
     assert valid, valid.render()

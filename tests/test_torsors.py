@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import bz_site
+from gpd_fixtures import arrows_bundle, bz_site, collapsed_bundle
 
 from sgdtors.classify import classify
 from sgdtors.fixtures import pt_site, s1_site, torus_site, z2_presheaf
@@ -36,7 +36,6 @@ from sgdtors.torsors import (
     action_torsor_maps,
     arrows_action_torsor,
     bg_presheaf,
-    bundle_shape_check,
     bundle_to_action,
     bundle_torsor_check,
     constant_groupoid_presheaf,
@@ -50,6 +49,7 @@ from sgdtors.torsors import (
     group_torsor_maps,
     h1_cech_classes,
     h1_cech_oracle,
+    pullback_shape_check,
     representable_action_torsor,
     to_point_map,
     torsor_cech_class,
@@ -308,31 +308,18 @@ def test_bundle_levels_are_translation_strings():
 def test_point_over_nerve_is_not_a_bundle_torsor():
     # Collapsing the total object to the base vertex keeps a valid
     # simplicial map but breaks the pullback shape in level one.
-    GP = constant_groupoid_presheaf(pt_site(), group_as_groupoid(Z2))
-    A = enumerate_action_torsors(GP)[0]
-    (T5,) = action_bundles([A], trunc=3)
-    BG = T5.nerve
-    site = GP.site
-    from sgdtors.presheaf import SSetPresheafMap, terminal_sset_presheaf
-
-    pt = terminal_sset_presheaf(site, 3)
-    e = Z2.e
-    comps = {
-        U: {n: {x: ("*", (e,) * n) for x in pt.values[U].level(n)} for n in range(4)}
-        for U in site.objects
-    }
-    collapsed = BundleTorsor(GP, BG, pt, SSetPresheafMap(pt, BG, comps))
-    shape = bundle_shape_check(collapsed)
+    collapsed = collapsed_bundle()
+    shape = pullback_shape_check(
+        collapsed.total, collapsed.projection, "higher levels pull back from level zero"
+    )
     assert not shape.ok
     with pytest.raises(ValueError, match="pull back"):
         bundle_to_action(collapsed)
 
 
 def test_arrows_bundle_has_pullback_shape_but_is_not_locally_trivial():
-    GP = constant_groupoid_presheaf(pt_site(), trivial_groupoid((0, 1)))
-    E = arrows_action_torsor(GP)
-    (T5,) = action_bundles([E], trunc=2)
-    assert bundle_shape_check(T5).ok
+    T5 = arrows_bundle()
+    assert pullback_shape_check(T5.total, T5.projection, "higher levels pull back from level zero")
     check = bundle_torsor_check(T5)
     assert not check.ok
 

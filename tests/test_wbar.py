@@ -6,6 +6,7 @@ from ordinals import all_maps, apply, cocycle_action, codegeneracy, coface
 
 from sgdtors.fixtures import interval_sgd
 from sgdtors.groupoid import (
+    disjoint_union_groupoids,
     group_as_2groupoid,
     group_as_groupoid,
     nerve_groupoid,
@@ -18,7 +19,6 @@ from sgdtors.sgroupoid import (
     b_2groupoid,
     constant_sgroup,
     constant_sgroupoid,
-    disjoint_union_sgd,
     product_sgd,
     sgd_functor,
 )
@@ -134,11 +134,11 @@ def test_second_loops_from_ascending_degrees():
 
 
 def test_components_split_over_disjoint_union():
-    C = disjoint_union_sgd(
-        {
-            "l": constant_sgroup(zmod(2), trunc=3),
-            "r": constant_sgroup(zmod(3), trunc=3),
-        }
+    C = constant_sgroupoid(
+        disjoint_union_groupoids(
+            {"l": group_as_groupoid(zmod(2)), "r": group_as_groupoid(zmod(3))}
+        ),
+        trunc=3,
     )
     W = wbar(C)
     valid = validate_sset(W)
