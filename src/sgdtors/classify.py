@@ -57,7 +57,7 @@ from .bundles import (
     vertex_groupoid_presheaf,
 )
 from .groupoid import group_as_2groupoid
-from .kan import enumerate_sset_maps, iterated_degeneracy
+from .kan import enumerate_sset_maps, iterated_degeneracy, sset_map_search
 from .presheaf import (
     SgdPresheaf,
     SSetPresheaf,
@@ -104,13 +104,13 @@ from .wbar import wbar
 # strict presheaf maps and homotopy classes of them
 
 
-def _strict_maps(Y: SSetPresheaf, Z: SSetPresheaf, forced, limit=None, bound=None):
-    """Strict presheaf maps Y -> Z: one slot per section, ranging over
-    its simplicial maps with the values forced(U), and a naturality
-    constraint for every site morphism."""
+def _strict_maps(Y: SSetPresheaf, Z: SSetPresheaf, sections, limit=None, bound=None):
+    """Strict presheaf maps Y -> Z: one slot per section U, ranging over
+    the simplicial maps sections(U), and a naturality constraint for
+    every site morphism."""
     domains = {}
     for U in Y.site.objects:
-        domains[U] = enumerate_sset_maps(Y.values[U], Z.values[U], forced=forced(U))
+        domains[U] = sections(U)
         if not domains[U]:
             return []
     constraints = [
@@ -126,7 +126,9 @@ def _strict_maps(Y: SSetPresheaf, Z: SSetPresheaf, forced, limit=None, bound=Non
 def enumerate_sset_presheaf_maps(Y: SSetPresheaf, Z: SSetPresheaf, bound=None):
     """All strict presheaf maps: sectionwise simplicial maps that are
     natural along every site morphism."""
-    return _strict_maps(Y, Z, lambda U: None, bound=bound)
+    return _strict_maps(
+        Y, Z, lambda U: enumerate_sset_maps(Y.values[U], Z.values[U]), bound=bound
+    )
 
 
 def cylinder_presheaf(Y: SSetPresheaf) -> SSetPresheaf:
@@ -140,11 +142,21 @@ def cylinder_presheaf(Y: SSetPresheaf) -> SSetPresheaf:
     )
 
 
-def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap):
+def section_searches(C: SSetPresheaf, Z: SSetPresheaf):
+    """The map search C(U) -> Z(U) of each site object U, compiled once:
+    every homotopy search off the cylinder C into Z runs them."""
+    return {U: sset_map_search(C.values[U], Z.values[U]) for U in C.site.objects}
+
+
+def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap, searches=None):
     """A natural homotopy from f to g, as a one-element list, or an empty
     list: the first strict map off C = ``cylinder_presheaf(f.source)``
-    with end 0 forced to f and end 1 to g."""
+    with end 0 forced to f and end 1 to g.  Each section's maps come from
+    ``searches``, the ``section_searches(C, f.target)`` of a grouping,
+    which a call without them compiles for itself."""
     Y = f.source
+    if searches is None:
+        searches = section_searches(C, f.target)
 
     def ends(U):
         X = Y.values[U]
@@ -153,17 +165,19 @@ def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap)
             for x in X.level(n):
                 forced[(n, (x, (0,) * (n + 1)))] = f.components[U][n][x]
                 forced[(n, (x, (1,) * (n + 1)))] = g.components[U][n][x]
-        return forced
+        return searches[U](forced)
 
     return _strict_maps(C, f.target, ends, limit=1)
 
 
-def presheaf_homotopic(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap) -> bool:
+def presheaf_homotopic(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap,
+                       searches=None) -> bool:
     """Equal, or homotopic either way off the cylinder C of their source:
-    an equivalence relation when the target is sectionwise Kan."""
+    an equivalence relation when the target is sectionwise Kan.  Both
+    homotopy searches run ``searches``, as ``presheaf_homotopies`` does."""
     if f.components == g.components:
         return True
-    return bool(presheaf_homotopies(C, f, g) or presheaf_homotopies(C, g, f))
+    return bool(presheaf_homotopies(C, f, g, searches) or presheaf_homotopies(C, g, f, searches))
 
 
 def _grouped(count, related):
@@ -184,8 +198,13 @@ def _grouped(count, related):
 
 def presheaf_map_classes(C: SSetPresheaf, maps):
     """Homotopy classes, as index lists, of strict presheaf maps off the
-    cylinder C into a sectionwise Kan presheaf, where homotopy is an equivalence."""
-    return _grouped(len(maps), lambda i, j: presheaf_homotopic(C, maps[i], maps[j]))
+    cylinder C into a sectionwise Kan presheaf, where homotopy is an
+    equivalence.  One map search per site object is compiled for the
+    grouping, and every homotopy search in it runs them."""
+    searches = section_searches(C, maps[0].target) if len(maps) > 1 else None
+    return _grouped(
+        len(maps), lambda i, j: presheaf_homotopic(C, maps[i], maps[j], searches)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,11 @@ def decode_site(obj, where="") -> FinSite:
     objects = _id(obj, "objects", where, list)
     if not objects:
         raise SchemaError(f"{where}/objects", "a site needs at least one object")
+    seen = set()
+    for a in objects:
+        if a in seen:
+            raise SchemaError(f"{where}/objects", f"object {a!r} is repeated")
+        seen.add(a)
     morphisms = {}
     for k, m in enumerate(_get(obj, "morphisms", where, list)):
         mw = f"{where}/morphisms/{k}"

@@ -286,13 +286,30 @@ def weq_check(f: SSetMap) -> Check:
 
 
 def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
-    """All simplicial maps X -> Y, as SSetMaps.
+    """All simplicial maps X -> Y with the values ``forced``, as SSetMaps:
+    ``sset_map_search(X, Y)`` compiled, then run once.
+
+    ``forced`` is a dict (dim, id) -> id of required values.  A forced
+    nondegenerate simplex, the root of its own slot, pins that slot: its
+    domain is ``(want,)`` where ``want`` is among the slot's face-index
+    candidates, and empty where it is not.  A forced degenerate simplex
+    stays a constraint on the slot it degenerates from, which replays
+    its lift chain on each value the slot takes.  Either way the
+    solutions are the unforced ones that have the forced values, in the
+    same order.
+    """
+    return sset_map_search(X, Y)(forced)
+
+
+def sset_map_search(X: TruncSSet, Y: TruncSSet):
+    """The search for simplicial maps X -> Y, compiled once: a function
+    from a ``forced`` dict, as ``enumerate_sset_maps`` takes it, to the
+    list of maps.  Running it again with other forced values builds no
+    face index, lift chain or table plan again.
 
     There is one slot per nondegenerate simplex, dimension by dimension,
     keyed by its index in that order and ranging over the simplices of Y
-    with the faces already chosen; degenerate values follow.  ``forced``
-    is a dict (dim, id) -> id of required values, each a constraint on
-    the slot its simplex degenerates from.
+    with the faces already chosen; degenerate values follow.
 
     Each simplex x of X lifts through a chain of Y's degeneracy tables
     from a root slot: x's value is the chain applied to the root's
@@ -318,6 +335,12 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
         if not any(chains):
             return Dependent(roots, lambda *zs: index(zs, ()))
         return Dependent(roots, lambda *zs: index(tuple(map(lifted, zs, chains)), ()))
+
+    def pinned(domain, want):
+        if not isinstance(domain, Dependent):
+            return (want,) if want in domain else ()
+        choose = domain.choose
+        return Dependent(domain.reads, lambda *zs: (want,) if want in choose(*zs) else ())
 
     # lift: (dim, id) -> (slot, Y's degeneracy tables applied to its value);
     # per level, the roots as (simplices, slots) and the first lifts as
@@ -359,8 +382,16 @@ def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
             below = here
         return SSetMap(X, Y, levels)
 
-    constraints = [
-        ((lift[key][0],), lambda z, chain=lift[key][1], want=want: lifted(z, chain) == want)
-        for key, want in (forced or {}).items()
-    ]
-    return [tables(chosen) for chosen in solve(domains, constraints)]
+    def search(forced=None):
+        run, constraints = dict(domains), []
+        for key, want in (forced or {}).items():
+            root, chain = lift[key]
+            if chain:
+                constraints.append(
+                    ((root,), lambda z, chain=chain, want=want: lifted(z, chain) == want)
+                )
+            else:
+                run[root] = pinned(domains[root], want)
+        return [tables(chosen) for chosen in solve(run, constraints)]
+
+    return search

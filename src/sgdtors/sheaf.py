@@ -6,6 +6,11 @@ On a finite site the plus construction is just the matching families of
 that sieve, and ``PLUS_STEPS`` of them give the associated sheaf.  Local
 surjectivity and local weak equivalence quantify over those sieves, so
 with no covering data they collapse to their sectionwise versions.
+
+Each sieve is put in ``idkey`` order once per site, by
+``site.ordered_sieves``.  Families list their entries in that order,
+and the search lists them in ``idkey`` order of their values, so the
+plus construction sorts nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .presheaf import (
 )
 from .report import Check, require
 from .search import solve
-from .site import FinSite, comma_site, min_sieves
+from .site import FinSite, comma_site, min_sieves, ordered_sieves
 from .sset import SSetMap, build_sset, idkey, pi0, pi0_classes
 
 # plus-construction steps from a presheaf to its associated sheaf; the
@@ -42,15 +47,20 @@ def matching_families(P: SetPresheaf, sieve):
     m_{f . h} equal to the restriction of m_f along h: it is a natural
     map S -> P, where S is the subpresheaf of the representable whose
     sections over V are the members of the sieve out of V.  Families
-    are canonical tuples ((f, m_f), ...) sorted by key.  One search slot
-    per sieve member ranges over the sections at its source, and each h
-    into that source constrains the pair (f, f . h): the slots and
-    constraints natural_maps(S, P, ()) would state.  They are stated
-    here directly: building S and one presheaf map per family added
-    about 2% to the wall time of the circle-homotopy benchmark workload.
+    are tuples ((f, m_f), ...) in the order of ``sieve``, listed in
+    ``itertools.product`` order of P's values.  For a sieve of
+    ``ordered_sieves`` and values in ``idkey`` order, as ``set_presheaf``
+    builds them, that is ``idkey`` order of the families.
+
+    One search slot per sieve member ranges over the sections at its
+    source, and each h into that source constrains the pair (f, f . h):
+    the slots and constraints natural_maps(S, P, ()) would state.  They
+    are stated here directly: building S and one presheaf map per family
+    added about 2% to the wall time of the circle-homotopy benchmark
+    workload.
     """
     C = P.site.cat
-    domains = {f: P.values[C.src(f)] for f in sorted(sieve, key=idkey)}
+    domains = {f: P.values[C.src(f)] for f in sieve}
     constraints = [
         ((f, C.comp[(f, h)]), lambda m, down, r=P.res[h]: r[m] == down)
         for f in domains
@@ -61,31 +71,31 @@ def matching_families(P: SetPresheaf, sieve):
 
 
 def plus_construction(P: SetPresheaf) -> SetPresheaf:
-    """Sections over U are matching families for its smallest sieve."""
+    """Sections over U are matching families for its smallest sieve.
+
+    P's values must be in ``idkey`` order, as ``set_presheaf`` and this
+    function build them: then so are the families, and the presheaf is
+    built as it stands, with nothing sorted."""
     site = P.site
-    sieves = min_sieves(site)
+    sieves = ordered_sieves(site)
     C = site.cat
-    values = {U: matching_families(P, sieves[U]) for U in site.objects}
-
-    def restrict(f, m):
-        lookup = dict(m)
-        return tuple(
-            (g, lookup[C.comp[(f, g)]]) for g in sorted(sieves[C.src(f)], key=idkey)
-        )
-
-    return set_presheaf(site, values.__getitem__, restrict)
+    values = {U: tuple(matching_families(P, sieves[U])) for U in site.objects}
+    res = {}
+    for f, (V, U) in C.morphisms.items():
+        through = [(g, C.comp[(f, g)]) for g in sieves[V]]
+        tab = res[f] = {}
+        for m in values[U]:
+            lookup = dict(m)
+            tab[m] = tuple((g, lookup[fg]) for g, fg in through)
+    return SetPresheaf(site, values, res)
 
 
 def plus_unit(P: SetPresheaf) -> SetPresheafMap:
     """Canonical map into the plus construction: restrict along the sieve."""
-    sieves = min_sieves(P.site)
-    C = P.site.cat
+    sieves = ordered_sieves(P.site)
     Q = plus_construction(P)
     return set_presheaf_map(
-        P, Q,
-        lambda U, s: tuple(
-            (f, P.res[f][s]) for f in sorted(sieves[U], key=idkey)
-        ),
+        P, Q, lambda U, s: tuple((f, P.res[f][s]) for f in sieves[U])
     )
 
 
@@ -232,34 +242,38 @@ def is_componentwise_bijection(phi: SetPresheafMap):
     )
 
 
-def _comma_pi_presheaves(phi: SSetPresheafMap, U, v, n):
+def _comma_pi_presheaves(phi: SSetPresheafMap, comma, v, n, pi):
     """Homotopy presheaves at degree n on the site over U, plus the map.
 
-    v is a vertex of the source sections over U; base vertices elsewhere
-    come from restricting it.  Class indices name the elements.
+    ``comma`` is ``comma_site(site, U)``, and v is a vertex of the source
+    sections over U; base vertices elsewhere come from restricting it.
+    ``pi(section, vertex, n)`` gives each homotopy group.  Class indices
+    name the elements.
     """
     X, Y = phi.source, phi.target
-    over, forget = comma_site(X.site, U)
+    over, forget = comma
     groups_x, groups_y, comps = {}, {}, {}
     for f in over.objects:
         V = forget[f]
         vx = X.res[f][0][v]
-        pgx = pi_n(X.values[V], vx, n)
-        pgy = pi_n(Y.values[V], phi.components[V][0][vx], n)
+        pgx = pi(X.values[V], vx, n)
+        pgy = pi(Y.values[V], phi.components[V][0][vx], n)
         groups_x[f] = pgx
         groups_y[f] = pgy
         comps[f] = induced_pi_map(phi.component(V), pgx, pgy)
 
     def build(Z, groups):
-        def value(fobj):
-            return range(len(groups[fobj].classes))
-
-        def restrict(mor, idx):
-            (h, f1, f2) = mor
-            rmap = SSetMap(Z.values[forget[f2]], Z.values[forget[f1]], Z.res[h])
-            return induced_pi_map(rmap, groups[f2], groups[f1])[idx]
-
-        return set_presheaf(over, value, restrict)
+        # each restriction's class map, in the order set_presheaf asks for them
+        tables = {
+            (h, f1, f2): induced_pi_map(
+                SSetMap(Z.values[forget[f2]], Z.values[forget[f1]], Z.res[h]),
+                groups[f2], groups[f1],
+            )
+            for (h, f1, f2) in over.morphisms
+        }
+        return set_presheaf(
+            over, lambda fobj: range(len(groups[fobj].classes)), lambda mor, idx: tables[mor][idx]
+        )
 
     PX = build(X, groups_x)
     PY = build(Y, groups_y)
@@ -272,7 +286,9 @@ def local_weq_check(phi: SSetPresheafMap) -> Check:
     trunc - 2.
 
     Degree n uses the comma site over each object at every source
-    vertex; Kan sections are a stated precondition checked first.
+    vertex; Kan sections are a stated precondition checked first.  Each
+    comma site is built once per object, and each homotopy group once
+    per distinct section, base vertex and degree.
     """
     X, Y = phi.source, phi.target
     maxdeg = X.trunc - 2
@@ -303,14 +319,24 @@ def local_weq_check(phi: SSetPresheafMap) -> Check:
     check.add(require(ok0, "associated component sheaves agree",
                       witness={U: (len(sh.source.values[U]), len(sh.target.values[U]))
                                for U in X.site.objects}))
-    if not ok0:
+    if not ok0 or maxdeg < 1:
         return check
 
+    # sections are shared by identity, and live as long as phi
+    groups = {}
+
+    def pi(section, vertex, n):
+        key = (id(section), vertex, n)
+        if key not in groups:
+            groups[key] = pi_n(section, vertex, n)
+        return groups[key]
+
+    commas = {U: comma_site(X.site, U) for U in X.site.objects}
     for n in range(1, maxdeg + 1):
         for U in X.site.objects:
             for v in X.values[U].level(0):
                 try:
-                    PX, PY, themap, over = _comma_pi_presheaves(phi, U, v, n)
+                    PX, PY, themap, over = _comma_pi_presheaves(phi, commas[U], v, n, pi)
                 except TruncationError as e:
                     check.add(Check(f"degree {n} classes over {U!r}", False, witness=str(e)))
                     return check

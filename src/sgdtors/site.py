@@ -118,8 +118,12 @@ class FinSite:
     def morphisms(self):
         return self.cat.morphisms
 
-    # min_sieves(site), worked out once: a site is never changed once built
+    # min_sieves(site) and ordered_sieves(site), worked out once: a site
+    # is never changed once built
     _min_sieves = cached_property(lambda site: _refined_sieves(site))
+    _ordered_sieves = cached_property(
+        lambda site: {U: tuple(sorted(s, key=idkey)) for U, s in site._min_sieves.items()}
+    )
 
 
 def star_cover(site: FinSite):
@@ -153,6 +157,13 @@ def min_sieves(site: FinSite):
     out once per site.
     """
     return site._min_sieves
+
+
+def ordered_sieves(site: FinSite):
+    """Each object's smallest covering sieve as a tuple in ``idkey``
+    order, worked out once per site: the slot order of its matching
+    families and the order of their entries."""
+    return site._ordered_sieves
 
 
 def _refined_sieves(site: FinSite):

@@ -29,6 +29,7 @@ from sgdtors.classify import (
     presheaf_homotopic,
     presheaf_homotopies,
     presheaf_map_classes,
+    section_searches,
     sgd_classifying_map,
 )
 from sgdtors.bundles import (
@@ -119,6 +120,42 @@ def test_classify_builds_one_cylinder_for_every_homotopy_search(monkeypatch):
     site = s1_site()
     classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
     assert calls == {"cylinder_presheaf": 1, "presheaf_homotopies": 6}
+
+
+@pytest.mark.parametrize("F, trunc, searches", [(zmod(2), 3, 6), (zmod(3), 2, 24)],
+                         ids=["Z2", "Z3"])
+def test_classify_compiles_one_section_search_per_site_object(monkeypatch, F, trunc, searches):
+    # the homotopy searches of one grouping share their compiled searches
+    compiled = []
+    real = sgdtors.classify.sset_map_search
+
+    def counted(X, Y):
+        compiled.append((X, Y))
+        return real(X, Y)
+
+    monkeypatch.setattr(sgdtors.classify, "sset_map_search", counted)
+    calls = count_calls(monkeypatch, (presheaf_homotopies,))
+    site = s1_site()
+    classify("group", site, constant_group_presheaf(site, F), trunc=trunc)
+    assert calls == {"presheaf_homotopies": searches}
+    assert len(compiled) == len(site.objects) == 4
+
+
+@pytest.mark.parametrize("site_of", [s1_site, flip_site], ids=["s1", "flip"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_shared_section_searches_give_the_classes_of_fresh_ones(site_of, n):
+    site = site_of()
+    G = constant_group_presheaf(site, zmod(n))
+    source = cech_resolution(site, star_cover(site), 2)
+    target = bg_presheaf(group_presheaf_as_groupoid(G), 2)
+    maps = enumerate_sset_presheaf_maps(source, target)
+    C = cylinder_presheaf(source)
+    fresh = _grouped(len(maps), lambda i, j: presheaf_homotopic(C, maps[i], maps[j]))
+    assert presheaf_map_classes(C, maps) == fresh
+    assert len(fresh) == h1_cech_oracle(G)
+    shared = section_searches(C, target)
+    for g in maps:
+        assert presheaf_homotopies(C, maps[0], g, shared) == presheaf_homotopies(C, maps[0], g)
 
 
 def test_classify_asks_each_torsor_about_one_member_of_each_class(monkeypatch):

@@ -731,7 +731,7 @@ def test_a_repeated_object_exits_two(tmp_path, corpus, capsys):
     path = tmp_path / "twice.json"
     path.write_text(dumps(site) + "\n")
     assert cli.main(["h1", "--site", str(path), corpus["z2const.json"]]) == 2
-    assert "not a category: object 'pt' is repeated" in capsys.readouterr().out
+    assert "invalid input at /objects: object 'pt' is repeated" in capsys.readouterr().out
     H = json.load(open(corpus["z2const.json"]))
     H["objects"] = ["*", "*"]
     path = tmp_path / "star-twice.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sgdtors import kan
@@ -228,6 +230,51 @@ def test_map_enumeration_respects_forced_values():
     maps = enumerate_sset_maps(X, X, forced={(0, (0,)): (1,)})
     assert len(maps) == 1
     assert maps[0](0, (1,)) == (1,)
+
+
+def test_a_forced_value_outside_its_face_candidates_gives_no_map():
+    # vertex 0 goes to 1, so the edge 01 has d_1 = 1 and cannot go to 01
+    X = delta(1, trunc=2)
+    assert enumerate_sset_maps(X, X, forced={(0, (0,)): (1,), (1, (0, 1)): (0, 1)}) == []
+    assert enumerate_sset_maps(X, X, forced={(1, (0, 1)): (0, 1)}) != []
+
+
+def test_a_forced_vertex_outside_the_target_gives_no_map():
+    # one vertex and its degeneracies: no face lookup can reject the value
+    X, Y = delta(0, trunc=2), delta(1, trunc=2)
+    assert enumerate_sset_maps(X, Y, forced={(0, (0,)): (2,)}) == []
+    assert len(enumerate_sset_maps(X, Y, forced={(0, (0,)): (1,)})) == 1
+
+
+def test_a_forced_degenerate_simplex_that_disagrees_with_its_root_gives_no_map():
+    # s_0 of vertex 0 lifts from the slot of vertex 0, pinned to 0
+    X = delta(1, trunc=2)
+    forced = {(0, (0,)): (0,), (1, (0, 0)): (1, 1)}
+    assert enumerate_sset_maps(X, X, forced) == []
+    forced[(1, (0, 0))] = (0, 0)
+    assert len(enumerate_sset_maps(X, X, forced)) == 2
+
+
+def test_one_compiled_search_runs_every_pair_of_ends_on_the_circle():
+    site = s1_site()
+    source = cech_resolution(site, star_cover(site), 2)
+    C = cylinder_presheaf(source)
+    target = bg_presheaf(group_presheaf_as_groupoid(constant_group_presheaf(site, zmod(2))), 2)
+    runs = 0
+    for U in site.objects:
+        X, Y = C.values[U], target.values[U]
+        search = kan.sset_map_search(X, Y)
+        ends = enumerate_sset_maps(source.values[U], Y)
+        for f, g in itertools.product(ends, repeat=2):
+            forced = {
+                (n, (x, (k,) * (n + 1))): h(n, x)
+                for k, h in ((0, f), (1, g))
+                for n in range(3)
+                for x in source.values[U].level(n)
+            }
+            assert search(forced) == enumerate_sset_maps(X, Y, forced)
+            runs += 1
+    assert runs == 1 + 1 + 4 + 4
 
 
 def assert_forced_is_filtered(X, Y, keys):

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import chain_site, cone_site
+from gpd_fixtures import bz_site, chain_site, cone_site, flip_site
 
 from sgdtors.bundles import vertex_groupoid_presheaf
 from sgdtors.fixtures import cover_site, pt_site, s1_site, torus_site, twocomp_presheaf
 from sgdtors.groupoid import group_as_groupoid, nerve_groupoid, zmod
-from sgdtors.kan import kan_check
+from sgdtors.kan import kan_check, pi_n
 from sgdtors.presheaf import (
     constant_sset_presheaf,
     set_presheaf,
@@ -21,6 +21,7 @@ from sgdtors.presheaf import (
     yoneda_sset_presheaf,
 )
 from sgdtors.sheaf import (
+    PLUS_STEPS,
     cech_local_epi_check,
     cech_resolution,
     is_sheaf,
@@ -28,10 +29,11 @@ from sgdtors.sheaf import (
     local_weq_check,
     matching_families,
     pi0_presheaf,
+    plus_construction,
     plus_unit,
     sheafify,
 )
-from sgdtors.site import min_sieves
+from sgdtors.site import comma_site, min_sieves, ordered_sieves
 from sgdtors.sset import delta, idkey
 from sgdtors.torsors import arrows_presheaf, objects_presheaf
 
@@ -118,10 +120,50 @@ def test_matching_families_equal_the_filtered_product(name):
     presheaves = [terminal_presheaf(site), objects_presheaf(GP), arrows_presheaf(GP)]
     presheaves += [yoneda(site, X) for X in site.objects]
     for P in presheaves:
-        for U, sieve in min_sieves(site).items():
+        for U, sieve in ordered_sieves(site).items():
             families = matching_families(P, sieve)
             assert len(set(families)) == len(families)
             assert set(families) == set(filtered_product_families(P, sieve)), (U, P.values)
+
+
+def sorted_plus(P):
+    """The plus construction as set_presheaf builds it: the matching
+    families of each smallest sieve, sorted by idkey, each restricted
+    entry by entry along the sieve below, sorted by idkey too."""
+    site, C = P.site, P.site.cat
+    sieves = min_sieves(site)
+
+    def restrict(f, m):
+        lookup = dict(m)
+        return tuple((g, lookup[C.comp[(f, g)]]) for g in sorted(sieves[C.src(f)], key=idkey))
+
+    return set_presheaf(
+        site, lambda U: filtered_product_families(P, sieves[U]), restrict
+    )
+
+
+@pytest.mark.parametrize(
+    "site_of",
+    [s1_site, flip_site, lambda: bz_site(2), lambda: chain_site(6)],
+    ids=["s1", "flip", "bz2", "chain"],
+)
+def test_plus_construction_lists_families_in_idkey_order(site_of):
+    # plus_construction sorts nothing: the search lists families in this
+    # order, and two steps keep it
+    site = site_of()
+    GP = vertex_groupoid_presheaf(twocomp_presheaf(site, 2))
+    presheaves = [terminal_presheaf(site), objects_presheaf(GP), arrows_presheaf(GP)]
+    presheaves += [yoneda(site, X) for X in site.objects]
+    for P in presheaves:
+        for _ in range(PLUS_STEPS):
+            Q, R = plus_construction(P), sorted_plus(P)
+            for values in Q.values.values():
+                assert values == tuple(sorted(values, key=idkey))
+            assert Q.values == R.values
+            assert [(f, list(t.items())) for f, t in Q.res.items()] == [
+                (f, list(t.items())) for f, t in R.res.items()
+            ]
+            P = Q
 
 
 def test_sheafifying_a_representable_fills_in_covered_sections():
@@ -206,6 +248,41 @@ def test_local_weq_checks_each_distinct_section_for_horns_once(monkeypatch):
         sset_presheaf_map(X, T, lambda U, n, x: T.values[U].level(n)[0])
     )
     assert calls == {"kan_check": 2}
+
+
+def distinct_pi_requests(phi):
+    """The (section, base vertex, degree) triples whose homotopy groups a
+    passing local_weq_check reads: both ends of phi at each object over U,
+    for every source vertex over U, in every degree."""
+    X, Y = phi.source, phi.target
+    wanted = set()
+    for n in range(1, X.trunc - 1):
+        for U in X.site.objects:
+            over, forget = comma_site(X.site, U)
+            for v in X.values[U].level(0):
+                for f in over.objects:
+                    V = forget[f]
+                    vx = X.res[f][0][v]
+                    wanted.add((id(X.values[V]), vx, n))
+                    wanted.add((id(Y.values[V]), phi.components[V][0][vx], n))
+    return wanted
+
+
+def test_local_weq_computes_each_homotopy_group_once(monkeypatch):
+    site = s1_site()
+    X = constant_sset_presheaf(site, nerve_groupoid(group_as_groupoid(zmod(2)), 4))
+    identity = sset_presheaf_map(X, X, lambda U, n, x: x)
+    cover = cover_site()
+    C = cech_resolution(cover, ["W"], trunc=4)
+    Y = yoneda_sset_presheaf(cover, "T", trunc=4)
+    augmentation = sset_presheaf_map(C, Y, lambda U, n, t: ("W", "T") if U == "W" else None)
+    # one section, one vertex and two degrees, asked for 32 times over
+    assert len(distinct_pi_requests(identity)) == 2
+    for phi in (identity, augmentation):
+        calls = count_calls(monkeypatch, (pi_n,))
+        assert local_weq_check(phi)
+        assert calls == {"pi_n": len(distinct_pi_requests(phi))}
+        monkeypatch.undo()
 
 
 def test_local_weq_names_the_first_object_whose_sections_are_not_fibrant():
