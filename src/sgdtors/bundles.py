@@ -67,7 +67,6 @@ from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, subcomplex, v
 from .torsors import (
     ActionTorsor,
     GroupoidPresheaf,
-    _anchored,
     _cocycle_presheaf,
     _equivariance,
     _shared_values,
@@ -442,17 +441,11 @@ def corepresented_diagram(Q: SgdPresheaf, at) -> SgdDiagram:
     res = {}
     for f, (V, U) in Q.site.cat.morphisms.items():
         F = Q.res[f]
-        H = Q.values[U]
         invariant(F.ob[at[U]] == at[V], "chosen objects are not natural")
+        # copied, so a change to the diagram cannot reach Q's functor
         res[f] = {
-            a: {
-                n: {
-                    x: F.on_hom(at[U], a, n, x)
-                    for x in H.homs[(at[U], a)].level(n)
-                }
-                for n in range(H.trunc + 1)
-            }
-            for a in H.objects
+            a: {n: dict(tab) for n, tab in F.maps[(at[U], a)].items()}
+            for a in Q.values[U].objects
         }
     return SgdDiagram(Q, functors, res)
 
@@ -752,5 +745,6 @@ def two_gpd_torsor_check(total: SSetPresheaf, pi: SSetPresheafMap) -> Check:
 
 
 def two_gpd_action_maps(A1: ActionTorsor, A2: ActionTorsor):
-    """Anchor-preserving equivariant natural maps between the totals."""
-    return natural_maps(A1.total, A2.total, _anchored(A1, A2) + _equivariance(A1, A2))
+    """Equivariant natural maps between the totals; equivariance along
+    the identity at each element's anchor keeps the anchors."""
+    return natural_maps(A1.total, A2.total, _equivariance(A1, A2))

@@ -647,6 +647,8 @@ def load_truncated_sgd(cfg: RunConfig):
 
 def parse_object(text, objects):
     if text is None:
+        if not objects:
+            raise SchemaError("/object", "the groupoid has no object to choose")
         return sorted(objects, key=idkey)[0]
     try:
         a = as_key(json.loads(text), "/object")

@@ -2,9 +2,10 @@
 
 Composition tables are explicit dicts.  ``comp[(g, f)]`` is "g after f":
 defined when f: a -> b and g: b -> c, landing in a -> c.  Nerves use
-strings x_0 -> x_1 -> ... -> x_n read left to right; an inner face
-composes two adjacent arrows and a degeneracy inserts an identity
-(``ordinal.string_face`` and ``ordinal.string_degeneracy``).
+strings x_0 -> x_1 -> ... -> x_n read left to right, listed by
+``ordinal.strings``; an inner face composes two adjacent arrows and a
+degeneracy inserts an identity (``ordinal.string_face`` and
+``ordinal.string_degeneracy``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .ordinal import string_degeneracy, string_face
+from .ordinal import string_degeneracy, string_face, strings
 from .report import invariant, validator
 from .site import FinCat, poset_category, validate_cat
 from .sset import build_sset
@@ -133,23 +134,14 @@ def disjoint_union_groupoids(pieces: dict) -> FinGroupoid:
 def nerve_groupoid(G: FinGroupoid, trunc):
     """The nerve: n-simplices are strings of n composable morphisms."""
 
+    out_of = {}
+    for f, (s, d) in G.morphisms.items():
+        out_of.setdefault(s, []).append((f, d))
+
     def levels(n):
-        out = []
-        def extend(x0, fs, k):
-            if k == 0:
-                out.append((x0, tuple(fs)))
-                return
-            tail = fs[-1] if fs else None
-            start = G.dst(tail) if tail is not None else None
-            for f, (s, d) in G.morphisms.items():
-                if fs and s != start:
-                    continue
-                if not fs and s != x0:
-                    continue
-                extend(x0, fs + [f], k - 1)
-        for x0 in G.objects:
-            extend(x0, [], n)
-        return out
+        return [
+            (objs[0], fs) for objs, fs in strings(G.objects, lambda k, a: out_of.get(a, ()), n)
+        ]
 
     def face(n, i, x):
         x0, fs = x

@@ -2,9 +2,10 @@
 
 A string is a chain of cells between objects.  The nerve of a groupoid,
 the rows of the enriched nerve, the translation object and the
-classifying object all state their faces and degeneracies by the two
-rules here: d_0 and d_n drop an end cell, an inner face composes two
-neighbouring cells, and a degeneracy inserts an identity.
+classifying object all list their simplices with ``strings``, and state
+their faces and degeneracies by the two rules here: d_0 and d_n drop an
+end cell, an inner face composes two neighbouring cells, and a
+degeneracy inserts an identity.
 
 >>> compose = lambda a, b, c, g, f: g + f
 >>> string_face("wxyz", ("p", "q", "r"), 1, compose)
@@ -14,6 +15,27 @@ neighbouring cells, and a degeneracy inserts an identity.
 """
 
 from __future__ import annotations
+
+
+def strings(starts, steps, n):
+    """Every string of n cells from an object in starts, as (objects,
+    cells), where cells[k] runs from objects[k] to objects[k + 1].
+    steps(k, at) lists the (cell, next object) pairs that cell k + 1 may
+    take from at.  Strings come in the order of their choices: starts
+    first, then the steps of each cell in turn.
+
+    >>> arrows = {"x": [("f", "y"), ("1x", "x")], "y": [("g", "x")]}
+    >>> strings("xy", lambda k, at: arrows[at], 2)  # doctest: +NORMALIZE_WHITESPACE
+    [(('x', 'y', 'x'), ('f', 'g')), (('x', 'x', 'y'), ('1x', 'f')),
+     (('x', 'x', 'x'), ('1x', '1x')), (('y', 'x', 'y'), ('g', 'f')),
+     (('y', 'x', 'x'), ('g', '1x'))]
+    """
+    out = [((x,), ()) for x in starts]
+    for k in range(n):
+        out = [
+            (objs + (b,), cells + (c,)) for objs, cells in out for c, b in steps(k, objs[-1])
+        ]
+    return out
 
 
 def string_face(objs, cells, i, compose):

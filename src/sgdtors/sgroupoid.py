@@ -23,7 +23,7 @@ from .groupoid import (
     validate_groupoid,
 )
 from .kan import iterated_degeneracy
-from .ordinal import string_degeneracy, string_face
+from .ordinal import string_degeneracy, string_face, strings
 from .report import InvariantError, invariant, validator
 from .sset import (
     SSetMap,
@@ -356,19 +356,10 @@ def nerve_bidegrees(H: SimpGroupoid):
     N = H.trunc
 
     def levels(p, q):
-        out = []
+        def steps(k, a):
+            return [(f, b) for b in H.objects for f in H.homs[(a, b)].level(q)]
 
-        def extend(x0, at, fs, k):
-            if k == 0:
-                out.append((x0, tuple(fs)))
-                return
-            for b in H.objects:
-                for f in H.homs[(at, b)].level(q):
-                    extend(x0, b, fs + [f], k - 1)
-
-        for x0 in H.objects:
-            extend(x0, x0, [], p)
-        return out
+        return [(objs[0], fs) for objs, fs in strings(H.objects, steps, p)]
 
     def objects(x0, fs, q):
         return [x0] + [b for _, b, _ in string_steps(H, x0, fs, q)]

@@ -283,11 +283,17 @@ def enumerate_group_torsors(G: GroupPresheaf, bound=None):
 
 
 def _equivariance(T1: ActionTorsor, T2: ActionTorsor):
-    """Constraints phi(e.g) = phi(e).g, one for each action entry of T1."""
+    """Constraints phi(e.g) = phi(e).g, one for each action entry of T1.
+
+    T2 acts by g only on elements anchored at g's target, and a pair off
+    its table looks up None.  So the constraint along the identity at
+    e's anchor holds exactly when phi(e) has e's anchor: anchors need no
+    constraint of their own, and no lookup raises.
+    """
     return [
         (
             ((U, out), (U, e)),
-            lambda y, x, tab=T2.action[U], g=g: y == tab[(x, g)],
+            lambda y, x, tab=T2.action[U], g=g: y == tab.get((x, g)),
         )
         for U in T1.total.site.objects
         for (e, g), out in T1.action[U].items()
@@ -296,8 +302,8 @@ def _equivariance(T1: ActionTorsor, T2: ActionTorsor):
 
 def group_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
     """All equivariant presheaf maps between the totals of two group
-    torsors; every element sits at the one object, so no anchor
-    constraint is needed."""
+    torsors; every element is anchored at the one object, so anchors
+    need no constraint."""
     return natural_maps(T1.total, T2.total, _equivariance(T1, T2))
 
 
@@ -643,20 +649,10 @@ def constant_objects(GP: GroupoidPresheaf):
     return fixed_objects(GP.values.values(), [ob for ob, _ in GP.res.values()])
 
 
-def _anchored(T1: ActionTorsor, T2: ActionTorsor):
-    """Constraints anchor(phi(e)) = anchor(e), one for each element of T1."""
-    return [
-        (((U, e),), lambda t, tab=T2.anchor[U], a=T1.anchor[U][e]: tab[t] == a)
-        for U in T1.total.site.objects
-        for e in T1.total.values[U]
-    ]
-
-
 def action_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
-    """Equivariant, anchor-preserving presheaf maps between the totals.
-    The anchor constraints come first, so an equivariance constraint
-    only looks up actions on elements with the right anchor."""
-    return natural_maps(T1.total, T2.total, _anchored(T1, T2) + _equivariance(T1, T2))
+    """Equivariant presheaf maps between the totals; equivariance along
+    the identity at each element's anchor keeps the anchors."""
+    return natural_maps(T1.total, T2.total, _equivariance(T1, T2))
 
 
 def _plus_action_anchored(T: ActionTorsor, E, anchor, action):

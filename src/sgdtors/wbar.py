@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ordinal import string_degeneracy, string_face
+from .ordinal import string_degeneracy, string_face, strings
 from .report import Check, invariant, require
 from .sgroupoid import SgdFunctor, SimpGroupoid, db_sgroupoid, string_steps
 from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, truncated
@@ -39,19 +39,10 @@ def wbar(C: SimpGroupoid, trunc=None) -> TruncSSet:
     invariant(N <= C.trunc + 1, "cocycles only reach one dimension above the enrichment")
 
     def levels(n):
-        out = []
+        def steps(k, x):
+            return [(a, y) for y in C.objects for a in C.homs[(y, x)].level(n - k - 1)]
 
-        def extend(objs, arrows, i):
-            if i > n:
-                out.append((tuple(objs), tuple(arrows)))
-                return
-            for x in C.objects:
-                for a in C.homs[(x, objs[-1])].level(n - i):
-                    extend(objs + [x], arrows + [a], i + 1)
-
-        for x0 in C.objects:
-            extend([x0], [], 1)
-        return out
+        return strings(C.objects, steps, n)
 
     # a_k points from x_k back to x_{k-1}, so the composite of a string
     # face reads its three objects in reverse

@@ -846,6 +846,19 @@ def test_object_flag_accepts_json_and_rejects_strangers(corpus, capsys):
     assert "invalid input at /object" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["holim", "comma", "fibre-check"])
+def test_an_enriched_groupoid_with_no_objects_exits_two(command, tmp_path, corpus, capsys):
+    # with no --object the command picks the first object, and there is none
+    H = json.load(open(corpus["interval.json"]))
+    H.update(objects=[], homs=[], composition=[], identities=[])
+    path = tmp_path / "objectless.json"
+    path.write_text(dumps(H) + "\n")
+    assert cli.main([command, str(path)]) == 2
+    assert "invalid input at /object: the groupoid has no object to choose" in (
+        capsys.readouterr().out
+    )
+
+
 def test_presheaf_coefficient_file(tmp_path, corpus, capsys):
     Q = z2_presheaf(s1_site(), 3)
     path = tmp_path / "z2presheaf.json"

@@ -5,6 +5,7 @@ splitting the classes of the grouping, makes a classification fail;
 sharing bundle sections by a key that holds too little makes the
 family's bundles differ from the reference."""
 
+import dataclasses
 import operator
 
 import pytest
@@ -374,16 +375,32 @@ def test_grouping_against_the_newest_class_alone_fails(monkeypatch):
 def test_classifying_two_components_needs_the_anchor_constraints(monkeypatch):
     # with one object per section every element has the same anchor, so
     # only coefficients with two objects see an isomorphism search that
-    # skips the anchors; the skipped anchors surface as a lookup failure
-    # inside the equivariance constraints, or as a failing check
-    monkeypatch.setattr(torsors, "_anchored", lambda T1, T2: [])
+    # moves anchors.  Equivariance along the identity at each element's
+    # anchor is what keeps them; the two components have no other arrow,
+    # so without those constraints their torsors fall into one class
+    equivariance = torsors._equivariance
+
+    def without_identities(T1, T2):
+        action = {
+            U: {
+                (e, g): out
+                for (e, g), out in tab.items()
+                if g != T1.gpd.values[U].identities[T1.anchor[U][e]]
+            }
+            for U, tab in T1.action.items()
+        }
+        return equivariance(dataclasses.replace(T1, action=action), T2)
+
+    monkeypatch.setattr(torsors, "_equivariance", without_identities)
     site = s1_site()
     coefficients = vertex_groupoid_presheaf(twocomp_presheaf(site, 3))
-    try:
-        passed = bool(classify("groupoid-action", site, coefficients, trunc=3)["check"])
-    except KeyError:
-        passed = False
-    assert not passed
+    for kind in ("groupoid-action", "groupoid-bundle"):
+        result = classify(kind, site, coefficients, trunc=3)
+        assert result["classes"] == 1, kind
+        assert {part.claim for part in result["check"].parts if not part} == {
+            "both sides have the same number of classes",
+            "classifying maps hit every homotopy class exactly once",
+        }, kind
 
 
 def test_a_cocycle_face_composed_in_the_wrong_order_differs_from_the_reference(monkeypatch):

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from ordinals import (
     all_maps,
     codegeneracy,
@@ -11,7 +13,12 @@ from ordinals import (
     join_right,
 )
 
-from sgdtors.ordinal import h_map
+from sgdtors.fixtures import interval_sgd, twocomp_sgd
+from sgdtors.groupoid import group_as_2groupoid, group_as_groupoid, nerve_groupoid, symmetric_group
+from sgdtors.ordinal import h_map, strings
+from sgdtors.sgroupoid import b_2groupoid, nerve_bidegrees
+from sgdtors.sset import idkey
+from sgdtors.wbar import wbar
 
 
 def test_composition_and_identity():
@@ -100,3 +107,63 @@ def test_h_map_is_monotone_and_natural():
                 for i in range(m + 1):
                     for e in (0, 1):
                         assert jt(hm[(i, e)]) == hn[(theta(i), e)]
+
+
+def brute_strings(objects, arrows, n):
+    """Strings of n cells by product, then filter, in idkey order:
+    arrows(k) lists the (object k, object k + 1, cell) triples that cell
+    k + 1 may be."""
+    picks = itertools.product(*(arrows(k) for k in range(n)))
+    return sorted(
+        (
+            (objs, tuple(c for _, _, c in picked))
+            for picked in picks
+            for objs in itertools.product(objects, repeat=n + 1)
+            if all(picked[k][:2] == objs[k : k + 2] for k in range(n))
+        ),
+        key=idkey,
+    )
+
+
+def heads(listing):
+    """(first object, cells), the ids the nerves keep, in idkey order."""
+    return sorted(((objs[0], cells) for objs, cells in listing), key=idkey)
+
+
+def test_strings_lists_each_string_once():
+    steps = {0: [("f", 1), ("1", 0)], 1: [("g", 0)]}
+    arrows = [(a, b, c) for a in steps for c, b in steps[a]]
+    for n in range(4):
+        listing = strings((0, 1), lambda k, at: steps[at], n)
+        assert len(set(listing)) == len(listing)
+        assert sorted(listing, key=idkey) == brute_strings((0, 1), lambda k: arrows, n)
+    assert strings((), lambda k, at: steps[at], 2) == []
+
+
+def test_the_nerve_of_s3_lists_every_composable_string():
+    G = group_as_groupoid(symmetric_group(3))
+    N = nerve_groupoid(G, 3)
+    arrows = [(s, d, f) for f, (s, d) in G.morphisms.items()]
+    for n in range(4):
+        assert list(N.level(n)) == heads(brute_strings(G.objects, lambda k: arrows, n))
+
+
+@pytest.mark.parametrize("H", [interval_sgd(3), twocomp_sgd(3)], ids=["interval", "twocomp"])
+def test_the_enriched_nerve_lists_every_string_of_q_cells(H):
+    _, levels, *_ = nerve_bidegrees(H)
+    for p, q in itertools.product(range(4), repeat=2):
+        arrows = [(a, b, c) for (a, b), hom in H.homs.items() for c in hom.level(q)]
+        assert sorted(levels(p, q), key=idkey) == heads(
+            brute_strings(H.objects, lambda k: arrows, p)
+        )
+
+
+def test_wbar_of_the_s3_2groupoid_lists_every_cocycle():
+    # cell k + 1 of a cocycle lies in hom(x_(k+1), x_k), at degree n - k - 1
+    C = b_2groupoid(group_as_2groupoid(symmetric_group(3)), 2)
+    W = wbar(C, 3)
+    for n in range(4):
+        def arrows(k):
+            return [(b, a, c) for (a, b), hom in C.homs.items() for c in hom.level(n - k - 1)]
+
+        assert list(W.level(n)) == brute_strings(C.objects, arrows, n)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import arrows_bundle, bz_site, collapsed_bundle
+from gpd_fixtures import arrows_bundle, bz_site, collapsed_bundle, cone_site, flip_site
 
 from sgdtors.classify import classify
 from sgdtors.fixtures import pt_site, s1_site, torus_site, z2_presheaf
@@ -20,6 +20,7 @@ from sgdtors.presheaf import (
     SSetPresheaf,
     SSetPresheafMap,
     constant_group_presheaf,
+    natural_maps,
     set_presheaf,
     sset_presheaf,
     sset_presheaf_map,
@@ -255,6 +256,44 @@ def test_one_object_enumeration_matches_group_case():
         hit = next((c for c in classes if action_torsor_maps(T, c[0])), None)
         (hit.append(T) if hit is not None else classes.append([T]))
     assert sorted(len(c) for c in classes) == [8, 8]
+
+
+def anchored_torsor_maps(T1, T2):
+    """The isomorphism search with an anchor constraint on every element
+    of T1, placed before the equivariance constraints so that their
+    lookups only see elements with the right anchor."""
+    anchored = [
+        (((U, e),), lambda t, tab=T2.anchor[U], a=T1.anchor[U][e]: tab[t] == a)
+        for U in T1.total.site.objects
+        for e in T1.total.values[U]
+    ]
+    equivariant = [
+        (((U, out), (U, e)), lambda y, x, tab=T2.action[U], g=g: y == tab[(x, g)])
+        for U in T1.total.site.objects
+        for (e, g), out in T1.action[U].items()
+    ]
+    return natural_maps(T1.total, T2.total, anchored + equivariant)
+
+
+def test_equivariance_alone_keeps_anchors():
+    # the stock of each coefficient groupoid, with the arrows action,
+    # which is not a torsor off one object; equivariance along identities
+    # finds the same maps, in the same order, as explicit anchor constraints
+    found = []
+    for site in (pt_site(), s1_site(), cone_site(), flip_site(), bz_site(2)):
+        for G in (twocomp_groupoid(), trivial_groupoid((0, 1)), group_as_groupoid(Z2)):
+            GP = constant_groupoid_presheaf(site, G)
+            stock = enumerate_action_torsors(GP, bound=10**6) + [arrows_action_torsor(GP)]
+            for T1, T2 in itertools.product(stock, repeat=2):
+                maps = action_torsor_maps(T1, T2)
+                assert maps == anchored_torsor_maps(T1, T2)
+                for phi in maps:
+                    for U, component in phi.components.items():
+                        for e, t in component.items():
+                            assert T2.anchor[U][t] == T1.anchor[U][e]
+                found.append(bool(maps))
+    assert len(found) == 706
+    assert any(found) and not all(found)
 
 
 def test_arrows_torsor_on_connected_one_object():
