@@ -148,21 +148,21 @@ def section_searches(C: SSetPresheaf, Z: SSetPresheaf):
     return {U: sset_map_search(C.values[U], Z.values[U]) for U in C.site.objects}
 
 
-def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap, searches=None):
+def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap, searches):
     """A natural homotopy from f to g, as a one-element list, or an empty
     list: the first strict map off C = ``cylinder_presheaf(f.source)``
     with end 0 forced to f and end 1 to g.  Each section's maps come from
-    ``searches``, the ``section_searches(C, f.target)`` of a grouping,
-    which a call without them compiles for itself."""
+    ``searches``, the ``section_searches(C, f.target)`` of a grouping.
+    The ends are forced on nondegenerate simplices only: (x, 0...0) is
+    nondegenerate exactly when x is, and as f and g are simplicial, their
+    values on the roots fix the rest."""
     Y = f.source
-    if searches is None:
-        searches = section_searches(C, f.target)
 
     def ends(U):
         X = Y.values[U]
         forced = {}
         for n in range(X.trunc + 1):
-            for x in X.level(n):
+            for x in X.nondegenerate(n):
                 forced[(n, (x, (0,) * (n + 1)))] = f.components[U][n][x]
                 forced[(n, (x, (1,) * (n + 1)))] = g.components[U][n][x]
         return searches[U](forced)
@@ -171,7 +171,7 @@ def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap,
 
 
 def presheaf_homotopic(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap,
-                       searches=None) -> bool:
+                       searches) -> bool:
     """Equal, or homotopic either way off the cylinder C of their source:
     an equivalence relation when the target is sectionwise Kan.  Both
     homotopy searches run ``searches``, as ``presheaf_homotopies`` does."""

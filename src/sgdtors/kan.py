@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .report import Check, invariant, require
+from .report import Check, InvariantError, invariant, require
 from .search import Dependent, Partition, solve
 from .sset import SSetMap, TruncSSet, idkey, pi0, pi0_classes, validate_sset_map
 
@@ -285,40 +285,22 @@ def weq_check(f: SSetMap) -> Check:
 # Exhaustive simplicial-map enumeration.
 
 
-def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet, forced=None):
-    """All simplicial maps X -> Y with the values ``forced``, as SSetMaps:
-    ``sset_map_search(X, Y)`` compiled, then run once.
-
-    ``forced`` is a dict (dim, id) -> id of required values.  A forced
-    nondegenerate simplex, the root of its own slot, pins that slot: its
-    domain is ``(want,)`` where ``want`` is among the slot's face-index
-    candidates, and empty where it is not.  A forced degenerate simplex
-    stays a constraint on the slot it degenerates from, which replays
-    its lift chain on each value the slot takes.  Either way the
-    solutions are the unforced ones that have the forced values, in the
-    same order.
-    """
-    return sset_map_search(X, Y)(forced)
+def enumerate_sset_maps(X: TruncSSet, Y: TruncSSet):
+    """All simplicial maps X -> Y, as SSetMaps: ``sset_map_search(X, Y)``
+    compiled, then run once with nothing forced."""
+    return sset_map_search(X, Y)({})
 
 
 def sset_map_search(X: TruncSSet, Y: TruncSSet):
     """The search for simplicial maps X -> Y, compiled once: a function
-    from a ``forced`` dict, as ``enumerate_sset_maps`` takes it, to the
-    list of maps.  Running it again with other forced values builds no
-    face index, lift chain or table plan again.
+    from a dict (dim, id) -> id of forced values to the list of maps.
 
-    There is one slot per nondegenerate simplex, dimension by dimension,
-    keyed by its index in that order and ranging over the simplices of Y
-    with the faces already chosen; degenerate values follow.
-
-    Each simplex x of X lifts through a chain of Y's degeneracy tables
-    from a root slot: x's value is the chain applied to the root's
-    value.  A slot's domain looks its faces' values up in Y's face
-    index, and skips the chains when all of them are empty.  A
-    solution's tables are filled level by level, each in ``X.level(n)``
-    order: a root is its slot's value, and x = s_j y, the first
-    degeneracy that reaches x, is Y's s_j table at y's value one level
-    down, so no chain is replayed.
+    There is one slot per root of ``X.origins``, dimension by dimension,
+    ranging over the simplices of Y with the faces already chosen.  Only
+    roots may be forced, and a forced value pins its slot; any other key
+    raises ``InvariantError``, as a degenerate simplex's value follows
+    from its root's.  A solution's tables are filled level by level, in
+    ``X.level(n)`` order, from ``X.origins``.
     """
     invariant(X.trunc == Y.trunc, "a simplicial map needs equal truncations")
     N = X.trunc
@@ -342,56 +324,39 @@ def sset_map_search(X: TruncSSet, Y: TruncSSet):
         choose = domain.choose
         return Dependent(domain.reads, lambda *zs: (want,) if want in choose(*zs) else ())
 
-    # lift: (dim, id) -> (slot, Y's degeneracy tables applied to its value);
-    # per level, the roots as (simplices, slots) and the first lifts as
-    # (Y's s_j table, simplices, the simplices one level down they lift from)
-    domains, lift, roots, lifts = {}, {}, [], []
+    # lift: (dim, id) -> (slot, Y's degeneracy tables applied to its value)
+    domains, lift = {}, {}
     for n in range(N + 1):
-        level_lifts = []
-        # x lifts through its first s_j y: j ascending, y in level order, not table order
-        for j in range(n):
-            table, image = X.degeneracies[(n - 1, j)], Y.degeneracies[(n - 1, j)]
-            xs, ys = [], []
-            for y in X.level(n - 1):
-                x = table[y]
-                if (n, x) not in lift:
-                    root, chain = lift[(n - 1, y)]
-                    lift[(n, x)] = (root, chain + (image,))
-                    xs.append(x)
-                    ys.append(y)
-            level_lifts.append((image, xs, ys))
-        xs, slots = [], []
-        for x in X.level(n):
-            if (n, x) not in lift:
-                root = len(domains)
-                lift[(n, x)] = (root, ())
-                domains[root] = Y.level(0) if n == 0 else with_faces(n, x)
-                xs.append(x)
-                slots.append(root)
-        roots.append((xs, slots))
-        lifts.append(level_lifts)
+        roots, firsts = X.origins(n)
+        for j, xs, ys in firsts:
+            image = Y.degeneracies[(n - 1, j)]
+            for x, y in zip(xs, ys):
+                root, chain = lift[(n - 1, y)]
+                lift[(n, x)] = (root, chain + (image,))
+        for x in roots:
+            lift[(n, x)] = (len(domains), ())
+            domains[len(domains)] = Y.level(0) if n == 0 else with_faces(n, x)
 
     def tables(chosen):
-        levels, below = {}, None
+        # the slots come in root order, and zip takes one value per root
+        levels, below, values = {}, None, iter(chosen.values())
         for n in range(N + 1):
             here = levels[n] = dict.fromkeys(X.level(n))
-            xs, slots = roots[n]
-            here.update(zip(xs, map(chosen.__getitem__, slots)))
-            for image, xs, ys in lifts[n]:
+            roots, firsts = X.origins(n)
+            here.update(zip(roots, values))
+            for j, xs, ys in firsts:
+                image = Y.degeneracies[(n - 1, j)]
                 here.update(zip(xs, map(image.__getitem__, map(below.__getitem__, ys))))
             below = here
         return SSetMap(X, Y, levels)
 
-    def search(forced=None):
-        run, constraints = dict(domains), []
-        for key, want in (forced or {}).items():
-            root, chain = lift[key]
-            if chain:
-                constraints.append(
-                    ((root,), lambda z, chain=chain, want=want: lifted(z, chain) == want)
-                )
-            else:
-                run[root] = pinned(domains[root], want)
-        return [tables(chosen) for chosen in solve(run, constraints)]
+    def search(forced):
+        run = dict(domains)
+        for key, want in forced.items():
+            root, chain = lift.get(key, (None, None))
+            if chain != ():
+                raise InvariantError(f"forced value at {key!r}: not a nondegenerate simplex")
+            run[root] = pinned(domains[root], want)
+        return [tables(chosen) for chosen in solve(run, [])]
 
     return search

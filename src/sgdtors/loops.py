@@ -58,25 +58,17 @@ def rebuild_map(X: TruncSSet, C: SimpGroupoid, v, phi, W=None) -> SSetMap:
 
 
 def fill_degenerate_cells(X: TruncSSet, C: SimpGroupoid, v, phi):
-    """Extend a leading-cell table from nondegenerate to all simplices."""
+    """Extend a leading-cell table from nondegenerate to all simplices,
+    each x = s_j y read off ``X.origins``."""
     full = dict(phi)
     for n in range(1, X.trunc + 1):
-        for x in X.level(n):
-            if (n, x) in full:
-                continue
-            for j in range(n):
-                for y in X.level(n - 1):
-                    if X.degen(n - 1, j, y) == x:
-                        if j == 0:
-                            full[(n, x)] = C.identity_at(v[X.vertex(n, 0, x)], n - 1)
-                        else:
-                            lead = full[(n - 1, y)]
-                            hom = _leading_hom(X, C, v, n - 1, y)
-                            full[(n, x)] = hom.degen(n - 2, j - 1, lead)
-                        break
+        for j, xs, ys in X.origins(n)[1]:
+            for x, y in zip(xs, ys):
+                if j == 0:
+                    full[(n, x)] = C.identity_at(v[X.vertex(n, 0, x)], n - 1)
                 else:
-                    continue
-                break
+                    hom = _leading_hom(X, C, v, n - 1, y)
+                    full[(n, x)] = hom.degen(n - 2, j - 1, full[(n - 1, y)])
     return full
 
 

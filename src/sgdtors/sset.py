@@ -7,6 +7,11 @@ ints); levels keep a deterministic order so searches are reproducible.
 ``build_sset`` sorts each level by ``idkey``; a product keeps its
 factors' order, which is ``idkey`` order again, so it sorts nothing.
 
+By the Eilenberg-Zilber lemma each simplex is a degeneracy of exactly
+one nondegenerate root, so a simplicial map is fixed by its values on
+the roots.  ``TruncSSet.origins`` works that decomposition out once per
+set, and the map searches and table fills read it from there.
+
 All structures are treated as immutable once built and validated.
 """
 
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .report import InvariantError, invariant, validator
 from .search import Partition
@@ -93,12 +99,32 @@ class TruncSSet:
             x = self.faces[(k, 0)][x]
         return x
 
-    def is_degenerate(self, n, x):
-        return any(x in self.degeneracies[(n - 1, j)].values() for j in range(n))
-
     def nondegenerate(self, n):
-        degenerate = {x for j in range(n) for x in self.degeneracies[(n - 1, j)].values()}
-        return tuple(x for x in self.level(n) if x not in degenerate)
+        return self.origins(n)[0]
+
+    def origins(self, n):
+        """Where each n-simplex comes from: the nondegenerate ones in level
+        order, then for each j ascending a triple (j, xs, ys), where xs are
+        the simplices x = s_j y that no s_i with i < j reaches and ys their
+        y, in level order."""
+        return self._origins[n]
+
+    @cached_property
+    def _origins(self):
+        # worked out once per set: a set never changes after it is built
+        out = []
+        for n in range(self.trunc + 1):
+            reached, firsts = set(), []
+            for j in range(n):
+                table, xs, ys = self.degeneracies[(n - 1, j)], [], []
+                for y in self.level(n - 1):
+                    if table[y] not in reached:
+                        reached.add(table[y])
+                        xs.append(table[y])
+                        ys.append(y)
+                firsts.append((j, tuple(xs), tuple(ys)))
+            out.append((tuple(x for x in self.level(n) if x not in reached), tuple(firsts)))
+        return tuple(out)
 
 
 def _sorted_ids(ids):
@@ -405,6 +431,9 @@ def validate_sset_map(f: SSetMap):
                 problems.append(f"no value at dim {n} for {x!r}")
             elif tab[x] not in target:
                 problems.append(f"value at dim {n} for {x!r} not in target")
+        if len(tab) != X.size(n):
+            stray = [x for x in tab if not X.has(n, x)]
+            problems += [f"value at dim {n} for {x!r}, not a simplex" for x in stray]
     if problems:
         return problems
     for n in range(1, X.trunc + 1):

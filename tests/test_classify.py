@@ -107,12 +107,13 @@ def test_homotopy_placement_is_consistent():
     site, G, cover, source, target = circle_setup()
     maps = enumerate_sset_presheaf_maps(source, target)
     C = cylinder_presheaf(source)
+    searches = section_searches(C, target)
     classes = presheaf_map_classes(C, maps)
     assert [len(c) for c in classes] == [2, 2]
     for members in classes:
-        assert presheaf_homotopic(C, maps[members[0]], maps[members[1]])
-    assert not presheaf_homotopic(C, maps[classes[0][0]], maps[classes[1][0]])
-    assert presheaf_homotopic(C, maps[0], maps[0])
+        assert presheaf_homotopic(C, maps[members[0]], maps[members[1]], searches)
+    assert not presheaf_homotopic(C, maps[classes[0][0]], maps[classes[1][0]], searches)
+    assert presheaf_homotopic(C, maps[0], maps[0], searches)
 
 
 def test_classify_builds_one_cylinder_for_every_homotopy_search(monkeypatch):
@@ -150,12 +151,15 @@ def test_shared_section_searches_give_the_classes_of_fresh_ones(site_of, n):
     target = bg_presheaf(group_presheaf_as_groupoid(G), 2)
     maps = enumerate_sset_presheaf_maps(source, target)
     C = cylinder_presheaf(source)
-    fresh = _grouped(len(maps), lambda i, j: presheaf_homotopic(C, maps[i], maps[j]))
+    # every homotopy search below the shared ones compiles its own
+    fresh = _grouped(len(maps), lambda i, j: presheaf_homotopic(
+        C, maps[i], maps[j], section_searches(C, target)))
     assert presheaf_map_classes(C, maps) == fresh
     assert len(fresh) == h1_cech_oracle(G)
     shared = section_searches(C, target)
     for g in maps:
-        assert presheaf_homotopies(C, maps[0], g, shared) == presheaf_homotopies(C, maps[0], g)
+        assert presheaf_homotopies(C, maps[0], g, shared) == presheaf_homotopies(
+            C, maps[0], g, section_searches(C, target))
 
 
 def test_classify_asks_each_torsor_about_one_member_of_each_class(monkeypatch):

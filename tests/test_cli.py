@@ -700,6 +700,17 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
     out = capsys.readouterr().out
     assert "invalid input at /restrictions/1" in out
     assert "hom map at ('*', '*'): no value at dim 0 for" in out
+    # a restriction whose hom map has an entry for no source cell, which
+    # read as given would reach the diagram's restriction tables
+    Q = encode_sgd_presheaf(z2_presheaf(s1_site(), 2))
+    Q["restrictions"][0]["maps"][0]["levels"]["0"].append(["stray", "stray"])
+    path = tmp_path / "stray.json"
+    path.write_text(dumps(Q) + "\n")
+    assert cli.main(["torsor", "check", "--kind", "sgroup", str(path)]) == 2
+    assert (
+        "invalid input at /restrictions/0: not an enriched functor: hom map at ('*', '*'): "
+        "value at dim 0 for 'stray', not a simplex"
+    ) in capsys.readouterr().out
 
 
 def test_a_point_cover_that_misses_the_point_exits_two(tmp_path, corpus, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from sgdtors.classify import (
     enumerate_sset_presheaf_maps,
     presheaf_homotopies,
     presheaf_map_classes,
+    section_searches,
 )
 from sgdtors.fixtures import pt_site, s1_site
 from sgdtors.groupoid import (
@@ -27,6 +29,7 @@ from sgdtors.kan import (
     weq_check,
 )
 from sgdtors.presheaf import constant_group_presheaf, constant_sset_presheaf
+from sgdtors.report import InvariantError
 from sgdtors.sheaf import cech_resolution
 from sgdtors.site import star_cover
 from sgdtors.sset import (
@@ -227,32 +230,32 @@ def test_map_enumeration_counts_poset_maps():
 
 def test_map_enumeration_respects_forced_values():
     X = delta(1, trunc=2)
-    maps = enumerate_sset_maps(X, X, forced={(0, (0,)): (1,)})
+    maps = kan.sset_map_search(X, X)({(0, (0,)): (1,)})
     assert len(maps) == 1
     assert maps[0](0, (1,)) == (1,)
 
 
 def test_a_forced_value_outside_its_face_candidates_gives_no_map():
     # vertex 0 goes to 1, so the edge 01 has d_1 = 1 and cannot go to 01
-    X = delta(1, trunc=2)
-    assert enumerate_sset_maps(X, X, forced={(0, (0,)): (1,), (1, (0, 1)): (0, 1)}) == []
-    assert enumerate_sset_maps(X, X, forced={(1, (0, 1)): (0, 1)}) != []
+    search = kan.sset_map_search(delta(1, trunc=2), delta(1, trunc=2))
+    assert search({(0, (0,)): (1,), (1, (0, 1)): (0, 1)}) == []
+    assert search({(1, (0, 1)): (0, 1)}) != []
 
 
 def test_a_forced_vertex_outside_the_target_gives_no_map():
     # one vertex and its degeneracies: no face lookup can reject the value
-    X, Y = delta(0, trunc=2), delta(1, trunc=2)
-    assert enumerate_sset_maps(X, Y, forced={(0, (0,)): (2,)}) == []
-    assert len(enumerate_sset_maps(X, Y, forced={(0, (0,)): (1,)})) == 1
+    search = kan.sset_map_search(delta(0, trunc=2), delta(1, trunc=2))
+    assert search({(0, (0,)): (2,)}) == []
+    assert len(search({(0, (0,)): (1,)})) == 1
 
 
-def test_a_forced_degenerate_simplex_that_disagrees_with_its_root_gives_no_map():
-    # s_0 of vertex 0 lifts from the slot of vertex 0, pinned to 0
-    X = delta(1, trunc=2)
-    forced = {(0, (0,)): (0,), (1, (0, 0)): (1, 1)}
-    assert enumerate_sset_maps(X, X, forced) == []
-    forced[(1, (0, 0))] = (0, 0)
-    assert len(enumerate_sset_maps(X, X, forced)) == 2
+@pytest.mark.parametrize("key", [(1, (0, 0)), (2, (0, 1, 1)), (1, (0, 2)), (3, (0, 1))],
+                         ids=["s0-vertex", "s1-edge", "off-the-level", "off-the-truncation"])
+def test_only_nondegenerate_simplices_may_be_forced(key):
+    # a degenerate simplex's value follows from its root's
+    search = kan.sset_map_search(delta(1, trunc=2), delta(1, trunc=2))
+    with pytest.raises(InvariantError, match=f"forced value at {re.escape(repr(key))}"):
+        search({(0, (0,)): (0,), key: (0, 0)})
 
 
 def test_one_compiled_search_runs_every_pair_of_ends_on_the_circle():
@@ -270,22 +273,22 @@ def test_one_compiled_search_runs_every_pair_of_ends_on_the_circle():
                 (n, (x, (k,) * (n + 1))): h(n, x)
                 for k, h in ((0, f), (1, g))
                 for n in range(3)
-                for x in source.values[U].level(n)
+                for x in source.values[U].nondegenerate(n)
             }
-            assert search(forced) == enumerate_sset_maps(X, Y, forced)
+            assert search(forced) == kan.sset_map_search(X, Y)(forced)
             runs += 1
     assert runs == 1 + 1 + 4 + 4
 
 
 def assert_forced_is_filtered(X, Y, keys):
-    """Forcing the values of some simplices lists the unforced maps with
-    those values, in the same order, for the values of each map."""
-    every = enumerate_sset_maps(X, Y)
+    """Forcing the values of the nondegenerate simplices among some keys
+    lists the unforced maps with the values of every key, degenerate ones
+    included, in the same order, for the values of each map."""
+    every, search = enumerate_sset_maps(X, Y), kan.sset_map_search(X, Y)
     assert every
     for f in every:
-        forced = {(n, x): f(n, x) for n, x in keys}
-        kept = [g for g in every if all(g(n, x) == v for (n, x), v in forced.items())]
-        assert enumerate_sset_maps(X, Y, forced) == kept
+        kept = [g for g in every if all(g(n, x) == f(n, x) for n, x in keys)]
+        assert search({(n, x): f(n, x) for n, x in keys if x in X.nondegenerate(n)}) == kept
 
 
 def test_forced_maps_off_the_cylinder_are_the_filtered_maps():
@@ -308,7 +311,7 @@ def test_forced_maps_of_a_relabelled_set_are_the_filtered_maps():
     assert list(R.degeneracies[(1, 1)]) != list(R.level(1))
     Y = nerve_groupoid(group_as_groupoid(zmod(2)), trunc=2)
     degenerate = R.degen(0, 0, R.level(0)[0])
-    assert_forced_is_filtered(R, Y, [(0, R.level(0)[-1]), (1, degenerate)])
+    assert_forced_is_filtered(R, Y, [(0, R.level(0)[-1]), (0, R.level(0)[0]), (1, degenerate)])
     assert_forced_is_filtered(R, Y, [(1, x) for x in R.nondegenerate(1)[:2]])
 
 
@@ -350,7 +353,7 @@ def _chain_replayed(X, Y, f):
 
 def _sphere_into_s3():
     X = boundary(3, trunc=4)
-    return [(X, nerve_groupoid(group_as_groupoid(symmetric_group(3)), trunc=4), None)]
+    return [(X, nerve_groupoid(group_as_groupoid(symmetric_group(3)), trunc=4), {})]
 
 
 def _cylinders_with_forced_ends():
@@ -368,7 +371,7 @@ def _cylinders_with_forced_ends():
                 (n, (x, (k,) * (n + 1))): h(n, x)
                 for k, h in ((0, f), (1, g))
                 for n in range(3)
-                for x in source.values[U].level(n)
+                for x in source.values[U].nondegenerate(n)
             }
             cases.append((C.values[U], target.values[U], forced))
     return cases
@@ -384,7 +387,7 @@ def test_enumerated_tables_follow_level_order_and_the_chain_replay(cases, count)
     # order, so every table must be built in X.level(n) order
     found = 0
     for X, Y, forced in cases():
-        for f in enumerate_sset_maps(X, Y, forced):
+        for f in kan.sset_map_search(X, Y)(forced):
             found += 1
             assert list(f.levels) == list(range(X.trunc + 1))
             assert all(list(f.levels[n]) == list(X.level(n)) for n in f.levels)
@@ -411,7 +414,7 @@ def test_no_homotopy_between_distinct_constants_into_two_points():
     maps = enumerate_sset_presheaf_maps(X, Y2)
     assert len(maps) == 2
     C = cylinder_presheaf(X)
-    assert presheaf_homotopies(C, maps[0], maps[1]) == []
+    assert presheaf_homotopies(C, maps[0], maps[1], section_searches(C, Y2)) == []
     assert len(presheaf_map_classes(C, maps)) == 2
 
 
@@ -421,4 +424,5 @@ def test_product_with_interval_supports_projection_homotopy():
     by_image = {(f.components["pt"][0][(0,)], f.components["pt"][0][(1,)]): f for f in maps}
     c0 = by_image[((0,), (0,))]
     c1 = by_image[((1,), (1,))]
-    assert presheaf_homotopies(cylinder_presheaf(X), c0, c1) != []
+    C = cylinder_presheaf(X)
+    assert presheaf_homotopies(C, c0, c1, section_searches(C, X)) != []

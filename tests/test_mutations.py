@@ -1,9 +1,10 @@
 """Mutation tests: corrupting one table entry makes the matching
 validator fail, and its witness names the corrupted spot; dropping the
-constraints of a shared search or a map from the enumeration, or
-splitting the classes of the grouping, makes a classification fail;
-sharing bundle sections by a key that holds too little makes the
-family's bundles differ from the reference."""
+constraints of a shared search or a map from the enumeration,
+splitting the classes of the grouping, or forcing homotopy ends on the
+vertices alone makes a classification fail; sharing bundle sections by
+a key that holds too little makes the family's bundles differ from the
+reference."""
 
 import dataclasses
 import operator
@@ -45,7 +46,7 @@ from sgdtors.sgroupoid import (
 )
 from sgdtors.search import solve
 from sgdtors.site import validate_cat
-from sgdtors.sset import delta, identity_map, idkey, validate_sset, validate_sset_map
+from sgdtors.sset import TruncSSet, delta, identity_map, idkey, validate_sset, validate_sset_map
 from sgdtors.torsors import (
     cochain_torsor,
     enumerate_group_cochains,
@@ -65,6 +66,12 @@ def sset_map_entry():
     f = identity_map(delta(1, trunc=2))
     f.levels[1][(0, 1)] = (0, 0)
     return validate_sset_map(f), "at dim 1 on (0, 1)"
+
+
+def sset_map_stray_entry():
+    f = identity_map(delta(1, trunc=2))
+    f.levels[0]["stray"] = "stray"
+    return validate_sset_map(f), "value at dim 0 for 'stray', not a simplex"
 
 
 def groupoid_composite():
@@ -237,6 +244,7 @@ def bisset_horizontal_face():
     [
         sset_face,
         sset_map_entry,
+        sset_map_stray_entry,
         groupoid_composite,
         sgroupoid_composite,
         set_presheaf_restriction,
@@ -449,3 +457,18 @@ def test_bundle_sections_keyed_by_the_groupoid_alone_fail_the_soundness_test(mon
     monkeypatch.setattr(torsors, "_bundle_section_key", lambda G, carrier, anchor, act: id(G))
     with pytest.raises(AssertionError):
         test_torsors.test_family_bundles_equal_bundles_built_one_at_a_time("mixed")
+
+
+def test_homotopy_ends_forced_on_vertices_alone_fail(monkeypatch):
+    # a homotopy's ends are forced on the nondegenerate simplices of its
+    # source; forced on the vertices alone, any two maps that agree there
+    # are homotopic, and over the circle the two classes fall into one
+    nondegenerate = TruncSSet.nondegenerate
+    monkeypatch.setattr(TruncSSet, "nondegenerate",
+                        lambda X, n: nondegenerate(X, n) if n == 0 else ())
+    site = s1_site()
+    result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
+    assert {part.claim for part in result["check"].parts if not part} == {
+        "both sides have the same number of classes",
+        "classifying maps hit every homotopy class exactly once",
+    }

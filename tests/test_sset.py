@@ -2,13 +2,15 @@ import itertools
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ordinals import OrdinalMap, all_maps, apply
 
 from sgdtors.cli import decode_sset, dumps, encode_sset
 from sgdtors.fixtures import interval_sgd, twocomp_sgd, z2_sgroup
-from sgdtors.groupoid import group_as_groupoid, nerve_groupoid, symmetric_group
+from sgdtors.groupoid import group_as_2groupoid, group_as_groupoid, nerve_groupoid, symmetric_group
+from sgdtors.sgroupoid import b_2groupoid, constant_sset
 from sgdtors.sset import (
     _sorted_ids,
     boundary,
@@ -184,9 +186,53 @@ def test_json_round_trip():
 
 def test_degenerate_detection():
     D = delta(1, trunc=3)
-    assert not D.is_degenerate(1, (0, 1))
-    assert D.is_degenerate(1, (0, 0))
+    assert D.nondegenerate(1) == ((0, 1),)
+    assert D.origins(1) == (((0, 1),), ((0, ((0, 0), (1, 1)), ((0,), (1,))),))
     assert D.nondegenerate(2) == ()
+
+
+def scanned_origins(X, n):
+    """``X.origins(n)`` by a scan of the level below for every n-simplex:
+    the least j, and the y, with x = s_j y; each j's simplices listed in
+    the level order of their y."""
+    below = X.level(n - 1) if n else ()
+    roots, firsts = [], [[] for _ in range(n)]
+    for x in X.level(n):
+        found = [(j, y) for j in range(n) for y in below if X.degen(n - 1, j, y) == x]
+        if found:
+            j, y = found[0]
+            firsts[j].append((below.index(y), x, y))
+        else:
+            roots.append(x)
+    return tuple(roots), tuple(
+        (j, tuple(x for _, x, _ in sorted(pairs)), tuple(y for _, _, y in sorted(pairs)))
+        for j, pairs in enumerate(firsts)
+    )
+
+
+def _relabelled_square():
+    # relabel reverses each level, so the degeneracy tables keep the old order
+    X = sset_product(delta(1, trunc=2), delta(1, trunc=2))
+    R = relabel(X, lambda n, x: X.size(n) - X.level(n).index(x))
+    assert list(R.degeneracies[(1, 1)]) != list(R.level(1))
+    return R
+
+
+@pytest.mark.parametrize("build", [
+    lambda: delta(2, trunc=3),
+    lambda: boundary(3, trunc=3),
+    lambda: horn(2, 1, trunc=3),
+    lambda: sset_product(delta(1, trunc=3), delta(1, trunc=3)),
+    _relabelled_square,
+    lambda: constant_sset((0, 1, "a"), 3),  # the same ids on every level
+    lambda: wbar(b_2groupoid(group_as_2groupoid(symmetric_group(3)), 3)),
+], ids=["delta2", "boundary3", "horn21", "square", "relabelled-square", "constant", "wbar-bS3"])
+def test_origins_are_the_first_degeneracies_a_scan_finds(build):
+    X = build()
+    for n in range(X.trunc + 1):
+        assert X.origins(n) == scanned_origins(X, n)
+        assert X.nondegenerate(n) == X.origins(n)[0]
+    assert X.origins(X.trunc) is X.origins(X.trunc)  # worked out once
 
 
 def test_has_agrees_with_level_membership():
