@@ -12,10 +12,12 @@ comes down to the naturality of the comparison.
 
 ``alpha_beta`` materialises the carrier, the diagonal nerve and the
 prism's domain carrier x interval; both checks take its result, so a
-check of one enriched groupoid builds each of them once.  It unpacks
-each doubled string once and reuses it for every prism simplex over
-it; the cell targets, identities and inverses it reads come from
-lookups that the enriched groupoid fills once.
+check of one enriched groupoid builds each of them once.  The prism
+runs on the roots of carrier x interval only, and ``sset_map`` fills
+the degenerate simplices from the diagonal nerve.  It unpacks each
+doubled string once and reuses it for every prism simplex over it; the
+cell targets, identities and inverses it reads come from lookups that
+the enriched groupoid fills once.
 """
 
 from __future__ import annotations

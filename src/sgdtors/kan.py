@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 from .report import Check, InvariantError, invariant, require
 from .search import Dependent, Partition, solve
-from .sset import SSetMap, TruncSSet, idkey, pi0, pi0_classes, validate_sset_map
+from .sset import (
+    SSetMap,
+    TruncSSet,
+    idkey,
+    pi0,
+    pi0_classes,
+    sset_map_from_roots,
+    validate_sset_map,
+)
 
 
 def horn_assignments(X: TruncSSet, n: int, k: int):
@@ -299,8 +307,8 @@ def sset_map_search(X: TruncSSet, Y: TruncSSet):
     ranging over the simplices of Y with the faces already chosen.  Only
     roots may be forced, and a forced value pins its slot; any other key
     raises ``InvariantError``, as a degenerate simplex's value follows
-    from its root's.  A solution's tables are filled level by level, in
-    ``X.level(n)`` order, from ``X.origins``.
+    from its root's.  Each solution's tables come from
+    ``sset_map_from_roots`` on its slot values, which are in root order.
     """
     invariant(X.trunc == Y.trunc, "a simplicial map needs equal truncations")
     N = X.trunc
@@ -337,19 +345,6 @@ def sset_map_search(X: TruncSSet, Y: TruncSSet):
             lift[(n, x)] = (len(domains), ())
             domains[len(domains)] = Y.level(0) if n == 0 else with_faces(n, x)
 
-    def tables(chosen):
-        # the slots come in root order, and zip takes one value per root
-        levels, below, values = {}, None, iter(chosen.values())
-        for n in range(N + 1):
-            here = levels[n] = dict.fromkeys(X.level(n))
-            roots, firsts = X.origins(n)
-            here.update(zip(roots, values))
-            for j, xs, ys in firsts:
-                image = Y.degeneracies[(n - 1, j)]
-                here.update(zip(xs, map(image.__getitem__, map(below.__getitem__, ys))))
-            below = here
-        return SSetMap(X, Y, levels)
-
     def search(forced):
         run = dict(domains)
         for key, want in forced.items():
@@ -357,6 +352,7 @@ def sset_map_search(X: TruncSSet, Y: TruncSSet):
             if chain != ():
                 raise InvariantError(f"forced value at {key!r}: not a nondegenerate simplex")
             run[root] = pinned(domains[root], want)
-        return [tables(chosen) for chosen in solve(run, [])]
+        # a solution lists its slots in root order
+        return [sset_map_from_roots(X, Y, chosen.values()) for chosen in solve(run, [])]
 
     return search

@@ -17,7 +17,7 @@ from .kan import enumerate_sset_maps
 from .report import Check, require
 from .search import Dependent, solve
 from .sgroupoid import SimpGroupoid
-from .sset import SSetMap, TruncSSet, sset_map, validate_sset_map
+from .sset import SSetMap, TruncSSet, validate_sset_map
 from .wbar import wbar
 
 
@@ -41,8 +41,10 @@ def _iterate_d0(X: TruncSSet, n, x, k):
 def rebuild_map(X: TruncSSet, C: SimpGroupoid, v, phi, W=None) -> SSetMap:
     """Candidate map X -> wbar(C) from vertex objects and leading cells.
 
-    Not guaranteed simplicial; run validate_sset_map (or twisting_check)
-    on the result.
+    The formula runs on every simplex, degenerate ones included, so a
+    check of the result covers every cell of phi; ``sset_map`` would read
+    the roots' cells only.  Not guaranteed simplicial; run
+    validate_sset_map (or twisting_check) on the result.
     """
     if W is None:
         W = wbar(C)
@@ -54,7 +56,7 @@ def rebuild_map(X: TruncSSet, C: SimpGroupoid, v, phi, W=None) -> SSetMap:
         )
         return (objs, arrows)
 
-    return sset_map(X, W, assign)
+    return SSetMap(X, W, {n: {x: assign(n, x) for x in X.level(n)} for n in range(X.trunc + 1)})
 
 
 def fill_degenerate_cells(X: TruncSSet, C: SimpGroupoid, v, phi):

@@ -22,7 +22,7 @@ from .sgroupoid import (
     validate_sgroupoid,
 )
 from .site import FinSite
-from .sset import SSetMap, TruncSSet, idkey, point, validate_sset, validate_sset_map
+from .sset import SSetMap, TruncSSet, idkey, point, sset_map, validate_sset, validate_sset_map
 
 
 @dataclass
@@ -217,14 +217,13 @@ class SSetPresheaf:
 
 
 def sset_presheaf(site, value, restrict):
-    """Build from callables value(U) -> TruncSSet, restrict(f, n, x)."""
+    """Build from callables value(U) -> TruncSSet, restrict(f, n, x); each
+    restriction is ``sset_map``'s, so restrict runs on roots only."""
     values = {U: value(U) for U in site.objects}
-    res = {}
-    for f, (V, U) in site.cat.morphisms.items():
-        res[f] = {
-            n: {x: restrict(f, n, x) for x in values[U].level(n)}
-            for n in range(values[U].trunc + 1)
-        }
+    res = {
+        f: sset_map(values[U], values[V], lambda n, x, f=f: restrict(f, n, x)).levels
+        for f, (V, U) in site.cat.morphisms.items()
+    }
     return SSetPresheaf(site, values, res)
 
 
@@ -291,14 +290,12 @@ class SSetPresheafMap:
 
 
 def sset_presheaf_map(Y, Z, component):
-    """Build from a callable component(U, n, x)."""
-    comps = {}
-    for U in Y.site.objects:
-        X = Y.values[U]
-        comps[U] = {
-            n: {x: component(U, n, x) for x in X.level(n)}
-            for n in range(X.trunc + 1)
-        }
+    """Build from a callable component(U, n, x); each component is
+    ``sset_map``'s, so component runs on roots only."""
+    comps = {
+        U: sset_map(Y.values[U], Z.values[U], lambda n, x, U=U: component(U, n, x)).levels
+        for U in Y.site.objects
+    }
     return SSetPresheafMap(Y, Z, comps)
 
 
@@ -324,12 +321,13 @@ def validate_sset_presheaf_map(phi: SSetPresheafMap):
 
 def natural_square(X: TruncSSet, r_src, r_dst):
     """The predicate on simplicial maps (m_src, m_dst) that m_dst r_src =
-    r_dst m_src on every simplex of X, the source of m_src; r_src and
-    r_dst are the restriction tables along one arrow.  Both sides are
-    compared as whole levels, level 0 first, so a mismatch low down
+    r_dst m_src on X, the source of m_src; r_src and r_dst are the
+    restriction tables along one arrow.  Both sides are simplicial maps,
+    so they agree exactly when they agree on X's roots, and only roots
+    are compared: as whole levels, level 0 first, so a mismatch low down
     still ends the comparison early."""
     plan = [
-        (n, X.level(n), [r_src[n][x] for x in X.level(n)], r_dst[n].__getitem__)
+        (n, X.nondegenerate(n), [r_src[n][x] for x in X.nondegenerate(n)], r_dst[n].__getitem__)
         for n in range(X.trunc + 1)
     ]
 

@@ -10,7 +10,10 @@ factors' order, which is ``idkey`` order again, so it sorts nothing.
 By the Eilenberg-Zilber lemma each simplex is a degeneracy of exactly
 one nondegenerate root, so a simplicial map is fixed by its values on
 the roots.  ``TruncSSet.origins`` works that decomposition out once per
-set, and the map searches and table fills read it from there.
+set.  ``sset_map_from_roots`` is the one fill from root values to whole
+tables: the map searches and ``sset_map`` go through it, so a closure
+given to ``sset_map`` is called on the roots only and need only be
+right there.
 
 All structures are treated as immutable once built and validated.
 """
@@ -453,9 +456,31 @@ def validate_sset_map(f: SSetMap):
     return problems
 
 
+def sset_map_from_roots(X, Y, values):
+    """The SSetMap taking X's roots, level by level in ``X.origins`` order,
+    to the successive ``values``, and each other x = s_j y to Y's s_j of
+    its value at y.  A root value outside Y sends the simplices over it
+    to None, so ``validate_sset_map`` names the root first."""
+    invariant(X.trunc == Y.trunc, "a simplicial map needs equal truncations")
+    levels, below, values = {}, None, iter(values)
+    for n in range(X.trunc + 1):
+        here = levels[n] = dict.fromkeys(X.level(n))
+        roots, firsts = X.origins(n)
+        # zip takes one value per root
+        here.update(zip(roots, values))
+        for j, xs, ys in firsts:
+            image = Y.degeneracies[(n - 1, j)]
+            here.update(zip(xs, map(image.get, map(below.__getitem__, ys))))
+        below = here
+    return SSetMap(X, Y, levels)
+
+
 def sset_map(X, Y, assign):
-    """Build an SSetMap from a callable assign(dim, id)."""
-    return SSetMap(X, Y, {n: {x: assign(n, x) for x in X.level(n)} for n in range(X.trunc + 1)})
+    """Build an SSetMap from a callable assign(dim, id), called on X's
+    roots only, so it need only be right there."""
+    return sset_map_from_roots(
+        X, Y, (assign(n, x) for n in range(X.trunc + 1) for x in X.origins(n)[0])
+    )
 
 
 def identity_map(X):

@@ -1,5 +1,6 @@
 from call_counts import count_calls
 
+from sgdtors import join
 from sgdtors.fixtures import interval_sgd, z2_sgroup
 from sgdtors.kan import iterated_degeneracy
 from sgdtors.join import (
@@ -11,7 +12,7 @@ from sgdtors.join import (
     naturality_check,
 )
 from sgdtors.sgroupoid import sgd_functor, validate_sgd_functor
-from sgdtors.sset import validate_sset
+from sgdtors.sset import sset_map, validate_sset
 
 TR = 3
 
@@ -71,6 +72,26 @@ def test_join_map_of_the_collapse_hits_every_simplex():
     for n in range(TR + 1):
         hit = {jf(n, w) for w in jf.source.level(n)}
         assert hit == set(J2.level(n))
+
+
+def test_alpha_beta_runs_the_prism_once_per_root(monkeypatch):
+    # the prism's degenerate simplices are filled from the diagonal
+    # nerve's degeneracies: its closure runs once per root of J x Delta[1]
+    built = []
+
+    def recorded(X, Y, assign):
+        seen = []
+        f = sset_map(X, Y, lambda n, x: seen.append((n, x)) or assign(n, x))
+        built.append((f, seen))
+        return f
+
+    monkeypatch.setattr(join, "sset_map", recorded)
+    _, _, _, H = alpha_beta(interval_sgd(4))
+    P = H.source
+    (seen,) = [seen for f, seen in built if f is H]
+    roots = [(n, x) for n in range(P.trunc + 1) for x in P.nondegenerate(n)]
+    assert seen == roots
+    assert len(roots) == 3240
 
 
 def test_alpha_beta_unpacks_each_doubled_string_once(monkeypatch):

@@ -73,6 +73,20 @@ def test_rejected_tables_are_reported():
     assert not report.ok
 
 
+def test_a_corrupted_degenerate_leading_cell_fails_the_twisting_check():
+    # rebuild_map runs its formula on every simplex, so the check covers
+    # every cell of phi: here the cell at s_0 of the edge 01, swapped for
+    # another cell of the same hom, so the tables stay correctly typed
+    C = constant_sgroup(symmetric_group(3), trunc=2)
+    X = delta(2, trunc=2)
+    v, phi = transpose_to_tables(enumerate_sset_maps(X, wbar(C))[0])
+    assert twisting_check(X, C, v, phi)
+    key = (2, X.degen(1, 0, (0, 1)))
+    phi[key] = next(c for c in C.homs[("*", "*")].level(1) if c != phi[key])
+    report = twisting_check(X, C, v, phi)
+    assert [part.claim for part in report.parts if not part] == ["rebuilt map is simplicial"]
+
+
 def test_tables_recover_known_maps():
     C = constant_sgroup(zmod(2), trunc=2)
     W = wbar(C)

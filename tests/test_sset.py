@@ -10,6 +10,7 @@ from ordinals import OrdinalMap, all_maps, apply
 from sgdtors.cli import decode_sset, dumps, encode_sset
 from sgdtors.fixtures import interval_sgd, twocomp_sgd, z2_sgroup
 from sgdtors.groupoid import group_as_2groupoid, group_as_groupoid, nerve_groupoid, symmetric_group
+from sgdtors.report import InvariantError
 from sgdtors.sgroupoid import b_2groupoid, constant_sset
 from sgdtors.sset import (
     _sorted_ids,
@@ -140,6 +141,21 @@ def test_relabel_and_identity_map():
     f = identity_map(D)
     valid = validate_sset_map(f)
     assert valid, valid.render()
+
+
+def test_an_off_target_root_value_fails_validation_at_that_root():
+    # the simplices over the root are filled with None, so the check
+    # fails rather than the build, and the root is the first witness
+    D = delta(1, trunc=3)
+    f = sset_map(D, D, lambda n, x: "junk" if x == (0, 1) else x)
+    valid = validate_sset_map(f)
+    assert not valid
+    assert valid.witness[0] == "value at dim 1 for (0, 1) not in target"
+
+
+def test_a_map_between_unequal_truncations_is_refused():
+    with pytest.raises(InvariantError, match="equal truncations"):
+        sset_map(delta(1, trunc=3), delta(1, trunc=2), lambda n, x: x)
 
 
 def test_disjoint_union_and_pi0():
