@@ -6,7 +6,11 @@ Each run computes two sides and matches them class by class:
   them into isomorphism classes by searching for equivariant maps;
 * the maps side enumerates strict presheaf maps from the covering
   resolution of the point into the flavour's classifying object and
-  groups them into homotopy classes over the cylinder.
+  groups them into homotopy classes.  Every flavour's classifying object
+  is sectionwise a groupoid nerve, where a homotopy is a natural
+  transformation, one edge per source vertex, found by a search over
+  vertices; into any other target, homotopies are searched off the
+  cylinder.
 
 The bridge in both directions is the transition cocycle of a chosen
 local section: a torsor yields a classifying map on the nose, which is
@@ -57,7 +61,13 @@ from .bundles import (
     vertex_groupoid_presheaf,
 )
 from .groupoid import group_as_2groupoid
-from .kan import enumerate_sset_maps, iterated_degeneracy, sset_map_search
+from .kan import (
+    enumerate_sset_maps,
+    face_index,
+    hypergroupoid_check,
+    iterated_degeneracy,
+    sset_map_search,
+)
 from .presheaf import (
     SgdPresheaf,
     SSetPresheaf,
@@ -142,42 +152,127 @@ def cylinder_presheaf(Y: SSetPresheaf) -> SSetPresheaf:
     )
 
 
-def section_searches(C: SSetPresheaf, Z: SSetPresheaf):
-    """The map search C(U) -> Z(U) of each site object U, compiled once:
-    every homotopy search off the cylinder C into Z runs them."""
-    return {U: sset_map_search(C.values[U], Z.values[U]) for U in C.site.objects}
+def forced_ends(X, f, g):
+    """The values that a homotopy off the cylinder of X must take at its
+    ends, keyed as ``sset_map_search`` takes them: f's tables at end 0
+    and g's at end 1.  The ends are forced on nondegenerate simplices only:
+    (x, 0...0) is nondegenerate exactly when x is, and as f and g are
+    simplicial, their values on the roots fix the rest."""
+    return {
+        (n, (x, (k,) * (n + 1))): end[n][x]
+        for k, end in ((0, f), (1, g))
+        for n in range(X.trunc + 1)
+        for x in X.nondegenerate(n)
+    }
 
 
-def presheaf_homotopies(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap, searches):
-    """A natural homotopy from f to g, as a one-element list, or an empty
-    list: the first strict map off C = ``cylinder_presheaf(f.source)``
-    with end 0 forced to f and end 1 to g.  Each section's maps come from
-    ``searches``, the ``section_searches(C, f.target)`` of a grouping.
-    The ends are forced on nondegenerate simplices only: (x, 0...0) is
-    nondegenerate exactly when x is, and as f and g are simplicial, their
-    values on the roots fix the rest."""
-    Y = f.source
+def cylinder_search(Y: SSetPresheaf, Z: SSetPresheaf):
+    """The homotopy search of maps Y -> Z off the cylinder, compiled once:
+    a function (f, g, limit) to the strict maps off
+    ``cylinder_presheaf(Y)`` with end 0 forced to f and end 1 to g, each
+    section's maps found by one map search C(U) -> Z(U), compiled once
+    for every pair of ends."""
+    C = cylinder_presheaf(Y)
+    searches = {U: sset_map_search(C.values[U], Z.values[U]) for U in C.site.objects}
 
-    def ends(U):
-        X = Y.values[U]
-        forced = {}
-        for n in range(X.trunc + 1):
-            for x in X.nondegenerate(n):
-                forced[(n, (x, (0,) * (n + 1)))] = f.components[U][n][x]
-                forced[(n, (x, (1,) * (n + 1)))] = g.components[U][n][x]
-        return searches[U](forced)
+    def homotopies(f, g, limit):
+        def ends(U):
+            return searches[U](forced_ends(Y.values[U], f.components[U], g.components[U]))
 
-    return _strict_maps(C, f.target, ends, limit=1)
+        return _strict_maps(C, Z, ends, limit)
+
+    return homotopies
 
 
-def presheaf_homotopic(C: SSetPresheaf, f: SSetPresheafMap, g: SSetPresheafMap,
-                       searches) -> bool:
-    """Equal, or homotopic either way off the cylinder C of their source:
-    an equivalence relation when the target is sectionwise Kan.  Both
-    homotopy searches run ``searches``, as ``presheaf_homotopies`` does."""
+def square_constraints(Y: SSetPresheaf, f, g, composite):
+    """For each nondegenerate edge e: x -> y of each section U, the
+    constraint on the slots (U, x) and (U, y) that h(y) f(e) = g(e) h(x),
+    with ``composite[U]`` taking (later, first) to their composite."""
+    constraints = []
+    for U, X in Y.values.items():
+        fe, ge, after = f.components[U][1], g.components[U][1], composite[U]
+        for e in X.nondegenerate(1):
+            x, y = X.faces[(1, 1)][e], X.faces[(1, 0)][e]
+            constraints.append((
+                ((U, x), (U, y)),
+                lambda hx, hy, fe=fe[e], ge=ge[e], after=after: after[(hy, fe)] == after[(ge, hx)],
+            ))
+    return constraints
+
+
+def restriction_constraints(Y: SSetPresheaf, Z: SSetPresheaf):
+    """For each site arrow V -> U and vertex x over U, the constraint on
+    the slots (U, x) and (V, x restricted) that h commutes with
+    restriction."""
+    return [
+        (((U, x), (V, Y.res[a][0][x])), lambda hU, hV, down=Z.res[a][1]: down[hU] == hV)
+        for a, (V, U) in Y.site.cat.morphisms.items()
+        for x in Y.values[U].level(0)
+    ]
+
+
+def transformation_search(Y: SSetPresheaf, Z: SSetPresheaf):
+    """The homotopy search of maps Y -> Z into sectionwise groupoid
+    nerves, compiled once: a function (f, g, limit) to the natural
+    transformations from f to g, as dicts from slot (U, x) to an edge
+    h(x): f(x) -> g(x) of Z(U).  A map off the cylinder into a nerve is
+    a functor out of the product of the source's fundamental category
+    with [1], that is a natural transformation (Gabriel and Zisman,
+    *Calculus of Fractions and Homotopy Theory*, 1967), and h is one.
+    It must make a commuting square over every nondegenerate edge of each
+    section (``square_constraints``), and commute with the site's
+    restrictions (``restriction_constraints``).  Composites are read off
+    the unique filler of each inner 2-horn, from one ``face_index`` per
+    distinct target section."""
+    tables = {}
+    for T in Z.values.values():
+        if id(T) not in tables:
+            between, d1 = {}, T.faces[(2, 1)]
+            for e in T.level(1):
+                between.setdefault((T.faces[(1, 1)][e], T.faces[(1, 0)][e]), []).append(e)
+            fill = face_index(T, 2, 1)
+            tables[id(T)] = between, {key: d1[z] for key, (z,) in fill.items()}
+    edges = {U: tables[id(T)][0] for U, T in Z.values.items()}
+    composite = {U: tables[id(T)][1] for U, T in Z.values.items()}
+    natural = restriction_constraints(Y, Z)
+
+    def homotopies(f, g, limit):
+        domains = {
+            (U, x): edges[U].get((f.components[U][0][x], g.components[U][0][x]), ())
+            for U, X in Y.values.items()
+            for x in X.level(0)
+        }
+        return solve(domains, square_constraints(Y, f, g, composite) + natural, limit)
+
+    return homotopies
+
+
+def homotopy_search(Y: SSetPresheaf, Z: SSetPresheaf):
+    """The homotopy search of one grouping of maps Y -> Z, compiled once:
+    ``transformation_search`` when, at trunc 2 or more, every section of
+    Z passes ``hypergroupoid_check(·, 1)``, so is a groupoid nerve up to
+    isomorphism, and ``cylinder_search`` for any other target, such as
+    K(A, 2).  A section shared by several objects is checked once."""
+    sections = {id(T): T for T in Z.values.values()}
+    nerves = Z.trunc >= 2 and all(hypergroupoid_check(T, 1) for T in sections.values())
+    return (transformation_search if nerves else cylinder_search)(Y, Z)
+
+
+def presheaf_homotopies(f: SSetPresheafMap, g: SSetPresheafMap, search):
+    """A homotopy from f to g, as a one-element list, or an empty list:
+    the first that ``search``, the ``homotopy_search`` of a grouping of
+    maps between their source and target, finds.  Every homotopy
+    question runs through here."""
+    return search(f, g, 1)
+
+
+def presheaf_homotopic(f: SSetPresheafMap, g: SSetPresheafMap, search) -> bool:
+    """Equal, or homotopic either way: an equivalence relation when the
+    target is sectionwise Kan.  Both homotopy searches run ``search``, as
+    ``presheaf_homotopies`` does."""
     if f.components == g.components:
         return True
-    return bool(presheaf_homotopies(C, f, g, searches) or presheaf_homotopies(C, g, f, searches))
+    return bool(presheaf_homotopies(f, g, search) or presheaf_homotopies(g, f, search))
 
 
 def _grouped(count, related):
@@ -196,15 +291,15 @@ def _grouped(count, related):
     return classes
 
 
-def presheaf_map_classes(C: SSetPresheaf, maps):
-    """Homotopy classes, as index lists, of strict presheaf maps off the
-    cylinder C into a sectionwise Kan presheaf, where homotopy is an
-    equivalence.  One map search per site object is compiled for the
-    grouping, and every homotopy search in it runs them."""
-    searches = section_searches(C, maps[0].target) if len(maps) > 1 else None
-    return _grouped(
-        len(maps), lambda i, j: presheaf_homotopic(C, maps[i], maps[j], searches)
-    )
+def presheaf_map_classes(maps):
+    """Homotopy classes, as index lists, of strict presheaf maps into a
+    sectionwise Kan presheaf, where homotopy is an equivalence.  One
+    ``homotopy_search`` is compiled for the grouping, and every homotopy
+    question in it runs that search: a vertex search for natural
+    transformations into groupoid nerves, which builds no cylinder, and
+    the cylinder search otherwise."""
+    search = homotopy_search(maps[0].source, maps[0].target) if len(maps) > 1 else None
+    return _grouped(len(maps), lambda i, j: presheaf_homotopic(maps[i], maps[j], search))
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +832,7 @@ def classify(kind, site, coefficients, trunc=None, bound=None, cover=None):
     run.target = flavour.target(run)
     run.source = cech_resolution(site, run.cover, run.trunc)
     run.maps = maps = enumerate_sset_presheaf_maps(run.source, run.target, bound=bound)
-    run.map_classes = map_classes = presheaf_map_classes(cylinder_presheaf(run.source), maps)
+    run.map_classes = map_classes = presheaf_map_classes(maps)
     run.matching = matching = [(ci, _match(run, ci, check)) for ci in range(len(torsor_classes))]
     keys = flavour.extra(run, check) if flavour.extra else {}
     assignment = [j for _, j in matching]

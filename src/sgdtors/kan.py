@@ -58,25 +58,50 @@ def face_index(X: TruncSSet, n: int, k=None):
     return index
 
 
-def kan_check(X: TruncSSet, maxdim=None) -> Check:
-    """Search a filler for every horn of dimension <= maxdim."""
-    if maxdim is None:
-        maxdim = X.trunc - 1
+def _horn_check(X: TruncSSet, claim, maxdim, enough) -> Check:
+    """Ask ``enough(n, fillers)`` of every horn of dimension <= maxdim,
+    with its fillers looked up in a face index; the first horn that
+    fails is the witness, with its fillers when it has any."""
     invariant(1 <= maxdim <= X.trunc, "horns need fillers inside the truncation")
-    check = Check("every horn has a filler", True, params={"maxdim": maxdim, "trunc": X.trunc})
+    check = Check(claim, True, params={"maxdim": maxdim, "trunc": X.trunc})
     horns = 0
     for n in range(1, maxdim + 1):
         for k in range(n + 1):
-            fillers = face_index(X, n, k)
+            index = face_index(X, n, k)
             for assignment in horn_assignments(X, n, k):
                 horns += 1
-                if tuple(assignment.values()) not in fillers:
+                fillers = index.get(tuple(assignment.values()), ())
+                if not enough(n, fillers):
                     check.ok = False
-                    check.witness = ("horn", n, k, tuple(sorted(assignment.items())))
+                    given = tuple(sorted(assignment.items()))
+                    check.witness = ("horn", n, k, given) + ((tuple(fillers),) if fillers else ())
                     check.params["horns_checked"] = horns
                     return check
     check.params["horns_checked"] = horns
     return check
+
+
+def kan_check(X: TruncSSet, maxdim=None) -> Check:
+    """Search a filler for every horn of dimension <= maxdim."""
+    if maxdim is None:
+        maxdim = X.trunc - 1
+    return _horn_check(X, "every horn has a filler", maxdim, lambda n, fillers: fillers)
+
+
+def hypergroupoid_check(X: TruncSSet, k: int) -> Check:
+    """Whether X is a k-hypergroupoid (Duskin, Mem. AMS 163, 1975; Glenn,
+    JPAA 25, 1982): every horn has a filler, and a horn above dimension k
+    exactly one.  Up to isomorphism, the 1-hypergroupoids are the groupoid
+    nerves.  Unlike ``kan_check`` by default, it asks the horns of the top
+    dimension too, which a map into X fills from X's top level.  It sees
+    only the truncation: at trunc 2 it cannot see whether the composites
+    that 2-simplices define associate, which 3-simplices say."""
+    return _horn_check(
+        X,
+        f"every horn has a filler, exactly one above dimension {k}",
+        X.trunc,
+        lambda n, fillers: len(fillers) == 1 or (n <= k and fillers),
+    )
 
 
 def fibration_check(p: SSetMap, maxdim=None) -> Check:

@@ -3,6 +3,7 @@
 import itertools
 
 from sgdtors.bundles import corepresented_diagram, two_gpd_display
+from sgdtors.classify import enumerate_sset_presheaf_maps
 from sgdtors.fixtures import pt_site, s1_site, z2_presheaf
 from sgdtors.groupoid import (
     Fin2Groupoid,
@@ -14,11 +15,13 @@ from sgdtors.groupoid import (
 from sgdtors.presheaf import (
     SSetPresheafMap,
     constant_group_presheaf,
+    constant_sset_presheaf,
     set_presheaf,
     terminal_sset_presheaf,
 )
 from sgdtors.sgroupoid import SimpGroupoid, b_2groupoid, constant_sset
-from sgdtors.site import FinCat, FinSite, poset_category
+from sgdtors.sheaf import cech_resolution
+from sgdtors.site import FinCat, FinSite, poset_category, star_cover
 from sgdtors.sset import build_sset
 from sgdtors.torsors import (
     BundleTorsor,
@@ -64,6 +67,38 @@ def ez2_sgroup(trunc):
         for n in range(trunc + 1)
     }
     return SimpGroupoid(trunc, ("*",), {("*", "*"): hom}, {("*", "*", "*"): comp}, {"*": (0,)})
+
+
+def nerve_sgroup(A, trunc):
+    """K(A, 1) for a finite abelian group A: its nerve as a one-object
+    simplicial group.  The n-cells are the n-tuples over A, d_0 and d_n
+    drop an end, d_i adds entries i and i + 1, s_j inserts the unit, and
+    cells compose entrywise.  Its W-bar is K(A, 2), a 2-hypergroupoid."""
+    hom = build_sset(
+        trunc,
+        lambda n: itertools.product(A.elements, repeat=n),
+        lambda n, i, x: x[1:] if i == 0 else x[:-1] if i == n
+        else x[:i - 1] + (A.mul[(x[i - 1], x[i])],) + x[i + 1:],
+        lambda n, j, x: x[:j] + (A.e,) + x[j:],
+    )
+    comp = {
+        n: {
+            (g, f): tuple(A.mul[pair] for pair in zip(g, f))
+            for g in hom.level(n)
+            for f in hom.level(n)
+        }
+        for n in range(trunc + 1)
+    }
+    return SimpGroupoid(trunc, ("*",), {("*", "*"): hom}, {("*", "*", "*"): comp}, {"*": ()})
+
+
+def k2_maps(A, site, trunc=3):
+    """The strict maps from the site's covering resolution into K(A, 2),
+    constant over the site: a 2-hypergroupoid, not a groupoid nerve, so
+    homotopies into it are searched off the cylinder."""
+    source = cech_resolution(site, star_cover(site), trunc)
+    target = constant_sset_presheaf(site, wbar(nerve_sgroup(A, trunc)))
+    return enumerate_sset_presheaf_maps(source, target)
 
 
 def one_cell_sgroupoid(trunc):

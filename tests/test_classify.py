@@ -13,7 +13,7 @@ import pkgutil
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import bz_site, cone_site, ez2_sgroup, flip_site
+from gpd_fixtures import bz_site, cone_site, ez2_sgroup, flip_site, k2_maps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,11 +25,12 @@ from sgdtors.classify import (
     classify,
     constant_cocycle_map,
     cylinder_presheaf,
+    cylinder_search,
     enumerate_sset_presheaf_maps,
+    homotopy_search,
     presheaf_homotopic,
     presheaf_homotopies,
     presheaf_map_classes,
-    section_searches,
     sgd_classifying_map,
 )
 from sgdtors.bundles import (
@@ -98,7 +99,7 @@ def test_strict_maps_are_the_cocycle_pairs():
 
     pairs = {pair(u) for u in maps}
     assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    classes = presheaf_map_classes(cylinder_presheaf(source), maps)
+    classes = presheaf_map_classes(maps)
     split = sorted(sorted(pair(maps[i]) for i in members) for members in classes)
     assert split == [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
 
@@ -106,26 +107,33 @@ def test_strict_maps_are_the_cocycle_pairs():
 def test_homotopy_placement_is_consistent():
     site, G, cover, source, target = circle_setup()
     maps = enumerate_sset_presheaf_maps(source, target)
-    C = cylinder_presheaf(source)
-    searches = section_searches(C, target)
-    classes = presheaf_map_classes(C, maps)
+    search = homotopy_search(source, target)
+    classes = presheaf_map_classes(maps)
     assert [len(c) for c in classes] == [2, 2]
     for members in classes:
-        assert presheaf_homotopic(C, maps[members[0]], maps[members[1]], searches)
-    assert not presheaf_homotopic(C, maps[classes[0][0]], maps[classes[1][0]], searches)
-    assert presheaf_homotopic(C, maps[0], maps[0], searches)
+        assert presheaf_homotopic(maps[members[0]], maps[members[1]], search)
+    assert not presheaf_homotopic(maps[classes[0][0]], maps[classes[1][0]], search)
+    assert presheaf_homotopic(maps[0], maps[0], search)
 
 
 def test_classify_builds_one_cylinder_for_every_homotopy_search(monkeypatch):
+    # into a groupoid nerve the homotopies are natural transformations,
+    # so no cylinder is built; into K(Z/2, 2) one cylinder serves the
+    # grouping, whose 4 maps over the circle form one class (H^2 = 0)
     calls = count_calls(monkeypatch, (cylinder_presheaf, presheaf_homotopies))
     site = s1_site()
     classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
-    assert calls == {"cylinder_presheaf": 1, "presheaf_homotopies": 6}
+    assert calls == {"presheaf_homotopies": 6}
+    maps = k2_maps(zmod(2), site)
+    assert len(maps) == 4
+    assert presheaf_map_classes(maps) == [[0, 1, 2, 3]]
+    assert calls == {"cylinder_presheaf": 1, "presheaf_homotopies": 9}
 
 
 @pytest.mark.parametrize("F, trunc, searches", [(zmod(2), 3, 6), (zmod(3), 2, 24)],
                          ids=["Z2", "Z3"])
 def test_classify_compiles_one_section_search_per_site_object(monkeypatch, F, trunc, searches):
+    # into a groupoid nerve no section search is compiled; into K(F, 2)
     # the homotopy searches of one grouping share their compiled searches
     compiled = []
     real = sgdtors.classify.sset_map_search
@@ -139,6 +147,10 @@ def test_classify_compiles_one_section_search_per_site_object(monkeypatch, F, tr
     site = s1_site()
     classify("group", site, constant_group_presheaf(site, F), trunc=trunc)
     assert calls == {"presheaf_homotopies": searches}
+    assert compiled == []
+    maps = k2_maps(F, site)
+    assert len(presheaf_map_classes(maps)) == 1
+    assert calls == {"presheaf_homotopies": searches + len(maps) - 1}
     assert len(compiled) == len(site.objects) == 4
 
 
@@ -150,16 +162,16 @@ def test_shared_section_searches_give_the_classes_of_fresh_ones(site_of, n):
     source = cech_resolution(site, star_cover(site), 2)
     target = bg_presheaf(group_presheaf_as_groupoid(G), 2)
     maps = enumerate_sset_presheaf_maps(source, target)
-    C = cylinder_presheaf(source)
     # every homotopy search below the shared ones compiles its own
+    # cylinder and section searches
     fresh = _grouped(len(maps), lambda i, j: presheaf_homotopic(
-        C, maps[i], maps[j], section_searches(C, target)))
-    assert presheaf_map_classes(C, maps) == fresh
+        maps[i], maps[j], cylinder_search(source, target)))
+    assert presheaf_map_classes(maps) == fresh
     assert len(fresh) == h1_cech_oracle(G)
-    shared = section_searches(C, target)
+    shared = cylinder_search(source, target)
     for g in maps:
-        assert presheaf_homotopies(C, maps[0], g, shared) == presheaf_homotopies(
-            C, maps[0], g, section_searches(C, target))
+        assert presheaf_homotopies(maps[0], g, shared) == presheaf_homotopies(
+            maps[0], g, cylinder_search(source, target))
 
 
 def test_classify_asks_each_torsor_about_one_member_of_each_class(monkeypatch):

@@ -2,17 +2,19 @@ import itertools
 import re
 
 import pytest
+from gpd_fixtures import nerve_sgroup
 
 from sgdtors import kan
 from sgdtors.classify import (
     cylinder_presheaf,
     enumerate_sset_presheaf_maps,
+    homotopy_search,
     presheaf_homotopies,
     presheaf_map_classes,
-    section_searches,
 )
 from sgdtors.fixtures import pt_site, s1_site
 from sgdtors.groupoid import (
+    group_as_2groupoid,
     group_as_groupoid,
     nerve_groupoid,
     symmetric_group,
@@ -24,12 +26,14 @@ from sgdtors.kan import (
     enumerate_sset_maps,
     fibration_check,
     horn_assignments,
+    hypergroupoid_check,
     kan_check,
     pi_n,
     weq_check,
 )
 from sgdtors.presheaf import constant_group_presheaf, constant_sset_presheaf
 from sgdtors.report import InvariantError
+from sgdtors.sgroupoid import b_2groupoid
 from sgdtors.sheaf import cech_resolution
 from sgdtors.site import star_cover
 from sgdtors.sset import (
@@ -43,6 +47,7 @@ from sgdtors.sset import (
     sset_product,
 )
 from sgdtors.torsors import bg_presheaf, group_presheaf_as_groupoid
+from sgdtors.wbar import wbar
 
 
 def horn_fillers(X, n, k, assignment):
@@ -167,6 +172,37 @@ def test_pi_n_multiplies_as_the_scan_does(monkeypatch, X, v, n):
 def test_group_nerve_is_kan():
     X = nerve_groupoid(group_as_groupoid(zmod(2)), trunc=4)
     assert kan_check(X).ok
+
+
+def test_groupoid_nerves_are_1_hypergroupoids():
+    # every horn inside the truncation has a filler, and above dimension
+    # one exactly one
+    S3 = symmetric_group(3)
+    for X in (
+        nerve_groupoid(group_as_groupoid(S3), trunc=3),
+        wbar(b_2groupoid(group_as_2groupoid(S3), 3)),
+    ):
+        check = hypergroupoid_check(X, 1)
+        assert check, check.render()
+        assert check.params["maxdim"] == X.trunc == 3
+
+
+def test_k_z2_2_fills_each_2_horn_twice():
+    # K(Z/2, 2) has one edge and two 2-simplices on it, so both fill every
+    # 2-horn; it is a 2-hypergroupoid, not a 1-hypergroupoid
+    X = wbar(nerve_sgroup(zmod(2), 3))
+    check = hypergroupoid_check(X, 1)
+    assert not check
+    kind, n, k, given, fillers = check.witness
+    assert (kind, n, len(given), len(fillers)) == ("horn", 2, 2, 2)
+    assert hypergroupoid_check(X, 2)
+
+
+def test_a_set_that_is_not_kan_is_no_hypergroupoid():
+    # the interval's left 2-horn on 01 and the degenerate edge at 0 has no filler
+    check = hypergroupoid_check(delta(1, trunc=2), 1)
+    assert not check
+    assert check.witness == ("horn", 2, 0, ((1, (0, 0)), (2, (0, 1))))
 
 
 def test_pi1_of_group_nerve_recovers_the_group():
@@ -403,7 +439,7 @@ def test_one_step_homotopies_connect_all_interval_endomaps():
     X = on_the_point(delta(1, trunc=2))
     maps = enumerate_sset_presheaf_maps(X, X)
     assert len(maps) == 3
-    classes = presheaf_map_classes(cylinder_presheaf(X), maps)
+    classes = presheaf_map_classes(maps)
     assert len(classes) == 1
 
 
@@ -413,9 +449,8 @@ def test_no_homotopy_between_distinct_constants_into_two_points():
     Y2 = on_the_point(disjoint_union({"l": Y, "r": Y}))
     maps = enumerate_sset_presheaf_maps(X, Y2)
     assert len(maps) == 2
-    C = cylinder_presheaf(X)
-    assert presheaf_homotopies(C, maps[0], maps[1], section_searches(C, Y2)) == []
-    assert len(presheaf_map_classes(C, maps)) == 2
+    assert presheaf_homotopies(maps[0], maps[1], homotopy_search(X, Y2)) == []
+    assert len(presheaf_map_classes(maps)) == 2
 
 
 def test_product_with_interval_supports_projection_homotopy():
@@ -424,5 +459,4 @@ def test_product_with_interval_supports_projection_homotopy():
     by_image = {(f.components["pt"][0][(0,)], f.components["pt"][0][(1,)]): f for f in maps}
     c0 = by_image[((0,), (0,))]
     c1 = by_image[((1,), (1,))]
-    C = cylinder_presheaf(X)
-    assert presheaf_homotopies(C, c0, c1, section_searches(C, X)) != []
+    assert presheaf_homotopies(c0, c1, homotopy_search(X, X)) != []

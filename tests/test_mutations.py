@@ -1,8 +1,9 @@
 """Mutation tests: corrupting one table entry makes the matching
 validator fail, and its witness names the corrupted spot; dropping the
 constraints of a shared search or a map from the enumeration,
-splitting the classes of the grouping, or forcing homotopy ends on the
-vertices alone makes a classification fail; sharing bundle sections by
+splitting the classes of the grouping, forcing homotopy ends on the
+vertices alone, or dropping a natural transformation's squares or its
+naturality makes a classification fail; sharing bundle sections by
 a key that holds too little makes the family's bundles differ from the
 reference."""
 
@@ -11,7 +12,7 @@ import operator
 
 import pytest
 import test_torsors
-from gpd_fixtures import cone_site, swapped_identity_restriction
+from gpd_fixtures import bz_site, cone_site, k2_maps, swapped_identity_restriction
 from ordinals import cocycle_action, coface
 
 from sgdtors import classify as classify_module
@@ -46,7 +47,7 @@ from sgdtors.sgroupoid import (
 )
 from sgdtors.search import solve
 from sgdtors.site import validate_cat
-from sgdtors.sset import TruncSSet, delta, identity_map, idkey, validate_sset, validate_sset_map
+from sgdtors.sset import delta, identity_map, idkey, validate_sset, validate_sset_map
 from sgdtors.torsors import (
     cochain_torsor,
     enumerate_group_cochains,
@@ -460,12 +461,27 @@ def test_bundle_sections_keyed_by_the_groupoid_alone_fail_the_soundness_test(mon
 
 
 def test_homotopy_ends_forced_on_vertices_alone_fail(monkeypatch):
-    # a homotopy's ends are forced on the nondegenerate simplices of its
-    # source; forced on the vertices alone, any two maps that agree there
-    # are homotopic, and over the circle the two classes fall into one
-    nondegenerate = TruncSSet.nondegenerate
-    monkeypatch.setattr(TruncSSet, "nondegenerate",
-                        lambda X, n: nondegenerate(X, n) if n == 0 else ())
+    # a homotopy off the cylinder has its ends forced on the nondegenerate
+    # simplices of its source; forced on the vertices alone, any two maps
+    # that agree there are homotopic.  K(Z/2, 2) is no groupoid nerve, so
+    # its homotopies are searched off the cylinder, and over B(Z/2) its
+    # two classes, H^2(Z/2; Z/2), fall into one
+    maps = k2_maps(zmod(2), bz_site(2))
+    assert classify_module.presheaf_map_classes(maps) == [[0], [1]]
+    forced_ends = classify_module.forced_ends
+    monkeypatch.setattr(classify_module, "forced_ends", lambda X, f, g: {
+        key: value for key, value in forced_ends(X, f, g).items() if key[0] == 0
+    })
+    assert classify_module.presheaf_map_classes(maps) == [[0, 1]]
+
+
+@pytest.mark.parametrize("constraints", ["square_constraints", "restriction_constraints"])
+def test_transformations_without_their_squares_or_restrictions_fail(monkeypatch, constraints):
+    # into a groupoid nerve a homotopy is a natural transformation, one
+    # edge per source vertex; without the square over each edge, or
+    # without naturality in the site's restrictions, the two classes
+    # over the circle fall into one
+    monkeypatch.setattr(classify_module, constraints, lambda *args: [])
     site = s1_site()
     result = classify("group", site, constant_group_presheaf(site, zmod(2)), trunc=3)
     assert {part.claim for part in result["check"].parts if not part} == {
