@@ -227,18 +227,16 @@ def transformation_search(Y: SSetPresheaf, Z: SSetPresheaf):
     tables = {}
     for T in Z.values.values():
         if id(T) not in tables:
-            between, d1 = {}, T.faces[(2, 1)]
-            for e in T.level(1):
-                between.setdefault((T.faces[(1, 1)][e], T.faces[(1, 0)][e]), []).append(e)
-            fill = face_index(T, 2, 1)
-            tables[id(T)] = between, {key: d1[z] for key, (z,) in fill.items()}
+            d1, fill = T.faces[(2, 1)], face_index(T, 2, 1)
+            tables[id(T)] = face_index(T, 1), {key: d1[z] for key, (z,) in fill.items()}
+    # edges[U] lists the edges of Z(U) by their ends (d_0, d_1) = (to, from)
     edges = {U: tables[id(T)][0] for U, T in Z.values.items()}
     composite = {U: tables[id(T)][1] for U, T in Z.values.items()}
     natural = restriction_constraints(Y, Z)
 
     def homotopies(f, g, limit):
         domains = {
-            (U, x): edges[U].get((f.components[U][0][x], g.components[U][0][x]), ())
+            (U, x): edges[U].get((g.components[U][0][x], f.components[U][0][x]), ())
             for U, X in Y.values.items()
             for x in X.level(0)
         }
