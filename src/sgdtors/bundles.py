@@ -23,6 +23,7 @@ counts can be matched class by class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .groupoid import make_group, trivial_groupoid
 from .holim import (
@@ -54,13 +55,11 @@ from .presheaf import (
 from .report import Check, invariant, require, validator
 from .search import Dependent, solve
 from .sgroupoid import (
-    SgdFunctor,
     SimpGroupoid,
     constant_sgroupoid,
     level_groupoid,
     sgd_functor,
     string_image,
-    validate_sgd_functor,
 )
 from .sheaf import PLUS_STEPS, cover_elements
 from .sset import SSetMap, TruncSSet, build_sset, idkey, sset_map, subcomplex, validate_sset_map
@@ -515,24 +514,6 @@ class SgdPresheafMap:
     components: dict   # object -> SgdFunctor
 
 
-def _unnatural(P: SgdPresheaf, Q: SgdPresheaf, f, cU, cV):
-    """Where the components cU, cV of a map P -> Q break naturality
-    along f: V -> U."""
-    problems = []
-    FP, FQ, H = P.res[f], Q.res[f], P.values[P.site.cat.morphisms[f][1]]
-    for a in H.objects:
-        if cV.ob[FP.ob[a]] != FQ.ob[cU.ob[a]]:
-            problems.append(f"object maps not natural along {f!r} at {a!r}")
-    for (a, b), hom in H.homs.items():
-        for n in range(H.trunc + 1):
-            for c in hom.level(n):
-                lhs = cV.on_hom(FP.ob[a], FP.ob[b], n, FP.on_hom(a, b, n, c))
-                rhs = FQ.on_hom(cU.ob[a], cU.ob[b], n, cU.on_hom(a, b, n, c))
-                if lhs != rhs:
-                    problems.append(f"cells not natural along {f!r} at {(a, b)!r}")
-    return problems
-
-
 def unit_sgd_presheaf(site, trunc) -> SgdPresheaf:
     return constant_sgd_presheaf(site, constant_sgroupoid(trivial_groupoid(("*",)), trunc))
 
@@ -557,7 +538,10 @@ def cech_sgd_presheaf(site, cover, trunc) -> SgdPresheaf:
 
 
 def constant_enrichment(H) -> bool:
-    """Every hom is constant: each level has the vertex-level cells."""
+    """Every hom has the ids of its vertex level at every level.  Then
+    every simplex above level 0 is degenerate, though the degeneracies
+    may relabel it, so a map out of the hom is filled from its values
+    on vertices by the target's degeneracies, never copied by id."""
     base = {pair: set(hom.level(0)) for pair, hom in H.homs.items()}
     return all(
         set(hom.level(n)) == base[pair]
@@ -575,50 +559,60 @@ def require_constant_enrichment(*presheaves):
 
 def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
     """All presheaf maps, for constant-enrichment sections: a component
-    is fixed by its object map and its vertex-level cell maps.
+    is fixed by its object map and its vertex-level cell map, from which
+    ``sgd_functor`` fills the levels above.
 
     One slot (U, a) per source object ranges over the target objects,
     then one slot (U, a, b, c) per vertex-level source cell over the
     vertex-level cells of the hom that slots (U, a) and (U, b) pick out.
-    Each section's slots must form a functor, and each site morphism adds
-    the naturality constraint between its two sections."""
+    Each law is one constraint at level 0: per identity, per composite
+    of vertex-level cells, and, along each site morphism, per object and
+    per vertex-level cell restricted.  Composition and restriction are
+    simplicial, so the laws at level 0 give them at every level."""
     require_constant_enrichment(P, Q)
     site = P.site
     domains = {
         (U, a): tuple(Q.values[U].objects) for U in site.objects for a in P.values[U].objects
     }
+    constraints = []
     for U in site.objects:
-        homs = Q.values[U].homs
-        for (a, b), hom in P.values[U].homs.items():
+        H, K = P.values[U], Q.values[U]
+        for (a, b), hom in H.homs.items():
             for c in hom.level(0):
                 domains[(U, a, b, c)] = Dependent(
-                    ((U, a), (U, b)), lambda x, y, homs=homs: homs[(x, y)].level(0)
+                    ((U, a), (U, b)), lambda x, y, homs=K.homs: homs[(x, y)].level(0)
                 )
-    scope = {U: tuple(key for key in domains if key[0] == U) for U in site.objects}
+        constraints += [
+            (((U, a), (U, a, a, e)), lambda x, ex, ids=K.identities: ex == ids[x])
+            for a, e in H.identities.items()
+        ] + [
+            (
+                ((U, a), (U, b), (U, c), (U, b, c, g), (U, a, b, f), (U, a, c, gf)),
+                lambda x, y, z, gx, fx, gfx, comp=K.comp: comp[(x, y, z)][0][(gx, fx)] == gfx,
+            )
+            for (a, b, c), levels in H.comp.items()
+            for (g, f), gf in levels[0].items()
+        ]
+    for m, (V, U) in site.cat.morphisms.items():
+        FP, FQ = P.res[m], Q.res[m]
+        constraints += [
+            (((U, a), (V, FP.ob[a])), lambda x, y, ob=FQ.ob: y == ob[x])
+            for a in P.values[U].objects
+        ] + [
+            (
+                ((U, a), (U, b), (U, a, b, c), (V, FP.ob[a], FP.ob[b], FP.on_hom(a, b, 0, c))),
+                lambda x, y, cx, dy, FQ=FQ: dy == FQ.on_hom(x, y, 0, cx),
+            )
+            for (a, b), hom in P.values[U].homs.items()
+            for c in hom.level(0)
+        ]
 
     def component(U, v):
         """The functor at U read off the values v of its slots, by key."""
-        H = P.values[U]
-        maps = {
-            (a, b): {n: {c: v[(U, a, b, c)] for c in hom.level(n)} for n in range(H.trunc + 1)}
-            for (a, b), hom in H.homs.items()
-        }
-        return SgdFunctor(H, Q.values[U], {a: v[(U, a)] for a in H.objects}, maps)
-
-    def keyed(keys, pred):
-        """A constraint on the slots keys whose predicate reads them by key."""
-        return keys, lambda *values: pred(dict(zip(keys, values)))
-
-    constraints = [
-        keyed(scope[U], lambda v, U=U: validate_sgd_functor(component(U, v)).ok)
-        for U in site.objects
-    ] + [
-        keyed(
-            scope[U] + scope[V],
-            lambda v, f=f, U=U, V=V: not _unnatural(P, Q, f, component(U, v), component(V, v)),
+        return sgd_functor(
+            P.values[U], Q.values[U], lambda a: v[(U, a)], lambda a, b, n, c: v[(U, a, b, c)]
         )
-        for f, (V, U) in site.cat.morphisms.items()
-    ]
+
     return [
         SgdPresheafMap(P, Q, {U: component(U, chosen) for U in site.objects})
         for chosen in solve(domains, constraints, bound=bound)
@@ -627,28 +621,22 @@ def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
 
 def psi_sgd(u: SgdPresheafMap) -> SgdDiagram:
     """The comma diagram of a map: over each base object, the cells from
-    the image into it, together with the resolving string."""
+    the image into it, together with the resolving string.  Each
+    restriction table is an ``sset_map`` between comma values."""
     Q = u.target
     functors = {U: comma_construction_functor(u.components[U]) for U in Q.site.objects}
     res = {}
     for f, (V, U) in Q.site.cat.morphisms.items():
-        FP, FQ = u.source.res[f], Q.res[f]
-        H = Q.values[U]
-        tab = {}
-        for a in H.objects:
-            X = functors[U].values[a]
-            level = {}
-            for n in range(H.trunc + 1):
-                inner = {}
-                for (b0, g0, us) in X.level(n):
-                    inner[(b0, g0, us)] = (
-                        FP.ob[b0],
-                        FQ.on_hom(u.components[U].ob[b0], a, n, g0),
-                        string_image(FP, b0, us, n),
-                    )
-                level[n] = inner
-            tab[a] = level
-        res[f] = tab
+        FP, FQ, ob = u.source.res[f], Q.res[f], u.components[U].ob
+
+        def restrict(n, s, a):
+            b0, g0, us = s
+            return FP.ob[b0], FQ.on_hom(ob[b0], a, n, g0), string_image(FP, b0, us, n)
+
+        res[f] = {
+            a: sset_map(X, functors[V].values[FQ.ob[a]], partial(restrict, a=a)).levels
+            for a, X in functors[U].values.items()
+        }
     return SgdDiagram(Q, functors, res)
 
 

@@ -88,6 +88,7 @@ from .site import star_cover
 from .sset import delta, sset_product
 from .torsors import (
     ActionTorsor,
+    _shared_values,
     action_bundles,
     action_torsor_check,
     action_torsor_maps,
@@ -224,14 +225,15 @@ def transformation_search(Y: SSetPresheaf, Z: SSetPresheaf):
     restrictions (``restriction_constraints``).  Composites are read off
     the unique filler of each inner 2-horn, from one ``face_index`` per
     distinct target section."""
-    tables = {}
-    for T in Z.values.values():
-        if id(T) not in tables:
-            d1, fill = T.faces[(2, 1)], face_index(T, 2, 1)
-            tables[id(T)] = face_index(T, 1), {key: d1[z] for key, (z,) in fill.items()}
+
+    def edge_tables(T):
+        d1, fill = T.faces[(2, 1)], face_index(T, 2, 1)
+        return face_index(T, 1), {key: d1[z] for key, (z,) in fill.items()}
+
+    tables = _shared_values(Z.values, edge_tables)
     # edges[U] lists the edges of Z(U) by their ends (d_0, d_1) = (to, from)
-    edges = {U: tables[id(T)][0] for U, T in Z.values.items()}
-    composite = {U: tables[id(T)][1] for U, T in Z.values.items()}
+    edges = {U: tables[U][0] for U in Z.values}
+    composite = {U: tables[U][1] for U in Z.values}
     natural = restriction_constraints(Y, Z)
 
     def homotopies(f, g, limit):

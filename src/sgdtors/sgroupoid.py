@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .bisset import BisSSet, build_bisset, diagonal
 from .groupoid import (
@@ -285,13 +285,14 @@ class SgdFunctor:
 
 
 def sgd_functor(source, target, ob, on_hom):
-    """Build from callables ob(a) and on_hom(a, b, n, f)."""
+    """Build from callables ob(a) and on_hom(a, b, n, f).  Each hom map
+    is an ``sset_map``, so on_hom is called on the roots of each source
+    hom only, and the target's degeneracies fill the rest."""
     obd = {a: ob(a) for a in source.objects}
     maps = {
-        (a, b): {
-            n: {f: on_hom(a, b, n, f) for f in source.homs[(a, b)].level(n)}
-            for n in range(source.trunc + 1)
-        }
+        (a, b): sset_map(
+            source.homs[(a, b)], target.homs[(obd[a], obd[b])], partial(on_hom, a, b)
+        ).levels
         for a, b in itertools.product(source.objects, repeat=2)
     }
     return SgdFunctor(source, target, obd, maps)

@@ -19,10 +19,10 @@ from sgdtors.presheaf import (
     set_presheaf,
     terminal_sset_presheaf,
 )
-from sgdtors.sgroupoid import SimpGroupoid, b_2groupoid, constant_sset
+from sgdtors.sgroupoid import SimpGroupoid, b_2groupoid, constant_sgroup, constant_sset
 from sgdtors.sheaf import cech_resolution
 from sgdtors.site import FinCat, FinSite, poset_category, star_cover
-from sgdtors.sset import build_sset
+from sgdtors.sset import build_sset, relabel
 from sgdtors.torsors import (
     BundleTorsor,
     action_bundles,
@@ -67,6 +67,25 @@ def ez2_sgroup(trunc):
         for n in range(trunc + 1)
     }
     return SimpGroupoid(trunc, ("*",), {("*", "*"): hom}, {("*", "*", "*"): comp}, {"*": (0,)})
+
+
+def relabelled_z2_sgroup(trunc):
+    """Constant Z/2 with its two cells swapped at odd levels: the hom by
+    ``relabel`` and the composition tables the same way.  Each level has
+    the ids of the vertex level, so the enrichment is constant, but the
+    degeneracies out of even levels swap the cells, so a map out of the
+    hom cannot copy its vertex values by id."""
+    H = constant_sgroup(zmod(2), trunc)
+
+    def swap(n, c):
+        return 1 - c if n % 2 else c
+
+    comp = {
+        n: {(swap(n, g), swap(n, f)): swap(n, h) for (g, f), h in table.items()}
+        for n, table in H.comp[("*", "*", "*")].items()
+    }
+    hom = relabel(H.homs[("*", "*")], swap)
+    return SimpGroupoid(trunc, ("*",), {("*", "*"): hom}, {("*", "*", "*"): comp}, {"*": 0})
 
 
 def nerve_sgroup(A, trunc):

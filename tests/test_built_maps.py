@@ -15,15 +15,27 @@ from test_holim import swap_diagram
 from test_join import interval_collapse
 
 from sgdtors import sset
-from sgdtors.bundles import comma_value_comparison
+from sgdtors.bundles import (
+    cech_sgd_presheaf,
+    comma_value_comparison,
+    enumerate_sgd_presheaf_maps,
+    psi_sgd,
+)
 from sgdtors.classify import classify, cylinder_presheaf
-from sgdtors.fixtures import interval_sgd, s1_site, z2_presheaf, z2_sgroup
+from sgdtors.fixtures import interval_presheaf, interval_sgd, s1_site, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import symmetric_group, zmod
 from sgdtors.holim import corepresented_functor, functor_transport_map, holim_projection
 from sgdtors.join import alpha_beta, join_map, join_object
 from sgdtors.kan import enumerate_sset_maps
-from sgdtors.presheaf import constant_group_presheaf, natural_square
-from sgdtors.sgroupoid import b_2groupoid, constant_sgroup, db_map, db_sgroupoid, sgd_functor
+from sgdtors.presheaf import constant_group_presheaf, constant_sgd_presheaf, natural_square
+from sgdtors.sgroupoid import (
+    b_2groupoid,
+    constant_sgroup,
+    db_map,
+    db_sgroupoid,
+    identity_functor,
+    sgd_functor,
+)
 from sgdtors.sheaf import cech_resolution
 from sgdtors.site import star_cover
 from sgdtors.sset import SSetMap
@@ -76,6 +88,18 @@ def _between_join_objects(F):
     return join_map(F, join_object(F.source), join_object(F.target))
 
 
+def _circle_cech_sgd(trunc=3):
+    site = s1_site()
+    return cech_sgd_presheaf(site, star_cover(site), trunc)
+
+
+def _comma_diagrams():
+    # the charts of the interval over the circle, each sent to its comma
+    # diagram, whose restriction tables psi_sgd builds
+    P = _circle_cech_sgd()
+    return [psi_sgd(u) for u in enumerate_sgd_presheaf_maps(P, interval_presheaf(P.site, 3))]
+
+
 BUILDERS = {
     "j_map": lambda: j_map(constant_sgroup(symmetric_group(3), trunc=2)),
     "j_map-2gpd": lambda: j_map(b_2groupoid(one_object_one_cell_2groupoid(zmod(2)), trunc=3)),
@@ -91,6 +115,12 @@ BUILDERS = {
     ),
     "alpha_beta-z2const": lambda: alpha_beta(z2_sgroup(4)),
     "alpha_beta-interval": lambda: alpha_beta(interval_sgd(4)),
+    "sgd_functor-cech": _circle_cech_sgd,
+    "sgd_functor-constant": lambda: constant_sgd_presheaf(s1_site(), constant_sgroup(symmetric_group(3), trunc=2)),
+    "sgd_functor-identity": lambda: identity_functor(b_2groupoid(
+        one_object_one_cell_2groupoid(zmod(2)), trunc=3
+    )),
+    "psi_sgd": _comma_diagrams,
 }
 
 

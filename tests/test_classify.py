@@ -21,6 +21,7 @@ import sgdtors
 
 from sgdtors.classify import (
     _grouped,
+    _strict_maps,
     action_classifying_map,
     classify,
     constant_cocycle_map,
@@ -48,9 +49,12 @@ from sgdtors.fixtures import (
     z2_sgroup,
 )
 from sgdtors.groupoid import symmetric_group, zmod
+from sgdtors.kan import enumerate_sset_maps
 from sgdtors.presheaf import (
     constant_group_presheaf,
     constant_sgd_presheaf,
+    sset_presheaf,
+    terminal_sset_presheaf,
     validate_sset_presheaf,
     validate_sset_presheaf_map,
 )
@@ -58,6 +62,7 @@ from sgdtors.search import Partition
 from sgdtors.sgroupoid import constant_sgroup
 from sgdtors.sheaf import cech_resolution
 from sgdtors.site import star_cover, validate_site
+from sgdtors.sset import build_sset, point
 from sgdtors.torsors import (
     bg_presheaf,
     enumerate_group_torsors,
@@ -423,6 +428,25 @@ def test_diagonal_nerve_of_an_enriched_map_validates():
     for u in us:
         kappa = sgd_classifying_map(u, cover, source, target)
         assert validate_sset_presheaf_map(kappa).ok
+
+
+def test_strict_maps_stop_at_the_first_section_without_maps():
+    # the point has no map into the empty set over U and V, so there is
+    # no presheaf map, and no section after U is enumerated
+    site = s1_site()
+    empty = build_sset(2, lambda n: (), lambda n, i, x: x, lambda n, j, x: x)
+    Y = terminal_sset_presheaf(site, 2)
+    Z = sset_presheaf(site, lambda U: empty if U in ("U", "V") else point(2), lambda f, n, x: x)
+    assert validate_sset_presheaf(Z)
+    asked = []
+
+    def sections(U):
+        asked.append(U)
+        return enumerate_sset_maps(Y.values[U], Z.values[U])
+
+    assert _strict_maps(Y, Z, sections) == []
+    assert asked == ["U"]
+    assert enumerate_sset_presheaf_maps(Y, Z) == []
 
 
 def test_trivial_cocycle_map_sits_in_the_trivial_class():

@@ -9,7 +9,14 @@ import random
 
 import pytest
 from call_counts import count_calls
-from gpd_fixtures import bz_site, chain_site, ez2_sgroup, one_cell_sgroupoid, s1_point_cover
+from gpd_fixtures import (
+    bz_site,
+    chain_site,
+    ez2_sgroup,
+    one_cell_sgroupoid,
+    relabelled_z2_sgroup,
+    s1_point_cover,
+)
 
 from sgdtors import cli
 from sgdtors.bundles import sgd_torsor_check, sgroup_torsor_check, two_gpd_torsor_check
@@ -231,6 +238,18 @@ def test_w_total_and_j_map_commands_report_the_level_counts(corpus, capsys, name
     assert cert["detail"]["claim"] == "diagonal-to-cocycle comparison is simplicial"
     assert cert["parameters"]["source_levels"] == list(db_sgroupoid(H).level_counts())
     assert cert["parameters"]["target_levels"] == list(wbar(H).level_counts())
+
+
+def test_j_map_text_prints_the_source_and_target_levels(corpus, capsys):
+    code = cli.main(["j-map", corpus["z2const.json"], "--trunc", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    H = z2_sgroup(3)
+    assert code == 0
+    assert lines[0].startswith("PASS j-map/simplicial")
+    assert lines[1:] == [
+        "  source: " + cli.levels_line(db_sgroupoid(H).level_counts()),
+        "  target: " + cli.levels_line(wbar(H).level_counts()),
+    ]
 
 
 def test_check_j_weq_passes(corpus, capsys):
@@ -512,6 +531,21 @@ def test_h1_counts_the_classes_of_a_site_that_is_not_a_poset(corpus, tmp_path, c
     out = capsys.readouterr().out
     assert code == 0, out
     assert "PASS h1/classes [classes=2," in out
+
+
+def test_sgpd_classify_fills_a_relabelled_hom_from_its_vertices(corpus, tmp_path, capsys):
+    # constant Z/2 with its cells swapped at odd levels: a chart copied
+    # from the vertex level by id is no enriched functor, so the sgpd
+    # family was empty; filled by the target's degeneracies it is Z/2's
+    path = tmp_path / "z2-relabelled.json"
+    path.write_text(dumps(encode_sgd(relabelled_z2_sgroup(3))) + "\n")
+    code = cli.main([
+        "torsor", "classify", "--kind", "sgpd", "--format", "json",
+        "--site", corpus["s1.json"], str(path),
+    ])
+    params = json.loads(capsys.readouterr().out)["certificates"][0]["parameters"]
+    assert code == 0
+    assert (params["family"], params["classes"], params["map_count"]) == (4, 2, 4)
 
 
 def test_presheaf_decoding_validates_each_section_and_restriction_once(monkeypatch):

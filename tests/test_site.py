@@ -61,6 +61,17 @@ def test_object_covers_refine_the_circle_site():
     assert sieves["A"] == frozenset({("A", "A")})
 
 
+def test_several_cover_families_of_one_object_meet():
+    # the smallest covering sieve of U lies in the sieve of every family
+    # listed for it: here it is neither the first family's nor the last's
+    base = s1_site()
+    families = [[("A", "U"), ("B", "U")], [("A", "U")], [("U", "U")]]
+    site = FinSite(base.cat, {"U": families}, base.star_covers)
+    sieves = min_sieves(site)
+    assert sieves["U"] == frozenset({("A", "U")})
+    assert sieves["V"] == maximal_sieve(site, "V")
+
+
 def test_pullback_of_a_sieve():
     site = cover_site()
     sieve = min_sieves(site)["T"]
