@@ -15,8 +15,11 @@ Each run computes two sides and matches them class by class:
 The bridge in both directions is the transition cocycle of a chosen
 local section: a torsor yields a classifying map on the nose, which is
 looked up among the enumerated ones to read its homotopy class; a map
-missing from them fails the matching.  The report fails loudly whenever
-the two sides disagree.
+missing from them fails the matching.  The sections are
+``torsors.local_sections`` and each arrow between them is
+``torsors.transition``, the readers the cocycle count uses too, over
+tables built by ``torsors.anchored_action``.  The report fails loudly
+whenever the two sides disagree.
 
 One driver, ``classify``, runs every flavour, ``classify_torsors``
 runs its torsor side alone, and ``canonical_check`` runs the torsor
@@ -80,7 +83,7 @@ from .presheaf import (
     sset_presheaf_map,
     validate_sset_presheaf_map,
 )
-from .report import Check, InvariantError, invariant, require, unique_hit
+from .report import Check, invariant, require
 from .search import solve
 from .sgroupoid import b_2groupoid
 from .sheaf import PLUS_STEPS, cech_resolution, cover_elements
@@ -103,8 +106,10 @@ from .torsors import (
     group_torsor_check,
     group_torsor_maps,
     h1_cech_classes,
+    local_sections,
     representable_action_torsor,
     torsor_cech_class,
+    transition,
     trivial_group_torsor,
     wbar_presheaf,
 )
@@ -314,50 +319,24 @@ def _cocycle_map(source: SSetPresheaf, target: SSetPresheaf, entry) -> SSetPresh
     return sset_presheaf_map(source, target, lambda W, n, cell: per_section[W](n, cell))
 
 
-def _chosen(cover, pool):
-    """The first entry of pool(member) for each cover member, by index."""
-    chosen = {}
-    for i, member in enumerate(cover):
-        found = pool(member)
-        if not found:
-            raise InvariantError(f"no section over {member!r} to trivialise with")
-        chosen[i] = found[0]
-    return chosen
-
-
-def _transition(hits):
-    return unique_hit(hits, "transitions must be unique to classify")
-
-
 def _transition_cocycle(T: ActionTorsor, cover, source, target, value) -> SSetPresheafMap:
     """The map sending a level-n cell of the covering resolution
     ``source`` over the section W to value(W, G, n, anchors, arrows) in
-    ``target``: the anchor of one chosen section over each vertex, and
-    the arrow of G = T.gpd.values[W] carrying each vertex's section to
+    ``target``: the anchor of T's local section over each vertex, and
+    the transition of G = T.gpd.values[W] from each vertex's section to
     the one before it."""
-    chosen = _chosen(cover, lambda member: T.total.values[member])
+    chosen = local_sections(T, cover)
     E = cover_elements(T.total.site, cover)
 
     def entry(W):
-        G, anchor, tab = T.gpd.values[W], T.anchor[W], T.action[W]
+        anchor = T.anchor[W]
         local = {(i, h): T.total.res[h][chosen[i]] for (i, h) in E.values[W]}
-
-        def transition(prev, nxt):
-            x, y = local[nxt], local[prev]
-            return _transition(
-                [
-                    g
-                    for g, (a, b) in G.morphisms.items()
-                    if b == anchor[x] and tab[(x, g)] == y
-                ]
-            )
-
         return lambda n, cell: value(
             W,
-            G,
+            T.gpd.values[W],
             n,
             [anchor[local[e]] for e in cell],
-            [transition(cell[m - 1], cell[m]) for m in range(1, n + 1)],
+            [transition(T, W, local[cell[m]], local[cell[m - 1]]) for m in range(1, n + 1)],
         )
 
     return _cocycle_map(source, target, entry)

@@ -156,6 +156,16 @@ def _row(row, where, width):
     return as_key(row, where)
 
 
+def _put(table, key, value, where, what):
+    """table[key] = value, for a key that no earlier entry of the file
+    gave: a repeated one is invalid input at ``where``, even when it
+    repeats the value."""
+    if key in table:
+        raise SchemaError(where, f"{what} {key!r} is repeated")
+    table[key] = value
+    return value
+
+
 def _level_tables(obj, where, width):
     """The ``levels`` of obj: for each level, rows whose last entry is
     the value at the key the others make (one entry is its own key)."""
@@ -164,10 +174,11 @@ def _level_tables(obj, where, width):
         n = _int_key(ns, f"{where}/levels")
         if not isinstance(rows, list):
             raise SchemaError(f"{where}/levels/{ns}", "expected an array of rows")
-        tables[n] = {}
+        table = _put(tables, n, {}, f"{where}/levels/{ns}", "level")
         for i, row in enumerate(rows):
-            row = _row(row, f"{where}/levels/{ns}/{i}", width)
-            tables[n][row[0] if width == 2 else row[:-1]] = row[-1]
+            rw = f"{where}/levels/{ns}/{i}"
+            row = _row(row, rw, width)
+            _put(table, row[0] if width == 2 else row[:-1], row[-1], rw, "row for")
     return tables
 
 
@@ -287,7 +298,7 @@ def decode_site(obj, where="") -> FinSite:
         for m in (g, f, h):
             if m not in morphisms:
                 raise SchemaError(cw, f"unknown morphism {m!r}")
-        comp[(g, f)] = h
+        _put(comp, (g, f), h, cw, "composite of")
     identities = {}
     for a in objects:
         found = [
@@ -385,7 +396,7 @@ def decode_sgd(obj, where="") -> SimpGroupoid:
         cells = decode_sset(_get(h, "cells", hw, dict), f"{hw}/cells")
         if cells.trunc != trunc:
             raise SchemaError(f"{hw}/cells/trunc", "hom truncation differs")
-        homs[(a, b)] = cells
+        _put(homs, (a, b), cells, hw, "hom")
     missing = set(itertools.product(objects, repeat=2)) - set(homs)
     if missing:
         raise SchemaError(
@@ -395,11 +406,12 @@ def decode_sgd(obj, where="") -> SimpGroupoid:
     for k, c in enumerate(_get(obj, "composition", where, list)):
         cw = f"{where}/composition/{k}"
         a, b, d = _id(c, "src", cw), _id(c, "mid", cw), _id(c, "dst", cw)
-        comp[(a, b, d)] = _level_tables(c, cw, 3)
+        _put(comp, (a, b, d), _level_tables(c, cw, 3), cw, "composition of")
     identities = {}
     for k, row in enumerate(_get(obj, "identities", where, list)):
-        a, e = _row(row, f"{where}/identities/{k}", 2)
-        identities[a] = e
+        iw = f"{where}/identities/{k}"
+        a, e = _row(row, iw, 2)
+        _put(identities, a, e, iw, "identity at")
     H = SimpGroupoid(trunc, objects, homs, comp, identities)
     checked = validate_sgroupoid(H)
     if not checked:
@@ -448,7 +460,7 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
         text = dumps(row[1])
         if text not in decoded:
             decoded[text] = decode_sgd(row[1], f"{vw}/1")
-        values[U] = decoded[text]
+        _put(values, U, decoded[text], f"{vw}/0", "section over")
     if set(values) != set(site.objects):
         raise SchemaError(f"{where}/values", "need one groupoid per site object")
     res = {}
@@ -461,14 +473,15 @@ def decode_sgd_presheaf(obj, where="") -> SgdPresheaf:
         ob = {}
         for j, row in enumerate(_get(r, "ob", rw, list)):
             a, y = _row(row, f"{rw}/ob/{j}", 2)
-            ob[a] = y
+            _put(ob, a, y, f"{rw}/ob/{j}", "object map entry for")
         maps = {}
         for j, m in enumerate(_get(r, "maps", rw, list)):
             mw = f"{rw}/maps/{j}"
             a, b = _id(m, "src", mw), _id(m, "dst", mw)
-            maps[(a, b)] = _level_tables(m, mw, 2)
-        res[f] = SgdFunctor(values[U], values[V], ob, maps)
-        checked = validate_sgd_functor(res[f])
+            _put(maps, (a, b), _level_tables(m, mw, 2), mw, "hom map")
+        F = SgdFunctor(values[U], values[V], ob, maps)
+        _put(res, f, F, f"{rw}/morphism", "restriction along")
+        checked = validate_sgd_functor(F)
         if not checked:
             raise SchemaError(rw, f"not an enriched functor: {checked.witness[0]}")
     if set(res) != set(site.cat.morphisms):

@@ -11,6 +11,14 @@ conversions run in both directions and are mutually inverse on the
 nose.  An independent cocycle count over a fixed cover family
 cross-checks every classification number.
 
+Every action table is built by one function, anchored_action: an arrow
+g: a -> b acts on the elements anchored at b, elements listed in the
+total object's order and arrows in the coefficients' order.  Every
+torsor is trivialised by local_sections, the first listed element over
+each cover member, and transition reads the one arrow between two such
+sections; the cocycle count here and the classifying maps in
+classify.py both read them.
+
 The 2-groupoid flavour in bundles.py uses ActionTorsor too: the
 2-cells act trivially on anchored elements, so a 2-groupoid action is
 the ActionTorsor of its 1-cells plus the cocycle object of the
@@ -200,13 +208,7 @@ def to_point_map(Y: SSetPresheaf) -> SSetPresheafMap:
 def group_action_torsor(G: GroupPresheaf, total: SetPresheaf, act) -> ActionTorsor:
     """The right action e.g = act(U, e, g) of G on total, as the
     one-object case of the anchored action."""
-    objects = G.site.objects
-    anchor = {U: {e: "*" for e in total.values[U]} for U in objects}
-    action = {
-        U: {(e, g): act(U, e, g) for e in total.values[U] for g in G.values[U].elements}
-        for U in objects
-    }
-    return ActionTorsor(group_presheaf_as_groupoid(G), total, anchor, action)
+    return anchored_action(group_presheaf_as_groupoid(G), total, lambda U, e: "*", act)
 
 
 def trivial_group_torsor(G: GroupPresheaf) -> ActionTorsor:
@@ -349,7 +351,7 @@ def _key_along(k, p: SetPresheafMap):
 def h1_cech_classes(G: GroupPresheaf, cover=None):
     """Cocycle classes over the cover family; returns the full bookkeeping.
 
-    The result carries the pair presheaves and trivialization data that
+    The result carries the pair presheaves and trivialisation data that
     classify() uses to place an enumerated torsor in its class, and the
     gauge group with its action on cocycles, which gauge_orbit_count reads.
     """
@@ -468,35 +470,20 @@ def torsor_cech_class(T: ActionTorsor, data):
     cocycle class: None when its transitions are no cocycle, as for a
     family that skips the cocycle condition.
 
-    Trivializes over each cover object by the first listed element; the
+    Trivialises over each cover object by its local section; the
     transition section over a pair product sends (h_i, h_j) to the
-    unique arrow g of T.gpd carrying the first trivialization to the
-    second.
+    transition from the first trivialisation to the second.
     """
-    cover = data["cover"]
-    base = {}
-    for i, Ui in enumerate(cover):
-        if not T.total.values[Ui]:
-            raise InvariantError(f"no section over {Ui!r} to trivialize with")
-        base[i] = T.total.values[Ui][0]
-
-    def transition(W, hi, hj, i, j):
-        ei = T.total.res[hi][base[i]]
-        ej = T.total.res[hj][base[j]]
-        return unique_hit(
-            [g for g in T.gpd.values[W].morphisms if T.action[W][(ei, g)] == ej],
-            "torsor sections are not free and transitive",
-        )
-
+    chosen = local_sections(T, data["cover"])
+    res = T.total.res
     key = []
     for (i, j) in data["pairs"]:
         P = data["pair_presheaves"][(i, j)]
-        sec = tuple(
-            (W, s, transition(W, s[0], s[1], i, j))
+        key.append(tuple(
+            (W, s, transition(T, W, res[s[0]][chosen[i]], res[s[1]][chosen[j]]))
             for W in sorted(P.site.objects, key=idkey)
             for s in P.values[W]
-        )
-        key.append(sec)
+        ))
     return data["orbit_of"].get(tuple(key))
 
 
@@ -504,7 +491,9 @@ def torsor_cech_class(T: ActionTorsor, data):
 # Torsors for presheaves of groupoids, action picture: a set presheaf
 # anchored over the objects, acted on along arrows.  An arrow g: a -> b
 # moves an element anchored at b to one anchored at a, and the anchor,
-# the action, and the restrictions all commute.
+# the action, and the restrictions all commute.  anchored_action builds
+# every such table, local_sections picks the sections a torsor is
+# trivialised by, and transition reads the arrow between two sections.
 
 
 @dataclass
@@ -568,29 +557,57 @@ def validate_action_torsor(T: ActionTorsor):
                 problems.append(f"anchor not natural along {f!r} at {e!r}")
         for (e, g) in T.action[U]:
             lhs = T.total.res[f][T.action[U][(e, g)]]
-            rhs = T.action[V][(T.total.res[f][e], mormap[g])]
+            rhs = T.action[V].get((T.total.res[f][e], mormap[g]))
             if lhs != rhs:
                 problems.append(f"action not natural along {f!r} at {(e, g)!r}")
     return problems
 
 
+def anchored_action(gpd: GroupoidPresheaf, total: SetPresheaf, anchor, act) -> ActionTorsor:
+    """The anchored action of gpd on total: over each object U, the
+    element e is anchored at anchor(U, e), and each arrow g of gpd's
+    section that ends at e's anchor acts, e.g = act(U, e, g).  Each
+    table lists elements in total's order, then arrows in gpd's order;
+    whether the tables obey the laws is validate_action_torsor's
+    question."""
+    anchors, action = {}, {}
+    for U in total.site.objects:
+        arrows = gpd.values[U].morphisms.items()
+        at = anchors[U] = {e: anchor(U, e) for e in total.values[U]}
+        action[U] = {
+            (e, g): act(U, e, g) for e in total.values[U] for g, (_, b) in arrows if b == at[e]
+        }
+    return ActionTorsor(gpd, total, anchors, action)
+
+
+def local_sections(T: ActionTorsor, cover):
+    """The first listed element over each cover member, by index: the
+    local sections that trivialise T."""
+    chosen = {}
+    for i, member in enumerate(cover):
+        found = T.total.values[member]
+        if not found:
+            raise InvariantError(f"no section over {member!r} to trivialise with")
+        chosen[i] = found[0]
+    return chosen
+
+
+def transition(T: ActionTorsor, W, x, y):
+    """The one arrow g of T's coefficients over W with x.g = y; an
+    InvariantError when there is none or more than one."""
+    tab = T.action[W]
+    return unique_hit(
+        [g for g in T.gpd.values[W].morphisms if tab.get((x, g)) == y],
+        "torsor sections are not free and transitive",
+    )
+
+
 def arrows_action_torsor(GP: GroupoidPresheaf) -> ActionTorsor:
     """All arrows, anchored by target, acted on by inverse postcomposition."""
-    total = arrows_presheaf(GP)
-    anchor = {
-        U: {m: GP.values[U].dst(m) for m in total.values[U]}
-        for U in GP.site.objects
-    }
-    action = {}
-    for U in GP.site.objects:
-        G = GP.values[U]
-        tab = {}
-        for m in total.values[U]:
-            for g, (a, b) in G.morphisms.items():
-                if b == G.dst(m):
-                    tab[(m, g)] = G.comp[(G.inverses[g], m)]
-        action[U] = tab
-    return ActionTorsor(GP, total, anchor, action)
+    return anchored_action(
+        GP, arrows_presheaf(GP), lambda U, m: GP.values[U].dst(m),
+        lambda U, m, g: GP.values[U].comp[(GP.values[U].inverses[g], m)],
+    )
 
 
 def representable_action_torsor(T_gpd: GroupoidPresheaf, anchor_at) -> ActionTorsor:
@@ -602,17 +619,10 @@ def representable_action_torsor(T_gpd: GroupoidPresheaf, anchor_at) -> ActionTor
         return [m for m in G.morphisms if G.dst(m) == anchor_at]
 
     total = set_presheaf(T_gpd.site, arrows_into_anchor, lambda f, m: T_gpd.res[f][1][m])
-    anchor, action = {}, {}
-    for U in T_gpd.site.objects:
-        G = T_gpd.values[U]
-        anchor[U] = {m: G.src(m) for m in total.values[U]}
-        action[U] = {
-            (m, g): G.comp[(m, g)]
-            for m in total.values[U]
-            for g, (a, b) in G.morphisms.items()
-            if b == G.src(m)
-        }
-    return ActionTorsor(T_gpd, total, anchor, action)
+    return anchored_action(
+        T_gpd, total, lambda U, m: T_gpd.values[U].src(m),
+        lambda U, m, g: T_gpd.values[U].comp[(m, g)],
+    )
 
 
 def one_object_group(G: FinGroupoid):
@@ -632,14 +642,13 @@ def enumerate_action_torsors(GP: GroupoidPresheaf, bound=None):
     arrow group when every section has one object, otherwise the
     representable torsors at globally constant objects."""
     if all(len(G.objects) == 1 for G in GP.values.values()):
-        out = []
-        for T in enumerate_group_torsors(groupoid_presheaf_as_group(GP), bound):
-            anchor = {
-                U: {e: next(iter(GP.values[U].objects)) for e in T.total.values[U]}
-                for U in GP.site.objects
-            }
-            out.append(ActionTorsor(GP, T.total, anchor, T.action))
-        return out
+        return [
+            anchored_action(
+                GP, T.total, lambda U, e: next(iter(GP.values[U].objects)),
+                lambda U, e, g: T.action[U][(e, g)],
+            )
+            for T in enumerate_group_torsors(groupoid_presheaf_as_group(GP), bound)
+        ]
     return [representable_action_torsor(GP, a) for a in constant_objects(GP)]
 
 
@@ -655,32 +664,23 @@ def action_torsor_maps(T1: ActionTorsor, T2: ActionTorsor):
     return natural_maps(T1.total, T2.total, _equivariance(T1, T2))
 
 
-def _plus_action_anchored(T: ActionTorsor, E, anchor, action):
-    """One plus-construction step of the anchored action."""
-    C = E.site.cat
-    Ep = plus_construction(E)
-    new_anchor, new_action = {}, {}
-    for U in E.site.objects:
-        atab, tab = {}, {}
-        for m in Ep.values[U]:
-            heads = [anchor[C.src(f)][v] for f, v in m]
-            lifted = [
-                a
-                for a in T.gpd.values[U].objects
-                if all(
-                    T.gpd.res[f][0][a] == h for (f, _), h in zip(m, heads)
-                )
-            ]
-            atab[m] = unique_hit(lifted, "anchors of a matching family do not glue")
-            for g, (a, b) in T.gpd.values[U].morphisms.items():
-                if b != atab[m]:
-                    continue
-                tab[(m, g)] = tuple(
-                    (f, action[C.src(f)][(v, T.gpd.res[f][1][g])]) for f, v in m
-                )
-        new_anchor[U] = atab
-        new_action[U] = tab
-    return Ep, new_anchor, new_action
+def _plus_action(A: ActionTorsor) -> ActionTorsor:
+    """One plus-construction step of the anchored action: a matching
+    family is anchored at the one object that restricts to each member's
+    anchor, and an arrow acts on it member by member."""
+    C, GP = A.total.site.cat, A.gpd
+
+    def anchor(U, m):
+        heads = [(f, A.anchor[C.src(f)][v]) for f, v in m]
+        return unique_hit(
+            [a for a in GP.values[U].objects if all(GP.res[f][0][a] == h for f, h in heads)],
+            "anchors of a matching family do not glue",
+        )
+
+    def act(U, m, g):
+        return tuple((f, A.action[C.src(f)][(v, GP.res[f][1][g])]) for f, v in m)
+
+    return anchored_action(GP, plus_construction(A.total), anchor, act)
 
 
 def action_torsor_check(T: ActionTorsor) -> Check:
@@ -708,21 +708,21 @@ def _sheafified_torsor_check(T: ActionTorsor, sheaf_parts, claim, valid_claim, s
     epi = local_epi_check(to_pt)
     epi.claim = "total object covers the point locally"
     check.add(epi)
-    E, anchor, action = T.total, T.anchor, T.action
+    A = T
     for _ in range(PLUS_STEPS):
-        E, anchor, action = _plus_action_anchored(T, E, anchor, action)
+        A = _plus_action(A)
     stabilized = [
         (U, e, g)
-        for U in E.site.objects
-        for (e, g) in action[U]
-        if action[U][(e, g)] == e and g != T.gpd.values[U].identities[anchor[U][e]]
+        for U in A.total.site.objects
+        for (e, g), out in A.action[U].items()
+        if out == e and g != T.gpd.values[U].identities[A.anchor[U][e]]
     ]
     untied = [
         (U, e, e2)
-        for U in E.site.objects
-        for e in E.values[U]
-        for e2 in E.values[U]
-        if not any(action[U].get((e, g)) == e2 for g in T.gpd.values[U].morphisms)
+        for U in A.total.site.objects
+        for e in A.total.values[U]
+        for e2 in A.total.values[U]
+        if not any(A.action[U].get((e, g)) == e2 for g in T.gpd.values[U].morphisms)
     ]
     check.add(
         require(not stabilized, "action is free on sheafified sections", witness=stabilized[:2])
@@ -876,22 +876,16 @@ def bundle_to_action(T5: BundleTorsor) -> ActionTorsor:
     total = set_presheaf(
         site, lambda U: T5.total.values[U].level(0), lambda f, e: T5.total.res[f][0][e]
     )
-    anchor, action = {}, {}
+    fillers = {}
     for U in site.objects:
-        X = T5.total.values[U]
-        pi = T5.projection.components[U]
-        anchor[U] = {e: pi[0][e][0] for e in total.values[U]}
-        fillers = {}
+        X, pi = T5.total.values[U], T5.projection.components[U]
+        over = fillers[U] = {}
         for s in X.level(1):
-            fillers.setdefault((pi[1][s], X.vertex(1, 1, s)), []).append(s)
-        G = T5.gpd.values[U]
-        tab = {}
-        for e in total.values[U]:
-            for g, (a, b) in G.morphisms.items():
-                if anchor[U][e] != b:
-                    continue
-                hits = fillers.get(((a, (g,)), e), [])
-                filler = unique_hit(hits, "filler over an arrow is not unique")
-                tab[(e, g)] = X.face(1, 1, filler)
-        action[U] = tab
-    return ActionTorsor(T5.gpd, total, anchor, action)
+            over.setdefault((pi[1][s], X.vertex(1, 1, s)), []).append(s)
+
+    def act(U, e, g):
+        a, _ = T5.gpd.values[U].morphisms[g]
+        hits = fillers[U].get(((a, (g,)), e), [])
+        return T5.total.values[U].face(1, 1, unique_hit(hits, "filler over an arrow is not unique"))
+
+    return anchored_action(T5.gpd, total, lambda U, e: T5.projection.components[U][0][e][0], act)

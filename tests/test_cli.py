@@ -12,6 +12,7 @@ from call_counts import count_calls
 from gpd_fixtures import (
     bz_site,
     chain_site,
+    cone_site,
     ez2_sgroup,
     one_cell_sgroupoid,
     relabelled_z2_sgroup,
@@ -38,6 +39,7 @@ from sgdtors.cli import (
 )
 from sgdtors.fixtures import (
     interval_sgd,
+    pt_site,
     s1_site,
     torus_site,
     twocomp_sgd,
@@ -51,8 +53,10 @@ from sgdtors.presheaf import constant_sgd_presheaf
 from sgdtors.report import Check, require
 from sgdtors.sgroupoid import (
     b_2groupoid,
+    constant_sgroup,
     constant_sgroupoid,
     db_sgroupoid,
+    identity_functor,
     sgd_functor,
     validate_sgd_functor,
     validate_sgroupoid,
@@ -745,6 +749,125 @@ def test_invalid_inputs_exit_two(tmp_path, corpus, capsys):
         "invalid input at /restrictions/0: not an enriched functor: hom map at ('*', '*'): "
         "value at dim 0 for 'stray', not a simplex"
     ) in capsys.readouterr().out
+    # every other schema error of the decoders and loaders, at its pointer
+    case = tmp_path / "case.json"
+
+    def exits_two(doc, argv, message):
+        case.write_text(doc if isinstance(doc, str) else dumps(doc) + "\n")
+        assert cli.main([str(case) if arg is None else arg for arg in argv]) == 2, message
+        assert message in capsys.readouterr().out
+
+    def edited(doc, edit):
+        edit(doc)
+        return doc
+
+    z2, s1 = corpus["z2const.json"], corpus["s1.json"]
+    classify = ["torsor", "classify", "--kind", "group"]
+
+    def z2_over_s1(edit):
+        return edited(encode_sgd_presheaf(z2_presheaf(s1_site(), 2)), edit)
+
+    for edit, message in (
+        (lambda Q: Q["values"].__setitem__(0, ["U"]),
+         "at /values/0: expected [object, groupoid]"),
+        (lambda Q: Q["values"][0].__setitem__(0, "W"), "at /values/0/0: 'W' is not a site object"),
+        (lambda Q: Q["values"].pop(0), "at /values: need one groupoid per site object"),
+        (lambda Q: Q["restrictions"][0].__setitem__("morphism", ["W", "U"]),
+         "at /restrictions/0/morphism: unknown morphism ('W', 'U')"),
+        (lambda Q: Q["restrictions"].pop(0),
+         "at /restrictions: need one restriction per site morphism"),
+    ):
+        exits_two(z2_over_s1(edit), [*classify, None], f"invalid input {message}")
+    # Z/3 whose restriction along U's identity inverts it
+    H = constant_sgroup(zmod(3), 2)
+    Q = constant_sgd_presheaf(s1_site(), H)
+    Q.res[("U", "U")] = identity_functor(H)
+    for cells in Q.res[("U", "U")].maps[("*", "*")].values():
+        cells[1], cells[2] = 2, 1
+    exits_two(encode_sgd_presheaf(Q), [*classify, None],
+              "invalid input at document root: not an enriched presheaf: cells at level 0: "
+              "identity restriction moves ('*', '*', 1) at 'U'")
+    # a site with no composites has no identities; a composite that ends
+    # elsewhere makes no category
+    h1 = ["h1", "--site", None, z2]
+    exits_two(edited(encode_site(pt_site()), lambda S: S.__setitem__("composition", [])), h1,
+              "invalid input at /composition: no unique identity at 'pt'")
+    mistyped = encode_site(cone_site())
+    for row in mistyped["composition"]:
+        if row == [["A", "U"], ["P", "A"], ["P", "U"]]:
+            row[2] = ["P", "V"]
+    exits_two(mistyped, h1, "invalid input at document root: not a category")
+    # a hom cut below zero, or at another truncation than the groupoid's
+    for cells, message in (
+        (dict(encode_sgd(z2_sgroup(2))["homs"][0]["cells"], trunc=-1),
+         "truncation must be nonnegative"),
+        (encode_sgd(z2_sgroup(3))["homs"][0]["cells"], "hom truncation differs"),
+    ):
+        H = edited(encode_sgd(z2_sgroup(2)), lambda H: H["homs"][0].__setitem__("cells", cells))
+        exits_two(H, ["wbar", None], f"invalid input at /homs/0/cells/trunc: {message}")
+    # a file that is no JSON, and files of the wrong kind
+    exits_two("{", ["wbar", None], "is not JSON")
+    exits_two(encode_site(s1_site()), ["wbar", None],
+              "does not look like an enriched groupoid file")
+    exits_two(encode_sgd(z2_sgroup(2)), h1, "does not look like a site file")
+    exits_two(encode_site(s1_site()), [*classify, "--site", s1, None],
+              "is neither a groupoid nor a presheaf file")
+    exits_two(encode_sgd(z2_sgroup(2)), [*classify, None],
+              "invalid input at /site: a bare coefficient needs --site")
+    # first cohomology of two-object coefficients
+    assert cli.main(["h1", "--site", s1, corpus["twocomp.json"]]) == 2
+    assert (
+        "invalid input at /kind: first-cohomology counts need one-object coefficients"
+        in capsys.readouterr().out
+    )
+
+
+# Each repeated entry of a file, and the pointer and message that reject it.
+_REPEATS = {
+    # Z/2 whose composition lists 0 0 -> 1 before 0 0 -> 0
+    "composition-row": ("sgd", lambda H: H["composition"][0]["levels"]["0"].insert(0, [0, 0, 1]),
+                        "/composition/0/levels/0/1: row for (0, 0) is repeated"),
+    "level": ("sgd", lambda H: H["composition"][0]["levels"].update(
+        {"00": H["composition"][0]["levels"]["0"]}),
+              "/composition/0/levels/00: level 0 is repeated"),
+    "hom": ("sgd", lambda H: H["homs"].append(H["homs"][0]),
+            "/homs/1: hom ('*', '*') is repeated"),
+    "composition": ("sgd", lambda H: H["composition"].append(H["composition"][0]),
+                    "/composition/1: composition of ('*', '*', '*') is repeated"),
+    "identity": ("sgd", lambda H: H["identities"].append(H["identities"][0]),
+                 "/identities/1: identity at '*' is repeated"),
+    "site-composite": ("site", lambda S: S["composition"].append(S["composition"][0]),
+                       "/composition/12: composite of (('A', 'A'), ('A', 'A')) is repeated"),
+    "section": ("presheaf", lambda Q: Q["values"].append(Q["values"][0]),
+                "/values/4/0: section over 'U' is repeated"),
+    "restriction": ("presheaf", lambda Q: Q["restrictions"].append(Q["restrictions"][0]),
+                    "/restrictions/8/morphism: restriction along ('A', 'A') is repeated"),
+    "object-map": ("presheaf", lambda Q: Q["restrictions"][0]["ob"].append(["*", "*"]),
+                   "/restrictions/0/ob/1: object map entry for '*' is repeated"),
+    "hom-map": ("presheaf", lambda Q: Q["restrictions"][0]["maps"].append(
+        Q["restrictions"][0]["maps"][0]), "/restrictions/0/maps/1: hom map ('*', '*') is repeated"),
+    # a repeat is rejected also when it gives the same value
+    "hom-map-row": ("presheaf", lambda Q: Q["restrictions"][0]["maps"][0]["levels"]["0"].append(
+        [1, 1]), "/restrictions/0/maps/0/levels/0/2: row for 1 is repeated"),
+}
+
+
+@pytest.mark.parametrize("name", _REPEATS)
+def test_a_repeated_entry_exits_two_at_its_pointer(name, tmp_path, corpus, capsys):
+    shape, edit, message = _REPEATS[name]
+    doc, argv = {
+        "sgd": (encode_sgd(z2_sgroup(2)), ["wbar"]),
+        "site": (encode_site(s1_site()), ["h1", "--site"]),
+        "presheaf": (encode_sgd_presheaf(z2_presheaf(s1_site(), 2)),
+                     ["torsor", "classify", "--kind", "group"]),
+    }[shape]
+    # read as given, the last of the entries would win
+    edit(doc)
+    path = tmp_path / "repeated.json"
+    path.write_text(dumps(doc) + "\n")
+    argv = [*argv, str(path)] + ([corpus["z2const.json"]] if shape == "site" else [])
+    assert cli.main(argv) == 2
+    assert f"invalid input at {message}" in capsys.readouterr().out
 
 
 def test_a_point_cover_that_misses_the_point_exits_two(tmp_path, corpus, capsys):

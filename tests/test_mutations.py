@@ -22,12 +22,22 @@ from sgdtors.bundles import (
     corepresented_diagram,
     sgd_torsor_check,
     validate_sgd_diagram,
+    validate_sgroup_action,
     vertex_groupoid_presheaf,
 )
 from sgdtors.classify import classify
-from sgdtors.fixtures import interval_sgd, pt_site, s1_site, twocomp_presheaf, z2_presheaf, z2_sgroup
+from sgdtors.fixtures import (
+    interval_presheaf,
+    interval_sgd,
+    pt_site,
+    s1_site,
+    twocomp_presheaf,
+    z2_presheaf,
+    z2_sgroup,
+)
 from sgdtors.groupoid import symmetric_group, trivial_groupoid, validate_groupoid, zmod
 from sgdtors.holim import corepresented_functor, validate_simplicial_functor
+from sgdtors.join import alpha_beta, alpha_beta_check
 from sgdtors.kan import kan_check
 from sgdtors.presheaf import (
     constant_group_presheaf,
@@ -49,7 +59,9 @@ from sgdtors.search import solve
 from sgdtors.site import validate_cat
 from sgdtors.sset import delta, identity_map, idkey, validate_sset, validate_sset_map
 from sgdtors.torsors import (
+    arrows_action_torsor,
     cochain_torsor,
+    constant_groupoid_presheaf,
     enumerate_group_cochains,
     trivial_group_torsor,
     validate_action_torsor,
@@ -149,6 +161,23 @@ def two_gpd_restriction_out_of_range():
     return validate_action_torsor(T), "restriction along ('A', 'U') mistyped at 0"
 
 
+def action_anchor_not_natural():
+    # over the circle no two non-identity morphisms compose, so moving one
+    # restriction entry to an arrow with the other end keeps the total a
+    # presheaf and every section's tables valid
+    T = arrows_action_torsor(constant_groupoid_presheaf(s1_site(), trivial_groupoid((0, 1))))
+    T.total.res[("A", "U")][(0, 0)] = (0, 1)
+    return validate_action_torsor(T), "anchor not natural along ('A', 'U') at (0, 0)"
+
+
+def action_not_natural():
+    # every element is anchored at the one object, so the anchors stay
+    # natural when a restriction collapses both elements
+    T = _z2_circle_torsor()
+    T.total.res[("A", "U")] = {0: 0, 1: 0}
+    return validate_action_torsor(T), "action not natural along ('A', 'U') at (0, 1)"
+
+
 def two_gpd_action_stray_entry():
     T = _z2_circle_torsor()
     T.action["U"][("zz", 1)] = 0
@@ -198,6 +227,19 @@ def sgd_diagram_restriction():
     D.res[("A", "U")]["*"][1][1] = 0
     spot = "along ('A', 'U') at '*': does not commute with d_0 at dim 1 on 1"
     return validate_sgd_diagram(D), spot
+
+
+def sgd_diagram_not_equivariant():
+    # a constant restriction of the discrete hom is simplicial and, with
+    # no composable pair on the circle, natural; only the action breaks
+    D = corepresented_diagram(z2_presheaf(s1_site(), 2), "*")
+    D.res[("A", "U")]["*"] = {n: dict.fromkeys(tab, 0) for n, tab in D.res[("A", "U")]["*"].items()}
+    return validate_sgd_diagram(D), "restriction along ('A', 'U') not equivariant at ('*', '*')"
+
+
+def sgroup_action_on_several_objects():
+    D = corepresented_diagram(interval_presheaf(s1_site(), 2), 0)
+    return validate_sgroup_action(D), "coefficients over 'U' have several objects"
 
 
 def sgd_diagram_identity_restriction():
@@ -257,6 +299,8 @@ def bisset_horizontal_face():
         two_gpd_restriction_missing,
         two_gpd_restriction_out_of_range,
         two_gpd_action_stray_entry,
+        action_anchor_not_natural,
+        action_not_natural,
         sgroupoid_level_one_composite,
         sgroupoid_composition_breaks_a_face,
         sgroupoid_cell_in_two_homs_out_of_one_object,
@@ -265,6 +309,8 @@ def bisset_horizontal_face():
         sgd_functor_hom_map,
         sgd_diagram_restriction,
         sgd_diagram_identity_restriction,
+        sgd_diagram_not_equivariant,
+        sgroup_action_on_several_objects,
         sgd_presheaf_identity_restriction,
         groupoid_inverse_missing,
         bisset_horizontal_face,
@@ -277,6 +323,35 @@ def test_corrupted_entry_is_named_in_the_witness(corrupt):
     valid, spot = corrupt()
     assert not valid
     assert spot in valid.witness[0], valid.render()
+
+
+def test_a_prism_with_its_halves_swapped_fails_at_a_vertex_they_tell_apart():
+    J, alpha, beta, H = alpha_beta(interval_sgd(2))
+    assert alpha_beta_check((J, alpha, beta, H))
+    swapped = alpha_beta_check((J, beta, alpha, H))
+    assert not swapped
+    (ends,) = [part for part in swapped.parts if not part]
+    assert ends.claim == "prism ends are the two halves exactly"
+    n, w = ends.witness
+    assert n == 0 and alpha(0, w) != beta(0, w)
+
+
+def test_2gpd_classification_rejects_z3_restricting_by_inversion(tmp_path, capsys):
+    # inversion is an automorphism of Z/3, so the presheaf is valid, but
+    # its group is not constant, and a 2-groupoid needs one
+    H = constant_sgroup(zmod(3), 2)
+    Q = constant_sgd_presheaf(s1_site(), H)
+    F = identity_functor(H)
+    for cells in F.maps[("*", "*")].values():
+        cells[1], cells[2] = 2, 1
+    Q.res[("A", "U")] = F
+    path = tmp_path / "z3-inverted.json"
+    path.write_text(cli.dumps(cli.encode_sgd_presheaf(Q)) + "\n")
+    assert cli.main(["torsor", "classify", "--kind", "2gpd", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "invalid input at /kind: kind '2gpd' needs a constant group coefficient" in out
+    assert cli.main(["torsor", "classify", "--kind", "group", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_torsor_check_rejects_restrictions_that_break_the_presheaf_laws():
