@@ -53,7 +53,7 @@ from .presheaf import (
     validate_set_presheaf,
 )
 from .report import Check, invariant, require, validator
-from .search import Dependent, solve
+from .search import Dependent, require_bound, solve
 from .sgroupoid import (
     SimpGroupoid,
     constant_sgroupoid,
@@ -473,33 +473,66 @@ def equivariant_square(F1: SimplicialFunctor, F2: SimplicialFunctor, a, b):
     return square
 
 
-def sgd_diagram_maps(D1: SgdDiagram, D2: SgdDiagram, bound=None):
-    """Families of levelwise tables commuting with the actions and the
-    restrictions, as dicts keyed (U, a): one slot per site object U and
-    groupoid object a, ranging over the simplicial maps between the two
-    values there."""
-    site = D1.coeff.site
-    domains = {}
-    for U in site.objects:
-        for a in D1.coeff.values[U].objects:
-            maps = enumerate_sset_maps(D1.functors[U].values[a], D2.functors[U].values[a])
-            if not maps:
-                return []
-            domains[(U, a)] = maps
+def sgd_diagram_search(bound=None):
+    """The map search between the diagrams of one grouping, compiled
+    once: a function (D1, D2) -> the families of levelwise tables
+    commuting with the actions and the restrictions, as dicts keyed
+    (U, a).  There is one slot per site object U and groupoid object a,
+    ranging over the simplicial maps between the two values there that
+    commute with the action of hom(a, a); ``bound`` caps the product of
+    the numbers of simplicial maps before that filter.
 
-    constraints = [
-        (((U, b), (U, a)), equivariant_square(D1.functors[U], D2.functors[U], a, b))
-        for U in site.objects
-        for a, b in D1.functors[U].action
-    ] + [
-        (
-            ((U, a), (V, D1.coeff.res[f].ob[a])),
-            natural_square(D1.functors[U].values[a], D1.res[f][a], D2.res[f][a]),
-        )
-        for f, (V, U) in site.cat.morphisms.items()
-        for a in D1.coeff.values[U].objects
-    ]
-    return solve(domains, constraints, bound=bound)
+    The maps between the values at a of two functors are enumerated and
+    filtered once for every run of the search, in a memo keyed by the
+    functors' ids that holds the functors, so no id is reused while the
+    search lives.  Runs share the kept maps, which are read-only."""
+    memo = {}
+
+    def slot(F1, F2, a):
+        """The number of simplicial maps F1(a) -> F2(a), and the list of
+        those that commute with the action of hom(a, a)."""
+        key = (id(F1), id(F2), a)
+        if key not in memo:
+            square = equivariant_square(F1, F2, a, a)
+            maps = enumerate_sset_maps(F1.values[a], F2.values[a])
+            memo[key] = (F1, F2, len(maps), [m for m in maps if square(m, m)])
+        return memo[key][2:]
+
+    def search(D1: SgdDiagram, D2: SgdDiagram):
+        site = D1.coeff.site
+        sizes, domains = [], {}
+        for U in site.objects:
+            for a in D1.coeff.values[U].objects:
+                size, domains[(U, a)] = slot(D1.functors[U], D2.functors[U], a)
+                if not size:
+                    return []
+                sizes.append(size)
+        require_bound(sizes, bound)
+
+        constraints = [
+            (((U, b), (U, a)), equivariant_square(D1.functors[U], D2.functors[U], a, b))
+            for U in site.objects
+            for a, b in D1.functors[U].action
+            if a != b
+        ] + [
+            (
+                ((U, a), (V, D1.coeff.res[f].ob[a])),
+                natural_square(D1.functors[U].values[a], D1.res[f][a], D2.res[f][a]),
+            )
+            for f, (V, U) in site.cat.morphisms.items()
+            for a in D1.coeff.values[U].objects
+        ]
+        return solve(domains, constraints)
+
+    return search
+
+
+def sgd_diagram_maps(D1: SgdDiagram, D2: SgdDiagram, bound=None, search=None):
+    """The maps of ``sgd_diagram_search(bound)`` from D1 to D2: that
+    search compiled, then run once.  A caller asking many questions of
+    one grouping passes its compiled ``search`` instead, which carries
+    its own bound; every diagram-map question runs through here."""
+    return (search or sgd_diagram_search(bound))(D1, D2)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +601,10 @@ def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
     Each law is one constraint at level 0: per identity, per composite
     of vertex-level cells, and, along each site morphism, per object and
     per vertex-level cell restricted.  Composition and restriction are
-    simplicial, so the laws at level 0 give them at every level."""
+    simplicial, so the laws at level 0 give them at every level.
+
+    Charts that give U's slots the same values share one component
+    object at U, built once, so components are read-only."""
     require_constant_enrichment(P, Q)
     site = P.site
     domains = {
@@ -607,11 +643,19 @@ def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
             for c in hom.level(0)
         ]
 
+    slots = {U: [s for s in domains if s[0] == U] for U in site.objects}
+    built = {}
+
     def component(U, v):
-        """The functor at U read off the values v of its slots, by key."""
-        return sgd_functor(
-            P.values[U], Q.values[U], lambda a: v[(U, a)], lambda a, b, n, c: v[(U, a, b, c)]
-        )
+        """The functor at U read off the values v of its slots, by key,
+        built once per distinct tuple of those values."""
+        key = (U, *map(v.__getitem__, slots[U]))
+        if key not in built:
+            built[key] = sgd_functor(
+                P.values[U], Q.values[U],
+                lambda a: v[(U, a)], lambda a, b, n, c: v[(U, a, b, c)],
+            )
+        return built[key]
 
     return [
         SgdPresheafMap(P, Q, {U: component(U, chosen) for U in site.objects})
@@ -622,22 +666,50 @@ def enumerate_sgd_presheaf_maps(P: SgdPresheaf, Q: SgdPresheaf, bound=None):
 def psi_sgd(u: SgdPresheafMap) -> SgdDiagram:
     """The comma diagram of a map: over each base object, the cells from
     the image into it, together with the resolving string.  Each
-    restriction table is an ``sset_map`` between comma values."""
-    Q = u.target
-    functors = {U: comma_construction_functor(u.components[U]) for U in Q.site.objects}
-    res = {}
-    for f, (V, U) in Q.site.cat.morphisms.items():
-        FP, FQ, ob = u.source.res[f], Q.res[f], u.components[U].ob
+    restriction table is an ``sset_map`` between comma values.  Charts
+    of one enumeration share component objects, and the diagrams that
+    ``psi_sgd_family`` builds for them share comma functors and
+    restriction tables, so family diagrams are read-only."""
+    return psi_sgd_family([u])[0]
 
-        def restrict(n, s, a):
-            b0, g0, us = s
-            return FP.ob[b0], FQ.on_hom(ob[b0], a, n, g0), string_image(FP, b0, us, n)
 
-        res[f] = {
-            a: sset_map(X, functors[V].values[FQ.ob[a]], partial(restrict, a=a)).levels
-            for a, X in functors[U].values.items()
-        }
-    return SgdDiagram(Q, functors, res)
+def psi_sgd_family(charts) -> list:
+    """``psi_sgd`` of each of the charts, which share one source and one
+    target: one ``comma_construction_functor`` per distinct component
+    object, and one restriction table per site morphism and pair of
+    component objects at its ends, keyed by identity while the
+    components are held.  The diagrams share these, so are read-only."""
+    commas, tables, diagrams = {}, {}, []
+    for u in charts:
+        Q = u.target
+        invariant(
+            u.source is charts[0].source and Q is charts[0].target,
+            "a chart family shares its source and target",
+        )
+        functors = _shared_values(u.components, comma_construction_functor, commas)
+        res = {}
+        for f, (V, U) in Q.site.cat.morphisms.items():
+            key = (f, id(u.components[U]), id(u.components[V]))
+            if key not in tables:
+                tables[key] = _comma_restriction(u, f, U, functors[U], functors[V])
+            res[f] = tables[key]
+        diagrams.append(SgdDiagram(Q, functors, res))
+    return diagrams
+
+
+def _comma_restriction(u: SgdPresheafMap, f, U, XU: SimplicialFunctor, XV: SimplicialFunctor):
+    """The restriction tables of u's comma diagram along the site
+    morphism f: V -> U, from the comma functor XU over U to XV over V."""
+    FP, FQ, ob = u.source.res[f], u.target.res[f], u.components[U].ob
+
+    def restrict(n, s, a):
+        b0, g0, us = s
+        return FP.ob[b0], FQ.on_hom(ob[b0], a, n, g0), string_image(FP, b0, us, n)
+
+    return {
+        a: sset_map(X, XV.values[FQ.ob[a]], partial(restrict, a=a)).levels
+        for a, X in XU.values.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,11 @@ display is built over the cocycle object of the group's 2-groupoid,
 ``run.wbar``, built once per run and also the classifying target.  An
 ``sgroup`` torsor is an enriched group action, the one-object SgdDiagram
 of a twisted cochain; its isomorphism search and its classifying map
-read its vertex-level ActionTorsor, ``run.searched``.
+read its vertex-level ActionTorsor, ``run.searched``.  An ``sgpd`` run
+builds its comma diagrams together, one comma functor per distinct
+chart component, and every diagram-map question of the run goes
+through ``sgd_diagram_maps`` to one compiled search,
+``run.diagram_search``, whose memos live and die with the run.
 """
 
 from __future__ import annotations
@@ -51,9 +55,10 @@ from .bundles import (
     corepresented_diagram,
     enumerate_sgd_presheaf_maps,
     level0_group_torsor,
-    psi_sgd,
+    psi_sgd_family,
     require_constant_enrichment,
     sgd_diagram_maps,
+    sgd_diagram_search,
     sgd_torsor_check,
     sgroup_torsor_check,
     twisted_sgroup_action,
@@ -531,9 +536,14 @@ def _sgroup_family(run):
 
 
 def _sgd_family(run):
+    """The comma diagram of every chart, built together so that charts
+    agreeing at an object share its comma functor and restriction
+    tables, and ``run.diagram_search``, the one map search that every
+    isomorphism question of the run asks."""
     P = cech_sgd_presheaf(run.site, run.cover, run.trunc)
     run.charts = enumerate_sgd_presheaf_maps(P, run.coeff, bound=run.bound)
-    return [psi_sgd(u) for u in run.charts]
+    run.diagram_search = sgd_diagram_search(run.bound)
+    return psi_sgd_family(run.charts)
 
 
 def _cech_classes(run, G):
@@ -609,8 +619,8 @@ def _represented_torsors(run, check):
         hits = [
             ci
             for ci, members in enumerate(run.torsor_classes)
-            if sgd_diagram_maps(D, run.family[members[0]], bound=run.bound)
-            and sgd_diagram_maps(run.family[members[0]], D, bound=run.bound)
+            if sgd_diagram_maps(D, run.family[members[0]], search=run.diagram_search)
+            and sgd_diagram_maps(run.family[members[0]], D, search=run.diagram_search)
         ]
         if hits:
             check.add(
@@ -720,7 +730,7 @@ FLAVOURS = {
             run.coeff,
             _shared_object(_constant_objects(run.coeff), "no shared object to corepresent at"),
         ),
-        iso=lambda run, x, y: sgd_diagram_maps(x, y, bound=run.bound),
+        iso=lambda run, x, y: sgd_diagram_maps(x, y, search=run.diagram_search),
         target=lambda run: wbar_presheaf(run.coeff),
         checks=_sgd_checks,
         classifying_map=lambda run, i: sgd_classifying_map(

@@ -107,11 +107,16 @@ def kenc(x):
 
 
 def kdec(s, where):
+    """The id a table key names.  Only ``kenc``'s text of that id is a
+    key, so no two keys of one table name one id."""
     try:
-        decoded = json.loads(s)
+        key = as_key(json.loads(s), where)
     except json.JSONDecodeError:
-        raise SchemaError(where, f"table key {s!r} is not canonical JSON")
-    return as_key(decoded, where)
+        pass
+    else:
+        if kenc(key) == s:
+            return key
+    raise SchemaError(where, f"table key {s!r} is not canonical JSON")
 
 
 def dumps(obj):
@@ -566,11 +571,21 @@ def certificate(claim, check: Check, **parameters) -> dict:
 # Input plumbing shared by the handlers.
 
 
+def _unrepeated(pairs):
+    """A JSON object's members as a dict; ``json`` would keep the last of
+    a repeated key, so a repeat is invalid input."""
+    obj = {}
+    for key, value in pairs:
+        _put(obj, key, value, "", "key")
+    return obj
+
+
 def load_json(path):
-    """The JSON object in the file at path."""
+    """The JSON object in the file at path, in which no object repeats a
+    key."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unrepeated)
     except FileNotFoundError:
         raise SchemaError("", f"no such file: {path}")
     except json.JSONDecodeError as exc:
@@ -1022,10 +1037,14 @@ def main(argv=None):
         except OSError as exc:
             code = 2
             doc.update(certificates=[], artifacts=invalid(unwritable(exc)))
-    if cfg.format == "json":
-        print(dumps(doc))
-    else:
-        print(render_text(doc["certificates"], doc["artifacts"]))
+    try:
+        if cfg.format == "json":
+            print(dumps(doc), flush=True)
+        else:
+            print(render_text(doc["certificates"], doc["artifacts"]), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; what is left to flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

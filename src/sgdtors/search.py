@@ -40,6 +40,16 @@ def _reader(places):
     return itemgetter(*places) if places else itemgetter(slice(0, 0))
 
 
+def require_bound(sizes, bound):
+    """Raise ValueError when the product of the domain ``sizes``, the
+    number of candidates a search over them ranges over, exceeds
+    ``bound``; a ``bound`` of None caps nothing."""
+    if bound is not None:
+        total = prod(sizes)
+        if total > bound:
+            raise ValueError(f"search needs {total} candidates, bound is {bound}")
+
+
 def solve(domains, constraints, limit=None, bound=None):
     """Every assignment of one value per slot, in ``itertools.product``
     order, that satisfies every constraint; only the first ``limit``.
@@ -52,7 +62,8 @@ def solve(domains, constraints, limit=None, bound=None):
     whose reads must name earlier slots: ValueError names a read that
     does not, and KeyError a constraint's unknown slot.  ``bound`` caps
     the product of the sizes of the domains given as sequences and
-    raises ValueError when the search would range over more candidates.
+    raises ValueError, through ``require_bound``, when the search would
+    range over more candidates.
 
     Slot keys are resolved to positions once, before the search: each
     constraint scope and each ``Dependent.reads`` becomes a reader of
@@ -71,10 +82,7 @@ def solve(domains, constraints, limit=None, bound=None):
             if late:
                 raise ValueError(f"the domain of {key!r} reads {late[0]!r}, not an earlier slot")
             reads[i] = _reader([at[r] for r in d.reads])
-    if bound is not None:
-        total = prod(len(d) for d in listed if not isinstance(d, Dependent))
-        if total > bound:
-            raise ValueError(f"search needs {total} candidates, bound is {bound}")
+    require_bound([len(d) for d in listed if not isinstance(d, Dependent)], bound)
     checks = [[] for _ in keys]
     for scope, pred in constraints:
         if scope:

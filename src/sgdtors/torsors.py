@@ -79,15 +79,16 @@ class GroupoidPresheaf:
     res: dict      # morphism -> (object table, arrow table)
 
 
-def _shared_values(values, build):
-    """Build per section, reusing the result for identical sections."""
-    cache, out = {}, {}
-    for U, H in values.items():
-        key = id(H)
-        if key not in cache:
-            cache[key] = build(H)
-        out[U] = cache[key]
-    return out
+def _shared_values(values, build, built=None):
+    """Build per section, reusing the result for identical sections and
+    for the sections already in ``built``: a dict from a section's id to
+    the section and its result, which a caller passes to share results
+    across calls."""
+    built = {} if built is None else built
+    for H in values.values():
+        if id(H) not in built:
+            built[id(H)] = (H, build(H))
+    return {U: built[id(H)][1] for U, H in values.items()}
 
 
 def constant_groupoid_presheaf(site, G: FinGroupoid) -> GroupoidPresheaf:

@@ -537,6 +537,7 @@ KEPT = {
     "bundles.borel_to_quotient": "only check: a free action's Borel construction is its orbits",
     "bundles.comma_value_comparison": "only check: a torsor diagram's comma diagonal is its value",
     "bundles.orbit_tables": "used only by bundles.borel_to_quotient",
+    "bundles.psi_sgd": "the comma diagram of one chart; tests compare the family build with it",
     "bundles.psi_sgroup": "only check of the map-to-torsor direction",
     "bundles.sgroup_free_action_check": "only check: translation and universal actions are free",
     "bundles.sgroup_quotient": "used only by bundles.borel_to_quotient",

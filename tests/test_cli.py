@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from call_counts import count_calls
@@ -868,6 +870,52 @@ def test_a_repeated_entry_exits_two_at_its_pointer(name, tmp_path, corpus, capsy
     argv = [*argv, str(path)] + ([corpus["z2const.json"]] if shape == "site" else [])
     assert cli.main(argv) == 2
     assert f"invalid input at {message}" in capsys.readouterr().out
+
+
+def test_a_repeated_json_key_exits_two(tmp_path, corpus, capsys):
+    # read as given, the last "trunc" would win and wbar would pass
+    with open(corpus["z2const.json"]) as fh:
+        text = fh.read()
+    at = text.index('"trunc"')
+    path = tmp_path / "two-truncs.json"
+    path.write_text(text[:at] + '"trunc": 99,\n ' + text[at:])
+    assert cli.main(["wbar", str(path)]) == 2
+    assert "invalid input at document root: key 'trunc' is repeated" in capsys.readouterr().out
+
+
+def test_a_table_key_other_than_the_canonical_one_exits_two(tmp_path, corpus, capsys):
+    # " 1" parses to the id 1, so it would stand beside "1" for one cell
+    H = json.load(open(corpus["z2const.json"]))
+    faces = H["homs"][0]["cells"]["faces"]["1"]["0"]
+    faces[" 1"] = 1 - faces["1"]
+    path = tmp_path / "spaced-key.json"
+    path.write_text(dumps(H) + "\n")
+    assert cli.main(["wbar", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "invalid input at /homs/0/cells/faces/1/0: table key ' 1' is not canonical JSON" in out
+
+
+def _run_with_closed_stdout(argv):
+    """Run the CLI in a fresh interpreter whose standard output is a pipe
+    with no reader, so writing to it fails with EPIPE."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "sgdtors.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write)
+
+
+def test_a_closed_stdout_leaves_the_exit_code_and_prints_no_traceback(tmp_path, corpus):
+    passing = _run_with_closed_stdout(["wbar", corpus["z2const.json"]])
+    assert (passing.returncode, passing.stderr) == (0, "")
+    invalid = _run_with_closed_stdout(["wbar", str(tmp_path / "missing.json")])
+    assert (invalid.returncode, invalid.stderr) == (2, "")
 
 
 def test_a_point_cover_that_misses_the_point_exits_two(tmp_path, corpus, capsys):
