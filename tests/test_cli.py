@@ -7,10 +7,10 @@ import json
 import os
 import random
 import subprocess
-import sys
 
 import pytest
 from call_counts import count_calls
+from fresh_cli import run_fresh_cli
 from gpd_fixtures import (
     bz_site,
     chain_site,
@@ -898,15 +898,10 @@ def test_a_table_key_other_than_the_canonical_one_exits_two(tmp_path, corpus, ca
 def _run_with_closed_stdout(argv):
     """Run the CLI in a fresh interpreter whose standard output is a pipe
     with no reader, so writing to it fails with EPIPE."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     read, write = os.pipe()
     os.close(read)
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "sgdtors.cli", *argv],
-            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
-        )
+        return run_fresh_cli(argv, stdout=write, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write)
 

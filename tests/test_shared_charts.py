@@ -12,13 +12,11 @@ the product search that the shared ones replaced.
 
 import itertools
 import json
-import os
-import subprocess
-import sys
 from functools import partial
 
 import pytest
 from call_counts import count_calls
+from fresh_cli import run_fresh_cli
 from gpd_fixtures import bz_site, cone_site, flip_site, relabelled_z2_sgroup
 
 from sgdtors import cli
@@ -176,7 +174,8 @@ def test_the_compiled_search_keeps_the_bound_of_the_product_search():
     # equivariance filter, as the product search counted them
     site = s1_site()
     Q = z2_presheaf(site, 2)
-    D = psi_sgd_family(enumerate_sgd_presheaf_maps(cech_sgd_presheaf(site, star_cover(site), 2), Q))[0]
+    P = cech_sgd_presheaf(site, star_cover(site), 2)
+    D = psi_sgd_family(enumerate_sgd_presheaf_maps(P, Q))[0]
     sizes = [
         len(enumerate_sset_maps(X, X)) for U in site.objects for X in D.functors[U].values.values()
     ]
@@ -224,13 +223,8 @@ def test_classifying_twice_in_one_process_gives_the_certificates_of_fresh_runs(
     for name in ("z3", "z2"):
         assert cli.main(_classify_argv(site, paths[name])) == 0
         in_process.append(capsys.readouterr().out)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     fresh = [
-        subprocess.run(
-            [sys.executable, "-m", "sgdtors.cli", *_classify_argv(site, paths[name])],
-            capture_output=True, text=True, env=env, check=True,
-        ).stdout
+        run_fresh_cli(_classify_argv(site, paths[name]), capture_output=True, text=True).stdout
         for name in ("z3", "z2")
     ]
     assert in_process == fresh
