@@ -6,7 +6,7 @@ functor per component object and one restriction table per site
 morphism and pair of components, and one ``sgd_diagram_search`` answers
 every diagram-map question of a classification.  Each is checked here
 against what a chart built alone, or a search compiled for one
-question, gives; the references below are the per-chart builder and
+question, gives; the references below are the per-chart construction and
 the product search that the shared ones replaced.
 """
 
