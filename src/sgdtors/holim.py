@@ -8,6 +8,11 @@ The zeroth horizontal face pushes the value simplex along the first
 cell, so the projection to the diagonal nerve forgets exactly the value
 coordinate and its fibres recover the values on the nose.
 
+``holim`` builds that diagonal directly, level by level, and lists no
+off-diagonal bidegree.  ``translation_bidegrees`` states the total
+object one bidegree at a time; ``translation_total`` and
+``bisset.diagonal`` build from it what ``holim`` must equal.
+
 The comma construction for an enriched functor is itself a translation
 object: over a target object, take the functor that assigns to each
 source object the cells into the target and lets source cells act by
@@ -19,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .bisset import BisSSet, build_bisset, diagonal
+from .bisset import BisSSet, build_bisset
 from .groupoid import FinGroupoid, groupoid_as_2groupoid, nerve_groupoid
 from .kan import fibration_check, iterated_degeneracy, weq_check
+from .ordinal import string_degeneracy, string_face, strings
 from .report import Check, invariant, require, validator
 from .sgroupoid import (
     SgdFunctor,
@@ -29,10 +35,13 @@ from .sgroupoid import (
     b_2groupoid,
     db_sgroupoid,
     nerve_bidegrees,
+    string_steps,
 )
 from .sset import (
     SSetMap,
     TruncSSet,
+    _sorted_ids,
+    _tabulated,
     build_sset,
     idkey,
     is_bijective,
@@ -151,9 +160,11 @@ def corepresented_functor(C: SimpGroupoid, a) -> SimplicialFunctor:
 # The translation total object and its diagonal.  A simplex pairs a value
 # simplex with a nerve string; horizontally it moves as the string does,
 # and d_0, which drops the first cell, also pushes the value along that
-# cell to the new head.  translation_total materialises every bidegree,
-# for validate_bisset; holim builds only the diagonal, from the same
-# bidegree functions.
+# cell to the new head.  translation_bidegrees gives every bidegree as
+# callables, and translation_total materialises them for validate_bisset.
+# holim composes the same formulas at bidegree (n, n) into whole tables,
+# reading each string's objects once per level; the bidegree callables
+# are the reference it is tested against.
 
 
 def translation_bidegrees(X: SimplicialFunctor):
@@ -191,8 +202,88 @@ def translation_total(X: SimplicialFunctor) -> BisSSet:
     return build_bisset(*translation_bidegrees(X))
 
 
+def _strings_from(C: SimpGroupoid, a0, n):
+    """The strings of n level-n cells from a0 in ``idkey`` order, each
+    with its objects, read off the groupoid's table of cell targets."""
+
+    def steps(k, at):
+        return [(f, b) for b in C.objects for f in C.homs[(at, b)].level(n)]
+
+    found = _sorted_ids(fs for _, fs in strings((a0,), steps, n))
+    return [(fs, (a0, *(b for _, b, _ in string_steps(C, a0, fs, n)))) for fs in found]
+
+
 def holim(X: SimplicialFunctor) -> TruncSSet:
-    return diagonal(*translation_bidegrees(X))
+    """The diagonal of ``translation_total(X)``, built without it.
+
+    Level n lists (a0, x, fs) with a0 running over the source objects,
+    then x over X(a0)'s level n, then fs over the strings of n level-n
+    cells from a0, each list in ``idkey`` order: so the level is in
+    ``idkey`` order, whatever order the values and homs store.  d_i and
+    s_j are ``translation_bidegrees``' formulas at bidegree (n, n), the
+    vertical map after the horizontal one, filled in as whole tables
+    from the composition, the action and the face and degeneracy tables
+    of the values and the homs.
+    """
+    C, values = X.source, X.values
+    objects = _sorted_ids(C.objects)
+    blocks = {
+        n: [(a0, _sorted_ids(values[a0].level(n)), _strings_from(C, a0, n)) for a0 in objects]
+        for n in range(C.trunc + 1)
+    }
+    simplices = {
+        n: tuple((a0, x, fs) for a0, xs, found in block for x in xs for fs, _ in found)
+        for n, block in blocks.items()
+    }
+
+    def cellwise(objs, cells, table):
+        return tuple(table(C.homs[(a, b)])[f] for a, b, f in zip(objs, objs[1:], cells))
+
+    def face(n, i):
+        def compose(a, b, c, g, f):
+            return C.comp[(a, b, c)][n][(g, f)]
+
+        def vface(V):
+            return V.faces[(n, i)]
+
+        images = []
+        for a0, xs, found in blocks[n]:
+            heads = []
+            for fs, objs in found:
+                b0, cells = string_face(objs, fs, i, compose)
+                heads.append((b0, cellwise(objs[:i] + objs[i + 1:], cells, vface)))
+            if i:
+                ys = vface(values[a0])
+                for x in xs:
+                    y = ys[x]
+                    images += [(a0, y, gs) for _, gs in heads]
+            else:
+                # d_0 drops the first cell and pushes the value along it
+                pushes = [
+                    (b0, gs, fs[0], X.action[(a0, b0)][n], vface(values[b0]))
+                    for (fs, _), (b0, gs) in zip(found, heads)
+                ]
+                for x in xs:
+                    images += [(b0, ys[act[(f, x)]], gs) for b0, gs, f, act, ys in pushes]
+        return dict(zip(simplices[n], images))
+
+    def degen(n, j):
+        def vdeg(V):
+            return V.degeneracies[(n, j)]
+
+        images = []
+        for a0, xs, found in blocks[n]:
+            grown = [
+                cellwise(objs[:j + 1] + objs[j:],
+                         string_degeneracy(objs, fs, j, lambda a: C.identity_at(a, n))[1], vdeg)
+                for fs, objs in found
+            ]
+            ys = vdeg(values[a0])
+            for x in xs:
+                images += [(a0, ys[x], gs) for gs in grown]
+        return dict(zip(simplices[n], images))
+
+    return _tabulated(C.trunc, simplices, face, degen)
 
 
 def holim_projection(X: SimplicialFunctor) -> SSetMap:

@@ -476,6 +476,29 @@ def test_holim_and_comma_level_tables(corpus, capsys):
     assert _table(out) == [2, 4, 8, 16]
 
 
+def test_reversed_hom_levels_give_the_same_verdicts_and_artifacts(tmp_path, corpus, capsys):
+    # each hom of z2const with its level lists back to front: holim, comma
+    # and alpha-beta must not read the stored order
+    H = json.load(open(corpus["z2const.json"]))
+    for hom in H["homs"]:
+        for level in hom["cells"]["simplices"].values():
+            level.reverse()
+    path = tmp_path / "z2const-reversed.json"
+    path.write_text(dumps(H) + "\n")
+    hom = decode_sgd(H).homs[("*", "*")]
+    assert hom.level(1) == (1, 0)
+    for command in ("holim", "comma", "alpha-beta"):
+        docs = []
+        for source in (corpus["z2const.json"], str(path)):
+            assert cli.main([command, source, "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            for cert in doc["certificates"]:
+                assert cert["verdict"] == "PASS"
+                assert cert["parameters"].pop("input") == source
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+
 def test_alpha_beta_and_fibre_check_pass(corpus, capsys):
     assert cli.main(["alpha-beta", corpus["z2const.json"], "--trunc", "3"]) == 0
     assert (

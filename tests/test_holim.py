@@ -1,5 +1,11 @@
+import pytest
+from gpd_fixtures import relabelled_z2_sgroup
+
+from sgdtors.bisset import diagonal, validate_bisset
+from sgdtors.bundles import cech_sgd_presheaf, enumerate_sgd_presheaf_maps, psi_sgd_family
 from sgdtors.groupoid import group_as_groupoid, trivial_groupoid, zmod
 from sgdtors.holim import (
+    SimplicialFunctor,
     comma_construction_functor,
     comma_db,
     constant_functor,
@@ -13,20 +19,31 @@ from sgdtors.holim import (
     literal_fibre,
     point_functor,
     simplicial_functor,
+    translation_bidegrees,
     translation_groupoid,
+    translation_total,
     validate_simplicial_functor,
 )
-from sgdtors.fixtures import interval_sgd, twocomp_sgd, z2_sgroup
+from sgdtors.fixtures import interval_sgd, s1_site, twocomp_sgd, z2_presheaf, z2_sgroup
 from sgdtors.groupoid import (
     group_as_2groupoid,
     nerve_groupoid,
     validate_groupoid,
 )
 from sgdtors.kan import fibration_check, weq_check
-from sgdtors.sgroupoid import constant_sgroup, constant_sset, db_sgroupoid, sgd_functor
+from sgdtors.sgroupoid import (
+    SimpGroupoid,
+    constant_sgroup,
+    constant_sset,
+    db_sgroupoid,
+    sgd_functor,
+)
+from sgdtors.site import star_cover
 from sgdtors.sset import (
+    TruncSSet,
     delta,
     disjoint_union,
+    idkey,
     is_bijective,
     pi0_classes,
     point,
@@ -239,3 +256,97 @@ def test_constant_non_point_values_multiply_the_nerve():
     B = db_sgroupoid(C)
     assert E.level_counts() == tuple(2 * B.size(n) for n in range(3))
     assert len(pi0_classes(E)) == 2
+
+
+# ---------------------------------------------------------------------------
+# holim builds the diagonal of the translation object directly.  Its
+# reference is bisset.diagonal of translation_bidegrees' callables, and on
+# one diagram the diagonal read off the materialised total object.
+
+GROUPOIDS = {
+    "z2": z2_sgroup,
+    "z3": lambda trunc: constant_sgroup(zmod(3), trunc),
+    "interval": interval_sgd,
+    "twocomp": twocomp_sgd,
+    "relabelled-z2": relabelled_z2_sgroup,
+}
+
+
+def reference_holim(X):
+    return diagonal(*translation_bidegrees(X))
+
+
+def assert_same_sset(A, B):
+    """The same level tuples in the same order, and equal tables."""
+    assert A.trunc == B.trunc
+    assert A.simplices == B.simplices
+    assert A.faces == B.faces
+    assert A.degeneracies == B.degeneracies
+
+
+def reversed_levels(V):
+    """V with each level stored back to front: the same simplicial set."""
+    return TruncSSet(V.trunc, {n: level[::-1] for n, level in V.simplices.items()},
+                     V.faces, V.degeneracies)
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", GROUPOIDS)
+def test_holim_is_the_diagonal_of_the_bidegree_callables(name, trunc):
+    H = GROUPOIDS[name](trunc)
+    diagrams = [corepresented_functor(H, a) for a in H.objects]
+    diagrams.append(comma_construction_functor(identity_functor(H)))
+    for X in diagrams:
+        assert_same_sset(holim(X), reference_holim(X))
+
+
+def test_holim_of_the_circle_chart_commas_is_the_diagonal():
+    site = s1_site()
+    P = cech_sgd_presheaf(site, star_cover(site), TR)
+    charts = enumerate_sgd_presheaf_maps(P, z2_presheaf(site, TR))
+    functors = {id(X): X for D in psi_sgd_family(charts) for X in D.functors.values()}
+    assert len(functors) > 1
+    for X in functors.values():
+        assert_same_sset(holim(X), reference_holim(X))
+
+
+def test_holim_is_the_diagonal_of_the_materialised_total_object():
+    X = comma_construction_functor(identity_functor(interval_sgd(TR)))
+    B = translation_total(X)
+    assert validate_bisset(B).ok
+    N = B.trunc
+    D = TruncSSet(
+        N,
+        {n: B.level(n, n) for n in range(N + 1)},
+        {
+            (n, i): {x: B.vfaces[(n - 1, n, i)][y] for x, y in B.hfaces[(n, n, i)].items()}
+            for n in range(1, N + 1)
+            for i in range(n + 1)
+        },
+        {
+            (n, j): {x: B.vdegen[(n + 1, n, j)][y] for x, y in B.hdegen[(n, n, j)].items()}
+            for n in range(N)
+            for j in range(n + 1)
+        },
+    )
+    assert_same_sset(holim(X), D)
+
+
+def test_holim_lists_levels_in_idkey_order_whatever_order_they_are_stored_in():
+    # the interval's comma values, and its objects and homs, stored back to front
+    X = comma_construction_functor(identity_functor(interval_sgd(TR)))
+    C = X.source
+    flipped_source = SimpGroupoid(
+        C.trunc, C.objects[::-1], {ab: reversed_levels(hom) for ab, hom in C.homs.items()},
+        C.comp, C.identities,
+    )
+    flipped = SimplicialFunctor(
+        flipped_source, {a: reversed_levels(V) for a, V in X.values.items()}, X.action
+    )
+    for V in flipped.values.values():
+        for n in range(TR + 1):
+            assert list(V.level(n)) == sorted(V.level(n), key=idkey, reverse=True)
+            assert V.size(n) > 1
+    E = holim(flipped)
+    assert_same_sset(E, reference_holim(flipped))
+    assert_same_sset(E, holim(X))
